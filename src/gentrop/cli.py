@@ -147,7 +147,7 @@ def cmd_analyze(args) -> int:
     policy = _policy(args, I.n)
     cap = args.degree_cap
     m = dimension(I, cap)
-    t = depth(I, policy)
+    t = depth(I, policy, cap)
     result = classify_cm(I, policy, points=args.points, degree_cap=cap)
     g = gin(I, GREVLEX, policy, cap)
     report = _base_report(args, data, I.n)
@@ -197,7 +197,7 @@ def _verify_wnm(I, policy, args):
 def _verify_wnmt(I, policy, args):
     cap = args.degree_cap
     m = dimension(I, cap)
-    t = depth(I, policy)
+    t = depth(I, policy, cap)
     if not 0 < t < m - 1:
         raise ParseError(
             f"target Wnmt needs 0 < depth < dim-1, got depth {t}, dim {m}"
@@ -223,7 +223,7 @@ def _verify_wnmt(I, policy, args):
 def _verify_multiplicity(I, policy, args):
     cap = args.degree_cap
     m = dimension(I, cap)
-    t = depth(I, policy)
+    t = depth(I, policy, cap)
     if 0 < t < m - 1:
         cones = refinement_maximal_cones(I.n, m, t)
     else:
@@ -244,7 +244,7 @@ def _verify_multiplicity(I, policy, args):
 def _verify_depth_recovery(I, policy, args):
     cap = args.degree_cap
     m = dimension(I, cap)
-    t = depth(I, policy)
+    t = depth(I, policy, cap)
     if not 0 < t < m - 1:
         raise ParseError(
             f"target depth-recovery needs 0 < depth < dim-1, got depth {t}, dim {m}"

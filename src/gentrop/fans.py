@@ -81,7 +81,8 @@ def refinement_maximal_cones(n: int, m: int, t: int) -> list:
         for top in combinations(rest, t):
             middle = frozenset(rest) - frozenset(top)
             out.append(ConeId(n, frozenset(a), middle, frozenset(top)))
-    assert len(out) == comb(n, n - m + 1) * comb(m - 1, t)
+    if len(out) != comb(n, n - m + 1) * comb(m - 1, t):
+        raise RuntimeError("refinement cone count disagrees with its binomial formula")
     return out
 
 

@@ -358,7 +358,7 @@ def separating_witness(
     """
     n = I.n
     m = dimension(I, degree_cap)
-    t = depth(I, policy)
+    t = depth(I, policy, degree_cap)
     if t == 0:
         raise ValueError("witness construction requires positive depth")
     if m < 3:
@@ -416,7 +416,7 @@ def classify_cm(
     m = dimension(I, degree_cap)
     if m == 0:
         raise ValueError("classification requires positive dimension")
-    t = depth(I, policy)
+    t = depth(I, policy, degree_cap)
     if t == m:
         label = CM
     elif t == m - 1:

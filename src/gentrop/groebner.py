@@ -1,11 +1,12 @@
 """Buchberger engine: normal forms, reduced Groebner bases, weighted initial
 ideals, elimination, saturation and the monomial-containment test.
 
-All arithmetic is exact.  Basis elements are kept monic, pair selection uses
-the normal strategy (smallest lcm degree first) with the coprimality
-criterion, and every sort is stable, so identical inputs produce bit-identical
-output.  A degree cap (default 40) aborts runaway computations with
-``DegreeCapExceeded`` instead of hanging.
+All arithmetic is exact.  Basis elements are kept monic.  S-pairs are pruned
+by the Gebauer-Moeller criteria (B, M and F, which includes the coprimality
+criterion) and taken from a heap by the normal strategy (smallest lcm degree
+first).  Every sort and tie-break is fixed, so identical inputs produce
+bit-identical output.  A degree cap (default 40) aborts runaway computations
+with ``DegreeCapExceeded`` instead of hanging.
 """
 
 from __future__ import annotations
@@ -131,6 +132,10 @@ def _divides(a, b) -> bool:
     return True
 
 
+def _lcm(a, b) -> tuple:
+    return tuple(map(max, a, b))
+
+
 def _lead(d: dict, key: Callable) -> tuple:
     return max(d, key=key)
 
@@ -186,7 +191,7 @@ def _nf_dict(f: dict, reducers, key: Callable, cap: int) -> dict:
 
 
 def _spair_poly(fi: dict, lmi, fj: dict, lmj) -> dict:
-    lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
+    lcm = _lcm(lmi, lmj)
     si = tuple(a - b for a, b in zip(lcm, lmi))
     sj = tuple(a - b for a, b in zip(lcm, lmj))
     acc: dict = {}
@@ -209,13 +214,46 @@ def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
     """
     basis: list = []      # (lm, tail, full dict)
     reducers: list = []   # (lm, tail) view of basis
+    active: set = set()   # indices whose lead no later lead divides
+    live: dict = {}       # pending pair (i, j) -> lcm; other heap entries are stale
+    heap: list = []       # (deg lcm, lcm, i, j): the normal strategy
 
     def push(d: dict):
+        """Append d to the basis and update the pairs (Gebauer-Moeller)."""
         lm = _lead(d, key)
         if sum(lm) > cap:
             raise DegreeCapExceeded(f"basis degree {sum(lm)} exceeds cap {cap}")
         d = _monic(d, lm)
         tail = tuple((e, c) for e, c in d.items() if e != lm)
+        k = len(basis)
+        # B: drop an old pair (i, j) whose lcm the new lead divides, unless
+        # the pair of i or of j with the new element has the same lcm
+        for (i, j), lcm in list(live.items()):
+            if (
+                _divides(lm, lcm)
+                and _lcm(basis[i][0], lm) != lcm
+                and _lcm(basis[j][0], lm) != lcm
+            ):
+                del live[(i, j)]
+        # new pairs by lcm; None marks an lcm shared with a coprime pair.  The
+        # cap sees every non-coprime pair, also those the criteria drop.
+        by_lcm: dict = {}
+        for j, (lmj, _, _) in enumerate(basis):
+            lcm = _lcm(lm, lmj)
+            coprime = all(a == 0 or b == 0 for a, b in zip(lm, lmj))
+            if not coprime and sum(lcm) > cap:
+                raise DegreeCapExceeded(f"s-pair degree exceeds cap {cap}")
+            if j in active:
+                by_lcm[lcm] = None if coprime else by_lcm.get(lcm, j)
+        # M and F: keep one pair per lcm that no other new lcm strictly
+        # divides, and none for an lcm with a coprime pair
+        for lcm, j in by_lcm.items():
+            if j is None or any(o != lcm and _divides(o, lcm) for o in by_lcm):
+                continue
+            live[(k, j)] = lcm
+            heappush(heap, (sum(lcm), lcm, k, j))
+        active.difference_update([j for j in active if _divides(lm, basis[j][0])])
+        active.add(k)
         basis.append((lm, tail, d))
         reducers.append((lm, tail))
 
@@ -223,26 +261,15 @@ def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
         if d:
             push(dict(d))
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    while pairs:
-        def pair_rank(p):
-            lmi, lmj = basis[p[0]][0], basis[p[1]][0]
-            lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-            return (sum(lcm), lcm, p[0], p[1])
-
-        i, j = min(pairs, key=pair_rank)
-        pairs.remove((i, j))
-        lmi, lmj = basis[i][0], basis[j][0]
-        if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):
-            continue  # coprime leading monomials: s-pair reduces to zero
-        if sum(max(a, b) for a, b in zip(lmi, lmj)) > cap:
-            raise DegreeCapExceeded(f"s-pair degree exceeds cap {cap}")
-        s = _spair_poly(basis[i][2], lmi, basis[j][2], lmj)
+    while heap:
+        _, _, i, j = heappop(heap)
+        if (i, j) not in live:
+            continue  # dropped by the B criterion
+        del live[(i, j)]
+        s = _spair_poly(basis[i][2], basis[i][0], basis[j][2], basis[j][0])
         r = _nf_dict(s, reducers, key, cap)
         if r:
             push(r)
-            k = len(basis) - 1
-            pairs.update((k, t) for t in range(k))
 
     # minimalize: drop elements whose lead is strictly divisible by another
     # lead (weighted orders are not well-orders across degrees, so key order

@@ -190,8 +190,10 @@ def hilbert(M: MonomialIdeal, pivot_rule: str = "frequent") -> HilbertData:
         q = nxt
         d -= 1
     mult = sum(q)
-    assert d == monomial_dimension(M), "Hilbert dimension disagrees with cover bound"
-    assert mult > 0, "multiplicity must be positive"
+    if d != monomial_dimension(M):
+        raise RuntimeError("Hilbert dimension disagrees with cover bound")
+    if mult <= 0:
+        raise RuntimeError("multiplicity must be positive")
     return HilbertData(tuple(q), d, mult)
 
 
@@ -237,12 +239,12 @@ def depth_of_stable(M: MonomialIdeal, perm=None) -> int:
     return M.n - last
 
 
-def depth(I: Ideal, policy) -> int:
+def depth(I: Ideal, policy, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
     """Depth of S/I via the generic initial ideal for the graded reverse
     lexicographic order, where the two agree."""
     from .generic import gin
 
-    g = gin(I, GREVLEX, policy)
+    g = gin(I, GREVLEX, policy, degree_cap)
     return depth_of_stable(g)
 
 

@@ -319,11 +319,6 @@ class Polynomial:
         return f"Polynomial({self.n}, {format_polynomial(self)!r})"
 
 
-def scale(c, f: Polynomial) -> Polynomial:
-    """c * f for a rational scalar c."""
-    return f * Fraction(c)
-
-
 def initial_form(w: Weights, f: Polynomial) -> Polynomial:
     """The sum of the terms of f whose w-weight is minimal."""
     if not f.terms:

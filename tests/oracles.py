@@ -93,10 +93,21 @@ def degree_span(generators, n: int, d: int) -> list:
 def member_homogeneous(f: Polynomial, generators, n: int) -> bool:
     """Exact ideal membership for homogeneous f against homogeneous
     generators, by linear algebra in the degree slice."""
-    if not f:
-        return True
-    span = degree_span(generators, n, f.degree)
-    return _in_rowspace(_coeff_vec(f, monomials_of_degree(n, f.degree)), span)
+    return members_homogeneous([f], generators, n)
+
+
+def members_homogeneous(fs, generators, n: int) -> bool:
+    """member_homogeneous for every f in ``fs``, one slice per degree."""
+    by_degree: dict = {}
+    for f in fs:
+        if f:
+            by_degree.setdefault(f.degree, []).append(f)
+    for d, group in by_degree.items():
+        span = degree_span(generators, n, d)
+        basis = monomials_of_degree(n, d)
+        if not all(_in_rowspace(_coeff_vec(f, basis), span) for f in group):
+            return False
+    return True
 
 
 def slice_dimension(generators, n: int, d: int) -> int:

@@ -187,6 +187,17 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_degree_cap_binds_the_depth_gin(tmp_path, capsys):
+    # the generators and their grevlex basis stay within the cap, but the gin
+    # that depth reads has generators x1*x2^3 and x2^5 above it, and its
+    # Buchberger runs reach degree 7
+    path = write(tmp_path, "cubes.ideal", "ring 3\nx1^3\nx2^3\n")
+    assert main(["analyze", path, "--degree-cap", "3"]) == EXIT_DEGREE_CAP
+    capsys.readouterr()
+    assert main(["analyze", path, "--degree-cap", "7"]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_exit_code_genericity(tmp_path, capsys):
     # with the identity transform the "generic" initial ideal of (x2) is
     # (x2), which is not strongly stable: a certain genericity failure

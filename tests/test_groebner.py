@@ -20,7 +20,7 @@ from gentrop.groebner import (
 from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form
 
 import oracles
-from cases import P, ideal, random_graded_ideal
+from cases import P, dense_form, ideal, random_graded_ideal
 
 
 def gens_of(I):
@@ -275,3 +275,53 @@ def test_cached_basis_generates_the_same_ideal():
             assert normal_form(g, gb.elements).is_zero()
         for b in gb.elements:
             assert oracles.member_homogeneous(b, I.generators, 3)
+
+
+def _certify(gens, key):
+    """Check from the basis alone that the engine's basis of ``gens`` (dicts)
+    is the reduced Groebner basis of the ideal they generate, if it lies in
+    that ideal: every s-pair and every generator reduces to zero, and the
+    basis is reduced.  Returns the basis."""
+    from gentrop.groebner import _buchberger_dicts, _lead, _nf_dict, _spair_poly
+
+    basis = _buchberger_dicts(gens, key, 40)
+    leads = [_lead(g, key) for g in basis]
+    reducers = [(lm, tuple((e, c) for e, c in g.items() if e != lm)) for lm, g in zip(leads, basis)]
+    for i, g in enumerate(basis):
+        assert g[leads[i]] == 1
+        for e in g:
+            for j, lm in enumerate(leads):
+                assert i == j or not all(a <= b for a, b in zip(lm, e))
+    for i in range(len(basis)):
+        for j in range(i):
+            s = _spair_poly(basis[i], leads[i], basis[j], leads[j])
+            assert _nf_dict(s, reducers, key, 80) == {}
+    for g in gens:
+        assert _nf_dict(g, reducers, key, 80) == {}
+    return basis
+
+
+def test_seeded_groebner_certificates():
+    # pair pruning must not lose an s-pair: certify bases of seeded sparse
+    # and dense ideals under every order kind the package uses, and check
+    # membership of the graded bases with the linear-algebra oracle
+    from gentrop.groebner import _block_key, _order_key
+
+    ideals = [random_graded_ideal(n, seed, gens=2 + seed % 3) for n in (3, 4) for seed in range(3)]
+    for seed in range(3):
+        ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
+        ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
+    for idx, I in enumerate(ideals):
+        n = I.n
+        rng = random.Random(f"certify:{idx}")
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        orders = [GREVLEX, LEX, OrderSpec("grevlex", tuple(perm))]
+        orders += [GREVLEX.refine(tuple(rng.randint(0, 4) for _ in range(n))) for _ in range(2)]
+        gens = [dict(g.terms) for g in I.generators]
+        graded = [Polynomial(n, g) for o in orders for g in _certify(gens, _order_key(o, n))]
+        assert oracles.members_homogeneous(graded, I.generators, n)
+        # the block order of saturate, on I + (1 - y*x1*...*xn)
+        lifted = [{e + (0,): c for e, c in g.items()} for g in gens]
+        aux = {(0,) * (n + 1): Fraction(1), (1,) * (n + 1): Fraction(-1)}
+        _certify(lifted + [aux], _block_key(n + 1, (n,)))

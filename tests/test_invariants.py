@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
 
 import pytest
@@ -18,6 +22,7 @@ from gentrop.invariants import (
     multiplicity,
 )
 from gentrop.poly import GREVLEX, LEX, OrderSpec
+import gentrop
 
 import oracles
 from cases import (
@@ -210,3 +215,37 @@ def test_gin_structure_constraints():
         assert any(
             g[n - m - 1] > 0 and sum(g) == g[n - m - 1] for g in G.generators
         )
+
+
+def test_invariant_checks_survive_optimize():
+    # forced mismatches must raise under python -O, which strips asserts
+    script = textwrap.dedent(
+        """
+        import sys
+        import pytest
+        from gentrop import fans, invariants as inv
+
+        M = inv.minimalize(2, [(1, 0)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inv, "monomial_dimension", lambda M: 0)
+            with pytest.raises(RuntimeError, match="Hilbert dimension"):
+                inv.hilbert(M)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inv, "monomial_dimension", lambda M: 2)
+            mp.setattr(inv, "_divide_one_minus_t", lambda q: None)
+            with pytest.raises(RuntimeError, match="multiplicity"):
+                inv.hilbert(M)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fans, "comb", lambda a, b: 0)
+            with pytest.raises(RuntimeError, match="cone count"):
+                fans.refinement_maximal_cones(5, 4, 1)
+        print("checked", sys.flags.optimize)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(gentrop.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["checked", "1"]
