@@ -19,7 +19,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .fans import adjacent_pairs, maximal_cones, refinement_maximal_cones
+from .fans import ConeSequence, adjacent_pairs
 from .generic import (
     GenericityFailure,
     GenericityPolicy,
@@ -135,6 +135,8 @@ def _load_ideal(args):
 
 
 def _budget(cones, seed: int):
+    """Every item of the sequence ``cones``, or CONE_BUDGET of them drawn by
+    index with the seed; only the drawn items are read."""
     if len(cones) <= CONE_BUDGET:
         return list(cones)
     rng = random.Random(f"cone-budget:{seed}")
@@ -188,7 +190,7 @@ def cmd_tropical(args) -> int:
 def _verify_wnm(I, policy, args):
     m = dimension(I, args.degree_cap)
     probes = []
-    for cone in _budget(maximal_cones(I.n, m), args.seed):
+    for cone in _budget(ConeSequence(I.n, m), args.seed):
         ok = cone_constancy(I, cone, args.points, policy, args.degree_cap)
         probes.append(ProbeResult("cone_constancy", cone, ok, "sampled"))
     return probes
@@ -203,7 +205,7 @@ def _verify_wnmt(I, policy, args):
             f"target Wnmt needs 0 < depth < dim-1, got depth {t}, dim {m}"
         )
     probes = []
-    for cone in _budget(refinement_maximal_cones(I.n, m, t), args.seed):
+    for cone in _budget(ConeSequence(I.n, m, t), args.seed):
         ok = cone_constancy(I, cone, args.points, policy, cap)
         probes.append(ProbeResult("cone_constancy", cone, ok, "sampled"))
     for c1, c2 in _budget(adjacent_pairs(I.n, m, t), args.seed):
@@ -224,10 +226,7 @@ def _verify_multiplicity(I, policy, args):
     cap = args.degree_cap
     m = dimension(I, cap)
     t = depth(I, policy, cap)
-    if 0 < t < m - 1:
-        cones = refinement_maximal_cones(I.n, m, t)
-    else:
-        cones = maximal_cones(I.n, m)
+    cones = ConeSequence(I.n, m, t if 0 < t < m - 1 else None)
     probes = []
     for cone in _budget(cones, args.seed):
         rep = intrinsic_multiplicity(I, cone, policy, cap)

@@ -11,9 +11,10 @@ machinery is needed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import comb
+from itertools import combinations
+from math import comb, factorial
 from typing import Iterable
 
 
@@ -63,18 +64,26 @@ def cone_dim(c: ConeId) -> int:
     return dim
 
 
-def maximal_cones(n: int, m: int) -> list:
-    """All maximal cones of the m-skeleton: min-sets of size n-m+1."""
+def _check_skeleton(n: int, m: int) -> None:
     if not 0 < m <= n:
         raise ValueError("need 0 < m <= n")
+
+
+def _check_refinement(n: int, m: int, t: int) -> None:
+    if not (0 < t < m - 1 < n - 1):
+        raise ValueError("need 0 < t < m-1 < n-1")
+
+
+def maximal_cones(n: int, m: int) -> list:
+    """All maximal cones of the m-skeleton: min-sets of size n-m+1."""
+    _check_skeleton(n, m)
     size = n - m + 1
     return [ConeId(n, frozenset(a)) for a in combinations(range(1, n + 1), size)]
 
 
 def refinement_maximal_cones(n: int, m: int, t: int) -> list:
     """All maximal cones of the t-refinement of the m-skeleton."""
-    if not (0 < t < m - 1 < n - 1):
-        raise ValueError("need 0 < t < m-1 < n-1")
+    _check_refinement(n, m, t)
     out = []
     for a in combinations(range(1, n + 1), n - m + 1):
         rest = [i for i in range(1, n + 1) if i not in a]
@@ -84,6 +93,58 @@ def refinement_maximal_cones(n: int, m: int, t: int) -> list:
     if len(out) != comb(n, n - m + 1) * comb(m - 1, t):
         raise RuntimeError("refinement cone count disagrees with its binomial formula")
     return out
+
+
+def _unrank_combination(items: list, k: int, r: int) -> list:
+    """The r-th k-subset of the sorted ``items`` in the order
+    ``itertools.combinations`` yields them."""
+    out = []
+    j = 0
+    for left in range(k - 1, -1, -1):
+        # skip the subsets whose next element is items[j]
+        while r >= (c := comb(len(items) - j - 1, left)):
+            r -= c
+            j += 1
+        out.append(items[j])
+        j += 1
+    return out
+
+
+class ConeSequence(Sequence):
+    """The maximal cones of the m-skeleton, or of its t-refinement when
+    ``t`` is given, in the order of ``maximal_cones`` /
+    ``refinement_maximal_cones``.
+
+    A cone is unranked from its index when it is read, so a caller that
+    samples a few indices never lists a fan of C(n, n-m+1) * C(m-1, t)
+    cones.
+    """
+
+    def __init__(self, n: int, m: int, t: int | None = None):
+        if t is None:
+            _check_skeleton(n, m)
+        else:
+            _check_refinement(n, m, t)
+        self.n, self.m, self.t = n, m, t
+        self._tops = 1 if t is None else comb(m - 1, t)
+        self._len = comb(n, n - m + 1) * self._tops
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> ConeId:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("cone index out of range")
+        n = self.n
+        a_index, top_index = divmod(i, self._tops)
+        a = _unrank_combination(list(range(1, n + 1)), n - self.m + 1, a_index)
+        if self.t is None:
+            return ConeId(n, frozenset(a))
+        rest = [x for x in range(1, n + 1) if x not in a]
+        top = frozenset(_unrank_combination(rest, self.t, top_index))
+        return ConeId(n, frozenset(a), frozenset(rest) - top, top)
 
 
 def adjacent_pairs(n: int, m: int, t: int) -> list:
@@ -131,6 +192,17 @@ def _blocks(c: ConeId) -> list:
     return [rest] if rest else []
 
 
+def _unrank_permutation(items: list, r: int) -> list:
+    """The r-th arrangement of the sorted ``items`` in lexicographic order,
+    the order ``itertools.permutations`` yields them (Lehmer code)."""
+    items = list(items)
+    out = []
+    for k in range(len(items) - 1, -1, -1):
+        d, r = divmod(r, factorial(k))
+        out.append(items.pop(d))
+    return out
+
+
 def interior_points(c: ConeId, c_gap: int, count: int) -> list:
     """``count`` distinct interior points of the open cone.
 
@@ -139,18 +211,22 @@ def interior_points(c: ConeId, c_gap: int, count: int) -> list:
     inside a block is unconstrained in the open cone, so every assignment
     stays interior.  Sampling both block orderings is what lets constancy
     probes detect a cone that the sampled tropical fan actually splits.
+
+    Sample q takes, in each block, the arrangement whose lexicographic rank
+    is the block's digit of q in the mixed radix of the block factorials;
+    it is unranked directly, so memory stays linear in n.
     """
     if count < 1:
         raise ValueError("need at least one point")
     blocks = _blocks(c)
-    block_perms = [list(permutations(b)) for b in blocks]
+    radices = [factorial(len(b)) for b in blocks]
     out = []
     for q in range(count):
         arrangement = []
         idx = q
-        for perms in block_perms:
-            arrangement.extend(perms[idx % len(perms)])
-            idx //= len(perms)
+        for b, radix in zip(blocks, radices):
+            arrangement.extend(_unrank_permutation(b, idx % radix))
+            idx //= radix
         vals = _ladder(len(arrangement), c_gap + q)
         w = [0] * c.n
         for i, v in zip(arrangement, vals):

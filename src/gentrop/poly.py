@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Callable, Iterable, NamedTuple
 
 Exponents = tuple
@@ -93,11 +94,21 @@ GREVLEX = OrderSpec()
 LEX = OrderSpec(base="lex")
 
 
-def weight(w: Weights, exps: Exponents) -> Fraction:
+def _exact(w: Weights) -> tuple:
+    """``w`` with every non-integer entry as a Fraction, so that dot
+    products with exponent vectors are exact."""
+    return tuple(x if isinstance(x, int) else Fraction(x) for x in w)
+
+
+def _dot(w: tuple, exps: Exponents) -> int | Fraction:
+    return sum(map(mul, w, exps))
+
+
+def weight(w: Weights, exps: Exponents) -> int | Fraction:
     """Weight of the monomial x^exps: the dot product w . exps."""
     if len(w) != len(exps):
         raise ValueError("weight/exponent length mismatch")
-    return sum((Fraction(wi) * ei for wi, ei in zip(w, exps)), Fraction(0))
+    return _dot(_exact(w), exps)
 
 
 def compare(order: OrderSpec, a: Exponents, b: Exponents) -> int:
@@ -323,7 +334,10 @@ def initial_form(w: Weights, f: Polynomial) -> Polynomial:
     """The sum of the terms of f whose w-weight is minimal."""
     if not f.terms:
         raise ValueError("initial form of the zero polynomial")
-    wts = [(weight(w, e), e, c) for e, c in f.terms]
+    if len(w) != f.n:
+        raise ValueError("weight/exponent length mismatch")
+    w = _exact(w)
+    wts = [(_dot(w, e), e, c) for e, c in f.terms]
     mn = min(x[0] for x in wts)
     return Polynomial(f.n, [(e, c) for x, e, c in wts if x == mn])
 

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -214,3 +215,28 @@ def test_budget_sampling_deterministic():
     b = _budget(cones, 3)
     assert a == b and len(a) == 200
     assert _budget(list(range(10)), 3) == list(range(10))
+
+
+def test_budget_picks_the_same_cones_by_index():
+    from gentrop.cli import _budget
+    from gentrop.fans import ConeSequence, maximal_cones, refinement_maximal_cones
+
+    for seed in (0, 3):
+        assert _budget(ConeSequence(12, 6), seed) == _budget(maximal_cones(12, 6), seed)
+        assert _budget(ConeSequence(10, 6, 2), seed) == _budget(
+            refinement_maximal_cones(10, 6, 2), seed
+        )
+
+
+def test_budget_samples_a_huge_fan_without_listing_it():
+    from gentrop.cli import CONE_BUDGET, _budget
+    from gentrop.fans import ConeSequence
+
+    cones = ConeSequence(30, 15)  # C(30, 16), about 1.45e8 cones
+    assert len(cones) == comb(30, 16)
+    picked = _budget(cones, 7)
+    assert picked == _budget(cones, 7)
+    assert len(set(picked)) == CONE_BUDGET
+    assert all(len(c.min_set) == 16 for c in picked)
+    refinement = ConeSequence(30, 15, 5)
+    assert len(_budget(refinement, 7)) == CONE_BUDGET

@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 from itertools import permutations
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
 from gentrop.fans import (
     ConeId,
+    ConeSequence,
     adjacent_pairs,
     cone_dim,
     interior_point,
@@ -170,3 +172,78 @@ def test_skeleton_faces_are_faces_of_maximal_cones():
 
         for a in combinations(range(1, n + 1), size):
             assert any(set(b) <= set(a) for b in maximal)
+
+
+def _all_maximal_and_refinement_cones(max_n):
+    for n in range(1, max_n + 1):
+        for m in range(1, n + 1):
+            yield from maximal_cones(n, m)
+            for t in range(1, m - 1):
+                if m < n:
+                    yield from refinement_maximal_cones(n, m, t)
+
+
+def _enumerated_interior_points(c, c_gap, count):
+    # the arrangements listed with itertools.permutations, block by block
+    blocks = [sorted(c.middle), sorted(c.top)] if c.is_refinement() else [
+        sorted(set(range(1, c.n + 1)) - c.min_set)
+    ]
+    block_perms = [list(permutations(b)) for b in blocks if b]
+    out = []
+    for q in range(count):
+        arrangement = []
+        idx = q
+        for perms in block_perms:
+            arrangement.extend(perms[idx % len(perms)])
+            idx //= len(perms)
+        w = [0] * c.n
+        v = 1
+        for i in arrangement:
+            w[i - 1] = v
+            v = (c_gap + q) * v + 1
+        out.append(tuple(w))
+    return out
+
+
+def test_interior_points_match_enumerated_arrangements():
+    for c in _all_maximal_and_refinement_cones(7):
+        free = [c.middle, c.top] if c.is_refinement() else [
+            set(range(1, c.n + 1)) - c.min_set
+        ]
+        # two past the product of the block factorials, so the index wraps
+        count = prod(factorial(len(b)) for b in free) + 2
+        for gap in (1, 2, 3):
+            assert interior_points(c, gap, count) == _enumerated_interior_points(
+                c, gap, count
+            )
+
+
+def test_interior_points_memory_stays_linear():
+    c = maximal_cones(11, 10)[0]  # one block of 9 coordinates: 9! arrangements
+    tracemalloc.start()
+    try:
+        interior_points(c, 2, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_cone_sequence_unranks_the_enumeration():
+    for n in range(1, 8):
+        for m in range(1, n + 1):
+            assert list(ConeSequence(n, m)) == maximal_cones(n, m)
+            for t in range(1, m - 1):
+                if m < n:
+                    cones = refinement_maximal_cones(n, m, t)
+                    seq = ConeSequence(n, m, t)
+                    assert len(seq) == len(cones)
+                    assert [seq[i] for i in range(len(seq))] == cones
+    seq = ConeSequence(6, 3, 1)
+    assert seq[-1] == refinement_maximal_cones(6, 3, 1)[-1]
+    with pytest.raises(IndexError):
+        seq[len(seq)]
+    with pytest.raises(ValueError):
+        ConeSequence(5, 6)
+    with pytest.raises(ValueError):
+        ConeSequence(5, 4, 3)

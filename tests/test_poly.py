@@ -90,6 +90,31 @@ def test_initial_form_scaling_and_shift_invariance():
         assert initial_form(w, f) == initial_form(w2, f)
 
 
+def test_initial_form_fraction_weights_match_scaled_integers():
+    rng = random.Random(7)
+    mons = [e for e in product(range(5), repeat=3) if sum(e) == 4]
+    for _ in range(50):
+        f = Polynomial(3, {e: rng.randint(1, 3) for e in rng.sample(mons, 5)})
+        den = rng.randint(2, 6)
+        # the first entry is an int in ``mixed``, the others mostly Fractions
+        ints = (den * rng.randint(0, 3),) + tuple(rng.randint(0, 3 * den) for _ in range(2))
+        fracs = tuple(Fraction(x, den) for x in ints)
+        mixed = tuple(x // den if x % den == 0 else Fraction(x, den) for x in ints)
+        want = initial_form(ints, f)
+        assert initial_form(fracs, f) == want
+        assert initial_form(mixed, f) == want
+        for e, _ in f.terms:
+            assert weight(mixed, e) * den == weight(ints, e)
+
+
+def test_initial_form_length_mismatch():
+    f = P("x1 + x2 + x3", 3)
+    with pytest.raises(ValueError):
+        initial_form((0, 1), f)
+    with pytest.raises(ValueError):
+        initial_form((0, 1, Fraction(1, 2), 0), f)
+
+
 def test_leading_term_examples():
     f = P("x1 + x2", 2)
     assert leading_term(GREVLEX, f).exponents == (1, 0)
