@@ -15,21 +15,23 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
-from .fans import ConeSequence, adjacent_pairs
+from .fans import ConeSequence, adjacent_pairs, budget
 from .generic import (
     GenericityFailure,
     GenericityPolicy,
     ProbeResult,
     adjacent_distinct,
-    apply_transform,
     classify_cm,
     cone_constancy,
+    gin,
     identity_policy,
     recover_depth,
+    transformed,
+    tropical_member,
 )
 from .groebner import (
     DEFAULT_DEGREE_CAP,
@@ -38,7 +40,6 @@ from .groebner import (
     NotGradedError,
     initial_ideal,
 )
-from .generic import _policy_transforms, gin, tropical_member
 from .invariants import depth, dimension, multiplicity
 from .poly import GREVLEX, ParseError, parse_polynomial
 from .tropmult import intrinsic_multiplicity
@@ -49,8 +50,6 @@ EXIT_PARSE = 2
 EXIT_NOT_GRADED = 3
 EXIT_GENERICITY = 4
 EXIT_DEGREE_CAP = 5
-
-CONE_BUDGET = 200
 
 
 def parse_ideal_file(text: str):
@@ -90,7 +89,8 @@ def _parse_omega(text: str, n: int):
 
 def _policy(args, n: int) -> GenericityPolicy:
     if args.identity:
-        return identity_policy(n)
+        # the seed still draws the probed cones of fans above the budget
+        return replace(identity_policy(n), seed=args.seed)
     return GenericityPolicy(samples=args.samples, bound=args.bound, seed=args.seed)
 
 
@@ -134,16 +134,6 @@ def _load_ideal(args):
     return data, Ideal(n, polys)
 
 
-def _budget(cones, seed: int):
-    """Every item of the sequence ``cones``, or CONE_BUDGET of them drawn by
-    index with the seed; only the drawn items are read."""
-    if len(cones) <= CONE_BUDGET:
-        return list(cones)
-    rng = random.Random(f"cone-budget:{seed}")
-    idx = sorted(rng.sample(range(len(cones)), CONE_BUDGET))
-    return [cones[i] for i in idx]
-
-
 def cmd_analyze(args) -> int:
     data, I = _load_ideal(args)
     policy = _policy(args, I.n)
@@ -173,8 +163,7 @@ def cmd_tropical(args) -> int:
     cap = args.degree_cap
     w = _parse_omega(args.omega, I.n)
     member = tropical_member(I, w, policy, cap)
-    sample = apply_transform(I, _policy_transforms(I.n, policy)[0])
-    J = initial_ideal(sample, w, GREVLEX, cap)
+    J = initial_ideal(transformed(I, policy)[0], w, GREVLEX, cap)
     report = _base_report(args, data, I.n)
     report.update(
         {
@@ -190,7 +179,7 @@ def cmd_tropical(args) -> int:
 def _verify_wnm(I, policy, args):
     m = dimension(I, args.degree_cap)
     probes = []
-    for cone in _budget(ConeSequence(I.n, m), args.seed):
+    for cone in budget(ConeSequence(I.n, m), args.seed):
         ok = cone_constancy(I, cone, args.points, policy, args.degree_cap)
         probes.append(ProbeResult("cone_constancy", cone, ok, "sampled"))
     return probes
@@ -205,10 +194,10 @@ def _verify_wnmt(I, policy, args):
             f"target Wnmt needs 0 < depth < dim-1, got depth {t}, dim {m}"
         )
     probes = []
-    for cone in _budget(ConeSequence(I.n, m, t), args.seed):
+    for cone in budget(ConeSequence(I.n, m, t), args.seed):
         ok = cone_constancy(I, cone, args.points, policy, cap)
         probes.append(ProbeResult("cone_constancy", cone, ok, "sampled"))
-    for c1, c2 in _budget(adjacent_pairs(I.n, m, t), args.seed):
+    for c1, c2 in budget(adjacent_pairs(I.n, m, t), args.seed):
         ok = adjacent_distinct(I, c1, c2, policy, cap)
         probes.append(
             ProbeResult(
@@ -228,7 +217,7 @@ def _verify_multiplicity(I, policy, args):
     t = depth(I, policy, cap)
     cones = ConeSequence(I.n, m, t if 0 < t < m - 1 else None)
     probes = []
-    for cone in _budget(cones, args.seed):
+    for cone in budget(cones, args.seed):
         rep = intrinsic_multiplicity(I, cone, policy, cap)
         detail = (
             f"dim {rep.dim_initial}->{rep.dim_saturated}, "

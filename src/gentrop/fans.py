@@ -11,11 +11,15 @@ machinery is needed.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 from typing import Iterable
+
+# the most cones a fan probe visits; ``budget`` samples larger fans
+CONE_BUDGET = 200
 
 
 @dataclass(frozen=True)
@@ -259,3 +263,13 @@ def locate(w: Iterable, m: int, t: int | None = None) -> ConeId | None:
     if w[middle[-1] - 1] < w[top[0] - 1]:
         return ConeId(n, a, frozenset(middle), frozenset(top))
     return ConeId(n, a)
+
+
+def budget(cones, seed: int) -> list:
+    """Every item of the sequence ``cones``, or CONE_BUDGET of them drawn by
+    index with the seed; only the drawn items are read."""
+    if len(cones) <= CONE_BUDGET:
+        return list(cones)
+    rng = random.Random(f"cone-budget:{seed}")
+    idx = sorted(rng.sample(range(len(cones)), CONE_BUDGET))
+    return [cones[i] for i in idx]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .fans import ConeId, interior_point, interior_points, maximal_cones
+from .fans import ConeId, ConeSequence, budget, interior_point, interior_points
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     Ideal,
@@ -143,17 +143,10 @@ def random_transform(
     raise RuntimeError("could not draw an invertible transform in 100 attempts")
 
 
-_APPLY_CACHE: dict = {}
-
-
 def apply_transform(I: Ideal, g: Transform) -> Ideal:
     """The ideal generated by the images of the generators under g."""
     if g.n != I.n:
         raise ValueError("transform size does not match the ambient ring")
-    cache_key = (I.key(), g.matrix)
-    hit = _APPLY_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
     n = I.n
     lin = []
     for i in range(n):
@@ -184,18 +177,25 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
                     t = t * power(i, ei)
             acc = acc + t
         gens.append(acc)
-    out = Ideal(n, gens)
-    _APPLY_CACHE[cache_key] = out
-    return out
+    return Ideal(n, gens)
 
 
-def _policy_transforms(n: int, policy: GenericityPolicy) -> list:
-    if policy.transforms is not None:
-        return list(policy.transforms)
-    return [random_transform(n, policy, i) for i in range(policy.samples)]
+def transformed(I: Ideal, policy: GenericityPolicy) -> tuple:
+    """The ideals gI for the policy's transforms (the injected ones, or
+    ``samples`` seeded draws), memoized in ``I.images`` by the policy, so
+    every computation under the policy reuses the same gI and its cached
+    bases."""
+    images = I.images.get(policy)
+    if images is None:
+        if policy.transforms is not None:
+            gs = policy.transforms
+        else:
+            gs = [random_transform(I.n, policy, i) for i in range(policy.samples)]
+        images = I.images[policy] = tuple(apply_transform(I, g) for g in gs)
+    return images
 
 
-def _agreed(
+def agreed(
     I: Ideal,
     policy: GenericityPolicy,
     compute: Callable,
@@ -211,7 +211,7 @@ def _agreed(
     reason = "independent transforms disagree"
     for escalation in range(3):
         pol = policy if escalation == 0 else replace(policy, bound=policy.bound * 100**escalation)
-        values = [compute(apply_transform(I, g)) for g in _policy_transforms(I.n, pol)]
+        values = [compute(gI) for gI in transformed(I, pol)]
         if all(v == values[0] for v in values[1:]):
             if valid is None or valid(values[0]):
                 return values[0]
@@ -243,10 +243,6 @@ def gin(
     transformed ideal across agreeing transforms.  The result must be
     strongly stable for the order's variable priority; a violation is
     treated as a genericity failure."""
-    cache_key = (order, policy)
-    hit = I.gin_cache.get(cache_key)
-    if hit is not None:
-        return hit
     if order.weight is not None:
         order = order.refine(normalize_weight(order.weight, I.n))
     priority = _variable_priority(order, I.n)
@@ -257,9 +253,7 @@ def gin(
     def stable(M: MonomialIdeal) -> bool:
         return is_strongly_stable(M, priority)
 
-    M = _agreed(I, policy, compute, "generic initial ideal", valid=stable)
-    I.gin_cache[cache_key] = M
-    return M
+    return agreed(I, policy, compute, "generic initial ideal", valid=stable)
 
 
 def tropical_member(
@@ -284,10 +278,13 @@ def tropical_member(
         J = initial_ideal(gI, wn, GREVLEX, degree_cap)
         return not contains_monomial(J, degree_cap)
 
-    return _agreed(I, policy, compute, "tropical membership")
+    return agreed(I, policy, compute, "tropical membership")
 
 
-def _gap_degree(I: Ideal, policy: GenericityPolicy, degree_cap: int) -> int:
+def gap_degree(I: Ideal, policy: GenericityPolicy, degree_cap: int) -> int:
+    """The largest degree of a minimal generator of the grevlex generic
+    initial ideal of I; fan probes take one more as the gap factor of their
+    ladder interior points."""
     return gin(I, GREVLEX, policy, degree_cap).max_degree()
 
 
@@ -303,7 +300,7 @@ def cone_constancy(
     points (varying ladder values and within-block arrangements) coincide."""
     if samples < 2:
         raise ValueError("constancy needs at least two interior points")
-    gap = _gap_degree(I, policy, degree_cap) + 1
+    gap = gap_degree(I, policy, degree_cap) + 1
     pts = interior_points(cone, gap, samples)
 
     def compute(gI: Ideal) -> bool:
@@ -313,7 +310,7 @@ def cone_constancy(
             for w in pts[1:]
         )
 
-    return _agreed(I, policy, compute, "cone constancy")
+    return agreed(I, policy, compute, "cone constancy")
 
 
 def adjacent_distinct(
@@ -325,7 +322,7 @@ def adjacent_distinct(
 ) -> bool:
     """Exact witness that two cones carry different weighted initial ideals,
     evaluated at their canonical interior points."""
-    gap = _gap_degree(I, policy, degree_cap) + 1
+    gap = gap_degree(I, policy, degree_cap) + 1
     w1 = interior_point(c1, gap)
     w2 = interior_point(c2, gap)
 
@@ -334,7 +331,7 @@ def adjacent_distinct(
         b = initial_ideal(gI, w2, GREVLEX, degree_cap).generators
         return a != b
 
-    return _agreed(I, policy, compute, "adjacent cone separation")
+    return agreed(I, policy, compute, "adjacent cone separation")
 
 
 def _swap_coords(w: Sequence, a: int, b: int) -> tuple:
@@ -380,7 +377,7 @@ def separating_witness(
         b = initial_ideal(gI, v, GREVLEX, degree_cap).generators
         return a != b
 
-    distinct = _agreed(I, policy, compute, "separating witness")
+    distinct = agreed(I, policy, compute, "separating witness")
     return w, v, distinct
 
 
@@ -411,8 +408,9 @@ def classify_cm(
 ) -> ClassifyResult:
     """Depth-based Cohen-Macaulay classification, cross-validated against the
     fan structure: CM/almost-CM ideals must show constant initial ideals on
-    every maximal skeleton cone, and intermediate depth must produce a
-    separating witness."""
+    the maximal skeleton cones (all of them, or ``CONE_BUDGET`` drawn with
+    the policy seed when there are more), and intermediate depth must
+    produce a separating witness."""
     m = dimension(I, degree_cap)
     if m == 0:
         raise ValueError("classification requires positive dimension")
@@ -427,7 +425,7 @@ def classify_cm(
         label = NEITHER
     probes = []
     if cross_validate and label in (CM, ALMOST_CM):
-        for cone in maximal_cones(I.n, m):
+        for cone in budget(ConeSequence(I.n, m), policy.seed):
             ok = cone_constancy(I, cone, points, policy, degree_cap)
             probes.append(
                 ProbeResult("cone_constancy", cone, ok, "sampled")
@@ -470,7 +468,7 @@ def ray_constancy(
     equivalent to genuine ray containment."""
     w = tuple(Fraction(x) for x in w)
     if c_gap is None:
-        c_gap = _gap_degree(I, policy, degree_cap)
+        c_gap = gap_degree(I, policy, degree_cap)
     mx = max(w)
     target = c_gap * mx + 1
     moved = []
@@ -488,7 +486,7 @@ def ray_constancy(
             for w2 in moved
         )
 
-    return _agreed(I, policy, compute, "ray constancy")
+    return agreed(I, policy, compute, "ray constancy")
 
 
 def recover_depth(

@@ -35,16 +35,20 @@ class NotGradedError(ValueError):
 
 
 class Ideal:
-    """A nonzero ideal given by generators, with a cache of reduced bases.
+    """A nonzero ideal given by generators, with memos of its reduced bases
+    and of its generic transforms.
 
     Generators must be homogeneous in the standard grading unless
     ``graded=False`` (used internally while eliminating the auxiliary
-    saturation variable).  The Groebner cache maps OrderSpec to the reduced
-    basis; get-or-compute is idempotent, so concurrent duplicate computation
-    is harmless (last write wins with identical values).
+    saturation variable).  The ideal is the only place results are cached.
+    ``gb_cache`` maps an OrderSpec to (reduced basis, degree cap it was
+    computed under); the cap only aborts a run and never steers it, so an
+    entry is served to any cap at least that large, and a smaller cap
+    recomputes.  ``images`` maps a frozen GenericityPolicy to the tuple of
+    transformed ideals (see ``generic.transformed``).
     """
 
-    __slots__ = ("n", "generators", "graded", "gb_cache", "gin_cache")
+    __slots__ = ("n", "generators", "graded", "gb_cache", "images")
 
     def __init__(self, n: int, generators: Iterable[Polynomial], graded: bool = True):
         gens = tuple(g for g in generators if g)
@@ -59,19 +63,11 @@ class Ideal:
         self.generators = gens
         self.graded = graded
         self.gb_cache: dict = {}
-        self.gin_cache: dict = {}
+        self.images: dict = {}
 
     def key(self) -> tuple:
         """Hashable identity of the presented ideal (ambient + generators)."""
         return (self.n, self.generators)
-
-    def groebner_basis(
-        self, order: OrderSpec = GREVLEX, degree_cap: int = DEFAULT_DEGREE_CAP
-    ) -> "GroebnerBasis":
-        gb = self.gb_cache.get(order)
-        if gb is None:
-            gb = buchberger(self, order, degree_cap)
-        return gb
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -302,11 +298,7 @@ def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
 
 def _order_key(order: OrderSpec, n: int) -> Callable:
     if order.weight is not None:
-        w = normalize_weight(order.weight, n)
-        base = OrderSpec(order.base, order.perm).key_function(n)
-        def key(e, _w=w, _bk=base):
-            return (-sum(wi * ei for wi, ei in zip(_w, e)), _bk(e))
-        return key
+        order = order.refine(normalize_weight(order.weight, n))
     return order.key_function(n)
 
 
@@ -369,14 +361,15 @@ def normal_form(
 def buchberger(
     I: Ideal, order: OrderSpec = GREVLEX, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> GroebnerBasis:
-    """The reduced Groebner basis of I; the result is cached on I."""
-    cached = I.gb_cache.get(order)
-    if cached is not None:
-        return cached
+    """The reduced Groebner basis of I, memoized in ``I.gb_cache`` with the
+    cap it was computed under and served to any cap at least that large."""
+    hit = I.gb_cache.get(order)
+    if hit is not None and hit[1] <= degree_cap:
+        return hit[0]
     key = _order_key(order, I.n)
     dicts = _buchberger_dicts([_to_dict(g) for g in I.generators], key, degree_cap)
     gb = GroebnerBasis(order, [_to_poly(I.n, d) for d in dicts])
-    I.gb_cache[order] = gb
+    I.gb_cache[order] = (gb, degree_cap)
     return gb
 
 

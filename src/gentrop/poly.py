@@ -33,6 +33,12 @@ def grevlex_key(exps: Exponents) -> tuple:
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _exact(w: Weights) -> tuple:
+    """``w`` with every non-integer entry as a Fraction, so that dot
+    products with exponent vectors are exact."""
+    return tuple(x if isinstance(x, int) else Fraction(x) for x in w)
+
+
 @dataclass(frozen=True)
 class OrderSpec:
     """A term order: lex or grevlex on a variable permutation, optionally
@@ -54,9 +60,7 @@ class OrderSpec:
         if self.perm is not None:
             object.__setattr__(self, "perm", tuple(self.perm))
         if self.weight is not None:
-            object.__setattr__(
-                self, "weight", tuple(Fraction(w) for w in self.weight)
-            )
+            object.__setattr__(self, "weight", _exact(self.weight))
 
     def refine(self, w: Weights) -> "OrderSpec":
         """The same base order refined by weight vector ``w``."""
@@ -92,12 +96,6 @@ class OrderSpec:
 
 GREVLEX = OrderSpec()
 LEX = OrderSpec(base="lex")
-
-
-def _exact(w: Weights) -> tuple:
-    """``w`` with every non-integer entry as a Fraction, so that dot
-    products with exponent vectors are exact."""
-    return tuple(x if isinstance(x, int) else Fraction(x) for x in w)
 
 
 def _dot(w: tuple, exps: Exponents) -> int | Fraction:

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .fans import ConeId, interior_point
-from .generic import GenericityPolicy, _agreed, _gap_degree
+from .generic import GenericityPolicy, agreed, gap_degree
 from .groebner import (
     DEFAULT_DEGREE_CAP,
     Ideal,
@@ -77,7 +77,7 @@ def intrinsic_multiplicity(
     tropical fan, computed at the cone's canonical interior point."""
     m = dimension(I, degree_cap)
     m_ideal = multiplicity(I, degree_cap)
-    gap = _gap_degree(I, policy, degree_cap) + 1
+    gap = gap_degree(I, policy, degree_cap) + 1
     w = interior_point(cone, gap)
     product = Polynomial.monomial(I.n, (1,) * I.n)
 
@@ -95,7 +95,7 @@ def intrinsic_multiplicity(
             multiplicity(J_sat, degree_cap),
         )
 
-    dim_initial, dim_saturated, free, m_sat = _agreed(
+    dim_initial, dim_saturated, free, m_sat = agreed(
         I, policy, compute, "intrinsic multiplicity"
     )
     return MultiplicityReport(cone, dim_initial, dim_saturated, free, m_sat, m_ideal)

@@ -199,6 +199,19 @@ def test_degree_cap_binds_the_depth_gin(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_analyze_cross_validates_within_the_cone_budget(tmp_path, capsys):
+    # (x1, x2) in 12 variables is CM of dimension 10: its 10-skeleton has
+    # C(12, 3) = 220 maximal cones, more than the budget.  With or without
+    # --identity, the seed draws the same cones that Wnm verifies.
+    path = write(tmp_path, "plane.ideal", "ring 12\nx1\nx2\n")
+    for extra in ([], ["--identity"]):
+        code, a = run(capsys, "analyze", path, "--seed", "5", *extra)
+        assert code == EXIT_OK and a["cm_class"] == "CM"
+        assert len(a["probes"]) == 200
+        _, v = run(capsys, "verify", path, "--seed", "5", "--target", "Wnm", *extra)
+        assert [p["cone"] for p in a["probes"]] == [p["cone"] for p in v["probes"]]
+
+
 def test_exit_code_genericity(tmp_path, capsys):
     # with the identity transform the "generic" initial ideal of (x2) is
     # (x2), which is not strongly stable: a certain genericity failure
@@ -208,35 +221,33 @@ def test_exit_code_genericity(tmp_path, capsys):
 
 
 def test_budget_sampling_deterministic():
-    from gentrop.cli import _budget
+    from gentrop.fans import budget
 
     cones = list(range(500))
-    a = _budget(cones, 3)
-    b = _budget(cones, 3)
+    a = budget(cones, 3)
+    b = budget(cones, 3)
     assert a == b and len(a) == 200
-    assert _budget(list(range(10)), 3) == list(range(10))
+    assert budget(list(range(10)), 3) == list(range(10))
 
 
 def test_budget_picks_the_same_cones_by_index():
-    from gentrop.cli import _budget
-    from gentrop.fans import ConeSequence, maximal_cones, refinement_maximal_cones
+    from gentrop.fans import ConeSequence, budget, maximal_cones, refinement_maximal_cones
 
     for seed in (0, 3):
-        assert _budget(ConeSequence(12, 6), seed) == _budget(maximal_cones(12, 6), seed)
-        assert _budget(ConeSequence(10, 6, 2), seed) == _budget(
+        assert budget(ConeSequence(12, 6), seed) == budget(maximal_cones(12, 6), seed)
+        assert budget(ConeSequence(10, 6, 2), seed) == budget(
             refinement_maximal_cones(10, 6, 2), seed
         )
 
 
 def test_budget_samples_a_huge_fan_without_listing_it():
-    from gentrop.cli import CONE_BUDGET, _budget
-    from gentrop.fans import ConeSequence
+    from gentrop.fans import CONE_BUDGET, ConeSequence, budget
 
     cones = ConeSequence(30, 15)  # C(30, 16), about 1.45e8 cones
     assert len(cones) == comb(30, 16)
-    picked = _budget(cones, 7)
-    assert picked == _budget(cones, 7)
+    picked = budget(cones, 7)
+    assert picked == budget(cones, 7)
     assert len(set(picked)) == CONE_BUDGET
     assert all(len(c.min_set) == 16 for c in picked)
     refinement = ConeSequence(30, 15, 5)
-    assert len(_budget(refinement, 7)) == CONE_BUDGET
+    assert len(budget(refinement, 7)) == CONE_BUDGET

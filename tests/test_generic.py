@@ -23,7 +23,7 @@ from gentrop.generic import (
     separating_witness,
     tropical_member,
 )
-from gentrop.groebner import buchberger, initial_ideal
+from gentrop.groebner import DegreeCapExceeded, buchberger, initial_ideal
 from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of
 from gentrop.poly import GREVLEX, OrderSpec
 
@@ -166,6 +166,21 @@ def test_gin_injected_nonstable_raises_without_escalation():
         gin(I, GREVLEX, identity_policy(2))
 
 
+def test_gin_honours_the_cap_after_an_equal_ideal_was_computed():
+    # the gin's Buchberger runs reach degree 7; a run under the default cap
+    # on an equal ideal must not serve a later call under cap 3
+    gin(ideal(3, "x1^3", "x2^3"))
+    with pytest.raises(DegreeCapExceeded):
+        gin(ideal(3, "x1^3", "x2^3"), degree_cap=3)
+
+
+def test_gin_honours_the_cap_on_the_same_ideal():
+    I = ideal(3, "x1^3", "x2^3")
+    gin(I)
+    with pytest.raises(DegreeCapExceeded):
+        gin(I, degree_cap=3)
+
+
 def test_tropical_member_identity_family():
     n = 4
     idp = identity_policy(n)
@@ -234,10 +249,10 @@ def test_split_cones_divide_along_middle_order():
     pol = policy()
     split = split_fan_ideal()
     g = apply_transform(split, random_transform(5, pol, 0))
-    from gentrop.generic import _gap_degree
+    from gentrop.generic import gap_degree
     from gentrop.fans import interior_points
 
-    gap = _gap_degree(split, pol, 40) + 1
+    gap = gap_degree(split, pol, 40) + 1
     for cone in refinement_maximal_cones(5, 4, 1)[:5]:
         p = interior_points(cone, gap, 4)
         ins = [initial_ideal(g, w).generators for w in p]
@@ -285,15 +300,15 @@ def test_ray_constancy_directions():
     fam = stable_depth_family(5, 3, 1)  # n=5, m=3, t=1
     n, m, t = 5, 3, 1
     base = ConeId(n, frozenset(range(1, n - m + 2)))
-    from gentrop.generic import _gap_degree
+    from gentrop.generic import gap_degree
 
-    c = _gap_degree(fam, pol, 40)
+    c = gap_degree(fam, pol, 40)
     w = interior_point(base, c + 1)
     assert ray_constancy(fam, w, range(n - t + 1, n + 1), pol)
     assert not ray_constancy(fam, w, range(n - t, n + 1), pol)
     # hypersurfaces: a single top direction never leaves the cone
     q = smooth_quadric4()
-    wq = interior_point(ConeId(4, {1, 2}), _gap_degree(q, pol, 40) + 1)
+    wq = interior_point(ConeId(4, {1, 2}), gap_degree(q, pol, 40) + 1)
     assert ray_constancy(q, wq, [4], pol)
 
 
@@ -335,9 +350,9 @@ def test_boundary_points_split_adjacent_cones():
     g = apply_transform(fam, random_transform(5, pol, 0))
     c1 = ConeId(5, {1, 2, 3}, {4}, {5})
     c2 = ConeId(5, {1, 2, 3}, {5}, {4})
-    from gentrop.generic import _gap_degree
+    from gentrop.generic import gap_degree
 
-    gap = _gap_degree(fam, pol, 40) + 1
+    gap = gap_degree(fam, pol, 40) + 1
     boundary = (0, 0, 0, 1, 1)
     J0 = initial_ideal(g, boundary).generators
     J1 = initial_ideal(g, interior_point(c1, gap)).generators

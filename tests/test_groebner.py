@@ -261,8 +261,26 @@ def test_graded_validation_and_errors():
 def test_gb_cache_hits():
     I = ideal(2, "x1 + x2", "x1^2")
     a = buchberger(I)
-    assert I.gb_cache[GREVLEX] is a
+    gb, cap = I.gb_cache[GREVLEX]
+    assert gb is a and cap == 40
     assert buchberger(I) is a
+
+
+def test_gb_cache_honours_a_smaller_cap():
+    # the basis holds x2^3, so cap 2 must raise although cap 40 was cached
+    J = ideal(2, "x1^2 + x2^2", "x1*x2")
+    buchberger(J)
+    with pytest.raises(DegreeCapExceeded):
+        buchberger(J, GREVLEX, 2)
+
+
+def test_gb_cache_serves_a_larger_cap():
+    J = ideal(2, "x1^2 + x2^2", "x1*x2")
+    # its s-pairs reach degree 4, the least cap that succeeds
+    a = buchberger(J, GREVLEX, 4)
+    assert J.gb_cache[GREVLEX][1] == 4
+    assert buchberger(J) is a
+    assert buchberger(J, GREVLEX, 4) is a
 
 
 def test_cached_basis_generates_the_same_ideal():
