@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .fans import ConeId, ConeSequence, budget, interior_point, interior_points
@@ -143,40 +145,54 @@ def random_transform(
     raise RuntimeError("could not draw an invertible transform in 100 attempts")
 
 
+def _mul_dicts(a: dict, b: dict) -> dict:
+    acc: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            ee = tuple(map(add, e1, e2))
+            acc[ee] = acc.get(ee, 0) + c1 * c2
+    return acc
+
+
 def apply_transform(I: Ideal, g: Transform) -> Ideal:
-    """The ideal generated by the images of the generators under g."""
+    """The ideal generated by the images of the generators under g.
+
+    Images are expanded with integer coefficients (each generator scaled by
+    the common denominator of its coefficients) and divided back once."""
     if g.n != I.n:
         raise ValueError("transform size does not match the ambient ring")
     n = I.n
     lin = []
     for i in range(n):
-        e = [0] * n
-        terms = []
+        d = {}
         for j in range(n):
             if g.matrix[j][i]:
-                ee = e.copy()
-                ee[j] = 1
-                terms.append((tuple(ee), Fraction(g.matrix[j][i])))
-        lin.append(Polynomial(n, terms))
-    powers: dict = {}
+                e = [0] * n
+                e[j] = 1
+                d[tuple(e)] = g.matrix[j][i]
+        lin.append(d)
+    one = (0,) * n
+    images = {one: {one: 1}}
 
-    def power(i: int, k: int) -> Polynomial:
-        p = powers.get((i, k))
+    def image(e: tuple) -> dict:
+        """The image of the monomial x^e: the image of x^e / x_i times the
+        image of x_i, for the first variable x_i that divides x^e."""
+        p = images.get(e)
         if p is None:
-            p = lin[i] ** k
-            powers[(i, k)] = p
+            i = next(k for k, x in enumerate(e) if x)
+            rest = e[:i] + (e[i] - 1,) + e[i + 1:]
+            p = images[e] = _mul_dicts(image(rest), lin[i])
         return p
 
     gens = []
     for f in I.generators:
-        acc = Polynomial.zero(n)
+        den = lcm(*(c.denominator for _, c in f.terms))
+        acc: dict = {}
         for exps, c in f.terms:
-            t = Polynomial.constant(n, c)
-            for i, ei in enumerate(exps):
-                if ei:
-                    t = t * power(i, ei)
-            acc = acc + t
-        gens.append(acc)
+            m = c.numerator * (den // c.denominator)
+            for e, v in image(exps).items():
+                acc[e] = acc.get(e, 0) + m * v
+        gens.append(Polynomial(n, {e: Fraction(v, den) for e, v in acc.items() if v}))
     return Ideal(n, gens)
 
 

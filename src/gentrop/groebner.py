@@ -1,7 +1,10 @@
 """Buchberger engine: normal forms, reduced Groebner bases, weighted initial
 ideals, elimination, saturation and the monomial-containment test.
 
-All arithmetic is exact.  Basis elements are kept monic.  S-pairs are pruned
+All arithmetic is exact.  The engine reduces fraction-free over the
+integers: basis elements are kept primitive (content 1, positive leading
+coefficient), and results leave it monic with Fraction coefficients, the
+remainders of ``normal_form`` exact over the rationals.  S-pairs are pruned
 by the Gebauer-Moeller criteria (B, M and F, which includes the coprimality
 criterion) and taken from a heap by the normal strategy (smallest lcm degree
 first).  Every sort and tie-break is fixed, so identical inputs produce
@@ -13,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 from .poly import (
@@ -105,9 +110,13 @@ class GroebnerBasis:
 
 # -- dict-level engine ----------------------------------------------------
 #
-# Inside the engine a polynomial is a dict {exponents: Fraction}; a reducer
-# is (leading exponents, tail) for a monic element, where the tail lists the
-# non-leading terms.
+# Inside the engine a polynomial is a dict {exponents: int}.  A basis element
+# is kept primitive (content 1, positive leading coefficient) as a reducer
+# (leading exponents, leading coefficient, tail), where the tail lists the
+# non-leading terms.  Every engine polynomial is a nonzero rational multiple
+# of the monic one, so leads, pair decisions and reduced bases are those of
+# division over the rationals; ``_primitive`` and ``_monic`` convert at the
+# boundary.
 
 class _Rev:
     """Inverts comparison so heapq acts as a max-heap on order keys."""
@@ -136,39 +145,88 @@ def _lead(d: dict, key: Callable) -> tuple:
     return max(d, key=key)
 
 
-def _monic(d: dict, lm) -> dict:
-    lc = d[lm]
+def _primitive(d: dict, lm=None) -> dict:
+    """The integer multiple of d (int or Fraction values) with content 1 and,
+    if its leading exponents lm are given, a positive leading coefficient."""
+    den = 1
+    for c in d.values():
+        q = c.denominator
+        if q != 1:
+            den = den * q // gcd(den, q)
+    ints = {e: c.numerator * (den // c.denominator) for e, c in d.items()}
+    g = 0
+    for c in ints.values():
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if lm is not None and ints[lm] < 0:
+        g = -g
+    if g == 1:
+        return ints
+    return {e: c // g for e, c in ints.items()}
+
+
+def _reducer(d: dict, lm) -> tuple:
+    """The reducer (lm, lc, tail) of the primitive multiple of d."""
+    d = _primitive(d, lm)
+    lc = d.pop(lm)
+    return lm, lc, tuple(d.items())
+
+
+def _monic(r: tuple) -> dict:
+    """The monic rational polynomial of a reducer, as {exponents: Fraction}."""
+    lm, lc, tail = r
+    out = {lm: Fraction(1)}
     if lc == 1:
-        return d
-    return {e: c / lc for e, c in d.items()}
+        for e, c in tail:
+            out[e] = Fraction(c)
+    else:
+        for e, c in tail:
+            out[e] = Fraction(c, lc)
+    return out
 
 
-def _nf_dict(f: dict, reducers, key: Callable, cap: int) -> dict:
-    """Remainder of f on division by monic reducers; no term of the result is
-    divisible by any reducer's leading monomial."""
+def _nf_dict(f: dict, reducers, key: Callable, cap: int) -> tuple:
+    """Division of the integer polynomial f by ``reducers``, fraction-free.
+
+    Returns (R, lead, scale): R is congruent to scale * f modulo the
+    reducers and no term of R is divisible by a reducer's leading monomial;
+    lead is R's leading monomial (None when R is zero)."""
     coeffs = dict(f)
     heap = [(_Rev(key(e)), e) for e in coeffs]
     heapify(heap)
     remainder: dict = {}
+    lead = None
+    scale = 1
     while heap:
         _, e = heappop(heap)
-        c = coeffs.get(e)
+        c = coeffs.pop(e, 0)
         if not c:
             continue
-        hit = None
-        for lm, tail in reducers:
-            if _divides(lm, e):
-                hit = (lm, tail)
+        for r in reducers:
+            if _divides(r[0], e):
                 break
-        if hit is None:
+        else:
+            # terms leave the heap in descending order, so the first one
+            # kept is the leading monomial of the remainder
+            if lead is None:
+                lead = e
             remainder[e] = c
-            del coeffs[e]
             continue
-        lm, tail = hit
-        shift = tuple(a - b for a, b in zip(e, lm))
-        del coeffs[e]
+        lm, lc, tail = r
+        if lc != 1:
+            g = gcd(lc, c)
+            a = lc // g
+            c //= g
+            if a != 1:
+                scale *= a
+                for k in coeffs:
+                    coeffs[k] *= a
+                for k in remainder:
+                    remainder[k] *= a
+        shift = tuple(map(sub, e, lm))
         for e2, c2 in tail:
-            ee = tuple(a + b for a, b in zip(shift, e2))
+            ee = tuple(map(add, shift, e2))
             prev = coeffs.get(ee)
             if prev is None:
                 if sum(ee) > cap:
@@ -183,19 +241,25 @@ def _nf_dict(f: dict, reducers, key: Callable, cap: int) -> dict:
                     coeffs[ee] = nv
                 else:
                     del coeffs[ee]
-    return remainder
+    return remainder, lead, scale
 
 
-def _spair_poly(fi: dict, lmi, fj: dict, lmj) -> dict:
+def _spair_poly(ri: tuple, rj: tuple) -> dict:
+    """The s-polynomial of two reducers, scaled to integer coefficients; the
+    leading terms cancel, so only the tails contribute."""
+    lmi, lci, taili = ri
+    lmj, lcj, tailj = rj
+    g = gcd(lci, lcj)
+    mi, mj = lcj // g, lci // g
     lcm = _lcm(lmi, lmj)
-    si = tuple(a - b for a, b in zip(lcm, lmi))
-    sj = tuple(a - b for a, b in zip(lcm, lmj))
+    si = tuple(map(sub, lcm, lmi))
+    sj = tuple(map(sub, lcm, lmj))
     acc: dict = {}
-    for e, c in fi.items():
-        acc[tuple(a + b for a, b in zip(si, e))] = c
-    for e, c in fj.items():
-        ee = tuple(a + b for a, b in zip(sj, e))
-        nv = acc.get(ee, Fraction(0)) - c
+    for e, c in taili:
+        acc[tuple(map(add, si, e))] = mi * c
+    for e, c in tailj:
+        ee = tuple(map(add, sj, e))
+        nv = acc.get(ee, 0) - mj * c
         if nv:
             acc[ee] = nv
         elif ee in acc:
@@ -204,23 +268,22 @@ def _spair_poly(fi: dict, lmi, fj: dict, lmj) -> dict:
 
 
 def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
-    """Reduced Groebner basis of the ideal generated by ``gens`` (dicts).
+    """Reduced Groebner basis of the ideal generated by ``gens`` (dicts with
+    int or Fraction values).
 
-    Returns monic dicts sorted ascending by leading-monomial key.
+    Returns primitive reducers (lm, lc, tail) sorted ascending by the key of
+    the leading monomial.
     """
-    basis: list = []      # (lm, tail, full dict)
-    reducers: list = []   # (lm, tail) view of basis
+    basis: list = []      # reducers (lm, lc, tail)
     active: set = set()   # indices whose lead no later lead divides
     live: dict = {}       # pending pair (i, j) -> lcm; other heap entries are stale
     heap: list = []       # (deg lcm, lcm, i, j): the normal strategy
 
-    def push(d: dict):
-        """Append d to the basis and update the pairs (Gebauer-Moeller)."""
-        lm = _lead(d, key)
+    def push(d: dict, lm):
+        """Append d, whose leading monomial is lm, to the basis and update
+        the pairs (Gebauer-Moeller)."""
         if sum(lm) > cap:
             raise DegreeCapExceeded(f"basis degree {sum(lm)} exceeds cap {cap}")
-        d = _monic(d, lm)
-        tail = tuple((e, c) for e, c in d.items() if e != lm)
         k = len(basis)
         # B: drop an old pair (i, j) whose lcm the new lead divides, unless
         # the pair of i or of j with the new element has the same lcm
@@ -250,22 +313,20 @@ def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
             heappush(heap, (sum(lcm), lcm, k, j))
         active.difference_update([j for j in active if _divides(lm, basis[j][0])])
         active.add(k)
-        basis.append((lm, tail, d))
-        reducers.append((lm, tail))
+        basis.append(_reducer(d, lm))
 
     for d in gens:
         if d:
-            push(dict(d))
+            push(d, _lead(d, key))
 
     while heap:
         _, _, i, j = heappop(heap)
         if (i, j) not in live:
             continue  # dropped by the B criterion
         del live[(i, j)]
-        s = _spair_poly(basis[i][2], basis[i][0], basis[j][2], basis[j][0])
-        r = _nf_dict(s, reducers, key, cap)
+        r, lm, _ = _nf_dict(_spair_poly(basis[i], basis[j]), basis, key, cap)
         if r:
-            push(r)
+            push(r, lm)
 
     # minimalize: drop elements whose lead is strictly divisible by another
     # lead (weighted orders are not well-orders across degrees, so key order
@@ -285,14 +346,18 @@ def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
         if not drop:
             kept.append(basis[i])
 
-    # tail-reduce each kept element against the others
+    # tail-reduce each kept element against the others; no other lead
+    # divides its lead, so the order of ``kept`` is the order of the output
     out = []
-    for idx, (lm, _tail, d) in enumerate(kept):
-        others = [(k_lm, k_tail) for j, (k_lm, k_tail, _) in enumerate(kept) if j != idx]
-        r = _nf_dict(d, others, key, cap)
-        rlm = _lead(r, key)
-        out.append(_monic(r, rlm))
-    out.sort(key=lambda d: key(_lead(d, key)))
+    for idx, r in enumerate(kept):
+        others = kept[:idx] + kept[idx + 1:]
+        lm, lc, tail = r
+        if any(_divides(o[0], e) for e, _ in tail for o in others):
+            d = dict(tail)
+            d[lm] = lc
+            red, rlm, _ = _nf_dict(d, others, key, cap)
+            r = _reducer(red, rlm)
+        out.append(r)
     return out
 
 
@@ -324,8 +389,8 @@ def _to_dict(f: Polynomial) -> dict:
     return dict(f.terms)
 
 
-def _to_poly(n: int, d: dict) -> Polynomial:
-    return Polynomial(n, d)
+def _to_poly(n: int, r: tuple) -> Polynomial:
+    return Polynomial(n, _monic(r))
 
 
 # -- public operations ----------------------------------------------------
@@ -341,7 +406,8 @@ def normal_form(
     no term of the remainder is divisible by a leading monomial of G.
 
     Divisors are scanned in ascending leading-monomial order, which fixes the
-    result for non-Groebner G.
+    result for non-Groebner G.  The remainder is exact: division runs on
+    integer multiples of f and G, and the result is scaled back.
     """
     if not f:
         return f
@@ -351,11 +417,13 @@ def normal_form(
         if not g:
             raise ValueError("zero polynomial in divisor list")
         d = _to_dict(g)
-        lm = _lead(d, key)
-        d = _monic(d, lm)
-        prepared.append((lm, tuple((e, c) for e, c in d.items() if e != lm)))
+        prepared.append(_reducer(d, _lead(d, key)))
     prepared.sort(key=lambda r: key(r[0]))
-    return _to_poly(f.n, _nf_dict(_to_dict(f), prepared, key, degree_cap))
+    F = _primitive(_to_dict(f))
+    R, _, scale = _nf_dict(F, prepared, key, degree_cap)
+    e0, c0 = f.terms[0]
+    ratio = c0 / (F[e0] * scale)  # f = F * c0 / F[e0]
+    return Polynomial(f.n, {e: c * ratio for e, c in R.items()})
 
 
 def buchberger(
@@ -367,8 +435,8 @@ def buchberger(
     if hit is not None and hit[1] <= degree_cap:
         return hit[0]
     key = _order_key(order, I.n)
-    dicts = _buchberger_dicts([_to_dict(g) for g in I.generators], key, degree_cap)
-    gb = GroebnerBasis(order, [_to_poly(I.n, d) for d in dicts])
+    reds = _buchberger_dicts([_to_dict(g) for g in I.generators], key, degree_cap)
+    gb = GroebnerBasis(order, [_to_poly(I.n, r) for r in reds])
     I.gb_cache[order] = (gb, degree_cap)
     return gb
 
@@ -425,12 +493,11 @@ def ideal_equal(
 
 def _eliminate_dicts(gens: list, n_total: int, drop: tuple, cap: int) -> list:
     key = _block_key(n_total, drop)
-    out = _buchberger_dicts(gens, key, cap)
-    kept = []
-    for d in out:
-        if all(all(e[i] == 0 for i in drop) for e in d):
-            kept.append(d)
-    return kept
+    return [
+        r for r in _buchberger_dicts(gens, key, cap)
+        if all(r[0][i] == 0 for i in drop)
+        and all(e[i] == 0 for e, _ in r[2] for i in drop)
+    ]
 
 
 def eliminate(
@@ -445,10 +512,10 @@ def eliminate(
     if any(not 1 <= i <= I.n for i in drop) or len(drop) >= I.n:
         raise ValueError("drop must be a proper subset of the variables")
     drop0 = tuple(i - 1 for i in drop)
-    dicts = _eliminate_dicts([_to_dict(g) for g in I.generators], I.n, drop0, degree_cap)
-    if not dicts:
+    reds = _eliminate_dicts([_to_dict(g) for g in I.generators], I.n, drop0, degree_cap)
+    if not reds:
         raise ValueError("elimination ideal is zero")
-    return Ideal(I.n, [_to_poly(I.n, d) for d in dicts], graded=I.graded)
+    return Ideal(I.n, [_to_poly(I.n, r) for r in reds], graded=I.graded)
 
 
 def saturate(
@@ -466,15 +533,13 @@ def saturate(
         raise ValueError("ambient variable counts differ")
     n1 = I.n + 1
     lifted = [{e + (0,): c for e, c in g.terms} for g in I.generators]
-    aux = {(0,) * n1: Fraction(1)}
-    for e, c in f.terms:
-        ee = e + (1,)
-        aux[ee] = aux.get(ee, Fraction(0)) - c
+    aux = {e + (1,): -c for e, c in f.terms}
+    aux[(0,) * n1] = 1
     lifted.append(aux)
-    dicts = _eliminate_dicts(lifted, n1, (I.n,), degree_cap)
-    if not dicts:
+    reds = _eliminate_dicts(lifted, n1, (I.n,), degree_cap)
+    if not reds:
         raise ValueError("saturation is zero, which cannot happen for I != (0)")
-    gens = [_to_poly(I.n, {e[:-1]: c for e, c in d.items()}) for d in dicts]
+    gens = [Polynomial(I.n, {e[:-1]: c for e, c in _monic(r).items()}) for r in reds]
     return Ideal(I.n, gens, graded=True)
 
 

@@ -1,13 +1,14 @@
 """Independent brute-force oracles used to validate the engine.
 
-Everything here is linear algebra or exhaustive enumeration over exact
-rationals, deliberately sharing no code with the division/Buchberger path it
-checks.
+Everything here is exact linear algebra (fraction-free integer elimination
+on rows scaled from the rationals) or exhaustive enumeration, deliberately
+sharing no code with the division/Buchberger path it checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from gentrop.poly import Polynomial
 
@@ -29,42 +30,49 @@ def monomials_up_to(n: int, d: int) -> list:
     return out
 
 
+def _integral(row) -> list:
+    """``row`` (ints or Fractions) scaled by the lcm of its denominators."""
+    den = lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * den) for x in row]
+
+
 def _echelon(rows: list) -> list:
-    """Reduced row echelon form over Fraction, dropping zero rows."""
-    rows = [list(r) for r in rows]
+    """Row echelon form by fraction-free (Bareiss) elimination over the
+    integers, dropping zero rows.  Each row is first scaled to integers,
+    which keeps its span; every entry stays a minor of the scaled matrix,
+    so each division by the previous pivot is exact."""
+    m = [_integral(r) for r in rows]
+    m = [r for r in m if any(r)]
     out = []
-    cols = len(rows[0]) if rows else 0
-    pivot_col = {}
-    for row in rows:
-        r = row[:]
-        for c, pr in pivot_col.items():
-            if r[c]:
-                f = r[c]
-                r = [a - f * b for a, b in zip(r, pr)]
-        lead = next((c for c in range(cols) if r[c]), None)
-        if lead is None:
+    prev = 1
+    cols = len(m[0]) if m else 0
+    for c in range(cols):
+        piv = next((i for i, r in enumerate(m) if r[c]), None)
+        if piv is None:
             continue
-        inv = r[lead]
-        r = [a / inv for a in r]
-        for c, pr in list(pivot_col.items()):
-            if pr[lead]:
-                f = pr[lead]
-                pivot_col[c] = [a - f * b for a, b in zip(pr, r)]
-        pivot_col[lead] = r
-    for c in sorted(pivot_col):
-        out.append(pivot_col[c])
+        p = m.pop(piv)
+        pc = p[c]
+        nxt = []
+        for r in m:
+            rc = r[c]
+            r = r[:c] + [(x * pc - rc * y) // prev for x, y in zip(r[c:], p[c:])]
+            if any(r):
+                nxt.append(r)
+        m = nxt
+        out.append(p)
+        prev = pc
     return out
 
 
 def _in_rowspace(vec, echelon_rows) -> bool:
-    r = list(vec)
-    cols = len(r)
+    r = _integral(vec)
     for row in echelon_rows:
-        lead = next(c for c in range(cols) if row[c])
+        lead = next(c for c, x in enumerate(row) if x)
         if r[lead]:
-            f = r[lead]
-            r = [a - f * b for a, b in zip(r, row)]
-    return all(x == 0 for x in r)
+            g = gcd(row[lead], r[lead])
+            a, b = row[lead] // g, r[lead] // g
+            r = [a * x - b * y for x, y in zip(r, row)]
+    return not any(r)
 
 
 def _coeff_vec(f: Polynomial, basis: list) -> list:
@@ -121,42 +129,23 @@ def colon_power_slice(generators, f: Polynomial, power: int, n: int, d: int) -> 
     target_deg = d + fp.degree
     lam_basis = monomials_of_degree(n, d)
     big_basis = monomials_of_degree(n, target_deg)
-    big_index = {e: i for i, e in enumerate(big_basis)}
-    columns = []
+    lam_cols = []
     for lam in lam_basis:
         mult = fp * Polynomial.monomial(n, lam)
-        columns.append(_coeff_vec(mult, big_basis))
+        lam_cols.append(_coeff_vec(mult, big_basis))
+    gen_cols = []
     for g in generators:
         dg = g.degree
         if dg is None or dg > target_deg:
             continue
         for shift in monomials_of_degree(n, target_deg - dg):
             mult = g * Polynomial.monomial(n, shift)
-            columns.append([-c for c in _coeff_vec(mult, big_basis)])
-    # Null space of the column matrix; count solutions with free lambda part.
-    rows = len(big_basis)
-    ncols = len(columns)
-    mat = [[columns[j][i] for j in range(ncols)] for i in range(rows)]
-    ech = _echelon(mat)
-    pivots = set()
-    for row in ech:
-        pivots.add(next(c for c in range(ncols) if row[c]))
-    free_cols = [j for j in range(ncols) if j not in pivots]
-    # Solutions projected to the lambda block: dimension equals the number of
-    # free columns in the lambda block plus the rank of pivot-solved lambdas
-    # expressed through free columns; enumerate a spanning set instead.
-    sols = []
-    k = len(lam_basis)
-    for fc in free_cols:
-        sol = [Fraction(0)] * ncols
-        sol[fc] = Fraction(1)
-        for row in reversed(ech):
-            lead = next(c for c in range(ncols) if row[c])
-            s = sum(row[c] * sol[c] for c in range(lead + 1, ncols))
-            sol[lead] = -s
-        sols.append(sol[:k])
-    lam_span = _echelon([s for s in sols if any(s)])
-    return len(lam_span)
+            gen_cols.append(_coeff_vec(mult, big_basis))
+    # the lambda with lambda * f^power in the span B of the generator
+    # multiples form a space of dimension k - (rank [A | B] - rank B), where
+    # A holds the k columns lambda * f^power
+    k = len(lam_cols)
+    return k - (len(_echelon(lam_cols + gen_cols)) - len(_echelon(gen_cols)))
 
 
 def saturation_slice(generators, f: Polynomial, n: int, d: int, stable_power: int = 4) -> int:

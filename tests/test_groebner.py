@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -299,24 +300,26 @@ def _certify(gens, key):
     """Check from the basis alone that the engine's basis of ``gens`` (dicts)
     is the reduced Groebner basis of the ideal they generate, if it lies in
     that ideal: every s-pair and every generator reduces to zero, and the
-    basis is reduced.  Returns the basis."""
-    from gentrop.groebner import _buchberger_dicts, _lead, _nf_dict, _spair_poly
+    basis is reduced.  Returns the basis as monic dicts."""
+    from gentrop.groebner import _buchberger_dicts, _monic, _nf_dict, _primitive, _spair_poly
 
     basis = _buchberger_dicts(gens, key, 40)
-    leads = [_lead(g, key) for g in basis]
-    reducers = [(lm, tuple((e, c) for e, c in g.items() if e != lm)) for lm, g in zip(leads, basis)]
-    for i, g in enumerate(basis):
-        assert g[leads[i]] == 1
-        for e in g:
-            for j, lm in enumerate(leads):
-                assert i == j or not all(a <= b for a, b in zip(lm, e))
+    leads = [lm for lm, _, _ in basis]
+    for i, (lm, lc, tail) in enumerate(basis):
+        terms = [lm] + [e for e, _ in tail]
+        # lm leads; the element is primitive and leaves the engine monic
+        assert max(terms, key=key) == lm
+        assert lc > 0 and math.gcd(lc, *(c for _, c in tail)) == 1
+        assert _monic(basis[i])[lm] == 1
+        for e in terms:
+            for j, lmj in enumerate(leads):
+                assert i == j or not all(a <= b for a, b in zip(lmj, e))
     for i in range(len(basis)):
         for j in range(i):
-            s = _spair_poly(basis[i], leads[i], basis[j], leads[j])
-            assert _nf_dict(s, reducers, key, 80) == {}
+            assert _nf_dict(_spair_poly(basis[i], basis[j]), basis, key, 80)[0] == {}
     for g in gens:
-        assert _nf_dict(g, reducers, key, 80) == {}
-    return basis
+        assert _nf_dict(_primitive(g), basis, key, 80)[0] == {}
+    return [_monic(r) for r in basis]
 
 
 def test_seeded_groebner_certificates():
@@ -343,3 +346,93 @@ def test_seeded_groebner_certificates():
         lifted = [{e + (0,): c for e, c in g.items()} for g in gens]
         aux = {(0,) * (n + 1): Fraction(1), (1,) * (n + 1): Fraction(-1)}
         _certify(lifted + [aux], _block_key(n + 1, (n,)))
+
+
+def _reference_division(f, G, key):
+    """Textbook division over Fraction: terms in descending order, each
+    divided by the first divisor in ascending leading-monomial order whose
+    lead divides it."""
+    divisors = sorted(
+        (dict(g.terms) for g in G), key=lambda d: key(max(d, key=key))
+    )
+    divisors = [(max(d, key=key), d) for d in divisors]
+    p, r = dict(f.terms), {}
+    while p:
+        e = max(p, key=key)
+        c = p.pop(e)
+        for lm, d in divisors:
+            if all(a <= b for a, b in zip(lm, e)):
+                q = c / d[lm]
+                for e2, c2 in d.items():
+                    if e2 != lm:
+                        ee = tuple(a - b + x for a, b, x in zip(e, lm, e2))
+                        v = p.get(ee, Fraction(0)) - q * c2
+                        if v:
+                            p[ee] = v
+                        else:
+                            p.pop(ee, None)
+                break
+        else:
+            r[e] = c
+    return Polynomial(f.n, r)
+
+
+def test_rational_inputs_match_fraction_division():
+    # non-primitive rational coefficients and negative leading coefficients:
+    # the integer engine must return the remainder of exact rational division
+    from gentrop.groebner import _order_key
+
+    gens = [
+        P("-3/4*x1^2 + 6*x1*x2 + 1/2*x2^2", 3),
+        P("-2*x1*x2 + 1/3*x2*x3 - 6*x3^2", 3),
+        P("-1/2*x1^2 - 3/4*x3^2 + 6*x2*x3", 3),
+    ]
+    fs = [
+        P("1/2*x1^3 - 3/4*x1*x2*x3 + 6*x3^3", 3),
+        P("-6*x1^2*x2 + 1/2*x2^3 - 3/4*x1*x3^2", 3),
+        P("-3/4*x1^4 + x2^2*x3^2 + 1/2*x1*x3^3", 3),
+    ]
+    orders = [GREVLEX, LEX, OrderSpec("grevlex", (3, 1, 2)), GREVLEX.refine((2, 0, 1))]
+    for order in orders:
+        key = _order_key(order, 3)
+        # a non-Groebner divisor list
+        for f in fs:
+            got = normal_form(f, gens, order)
+            assert got == _reference_division(f, gens, key)
+            assert got.n == 3 and all(isinstance(c, Fraction) for _, c in got.terms)
+        I = Ideal(3, gens)
+        gb = buchberger(I, order).elements
+        assert oracles.members_homogeneous(gb, gens, 3)
+        for g in gb:
+            lm = max((e for e, _ in g.terms), key=key)
+            assert g.coefficient(lm) == 1
+            # reduced: no term of an element lies in another's leading ideal
+            others = [h for h in gb if h != g]
+            assert _reference_division(g, others, key) == g
+        # Groebner: generators and s-pairs divide to zero
+        for g in gens:
+            assert not _reference_division(g, gb, key)
+        for i, a in enumerate(gb):
+            for b in gb[:i]:
+                la = max((e for e, _ in a.terms), key=key)
+                lb = max((e for e, _ in b.terms), key=key)
+                lcm = tuple(map(max, la, lb))
+                s = (a * Polynomial.monomial(3, tuple(x - y for x, y in zip(lcm, la)))
+                     - b * Polynomial.monomial(3, tuple(x - y for x, y in zip(lcm, lb))))
+                assert not _reference_division(s, gb, key)
+        for f in fs:
+            assert normal_form(f, gb, order) == _reference_division(f, gb, key)
+
+
+def test_degree_cap_fires_mid_reduction():
+    # non-graded input: reducing x1 by x1 - 4*x2^3 raises the degree, so the
+    # cap aborts inside the reduction, not at a lead or an s-pair lcm
+    divisor = [P("-2*x1 + 1/3*x2^3", 2)]
+    with pytest.raises(DegreeCapExceeded, match="during reduction"):
+        normal_form(P("x1^2", 2), divisor, LEX, degree_cap=5)
+    assert normal_form(P("x1^2", 2), divisor, LEX, degree_cap=6) == P("1/36*x2^6", 2)
+    gens = [P("3/2*x1 - 6*x2^3", 2), P("-x1^2 + 1/4*x2", 2)]
+    with pytest.raises(DegreeCapExceeded, match="during reduction"):
+        buchberger(Ideal(2, gens, graded=False), LEX, degree_cap=5)
+    gb = buchberger(Ideal(2, gens, graded=False), LEX, degree_cap=6)
+    assert sorted(str(g) for g in gb) == ["-4*x2^3 + x1", "x2^6 - 1/64*x2"]
