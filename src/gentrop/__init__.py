@@ -31,7 +31,6 @@ from .groebner import (
     eliminate,
     ideal_equal,
     initial_ideal,
-    leading_ideal,
     normal_form,
     saturate,
 )
@@ -53,10 +52,7 @@ from .poly import (
     OrderSpec,
     ParseError,
     Polynomial,
-    Term,
-    compare,
     initial_form,
-    leading_term,
     parse_polynomial,
     weight,
 )

@@ -7,7 +7,8 @@ probabilistic knob recorded, so identical inputs and seeds produce
 byte-identical output.
 
 Exit codes: 0 success, 1 failed verification probe, 2 parse/usage error,
-3 non-homogeneous input, 4 genericity failure, 5 degree-cap abort.
+3 non-homogeneous input, 4 genericity failure, 5 degree-cap abort,
+6 internal error (a broken invariant check inside the engine).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_PARSE = 2
 EXIT_NOT_GRADED = 3
 EXIT_GENERICITY = 4
 EXIT_DEGREE_CAP = 5
+EXIT_INTERNAL = 6
 
 
 def parse_ideal_file(text: str):
@@ -325,6 +327,9 @@ def main(argv=None) -> int:
     except DegreeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGREE_CAP
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

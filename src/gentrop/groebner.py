@@ -3,8 +3,10 @@ ideals, elimination, saturation and the monomial-containment test.
 
 All arithmetic is exact.  The engine reduces fraction-free over the
 integers: basis elements are kept primitive (content 1, positive leading
-coefficient), and results leave it monic with Fraction coefficients, the
-remainders of ``normal_form`` exact over the rationals.  S-pairs are pruned
+coefficient).  A ``GroebnerBasis`` holds these integer reducers; its leads
+and weighted initial ideals are read from them, and its monic Fraction
+``Polynomial`` elements are built only when first read.  The remainders of
+``normal_form`` are exact over the rationals.  S-pairs are pruned
 by the Gebauer-Moeller criteria (B, M and F, which includes the coprimality
 criterion) and taken from a heap by the normal strategy (smallest lcm degree
 first).  Every sort and tie-break is fixed, so identical inputs produce
@@ -17,14 +19,13 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .poly import (
     GREVLEX,
     OrderSpec,
     Polynomial,
-    initial_form,
     normalize_weight,
 )
 
@@ -80,29 +81,35 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic elements sorted by leading monomial."""
+    """A reduced Groebner basis, held as the engine's primitive integer
+    reducers in ascending order of leading monomial.
 
-    __slots__ = ("order", "elements")
+    ``leads`` are the leading exponent vectors; ``elements`` are the monic
+    Fraction polynomials, built the first time they are read."""
 
-    def __init__(self, order: OrderSpec, elements: Sequence[Polynomial]):
+    __slots__ = ("order", "n", "_reducers", "_elements")
+
+    def __init__(self, order: OrderSpec, n: int, reducers: Sequence[tuple]):
         self.order = order
-        self.elements = tuple(elements)
+        self.n = n
+        self._reducers = tuple(reducers)
+        self._elements = None
+
+    @property
+    def leads(self) -> tuple:
+        return tuple(r[0] for r in self._reducers)
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = tuple(Polynomial(self.n, _monic(r)) for r in self._reducers)
+        return self._elements
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroebnerBasis)
-            and self.order == other.order
-            and self.elements == other.elements
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.elements))
+        return len(self._reducers)
 
     def __repr__(self):
         return f"GroebnerBasis({self.order}, [{', '.join(str(g) for g in self.elements)}])"
@@ -385,14 +392,6 @@ def _block_key(n_total: int, drop: tuple) -> Callable:
     return key
 
 
-def _to_dict(f: Polynomial) -> dict:
-    return dict(f.terms)
-
-
-def _to_poly(n: int, r: tuple) -> Polynomial:
-    return Polynomial(n, _monic(r))
-
-
 # -- public operations ----------------------------------------------------
 
 
@@ -416,10 +415,10 @@ def normal_form(
     for g in G:
         if not g:
             raise ValueError("zero polynomial in divisor list")
-        d = _to_dict(g)
+        d = dict(g.terms)
         prepared.append(_reducer(d, _lead(d, key)))
     prepared.sort(key=lambda r: key(r[0]))
-    F = _primitive(_to_dict(f))
+    F = _primitive(dict(f.terms))
     R, _, scale = _nf_dict(F, prepared, key, degree_cap)
     e0, c0 = f.terms[0]
     ratio = c0 / (F[e0] * scale)  # f = F * c0 / F[e0]
@@ -435,23 +434,10 @@ def buchberger(
     if hit is not None and hit[1] <= degree_cap:
         return hit[0]
     key = _order_key(order, I.n)
-    reds = _buchberger_dicts([_to_dict(g) for g in I.generators], key, degree_cap)
-    gb = GroebnerBasis(order, [_to_poly(I.n, r) for r in reds])
+    reds = _buchberger_dicts([dict(g.terms) for g in I.generators], key, degree_cap)
+    gb = GroebnerBasis(order, I.n, reds)
     I.gb_cache[order] = (gb, degree_cap)
     return gb
-
-
-def leading_ideal(
-    I: Ideal, order: OrderSpec = GREVLEX, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> Ideal:
-    """The monomial ideal of leading monomials of the reduced basis."""
-    gb = buchberger(I, order, degree_cap)
-    key = _order_key(order, I.n)
-    gens = []
-    for g in gb:
-        lm = max((e for e, _ in g.terms), key=key)
-        gens.append(Polynomial.monomial(I.n, lm))
-    return Ideal(I.n, gens, graded=I.graded)
 
 
 def initial_ideal(
@@ -463,17 +449,23 @@ def initial_ideal(
     """The initial ideal of a graded I for weight w (minimal-weight forms).
 
     Generators are the initial forms of the reduced basis with respect to the
-    w-refined order; they constitute the reduced Groebner basis of the result
-    with respect to the unrefined base order, so two initial ideals computed
-    here with the same base order are equal iff their generator tuples agree.
+    w-refined order, read from its reducers: the lead has minimal weight, so
+    a form is the lead plus the tail terms of equal weight.  They constitute
+    the reduced Groebner basis of the result with respect to the unrefined
+    base order, so two initial ideals computed here with the same base order
+    are equal iff their generator tuples agree.
     """
     if not I.graded:
         raise NotGradedError("initial ideals require a graded ideal")
     wn = normalize_weight(w, I.n)
     # a weight that normalizes to zero refines nothing: reuse the plain basis
     refined = order if not any(wn) else order.refine(wn)
-    gb = buchberger(I, refined, degree_cap)
-    gens = [initial_form(wn, g) for g in gb]
+    gens = []
+    for lm, lc, tail in buchberger(I, refined, degree_cap)._reducers:
+        low = sum(map(mul, wn, lm))
+        form = {e: Fraction(c, lc) for e, c in tail if sum(map(mul, wn, e)) == low}
+        form[lm] = 1
+        gens.append(Polynomial(I.n, form))
     gens.sort(key=lambda p: p.terms)
     return Ideal(I.n, gens)
 
@@ -512,10 +504,10 @@ def eliminate(
     if any(not 1 <= i <= I.n for i in drop) or len(drop) >= I.n:
         raise ValueError("drop must be a proper subset of the variables")
     drop0 = tuple(i - 1 for i in drop)
-    reds = _eliminate_dicts([_to_dict(g) for g in I.generators], I.n, drop0, degree_cap)
+    reds = _eliminate_dicts([dict(g.terms) for g in I.generators], I.n, drop0, degree_cap)
     if not reds:
         raise ValueError("elimination ideal is zero")
-    return Ideal(I.n, [_to_poly(I.n, r) for r in reds], graded=I.graded)
+    return Ideal(I.n, [Polynomial(I.n, _monic(r)) for r in reds], graded=I.graded)
 
 
 def saturate(
@@ -547,8 +539,7 @@ def is_unit_ideal(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
     """True iff I = (1)."""
     if any(g.is_monomial() and g.degree == 0 for g in I.generators):
         return True
-    gb = buchberger(I, GREVLEX, degree_cap)
-    return len(gb) == 1 and gb.elements[0].degree == 0
+    return buchberger(I, GREVLEX, degree_cap).leads == ((0,) * I.n,)
 
 
 def contains_monomial(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
@@ -557,11 +548,8 @@ def contains_monomial(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
     for g in I.generators:
         if g.is_monomial():
             return True
-    gb = buchberger(I, GREVLEX, degree_cap)
-    for g in gb:
-        if g.is_monomial():
-            return True
-    if is_unit_ideal(I, degree_cap):
+    # a reduced basis element without tail is a monomial in I
+    if any(not tail for _, _, tail in buchberger(I, GREVLEX, degree_cap)._reducers):
         return True
     prod = Polynomial.monomial(I.n, (1,) * I.n)
     return is_unit_ideal(saturate(I, prod, degree_cap), degree_cap)

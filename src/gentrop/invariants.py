@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .groebner import DEFAULT_DEGREE_CAP, Ideal, leading_ideal
+from .groebner import DEFAULT_DEGREE_CAP, Ideal, buchberger
 from .poly import GREVLEX, OrderSpec, Polynomial, grevlex_key
 
 
@@ -53,8 +53,7 @@ def monomial_ideal_of(
     I: Ideal, order: OrderSpec = GREVLEX, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> MonomialIdeal:
     """The leading-monomial ideal of I as a MonomialIdeal."""
-    lead = leading_ideal(I, order, degree_cap)
-    return minimalize(I.n, [g.terms[0][0] for g in lead.generators])
+    return minimalize(I.n, buchberger(I, order, degree_cap).leads)
 
 
 def monomial_dimension(M: MonomialIdeal) -> int:

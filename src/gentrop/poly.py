@@ -14,14 +14,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 Exponents = tuple
 Weights = tuple
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 class ParseError(ValueError):
@@ -109,17 +107,6 @@ def weight(w: Weights, exps: Exponents) -> int | Fraction:
     return _dot(_exact(w), exps)
 
 
-def compare(order: OrderSpec, a: Exponents, b: Exponents) -> int:
-    """Three-way comparison of monomials: GREATER means a outranks b."""
-    if len(a) != len(b):
-        raise ValueError("exponent length mismatch")
-    ka = order.key_function(len(a))
-    x, y = ka(a), ka(b)
-    if x == y:
-        return EQUAL
-    return GREATER if x > y else LESS
-
-
 def normalize_weight(w: Weights, n: int) -> tuple:
     """Shift ``w`` so its minimum is 0 and scale to coprime integers.
 
@@ -129,24 +116,12 @@ def normalize_weight(w: Weights, n: int) -> tuple:
     """
     if len(w) != n:
         raise ValueError("weight length does not match variable count")
-    fr = [Fraction(x) for x in w]
-    mn = min(fr)
-    fr = [x - mn for x in fr]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
-class Term(NamedTuple):
-    coefficient: Fraction
-    exponents: Exponents
+    w = _exact(w)
+    den = lcm(*(x.denominator for x in w))
+    ints = [x.numerator * (den // x.denominator) for x in w]
+    mn = min(ints)
+    g = gcd(*(v - mn for v in ints)) or 1
+    return tuple((v - mn) // g for v in ints)
 
 
 class Polynomial:
@@ -242,15 +217,6 @@ class Polynomial:
                 return c
         return Fraction(0)
 
-    def monic(self, order: OrderSpec = GREVLEX) -> "Polynomial":
-        """Divide by the leading coefficient with respect to ``order``."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading coefficient")
-        lc = leading_term(order, self).coefficient
-        if lc == 1:
-            return self
-        return Polynomial(self.n, [(e, c / lc) for e, c in self.terms])
-
     # -- arithmetic -----------------------------------------------------
 
     def _acc(self) -> dict:
@@ -338,15 +304,6 @@ def initial_form(w: Weights, f: Polynomial) -> Polynomial:
     wts = [(_dot(w, e), e, c) for e, c in f.terms]
     mn = min(x[0] for x in wts)
     return Polynomial(f.n, [(e, c) for x, e, c in wts if x == mn])
-
-
-def leading_term(order: OrderSpec, f: Polynomial) -> Term:
-    """The unique term of f that outranks all others under ``order``."""
-    if not f.terms:
-        raise ValueError("zero polynomial has no leading term")
-    key = order.key_function(f.n)
-    e, c = max(f.terms, key=lambda t: key(t[0]))
-    return Term(c, e)
 
 
 # -- text format ---------------------------------------------------------

@@ -25,7 +25,8 @@ def policy(seed: int = 0, samples: int = 2, bound: int = 1000) -> GenericityPoli
 def stable_depth_family(n: int, m: int, t: int) -> Ideal:
     """Strongly stable ideal with dimension m and depth t (0 < t < m-1):
     variables x1..x_{n-m-1}, then x_{n-m} times x_{n-m}..x_{n-t}."""
-    assert 0 < t < m - 1 < n - 1
+    if not 0 < t < m - 1 < n - 1:
+        raise AssertionError(f"need 0 < t < m - 1 < n - 1, got n={n}, m={m}, t={t}")
     gens = [f"x{i}" for i in range(1, n - m)]
     gens.append(f"x{n - m}^2")
     gens += [f"x{n - m}*x{j}" for j in range(n - m + 1, n - t + 1)]

@@ -153,7 +153,8 @@ def saturation_slice(generators, f: Polynomial, n: int, d: int, stable_power: in
     stabilization check on the exponent."""
     a = colon_power_slice(generators, f, stable_power, n, d)
     b = colon_power_slice(generators, f, stable_power + 1, n, d)
-    assert a == b, "saturation oracle has not stabilized; raise stable_power"
+    if a != b:
+        raise AssertionError("saturation oracle has not stabilized; raise stable_power")
     return a
 
 

@@ -6,6 +6,7 @@ import pytest
 from gentrop.cli import (
     EXIT_DEGREE_CAP,
     EXIT_GENERICITY,
+    EXIT_INTERNAL,
     EXIT_NOT_GRADED,
     EXIT_OK,
     EXIT_PARSE,
@@ -218,6 +219,22 @@ def test_exit_code_genericity(tmp_path, capsys):
     path = write(tmp_path, "line.ideal", "ring 2\nx2\n")
     assert main(["analyze", path, "--identity"]) == EXIT_GENERICITY
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("target, broken, message", [
+    ("gentrop.generic._det_int", lambda rows: 0, "invertible transform"),
+    ("gentrop.invariants._divide_one_minus_t", lambda q: None, "Hilbert dimension"),
+], ids=["transform-draw", "hilbert"])
+def test_exit_code_internal(tmp_path, capsys, monkeypatch, target, broken, message):
+    # a broken engine invariant is neither a failed probe nor a parse error:
+    # it exits with its own code and a one-line message, no traceback
+    monkeypatch.setattr(target, broken)
+    path = write(tmp_path, "q.ideal", QUADRIC)
+    assert main(["analyze", path]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_budget_sampling_deterministic():

@@ -14,11 +14,10 @@ from gentrop.groebner import (
     ideal_equal,
     initial_ideal,
     is_unit_ideal,
-    leading_ideal,
     normal_form,
     saturate,
 )
-from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form
+from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, normalize_weight
 
 import oracles
 from cases import P, dense_form, ideal, random_graded_ideal
@@ -103,13 +102,6 @@ def test_membership_is_order_independent():
                 continue
             results = {normal_form(f, b, o).is_zero() for b, o in zip(bases, orders)}
             assert len(results) == 1
-
-
-def test_leading_ideal_examples():
-    assert gens_of(leading_ideal(ideal(2, "x1 + x2"))) == ["x1"]
-    assert sorted(gens_of(leading_ideal(ideal(2, "x1 + x2", "x1^2")))) == ["x1", "x2^2"]
-    M = ideal(3, "x1*x2", "x3^2")
-    assert sorted(gens_of(leading_ideal(M))) == ["x1*x2", "x3^2"]
 
 
 def test_ideal_equal_examples():
@@ -282,6 +274,51 @@ def test_gb_cache_serves_a_larger_cap():
     assert J.gb_cache[GREVLEX][1] == 4
     assert buchberger(J) is a
     assert buchberger(J, GREVLEX, 4) is a
+
+
+def _is_unit_by_elements(I):
+    gb = buchberger(I).elements
+    return len(gb) == 1 and gb[0].degree == 0
+
+
+def _contains_monomial_by_elements(I):
+    if any(g.is_monomial() for g in I.generators + buchberger(I).elements):
+        return True
+    return _is_unit_by_elements(saturate(I, Polynomial.monomial(I.n, (1,) * I.n)))
+
+
+def test_reducer_reads_match_element_computations():
+    # leads, weighted initial ideals and the monomial tests are read from the
+    # basis's integer reducers; the element-based computations they replaced
+    # are the reference.  Weights include zero, constant, tied and rational
+    # vectors.
+    rng = random.Random(23)
+    ideals = [random_graded_ideal(n, seed, gens=2 + seed % 2) for n in (3, 4) for seed in range(3)]
+    for seed in range(2):
+        ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
+        ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
+    monomial_seen = set()
+    for I in ideals:
+        n = I.n
+        weights = [(0,) * n, (3,) * n, (1,) + (0,) * (n - 1)]
+        weights += [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(2)]
+        weights.append(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))
+        for w in weights:
+            wn = normalize_weight(w, n)
+            refined = GREVLEX.refine(wn) if any(wn) else GREVLEX
+            gb = buchberger(I, refined)
+            key = refined.key_function(n)
+            assert gb.leads == tuple(max((e for e, _ in g.terms), key=key) for g in gb.elements)
+            J = initial_ideal(I, w)
+            want = sorted((initial_form(wn, g) for g in gb.elements), key=lambda p: p.terms)
+            assert list(J.generators) == want
+            has = contains_monomial(J)
+            assert has == _contains_monomial_by_elements(J)
+            monomial_seen.add(has)
+            sat = saturate(J, Polynomial.monomial(n, (1,) * n))
+            assert is_unit_ideal(sat) == _is_unit_by_elements(sat) == has
+        assert contains_monomial(I) == _contains_monomial_by_elements(I)
+    assert monomial_seen == {False, True}
 
 
 def test_cached_basis_generates_the_same_ideal():

@@ -46,6 +46,15 @@ def test_minimalize_examples():
     assert M(2, (2, 0), (2, 1)).generators == ((2, 0),)
 
 
+def test_monomial_ideal_of_examples():
+    def gens(I):
+        return sorted(str(p) for p in monomial_ideal_of(I).polynomials())
+
+    assert gens(ideal(2, "x1 + x2")) == ["x1"]
+    assert gens(ideal(2, "x1 + x2", "x1^2")) == ["x1", "x2^2"]
+    assert gens(ideal(3, "x1*x2", "x3^2")) == ["x1*x2", "x3^2"]
+
+
 def test_monomial_dimension_examples():
     n, m = 6, 2
     coords = M(n, *[tuple(1 if j == i else 0 for j in range(n)) for i in range(n - m)])

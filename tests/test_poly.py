@@ -5,16 +5,12 @@ from itertools import product
 import pytest
 
 from gentrop.poly import (
-    EQUAL,
-    GREATER,
     GREVLEX,
     OrderSpec,
     ParseError,
     Polynomial,
-    compare,
     format_polynomial,
     initial_form,
-    leading_term,
     normalize_weight,
     parse_polynomial,
     weight,
@@ -31,13 +27,20 @@ def test_weight_examples():
         weight((1, 2), (1, 2, 3))
 
 
+def lead(order, f):
+    """The exponents of the term of f that ranks highest under ``order``."""
+    key = order.key_function(f.n)
+    return max((e for e, _ in f.terms), key=key)
+
+
 def test_compare_grevlex_examples():
     # x2^2 vs x1*x3: rightmost difference decides
-    assert compare(GREVLEX, (0, 2, 0), (1, 0, 1)) == GREATER
-    assert compare(GREVLEX, (1, 1), (1, 1)) == EQUAL
+    key = GREVLEX.key_function(3)
+    assert key((0, 2, 0)) > key((1, 0, 1))
+    assert GREVLEX.key_function(2)((1, 1)) == GREVLEX.key_function(2)((1, 1))
     # weight refinement: smaller weight ranks higher
-    refined = GREVLEX.refine((0, 0, 1))
-    assert compare(refined, (0, 1, 0), (0, 0, 1)) == GREATER
+    refined = GREVLEX.refine((0, 0, 1)).key_function(3)
+    assert refined((0, 1, 0)) > refined((0, 0, 1))
 
 
 def test_compare_is_strict_total_and_multiplicative():
@@ -49,21 +52,18 @@ def test_compare_is_strict_total_and_multiplicative():
         GREVLEX.refine((1, 0, 2)),
     ]
     for order in orders:
+        key = order.key_function(3)
         for _ in range(200):
             a = tuple(rng.randint(0, 4) for _ in range(3))
             b = tuple(rng.randint(0, 4) for _ in range(3))
             c = tuple(rng.randint(0, 4) for _ in range(3))
-            ab = compare(order, a, b)
-            assert ab == -compare(order, b, a)
-            if a == b:
-                assert ab == EQUAL
-            else:
-                assert ab != EQUAL
-            if ab == GREATER and compare(order, b, c) == GREATER:
-                assert compare(order, a, c) == GREATER
+            # strict: equal keys only for equal monomials
+            assert (key(a) == key(b)) == (a == b)
+            if key(a) > key(b) and key(b) > key(c):
+                assert key(a) > key(c)
             shift = tuple(x + y for x, y in zip(a, c))
             shift2 = tuple(x + y for x, y in zip(b, c))
-            assert compare(order, shift, shift2) == ab
+            assert (key(shift) > key(shift2)) == (key(a) > key(b))
 
 
 def test_initial_form_examples():
@@ -117,11 +117,11 @@ def test_initial_form_length_mismatch():
 
 def test_leading_term_examples():
     f = P("x1 + x2", 2)
-    assert leading_term(GREVLEX, f).exponents == (1, 0)
+    assert lead(GREVLEX, f) == (1, 0)
     refined = GREVLEX.refine((1, 0))
-    assert leading_term(refined, f).exponents == (0, 1)
-    g = P("5*x1^2", 2)
-    assert leading_term(GREVLEX, g) == (Fraction(5), (2, 0))
+    assert lead(refined, f) == (0, 1)
+    g = P("5*x1^2 + x1*x2", 2)
+    assert lead(GREVLEX, g) == (2, 0)
 
 
 def test_leading_term_lies_in_initial_form():
@@ -132,8 +132,8 @@ def test_leading_term_lies_in_initial_form():
         if not f:
             continue
         w = tuple(rng.randint(0, 3) for _ in range(3))
-        lt = leading_term(GREVLEX.refine(w), f)
-        assert lt.exponents in {e for e, _ in initial_form(w, f).terms}
+        lm = lead(GREVLEX.refine(w), f)
+        assert lm in {e for e, _ in initial_form(w, f).terms}
 
 
 def test_arithmetic_examples():
@@ -162,6 +162,12 @@ def test_normalize_weight():
     assert normalize_weight((Fraction(1, 2), Fraction(3, 2), Fraction(1, 2)), 3) == (0, 1, 0)
     assert normalize_weight((-1, 0, 1), 3) == (0, 1, 2)
     assert normalize_weight((2, 2), 2) == (0, 0)
+    assert normalize_weight((0, 0, 0), 3) == (0, 0, 0)
+    assert normalize_weight((0.5, 1.5, 0.25), 3) == (1, 5, 0)
+    assert normalize_weight((Fraction(2, 3), 0.5, 2), 3) == (1, 0, 9)
+    assert normalize_weight((1.5, 1.5), 2) == (0, 0)
+    with pytest.raises(ValueError):
+        normalize_weight((1, 2), 3)
 
 
 def test_parse_and_format_roundtrip():
@@ -212,5 +218,3 @@ def test_order_spec_validation():
         OrderSpec("weird")
     with pytest.raises(ValueError):
         OrderSpec("grevlex", (1, 1, 2)).key_function(3)
-    with pytest.raises(ValueError):
-        compare(GREVLEX, (1, 0), (1, 0, 0))
