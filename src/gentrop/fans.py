@@ -151,17 +151,51 @@ class ConeSequence(Sequence):
         return ConeId(n, frozenset(a), frozenset(rest) - top, top)
 
 
-def adjacent_pairs(n: int, m: int, t: int) -> list:
+class PairSequence(Sequence):
+    """The pairs of ``adjacent_pairs``: grouped by min-set in the order of
+    ``refinement_maximal_cones``, and within a group the pairs (i, j),
+    i < j, of its cones in lexicographic order.
+
+    A pair is unranked from its index when it is read, like the cones of
+    ``ConeSequence``, so a caller that samples a few pairs never lists
+    them all."""
+
+    def __init__(self, n: int, m: int, t: int):
+        self._cones = ConeSequence(n, m, t)
+        self._tops = tops = comb(m - 1, t)
+        self._per_group = tops * (tops - 1) // 2
+        self._len = comb(n, n - m + 1) * self._per_group
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(self._len))]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("pair index out of range")
+        group, r = divmod(i, self._per_group)
+        tops = self._tops
+        # first cone a: the largest a whose earlier pairs a*(2*tops-a-1)/2
+        # number at most r
+        lo, hi = 0, tops - 2
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if mid * (2 * tops - mid - 1) // 2 <= r:
+                lo = mid
+            else:
+                hi = mid - 1
+        b = lo + 1 + r - lo * (2 * tops - lo - 1) // 2
+        base = group * tops
+        return self._cones[base + lo], self._cones[base + b]
+
+
+def adjacent_pairs(n: int, m: int, t: int) -> PairSequence:
     """Unordered pairs of refinement cones sharing the same min-set but
     splitting middle/top differently."""
-    groups: dict = {}
-    for c in refinement_maximal_cones(n, m, t):
-        groups.setdefault(c.min_set, []).append(c)
-    out = []
-    for a in sorted(groups, key=sorted):
-        cones = groups[a]
-        out.extend((cones[i], cones[j]) for i in range(len(cones)) for j in range(i + 1, len(cones)))
-    return out
+    return PairSequence(n, m, t)
 
 
 def _ladder(count: int, gap: int) -> list:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain, islice
 from math import gcd
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
@@ -30,6 +31,9 @@ from .poly import (
 )
 
 DEFAULT_DEGREE_CAP = 40
+# how many of the newest cached bases a graded ideal tries, after its
+# grevlex basis, before running Buchberger for a new order
+_CONE_WINDOW = 6
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -50,7 +54,10 @@ class Ideal:
     ``gb_cache`` maps an OrderSpec to (reduced basis, degree cap it was
     computed under); the cap only aborts a run and never steers it, so an
     entry is served to any cap at least that large, and a smaller cap
-    recomputes.  ``images`` maps a frozen GenericityPolicy to the tuple of
+    recomputes.  For a graded ideal a cached basis also serves any order
+    whose Groebner cone contains it (see ``buchberger``), so a degree cap
+    bounds every computation performed, not the runs a reused basis skips.
+    ``images`` maps a frozen GenericityPolicy to the tuple of
     transformed ideals (see ``generic.transformed``).
     """
 
@@ -104,6 +111,25 @@ class GroebnerBasis:
         if self._elements is None:
             self._elements = tuple(Polynomial(self.n, _monic(r)) for r in self._reducers)
         return self._elements
+
+    def has_monomial_initial_form(self, w) -> bool:
+        """Whether some element's w-initial form (its terms of minimal
+        w-weight) is a single term, which puts a monomial in the weighted
+        initial ideal.  ``w`` holds ints or Fractions, so weights are exact."""
+        if len(w) != self.n:
+            raise ValueError("weight length does not match variable count")
+        for lm, _, tail in self._reducers:
+            low = sum(map(mul, w, lm))
+            ties = 0
+            for e, _ in tail:
+                v = sum(map(mul, w, e))
+                if v < low:
+                    low, ties = v, 0
+                elif v == low:
+                    ties += 1
+            if not ties:
+                return True
+        return False
 
     def __iter__(self):
         return iter(self.elements)
@@ -425,18 +451,67 @@ def normal_form(
     return Polynomial(f.n, {e: c * ratio for e, c in R.items()})
 
 
+def _keeps_leads(reducers, key: Callable) -> bool:
+    """Whether every reducer's lead outranks each of its tail terms under
+    ``key``; stops at the first reducer that fails."""
+    for lm, _, tail in reducers:
+        k = key(lm)
+        for e, _ in tail:
+            if key(e) > k:
+                return False
+    return True
+
+
+def _cone_hit(I: Ideal, key: Callable, degree_cap: int):
+    """A cached (reducers, cap) of the graded I that is the reduced basis
+    under ``key`` too, or None.
+
+    If every element of a reduced basis keeps its lead under a new order,
+    the new initial ideal contains the old one; both have the Hilbert
+    function of I, so they are equal, and the basis is the new reduced basis
+    (the new order lies in its Groebner cone).  Candidates are the grevlex
+    basis, then the newest ``_CONE_WINDOW`` entries, each distinct basis
+    once, and only entries that serve ``degree_cap``."""
+    entries = islice(reversed(I.gb_cache.values()), _CONE_WINDOW)
+    grevlex = I.gb_cache.get(GREVLEX)
+    if grevlex is not None:
+        entries = chain((grevlex,), entries)
+    seen = set()
+    for gb, cap in entries:
+        if cap > degree_cap:
+            continue
+        leads = frozenset(r[0] for r in gb._reducers)
+        if leads in seen:
+            continue
+        seen.add(leads)
+        if _keeps_leads(gb._reducers, key):
+            return gb._reducers, cap
+    return None
+
+
 def buchberger(
     I: Ideal, order: OrderSpec = GREVLEX, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> GroebnerBasis:
     """The reduced Groebner basis of I, memoized in ``I.gb_cache`` with the
-    cap it was computed under and served to any cap at least that large."""
+    cap it was computed under and served to any cap at least that large.
+
+    For a graded I, a cached basis whose Groebner cone contains the new
+    order (every element keeps its lead) is served before any run, with the
+    cap of that cached entry.  So ``degree_cap`` bounds every computation
+    performed: a reused basis skips a run that might have aborted."""
     hit = I.gb_cache.get(order)
     if hit is not None and hit[1] <= degree_cap:
         return hit[0]
     key = _order_key(order, I.n)
-    reds = _buchberger_dicts([dict(g.terms) for g in I.generators], key, degree_cap)
+    reused = _cone_hit(I, key, degree_cap) if I.graded else None
+    if reused is not None:
+        reds, cap = reused
+        reds = sorted(reds, key=lambda r: key(r[0]))
+    else:
+        cap = degree_cap
+        reds = _buchberger_dicts([dict(g.terms) for g in I.generators], key, degree_cap)
     gb = GroebnerBasis(order, I.n, reds)
-    I.gb_cache[order] = (gb, degree_cap)
+    I.gb_cache[order] = (gb, cap)
     return gb
 
 

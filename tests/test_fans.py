@@ -81,6 +81,39 @@ def test_adjacent_pairs():
         adjacent_pairs(5, 4, 3)
 
 
+def _listed_adjacent_pairs(n, m, t):
+    """Reference: every pair, listed group by group from the whole fan."""
+    groups = {}
+    for c in refinement_maximal_cones(n, m, t):
+        groups.setdefault(c.min_set, []).append(c)
+    out = []
+    for a in sorted(groups, key=sorted):
+        cones = groups[a]
+        out.extend((cones[i], cones[j]) for i in range(len(cones)) for j in range(i + 1, len(cones)))
+    return out
+
+
+def test_adjacent_pairs_unrank_the_listed_pairs():
+    checked = 0
+    for n in range(1, 8):
+        for m in range(1, n):
+            for t in range(1, m - 1):
+                pairs = adjacent_pairs(n, m, t)
+                assert len(pairs) == comb(n, n - m + 1) * comb(comb(m - 1, t), 2)
+                want = _listed_adjacent_pairs(n, m, t)
+                assert list(pairs) == want
+                assert pairs[-1] == want[-1] and pairs[1:4] == want[1:4]
+                checked += 1
+    assert checked == 20
+    # a fan too large to list: reading a pair unranks only that pair
+    wide = adjacent_pairs(30, 25, 12)
+    assert len(wide) == comb(30, 6) * comb(comb(24, 12), 2)
+    a, b = wide[len(wide) - 1]
+    assert a.min_set == b.min_set == frozenset(range(25, 31))
+    with pytest.raises(IndexError):
+        wide[len(wide)]
+
+
 def test_interior_point_examples():
     c = ConeId(5, {1, 2, 3}, {4}, {5})
     assert interior_point(c, 3) == (0, 0, 0, 1, 4)

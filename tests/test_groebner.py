@@ -1,9 +1,11 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from gentrop import groebner
 from gentrop.groebner import (
     DegreeCapExceeded,
     Ideal,
@@ -276,6 +278,84 @@ def test_gb_cache_serves_a_larger_cap():
     assert buchberger(J, GREVLEX, 4) is a
 
 
+def test_cone_reuse_honours_a_smaller_cap():
+    # weight (0, 1) keeps every lead of the grevlex basis, which holds x2^3:
+    # the basis cached under cap 40 must not serve cap 2, and an entry cached
+    # under cap 4 is served with that cap
+    J = ideal(2, "x1^2 + x2^2", "x1*x2")
+    order = GREVLEX.refine((0, 1))
+    buchberger(J)
+    with pytest.raises(DegreeCapExceeded):
+        buchberger(J, order, 2)
+    assert order not in J.gb_cache
+    assert set(buchberger(J, order).leads) == set(buchberger(J).leads)
+    assert J.gb_cache[order][1] == 40
+    K = ideal(2, "x1^2 + x2^2", "x1*x2")
+    buchberger(K, GREVLEX, 4)
+    gb = buchberger(K, order, 4)
+    assert K.gb_cache[order] == (gb, 4)
+
+
+def _counting_engine(monkeypatch) -> list:
+    """Patch the Buchberger engine to record each run; returns the record."""
+    runs = []
+    engine = groebner._buchberger_dicts
+
+    def counting(*args):
+        runs.append(1)
+        return engine(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", counting)
+    return runs
+
+
+def test_cone_reuse_matches_a_fresh_run(monkeypatch):
+    # a graded ideal's cached bases serve every order whose Groebner cone
+    # contains one of them; what is served must be what a fresh Ideal
+    # computes.  Weights include zero, constant, tied and negative vectors.
+    runs = _counting_engine(monkeypatch)
+    rng = random.Random(37)
+    ideals = [random_graded_ideal(n, seed, gens=2 + seed % 2) for n in (3, 4) for seed in range(4)]
+    for seed in range(2):
+        ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
+        ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
+    hits = misses = 0
+    for I in ideals:
+        n = I.n
+        buchberger(I)
+        for _ in range(3):
+            buchberger(I, GREVLEX.refine(tuple(rng.randint(0, 3) for _ in range(n))))
+        probes = [(0,) * n, (2,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)]
+        probes += [tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(8)]
+        for w in probes:
+            order = GREVLEX.refine(w)
+            fresh = Ideal(n, I.generators)
+            want = buchberger(fresh, order)
+            before = len(runs)
+            got = buchberger(I, order)
+            if len(runs) == before:
+                hits += 1
+            else:
+                misses += 1
+            assert got.order == order
+            assert got.elements == want.elements and got.leads == want.leads
+            assert initial_ideal(I, w).generators == initial_ideal(Ideal(n, I.generators), w).generators
+    assert hits and misses
+
+
+def test_cone_reuse_bounds_engine_runs_on_a_wide_quadric(tmp_path, monkeypatch, capsys):
+    # every weighted basis of one quadric is the quadric itself, so the
+    # grevlex basis serves nearly every order of a Wnm probe
+    from gentrop.cli import main
+
+    runs = _counting_engine(monkeypatch)
+    path = tmp_path / "q10.ideal"
+    path.write_text("ring 10\nx1*x2 + x3*x4\n", encoding="utf-8")
+    assert main(["verify", str(path), "--target", "Wnm"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert 0 < len(runs) <= 30
+
+
 def _is_unit_by_elements(I):
     gb = buchberger(I).elements
     return len(gb) == 1 and gb[0].degree == 0
@@ -298,13 +378,18 @@ def test_reducer_reads_match_element_computations():
         ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
         ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
     monomial_seen = set()
+    certified = set()
     for I in ideals:
         n = I.n
         weights = [(0,) * n, (3,) * n, (1,) + (0,) * (n - 1)]
         weights += [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(2)]
         weights.append(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))
+        plain = buchberger(I)
         for w in weights:
             wn = normalize_weight(w, n)
+            certificate = plain.has_monomial_initial_form(wn)
+            assert certificate == any(initial_form(wn, g).is_monomial() for g in plain.elements)
+            certified.add(certificate)
             refined = GREVLEX.refine(wn) if any(wn) else GREVLEX
             gb = buchberger(I, refined)
             key = refined.key_function(n)
@@ -318,7 +403,7 @@ def test_reducer_reads_match_element_computations():
             sat = saturate(J, Polynomial.monomial(n, (1,) * n))
             assert is_unit_ideal(sat) == _is_unit_by_elements(sat) == has
         assert contains_monomial(I) == _contains_monomial_by_elements(I)
-    assert monomial_seen == {False, True}
+    assert monomial_seen == certified == {False, True}
 
 
 def test_cached_basis_generates_the_same_ideal():
