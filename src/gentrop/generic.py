@@ -303,6 +303,23 @@ def gap_degree(I: Ideal, policy: GenericityPolicy, degree_cap: int) -> int:
     return gin(I, GREVLEX, policy, degree_cap).max_degree()
 
 
+def _same_initial(
+    I: Ideal, points: Sequence, policy: GenericityPolicy, degree_cap: int, what: str
+) -> bool:
+    """Whether the transformed ideals' grevlex-refined initial ideals at
+    ``points`` all coincide, agreed across transforms; stops at the first
+    point that differs from the first."""
+
+    def compute(gI: Ideal) -> bool:
+        first = initial_ideal(gI, points[0], GREVLEX, degree_cap).generators
+        return all(
+            initial_ideal(gI, w, GREVLEX, degree_cap).generators == first
+            for w in points[1:]
+        )
+
+    return agreed(I, policy, compute, what)
+
+
 def cone_constancy(
     I: Ideal,
     cone: ConeId,
@@ -317,15 +334,7 @@ def cone_constancy(
         raise ValueError("constancy needs at least two interior points")
     gap = gap_degree(I, policy, degree_cap) + 1
     pts = interior_points(cone, gap, samples)
-
-    def compute(gI: Ideal) -> bool:
-        first = initial_ideal(gI, pts[0], GREVLEX, degree_cap).generators
-        return all(
-            initial_ideal(gI, w, GREVLEX, degree_cap).generators == first
-            for w in pts[1:]
-        )
-
-    return agreed(I, policy, compute, "cone constancy")
+    return _same_initial(I, pts, policy, degree_cap, "cone constancy")
 
 
 def adjacent_distinct(
@@ -340,13 +349,7 @@ def adjacent_distinct(
     gap = gap_degree(I, policy, degree_cap) + 1
     w1 = interior_point(c1, gap)
     w2 = interior_point(c2, gap)
-
-    def compute(gI: Ideal) -> bool:
-        a = initial_ideal(gI, w1, GREVLEX, degree_cap).generators
-        b = initial_ideal(gI, w2, GREVLEX, degree_cap).generators
-        return a != b
-
-    return agreed(I, policy, compute, "adjacent cone separation")
+    return not _same_initial(I, (w1, w2), policy, degree_cap, "adjacent cone separation")
 
 
 def _swap_coords(w: Sequence, a: int, b: int) -> tuple:
@@ -386,13 +389,7 @@ def separating_witness(
     base_cone = ConeId(n, frozenset(range(1, n - m + 2)))
     w = interior_point(base_cone, c + 1)
     v = _swap_coords(w, p, p + 1)
-
-    def compute(gI: Ideal) -> bool:
-        a = initial_ideal(gI, w, GREVLEX, degree_cap).generators
-        b = initial_ideal(gI, v, GREVLEX, degree_cap).generators
-        return a != b
-
-    distinct = agreed(I, policy, compute, "separating witness")
+    distinct = not _same_initial(I, (w, v), policy, degree_cap, "separating witness")
     return w, v, distinct
 
 
@@ -493,15 +490,7 @@ def ray_constancy(
         w2 = list(w)
         w2[j - 1] = max(target, w[j - 1] + 1)
         moved.append(tuple(w2))
-
-    def compute(gI: Ideal) -> bool:
-        base = initial_ideal(gI, w, GREVLEX, degree_cap).generators
-        return all(
-            initial_ideal(gI, w2, GREVLEX, degree_cap).generators == base
-            for w2 in moved
-        )
-
-    return agreed(I, policy, compute, "ray constancy")
+    return _same_initial(I, [w] + moved, policy, degree_cap, "ray constancy")
 
 
 def recover_depth(

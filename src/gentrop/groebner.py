@@ -1,5 +1,6 @@
 """Buchberger engine: normal forms, reduced Groebner bases, weighted initial
-ideals, elimination, saturation and the monomial-containment test.
+ideals, lex elimination, monomial saturation and the monomial-containment
+test, all of graded ideals.
 
 All arithmetic is exact.  The engine reduces fraction-free over the
 integers: basis elements are kept primitive (content 1, positive leading
@@ -31,7 +32,7 @@ from .poly import (
 )
 
 DEFAULT_DEGREE_CAP = 40
-# how many of the newest cached bases a graded ideal tries, after its
+# how many of the newest cached bases an ideal tries, after its
 # grevlex basis, before running Buchberger for a new order
 _CONE_WINDOW = 6
 
@@ -45,36 +46,33 @@ class NotGradedError(ValueError):
 
 
 class Ideal:
-    """A nonzero ideal given by generators, with memos of its reduced bases
-    and of its generic transforms.
+    """A nonzero graded ideal given by generators, with memos of its reduced
+    bases and of its generic transforms.
 
-    Generators must be homogeneous in the standard grading unless
-    ``graded=False`` (used internally while eliminating the auxiliary
-    saturation variable).  The ideal is the only place results are cached.
-    ``gb_cache`` maps an OrderSpec to (reduced basis, degree cap it was
-    computed under); the cap only aborts a run and never steers it, so an
-    entry is served to any cap at least that large, and a smaller cap
-    recomputes.  For a graded ideal a cached basis also serves any order
-    whose Groebner cone contains it (see ``buchberger``), so a degree cap
-    bounds every computation performed, not the runs a reused basis skips.
-    ``images`` maps a frozen GenericityPolicy to the tuple of
+    Generators must be homogeneous in the standard grading.  The ideal is
+    the only place results are cached.  ``gb_cache`` maps an OrderSpec to
+    (reduced basis, degree cap it was computed under); the cap only aborts a
+    run and never steers it, so an entry is served to any cap at least that
+    large, and a smaller cap recomputes.  A cached basis also serves any
+    order whose Groebner cone contains it (see ``buchberger``), so a degree
+    cap bounds every computation performed, not the runs a reused basis
+    skips.  ``images`` maps a frozen GenericityPolicy to the tuple of
     transformed ideals (see ``generic.transformed``).
     """
 
-    __slots__ = ("n", "generators", "graded", "gb_cache", "images")
+    __slots__ = ("n", "generators", "gb_cache", "images")
 
-    def __init__(self, n: int, generators: Iterable[Polynomial], graded: bool = True):
+    def __init__(self, n: int, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if g)
         if not gens:
             raise ValueError("the zero ideal is not supported")
         for g in gens:
             if g.n != n:
                 raise ValueError("generator has wrong ambient variable count")
-            if graded and not g.is_homogeneous():
+            if not g.is_homogeneous():
                 raise NotGradedError(f"non-homogeneous generator: {g}")
         self.n = n
         self.generators = gens
-        self.graded = graded
         self.gb_cache: dict = {}
         self.images: dict = {}
 
@@ -400,24 +398,6 @@ def _order_key(order: OrderSpec, n: int) -> Callable:
     return order.key_function(n)
 
 
-def _block_key(n_total: int, drop: tuple) -> Callable:
-    """Elimination order: grevlex on the dropped block first, then grevlex
-    on the remaining variables."""
-    rest = tuple(i for i in range(n_total) if i not in drop)
-    drop_rev = tuple(reversed(drop))
-    rest_rev = tuple(reversed(rest))
-
-    def key(e):
-        return (
-            sum(e[i] for i in drop),
-            tuple(-e[i] for i in drop_rev),
-            sum(e[i] for i in rest),
-            tuple(-e[i] for i in rest_rev),
-        )
-
-    return key
-
-
 # -- public operations ----------------------------------------------------
 
 
@@ -463,7 +443,7 @@ def _keeps_leads(reducers, key: Callable) -> bool:
 
 
 def _cone_hit(I: Ideal, key: Callable, degree_cap: int):
-    """A cached (reducers, cap) of the graded I that is the reduced basis
+    """A cached (reducers, cap) of I that is the reduced basis
     under ``key`` too, or None.
 
     If every element of a reduced basis keeps its lead under a new order,
@@ -495,15 +475,15 @@ def buchberger(
     """The reduced Groebner basis of I, memoized in ``I.gb_cache`` with the
     cap it was computed under and served to any cap at least that large.
 
-    For a graded I, a cached basis whose Groebner cone contains the new
-    order (every element keeps its lead) is served before any run, with the
-    cap of that cached entry.  So ``degree_cap`` bounds every computation
+    A cached basis whose Groebner cone contains the new order (every
+    element keeps its lead) is served before any run, with the cap of that
+    cached entry.  So ``degree_cap`` bounds every computation
     performed: a reused basis skips a run that might have aborted."""
     hit = I.gb_cache.get(order)
     if hit is not None and hit[1] <= degree_cap:
         return hit[0]
     key = _order_key(order, I.n)
-    reused = _cone_hit(I, key, degree_cap) if I.graded else None
+    reused = _cone_hit(I, key, degree_cap)
     if reused is not None:
         reds, cap = reused
         reds = sorted(reds, key=lambda r: key(r[0]))
@@ -521,7 +501,7 @@ def initial_ideal(
     order: OrderSpec = GREVLEX,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> Ideal:
-    """The initial ideal of a graded I for weight w (minimal-weight forms).
+    """The initial ideal of I for weight w (minimal-weight forms).
 
     Generators are the initial forms of the reduced basis with respect to the
     w-refined order, read from its reducers: the lead has minimal weight, so
@@ -530,8 +510,6 @@ def initial_ideal(
     base order, so two initial ideals computed here with the same base order
     are equal iff their generator tuples agree.
     """
-    if not I.graded:
-        raise NotGradedError("initial ideals require a graded ideal")
     wn = normalize_weight(w, I.n)
     # a weight that normalizes to zero refines nothing: reuse the plain basis
     refined = order if not any(wn) else order.refine(wn)
@@ -558,56 +536,71 @@ def ideal_equal(
     )
 
 
-def _eliminate_dicts(gens: list, n_total: int, drop: tuple, cap: int) -> list:
-    key = _block_key(n_total, drop)
-    return [
-        r for r in _buchberger_dicts(gens, key, cap)
-        if all(r[0][i] == 0 for i in drop)
-        and all(e[i] == 0 for e, _ in r[2] for i in drop)
-    ]
-
-
 def eliminate(
     I: Ideal, drop, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> Ideal:
     """Generators of I intersected with the subring omitting the ``drop``
-    variables (1-based indices), via a block order with the dropped block
-    first.  The result is presented in the same ambient ring."""
+    variables (1-based indices): the elements free of them in the reduced
+    basis for lex with the dropped variables first.  The result is presented
+    in the same ambient ring."""
     drop = tuple(sorted(set(drop)))
     if not drop:
         return I
     if any(not 1 <= i <= I.n for i in drop) or len(drop) >= I.n:
         raise ValueError("drop must be a proper subset of the variables")
-    drop0 = tuple(i - 1 for i in drop)
-    reds = _eliminate_dicts([dict(g.terms) for g in I.generators], I.n, drop0, degree_cap)
-    if not reds:
+    rest = tuple(i for i in range(1, I.n + 1) if i not in drop)
+    gb = buchberger(I, OrderSpec("lex", drop + rest), degree_cap)
+    kept = [g for g in gb.elements if all(e[i - 1] == 0 for e, _ in g.terms for i in drop)]
+    if not kept:
         raise ValueError("elimination ideal is zero")
-    return Ideal(I.n, [Polynomial(I.n, _monic(r)) for r in reds], graded=I.graded)
+    return Ideal(I.n, kept)
+
+
+def _saturation(I: Ideal, f: Polynomial, degree_cap: int, stop=None) -> Ideal | None:
+    """(I : f^infinity) for a nonzero monomial f, saturating by one variable
+    at a time (Bayer and Stillman 1987); None as soon as ``stop`` holds for
+    a step's basis.
+
+    For each variable x_i of f, x_n first, a step takes the reduced basis of
+    the ideal saturated so far under grevlex with x_i last (GREVLEX itself
+    for x_n).  A homogeneous polynomial is divisible by a power of x_i iff
+    its lead under that order is, so dividing every element by the largest
+    power of x_i that divides it generates the saturation by x_i.  A step
+    that divides nothing keeps the ideal and its cached bases."""
+    if f.n != I.n:
+        raise ValueError("ambient variable counts differ")
+    if not f.is_monomial():
+        raise ValueError("can only saturate by a nonzero monomial")
+    n = I.n
+    J = I
+    for i in reversed(range(n)):
+        if not f.terms[0][0][i]:
+            continue
+        order = GREVLEX if i == n - 1 else OrderSpec(
+            "grevlex", tuple(k for k in range(1, n + 1) if k != i + 1) + (i + 1,)
+        )
+        gb = buchberger(J, order, degree_cap)
+        if stop is not None and stop(gb):
+            return None
+        if any(lm[i] for lm, _, _ in gb._reducers):
+            J = Ideal(n, [
+                Polynomial(n, {e[:i] + (e[i] - r[0][i],) + e[i + 1:]: c for e, c in _monic(r).items()})
+                for r in gb._reducers
+            ])
+    return J
 
 
 def saturate(
     I: Ideal, f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> Ideal:
-    """The saturation (I : f^infinity).
-
-    Computed by adjoining an auxiliary variable y, forming I + (1 - y*f) and
-    eliminating y; the auxiliary ideal is the one non-graded computation in
-    the package, and the result is re-verified homogeneous.
-    """
-    if not f:
-        raise ValueError("cannot saturate by the zero polynomial")
-    if f.n != I.n:
-        raise ValueError("ambient variable counts differ")
-    n1 = I.n + 1
-    lifted = [{e + (0,): c for e, c in g.terms} for g in I.generators]
-    aux = {e + (1,): -c for e, c in f.terms}
-    aux[(0,) * n1] = 1
-    lifted.append(aux)
-    reds = _eliminate_dicts(lifted, n1, (I.n,), degree_cap)
-    if not reds:
-        raise ValueError("saturation is zero, which cannot happen for I != (0)")
-    gens = [Polynomial(I.n, {e[:-1]: c for e, c in _monic(r).items()}) for r in reds]
-    return Ideal(I.n, gens, graded=True)
+    """The saturation (I : f^infinity) by a nonzero monomial f, generated by
+    its reduced grevlex basis, which the result keeps in its cache; any
+    other f raises ``ValueError``.  See ``_saturation``."""
+    J = _saturation(I, f, degree_cap)
+    gb = buchberger(J, GREVLEX, degree_cap)
+    S = Ideal(I.n, gb.elements)
+    S.gb_cache[GREVLEX] = J.gb_cache[GREVLEX]
+    return S
 
 
 def is_unit_ideal(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
@@ -619,12 +612,17 @@ def is_unit_ideal(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
 
 def contains_monomial(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
     """True iff I contains some monomial, i.e. saturating by the product of
-    all variables gives the unit ideal."""
+    all variables gives the unit ideal.
+
+    Walks the steps of that saturation and stops at the first basis with a
+    monomial element.  If the saturation is the unit ideal, the ideal the
+    step for x_1 starts from holds a power of x_1, the least monomial of its
+    degree under grevlex with x_1 last, so that step's basis has an element
+    x_1^k; no further basis is needed."""
     for g in I.generators:
         if g.is_monomial():
             return True
-    # a reduced basis element without tail is a monomial in I
-    if any(not tail for _, _, tail in buchberger(I, GREVLEX, degree_cap)._reducers):
-        return True
     prod = Polynomial.monomial(I.n, (1,) * I.n)
-    return is_unit_ideal(saturate(I, prod, degree_cap), degree_cap)
+    return _saturation(
+        I, prod, degree_cap, lambda gb: any(not tail for _, _, tail in gb._reducers)
+    ) is None

@@ -59,7 +59,7 @@ def topdim_monomial_free(J: Ideal, m: int, degree_cap: int = DEFAULT_DEGREE_CAP)
     A top-dimensional prime containing a monomial contains a variable, so it
     exists iff cutting with some coordinate hyperplane keeps dimension m."""
     for k in range(1, J.n + 1):
-        Jk = Ideal(J.n, list(J.generators) + [Polynomial.variable(J.n, k)], graded=J.graded)
+        Jk = Ideal(J.n, list(J.generators) + [Polynomial.variable(J.n, k)])
         if is_unit_ideal(Jk, degree_cap):
             continue
         if dimension(Jk, degree_cap) >= m:

@@ -1,7 +1,9 @@
-"""Layering rule: no gentrop module imports another module's private
-(``_``-prefixed) names."""
+"""Layering rules: no gentrop module imports another module's private
+(``_``-prefixed) names, and at run time gentrop imports only the standard
+library and itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gentrop"
@@ -39,4 +41,43 @@ def test_no_module_imports_private_names_of_another():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     offenders = {p.name: private_imports(p) for p in modules}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def non_stdlib_imports(path: Path) -> list:
+    """(line, module) of every absolute import in ``path`` whose top-level
+    module is neither in the standard library nor gentrop."""
+    allowed = set(sys.stdlib_module_names) | {"gentrop"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.split(".")[0] not in allowed]
+    return sorted(found)
+
+
+def test_stdlib_check_sees_plain_and_from_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import json, sympy\n"
+        "from .generic import gin\n"
+        "from gentrop.poly import Polynomial\n"
+        "from numpy.linalg import det\n"
+        "def f():\n"
+        "    import xml.dom\n"
+        "    import networkx as nx\n",
+        encoding="utf-8",
+    )
+    assert non_stdlib_imports(probe) == [(2, "sympy"), (5, "numpy.linalg"), (8, "networkx")]
+
+
+def test_runtime_imports_are_stdlib_only():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    offenders = {p.name: non_stdlib_imports(p) for p in modules}
     assert {k: v for k, v in offenders.items() if v} == {}
