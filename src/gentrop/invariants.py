@@ -110,21 +110,17 @@ def _is_pure_power(e) -> bool:
     return sum(1 for x in e if x > 0) == 1
 
 
-def _pivot_variable(gens, rule: str) -> int:
+def _pivot_variable(gens) -> int:
     mixed = [g for g in gens if not _is_pure_power(g)]
     counts = {}
     for g in mixed:
         for i, e in enumerate(g):
             if e > 0:
                 counts[i] = counts.get(i, 0) + 1
-    if rule == "frequent":
-        return min(counts, key=lambda i: (-counts[i], i))
-    if rule == "first":
-        return min(counts)
-    raise ValueError(f"unknown pivot rule {rule!r}")
+    return min(counts, key=lambda i: (-counts[i], i))
 
 
-def _numerator(gens: frozenset, n: int, rule: str, memo: dict) -> tuple:
+def _numerator(gens: frozenset, n: int, memo: dict) -> tuple:
     """Numerator of the Hilbert series of S/(gens) over (1-t)^n.
 
     Splits on a pivot variable p: monomials outside the ideal either avoid p
@@ -146,15 +142,15 @@ def _numerator(gens: frozenset, n: int, rule: str, memo: dict) -> tuple:
             factor[0], factor[d] = 1, -1
             result = _poly_mul(result, factor)
     else:
-        p = _pivot_variable(gens, rule)
+        p = _pivot_variable(gens)
         plus = [e for e in gens if e[p] == 0]
         unit = tuple(1 if i == p else 0 for i in range(n))
         plus.append(unit)
         colon = [tuple(x - 1 if i == p and x > 0 else x for i, x in enumerate(e)) for e in gens]
         plus_min = frozenset(minimalize(n, plus).generators)
         colon_min = frozenset(minimalize(n, colon).generators)
-        a = _numerator(plus_min, n, rule, memo)
-        b = _numerator(colon_min, n, rule, memo)
+        a = _numerator(plus_min, n, memo)
+        b = _numerator(colon_min, n, memo)
         result = _poly_add_shifted(a, b, 1)
     memo[gens] = result
     return result
@@ -175,12 +171,12 @@ def _divide_one_minus_t(coeffs: Sequence[int]):
     return tuple(out) if out else (0,)
 
 
-def hilbert(M: MonomialIdeal, pivot_rule: str = "frequent") -> HilbertData:
+def hilbert(M: MonomialIdeal) -> HilbertData:
     """Hilbert series data of S/M for a proper nonzero monomial ideal."""
     if M.contains_unit():
         raise ValueError("Hilbert series of the zero ring is not supported")
     memo: dict = {}
-    q = _numerator(frozenset(M.generators), M.n, pivot_rule, memo)
+    q = _numerator(frozenset(M.generators), M.n, memo)
     d = M.n
     while True:
         nxt = _divide_one_minus_t(q)

@@ -1,10 +1,13 @@
 """Intrinsic multiplicities of maximal tropical cones, Newton polytopes and
 lattice lengths.
 
-The multiplicity of a cone is computed as the multiplicity of the saturation
-of its weighted initial ideal by the product of all variables.  This equals
-the sum of localization lengths over the monomial-free top-dimensional
-minimal primes whenever those primes are linear, which holds generically;
+The multiplicity of a cone is the multiplicity of the saturation S of its
+weighted initial ideal J by the product of all variables.  S drops exactly
+the associated primes of J that contain a variable and keeps the
+localizations at the others, so by the associativity formula S is proper
+with the dimension and multiplicity of J iff no top-dimensional minimal
+prime of J contains a monomial.  e(S) is then the sum of localization
+lengths over those primes when they are linear, which holds generically;
 the report records that assumption via the monomial-freeness check rather
 than verifying linearity (no primary decomposition here).
 """
@@ -53,18 +56,29 @@ class MultiplicityReport:
         )
 
 
-def topdim_monomial_free(J: Ideal, m: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
-    """Whether no top-dimensional minimal prime of J contains a monomial.
+def _saturation_invariants(J: Ideal, degree_cap: int) -> tuple:
+    """(dimension, multiplicity, monomial-freeness) read off the saturation
+    of J by the product of the variables, or (-1, 0, False) when that
+    saturation is the unit ideal."""
+    S = saturate(J, Polynomial.monomial(J.n, (1,) * J.n), degree_cap)
+    if is_unit_ideal(S, degree_cap):
+        return (-1, 0, False)
+    dim_s = dimension(S, degree_cap)
+    m_s = multiplicity(S, degree_cap)
+    free = dim_s == dimension(J, degree_cap) and m_s == multiplicity(J, degree_cap)
+    return (dim_s, m_s, free)
 
-    A top-dimensional prime containing a monomial contains a variable, so it
-    exists iff cutting with some coordinate hyperplane keeps dimension m."""
-    for k in range(1, J.n + 1):
-        Jk = Ideal(J.n, list(J.generators) + [Polynomial.variable(J.n, k)])
-        if is_unit_ideal(Jk, degree_cap):
-            continue
-        if dimension(Jk, degree_cap) >= m:
-            return False
-    return True
+
+def topdim_monomial_free(J: Ideal, m: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
+    """Whether no top-dimensional minimal prime of J contains a monomial:
+    whether its saturation by the product of the variables is proper with
+    the dimension and multiplicity of J, which the associativity formula
+    makes equivalent (see the module docstring).  ``m`` must be
+    ``dimension(J)``; any other value, and the unit ideal, raise
+    ``ValueError``."""
+    if dimension(J, degree_cap) != m:
+        raise ValueError(f"m = {m} is not the dimension of the quotient by J")
+    return _saturation_invariants(J, degree_cap)[2]
 
 
 def intrinsic_multiplicity(
@@ -75,25 +89,14 @@ def intrinsic_multiplicity(
 ) -> MultiplicityReport:
     """Multiplicity evidence for one maximal cone of the sampled generic
     tropical fan, computed at the cone's canonical interior point."""
-    m = dimension(I, degree_cap)
     m_ideal = multiplicity(I, degree_cap)
     gap = gap_degree(I, policy, degree_cap) + 1
     w = interior_point(cone, gap)
-    product = Polynomial.monomial(I.n, (1,) * I.n)
 
     def compute(gI: Ideal) -> tuple:
         J = initial_ideal(gI, w, GREVLEX, degree_cap)
-        dim_initial = dimension(J, degree_cap)
-        free = topdim_monomial_free(J, m, degree_cap)
-        J_sat = saturate(J, product, degree_cap)
-        if is_unit_ideal(J_sat, degree_cap):
-            return (dim_initial, -1, free, 0)
-        return (
-            dim_initial,
-            dimension(J_sat, degree_cap),
-            free,
-            multiplicity(J_sat, degree_cap),
-        )
+        dim_saturated, m_sat, free = _saturation_invariants(J, degree_cap)
+        return (dimension(J, degree_cap), dim_saturated, free, m_sat)
 
     dim_initial, dim_saturated, free, m_sat = agreed(
         I, policy, compute, "intrinsic multiplicity"

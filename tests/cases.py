@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+from gentrop import groebner
 from gentrop.groebner import Ideal
 from gentrop.generic import GenericityPolicy, identity_policy
 from gentrop.poly import Polynomial, parse_polynomial
@@ -82,6 +83,19 @@ def random_graded_ideal(n: int, seed: int, gens: int = 2, max_degree: int = 3,
     if not out:
         out = [P("x1^2", n)]
     return Ideal(n, out)
+
+
+def counting_engine(monkeypatch) -> list:
+    """Patch the Buchberger engine to record each run; returns the record."""
+    runs = []
+    engine = groebner._buchberger_dicts
+
+    def counting(*args):
+        runs.append(1)
+        return engine(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", counting)
+    return runs
 
 
 IDENTITY = identity_policy

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from gentrop import groebner
 from gentrop.groebner import (
     DegreeCapExceeded,
     Ideal,
@@ -22,7 +21,7 @@ from gentrop.groebner import (
 from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, normalize_weight
 
 import oracles
-from cases import P, dense_form, ideal, random_graded_ideal
+from cases import P, counting_engine, dense_form, ideal, random_graded_ideal
 
 
 def gens_of(I):
@@ -364,24 +363,11 @@ def test_cone_reuse_honours_a_smaller_cap():
     assert K.gb_cache[order] == (gb, 4)
 
 
-def _counting_engine(monkeypatch) -> list:
-    """Patch the Buchberger engine to record each run; returns the record."""
-    runs = []
-    engine = groebner._buchberger_dicts
-
-    def counting(*args):
-        runs.append(1)
-        return engine(*args)
-
-    monkeypatch.setattr(groebner, "_buchberger_dicts", counting)
-    return runs
-
-
 def test_cone_reuse_matches_a_fresh_run(monkeypatch):
     # a graded ideal's cached bases serve every order whose Groebner cone
     # contains one of them; what is served must be what a fresh Ideal
     # computes.  Weights include zero, constant, tied and negative vectors.
-    runs = _counting_engine(monkeypatch)
+    runs = counting_engine(monkeypatch)
     rng = random.Random(37)
     ideals = [random_graded_ideal(n, seed, gens=2 + seed % 2) for n in (3, 4) for seed in range(4)]
     for seed in range(2):
@@ -416,7 +402,7 @@ def test_cone_reuse_bounds_engine_runs_on_a_wide_quadric(tmp_path, monkeypatch, 
     # grevlex basis serves nearly every order of a Wnm probe
     from gentrop.cli import main
 
-    runs = _counting_engine(monkeypatch)
+    runs = counting_engine(monkeypatch)
     path = tmp_path / "q10.ideal"
     path.write_text("ring 10\nx1*x2 + x3*x4\n", encoding="utf-8")
     assert main(["verify", str(path), "--target", "Wnm"]) == 0

@@ -89,23 +89,17 @@ def test_hilbert_examples():
 def test_hilbert_reconstructs_counts():
     rng = random.Random(21)
     exps = [e for e in product(range(4), repeat=4) if 0 < sum(e) <= 4]
-    for _ in range(12):
-        gens = rng.sample(exps, rng.randint(1, 4))
-        Mi = minimalize(4, gens)
+    inputs = [minimalize(4, rng.sample(exps, rng.randint(1, 4))) for _ in range(12)]
+    rng = random.Random(23)
+    exps = [e for e in product(range(3), repeat=4) if 0 < sum(e) <= 4]
+    inputs += [minimalize(4, rng.sample(exps, 3)) for _ in range(10)]
+    for Mi in inputs:
         h = hilbert(Mi)
         want = oracles.standard_monomial_counts(Mi.generators, 4, 8)
         got = oracles.series_expansion(h.numerator, h.dim, 8)
         assert got == want
         assert sum(h.numerator) != 0
         assert h.dim == monomial_dimension(Mi)
-
-
-def test_hilbert_pivot_rules_agree():
-    rng = random.Random(23)
-    exps = [e for e in product(range(3), repeat=4) if 0 < sum(e) <= 4]
-    for _ in range(10):
-        Mi = minimalize(4, rng.sample(exps, 3))
-        assert hilbert(Mi, "frequent") == hilbert(Mi, "first")
 
 
 def test_multiplicity_examples():

@@ -1,12 +1,13 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from gentrop.fans import maximal_cones, refinement_maximal_cones
-from gentrop.generic import apply_transform, random_transform
-from gentrop.groebner import Ideal, saturate
-from gentrop.invariants import multiplicity
+from gentrop.fans import interior_points, maximal_cones, refinement_maximal_cones
+from gentrop.generic import apply_transform, gap_degree, identity_policy, random_transform, transformed
+from gentrop.groebner import DEFAULT_DEGREE_CAP, Ideal, initial_ideal, is_unit_ideal, saturate
+from gentrop.invariants import dimension, multiplicity
 from gentrop.poly import Polynomial
 from gentrop.tropmult import (
     _in_convex_hull,
@@ -17,13 +18,80 @@ from gentrop.tropmult import (
     topdim_monomial_free,
 )
 
-from cases import P, dense_form, ideal, policy, smooth_quadric4, stable_depth_family
+from cases import (
+    P,
+    counting_engine,
+    dense_form,
+    ideal,
+    policy,
+    random_graded_ideal,
+    smooth_quadric4,
+    split_fan_ideal,
+    stable_depth_family,
+)
 
 
 def test_topdim_monomial_free_examples():
     assert topdim_monomial_free(ideal(3, "x1 + x2"), 2)
     assert not topdim_monomial_free(ideal(3, "x1"), 2)
     assert not topdim_monomial_free(ideal(3, "x1*x2"), 2)
+    # (x1 + x2) * (x1, x3): only the lower-dimensional prime (x1, x3) holds
+    # a monomial
+    assert topdim_monomial_free(ideal(3, "x1^2 + x1*x2", "x1*x3 + x2*x3"), 2)
+    assert not topdim_monomial_free(ideal(3, "x1*x3", "x2*x3"), 2)
+    with pytest.raises(ValueError):
+        topdim_monomial_free(ideal(3, "x1 + x2", "1"), 2)
+    with pytest.raises(ValueError):
+        topdim_monomial_free(ideal(3, "x1 + x2"), 1)
+
+
+def _free_by_hyperplane_cuts(J: Ideal, m: int) -> bool:
+    """Reference: a top-dimensional prime holding a monomial holds a
+    variable, so it exists iff some coordinate hyperplane cut keeps
+    dimension m."""
+    for k in range(1, J.n + 1):
+        Jk = Ideal(J.n, list(J.generators) + [Polynomial.variable(J.n, k)])
+        if not is_unit_ideal(Jk) and dimension(Jk) >= m:
+            return False
+    return True
+
+
+def test_topdim_monomial_free_matches_hyperplane_cuts():
+    ideals = []
+    for n in (3, 4):
+        for seed in range(8):
+            ideals.append(random_graded_ideal(n, seed, gens=2 + seed % 2))
+        for seed in range(2):
+            ideals.append(Ideal(n, [dense_form(n, 2, seed), dense_form(n, 3, seed)]))
+    for I in list(ideals):
+        for mono in ((1,), (1, 1)):
+            f = Polynomial.monomial(I.n, mono + (0,) * (I.n - len(mono)))
+            ideals.append(Ideal(I.n, [g * f for g in I.generators]))
+    for I, fan in ((stable_depth_family(5, 3, 1), (5, 3, 1)), (split_fan_ideal(), (5, 4, 1))):
+        for pol in (policy(), identity_policy(5)):
+            gap = gap_degree(I, pol, DEFAULT_DEGREE_CAP) + 1
+            for cone in refinement_maximal_cones(*fan)[:4]:
+                for w in interior_points(cone, gap, 2):
+                    ideals += [initial_ideal(gI, w) for gI in transformed(I, pol)]
+    outcomes = []
+    for J in ideals:
+        m = dimension(J)
+        outcomes.append(topdim_monomial_free(J, m))
+        assert outcomes[-1] == _free_by_hyperplane_cuts(J, m), J.generators
+    assert True in outcomes and False in outcomes
+
+
+def test_multiplicity_probe_bounds_engine_runs(tmp_path, monkeypatch, capsys):
+    # each cone reads monomial-freeness off the saturation it computes
+    # anyway and builds no per-variable ideal: 191 runs at this seed
+    from gentrop.cli import main
+
+    runs = counting_engine(monkeypatch)
+    path = tmp_path / "fam.ideal"
+    path.write_text("ring 5\nx1\nx2^2\nx2*x3\nx2*x4\n", encoding="utf-8")
+    assert main(["verify", str(path), "--target", "multiplicity", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert 0 < len(runs) <= 200
 
 
 def test_intrinsic_multiplicity_quadric():
