@@ -133,24 +133,23 @@ def _load_ideal(args):
     with open(args.file, "rb") as fh:
         data = fh.read()
     n, polys = parse_ideal_file(data.decode("utf-8"))
-    return data, Ideal(n, polys)
+    return data, Ideal(n, polys, args.degree_cap)
 
 
 def cmd_analyze(args) -> int:
     data, I = _load_ideal(args)
     policy = _policy(args, I.n)
-    cap = args.degree_cap
-    m = dimension(I, cap)
-    t = depth(I, policy, cap)
-    result = classify_cm(I, policy, points=args.points, degree_cap=cap)
-    g = gin(I, GREVLEX, policy, cap)
+    m = dimension(I)
+    t = depth(I, policy)
+    result = classify_cm(I, policy, points=args.points)
+    g = gin(I, GREVLEX, policy)
     report = _base_report(args, data, I.n)
     report.update(
         {
             "dimension": m,
             "depth": t,
             "cm_class": result.label,
-            "multiplicity": multiplicity(I, cap),
+            "multiplicity": multiplicity(I),
             "gin": sorted(str(p) for p in g.polynomials()),
             "probes": [_probe_json(p) for p in result.probes],
         }
@@ -162,10 +161,9 @@ def cmd_analyze(args) -> int:
 def cmd_tropical(args) -> int:
     data, I = _load_ideal(args)
     policy = _policy(args, I.n)
-    cap = args.degree_cap
     w = _parse_omega(args.omega, I.n)
-    member = tropical_member(I, w, policy, cap)
-    J = initial_ideal(transformed(I, policy)[0], w, GREVLEX, cap)
+    member = tropical_member(I, w, policy)
+    J = initial_ideal(transformed(I, policy)[0], w)
     report = _base_report(args, data, I.n)
     report.update(
         {
@@ -179,28 +177,27 @@ def cmd_tropical(args) -> int:
 
 
 def _verify_wnm(I, policy, args):
-    m = dimension(I, args.degree_cap)
+    m = dimension(I)
     probes = []
     for cone in budget(ConeSequence(I.n, m), args.seed):
-        ok = cone_constancy(I, cone, args.points, policy, args.degree_cap)
+        ok = cone_constancy(I, cone, args.points, policy)
         probes.append(ProbeResult("cone_constancy", cone, ok, "sampled"))
     return probes
 
 
 def _verify_wnmt(I, policy, args):
-    cap = args.degree_cap
-    m = dimension(I, cap)
-    t = depth(I, policy, cap)
+    m = dimension(I)
+    t = depth(I, policy)
     if not 0 < t < m - 1:
         raise ParseError(
             f"target Wnmt needs 0 < depth < dim-1, got depth {t}, dim {m}"
         )
     probes = []
     for cone in budget(ConeSequence(I.n, m, t), args.seed):
-        ok = cone_constancy(I, cone, args.points, policy, cap)
+        ok = cone_constancy(I, cone, args.points, policy)
         probes.append(ProbeResult("cone_constancy", cone, ok, "sampled"))
     for c1, c2 in budget(adjacent_pairs(I.n, m, t), args.seed):
-        ok = adjacent_distinct(I, c1, c2, policy, cap)
+        ok = adjacent_distinct(I, c1, c2, policy)
         probes.append(
             ProbeResult(
                 "adjacent_pair_distinct",
@@ -214,13 +211,12 @@ def _verify_wnmt(I, policy, args):
 
 
 def _verify_multiplicity(I, policy, args):
-    cap = args.degree_cap
-    m = dimension(I, cap)
-    t = depth(I, policy, cap)
+    m = dimension(I)
+    t = depth(I, policy)
     cones = ConeSequence(I.n, m, t if 0 < t < m - 1 else None)
     probes = []
     for cone in budget(cones, args.seed):
-        rep = intrinsic_multiplicity(I, cone, policy, cap)
+        rep = intrinsic_multiplicity(I, cone, policy)
         detail = (
             f"dim {rep.dim_initial}->{rep.dim_saturated}, "
             f"m_sat {rep.m_saturated}, m_ideal {rep.m_ideal}"
@@ -232,14 +228,13 @@ def _verify_multiplicity(I, policy, args):
 
 
 def _verify_depth_recovery(I, policy, args):
-    cap = args.degree_cap
-    m = dimension(I, cap)
-    t = depth(I, policy, cap)
+    m = dimension(I)
+    t = depth(I, policy)
     if not 0 < t < m - 1:
         raise ParseError(
             f"target depth-recovery needs 0 < depth < dim-1, got depth {t}, dim {m}"
         )
-    recovered = recover_depth(I, policy, cap)
+    recovered = recover_depth(I, policy)
     return [
         ProbeResult(
             "depth_recovery",

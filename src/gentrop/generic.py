@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Sequence
 
 from .fans import ConeId, ConeSequence, budget, interior_point, interior_points
 from .groebner import (
-    DEFAULT_DEGREE_CAP,
     Ideal,
     buchberger,
     contains_monomial,
@@ -60,8 +59,6 @@ class Transform:
     """
 
     matrix: tuple
-    seed: int = 0
-    bound: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
@@ -141,7 +138,7 @@ def random_transform(
             for _ in range(n)
         )
         if _det_int(rows) != 0:
-            return Transform(rows, policy.seed, policy.bound)
+            return Transform(rows)
     raise RuntimeError("could not draw an invertible transform in 100 attempts")
 
 
@@ -155,7 +152,8 @@ def _mul_dicts(a: dict, b: dict) -> dict:
 
 
 def apply_transform(I: Ideal, g: Transform) -> Ideal:
-    """The ideal generated by the images of the generators under g.
+    """The ideal generated by the images of the generators under g, with the
+    degree cap of I.
 
     Images are expanded with integer coefficients (each generator scaled by
     the common denominator of its coefficients) and divided back once."""
@@ -193,7 +191,7 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
             for e, v in image(exps).items():
                 acc[e] = acc.get(e, 0) + m * v
         gens.append(Polynomial(n, {e: Fraction(v, den) for e, v in acc.items() if v}))
-    return Ideal(n, gens)
+    return Ideal(n, gens, I.degree_cap)
 
 
 def transformed(I: Ideal, policy: GenericityPolicy) -> tuple:
@@ -253,7 +251,6 @@ def gin(
     I: Ideal,
     order: OrderSpec = GREVLEX,
     policy: GenericityPolicy = GenericityPolicy(),
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> MonomialIdeal:
     """The generic initial ideal: the common leading-monomial ideal of the
     transformed ideal across agreeing transforms.  The result must be
@@ -264,7 +261,7 @@ def gin(
     priority = _variable_priority(order, I.n)
 
     def compute(gI: Ideal) -> MonomialIdeal:
-        return monomial_ideal_of(gI, order, degree_cap)
+        return monomial_ideal_of(gI, order)
 
     def stable(M: MonomialIdeal) -> bool:
         return is_strongly_stable(M, priority)
@@ -276,11 +273,10 @@ def tropical_member(
     I: Ideal,
     w,
     policy: GenericityPolicy = GenericityPolicy(),
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> bool:
     """Whether w lies in the tropical variety of the generic transform of I:
     the weighted initial ideal contains no monomial."""
-    m = dimension(I, degree_cap)
+    m = dimension(I)
     if m == 0:
         raise ValueError("zero-dimensional ideals have empty tropical variety")
     wn = normalize_weight(w, I.n)
@@ -288,32 +284,30 @@ def tropical_member(
     def compute(gI: Ideal) -> bool:
         # cheap certificate: a single-term initial form of a basis element
         # already exhibits a monomial inside the weighted initial ideal
-        if buchberger(gI, GREVLEX, degree_cap).has_monomial_initial_form(wn):
+        if buchberger(gI, GREVLEX).has_monomial_initial_form(wn):
             return False
-        J = initial_ideal(gI, wn, GREVLEX, degree_cap)
-        return not contains_monomial(J, degree_cap)
+        J = initial_ideal(gI, wn)
+        return not contains_monomial(J)
 
     return agreed(I, policy, compute, "tropical membership")
 
 
-def gap_degree(I: Ideal, policy: GenericityPolicy, degree_cap: int) -> int:
+def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:
     """The largest degree of a minimal generator of the grevlex generic
     initial ideal of I; fan probes take one more as the gap factor of their
     ladder interior points."""
-    return gin(I, GREVLEX, policy, degree_cap).max_degree()
+    return gin(I, GREVLEX, policy).max_degree()
 
 
-def _same_initial(
-    I: Ideal, points: Sequence, policy: GenericityPolicy, degree_cap: int, what: str
-) -> bool:
+def _same_initial(I: Ideal, points: Sequence, policy: GenericityPolicy, what: str) -> bool:
     """Whether the transformed ideals' grevlex-refined initial ideals at
     ``points`` all coincide, agreed across transforms; stops at the first
     point that differs from the first."""
 
     def compute(gI: Ideal) -> bool:
-        first = initial_ideal(gI, points[0], GREVLEX, degree_cap).generators
+        first = initial_ideal(gI, points[0]).generators
         return all(
-            initial_ideal(gI, w, GREVLEX, degree_cap).generators == first
+            initial_ideal(gI, w).generators == first
             for w in points[1:]
         )
 
@@ -325,16 +319,15 @@ def cone_constancy(
     cone: ConeId,
     samples: int = 3,
     policy: GenericityPolicy = GenericityPolicy(),
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> bool:
     """Sampled evidence that the open cone lies inside a single cone of the
     generic tropical fan: the weighted initial ideals at ``samples`` interior
     points (varying ladder values and within-block arrangements) coincide."""
     if samples < 2:
         raise ValueError("constancy needs at least two interior points")
-    gap = gap_degree(I, policy, degree_cap) + 1
+    gap = gap_degree(I, policy) + 1
     pts = interior_points(cone, gap, samples)
-    return _same_initial(I, pts, policy, degree_cap, "cone constancy")
+    return _same_initial(I, pts, policy, "cone constancy")
 
 
 def adjacent_distinct(
@@ -342,14 +335,13 @@ def adjacent_distinct(
     c1: ConeId,
     c2: ConeId,
     policy: GenericityPolicy = GenericityPolicy(),
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> bool:
     """Exact witness that two cones carry different weighted initial ideals,
     evaluated at their canonical interior points."""
-    gap = gap_degree(I, policy, degree_cap) + 1
+    gap = gap_degree(I, policy) + 1
     w1 = interior_point(c1, gap)
     w2 = interior_point(c2, gap)
-    return not _same_initial(I, (w1, w2), policy, degree_cap, "adjacent cone separation")
+    return not _same_initial(I, (w1, w2), policy, "adjacent cone separation")
 
 
 def _swap_coords(w: Sequence, a: int, b: int) -> tuple:
@@ -361,7 +353,6 @@ def _swap_coords(w: Sequence, a: int, b: int) -> tuple:
 def separating_witness(
     I: Ideal,
     policy: GenericityPolicy = GenericityPolicy(),
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> tuple:
     """Two weight vectors in one maximal skeleton cone whose initial ideals
     are compared exactly; returns (w, v, distinct).
@@ -372,8 +363,8 @@ def separating_witness(
     first two rungs above the minimum) yields equal initial ideals.
     """
     n = I.n
-    m = dimension(I, degree_cap)
-    t = depth(I, policy, degree_cap)
+    m = dimension(I)
+    t = depth(I, policy)
     if t == 0:
         raise ValueError("witness construction requires positive depth")
     if m < 3:
@@ -383,13 +374,13 @@ def separating_witness(
     perm[p - 1], perm[p] = perm[p], perm[p - 1]
     swapped = OrderSpec("grevlex", tuple(perm))
     c = max(
-        gin(I, GREVLEX, policy, degree_cap).max_degree(),
-        gin(I, swapped, policy, degree_cap).max_degree(),
+        gin(I, GREVLEX, policy).max_degree(),
+        gin(I, swapped, policy).max_degree(),
     )
     base_cone = ConeId(n, frozenset(range(1, n - m + 2)))
     w = interior_point(base_cone, c + 1)
     v = _swap_coords(w, p, p + 1)
-    distinct = not _same_initial(I, (w, v), policy, degree_cap, "separating witness")
+    distinct = not _same_initial(I, (w, v), policy, "separating witness")
     return w, v, distinct
 
 
@@ -415,18 +406,16 @@ def classify_cm(
     I: Ideal,
     policy: GenericityPolicy = GenericityPolicy(),
     points: int = 3,
-    cross_validate: bool = True,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> ClassifyResult:
     """Depth-based Cohen-Macaulay classification, cross-validated against the
     fan structure: CM/almost-CM ideals must show constant initial ideals on
     the maximal skeleton cones (all of them, or ``CONE_BUDGET`` drawn with
     the policy seed when there are more), and intermediate depth must
     produce a separating witness."""
-    m = dimension(I, degree_cap)
+    m = dimension(I)
     if m == 0:
         raise ValueError("classification requires positive dimension")
-    t = depth(I, policy, degree_cap)
+    t = depth(I, policy)
     if t == m:
         label = CM
     elif t == m - 1:
@@ -436,9 +425,9 @@ def classify_cm(
     else:
         label = NEITHER
     probes = []
-    if cross_validate and label in (CM, ALMOST_CM):
+    if label in (CM, ALMOST_CM):
         for cone in budget(ConeSequence(I.n, m), policy.seed):
-            ok = cone_constancy(I, cone, points, policy, degree_cap)
+            ok = cone_constancy(I, cone, points, policy)
             probes.append(
                 ProbeResult("cone_constancy", cone, ok, "sampled")
             )
@@ -446,8 +435,8 @@ def classify_cm(
                 raise GenericityFailure(
                     f"{label} classification contradicted by split cone {cone.to_json()}"
                 )
-    elif cross_validate and label == NEITHER:
-        w, v, distinct = separating_witness(I, policy, degree_cap)
+    elif label == NEITHER:
+        w, v, distinct = separating_witness(I, policy)
         probes.append(
             ProbeResult(
                 "separating_witness",
@@ -470,7 +459,6 @@ def ray_constancy(
     directions: Iterable[int],
     policy: GenericityPolicy = GenericityPolicy(),
     c_gap: int | None = None,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> bool:
     """Whether pushing w far along each coordinate direction in ``directions``
     (1-based) leaves the weighted initial ideal unchanged.
@@ -480,7 +468,7 @@ def ray_constancy(
     equivalent to genuine ray containment."""
     w = tuple(Fraction(x) for x in w)
     if c_gap is None:
-        c_gap = gap_degree(I, policy, degree_cap)
+        c_gap = gap_degree(I, policy)
     mx = max(w)
     target = c_gap * mx + 1
     moved = []
@@ -490,29 +478,28 @@ def ray_constancy(
         w2 = list(w)
         w2[j - 1] = max(target, w[j - 1] + 1)
         moved.append(tuple(w2))
-    return _same_initial(I, [w] + moved, policy, degree_cap, "ray constancy")
+    return _same_initial(I, [w] + moved, policy, "ray constancy")
 
 
 def recover_depth(
     I: Ideal,
     policy: GenericityPolicy = GenericityPolicy(),
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> int:
     """Recover the depth from the fan structure alone: the least t for which
     the top t coordinate rays stay inside the cone of the ladder point while
     the ray in direction n-t leaves it.  Valid for 0 < depth < dim-1."""
     n = I.n
-    m = dimension(I, degree_cap)
-    c0 = gin(I, GREVLEX, policy, degree_cap).max_degree()
+    m = dimension(I)
+    c0 = gin(I, GREVLEX, policy).max_degree()
     base_cone = ConeId(n, frozenset(range(1, n - m + 2)))
     for t in range(1, m - 1):
         p = n - t
         perm = tuple(list(range(1, p)) + list(range(p + 1, n + 1)) + [p])
         moved_last = OrderSpec("grevlex", perm)
-        ct = max(c0, gin(I, moved_last, policy, degree_cap).max_degree())
+        ct = max(c0, gin(I, moved_last, policy).max_degree())
         w = interior_point(base_cone, ct + 1)
-        stays = ray_constancy(I, w, range(n - t + 1, n + 1), policy, ct, degree_cap)
-        leaves = not ray_constancy(I, w, [p], policy, ct, degree_cap)
+        stays = ray_constancy(I, w, range(n - t + 1, n + 1), policy, ct)
+        leaves = not ray_constancy(I, w, [p], policy, ct)
         if stays and leaves:
             return t
     raise ValueError(

@@ -11,8 +11,9 @@ and weighted initial ideals are read from them, and its monic Fraction
 by the Gebauer-Moeller criteria (B, M and F, which includes the coprimality
 criterion) and taken from a heap by the normal strategy (smallest lcm degree
 first).  Every sort and tie-break is fixed, so identical inputs produce
-bit-identical output.  A degree cap (default 40) aborts runaway computations
-with ``DegreeCapExceeded`` instead of hanging.
+bit-identical output.  Each ``Ideal`` carries a degree cap (default 40) that
+aborts runaway computations on it with ``DegreeCapExceeded`` instead of
+hanging.
 """
 
 from __future__ import annotations
@@ -46,23 +47,28 @@ class NotGradedError(ValueError):
 
 
 class Ideal:
-    """A nonzero graded ideal given by generators, with memos of its reduced
-    bases and of its generic transforms.
+    """A nonzero graded ideal given by generators, with the degree cap of
+    every computation on it and memos of its reduced bases and of its
+    generic transforms.
 
-    Generators must be homogeneous in the standard grading.  The ideal is
-    the only place results are cached.  ``gb_cache`` maps an OrderSpec to
-    (reduced basis, degree cap it was computed under); the cap only aborts a
-    run and never steers it, so an entry is served to any cap at least that
-    large, and a smaller cap recomputes.  A cached basis also serves any
-    order whose Groebner cone contains it (see ``buchberger``), so a degree
-    cap bounds every computation performed, not the runs a reused basis
-    skips.  ``images`` maps a frozen GenericityPolicy to the tuple of
-    transformed ideals (see ``generic.transformed``).
+    Generators must be homogeneous in the standard grading.  Every Groebner
+    computation on the ideal runs under ``degree_cap``, and every ideal
+    derived from it (transformed, initial, saturated, eliminated) inherits
+    the cap, so one cap bounds a whole analysis.  The ideal is the only
+    place results are cached, and every entry was computed under its one
+    cap.  ``gb_cache`` maps an OrderSpec to the reduced basis; a cached basis
+    also serves any order whose Groebner cone contains it (see
+    ``buchberger``), so the cap bounds every computation performed, not the
+    runs a reused basis skips.  ``images`` maps a frozen GenericityPolicy to
+    the tuple of transformed ideals (see ``generic.transformed``).
     """
 
-    __slots__ = ("n", "generators", "gb_cache", "images")
+    __slots__ = ("n", "generators", "degree_cap", "gb_cache", "images")
 
-    def __init__(self, n: int, generators: Iterable[Polynomial]):
+    def __init__(
+        self, n: int, generators: Iterable[Polynomial],
+        degree_cap: int = DEFAULT_DEGREE_CAP,
+    ):
         gens = tuple(g for g in generators if g)
         if not gens:
             raise ValueError("the zero ideal is not supported")
@@ -73,6 +79,7 @@ class Ideal:
                 raise NotGradedError(f"non-homogeneous generator: {g}")
         self.n = n
         self.generators = gens
+        self.degree_cap = degree_cap
         self.gb_cache: dict = {}
         self.images: dict = {}
 
@@ -410,13 +417,16 @@ def normal_form(
     """Remainder of f on division by G: f minus the remainder lies in (G) and
     no term of the remainder is divisible by a leading monomial of G.
 
-    Divisors are scanned in ascending leading-monomial order, which fixes the
-    result for non-Groebner G.  The remainder is exact: division runs on
-    integer multiples of f and G, and the result is scaled back.
+    Leads and terms are ranked by ``order`` as given: its weight is not
+    normalized, since shifting a weight changes leads of non-homogeneous
+    polynomials.  Divisors are scanned in ascending leading-monomial order,
+    which fixes the result for non-Groebner G.  The remainder is exact:
+    division runs on integer multiples of f and G, and the result is scaled
+    back.  ``degree_cap`` aborts a division whose terms outgrow it.
     """
     if not f:
         return f
-    key = _order_key(order, f.n)
+    key = order.key_function(f.n)
     prepared = []
     for g in G:
         if not g:
@@ -442,103 +452,83 @@ def _keeps_leads(reducers, key: Callable) -> bool:
     return True
 
 
-def _cone_hit(I: Ideal, key: Callable, degree_cap: int):
-    """A cached (reducers, cap) of I that is the reduced basis
-    under ``key`` too, or None.
+def _cone_hit(I: Ideal, key: Callable):
+    """The reducers of a cached basis of I that is the reduced basis under
+    ``key`` too, or None.
 
     If every element of a reduced basis keeps its lead under a new order,
     the new initial ideal contains the old one; both have the Hilbert
     function of I, so they are equal, and the basis is the new reduced basis
     (the new order lies in its Groebner cone).  Candidates are the grevlex
     basis, then the newest ``_CONE_WINDOW`` entries, each distinct basis
-    once, and only entries that serve ``degree_cap``."""
+    once."""
     entries = islice(reversed(I.gb_cache.values()), _CONE_WINDOW)
     grevlex = I.gb_cache.get(GREVLEX)
     if grevlex is not None:
         entries = chain((grevlex,), entries)
     seen = set()
-    for gb, cap in entries:
-        if cap > degree_cap:
-            continue
+    for gb in entries:
         leads = frozenset(r[0] for r in gb._reducers)
         if leads in seen:
             continue
         seen.add(leads)
         if _keeps_leads(gb._reducers, key):
-            return gb._reducers, cap
+            return gb._reducers
     return None
 
 
-def buchberger(
-    I: Ideal, order: OrderSpec = GREVLEX, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> GroebnerBasis:
-    """The reduced Groebner basis of I, memoized in ``I.gb_cache`` with the
-    cap it was computed under and served to any cap at least that large.
+def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
+    """The reduced Groebner basis of I, computed under ``I.degree_cap`` and
+    memoized in ``I.gb_cache``.
 
-    A cached basis whose Groebner cone contains the new order (every
-    element keeps its lead) is served before any run, with the cap of that
-    cached entry.  So ``degree_cap`` bounds every computation
-    performed: a reused basis skips a run that might have aborted."""
+    A weight is normalized first (``normalize_weight``), which for a graded
+    ideal changes no lead.  A cached basis whose Groebner cone contains the
+    new order (every element keeps its lead) is served before any run, so
+    the cap bounds every computation performed: a reused basis skips a run
+    that might have aborted."""
     hit = I.gb_cache.get(order)
-    if hit is not None and hit[1] <= degree_cap:
-        return hit[0]
+    if hit is not None:
+        return hit
     key = _order_key(order, I.n)
-    reused = _cone_hit(I, key, degree_cap)
+    reused = _cone_hit(I, key)
     if reused is not None:
-        reds, cap = reused
-        reds = sorted(reds, key=lambda r: key(r[0]))
+        reds = sorted(reused, key=lambda r: key(r[0]))
     else:
-        cap = degree_cap
-        reds = _buchberger_dicts([dict(g.terms) for g in I.generators], key, degree_cap)
-    gb = GroebnerBasis(order, I.n, reds)
-    I.gb_cache[order] = (gb, cap)
+        reds = _buchberger_dicts([dict(g.terms) for g in I.generators], key, I.degree_cap)
+    gb = I.gb_cache[order] = GroebnerBasis(order, I.n, reds)
     return gb
 
 
-def initial_ideal(
-    I: Ideal,
-    w,
-    order: OrderSpec = GREVLEX,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> Ideal:
+def initial_ideal(I: Ideal, w) -> Ideal:
     """The initial ideal of I for weight w (minimal-weight forms).
 
     Generators are the initial forms of the reduced basis with respect to the
-    w-refined order, read from its reducers: the lead has minimal weight, so
-    a form is the lead plus the tail terms of equal weight.  They constitute
-    the reduced Groebner basis of the result with respect to the unrefined
-    base order, so two initial ideals computed here with the same base order
-    are equal iff their generator tuples agree.
+    w-refined grevlex order, read from its reducers: the lead has minimal
+    weight, so a form is the lead plus the tail terms of equal weight.  They
+    constitute the reduced grevlex basis of the result, so two initial
+    ideals computed here are equal iff their generator tuples agree.
     """
     wn = normalize_weight(w, I.n)
     # a weight that normalizes to zero refines nothing: reuse the plain basis
-    refined = order if not any(wn) else order.refine(wn)
+    refined = GREVLEX.refine(wn) if any(wn) else GREVLEX
     gens = []
-    for lm, lc, tail in buchberger(I, refined, degree_cap)._reducers:
+    for lm, lc, tail in buchberger(I, refined)._reducers:
         low = sum(map(mul, wn, lm))
         form = {e: Fraction(c, lc) for e, c in tail if sum(map(mul, wn, e)) == low}
         form[lm] = 1
         gens.append(Polynomial(I.n, form))
     gens.sort(key=lambda p: p.terms)
-    return Ideal(I.n, gens)
+    return Ideal(I.n, gens, I.degree_cap)
 
 
-def ideal_equal(
-    I: Ideal, J: Ideal, order: OrderSpec = GREVLEX,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> bool:
+def ideal_equal(I: Ideal, J: Ideal, order: OrderSpec = GREVLEX) -> bool:
     """Equality via uniqueness of the reduced Groebner basis."""
     if I.n != J.n:
         raise ValueError("ambient variable counts differ")
-    return (
-        buchberger(I, order, degree_cap).elements
-        == buchberger(J, order, degree_cap).elements
-    )
+    return buchberger(I, order).elements == buchberger(J, order).elements
 
 
-def eliminate(
-    I: Ideal, drop, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> Ideal:
+def eliminate(I: Ideal, drop) -> Ideal:
     """Generators of I intersected with the subring omitting the ``drop``
     variables (1-based indices): the elements free of them in the reduced
     basis for lex with the dropped variables first.  The result is presented
@@ -549,14 +539,14 @@ def eliminate(
     if any(not 1 <= i <= I.n for i in drop) or len(drop) >= I.n:
         raise ValueError("drop must be a proper subset of the variables")
     rest = tuple(i for i in range(1, I.n + 1) if i not in drop)
-    gb = buchberger(I, OrderSpec("lex", drop + rest), degree_cap)
+    gb = buchberger(I, OrderSpec("lex", drop + rest))
     kept = [g for g in gb.elements if all(e[i - 1] == 0 for e, _ in g.terms for i in drop)]
     if not kept:
         raise ValueError("elimination ideal is zero")
-    return Ideal(I.n, kept)
+    return Ideal(I.n, kept, I.degree_cap)
 
 
-def _saturation(I: Ideal, f: Polynomial, degree_cap: int, stop=None) -> Ideal | None:
+def _saturation(I: Ideal, f: Polynomial, stop=None) -> Ideal | None:
     """(I : f^infinity) for a nonzero monomial f, saturating by one variable
     at a time (Bayer and Stillman 1987); None as soon as ``stop`` holds for
     a step's basis.
@@ -579,38 +569,36 @@ def _saturation(I: Ideal, f: Polynomial, degree_cap: int, stop=None) -> Ideal | 
         order = GREVLEX if i == n - 1 else OrderSpec(
             "grevlex", tuple(k for k in range(1, n + 1) if k != i + 1) + (i + 1,)
         )
-        gb = buchberger(J, order, degree_cap)
+        gb = buchberger(J, order)
         if stop is not None and stop(gb):
             return None
         if any(lm[i] for lm, _, _ in gb._reducers):
             J = Ideal(n, [
                 Polynomial(n, {e[:i] + (e[i] - r[0][i],) + e[i + 1:]: c for e, c in _monic(r).items()})
                 for r in gb._reducers
-            ])
+            ], I.degree_cap)
     return J
 
 
-def saturate(
-    I: Ideal, f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> Ideal:
+def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """The saturation (I : f^infinity) by a nonzero monomial f, generated by
     its reduced grevlex basis, which the result keeps in its cache; any
     other f raises ``ValueError``.  See ``_saturation``."""
-    J = _saturation(I, f, degree_cap)
-    gb = buchberger(J, GREVLEX, degree_cap)
-    S = Ideal(I.n, gb.elements)
+    J = _saturation(I, f)
+    gb = buchberger(J, GREVLEX)
+    S = Ideal(I.n, gb.elements, I.degree_cap)
     S.gb_cache[GREVLEX] = J.gb_cache[GREVLEX]
     return S
 
 
-def is_unit_ideal(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
+def is_unit_ideal(I: Ideal) -> bool:
     """True iff I = (1)."""
     if any(g.is_monomial() and g.degree == 0 for g in I.generators):
         return True
-    return buchberger(I, GREVLEX, degree_cap).leads == ((0,) * I.n,)
+    return buchberger(I, GREVLEX).leads == ((0,) * I.n,)
 
 
-def contains_monomial(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
+def contains_monomial(I: Ideal) -> bool:
     """True iff I contains some monomial, i.e. saturating by the product of
     all variables gives the unit ideal.
 
@@ -624,5 +612,5 @@ def contains_monomial(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
             return True
     prod = Polynomial.monomial(I.n, (1,) * I.n)
     return _saturation(
-        I, prod, degree_cap, lambda gb: any(not tail for _, _, tail in gb._reducers)
+        I, prod, lambda gb: any(not tail for _, _, tail in gb._reducers)
     ) is None

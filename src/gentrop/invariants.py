@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .groebner import DEFAULT_DEGREE_CAP, Ideal, buchberger
+from .groebner import Ideal, buchberger
 from .poly import GREVLEX, OrderSpec, Polynomial, grevlex_key
 
 
@@ -49,11 +49,9 @@ def minimalize(n: int, gens: Iterable) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(kept))
 
 
-def monomial_ideal_of(
-    I: Ideal, order: OrderSpec = GREVLEX, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> MonomialIdeal:
+def monomial_ideal_of(I: Ideal, order: OrderSpec = GREVLEX) -> MonomialIdeal:
     """The leading-monomial ideal of I as a MonomialIdeal."""
-    return minimalize(I.n, buchberger(I, order, degree_cap).leads)
+    return minimalize(I.n, buchberger(I, order).leads)
 
 
 def monomial_dimension(M: MonomialIdeal) -> int:
@@ -71,9 +69,9 @@ def monomial_dimension(M: MonomialIdeal) -> int:
     raise AssertionError("unreachable: the full support always covers")
 
 
-def dimension(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
+def dimension(I: Ideal) -> int:
     """Krull dimension of the coordinate ring S/I."""
-    M = monomial_ideal_of(I, GREVLEX, degree_cap)
+    M = monomial_ideal_of(I)
     return monomial_dimension(M)
 
 
@@ -192,10 +190,10 @@ def hilbert(M: MonomialIdeal) -> HilbertData:
     return HilbertData(tuple(q), d, mult)
 
 
-def multiplicity(I: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
+def multiplicity(I: Ideal) -> int:
     """Multiplicity of S/I: the fully cancelled Hilbert numerator at t=1,
     computed from the grevlex leading-monomial ideal."""
-    return hilbert(monomial_ideal_of(I, GREVLEX, degree_cap)).multiplicity
+    return hilbert(monomial_ideal_of(I)).multiplicity
 
 
 def is_strongly_stable(M: MonomialIdeal, perm=None) -> bool:
@@ -234,12 +232,12 @@ def depth_of_stable(M: MonomialIdeal, perm=None) -> int:
     return M.n - last
 
 
-def depth(I: Ideal, policy, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
+def depth(I: Ideal, policy) -> int:
     """Depth of S/I via the generic initial ideal for the graded reverse
     lexicographic order, where the two agree."""
     from .generic import gin
 
-    g = gin(I, GREVLEX, policy, degree_cap)
+    g = gin(I, GREVLEX, policy)
     return depth_of_stable(g)
 
 

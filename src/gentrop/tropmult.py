@@ -21,15 +21,9 @@ from typing import Iterable, Sequence
 
 from .fans import ConeId, interior_point
 from .generic import GenericityPolicy, agreed, gap_degree
-from .groebner import (
-    DEFAULT_DEGREE_CAP,
-    Ideal,
-    initial_ideal,
-    is_unit_ideal,
-    saturate,
-)
+from .groebner import Ideal, initial_ideal, is_unit_ideal, saturate
 from .invariants import dimension, multiplicity
-from .poly import GREVLEX, Polynomial, initial_form
+from .poly import Polynomial, initial_form
 
 
 @dataclass(frozen=True)
@@ -56,47 +50,46 @@ class MultiplicityReport:
         )
 
 
-def _saturation_invariants(J: Ideal, degree_cap: int) -> tuple:
+def _saturation_invariants(J: Ideal) -> tuple:
     """(dimension, multiplicity, monomial-freeness) read off the saturation
     of J by the product of the variables, or (-1, 0, False) when that
     saturation is the unit ideal."""
-    S = saturate(J, Polynomial.monomial(J.n, (1,) * J.n), degree_cap)
-    if is_unit_ideal(S, degree_cap):
+    S = saturate(J, Polynomial.monomial(J.n, (1,) * J.n))
+    if is_unit_ideal(S):
         return (-1, 0, False)
-    dim_s = dimension(S, degree_cap)
-    m_s = multiplicity(S, degree_cap)
-    free = dim_s == dimension(J, degree_cap) and m_s == multiplicity(J, degree_cap)
+    dim_s = dimension(S)
+    m_s = multiplicity(S)
+    free = dim_s == dimension(J) and m_s == multiplicity(J)
     return (dim_s, m_s, free)
 
 
-def topdim_monomial_free(J: Ideal, m: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
+def topdim_monomial_free(J: Ideal, m: int) -> bool:
     """Whether no top-dimensional minimal prime of J contains a monomial:
     whether its saturation by the product of the variables is proper with
     the dimension and multiplicity of J, which the associativity formula
     makes equivalent (see the module docstring).  ``m`` must be
     ``dimension(J)``; any other value, and the unit ideal, raise
     ``ValueError``."""
-    if dimension(J, degree_cap) != m:
+    if dimension(J) != m:
         raise ValueError(f"m = {m} is not the dimension of the quotient by J")
-    return _saturation_invariants(J, degree_cap)[2]
+    return _saturation_invariants(J)[2]
 
 
 def intrinsic_multiplicity(
     I: Ideal,
     cone: ConeId,
     policy: GenericityPolicy = GenericityPolicy(),
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> MultiplicityReport:
     """Multiplicity evidence for one maximal cone of the sampled generic
     tropical fan, computed at the cone's canonical interior point."""
-    m_ideal = multiplicity(I, degree_cap)
-    gap = gap_degree(I, policy, degree_cap) + 1
+    m_ideal = multiplicity(I)
+    gap = gap_degree(I, policy) + 1
     w = interior_point(cone, gap)
 
     def compute(gI: Ideal) -> tuple:
-        J = initial_ideal(gI, w, GREVLEX, degree_cap)
-        dim_saturated, m_sat, free = _saturation_invariants(J, degree_cap)
-        return (dimension(J, degree_cap), dim_saturated, free, m_sat)
+        J = initial_ideal(gI, w)
+        dim_saturated, m_sat, free = _saturation_invariants(J)
+        return (dimension(J), dim_saturated, free, m_sat)
 
     dim_initial, dim_saturated, free, m_sat = agreed(
         I, policy, compute, "intrinsic multiplicity"

@@ -6,7 +6,7 @@ import random
 from itertools import product
 
 from gentrop import groebner
-from gentrop.groebner import Ideal
+from gentrop.groebner import DEFAULT_DEGREE_CAP, Ideal
 from gentrop.generic import GenericityPolicy, identity_policy
 from gentrop.poly import Polynomial, parse_polynomial
 
@@ -15,8 +15,8 @@ def P(text: str, n: int) -> Polynomial:
     return parse_polynomial(text, n)
 
 
-def ideal(n: int, *gens: str) -> Ideal:
-    return Ideal(n, [parse_polynomial(g, n) for g in gens])
+def ideal(n: int, *gens: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ideal:
+    return Ideal(n, [parse_polynomial(g, n) for g in gens], degree_cap)
 
 
 def policy(seed: int = 0, samples: int = 2, bound: int = 1000) -> GenericityPolicy:

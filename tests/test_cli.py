@@ -200,6 +200,17 @@ def test_degree_cap_binds_the_depth_gin(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_degree_cap_binds_the_transformed_ideals(tmp_path, capsys):
+    # the input's own basis stays within cap 3; tropical and verify abort
+    # on the bases of its transformed ideals, which inherit the cap
+    path = write(tmp_path, "cubes.ideal", "ring 3\nx1^3\nx2^3\n")
+    for argv in (["tropical", path, "--omega", "0,1,2"], ["verify", path, "--target", "Wnm"]):
+        assert main(argv + ["--degree-cap", "3"]) == EXIT_DEGREE_CAP
+        capsys.readouterr()
+        assert main(argv + ["--degree-cap", "7"]) == EXIT_OK
+        capsys.readouterr()
+
+
 def test_analyze_cross_validates_within_the_cone_budget(tmp_path, capsys):
     # (x1, x2) in 12 variables is CM of dimension 10: its 10-skeleton has
     # C(12, 3) = 220 maximal cones, more than the budget.  With or without

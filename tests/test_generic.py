@@ -168,17 +168,10 @@ def test_gin_injected_nonstable_raises_without_escalation():
 
 def test_gin_honours_the_cap_after_an_equal_ideal_was_computed():
     # the gin's Buchberger runs reach degree 7; a run under the default cap
-    # on an equal ideal must not serve a later call under cap 3
+    # on an equal ideal must not serve a later call on a cap-3 ideal
     gin(ideal(3, "x1^3", "x2^3"))
     with pytest.raises(DegreeCapExceeded):
-        gin(ideal(3, "x1^3", "x2^3"), degree_cap=3)
-
-
-def test_gin_honours_the_cap_on_the_same_ideal():
-    I = ideal(3, "x1^3", "x2^3")
-    gin(I)
-    with pytest.raises(DegreeCapExceeded):
-        gin(I, degree_cap=3)
+        gin(ideal(3, "x1^3", "x2^3", degree_cap=3))
 
 
 def test_tropical_member_identity_family():
@@ -252,7 +245,7 @@ def test_split_cones_divide_along_middle_order():
     from gentrop.generic import gap_degree
     from gentrop.fans import interior_points
 
-    gap = gap_degree(split, pol, 40) + 1
+    gap = gap_degree(split, pol) + 1
     for cone in refinement_maximal_cones(5, 4, 1)[:5]:
         p = interior_points(cone, gap, 4)
         ins = [initial_ideal(g, w).generators for w in p]
@@ -302,13 +295,13 @@ def test_ray_constancy_directions():
     base = ConeId(n, frozenset(range(1, n - m + 2)))
     from gentrop.generic import gap_degree
 
-    c = gap_degree(fam, pol, 40)
+    c = gap_degree(fam, pol)
     w = interior_point(base, c + 1)
     assert ray_constancy(fam, w, range(n - t + 1, n + 1), pol)
     assert not ray_constancy(fam, w, range(n - t, n + 1), pol)
     # hypersurfaces: a single top direction never leaves the cone
     q = smooth_quadric4()
-    wq = interior_point(ConeId(4, {1, 2}), gap_degree(q, pol, 40) + 1)
+    wq = interior_point(ConeId(4, {1, 2}), gap_degree(q, pol) + 1)
     assert ray_constancy(q, wq, [4], pol)
 
 
@@ -352,7 +345,7 @@ def test_boundary_points_split_adjacent_cones():
     c2 = ConeId(5, {1, 2, 3}, {5}, {4})
     from gentrop.generic import gap_degree
 
-    gap = gap_degree(fam, pol, 40) + 1
+    gap = gap_degree(fam, pol) + 1
     boundary = (0, 0, 0, 1, 1)
     J0 = initial_ideal(g, boundary).generators
     J1 = initial_ideal(g, interior_point(c1, gap)).generators

@@ -2,9 +2,11 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from gentrop.generic import identity_policy, transformed
 from gentrop.groebner import (
     DegreeCapExceeded,
     Ideal,
@@ -21,7 +23,7 @@ from gentrop.groebner import (
 from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, normalize_weight
 
 import oracles
-from cases import P, counting_engine, dense_form, ideal, random_graded_ideal
+from cases import P, counting_engine, dense_form, ideal, policy, random_graded_ideal
 
 
 def gens_of(I):
@@ -317,50 +319,65 @@ def test_graded_validation_and_errors():
         Ideal(2, [Polynomial.zero(2)])
     with pytest.raises(DegreeCapExceeded):
         # artificial cap of 1 cannot even hold the generators
-        buchberger(ideal(2, "x1^2 + x2^2"), GREVLEX, degree_cap=1)
+        buchberger(ideal(2, "x1^2 + x2^2", degree_cap=1))
+
+
+def test_derived_ideals_carry_the_parent_cap():
+    from gentrop.groebner import _saturation
+
+    I = ideal(3, "x1^2 - x2*x3", "x1*x3", degree_cap=9)
+    gI = transformed(I, policy())
+    derived = [
+        *gI,
+        *transformed(I, identity_policy(3)),
+        initial_ideal(I, (0, 1, 2)),
+        initial_ideal(I, (0, 0, 0)),
+        initial_ideal(gI[0], (0, 1, 2)),
+        saturate(I, P("x3", 3)),
+        saturate(I, P("x1*x2*x3", 3)),
+        _saturation(I, P("x1*x2*x3", 3)),
+        eliminate(I, [1]),
+    ]
+    assert [J.degree_cap for J in derived] == [9] * len(derived)
+    # the last saturation step is a new ideal, whose bases run under its cap
+    assert derived[-2] is not I
 
 
 def test_gb_cache_hits():
     I = ideal(2, "x1 + x2", "x1^2")
+    assert I.degree_cap == 40
     a = buchberger(I)
-    gb, cap = I.gb_cache[GREVLEX]
-    assert gb is a and cap == 40
+    assert I.gb_cache[GREVLEX] is a
     assert buchberger(I) is a
 
 
 def test_gb_cache_honours_a_smaller_cap():
-    # the basis holds x2^3, so cap 2 must raise although cap 40 was cached
-    J = ideal(2, "x1^2 + x2^2", "x1*x2")
-    buchberger(J)
+    # the basis holds x2^3, so a cap-2 ideal must raise although an equal
+    # cap-40 ideal was computed
+    buchberger(ideal(2, "x1^2 + x2^2", "x1*x2"))
+    J = ideal(2, "x1^2 + x2^2", "x1*x2", degree_cap=2)
     with pytest.raises(DegreeCapExceeded):
-        buchberger(J, GREVLEX, 2)
-
-
-def test_gb_cache_serves_a_larger_cap():
-    J = ideal(2, "x1^2 + x2^2", "x1*x2")
-    # its s-pairs reach degree 4, the least cap that succeeds
-    a = buchberger(J, GREVLEX, 4)
-    assert J.gb_cache[GREVLEX][1] == 4
-    assert buchberger(J) is a
-    assert buchberger(J, GREVLEX, 4) is a
+        buchberger(J)
+    assert not J.gb_cache
 
 
 def test_cone_reuse_honours_a_smaller_cap():
     # weight (0, 1) keeps every lead of the grevlex basis, which holds x2^3:
-    # the basis cached under cap 40 must not serve cap 2, and an entry cached
-    # under cap 4 is served with that cap
-    J = ideal(2, "x1^2 + x2^2", "x1*x2")
+    # the basis of a cap-40 ideal serves the weighted order, but an equal
+    # cap-2 ideal must raise; its s-pairs reach degree 4, so a cap-4 ideal
+    # computes its grevlex basis and serves the weighted order from it
     order = GREVLEX.refine((0, 1))
-    buchberger(J)
+    I = ideal(2, "x1^2 + x2^2", "x1*x2")
+    assert set(buchberger(I, order).leads) == set(buchberger(I).leads)
+    J = ideal(2, "x1^2 + x2^2", "x1*x2", degree_cap=2)
     with pytest.raises(DegreeCapExceeded):
-        buchberger(J, order, 2)
-    assert order not in J.gb_cache
-    assert set(buchberger(J, order).leads) == set(buchberger(J).leads)
-    assert J.gb_cache[order][1] == 40
-    K = ideal(2, "x1^2 + x2^2", "x1*x2")
-    buchberger(K, GREVLEX, 4)
-    gb = buchberger(K, order, 4)
-    assert K.gb_cache[order] == (gb, 4)
+        buchberger(J, order)
+    assert not J.gb_cache
+    K = ideal(2, "x1^2 + x2^2", "x1*x2", degree_cap=4)
+    grevlex = buchberger(K)
+    gb = buchberger(K, order)
+    assert K.gb_cache[order] is gb
+    assert sorted(gb._reducers) == sorted(grevlex._reducers)
 
 
 def test_cone_reuse_matches_a_fresh_run(monkeypatch):
@@ -599,6 +616,39 @@ def test_rational_inputs_match_fraction_division():
                 assert not _reference_division(s, gb, key)
         for f in fs:
             assert normal_form(f, gb, order) == _reference_division(f, gb, key)
+
+
+def test_normal_form_follows_the_given_weight():
+    # a weight is not shift-normalized: under (1, 2) the divisor's lead is
+    # x2 (weight 2 < 3), while its normalization (0, 1) would make it x1^3
+    order = GREVLEX.refine((1, 2))
+    got = normal_form(P("x2", 2), [P("x1^3 + x2", 2)], order)
+    assert got == P("-x1^3", 2)
+    assert got == _reference_division(P("x2", 2), [P("x1^3 + x2", 2)], order.key_function(2))
+    # seeded non-homogeneous divisors under a negative weight (a well-order,
+    # since every variable then outranks 1) and its shifts by constants
+    rng = random.Random(31)
+    mons = [e for e in product(range(4), repeat=3) if sum(e) <= 3]
+
+    def poly(terms):
+        return Polynomial(3, {
+            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            for e in rng.sample(mons, terms)
+        })
+
+    changed = 0
+    for _ in range(30):
+        G = [poly(rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
+        f = poly(4)
+        w = tuple(Fraction(-rng.randint(1, 9), rng.randint(1, 2)) for _ in range(3))
+        remainders = set()
+        for shift in (0, Fraction(-1, 2), -3):
+            order = GREVLEX.refine(tuple(x + shift for x in w))
+            got = normal_form(f, G, order)
+            assert got == _reference_division(f, G, order.key_function(3))
+            remainders.add(got)
+        changed += len(remainders) > 1
+    assert changed
 
 
 def test_degree_cap_fires_mid_reduction():

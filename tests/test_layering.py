@@ -1,6 +1,7 @@
 """Layering rules: no gentrop module imports another module's private
-(``_``-prefixed) names, and at run time gentrop imports only the standard
-library and itself."""
+(``_``-prefixed) names, at run time gentrop imports only the standard
+library and itself, and only the ``Ideal`` and the division engine take a
+degree cap."""
 
 import ast
 import sys
@@ -81,3 +82,59 @@ def test_runtime_imports_are_stdlib_only():
     assert modules
     offenders = {p.name: non_stdlib_imports(p) for p in modules}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+# the Ideal owns the cap of every computation on it; only division by a
+# plain divisor list, which has no Ideal, takes one as a parameter
+CAP_TAKERS = {
+    "groebner.Ideal.__init__",
+    "groebner.normal_form",
+    "groebner._nf_dict",
+    "groebner._buchberger_dicts",
+}
+
+
+def cap_parameters(path: Path) -> list:
+    """Qualified names (module.Class.function) of the functions in ``path``,
+    nested ones and lambdas included, with a parameter named ``degree_cap``
+    or ``cap``."""
+    found = []
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                if any(p.arg in ("degree_cap", "cap") for p in params):
+                    found.append(name)
+                visit(child, name + ".")
+                continue
+            visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem + ".")
+    return found
+
+
+def test_cap_check_sees_methods_nested_functions_and_keywords(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class A:\n"
+        "    def run(self, order, cap):\n"
+        "        def step(*, degree_cap=4):\n"
+        "            return lambda cap: cap\n"
+        "def f(I, capacity, **kw):\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    assert cap_parameters(probe) == ["probe.A.run", "probe.A.run.step", "probe.A.run.step.<lambda>"]
+
+
+def test_only_the_ideal_carries_the_degree_cap():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    takers = {name for p in modules for name in cap_parameters(p)}
+    assert sorted(takers - CAP_TAKERS) == []

@@ -6,7 +6,7 @@ import pytest
 
 from gentrop.fans import interior_points, maximal_cones, refinement_maximal_cones
 from gentrop.generic import apply_transform, gap_degree, identity_policy, random_transform, transformed
-from gentrop.groebner import DEFAULT_DEGREE_CAP, Ideal, initial_ideal, is_unit_ideal, saturate
+from gentrop.groebner import Ideal, initial_ideal, is_unit_ideal, saturate
 from gentrop.invariants import dimension, multiplicity
 from gentrop.poly import Polynomial
 from gentrop.tropmult import (
@@ -69,7 +69,7 @@ def test_topdim_monomial_free_matches_hyperplane_cuts():
             ideals.append(Ideal(I.n, [g * f for g in I.generators]))
     for I, fan in ((stable_depth_family(5, 3, 1), (5, 3, 1)), (split_fan_ideal(), (5, 4, 1))):
         for pol in (policy(), identity_policy(5)):
-            gap = gap_degree(I, pol, DEFAULT_DEGREE_CAP) + 1
+            gap = gap_degree(I, pol) + 1
             for cone in refinement_maximal_cones(*fan)[:4]:
                 for w in interior_points(cone, gap, 2):
                     ideals += [initial_ideal(gI, w) for gI in transformed(I, pol)]
