@@ -237,7 +237,7 @@ def agreed(
 
 def _variable_priority(order: OrderSpec, n: int) -> tuple:
     """Variables sorted most significant first under the order (1-based)."""
-    key = order.key_function(n)
+    key = order.key_function(n, 1)
 
     def unit(i: int) -> tuple:
         e = [0] * n

@@ -156,18 +156,6 @@ class GroebnerBasis:
 # division over the rationals; ``_primitive`` and ``_monic`` convert at the
 # boundary.
 
-class _Rev:
-    """Inverts comparison so heapq acts as a max-heap on order keys."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __lt__(self, other):
-        return other.k < self.k
-
-
 def _divides(a, b) -> bool:
     for x, y in zip(a, b):
         if x > y:
@@ -229,9 +217,11 @@ def _nf_dict(f: dict, reducers, key: Callable, cap: int) -> tuple:
 
     Returns (R, lead, scale): R is congruent to scale * f modulo the
     reducers and no term of R is divisible by a reducer's leading monomial;
-    lead is R's leading monomial (None when R is zero)."""
+    lead is R's leading monomial (None when R is zero).  ``key`` is an
+    integer order key exact on f's terms and on every term up to ``cap``."""
     coeffs = dict(f)
-    heap = [(_Rev(key(e)), e) for e in coeffs]
+    # a min-heap on -key pops terms in descending order
+    heap = [(-key(e), e) for e in coeffs]
     heapify(heap)
     remainder: dict = {}
     lead = None
@@ -272,7 +262,7 @@ def _nf_dict(f: dict, reducers, key: Callable, cap: int) -> tuple:
                         f"degree {sum(ee)} exceeds cap {cap} during reduction"
                     )
                 coeffs[ee] = -c * c2
-                heappush(heap, (_Rev(key(ee)), ee))
+                heappush(heap, (-key(ee), ee))
             else:
                 nv = prev - c * c2
                 if nv:
@@ -399,10 +389,10 @@ def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
     return out
 
 
-def _order_key(order: OrderSpec, n: int) -> Callable:
+def _order_key(order: OrderSpec, n: int, degree_bound: int) -> Callable:
     if order.weight is not None:
         order = order.refine(normalize_weight(order.weight, n))
-    return order.key_function(n)
+    return order.key_function(n, degree_bound)
 
 
 # -- public operations ----------------------------------------------------
@@ -426,11 +416,12 @@ def normal_form(
     """
     if not f:
         return f
-    key = order.key_function(f.n)
+    if not all(G):
+        raise ValueError("zero polynomial in divisor list")
+    # input terms are never cap-checked, so the key must also cover them
+    key = order.key_function(f.n, max([degree_cap, f.degree] + [g.degree for g in G]))
     prepared = []
     for g in G:
-        if not g:
-            raise ValueError("zero polynomial in divisor list")
         d = dict(g.terms)
         prepared.append(_reducer(d, _lead(d, key)))
     prepared.sort(key=lambda r: key(r[0]))
@@ -489,7 +480,7 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     hit = I.gb_cache.get(order)
     if hit is not None:
         return hit
-    key = _order_key(order, I.n)
+    key = _order_key(order, I.n, I.degree_cap)
     reused = _cone_hit(I, key)
     if reused is not None:
         reds = sorted(reused, key=lambda r: key(r[0]))
@@ -592,10 +583,9 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
 
 
 def is_unit_ideal(I: Ideal) -> bool:
-    """True iff I = (1)."""
-    if any(g.is_monomial() and g.degree == 0 for g in I.generators):
-        return True
-    return buchberger(I, GREVLEX).leads == ((0,) * I.n,)
+    """True iff I = (1): a graded ideal contains 1 iff one of its
+    generators is a nonzero constant."""
+    return any(g.degree == 0 for g in I.generators)
 
 
 def contains_monomial(I: Ideal) -> bool:

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .groebner import Ideal, buchberger
-from .poly import GREVLEX, OrderSpec, Polynomial, grevlex_key
+from .poly import GREVLEX, OrderSpec, Polynomial
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,10 @@ class MonomialIdeal:
 
 def minimalize(n: int, gens: Iterable) -> MonomialIdeal:
     """Keep only the divisibility-minimal exponent vectors."""
-    uniq = sorted({tuple(g) for g in gens}, key=grevlex_key)
+    uniq = {tuple(g) for g in gens}
     if not uniq:
         raise ValueError("empty generator list")
+    uniq = sorted(uniq, key=GREVLEX.key_function(n, max(map(sum, uniq))))
     kept = []
     for e in uniq:
         if not any(all(a <= b for a, b in zip(k, e)) for k in kept):

@@ -26,11 +26,6 @@ class ParseError(ValueError):
     """Polynomial or ideal-file text that does not match the grammar."""
 
 
-def grevlex_key(exps: Exponents) -> tuple:
-    """Sort key for grevlex on the identity permutation (bigger key = higher rank)."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
 def _exact(w: Weights) -> tuple:
     """``w`` with every non-integer entry as a Fraction, so that dot
     products with exponent vectors are exact."""
@@ -45,7 +40,8 @@ class OrderSpec:
     ``perm`` lists 1-based variable indices, most significant first; ``None``
     means the identity (x1 > x2 > ... > xn).  With a weight refinement,
     comparison is by weight first (smaller weight ranks higher), ties broken
-    by the base order.
+    by the base order.  ``key_function`` ranks monomials of bounded degree
+    by one integer key.
     """
 
     base: str = "grevlex"
@@ -64,32 +60,40 @@ class OrderSpec:
         """The same base order refined by weight vector ``w``."""
         return OrderSpec(self.base, self.perm, tuple(w))
 
-    def positions(self, n: int) -> tuple:
-        """0-based variable positions in decreasing significance."""
-        if self.perm is None:
-            return tuple(range(n))
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise ValueError("perm must be a permutation of 1..n")
-        return tuple(i - 1 for i in self.perm)
+    def key_function(self, n: int, degree_bound: int) -> Callable[[Exponents], int]:
+        """Integer key: key(a) > key(b) iff monomial a outranks monomial b,
+        exact for exponent vectors of total degree at most ``degree_bound``.
 
-    def key_function(self, n: int) -> Callable[[Exponents], tuple]:
-        """Key such that key(a) > key(b) iff monomial a outranks monomial b."""
-        pos = self.positions(n)
-        if self.base == "lex":
-            def base_key(e, _pos=pos):
-                return tuple(e[i] for i in _pos)
+        The key is v . e for one integer vector v, the order's weight matrix
+        collapsed into fields of B = degree_bound.bit_length() + 1 bits.
+        lex: the variable at index k of the permutation has v = 2^(B(n-1-k)).
+        grevlex: the variable at index k of the reversed permutation has
+        v = 2^(Bn) - 2^(B(n-1-k)), the total degree above reverse-lex digits.
+        A weight, scaled to integers by the lcm of its denominators, is
+        subtracted times 2^(B(n+1)): a weight difference of 1 outweighs the
+        whole base range, so negative entries need no shift."""
+        if self.perm is None:
+            pos = range(n)
+        elif sorted(self.perm) != list(range(1, n + 1)):
+            raise ValueError("perm must be a permutation of 1..n")
         else:
-            rev = tuple(reversed(pos))
-            def base_key(e, _rev=rev):
-                return (sum(e), tuple(-e[i] for i in _rev))
-        if self.weight is None:
-            return base_key
+            pos = [i - 1 for i in self.perm]
+        b = degree_bound.bit_length() + 1
+        v = [0] * n
+        if self.base == "lex":
+            for k, i in enumerate(pos):
+                v[i] = 1 << (b * (n - 1 - k))
+        else:
+            for k, i in enumerate(reversed(pos)):
+                v[i] = (1 << (b * n)) - (1 << (b * (n - 1 - k)))
         w = self.weight
-        if len(w) != n:
-            raise ValueError("weight length does not match variable count")
-        def key(e, _w=w, _bk=base_key):
-            return (-sum(wi * ei for wi, ei in zip(_w, e)), _bk(e))
-        return key
+        if w is not None:
+            if len(w) != n:
+                raise ValueError("weight length does not match variable count")
+            den = lcm(*(x.denominator for x in w))
+            v = [vi - (x.numerator * (den // x.denominator) << (b * (n + 1))) for vi, x in zip(v, w)]
+        v = tuple(v)
+        return lambda e: sum(map(mul, v, e))
 
 
 GREVLEX = OrderSpec()
@@ -148,14 +152,12 @@ class Polynomial:
                 acc[e] += c
             else:
                 acc[e] = c
+        kept = [(e, c) for e, c in acc.items() if c != 0]
+        if len(kept) > 1:
+            key = GREVLEX.key_function(n, max(sum(e) for e, _ in kept))
+            kept.sort(key=lambda t: key(t[0]), reverse=True)
         self.n = n
-        self.terms = tuple(
-            sorted(
-                ((e, c) for e, c in acc.items() if c != 0),
-                key=lambda t: grevlex_key(t[0]),
-                reverse=True,
-            )
-        )
+        self.terms = tuple(kept)
         self._hash = None
 
     # -- constructors ---------------------------------------------------

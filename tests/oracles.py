@@ -8,6 +8,7 @@ sharing no code with the division/Buchberger path it checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from gentrop.poly import Polynomial
@@ -199,4 +200,100 @@ def series_expansion(numerator, dim: int, upto: int) -> list:
             if j <= k:
                 s += q * inv[k - j]
         out.append(s)
+    return out
+
+
+def order_key(order, n: int):
+    """Tuple key of ``order`` written from its definition: bigger key ranks
+    higher.  lex compares exponents in permutation order; grevlex compares
+    total degree, then the negated exponents from the last variable of the
+    permutation back; a weight ranks smaller w . e higher and breaks ties by
+    the base order."""
+    pos = tuple(range(n)) if order.perm is None else tuple(i - 1 for i in order.perm)
+    if order.base == "lex":
+        def base(e):
+            return tuple(e[i] for i in pos)
+    else:
+        rev = pos[::-1]
+
+        def base(e):
+            return (sum(e), tuple(-e[i] for i in rev))
+    if order.weight is None:
+        return base
+    w = tuple(Fraction(x) for x in order.weight)
+    return lambda e: (-sum(x * y for x, y in zip(w, e)), base(e))
+
+
+def reference_groebner(generators, order, n: int) -> list:
+    """Reduced Groebner basis of the ideal the homogeneous ``generators``
+    generate, by textbook Buchberger over Fraction: every pair is reduced,
+    lowest lcm degree first, with no criterion, on dicts ranked by
+    ``order_key``.  Returns monic Polynomials in ascending order of leading
+    monomial."""
+    key = cache(order_key(order, n))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def monic(p):
+        """(lead, p / its leading coefficient)."""
+        lm = max(p, key=key)
+        c = p[lm]
+        return lm, {e: x / c for e, x in p.items()}
+
+    def reduce(p, basis):
+        p, r = dict(p), {}
+        while p:
+            e = max(p, key=key)
+            c = p.pop(e)
+            hit = next(((lm, g) for lm, g in basis if divides(lm, e)), None)
+            if hit is None:
+                r[e] = c
+                continue
+            lm, g = hit
+            for e2, c2 in g.items():
+                if e2 != lm:
+                    ee = tuple(a - b + x for a, b, x in zip(e, lm, e2))
+                    v = p.get(ee, Fraction(0)) - c * c2
+                    if v:
+                        p[ee] = v
+                    else:
+                        p.pop(ee, None)
+        return r
+
+    def spoly(f, g):
+        m = tuple(map(max, f[0], g[0]))
+        out: dict = {}
+        for (lh, h), sign in ((f, 1), (g, -1)):
+            for e, c in h.items():
+                ee = tuple(a - b + x for a, b, x in zip(m, lh, e))
+                out[ee] = out.get(ee, Fraction(0)) + sign * c
+        return {e: c for e, c in out.items() if c}
+
+    basis = [monic({e: Fraction(c) for e, c in g.terms}) for g in generators if g]
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        i, j = min(pairs, key=lambda p: (sum(map(max, basis[p[0]][0], basis[p[1]][0])), p))
+        pairs.remove((i, j))
+        r = reduce(spoly(basis[i], basis[j]), basis)
+        if r:
+            pairs.update((k, len(basis)) for k in range(len(basis)))
+            basis.append(monic(r))
+    # minimal: drop an element whose lead another lead divides (of equal
+    # leads, keep the first); weighted orders need not rank a divisor lower
+    kept = [
+        (lm, g) for i, (lm, g) in enumerate(basis)
+        if not any(
+            j != i and divides(lj, lm) and (lj != lm or j < i)
+            for j, (lj, _) in enumerate(basis)
+        )
+    ]
+    kept.sort(key=lambda t: key(t[0]))
+    # reduced: each tail reduced by the other elements
+    out = []
+    for lm, g in kept:
+        others = [t for t in kept if t[0] != lm]
+        tail = reduce({e: c for e, c in g.items() if e != lm}, others)
+        tail[lm] = Fraction(1)
+        out.append(Polynomial(n, tail))
     return out

@@ -2,12 +2,14 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from operator import mul
 
 import pytest
 
 from gentrop.generic import identity_policy, transformed
 from gentrop.groebner import (
+    DEFAULT_DEGREE_CAP,
     DegreeCapExceeded,
     Ideal,
     NotGradedError,
@@ -245,9 +247,16 @@ def _aux_saturation(I, f):
     from gentrop.groebner import _buchberger_dicts, _monic
 
     n = I.n
+    # integer key: y in a field above grevlex on x1..xn, whose fields of b
+    # bits are exact for x-degree up to ``bound``
+    bound = 120
+    b = bound.bit_length() + 1
+    v = [(1 << (b * n)) - (1 << (b * i)) for i in range(n)] + [1 << (b * (n + 1))]
 
     def block_key(e):
-        return (e[n], (-e[n],), sum(e[:n]), tuple(-x for x in reversed(e[:n])))
+        if sum(e[:n]) > bound:
+            raise AssertionError(f"x-degree of {e} exceeds the key's bound {bound}")
+        return sum(map(mul, v, e))
 
     lifted = [{e + (0,): c for e, c in g.terms} for g in I.generators]
     aux = {e + (1,): -c for e, c in f.terms}
@@ -463,7 +472,7 @@ def test_reducer_reads_match_element_computations():
             certified.add(certificate)
             refined = GREVLEX.refine(wn) if any(wn) else GREVLEX
             gb = buchberger(I, refined)
-            key = refined.key_function(n)
+            key = refined.key_function(n, I.degree_cap)
             assert gb.leads == tuple(max((e for e, _ in g.terms), key=key) for g in gb.elements)
             J = initial_ideal(I, w)
             want = sorted((initial_form(wn, g) for g in gb.elements), key=lambda p: p.terms)
@@ -475,6 +484,47 @@ def test_reducer_reads_match_element_computations():
             assert is_unit_ideal(sat) == _is_unit_by_elements(sat) == has
         assert contains_monomial(I) == _contains_monomial_by_elements(I)
     assert monomial_seen == certified == {False, True}
+
+
+def _engine_at_smallest_cap(I, order):
+    """The basis of I under ``order`` from a copy of I with the smallest
+    degree cap the run fits, and that cap."""
+    cap = max(g.degree for g in I.generators)
+    while True:
+        try:
+            return buchberger(Ideal(I.n, I.generators, cap), order), cap
+        except DegreeCapExceeded:
+            cap += 1
+
+
+def test_buchberger_matches_the_reference_engine():
+    # an independent textbook Buchberger (every pair, no criterion, tuple
+    # keys from each order's definition, Fraction arithmetic) must return
+    # the same reduced basis under permuted grevlex and lex and weight
+    # refinements with zero, tied, negative and large weights.  Each run
+    # uses the smallest cap it fits, so the integer key works at its bound.
+    ideals = [random_graded_ideal(n, seed, gens=2 + seed % 2) for n in (3, 4) for seed in range(4)]
+    for seed in range(2):
+        ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 2, seed + 1)]))
+        ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
+    at_cap = 0
+    for idx, I in enumerate(ideals):
+        n = I.n
+        rng = random.Random(f"reference:{idx}")
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        weights = [(0,) * n, (2,) * n, (1,) * (n - 1) + (0,), (10**9,) + (0,) * (n - 1)]
+        weights.append(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)))
+        orders = [GREVLEX, OrderSpec("grevlex", perm), OrderSpec("lex", perm)]
+        orders += [OrderSpec(rng.choice(("lex", "grevlex")), perm).refine(w) for w in weights]
+        for order in orders:
+            gb, cap = _engine_at_smallest_cap(I, order)
+            want = oracles.reference_groebner(I.generators, order, n)
+            # the engine ranks leads of different degrees by the normalized
+            # weight, so the two lists may differ in order
+            assert sorted(gb.elements, key=lambda p: p.terms) == sorted(want, key=lambda p: p.terms), (
+                I, order)
+            at_cap += max(g.degree for g in want) == cap
+    assert at_cap
 
 
 def test_cached_basis_generates_the_same_ideal():
@@ -538,7 +588,8 @@ def test_seeded_groebner_certificates():
             for i in range(1, n)
         ]
         gens = [dict(g.terms) for g in I.generators]
-        graded = [Polynomial(n, g) for o in orders for g in _certify(gens, _order_key(o, n))]
+        # s-pairs of basis elements reach twice the engine's cap of 40
+        graded = [Polynomial(n, g) for o in orders for g in _certify(gens, _order_key(o, n, 80))]
         assert oracles.members_homogeneous(graded, I.generators, n)
 
 
@@ -588,7 +639,7 @@ def test_rational_inputs_match_fraction_division():
     ]
     orders = [GREVLEX, LEX, OrderSpec("grevlex", (3, 1, 2)), GREVLEX.refine((2, 0, 1))]
     for order in orders:
-        key = _order_key(order, 3)
+        key = _order_key(order, 3, DEFAULT_DEGREE_CAP)
         # a non-Groebner divisor list
         for f in fs:
             got = normal_form(f, gens, order)
@@ -624,7 +675,7 @@ def test_normal_form_follows_the_given_weight():
     order = GREVLEX.refine((1, 2))
     got = normal_form(P("x2", 2), [P("x1^3 + x2", 2)], order)
     assert got == P("-x1^3", 2)
-    assert got == _reference_division(P("x2", 2), [P("x1^3 + x2", 2)], order.key_function(2))
+    assert got == _reference_division(P("x2", 2), [P("x1^3 + x2", 2)], order.key_function(2, DEFAULT_DEGREE_CAP))
     # seeded non-homogeneous divisors under a negative weight (a well-order,
     # since every variable then outranks 1) and its shifts by constants
     rng = random.Random(31)
@@ -645,7 +696,7 @@ def test_normal_form_follows_the_given_weight():
         for shift in (0, Fraction(-1, 2), -3):
             order = GREVLEX.refine(tuple(x + shift for x in w))
             got = normal_form(f, G, order)
-            assert got == _reference_division(f, G, order.key_function(3))
+            assert got == _reference_division(f, G, order.key_function(3, DEFAULT_DEGREE_CAP))
             remainders.add(got)
         changed += len(remainders) > 1
     assert changed
@@ -658,3 +709,12 @@ def test_degree_cap_fires_mid_reduction():
     with pytest.raises(DegreeCapExceeded, match="during reduction"):
         normal_form(P("x1^2", 2), divisor, LEX, degree_cap=5)
     assert normal_form(P("x1^2", 2), divisor, LEX, degree_cap=6) == P("1/36*x2^6", 2)
+
+
+def test_normal_form_ranks_input_terms_above_the_cap():
+    # input terms are never cap-checked, so the key must be exact on them:
+    # sized for a cap of 1 alone, it would rank x1^5*x3 above x2^6 and
+    # leave the remainder -x2^6
+    f = P("x2^6 + 2*x1^5*x3", 3)
+    got = normal_form(f, [P("x2^6 + x1^5*x3", 3)], GREVLEX, degree_cap=1)
+    assert got == P("x1^5*x3", 3)

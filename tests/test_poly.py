@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -16,6 +16,7 @@ from gentrop.poly import (
     weight,
 )
 
+import oracles
 from cases import P
 
 
@@ -29,17 +30,17 @@ def test_weight_examples():
 
 def lead(order, f):
     """The exponents of the term of f that ranks highest under ``order``."""
-    key = order.key_function(f.n)
+    key = order.key_function(f.n, f.degree)
     return max((e for e, _ in f.terms), key=key)
 
 
 def test_compare_grevlex_examples():
     # x2^2 vs x1*x3: rightmost difference decides
-    key = GREVLEX.key_function(3)
+    key = GREVLEX.key_function(3, 2)
     assert key((0, 2, 0)) > key((1, 0, 1))
-    assert GREVLEX.key_function(2)((1, 1)) == GREVLEX.key_function(2)((1, 1))
+    assert GREVLEX.key_function(2, 2)((1, 1)) == GREVLEX.key_function(2, 2)((1, 1))
     # weight refinement: smaller weight ranks higher
-    refined = GREVLEX.refine((0, 0, 1)).key_function(3)
+    refined = GREVLEX.refine((0, 0, 1)).key_function(3, 1)
     assert refined((0, 1, 0)) > refined((0, 0, 1))
 
 
@@ -52,7 +53,7 @@ def test_compare_is_strict_total_and_multiplicative():
         GREVLEX.refine((1, 0, 2)),
     ]
     for order in orders:
-        key = order.key_function(3)
+        key = order.key_function(3, 8)
         for _ in range(200):
             a = tuple(rng.randint(0, 4) for _ in range(3))
             b = tuple(rng.randint(0, 4) for _ in range(3))
@@ -64,6 +65,52 @@ def test_compare_is_strict_total_and_multiplicative():
             shift = tuple(x + y for x, y in zip(a, c))
             shift2 = tuple(x + y for x, y in zip(b, c))
             assert (key(shift) > key(shift2)) == (key(a) > key(b))
+
+
+def _vector(rng, n, d):
+    """A seeded exponent vector of total degree d."""
+    cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+
+def test_integer_key_ranks_like_the_tuple_definition():
+    # the integer key must rank every pair of exponent vectors within its
+    # degree bound exactly as the order's tuple definition does, also at
+    # total degree exactly the bound and at field-width boundaries
+    rng = random.Random(41)
+    for n in range(1, 5):
+        weights = [
+            (0,) * n, (3,) * n, tuple(range(n)), tuple(-x for x in range(n)),
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)),
+            (10**15,) + tuple(rng.randint(-10**12, 10**12) for _ in range(n - 1)),
+            tuple(rng.choice((-1, 0, 1)) * Fraction(10**9, 7) for _ in range(n)),
+        ]
+        for perm in permutations(range(1, n + 1)):
+            for base in ("lex", "grevlex"):
+                plain = OrderSpec(base, perm)
+                for order in [plain] + [plain.refine(w) for w in weights]:
+                    ref = oracles.order_key(order, n)
+                    for bound in (0, 1, 7, 8, 40):
+                        key = order.key_function(n, bound)
+                        vecs = [_vector(rng, n, bound) for _ in range(5)]
+                        vecs += [_vector(rng, n, rng.randint(0, bound)) for _ in range(5)]
+                        vecs += [(bound,) + (0,) * (n - 1), (0,) * (n - 1) + (bound,)]
+                        ranked = [(key(a), ref(a), a) for a in vecs]
+                        assert all(type(k) is int for k, _, _ in ranked)
+                        for ka, ta, a in ranked:
+                            for kb, tb, b in ranked:
+                                assert (ka > kb) == (ta > tb) and (ka == kb) == (a == b), (
+                                    order, bound, a, b)
+
+
+def test_terms_are_sorted_by_the_grevlex_definition():
+    rng = random.Random(43)
+    for n in range(1, 5):
+        ref = oracles.order_key(GREVLEX, n)
+        for _ in range(20):
+            f = Polynomial(n, {_vector(rng, n, rng.randint(0, 9)): rng.randint(-3, 3) for _ in range(6)})
+            exps = [e for e, _ in f.terms]
+            assert exps == sorted(exps, key=ref, reverse=True)
 
 
 def test_initial_form_examples():
@@ -217,4 +264,6 @@ def test_order_spec_validation():
     with pytest.raises(ValueError):
         OrderSpec("weird")
     with pytest.raises(ValueError):
-        OrderSpec("grevlex", (1, 1, 2)).key_function(3)
+        OrderSpec("grevlex", (1, 1, 2)).key_function(3, 1)
+    with pytest.raises(ValueError):
+        GREVLEX.refine((1, 2)).key_function(3, 1)
