@@ -2,7 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from operator import mul
 
 import pytest
