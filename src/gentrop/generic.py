@@ -256,8 +256,6 @@ def gin(
     transformed ideal across agreeing transforms.  The result must be
     strongly stable for the order's variable priority; a violation is
     treated as a genericity failure."""
-    if order.weight is not None:
-        order = order.refine(normalize_weight(order.weight, I.n))
     priority = _variable_priority(order, I.n)
 
     def compute(gI: Ideal) -> MonomialIdeal:

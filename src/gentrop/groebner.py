@@ -61,9 +61,13 @@ class Ideal:
     ``buchberger``), so the cap bounds every computation performed, not the
     runs a reused basis skips.  ``images`` maps a frozen GenericityPolicy to
     the tuple of transformed ideals (see ``generic.transformed``).
+    ``initials`` interns the weighted initial ideals (see ``initial_ideal``):
+    it maps a normalized weight, and the generator terms of an initial
+    ideal, to one shared ``Ideal``, so equal initial ideals share their
+    cached bases.
     """
 
-    __slots__ = ("n", "generators", "degree_cap", "gb_cache", "images")
+    __slots__ = ("n", "generators", "degree_cap", "gb_cache", "images", "initials")
 
     def __init__(
         self, n: int, generators: Iterable[Polynomial],
@@ -82,6 +86,7 @@ class Ideal:
         self.degree_cap = degree_cap
         self.gb_cache: dict = {}
         self.images: dict = {}
+        self.initials: dict = {}
 
     def key(self) -> tuple:
         """Hashable identity of the presented ideal (ambient + generators)."""
@@ -389,12 +394,6 @@ def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
     return out
 
 
-def _order_key(order: OrderSpec, n: int, degree_bound: int) -> Callable:
-    if order.weight is not None:
-        order = order.refine(normalize_weight(order.weight, n))
-    return order.key_function(n, degree_bound)
-
-
 # -- public operations ----------------------------------------------------
 
 
@@ -473,14 +472,19 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     memoized in ``I.gb_cache``.
 
     A weight is normalized first (``normalize_weight``), which for a graded
-    ideal changes no lead.  A cached basis whose Groebner cone contains the
-    new order (every element keeps its lead) is served before any run, so
-    the cap bounds every computation performed: a reused basis skips a run
-    that might have aborted."""
+    ideal changes no lead, and one that normalizes to zero is dropped; the
+    basis is cached, ordered and returned under the normalized order.  A
+    cached basis whose Groebner cone contains the new order (every element
+    keeps its lead) is served before any run, so the cap bounds every
+    computation performed: a reused basis skips a run that might have
+    aborted."""
+    if order.weight is not None:
+        wn = normalize_weight(order.weight, I.n)
+        order = OrderSpec(order.base, order.perm, wn if any(wn) else None)
     hit = I.gb_cache.get(order)
     if hit is not None:
         return hit
-    key = _order_key(order, I.n, I.degree_cap)
+    key = order.key_function(I.n, I.degree_cap)
     reused = _cone_hit(I, key)
     if reused is not None:
         reds = sorted(reused, key=lambda r: key(r[0]))
@@ -498,18 +502,29 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     weight, so a form is the lead plus the tail terms of equal weight.  They
     constitute the reduced grevlex basis of the result, so two initial
     ideals computed here are equal iff their generator tuples agree.
+
+    Results are interned in ``I.initials``: every weight with the same
+    initial ideal gets the same ``Ideal``, so later computations on it (a
+    saturation, say) reuse its cached bases.  A weight seen before, up to
+    shift and positive scaling, reads no basis of I.
     """
     wn = normalize_weight(w, I.n)
-    # a weight that normalizes to zero refines nothing: reuse the plain basis
-    refined = GREVLEX.refine(wn) if any(wn) else GREVLEX
+    J = I.initials.get(wn)
+    if J is not None:
+        return J
     gens = []
-    for lm, lc, tail in buchberger(I, refined)._reducers:
+    for lm, lc, tail in buchberger(I, GREVLEX.refine(wn))._reducers:
         low = sum(map(mul, wn, lm))
         form = {e: Fraction(c, lc) for e, c in tail if sum(map(mul, wn, e)) == low}
         form[lm] = 1
         gens.append(Polynomial(I.n, form))
     gens.sort(key=lambda p: p.terms)
-    return Ideal(I.n, gens, I.degree_cap)
+    terms = tuple(p.terms for p in gens)
+    J = I.initials.get(terms)
+    if J is None:
+        J = I.initials[terms] = Ideal(I.n, gens, I.degree_cap)
+    I.initials[wn] = J
+    return J
 
 
 def ideal_equal(I: Ideal, J: Ideal, order: OrderSpec = GREVLEX) -> bool:

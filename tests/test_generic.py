@@ -23,12 +23,14 @@ from gentrop.generic import (
     separating_witness,
     tropical_member,
 )
-from gentrop.groebner import DegreeCapExceeded, buchberger, initial_ideal
+from gentrop.groebner import DegreeCapExceeded, Ideal, buchberger, initial_ideal
 from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of
 from gentrop.poly import GREVLEX, OrderSpec
 
 from cases import (
     codim2_complete_intersection,
+    counting_engine,
+    dense_form,
     ideal,
     policy,
     product_family,
@@ -206,6 +208,33 @@ def test_tropical_member_at_zero_weight():
     pol = policy()
     for I in [smooth_quadric4(), product_family(4, 2), stable_depth_family(5, 3, 1)]:
         assert tropical_member(I, (0,) * I.n, pol)
+
+
+def test_tropical_sweep_bounds_engine_runs(monkeypatch):
+    # the tropical-sweep pass at workload seed 1: 12 pairs of dense quadrics,
+    # alternately in 3 and 4 variables, 16 grid queries each, half of them
+    # with the minimum attained at least three times.  Queries that share an
+    # initial ideal share its saturation runs, so the pass makes at most 260
+    # engine runs (662 when every query built its initial ideal afresh).
+    rng = random.Random("tropical-sweep:1")
+    ideals, queries = [], []
+    for k in range(12):
+        n = 3 + k % 2
+        ideals.append(Ideal(n, [dense_form(n, 2, rng.randrange(10**6)) for _ in range(2)]))
+        for q in range(16):
+            ties = rng.randint(3, n) if q % 2 == 0 else rng.randint(1, 2)
+            low = rng.randint(-3, 2)
+            w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(n - ties)]
+            rng.shuffle(w)
+            queries.append((k, tuple(w)))
+    rng.shuffle(queries)
+    pol = policy(seed=rng.randrange(10**6))
+    dims = [dimension(I) for I in ideals]
+    runs = counting_engine(monkeypatch)
+    for k, w in queries:
+        want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
+        assert tropical_member(ideals[k], w, pol) == want
+    assert 0 < len(runs) <= 260
 
 
 def test_tropical_member_rejects_dim_zero():

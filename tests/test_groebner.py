@@ -163,7 +163,69 @@ def test_initial_ideal_invariance_under_scaling_and_shift():
         lam = rng.randint(1, 4)
         c = rng.randint(-5, 5)
         w2 = tuple(lam * x + c for x in w)
-        assert initial_ideal(I, w).generators == initial_ideal(I, w2).generators
+        # a fresh parent, so the second ideal is computed, not interned
+        assert initial_ideal(I, w).generators == initial_ideal(Ideal(3, I.generators), w2).generators
+
+
+def test_initial_ideals_are_interned_on_their_parent():
+    # every weight with the same initial ideal gets one Ideal object, with
+    # the generators a fresh parent computes and the parent's cap
+    ideals = [random_graded_ideal(n, seed, gens=2 + seed % 2) for n in (3, 4) for seed in range(2)]
+    for seed in range(2):
+        ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)], degree_cap=30))
+        ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)], degree_cap=30))
+    rng = random.Random(41)
+    shared = 0
+    for I in ideals:
+        n = I.n
+        by_gens: dict = {}
+        for w in product(range(3), repeat=n):
+            J = initial_ideal(I, w)
+            assert J.degree_cap == I.degree_cap
+            lam, c = rng.randint(2, 5), rng.randint(-4, 4)
+            assert initial_ideal(I, tuple(lam * x for x in w)) is J
+            assert initial_ideal(I, tuple(x + c for x in w)) is J
+            assert initial_ideal(I, tuple(Fraction(lam * x + c, 3) for x in w)) is J
+            fresh = initial_ideal(Ideal(n, I.generators, I.degree_cap), w)
+            assert J.generators == fresh.generators
+            by_gens.setdefault(J.generators, []).append((normalize_weight(w, n), J))
+        # weights with equal initial ideals (one open Groebner cone) share
+        # the object; different initial ideals never do
+        for found in by_gens.values():
+            assert all(J is found[0][1] for _, J in found)
+            shared += len({wn for wn, _ in found}) > 1
+        assert len({id(found[0][1]) for found in by_gens.values()}) == len(by_gens) > 1
+        # the memo reads nothing of the parent once a weight is known
+        I.gb_cache.clear()
+        assert initial_ideal(I, (2,) * (n - 1) + (3,)) is initial_ideal(I, (0,) * (n - 1) + (1,))
+        assert not I.gb_cache
+        # containment on a shared ideal, after its other uses, is that of a
+        # fresh ideal with the same generators
+        for gens, found in by_gens.items():
+            J = found[0][1]
+            assert contains_monomial(J) == contains_monomial(Ideal(n, gens, I.degree_cap))
+    assert shared
+
+
+def test_weighted_bases_are_cached_under_the_normalized_order(monkeypatch):
+    # shifts and positive multiples of a weight, and weights that normalize
+    # to zero, are one order: one engine run and one cache entry, with the
+    # elements ascending under the order they are cached under
+    runs = counting_engine(monkeypatch)
+    base = OrderSpec("grevlex", (3, 2, 1))
+    for weights, want in [
+        ([(2, 2, 2), (5, 5, 5), (0, 0, 0), None], base),
+        ([(0, 1, 2), (3, 5, 7), (-2, 0, 2), (Fraction(1, 2), 1, Fraction(3, 2))], base.refine((0, 1, 2))),
+    ]:
+        I = Ideal(3, [dense_form(3, 2, 0), dense_form(3, 2, 1)])
+        before = len(runs)
+        got = [buchberger(I, base if w is None else base.refine(w)) for w in weights]
+        assert len(runs) == before + 1
+        assert list(I.gb_cache) == [want]
+        assert all(gb is got[0] for gb in got) and got[0].order == want
+        key = want.key_function(3, I.degree_cap)
+        leads = [key(e) for e in got[0].leads]
+        assert leads == sorted(leads) and len(set(leads)) == len(leads)
 
 
 def test_refined_order_initial_forms_give_same_ideal():
@@ -417,7 +479,9 @@ def test_cone_reuse_matches_a_fresh_run(monkeypatch):
                 hits += 1
             else:
                 misses += 1
-            assert got.order == order
+            # bases are cached under the normalized order
+            wn = normalize_weight(w, n)
+            assert got.order == (GREVLEX.refine(wn) if any(wn) else GREVLEX)
             assert got.elements == want.elements and got.leads == want.leads
             assert initial_ideal(I, w).generators == initial_ideal(Ideal(n, I.generators), w).generators
     assert hits and misses
@@ -570,8 +634,6 @@ def test_seeded_groebner_certificates():
     # and dense ideals under every order kind the package uses, including
     # the grevlex orders with x_i last that saturation steps use, and check
     # membership of the bases with the linear-algebra oracle
-    from gentrop.groebner import _order_key
-
     ideals = [random_graded_ideal(n, seed, gens=2 + seed % 3) for n in (3, 4) for seed in range(3)]
     for seed in range(3):
         ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
@@ -589,7 +651,7 @@ def test_seeded_groebner_certificates():
         ]
         gens = [dict(g.terms) for g in I.generators]
         # s-pairs of basis elements reach twice the engine's cap of 40
-        graded = [Polynomial(n, g) for o in orders for g in _certify(gens, _order_key(o, n, 80))]
+        graded = [Polynomial(n, g) for o in orders for g in _certify(gens, o.key_function(n, 80))]
         assert oracles.members_homogeneous(graded, I.generators, n)
 
 
@@ -625,8 +687,6 @@ def _reference_division(f, G, key):
 def test_rational_inputs_match_fraction_division():
     # non-primitive rational coefficients and negative leading coefficients:
     # the integer engine must return the remainder of exact rational division
-    from gentrop.groebner import _order_key
-
     gens = [
         P("-3/4*x1^2 + 6*x1*x2 + 1/2*x2^2", 3),
         P("-2*x1*x2 + 1/3*x2*x3 - 6*x3^2", 3),
@@ -639,7 +699,7 @@ def test_rational_inputs_match_fraction_division():
     ]
     orders = [GREVLEX, LEX, OrderSpec("grevlex", (3, 1, 2)), GREVLEX.refine((2, 0, 1))]
     for order in orders:
-        key = _order_key(order, 3, DEFAULT_DEGREE_CAP)
+        key = order.key_function(3, DEFAULT_DEGREE_CAP)
         # a non-Groebner divisor list
         for f in fs:
             got = normal_form(f, gens, order)
