@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Callable, Iterable, Sequence
 
@@ -37,7 +36,7 @@ from .invariants import (
     is_strongly_stable,
     monomial_ideal_of,
 )
-from .poly import GREVLEX, OrderSpec, Polynomial, normalize_weight
+from .poly import GREVLEX, OrderSpec, normalize_weight
 
 CM = "CM"
 ALMOST_CM = "almostCM"
@@ -153,10 +152,8 @@ def _mul_dicts(a: dict, b: dict) -> dict:
 
 def apply_transform(I: Ideal, g: Transform) -> Ideal:
     """The ideal generated by the images of the generators under g, with the
-    degree cap of I.
-
-    Images are expanded with integer coefficients (each generator scaled by
-    the common denominator of its coefficients) and divided back once."""
+    degree cap of I.  Images of the integer forms are expanded over the
+    integers."""
     if g.n != I.n:
         raise ValueError("transform size does not match the ambient ring")
     n = I.n
@@ -183,14 +180,12 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
         return p
 
     gens = []
-    for f in I.generators:
-        den = lcm(*(c.denominator for _, c in f.terms))
+    for f in I.forms:
         acc: dict = {}
-        for exps, c in f.terms:
-            m = c.numerator * (den // c.denominator)
+        for exps, c in f:
             for e, v in image(exps).items():
-                acc[e] = acc.get(e, 0) + m * v
-        gens.append(Polynomial(n, {e: Fraction(v, den) for e, v in acc.items() if v}))
+                acc[e] = acc.get(e, 0) + c * v
+        gens.append({e: v for e, v in acc.items() if v})
     return Ideal(n, gens, I.degree_cap)
 
 
@@ -300,14 +295,12 @@ def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:
 def _same_initial(I: Ideal, points: Sequence, policy: GenericityPolicy, what: str) -> bool:
     """Whether the transformed ideals' grevlex-refined initial ideals at
     ``points`` all coincide, agreed across transforms; stops at the first
-    point that differs from the first."""
+    point that differs from the first.  Equal initial ideals of one ideal
+    are one interned ``Ideal`` (see ``initial_ideal``)."""
 
     def compute(gI: Ideal) -> bool:
-        first = initial_ideal(gI, points[0]).generators
-        return all(
-            initial_ideal(gI, w).generators == first
-            for w in points[1:]
-        )
+        first = initial_ideal(gI, points[0])
+        return all(initial_ideal(gI, w) is first for w in points[1:])
 
     return agreed(I, policy, compute, what)
 

@@ -3,17 +3,18 @@ ideals, lex elimination, monomial saturation and the monomial-containment
 test, all of graded ideals.
 
 All arithmetic is exact.  The engine reduces fraction-free over the
-integers: basis elements are kept primitive (content 1, positive leading
-coefficient).  A ``GroebnerBasis`` holds these integer reducers; its leads
-and weighted initial ideals are read from them, and its monic Fraction
-``Polynomial`` elements are built only when first read.  The remainders of
-``normal_form`` are exact over the rationals.  S-pairs are pruned
-by the Gebauer-Moeller criteria (B, M and F, which includes the coprimality
-criterion) and taken from a heap by the normal strategy (smallest lcm degree
-first).  Every sort and tie-break is fixed, so identical inputs produce
-bit-identical output.  Each ``Ideal`` carries a degree cap (default 40) that
-aborts runaway computations on it with ``DegreeCapExceeded`` instead of
-hanging.
+integers: an ``Ideal`` keeps its generators, and a ``GroebnerBasis`` its
+elements, as primitive integer polynomials (content 1, positive leading
+coefficient).  Leads, weighted initial ideals and derived ideals are read
+from them, and monic Fraction ``Polynomial``s are built only when first
+read.  The remainders of ``normal_form`` are exact over the rationals.
+Generators enter a run reduced by the basis so far, as s-polynomials do.
+S-pairs are pruned by the Gebauer-Moeller criteria (B, M and F, which
+includes the coprimality criterion) and taken from a heap by the normal
+strategy (smallest lcm degree first).  Every sort and tie-break is fixed,
+so identical inputs produce bit-identical output.  Each ``Ideal`` carries
+a degree cap (default 40) that aborts runaway computations on it with
+``DegreeCapExceeded`` instead of hanging.
 """
 
 from __future__ import annotations
@@ -51,46 +52,62 @@ class Ideal:
     every computation on it and memos of its reduced bases and of its
     generic transforms.
 
-    Generators must be homogeneous in the standard grading.  Every Groebner
-    computation on the ideal runs under ``degree_cap``, and every ideal
-    derived from it (transformed, initial, saturated, eliminated) inherits
-    the cap, so one cap bounds a whole analysis.  The ideal is the only
-    place results are cached, and every entry was computed under its one
-    cap.  ``gb_cache`` maps an OrderSpec to the reduced basis; a cached basis
-    also serves any order whose Groebner cone contains it (see
-    ``buchberger``), so the cap bounds every computation performed, not the
-    runs a reused basis skips.  ``images`` maps a frozen GenericityPolicy to
-    the tuple of transformed ideals (see ``generic.transformed``).
-    ``initials`` interns the weighted initial ideals (see ``initial_ideal``):
-    it maps a normalized weight, and the generator terms of an initial
-    ideal, to one shared ``Ideal``, so equal initial ideals share their
-    cached bases.
+    Generators are homogeneous ``Polynomial``s or integer dicts
+    {exponents: int}.  ``forms`` holds them as primitive integer forms
+    ((exponents, int) terms in grevlex order, content 1, positive leading
+    coefficient), so scalar multiples give equal ``key()``s; ``generators``
+    are their monic ``Polynomial``s, in input order, built when first read.
+    Every Groebner computation on the ideal runs under ``degree_cap``, and
+    every ideal derived from it (transformed, initial, saturated,
+    eliminated) inherits the cap, so one cap bounds a whole analysis.  The
+    ideal is the only place results are cached, and every entry was
+    computed under its one cap.  ``gb_cache`` maps an OrderSpec to the
+    reduced basis; a cached basis also serves any order whose Groebner cone
+    contains it (see ``buchberger``), so the cap bounds every computation
+    performed, not the runs a reused basis skips.  ``images`` maps a frozen
+    GenericityPolicy to the tuple of transformed ideals (see
+    ``generic.transformed``).  ``initials`` interns the weighted initial
+    ideals (see ``initial_ideal``): it maps a normalized weight, and the
+    forms of an initial ideal, to one shared ``Ideal``, so equal initial
+    ideals share their cached bases.
     """
 
-    __slots__ = ("n", "generators", "degree_cap", "gb_cache", "images", "initials")
+    __slots__ = ("n", "forms", "degree_cap", "gb_cache", "images", "initials", "_generators")
 
-    def __init__(
-        self, n: int, generators: Iterable[Polynomial],
-        degree_cap: int = DEFAULT_DEGREE_CAP,
-    ):
-        gens = tuple(g for g in generators if g)
-        if not gens:
+    def __init__(self, n: int, generators: Iterable, degree_cap: int = DEFAULT_DEGREE_CAP):
+        forms = []
+        for g in generators:
+            if isinstance(g, Polynomial):
+                if g.n != n:
+                    raise ValueError("generator has wrong ambient variable count")
+                g = dict(g.terms)
+            if not g:
+                continue
+            degree = sum(next(iter(g)))
+            if any(sum(e) != degree for e in g):
+                raise NotGradedError(f"non-homogeneous generator: {Polynomial(n, g)}")
+            key = GREVLEX.key_function(n, degree)
+            terms = sorted(g.items(), key=lambda t: key(t[0]), reverse=True)
+            forms.append(tuple(_primitive(dict(terms), terms[0][0]).items()))
+        if not forms:
             raise ValueError("the zero ideal is not supported")
-        for g in gens:
-            if g.n != n:
-                raise ValueError("generator has wrong ambient variable count")
-            if not g.is_homogeneous():
-                raise NotGradedError(f"non-homogeneous generator: {g}")
         self.n = n
-        self.generators = gens
+        self.forms = tuple(forms)
         self.degree_cap = degree_cap
         self.gb_cache: dict = {}
         self.images: dict = {}
         self.initials: dict = {}
+        self._generators = None
+
+    @property
+    def generators(self) -> tuple:
+        if self._generators is None:
+            self._generators = tuple(Polynomial(self.n, _monic(*f[0], f[1:])) for f in self.forms)
+        return self._generators
 
     def key(self) -> tuple:
-        """Hashable identity of the presented ideal (ambient + generators)."""
-        return (self.n, self.generators)
+        """Hashable identity of the presented ideal (ambient + forms)."""
+        return (self.n, self.forms)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -119,7 +136,7 @@ class GroebnerBasis:
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = tuple(Polynomial(self.n, _monic(r)) for r in self._reducers)
+            self._elements = tuple(Polynomial(self.n, _monic(*r)) for r in self._reducers)
         return self._elements
 
     def has_monomial_initial_form(self, w) -> bool:
@@ -159,7 +176,7 @@ class GroebnerBasis:
 # non-leading terms.  Every engine polynomial is a nonzero rational multiple
 # of the monic one, so leads, pair decisions and reduced bases are those of
 # division over the rationals; ``_primitive`` and ``_monic`` convert at the
-# boundary.
+# boundary, where ``Ideal`` and ``normal_form`` meet ``Polynomial``s.
 
 def _divides(a, b) -> bool:
     for x, y in zip(a, b):
@@ -170,10 +187,6 @@ def _divides(a, b) -> bool:
 
 def _lcm(a, b) -> tuple:
     return tuple(map(max, a, b))
-
-
-def _lead(d: dict, key: Callable) -> tuple:
-    return max(d, key=key)
 
 
 def _primitive(d: dict, lm=None) -> dict:
@@ -197,6 +210,13 @@ def _primitive(d: dict, lm=None) -> dict:
     return {e: c // g for e, c in ints.items()}
 
 
+def _poly(r: tuple) -> dict:
+    """The integer polynomial of a reducer, as {exponents: int}."""
+    d = dict(r[2])
+    d[r[0]] = r[1]
+    return d
+
+
 def _reducer(d: dict, lm) -> tuple:
     """The reducer (lm, lc, tail) of the primitive multiple of d."""
     d = _primitive(d, lm)
@@ -204,16 +224,11 @@ def _reducer(d: dict, lm) -> tuple:
     return lm, lc, tuple(d.items())
 
 
-def _monic(r: tuple) -> dict:
-    """The monic rational polynomial of a reducer, as {exponents: Fraction}."""
-    lm, lc, tail = r
-    out = {lm: Fraction(1)}
-    if lc == 1:
-        for e, c in tail:
-            out[e] = Fraction(c)
-    else:
-        for e, c in tail:
-            out[e] = Fraction(c, lc)
+def _monic(lm, lc: int, tail) -> dict:
+    """The monic rational polynomial of the integer polynomial with leading
+    term lc * x^lm and non-leading terms ``tail``, as {exponents: Fraction}."""
+    out = {e: Fraction(c, lc) for e, c in tail}
+    out[lm] = Fraction(1)
     return out
 
 
@@ -300,12 +315,16 @@ def _spair_poly(ri: tuple, rj: tuple) -> dict:
     return acc
 
 
-def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
-    """Reduced Groebner basis of the ideal generated by ``gens`` (dicts with
-    int or Fraction values).
+def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int) -> list:
+    """Reduced Groebner basis of the ideal generated by ``gens``, integer
+    polynomials {exponents: int}.
 
-    Returns primitive reducers (lm, lc, tail) sorted ascending by the key of
-    the leading monomial.
+    Each generator is checked against ``cap``, then enters the basis as its
+    normal form by the basis built so far, as an s-polynomial does.  So no
+    lead divides a later one, and ``active``, the elements whose lead no
+    later lead divides, is the minimal basis (Gebauer and Moeller 1988).
+    Returns its primitive reducers (lm, lc, tail), tail-reduced and sorted
+    ascending by the key of the leading monomial.
     """
     basis: list = []      # reducers (lm, lc, tail)
     active: set = set()   # indices whose lead no later lead divides
@@ -349,8 +368,13 @@ def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
         basis.append(_reducer(d, lm))
 
     for d in gens:
-        if d:
-            push(d, _lead(d, key))
+        # the cap binds a generator that reduces to zero too
+        degree = max(map(sum, d))
+        if degree > cap:
+            raise DegreeCapExceeded(f"generator degree {degree} exceeds cap {cap}")
+        r, lm, _ = _nf_dict(d, basis, key, cap)
+        if r:
+            push(r, lm)
 
     while heap:
         _, _, i, j = heappop(heap)
@@ -361,34 +385,14 @@ def _buchberger_dicts(gens: list, key: Callable, cap: int) -> list:
         if r:
             push(r, lm)
 
-    # minimalize: drop elements whose lead is strictly divisible by another
-    # lead (weighted orders are not well-orders across degrees, so key order
-    # says nothing about divisibility; check all pairs)
-    order_idx = sorted(range(len(basis)), key=lambda i: key(basis[i][0]))
-    kept: list = []
-    for rank, i in enumerate(order_idx):
-        lm = basis[i][0]
-        drop = False
-        for other_rank, j in enumerate(order_idx):
-            if i == j:
-                continue
-            lm_j = basis[j][0]
-            if _divides(lm_j, lm) and (lm_j != lm or other_rank < rank):
-                drop = True
-                break
-        if not drop:
-            kept.append(basis[i])
-
+    kept = [basis[i] for i in sorted(active, key=lambda i: key(basis[i][0]))]
     # tail-reduce each kept element against the others; no other lead
     # divides its lead, so the order of ``kept`` is the order of the output
     out = []
     for idx, r in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        lm, lc, tail = r
-        if any(_divides(o[0], e) for e, _ in tail for o in others):
-            d = dict(tail)
-            d[lm] = lc
-            red, rlm, _ = _nf_dict(d, others, key, cap)
+        if any(_divides(o[0], e) for e, _ in r[2] for o in others):
+            red, rlm, _ = _nf_dict(_poly(r), others, key, cap)
             r = _reducer(red, rlm)
         out.append(r)
     return out
@@ -422,7 +426,7 @@ def normal_form(
     prepared = []
     for g in G:
         d = dict(g.terms)
-        prepared.append(_reducer(d, _lead(d, key)))
+        prepared.append(_reducer(d, max(d, key=key)))
     prepared.sort(key=lambda r: key(r[0]))
     F = _primitive(dict(f.terms))
     R, _, scale = _nf_dict(F, prepared, key, degree_cap)
@@ -489,7 +493,7 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     if reused is not None:
         reds = sorted(reused, key=lambda r: key(r[0]))
     else:
-        reds = _buchberger_dicts([dict(g.terms) for g in I.generators], key, I.degree_cap)
+        reds = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap)
     gb = I.gb_cache[order] = GroebnerBasis(order, I.n, reds)
     return gb
 
@@ -500,30 +504,28 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     Generators are the initial forms of the reduced basis with respect to the
     w-refined grevlex order, read from its reducers: the lead has minimal
     weight, so a form is the lead plus the tail terms of equal weight.  They
-    constitute the reduced grevlex basis of the result, so two initial
-    ideals computed here are equal iff their generator tuples agree.
+    constitute the reduced grevlex basis of the result; taken in the order
+    of their leads, two initial ideals computed here are equal iff their
+    ``forms`` agree.
 
-    Results are interned in ``I.initials``: every weight with the same
-    initial ideal gets the same ``Ideal``, so later computations on it (a
-    saturation, say) reuse its cached bases.  A weight seen before, up to
-    shift and positive scaling, reads no basis of I.
+    Results are interned in ``I.initials`` by their forms: every weight with
+    the same initial ideal gets the same ``Ideal``, so later computations on
+    it (a saturation, say) reuse its cached bases, and equal initial ideals
+    of I are one object.  A weight seen before, up to shift and positive
+    scaling, reads no basis of I.
     """
     wn = normalize_weight(w, I.n)
     J = I.initials.get(wn)
     if J is not None:
         return J
-    gens = []
-    for lm, lc, tail in buchberger(I, GREVLEX.refine(wn))._reducers:
+    forms = []
+    for lm, lc, tail in sorted(buchberger(I, GREVLEX.refine(wn))._reducers):
         low = sum(map(mul, wn, lm))
-        form = {e: Fraction(c, lc) for e, c in tail if sum(map(mul, wn, e)) == low}
-        form[lm] = 1
-        gens.append(Polynomial(I.n, form))
-    gens.sort(key=lambda p: p.terms)
-    terms = tuple(p.terms for p in gens)
-    J = I.initials.get(terms)
-    if J is None:
-        J = I.initials[terms] = Ideal(I.n, gens, I.degree_cap)
-    I.initials[wn] = J
+        form = {e: c for e, c in tail if sum(map(mul, wn, e)) == low}
+        form[lm] = lc
+        forms.append(form)
+    J = Ideal(I.n, forms, I.degree_cap)
+    J = I.initials[wn] = I.initials.setdefault(J.forms, J)
     return J
 
 
@@ -531,7 +533,7 @@ def ideal_equal(I: Ideal, J: Ideal, order: OrderSpec = GREVLEX) -> bool:
     """Equality via uniqueness of the reduced Groebner basis."""
     if I.n != J.n:
         raise ValueError("ambient variable counts differ")
-    return buchberger(I, order).elements == buchberger(J, order).elements
+    return buchberger(I, order)._reducers == buchberger(J, order)._reducers
 
 
 def eliminate(I: Ideal, drop) -> Ideal:
@@ -546,7 +548,9 @@ def eliminate(I: Ideal, drop) -> Ideal:
         raise ValueError("drop must be a proper subset of the variables")
     rest = tuple(i for i in range(1, I.n + 1) if i not in drop)
     gb = buchberger(I, OrderSpec("lex", drop + rest))
-    kept = [g for g in gb.elements if all(e[i - 1] == 0 for e, _ in g.terms for i in drop)]
+    # lex ranks every term with a dropped variable above every term
+    # without, so an element is free of them iff its lead is
+    kept = [_poly(r) for r in gb._reducers if not any(r[0][i - 1] for i in drop)]
     if not kept:
         raise ValueError("elimination ideal is zero")
     return Ideal(I.n, kept, I.degree_cap)
@@ -580,7 +584,7 @@ def _saturation(I: Ideal, f: Polynomial, stop=None) -> Ideal | None:
             return None
         if any(lm[i] for lm, _, _ in gb._reducers):
             J = Ideal(n, [
-                Polynomial(n, {e[:i] + (e[i] - r[0][i],) + e[i + 1:]: c for e, c in _monic(r).items()})
+                {e[:i] + (e[i] - r[0][i],) + e[i + 1:]: c for e, c in _poly(r).items()}
                 for r in gb._reducers
             ], I.degree_cap)
     return J
@@ -592,7 +596,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     other f raises ``ValueError``.  See ``_saturation``."""
     J = _saturation(I, f)
     gb = buchberger(J, GREVLEX)
-    S = Ideal(I.n, gb.elements, I.degree_cap)
+    S = Ideal(I.n, map(_poly, gb._reducers), I.degree_cap)
     S.gb_cache[GREVLEX] = J.gb_cache[GREVLEX]
     return S
 
@@ -600,7 +604,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
 def is_unit_ideal(I: Ideal) -> bool:
     """True iff I = (1): a graded ideal contains 1 iff one of its
     generators is a nonzero constant."""
-    return any(g.degree == 0 for g in I.generators)
+    return any(not any(f[0][0]) for f in I.forms)
 
 
 def contains_monomial(I: Ideal) -> bool:
@@ -612,9 +616,8 @@ def contains_monomial(I: Ideal) -> bool:
     step for x_1 starts from holds a power of x_1, the least monomial of its
     degree under grevlex with x_1 last, so that step's basis has an element
     x_1^k; no further basis is needed."""
-    for g in I.generators:
-        if g.is_monomial():
-            return True
+    if any(len(f) == 1 for f in I.forms):
+        return True
     prod = Polynomial.monomial(I.n, (1,) * I.n)
     return _saturation(
         I, prod, lambda gb: any(not tail for _, _, tail in gb._reducers)

@@ -51,8 +51,12 @@ def minimalize(n: int, gens: Iterable) -> MonomialIdeal:
 
 
 def monomial_ideal_of(I: Ideal, order: OrderSpec = GREVLEX) -> MonomialIdeal:
-    """The leading-monomial ideal of I as a MonomialIdeal."""
-    return minimalize(I.n, buchberger(I, order).leads)
+    """The leading-monomial ideal of I as a MonomialIdeal.  The leads of a
+    reduced basis are its minimal generators; they are listed in ascending
+    grevlex order, as ``minimalize`` lists them."""
+    leads = buchberger(I, order).leads
+    key = GREVLEX.key_function(I.n, max(map(sum, leads)))
+    return MonomialIdeal(I.n, tuple(sorted(leads, key=key)))
 
 
 def monomial_dimension(M: MonomialIdeal) -> int:
@@ -246,12 +250,9 @@ def certify_maximal_gdepth(I: Ideal) -> bool:
     """True when all generic initial ideals of I provably share its depth:
     the certificate implemented here is that I is itself a strongly stable
     monomial ideal.  False means unknown, not a refutation."""
-    exps = []
-    for g in I.generators:
-        if not g.is_monomial():
-            return False
-        exps.append(g.terms[0][0])
-    return is_strongly_stable(minimalize(I.n, exps))
+    if any(len(f) > 1 for f in I.forms):
+        return False
+    return is_strongly_stable(minimalize(I.n, [f[0][0] for f in I.forms]))
 
 
 def gdepth_family_bound(I: Ideal, policy, perms=None) -> int:

@@ -128,6 +128,80 @@ def test_tropical_identity_and_generic(tmp_path, capsys):
     assert report["initial_ideal"]
 
 
+RATIONAL_PAIR = """\
+ring 4
+2*x1^2 - 3/2*x2*x3 + 5*x4^2
+3*x1*x2 + 7/3*x3^2 - x2*x4
+"""
+
+# (omega, --identity) -> (member, initial_ideal) of ``gentrop tropical`` on
+# RATIONAL_PAIR at the default seed; ``tropical`` is the one report that
+# prints the generators of a derived ideal
+TROPICAL_PINS = {
+    ("0,0,0,1", False): (True, [
+        "x1*x2 + 16923213669335/45711504846109*x2^2 - 23272794714990/45711504846109*x1*x3 - 60980002443496/45711504846109*x2*x3 - 43262939696404/45711504846109*x3^2",
+        "x1^2 + 2388296879634/45711504846109*x2^2 - 29603625358156/45711504846109*x1*x3 + 51244086374962/45711504846109*x2*x3 + 62072577881532/45711504846109*x3^2",
+        "x2^3 + 39755555423384250659700194923258406600792/18081999648263856302129618915635488936079*x2^2*x3 + 146106342659139590222347174058620667643784/18081999648263856302129618915635488936079*x1*x3^2 + 105164688790603166439514094918624508413572/18081999648263856302129618915635488936079*x2*x3^2 - 21023712328631450867173719421906608864480/18081999648263856302129618915635488936079*x3^3",
+    ]),
+    ("0,0,0,1", True): (True, [
+        "x1*x2 + 7/9*x3^2",
+        "x1^2 - 3/4*x2*x3",
+        "x2^2*x3 + 28/27*x1*x3^2",
+    ]),
+    ("5,0,5,5", False): (False, [
+        "x1*x2 - 11078753324563/1194148439817*x2*x3 - 6080517579625/1194148439817*x2*x4",
+        "x1^4 - 1558988144250253829580244102/395567805285303588785586331*x1^3*x3 + 3261234363098659259215514576/395567805285303588785586331*x1^2*x3^2 - 3402311719492218353920919840/395567805285303588785586331*x1*x3^3 + 1397248470451045875190684192/395567805285303588785586331*x3^4 + 1772806803251018892221391384/395567805285303588785586331*x1^3*x4 - 3622151694168409470114352370/395567805285303588785586331*x1^2*x3*x4 + 4194374696340793341390934432/395567805285303588785586331*x1*x3^2*x4 - 1915169121263372716004761984/395567805285303588785586331*x3^3*x4 + 3696789606545162110330448654/395567805285303588785586331*x1^2*x4^2 - 3534088161820424860589612794/395567805285303588785586331*x1*x3*x4^2 + 1806754252158935147121674984/395567805285303588785586331*x3^2*x4^2 + 3883400140883890729986064464/395567805285303588785586331*x1*x4^3 - 1220898314431065108606703406/395567805285303588785586331*x3*x4^3 + 1693331174384135187283986991/395567805285303588785586331*x4^4",
+        "x2*x3^2 + 2979940020936996397329679259299265850220/1984219571188190463027042630841813887491*x2*x3*x4 + 1120365529232251377290248742927863501256/1984219571188190463027042630841813887491*x2*x4^2",
+        "x2^2",
+    ]),
+    ("5,0,5,5", True): (False, [
+        "x1*x2 - 1/3*x2*x4",
+        "x1^3 + 7/12*x3^3 - 1/3*x1^2*x4 + 5/2*x1*x4^2 - 5/6*x4^3",
+        "x2*x3",
+    ]),
+    ("3,1,0,2", False): (False, [
+        "x2*x3",
+        "x2^3",
+        "x3^2",
+    ]),
+    ("3,1,0,2", True): (False, [
+        "x2*x3",
+        "x2^2*x4 - 70/9*x3*x4^2",
+        "x3^2",
+    ]),
+    ("0,0,1,1", False): (False, [
+        "x1*x2 + 16923213669335/45711504846109*x2^2",
+        "x1^2 + 2388296879634/45711504846109*x2^2",
+        "x2^3",
+    ]),
+    ("0,0,1,1", True): (False, [
+        "x1*x2",
+        "x1^2",
+        "x2^2*x3",
+    ]),
+    ("1/2,0,5,-1", False): (False, [
+        "x2*x4",
+        "x2^3 - 26038302674766132179687195024607331954374/1421617815771077404493293898225218273897*x1^2*x4",
+        "x4^2",
+    ]),
+    ("1/2,0,5,-1", True): (False, [
+        "x1^2*x2",
+        "x2*x4",
+        "x4^2",
+    ]),
+}
+
+
+
+@pytest.mark.parametrize("omega, identity", list(TROPICAL_PINS))
+def test_tropical_reports_are_pinned(tmp_path, capsys, omega, identity):
+    path = write(tmp_path, "pair.ideal", RATIONAL_PAIR)
+    argv = ["tropical", path, "--omega", omega] + ["--identity"] * identity
+    code, report = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert (report["member"], report["initial_ideal"]) == TROPICAL_PINS[omega, identity]
+
+
 def test_tropical_rejects_bad_omega(tmp_path, capsys):
     path = write(tmp_path, "prod.ideal", PRODUCT_FAMILY_2)
     code, _ = run(capsys, "tropical", path, "--omega", "0,1")

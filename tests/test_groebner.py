@@ -320,12 +320,14 @@ def _aux_saturation(I, f):
             raise AssertionError(f"x-degree of {e} exceeds the key's bound {bound}")
         return sum(map(mul, v, e))
 
-    lifted = [{e + (0,): c for e, c in g.terms} for g in I.generators]
-    aux = {e + (1,): -c for e, c in f.terms}
-    aux[(0,) * (n + 1)] = 1
+    # the engine takes integer polynomials: the forms of I, and 1 - y*x^e
+    # for the monomial f = c*x^e, whose coefficient c does not matter
+    lifted = [{e + (0,): c for e, c in form} for form in I.forms]
+    ((e, _),) = f.terms
+    aux = {e + (1,): -1, (0,) * (n + 1): 1}
     reds = _buchberger_dicts(lifted + [aux], block_key, 40)
     return [
-        Polynomial(n, {e[:-1]: c for e, c in _monic(r).items()})
+        Polynomial(n, {e[:-1]: c for e, c in _monic(*r).items()})
         for r in reds
         if r[0][n] == 0 and all(e[n] == 0 for e, _ in r[2])
     ]
@@ -391,6 +393,48 @@ def test_graded_validation_and_errors():
     with pytest.raises(DegreeCapExceeded):
         # artificial cap of 1 cannot even hold the generators
         buchberger(ideal(2, "x1^2 + x2^2", degree_cap=1))
+
+
+def test_ideal_stores_primitive_integer_forms():
+    # rational and non-monic generators are kept as primitive integer forms
+    # (content 1, positive grevlex leading coefficient); ``generators`` reads
+    # them back as their monic multiples, in input order
+    I = ideal(3, "-3/2*x3^2 + 6*x1*x2", "4*x1 - 2/3*x2 + 8/3*x3", "-x2^3")
+    assert I.forms == (
+        (((1, 1, 0), 4), ((0, 0, 2), -1)),
+        (((1, 0, 0), 6), ((0, 1, 0), -1), ((0, 0, 1), 4)),
+        (((0, 3, 0), 1),),
+    )
+    assert gens_of(I) == ["x1*x2 - 1/4*x3^2", "x1 - 1/6*x2 + 2/3*x3", "x2^3"]
+    # scalar multiples of a generator, and integer dicts, give equal keys
+    same = [
+        ideal(3, "x1*x2 - 1/4*x3^2", "-12*x1 + 2*x2 - 8*x3", "7*x2^3"),
+        Ideal(3, [{(0, 0, 2): 1, (1, 1, 0): -4}, {(0, 1, 0): 5, (1, 0, 0): -30, (0, 0, 1): -20},
+                  {(0, 3, 0): -2}]),
+    ]
+    for J in same:
+        assert J.key() == I.key() and J.forms == I.forms and gens_of(J) == gens_of(I)
+    assert ideal(3, "-x2^3", "x1*x2 - 1/4*x3^2").key() != ideal(3, "x1*x2 - 1/4*x3^2", "-x2^3").key()
+    assert Ideal(2, [{(1, 0): 2}], degree_cap=7).degree_cap == 7
+    with pytest.raises(NotGradedError):
+        Ideal(2, [{(1, 0): 1, (0, 2): 1}])
+    with pytest.raises(ValueError, match="zero ideal"):
+        Ideal(2, [{}, Polynomial.zero(2)])
+    with pytest.raises(ValueError, match="variable count"):
+        Ideal(2, [P("x1", 3)])
+
+
+@pytest.mark.parametrize("gens, cap", [
+    (("x1", "x1^5"), 3),
+    (("x1*x2", "x1^4*x2"), 3),
+    (("x1^2 + x2^2", "x1^5 + x1^3*x2^2"), 4),
+])
+def test_a_redundant_generator_above_the_cap_raises(gens, cap):
+    # the second generator is a multiple of the first, so it reduces to zero
+    # without making a term of a new monomial, but the cap binds it too
+    for order in (GREVLEX, LEX, GREVLEX.refine((1, 0))):
+        with pytest.raises(DegreeCapExceeded, match=f"exceeds cap {cap}"):
+            buchberger(ideal(2, *gens, degree_cap=cap), order)
 
 
 def test_derived_ideals_carry_the_parent_cap():
@@ -608,7 +652,7 @@ def _certify(gens, key):
     is the reduced Groebner basis of the ideal they generate, if it lies in
     that ideal: every s-pair and every generator reduces to zero, and the
     basis is reduced.  Returns the basis as monic dicts."""
-    from gentrop.groebner import _buchberger_dicts, _monic, _nf_dict, _primitive, _spair_poly
+    from gentrop.groebner import _buchberger_dicts, _monic, _nf_dict, _spair_poly
 
     basis = _buchberger_dicts(gens, key, 40)
     leads = [lm for lm, _, _ in basis]
@@ -617,7 +661,7 @@ def _certify(gens, key):
         # lm leads; the element is primitive and leaves the engine monic
         assert max(terms, key=key) == lm
         assert lc > 0 and math.gcd(lc, *(c for _, c in tail)) == 1
-        assert _monic(basis[i])[lm] == 1
+        assert _monic(*basis[i])[lm] == 1
         for e in terms:
             for j, lmj in enumerate(leads):
                 assert i == j or not all(a <= b for a, b in zip(lmj, e))
@@ -625,8 +669,8 @@ def _certify(gens, key):
         for j in range(i):
             assert _nf_dict(_spair_poly(basis[i], basis[j]), basis, key, 80)[0] == {}
     for g in gens:
-        assert _nf_dict(_primitive(g), basis, key, 80)[0] == {}
-    return [_monic(r) for r in basis]
+        assert _nf_dict(g, basis, key, 80)[0] == {}
+    return [_monic(*r) for r in basis]
 
 
 def test_seeded_groebner_certificates():
@@ -649,7 +693,7 @@ def test_seeded_groebner_certificates():
             OrderSpec("grevlex", tuple(k for k in range(1, n + 1) if k != i) + (i,))
             for i in range(1, n)
         ]
-        gens = [dict(g.terms) for g in I.generators]
+        gens = [dict(f) for f in I.forms]
         # s-pairs of basis elements reach twice the engine's cap of 40
         graded = [Polynomial(n, g) for o in orders for g in _certify(gens, o.key_function(n, 80))]
         assert oracles.members_homogeneous(graded, I.generators, n)
