@@ -141,15 +141,6 @@ def random_transform(
     raise RuntimeError("could not draw an invertible transform in 100 attempts")
 
 
-def _mul_dicts(a: dict, b: dict) -> dict:
-    acc: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            ee = tuple(map(add, e1, e2))
-            acc[ee] = acc.get(ee, 0) + c1 * c2
-    return acc
-
-
 def apply_transform(I: Ideal, g: Transform) -> Ideal:
     """The ideal generated by the images of the generators under g, with the
     degree cap of I.  Images of the integer forms are expanded over the
@@ -157,17 +148,14 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
     if g.n != I.n:
         raise ValueError("transform size does not match the ambient ring")
     n = I.n
-    lin = []
-    for i in range(n):
-        d = {}
-        for j in range(n):
-            if g.matrix[j][i]:
-                e = [0] * n
-                e[j] = 1
-                d[tuple(e)] = g.matrix[j][i]
-        lin.append(d)
     one = (0,) * n
-    images = {one: {one: 1}}
+    units = [one[:i] + (1,) + one[i + 1:] for i in range(n)]
+    # x_i maps to the linear form of column i
+    images = {
+        units[i]: {units[j]: row[i] for j, row in enumerate(g.matrix) if row[i]}
+        for i in range(n)
+    }
+    images[one] = {one: 1}
 
     def image(e: tuple) -> dict:
         """The image of the monomial x^e: the image of x^e / x_i times the
@@ -175,8 +163,11 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
         p = images.get(e)
         if p is None:
             i = next(k for k, x in enumerate(e) if x)
-            rest = e[:i] + (e[i] - 1,) + e[i + 1:]
-            p = images[e] = _mul_dicts(image(rest), lin[i])
+            p = images[e] = {}
+            for e1, c1 in image(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
+                for e2, c2 in images[units[i]].items():
+                    ee = tuple(map(add, e1, e2))
+                    p[ee] = p.get(ee, 0) + c1 * c2
         return p
 
     gens = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
@@ -30,6 +30,7 @@ from .poly import (
     GREVLEX,
     OrderSpec,
     Polynomial,
+    check_exponents,
     normalize_weight,
 )
 
@@ -72,15 +73,23 @@ class Ideal:
     ideals share their cached bases.
     """
 
-    __slots__ = ("n", "forms", "degree_cap", "gb_cache", "images", "initials", "_generators")
+    __slots__ = ("n", "forms", "degree_cap", "gb_cache", "images", "initials", "_gens")
 
-    def __init__(self, n: int, generators: Iterable, degree_cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(
+        self, n: int, generators: Iterable,
+        degree_cap: int = DEFAULT_DEGREE_CAP,
+    ):
         forms = []
         for g in generators:
             if isinstance(g, Polynomial):
                 if g.n != n:
                     raise ValueError("generator has wrong ambient variable count")
                 g = dict(g.terms)
+            else:
+                for e, c in g.items():
+                    check_exponents(e, n)
+                    if not isinstance(c, int) or not c:
+                        raise ValueError(f"coefficient {c!r} is not a nonzero int")
             if not g:
                 continue
             degree = sum(next(iter(g)))
@@ -97,13 +106,15 @@ class Ideal:
         self.gb_cache: dict = {}
         self.images: dict = {}
         self.initials: dict = {}
-        self._generators = None
+        self._gens = None
 
     @property
     def generators(self) -> tuple:
-        if self._generators is None:
-            self._generators = tuple(Polynomial(self.n, _monic(*f[0], f[1:])) for f in self.forms)
-        return self._generators
+        if self._gens is None:
+            self._gens = tuple(
+                Polynomial(self.n, _monic((f[0][0], f[0][1], f[1:]))) for f in self.forms
+            )
+        return self._gens
 
     def key(self) -> tuple:
         """Hashable identity of the presented ideal (ambient + forms)."""
@@ -136,7 +147,7 @@ class GroebnerBasis:
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = tuple(Polynomial(self.n, _monic(*r)) for r in self._reducers)
+            self._elements = tuple(Polynomial(self.n, _monic(r)) for r in self._reducers)
         return self._elements
 
     def has_monomial_initial_form(self, w) -> bool:
@@ -192,17 +203,9 @@ def _lcm(a, b) -> tuple:
 def _primitive(d: dict, lm=None) -> dict:
     """The integer multiple of d (int or Fraction values) with content 1 and,
     if its leading exponents lm are given, a positive leading coefficient."""
-    den = 1
-    for c in d.values():
-        q = c.denominator
-        if q != 1:
-            den = den * q // gcd(den, q)
+    den = lcm(*(c.denominator for c in d.values()))
     ints = {e: c.numerator * (den // c.denominator) for e, c in d.items()}
-    g = 0
-    for c in ints.values():
-        g = gcd(g, c)
-        if g == 1:
-            break
+    g = gcd(*ints.values())
     if lm is not None and ints[lm] < 0:
         g = -g
     if g == 1:
@@ -224,9 +227,9 @@ def _reducer(d: dict, lm) -> tuple:
     return lm, lc, tuple(d.items())
 
 
-def _monic(lm, lc: int, tail) -> dict:
-    """The monic rational polynomial of the integer polynomial with leading
-    term lc * x^lm and non-leading terms ``tail``, as {exponents: Fraction}."""
+def _monic(r: tuple) -> dict:
+    """The monic rational polynomial of a reducer, as {exponents: Fraction}."""
+    lm, lc, tail = r
     out = {e: Fraction(c, lc) for e, c in tail}
     out[lm] = Fraction(1)
     return out
@@ -533,7 +536,7 @@ def ideal_equal(I: Ideal, J: Ideal, order: OrderSpec = GREVLEX) -> bool:
     """Equality via uniqueness of the reduced Groebner basis."""
     if I.n != J.n:
         raise ValueError("ambient variable counts differ")
-    return buchberger(I, order)._reducers == buchberger(J, order)._reducers
+    return buchberger(I, order).elements == buchberger(J, order).elements
 
 
 def eliminate(I: Ideal, drop) -> Ideal:
@@ -556,25 +559,21 @@ def eliminate(I: Ideal, drop) -> Ideal:
     return Ideal(I.n, kept, I.degree_cap)
 
 
-def _saturation(I: Ideal, f: Polynomial, stop=None) -> Ideal | None:
-    """(I : f^infinity) for a nonzero monomial f, saturating by one variable
-    at a time (Bayer and Stillman 1987); None as soon as ``stop`` holds for
-    a step's basis.
+def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
+    """(I : (x^m)^infinity) for an exponent vector m, saturating by one
+    variable at a time (Bayer and Stillman 1987); None as soon as ``stop``
+    holds for a step's basis.
 
-    For each variable x_i of f, x_n first, a step takes the reduced basis of
-    the ideal saturated so far under grevlex with x_i last (GREVLEX itself
-    for x_n).  A homogeneous polynomial is divisible by a power of x_i iff
-    its lead under that order is, so dividing every element by the largest
-    power of x_i that divides it generates the saturation by x_i.  A step
-    that divides nothing keeps the ideal and its cached bases."""
-    if f.n != I.n:
-        raise ValueError("ambient variable counts differ")
-    if not f.is_monomial():
-        raise ValueError("can only saturate by a nonzero monomial")
+    For each variable x_i of x^m, x_n first, a step takes the reduced basis
+    of the ideal saturated so far under grevlex with x_i last (GREVLEX
+    itself for x_n).  A homogeneous polynomial is divisible by a power of
+    x_i iff its lead under that order is, so dividing every element by the
+    largest power of x_i that divides it generates the saturation by x_i.
+    A step that divides nothing keeps the ideal and its cached bases."""
     n = I.n
     J = I
     for i in reversed(range(n)):
-        if not f.terms[0][0][i]:
+        if not m[i]:
             continue
         order = GREVLEX if i == n - 1 else OrderSpec(
             "grevlex", tuple(k for k in range(1, n + 1) if k != i + 1) + (i + 1,)
@@ -594,7 +593,11 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """The saturation (I : f^infinity) by a nonzero monomial f, generated by
     its reduced grevlex basis, which the result keeps in its cache; any
     other f raises ``ValueError``.  See ``_saturation``."""
-    J = _saturation(I, f)
+    if f.n != I.n:
+        raise ValueError("ambient variable counts differ")
+    if not f.is_monomial():
+        raise ValueError("can only saturate by a nonzero monomial")
+    J = _saturation(I, f.terms[0][0])
     gb = buchberger(J, GREVLEX)
     S = Ideal(I.n, map(_poly, gb._reducers), I.degree_cap)
     S.gb_cache[GREVLEX] = J.gb_cache[GREVLEX]
@@ -618,7 +621,6 @@ def contains_monomial(I: Ideal) -> bool:
     x_1^k; no further basis is needed."""
     if any(len(f) == 1 for f in I.forms):
         return True
-    prod = Polynomial.monomial(I.n, (1,) * I.n)
     return _saturation(
-        I, prod, lambda gb: any(not tail for _, _, tail in gb._reducers)
+        I, (1,) * I.n, lambda gb: any(not tail for _, _, tail in gb._reducers)
     ) is None

@@ -128,6 +128,14 @@ def normalize_weight(w: Weights, n: int) -> tuple:
     return tuple((v - mn) // g for v in ints)
 
 
+def check_exponents(e, n: int) -> None:
+    """Raise ValueError unless e is a tuple of n non-negative ints."""
+    if not isinstance(e, tuple) or len(e) != n or any(
+        not isinstance(x, int) or x < 0 for x in e
+    ):
+        raise ValueError(f"bad exponent vector {e!r} for n={n}")
+
+
 class Polynomial:
     """Immutable polynomial in n variables with Fraction coefficients.
 
@@ -145,8 +153,7 @@ class Polynomial:
         items = terms.items() if isinstance(terms, dict) else terms
         for exps, coeff in items:
             e = tuple(exps)
-            if len(e) != n or any(x < 0 or not isinstance(x, int) for x in e):
-                raise ValueError(f"bad exponent vector {e!r} for n={n}")
+            check_exponents(e, n)
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if e in acc:
                 acc[e] += c

@@ -113,6 +113,15 @@ def test_ideal_equal_examples():
     assert ideal_equal(ideal(2, "x1 + x2"), ideal(2, "2*x1 + 2*x2"))
     assert not ideal_equal(ideal(2, "x1"), ideal(2, "x2"))
     assert ideal_equal(ideal(2, "x1 + x2", "x1^2"), ideal(2, "x1 + x2", "x2^2"))
+    # initial_ideal caches the basis refined by (0, 1, 0), whose tail lists
+    # x1*x3 before x2^2; grevlex reuses that basis, and a fresh equal ideal
+    # runs the engine, whose tail lists x2^2 first
+    for w in [(0, 1, 0), (1, 0, 0), (0, 0, 1), (2, 1, 0)]:
+        I = ideal(3, "x1^2 + x2^2 + x1*x3")
+        initial_ideal(I, w)
+        assert ideal_equal(I, ideal(3, "x1^2 + x2^2 + x1*x3"))
+        assert ideal_equal(ideal(3, "x1^2 + x2^2 + x1*x3"), I)
+        assert not ideal_equal(I, ideal(3, "x1^2 + x2^2 - x1*x3"))
 
 
 def test_initial_ideal_examples():
@@ -327,7 +336,7 @@ def _aux_saturation(I, f):
     aux = {e + (1,): -1, (0,) * (n + 1): 1}
     reds = _buchberger_dicts(lifted + [aux], block_key, 40)
     return [
-        Polynomial(n, {e[:-1]: c for e, c in _monic(*r).items()})
+        Polynomial(n, {e[:-1]: c for e, c in _monic(r).items()})
         for r in reds
         if r[0][n] == 0 and all(e[n] == 0 for e, _ in r[2])
     ]
@@ -422,6 +431,13 @@ def test_ideal_stores_primitive_integer_forms():
         Ideal(2, [{}, Polynomial.zero(2)])
     with pytest.raises(ValueError, match="variable count"):
         Ideal(2, [P("x1", 3)])
+    # integer dicts are checked as Polynomial checks its terms
+    for bad in [{(1, 0, 0): 1}, {(1,): 1}, {(2, -1): 1}, {(1.0, 0): 1}, {(1, 0): 1, "x2": 1}]:
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Ideal(2, [bad])
+    for bad in [{(1, 0): 0.5}, {(1, 0): Fraction(1, 2)}, {(1, 0): 1, (0, 1): 0}]:
+        with pytest.raises(ValueError, match="not a nonzero int"):
+            Ideal(2, [bad])
 
 
 @pytest.mark.parametrize("gens, cap", [
@@ -437,6 +453,14 @@ def test_a_redundant_generator_above_the_cap_raises(gens, cap):
             buchberger(ideal(2, *gens, degree_cap=cap), order)
 
 
+def test_a_generator_that_reduces_to_zero_forms_no_pair():
+    # x1*x2^2 reduces to zero by x1, so its pair with x2^3 (lcm degree 4)
+    # is never formed and the cap of 3 is met
+    for order in (GREVLEX, LEX, GREVLEX.refine((1, 0))):
+        gb = buchberger(ideal(2, "x1", "x2^3", "x1*x2^2", degree_cap=3), order)
+        assert sorted(str(g) for g in gb) == ["x1", "x2^3"]
+
+
 def test_derived_ideals_carry_the_parent_cap():
     from gentrop.groebner import _saturation
 
@@ -450,7 +474,7 @@ def test_derived_ideals_carry_the_parent_cap():
         initial_ideal(gI[0], (0, 1, 2)),
         saturate(I, P("x3", 3)),
         saturate(I, P("x1*x2*x3", 3)),
-        _saturation(I, P("x1*x2*x3", 3)),
+        _saturation(I, (1, 1, 1)),
         eliminate(I, [1]),
     ]
     assert [J.degree_cap for J in derived] == [9] * len(derived)
@@ -661,7 +685,7 @@ def _certify(gens, key):
         # lm leads; the element is primitive and leaves the engine monic
         assert max(terms, key=key) == lm
         assert lc > 0 and math.gcd(lc, *(c for _, c in tail)) == 1
-        assert _monic(*basis[i])[lm] == 1
+        assert _monic(basis[i])[lm] == 1
         for e in terms:
             for j, lmj in enumerate(leads):
                 assert i == j or not all(a <= b for a, b in zip(lmj, e))
@@ -670,7 +694,7 @@ def _certify(gens, key):
             assert _nf_dict(_spair_poly(basis[i], basis[j]), basis, key, 80)[0] == {}
     for g in gens:
         assert _nf_dict(g, basis, key, 80)[0] == {}
-    return [_monic(*r) for r in basis]
+    return [_monic(r) for r in basis]
 
 
 def test_seeded_groebner_certificates():
