@@ -11,10 +11,14 @@ read.  The remainders of ``normal_form`` are exact over the rationals.
 Generators enter a run reduced by the basis so far, as s-polynomials do.
 S-pairs are pruned by the Gebauer-Moeller criteria (B, M and F, which
 includes the coprimality criterion) and taken from a heap by the normal
-strategy (smallest lcm degree first).  Every sort and tie-break is fixed,
-so identical inputs produce bit-identical output.  Each ``Ideal`` carries
-a degree cap (default 40) that aborts runaway computations on it with
-``DegreeCapExceeded`` instead of hanging.
+strategy (smallest lcm degree first).  A run whose ideal has a known
+Hilbert series (``Ideal.numerator``, see ``hilbert_numerator``) stops as
+soon as the leads of its basis have that series: they then generate the
+initial ideal, so every pending pair would reduce to zero (Traverso 1996,
+"Hilbert functions and the Buchberger algorithm").  Every sort and
+tie-break is fixed, so identical inputs produce bit-identical output.
+Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
+computations on it with ``DegreeCapExceeded`` instead of hanging.
 """
 
 from __future__ import annotations
@@ -70,10 +74,16 @@ class Ideal:
     ``generic.transformed``).  ``initials`` interns the weighted initial
     ideals (see ``initial_ideal``): it maps a normalized weight, and the
     forms of an initial ideal, to one shared ``Ideal``, so equal initial
-    ideals share their cached bases.
+    ideals share their cached bases.  ``numerator`` memoizes the numerator
+    of the Hilbert series of S/I (see ``hilbert_numerator``), which every
+    Buchberger run on the ideal takes as the target that ends it.  It is
+    read from the leads of any cached basis, or handed down by the parent of
+    an initial ideal, which has the same series; until then it is None.
     """
 
-    __slots__ = ("n", "forms", "degree_cap", "gb_cache", "images", "initials", "_gens")
+    __slots__ = (
+        "n", "forms", "degree_cap", "gb_cache", "images", "initials", "numerator", "_gens",
+    )
 
     def __init__(
         self, n: int, generators: Iterable,
@@ -106,6 +116,7 @@ class Ideal:
         self.gb_cache: dict = {}
         self.images: dict = {}
         self.initials: dict = {}
+        self.numerator = None
         self._gens = None
 
     @property
@@ -318,25 +329,31 @@ def _spair_poly(ri: tuple, rj: tuple) -> dict:
     return acc
 
 
-def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int) -> list:
-    """Reduced Groebner basis of the ideal generated by ``gens``, integer
-    polynomials {exponents: int}.
+def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None) -> list:
+    """Reduced Groebner basis of the ideal generated by ``gens``, primitive
+    integer polynomials {exponents: int}.
 
     Each generator is checked against ``cap``, then enters the basis as its
     normal form by the basis built so far, as an s-polynomial does.  So no
     lead divides a later one, and ``active``, the elements whose lead no
     later lead divides, is the minimal basis (Gebauer and Moeller 1988).
-    Returns its primitive reducers (lm, lc, tail), tail-reduced and sorted
-    ascending by the key of the leading monomial.
+    ``target``, if given, is the Hilbert numerator of the ideal (see
+    ``hilbert_numerator``).  The leads of the basis generate an ideal inside
+    the initial ideal, with the same series only if the two are equal; so
+    once the leads of ``active`` reach the target the basis is Groebner and
+    the pending pairs are skipped.  Returns the primitive reducers
+    (lm, lc, tail) of the minimal basis, tail-reduced and sorted ascending
+    by the key of the leading monomial.
     """
     basis: list = []      # reducers (lm, lc, tail)
     active: set = set()   # indices whose lead no later lead divides
     live: dict = {}       # pending pair (i, j) -> lcm; other heap entries are stale
     heap: list = []       # (deg lcm, lcm, i, j): the normal strategy
 
-    def push(d: dict, lm):
-        """Append d, whose leading monomial is lm, to the basis and update
-        the pairs (Gebauer-Moeller)."""
+    def push(red: tuple):
+        """Append the reducer red to the basis and update the pairs
+        (Gebauer-Moeller)."""
+        lm = red[0]
         if sum(lm) > cap:
             raise DegreeCapExceeded(f"basis degree {sum(lm)} exceeds cap {cap}")
         k = len(basis)
@@ -368,7 +385,7 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int) -> list:
             heappush(heap, (sum(lcm), lcm, k, j))
         active.difference_update([j for j in active if _divides(lm, basis[j][0])])
         active.add(k)
-        basis.append(_reducer(d, lm))
+        basis.append(red)
 
     for d in gens:
         # the cap binds a generator that reduces to zero too
@@ -376,17 +393,27 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int) -> list:
         if degree > cap:
             raise DegreeCapExceeded(f"generator degree {degree} exceeds cap {cap}")
         r, lm, _ = _nf_dict(d, basis, key, cap)
-        if r:
-            push(r, lm)
+        if r == d and r[lm] > 0:
+            # no lead reduced the primitive d and its lead is positive:
+            # r, listed in descending order, is the reducer's terms already
+            lc = r.pop(lm)
+            push((lm, lc, tuple(r.items())))
+        elif r:
+            push(_reducer(r, lm))
 
+    checked = 0  # basis size at the last comparison with the target
     while heap:
         _, _, i, j = heappop(heap)
         if (i, j) not in live:
             continue  # dropped by the B criterion
+        if target is not None and checked < len(basis):
+            checked = len(basis)
+            if hilbert_numerator(len(basis[0][0]), (basis[k][0] for k in active)) == target:
+                break
         del live[(i, j)]
         r, lm, _ = _nf_dict(_spair_poly(basis[i], basis[j]), basis, key, cap)
         if r:
-            push(r, lm)
+            push(_reducer(r, lm))
 
     kept = [basis[i] for i in sorted(active, key=lambda i: key(basis[i][0]))]
     # tail-reduce each kept element against the others; no other lead
@@ -399,6 +426,60 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int) -> list:
             r = _reducer(red, rlm)
         out.append(r)
     return out
+
+
+# -- Hilbert series -------------------------------------------------------
+
+
+def _minimal_monomials(gens) -> frozenset:
+    """The divisibility-minimal elements of the exponent vectors ``gens``."""
+    kept: list = []
+    for e in sorted(set(gens), key=sum):
+        if not any(_divides(k, e) for k in kept):
+            kept.append(e)
+    return frozenset(kept)
+
+
+def hilbert_numerator(n: int, leads: Iterable) -> tuple:
+    """The numerator Q of the Hilbert series Q(t) / (1-t)^n of S/M, where M
+    is the monomial ideal generated by the exponent vectors ``leads`` (any
+    generating set), as its coefficients from t^0 up, without trailing
+    zeros: (1,) for M = 0 and (0,) for M = S.
+
+    The leads of a reduced Groebner basis of a graded ideal I give the
+    series of S/I.  Splits on a pivot variable p, the one that divides the
+    most minimal generators that are not pure powers (the first of those
+    that tie): a monomial outside M either avoids p, so lies outside
+    M + (p), or is p times a monomial outside M : p, one degree lower."""
+    memo: dict = {}
+
+    def num(gens: frozenset) -> tuple:
+        q = memo.get(gens)
+        if q is not None:
+            return q
+        mixed = [e for e in gens if sum(map(bool, e)) > 1]
+        if not mixed:
+            # pure powers x_i^d: the product of the factors 1 - t^d
+            # (d = 0, the unit ideal, gives 0)
+            out = [1]
+            for e in gens:
+                d = sum(e)
+                out = list(map(sub, out + [0] * d, [0] * d + out))
+        else:
+            counts = [sum(1 for e in mixed if e[i]) for i in range(n)]
+            p = counts.index(max(counts))
+            unit = tuple(int(i == p) for i in range(n))
+            out = list(num(frozenset([e for e in gens if not e[p]] + [unit])))
+            colon = num(_minimal_monomials(e[:p] + (max(e[p] - 1, 0),) + e[p + 1:] for e in gens))
+            out += [0] * (len(colon) + 1 - len(out))
+            for k, c in enumerate(colon, 1):
+                out[k] += c
+        while len(out) > 1 and not out[-1]:
+            out.pop()
+        q = memo[gens] = tuple(out)
+        return q
+
+    return num(_minimal_monomials(leads))
 
 
 # -- public operations ----------------------------------------------------
@@ -474,6 +555,14 @@ def _cone_hit(I: Ideal, key: Callable):
     return None
 
 
+def _known_numerator(I: Ideal):
+    """The Hilbert numerator of I: ``I.numerator``, read from the leads of a
+    cached basis if unset; None while I has neither."""
+    if I.numerator is None and I.gb_cache:
+        I.numerator = hilbert_numerator(I.n, next(iter(I.gb_cache.values())).leads)
+    return I.numerator
+
+
 def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     """The reduced Groebner basis of I, computed under ``I.degree_cap`` and
     memoized in ``I.gb_cache``.
@@ -484,7 +573,8 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     cached basis whose Groebner cone contains the new order (every element
     keeps its lead) is served before any run, so the cap bounds every
     computation performed: a reused basis skips a run that might have
-    aborted."""
+    aborted.  A run takes the Hilbert numerator of I, when known, as its
+    target (see ``_buchberger_dicts``)."""
     if order.weight is not None:
         wn = normalize_weight(order.weight, I.n)
         order = OrderSpec(order.base, order.perm, wn if any(wn) else None)
@@ -496,7 +586,7 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     if reused is not None:
         reds = sorted(reused, key=lambda r: key(r[0]))
     else:
-        reds = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap)
+        reds = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap, _known_numerator(I))
     gb = I.gb_cache[order] = GroebnerBasis(order, I.n, reds)
     return gb
 
@@ -515,7 +605,8 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     the same initial ideal gets the same ``Ideal``, so later computations on
     it (a saturation, say) reuse its cached bases, and equal initial ideals
     of I are one object.  A weight seen before, up to shift and positive
-    scaling, reads no basis of I.
+    scaling, reads no basis of I.  J takes the Hilbert numerator of I,
+    which is its own, so its first run already has a target.
     """
     wn = normalize_weight(w, I.n)
     J = I.initials.get(wn)
@@ -529,6 +620,7 @@ def initial_ideal(I: Ideal, w) -> Ideal:
         forms.append(form)
     J = Ideal(I.n, forms, I.degree_cap)
     J = I.initials[wn] = I.initials.setdefault(J.forms, J)
+    J.numerator = _known_numerator(I)
     return J
 
 

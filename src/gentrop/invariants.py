@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .groebner import Ideal, buchberger
+from .groebner import Ideal, buchberger, hilbert_numerator
 from .poly import GREVLEX, OrderSpec, Polynomial
 
 
@@ -90,75 +90,6 @@ class HilbertData:
     multiplicity: int
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return tuple(out)
-
-
-def _poly_add_shifted(a: Sequence[int], b: Sequence[int], shift: int) -> tuple:
-    out = list(a) + [0] * max(0, shift + len(b) - len(a))
-    for j, y in enumerate(b):
-        out[shift + j] += y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _is_pure_power(e) -> bool:
-    return sum(1 for x in e if x > 0) == 1
-
-
-def _pivot_variable(gens) -> int:
-    mixed = [g for g in gens if not _is_pure_power(g)]
-    counts = {}
-    for g in mixed:
-        for i, e in enumerate(g):
-            if e > 0:
-                counts[i] = counts.get(i, 0) + 1
-    return min(counts, key=lambda i: (-counts[i], i))
-
-
-def _numerator(gens: frozenset, n: int, memo: dict) -> tuple:
-    """Numerator of the Hilbert series of S/(gens) over (1-t)^n.
-
-    Splits on a pivot variable p: monomials outside the ideal either avoid p
-    (quotient by the ideal plus (p)) or are p times a monomial outside the
-    colon ideal, shifting degrees by one.
-    """
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    if not gens:
-        result = (1,)
-    elif any(sum(e) == 0 for e in gens):
-        result = (0,)
-    elif all(_is_pure_power(e) for e in gens):
-        result = (1,)
-        for e in gens:
-            d = sum(e)
-            factor = [0] * (d + 1)
-            factor[0], factor[d] = 1, -1
-            result = _poly_mul(result, factor)
-    else:
-        p = _pivot_variable(gens)
-        plus = [e for e in gens if e[p] == 0]
-        unit = tuple(1 if i == p else 0 for i in range(n))
-        plus.append(unit)
-        colon = [tuple(x - 1 if i == p and x > 0 else x for i, x in enumerate(e)) for e in gens]
-        plus_min = frozenset(minimalize(n, plus).generators)
-        colon_min = frozenset(minimalize(n, colon).generators)
-        a = _numerator(plus_min, n, memo)
-        b = _numerator(colon_min, n, memo)
-        result = _poly_add_shifted(a, b, 1)
-    memo[gens] = result
-    return result
-
-
 def _divide_one_minus_t(coeffs: Sequence[int]):
     """Return coeffs / (1-t) if divisible, else None."""
     acc = 0
@@ -178,8 +109,7 @@ def hilbert(M: MonomialIdeal) -> HilbertData:
     """Hilbert series data of S/M for a proper nonzero monomial ideal."""
     if M.contains_unit():
         raise ValueError("Hilbert series of the zero ring is not supported")
-    memo: dict = {}
-    q = _numerator(frozenset(M.generators), M.n, memo)
+    q = hilbert_numerator(M.n, M.generators)
     d = M.n
     while True:
         nxt = _divide_one_minus_t(q)

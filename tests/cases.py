@@ -98,4 +98,18 @@ def counting_engine(monkeypatch) -> list:
     return runs
 
 
+def counting_spairs(monkeypatch) -> list:
+    """Patch the engine's s-polynomial to record each s-pair normal form a
+    run forms; returns the record."""
+    spairs = []
+    spair = groebner._spair_poly
+
+    def counting(*args):
+        spairs.append(1)
+        return spair(*args)
+
+    monkeypatch.setattr(groebner, "_spair_poly", counting)
+    return spairs
+
+
 IDENTITY = identity_policy

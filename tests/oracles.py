@@ -170,7 +170,8 @@ def monomial_in_ideal_upto(generators, n: int, d: int) -> bool:
 
 
 def standard_monomial_counts(min_gens, n: int, upto: int) -> list:
-    """Counts per degree of monomials outside the monomial ideal."""
+    """Counts per degree of monomials outside the monomial ideal; any
+    generating set gives the same counts."""
     counts = []
     for d in range(upto + 1):
         c = 0
@@ -179,6 +180,16 @@ def standard_monomial_counts(min_gens, n: int, upto: int) -> list:
                 c += 1
         counts.append(c)
     return counts
+
+
+def numerator_prefix(gens, n: int, upto: int) -> list:
+    """Coefficients of t^0..t^upto of the Hilbert series numerator of S/M
+    over (1-t)^n, M generated by the exponent vectors ``gens``: the brute
+    force counts of standard monomials per degree, times (1-t)^n."""
+    coeffs = standard_monomial_counts(gens, n, upto)
+    for _ in range(n):
+        coeffs = [c - (coeffs[k - 1] if k else 0) for k, c in enumerate(coeffs)]
+    return coeffs
 
 
 def series_expansion(numerator, dim: int, upto: int) -> list:

@@ -1,4 +1,5 @@
 import json
+import random
 from math import comb
 
 import pytest
@@ -16,6 +17,8 @@ from gentrop.cli import (
     parse_ideal_file,
 )
 from gentrop.poly import ParseError
+
+from cases import counting_engine, counting_spairs
 
 FAMILY_531 = """\
 ring 5
@@ -230,6 +233,21 @@ def test_verify_wnmt_family_passes_split_fails(tmp_path, capsys):
     assert any(
         p["kind"] == "cone_constancy" and not p["result"] for p in report["probes"]
     )
+
+
+def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
+    # the split Wnmt job of the fan-probe benchmark at workload seed 1 makes
+    # 121 engine runs; those on ideals with a known Hilbert series stop once
+    # their leads have it, so the job forms fewer than 109 s-pair normal
+    # forms (726 when every run reduced all its pairs, each to zero)
+    rng = random.Random("fan-probe:1")
+    seed = [str(rng.randrange(10**6)) for _ in range(2)][1]
+    split = write(tmp_path, "split.ideal", SPLIT)
+    runs = counting_engine(monkeypatch)
+    spairs = counting_spairs(monkeypatch)
+    code, _ = run(capsys, "verify", split, "--target", "Wnmt", "--seed", seed)
+    assert code == EXIT_PROBE_FAILED
+    assert 0 < len(runs) <= 121 and 0 < len(spairs) < 109
 
 
 def test_verify_depth_recovery(tmp_path, capsys):

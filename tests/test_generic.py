@@ -30,6 +30,7 @@ from gentrop.poly import GREVLEX, OrderSpec
 from cases import (
     codim2_complete_intersection,
     counting_engine,
+    counting_spairs,
     dense_form,
     ideal,
     policy,
@@ -216,6 +217,10 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # with the minimum attained at least three times.  Queries that share an
     # initial ideal share its saturation runs, so the pass makes at most 260
     # engine runs (662 when every query built its initial ideal afresh).
+    # Runs on the transformed ideals and their initial ideals stop once
+    # their leads have the Hilbert series of the ideal, so the pass forms
+    # at most 250 s-pair normal forms (602 when every run reduced all its
+    # pairs).
     rng = random.Random("tropical-sweep:1")
     ideals, queries = [], []
     for k in range(12):
@@ -231,10 +236,12 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     pol = policy(seed=rng.randrange(10**6))
     dims = [dimension(I) for I in ideals]
     runs = counting_engine(monkeypatch)
+    spairs = counting_spairs(monkeypatch)
     for k, w in queries:
         want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
         assert tropical_member(ideals[k], w, pol) == want
     assert 0 < len(runs) <= 260
+    assert 0 < len(spairs) <= 250
 
 
 def test_tropical_member_rejects_dim_zero():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -25,7 +26,9 @@ from gentrop.groebner import (
 from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, normalize_weight
 
 import oracles
-from cases import P, counting_engine, dense_form, ideal, policy, random_graded_ideal
+from cases import (
+    P, counting_engine, counting_spairs, dense_form, ideal, policy, random_graded_ideal,
+)
 
 
 def gens_of(I):
@@ -618,23 +621,25 @@ def test_reducer_reads_match_element_computations():
     assert monomial_seen == certified == {False, True}
 
 
-def _engine_at_smallest_cap(I, order):
+def _engine_at_smallest_cap(I, order, warm=False):
     """The basis of I under ``order`` from a copy of I with the smallest
-    degree cap the run fits, and that cap."""
+    degree cap the run fits, and that cap.  ``warm`` computes the copy's
+    grevlex basis first, under the same cap, so the run has a target."""
     cap = max(g.degree for g in I.generators)
     while True:
+        J = Ideal(I.n, I.generators, cap)
         try:
-            return buchberger(Ideal(I.n, I.generators, cap), order), cap
+            if warm:
+                buchberger(J)
+            return buchberger(J, order), cap
         except DegreeCapExceeded:
             cap += 1
 
 
-def test_buchberger_matches_the_reference_engine():
-    # an independent textbook Buchberger (every pair, no criterion, tuple
-    # keys from each order's definition, Fraction arithmetic) must return
-    # the same reduced basis under permuted grevlex and lex and weight
-    # refinements with zero, tied, negative and large weights.  Each run
-    # uses the smallest cap it fits, so the integer key works at its bound.
+def _check_against_the_reference_engine(warm):
+    """Compare the engine with the reference Buchberger on seeded ideals and
+    orders; returns how many runs used the smallest cap the reference basis
+    fits."""
     ideals = [random_graded_ideal(n, seed, gens=2 + seed % 2) for n in (3, 4) for seed in range(4)]
     for seed in range(2):
         ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 2, seed + 1)]))
@@ -649,14 +654,55 @@ def test_buchberger_matches_the_reference_engine():
         orders = [GREVLEX, OrderSpec("grevlex", perm), OrderSpec("lex", perm)]
         orders += [OrderSpec(rng.choice(("lex", "grevlex")), perm).refine(w) for w in weights]
         for order in orders:
-            gb, cap = _engine_at_smallest_cap(I, order)
+            gb, cap = _engine_at_smallest_cap(I, order, warm)
             want = oracles.reference_groebner(I.generators, order, n)
             # the engine ranks leads of different degrees by the normalized
             # weight, so the two lists may differ in order
             assert sorted(gb.elements, key=lambda p: p.terms) == sorted(want, key=lambda p: p.terms), (
                 I, order)
             at_cap += max(g.degree for g in want) == cap
-    assert at_cap
+    return at_cap
+
+
+def test_buchberger_matches_the_reference_engine():
+    # an independent textbook Buchberger (every pair, no criterion, tuple
+    # keys from each order's definition, Fraction arithmetic) must return
+    # the same reduced basis under permuted grevlex and lex and weight
+    # refinements with zero, tied, negative and large weights.  Each run
+    # uses the smallest cap it fits, so the integer key works at its bound.
+    assert _check_against_the_reference_engine(warm=False)
+
+
+def test_buchberger_with_a_warm_cache_matches_the_reference_engine(monkeypatch):
+    # the same comparison with each copy's grevlex basis computed first, so
+    # the other orders' runs take the Hilbert numerator read from it as
+    # their target.  Each such run is repeated without the target: it must
+    # return the same reducers, or raise the same cap error, after forming
+    # at least as many s-pairs; some runs must have stopped early.
+    from gentrop import groebner
+
+    engine = groebner._buchberger_dicts
+    spairs, saved = counting_spairs(monkeypatch), []
+
+    def both_ways(gens, key, cap, target=None):
+        if target is None:
+            return engine(gens, key, cap)
+        gens = list(gens)
+        start = len(spairs)
+        try:
+            plain = engine(gens, key, cap)
+        except DegreeCapExceeded as e:
+            with pytest.raises(DegreeCapExceeded, match=re.escape(str(e))):
+                engine(gens, key, cap, target)
+            raise
+        mid = len(spairs)
+        assert engine(gens, key, cap, target) == plain
+        saved.append(2 * mid - start - len(spairs))
+        return plain
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", both_ways)
+    assert _check_against_the_reference_engine(warm=True)
+    assert min(saved) >= 0 and sum(saved) > 0
 
 
 def test_cached_basis_generates_the_same_ideal():
@@ -721,6 +767,55 @@ def test_seeded_groebner_certificates():
         # s-pairs of basis elements reach twice the engine's cap of 40
         graded = [Polynomial(n, g) for o in orders for g in _certify(gens, o.key_function(n, 80))]
         assert oracles.members_homogeneous(graded, I.generators, n)
+
+
+def test_a_hilbert_target_changes_no_basis(monkeypatch):
+    # with the ideal's Hilbert numerator as target the engine must return
+    # the reducers it returns without one, under every order kind the
+    # package uses, and form fewer s-pair normal forms in all
+    from gentrop.groebner import _buchberger_dicts, hilbert_numerator
+
+    spairs = counting_spairs(monkeypatch)
+    ideals = [random_graded_ideal(n, seed, gens=2 + seed % 3) for n in (3, 4) for seed in range(4)]
+    for seed in range(3):
+        ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
+        ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
+    plain_pairs = target_pairs = 0
+    for idx, I in enumerate(ideals):
+        n = I.n
+        target = hilbert_numerator(n, buchberger(I).leads)
+        rng = random.Random(f"target:{idx}")
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        orders = [GREVLEX, LEX, OrderSpec("grevlex", perm), OrderSpec("lex", perm)]
+        orders += [GREVLEX.refine(tuple(rng.randint(0, 4) for _ in range(n))) for _ in range(3)]
+        gens = [dict(f) for f in I.forms]
+        for order in orders:
+            key = order.key_function(n, 40)
+            start = len(spairs)
+            plain = _buchberger_dicts(gens, key, 40)
+            mid = len(spairs)
+            assert _buchberger_dicts(gens, key, 40, target) == plain, (I, order)
+            plain_pairs += mid - start
+            target_pairs += len(spairs) - mid
+    assert target_pairs < plain_pairs
+
+
+def test_a_warm_cache_keeps_the_s_pair_cap():
+    # under cap 4 the grevlex basis of this ideal fits (its largest element
+    # has degree 3) and gives the ideal a Hilbert target, but the lex run
+    # forms a pair of degree 5 and must still raise.  So must the lex run of
+    # an initial ideal that took its numerator from its parent and has no
+    # basis of its own.
+    I = ideal(3, "x1*x2 + x3^2", "x1^2 + x2*x3", degree_cap=4)
+    assert max(g.degree for g in buchberger(I)) == 3
+    with pytest.raises(DegreeCapExceeded, match="s-pair degree exceeds cap 4"):
+        buchberger(I, LEX)
+    assert I.numerator == (1, 0, -2, 0, 1)
+    J = initial_ideal(I, (2, 1, 0))
+    assert gens_of(J) == ["x3^2", "x2*x3", "x1*x2^2 - x1^2*x3"]
+    assert J.numerator == I.numerator and not J.gb_cache
+    with pytest.raises(DegreeCapExceeded, match="s-pair degree exceeds cap 4"):
+        buchberger(J, LEX)
 
 
 def _reference_division(f, G, key):

@@ -22,6 +22,7 @@ from gentrop.invariants import (
     multiplicity,
 )
 from gentrop.poly import GREVLEX, LEX, OrderSpec
+from gentrop.groebner import hilbert_numerator
 import gentrop
 
 import oracles
@@ -100,6 +101,27 @@ def test_hilbert_reconstructs_counts():
         assert got == want
         assert sum(h.numerator) != 0
         assert h.dim == monomial_dimension(Mi)
+
+
+def test_hilbert_numerator_matches_standard_monomial_counts():
+    # seeded monomial ideals, given by redundant generating sets with
+    # repeats as Buchberger's leads can be, the unit ideal and the zero
+    # ideal among them.  The lcm of the generators has degree at most 8, so
+    # the numerator does too, and the counts of degrees 0..8 determine it.
+    rng = random.Random("hilbert-numerator")
+    cases = [(3, []), (3, [(0, 0, 0), (1, 0, 0)])]
+    for n, top in ((2, 4), (3, 2), (4, 2), (5, 1)):
+        for _ in range(12):
+            gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+            gens = [e for e in gens if any(e)] or [(top,) + (0,) * (n - 1)]
+            gens += [tuple(min(top, x + rng.randint(0, 1)) for x in gens[0]), gens[-1]]
+            cases.append((n, gens))
+    for n, gens in cases:
+        q = hilbert_numerator(n, gens)
+        assert len(q) <= 9 and (q == (0,) or q[-1])
+        assert list(q) + [0] * (9 - len(q)) == oracles.numerator_prefix(gens, n, 8), (n, gens)
+    assert hilbert_numerator(3, []) == (1,)
+    assert hilbert_numerator(3, [(0, 0, 0), (1, 0, 0)]) == (0,)
 
 
 def test_multiplicity_examples():
