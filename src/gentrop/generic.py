@@ -28,6 +28,7 @@ from .groebner import (
     buchberger,
     contains_monomial,
     initial_ideal,
+    known_numerator,
 )
 from .invariants import (
     MonomialIdeal,
@@ -144,7 +145,8 @@ def random_transform(
 def apply_transform(I: Ideal, g: Transform) -> Ideal:
     """The ideal generated by the images of the generators under g, with the
     degree cap of I.  Images of the integer forms are expanded over the
-    integers."""
+    integers.  An invertible g keeps the Hilbert series, so gI takes the
+    numerator of I if known (``groebner.known_numerator``)."""
     if g.n != I.n:
         raise ValueError("transform size does not match the ambient ring")
     n = I.n
@@ -177,7 +179,10 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
             for e, v in image(exps).items():
                 acc[e] = acc.get(e, 0) + c * v
         gens.append({e: v for e, v in acc.items() if v})
-    return Ideal(n, gens, I.degree_cap)
+    J = Ideal(n, gens, I.degree_cap)
+    if _det_int(g.matrix):
+        J.numerator = known_numerator(I)
+    return J
 
 
 def transformed(I: Ideal, policy: GenericityPolicy) -> tuple:

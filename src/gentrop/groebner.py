@@ -9,13 +9,13 @@ coefficient).  Leads, weighted initial ideals and derived ideals are read
 from them, and monic Fraction ``Polynomial``s are built only when first
 read.  The remainders of ``normal_form`` are exact over the rationals.
 Generators enter a run reduced by the basis so far, as s-polynomials do.
-S-pairs are pruned by the Gebauer-Moeller criteria (B, M and F, which
-includes the coprimality criterion) and taken from a heap by the normal
+S-pairs are pruned when formed, by the Gebauer-Moeller criteria M and F
+(with the coprimality criterion), and taken from a heap by the normal
 strategy (smallest lcm degree first).  A run whose ideal has a known
-Hilbert series (``Ideal.numerator``, see ``hilbert_numerator``) stops as
-soon as the leads of its basis have that series: they then generate the
-initial ideal, so every pending pair would reduce to zero (Traverso 1996,
-"Hilbert functions and the Buchberger algorithm").  Every sort and
+Hilbert series (``known_numerator``) stops, in place of the criterion B,
+as soon as the leads of its basis have that series: they then generate
+the initial ideal, so every pending pair would reduce to zero (Traverso
+1996, "Hilbert functions and the Buchberger algorithm").  Every sort and
 tie-break is fixed, so identical inputs produce bit-identical output.
 Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
 computations on it with ``DegreeCapExceeded`` instead of hanging.
@@ -78,7 +78,8 @@ class Ideal:
     of the Hilbert series of S/I (see ``hilbert_numerator``), which every
     Buchberger run on the ideal takes as the target that ends it.  It is
     read from the leads of any cached basis, or handed down by the parent of
-    an initial ideal, which has the same series; until then it is None.
+    an initial ideal or of an invertible transform (``generic.apply_transform``),
+    which has the same series; until then it is None.
     """
 
     __slots__ = (
@@ -89,6 +90,8 @@ class Ideal:
         self, n: int, generators: Iterable,
         degree_cap: int = DEFAULT_DEGREE_CAP,
     ):
+        if degree_cap < 1:
+            raise ValueError(f"degree cap {degree_cap} is below 1")
         forms = []
         for g in generators:
             if isinstance(g, Polynomial):
@@ -336,7 +339,9 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
     Each generator is checked against ``cap``, then enters the basis as its
     normal form by the basis built so far, as an s-polynomial does.  So no
     lead divides a later one, and ``active``, the elements whose lead no
-    later lead divides, is the minimal basis (Gebauer and Moeller 1988).
+    later lead divides, is the minimal basis.  A new element pairs with the
+    active ones that the criteria M and F keep (Gebauer and Moeller 1988),
+    and no pending pair is dropped later.
     ``target``, if given, is the Hilbert numerator of the ideal (see
     ``hilbert_numerator``).  The leads of the basis generate an ideal inside
     the initial ideal, with the same series only if the two are equal; so
@@ -347,25 +352,15 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
     """
     basis: list = []      # reducers (lm, lc, tail)
     active: set = set()   # indices whose lead no later lead divides
-    live: dict = {}       # pending pair (i, j) -> lcm; other heap entries are stale
-    heap: list = []       # (deg lcm, lcm, i, j): the normal strategy
+    heap: list = []       # pending pairs (deg lcm, lcm, i, j): the normal strategy
 
     def push(red: tuple):
-        """Append the reducer red to the basis and update the pairs
-        (Gebauer-Moeller)."""
+        """Append the reducer red to the basis and add its pairs with the
+        active elements that the criteria M and F keep."""
         lm = red[0]
         if sum(lm) > cap:
             raise DegreeCapExceeded(f"basis degree {sum(lm)} exceeds cap {cap}")
         k = len(basis)
-        # B: drop an old pair (i, j) whose lcm the new lead divides, unless
-        # the pair of i or of j with the new element has the same lcm
-        for (i, j), lcm in list(live.items()):
-            if (
-                _divides(lm, lcm)
-                and _lcm(basis[i][0], lm) != lcm
-                and _lcm(basis[j][0], lm) != lcm
-            ):
-                del live[(i, j)]
         # new pairs by lcm; None marks an lcm shared with a coprime pair.  The
         # cap sees every non-coprime pair, also those the criteria drop.
         by_lcm: dict = {}
@@ -381,7 +376,6 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
         for lcm, j in by_lcm.items():
             if j is None or any(o != lcm and _divides(o, lcm) for o in by_lcm):
                 continue
-            live[(k, j)] = lcm
             heappush(heap, (sum(lcm), lcm, k, j))
         active.difference_update([j for j in active if _divides(lm, basis[j][0])])
         active.add(k)
@@ -404,13 +398,10 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
     checked = 0  # basis size at the last comparison with the target
     while heap:
         _, _, i, j = heappop(heap)
-        if (i, j) not in live:
-            continue  # dropped by the B criterion
         if target is not None and checked < len(basis):
             checked = len(basis)
             if hilbert_numerator(len(basis[0][0]), (basis[k][0] for k in active)) == target:
                 break
-        del live[(i, j)]
         r, lm, _ = _nf_dict(_spair_poly(basis[i], basis[j]), basis, key, cap)
         if r:
             push(_reducer(r, lm))
@@ -555,9 +546,10 @@ def _cone_hit(I: Ideal, key: Callable):
     return None
 
 
-def _known_numerator(I: Ideal):
+def known_numerator(I: Ideal):
     """The Hilbert numerator of I: ``I.numerator``, read from the leads of a
-    cached basis if unset; None while I has neither."""
+    cached basis if unset; None while I has neither.  Ideals with the same
+    series (initial ideals, invertible transforms) take it over."""
     if I.numerator is None and I.gb_cache:
         I.numerator = hilbert_numerator(I.n, next(iter(I.gb_cache.values())).leads)
     return I.numerator
@@ -586,7 +578,7 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     if reused is not None:
         reds = sorted(reused, key=lambda r: key(r[0]))
     else:
-        reds = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap, _known_numerator(I))
+        reds = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap, known_numerator(I))
     gb = I.gb_cache[order] = GroebnerBasis(order, I.n, reds)
     return gb
 
@@ -620,7 +612,7 @@ def initial_ideal(I: Ideal, w) -> Ideal:
         forms.append(form)
     J = Ideal(I.n, forms, I.degree_cap)
     J = I.initials[wn] = I.initials.setdefault(J.forms, J)
-    J.numerator = _known_numerator(I)
+    J.numerator = known_numerator(I)
     return J
 
 

@@ -405,6 +405,9 @@ def test_graded_validation_and_errors():
     with pytest.raises(DegreeCapExceeded):
         # artificial cap of 1 cannot even hold the generators
         buchberger(ideal(2, "x1^2 + x2^2", degree_cap=1))
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="below 1"):
+            ideal(2, "x1", degree_cap=cap)
 
 
 def test_ideal_stores_primitive_integer_forms():
@@ -798,6 +801,31 @@ def test_a_hilbert_target_changes_no_basis(monkeypatch):
             plain_pairs += mid - start
             target_pairs += len(spairs) - mid
     assert target_pairs < plain_pairs
+
+
+def test_pair_criteria_bound_the_s_pairs_of_cold_runs(monkeypatch):
+    # runs on fresh ideals have no Hilbert target and rely on the pair
+    # criteria alone.  On 40 seeded ideals, under five orders each and in
+    # the steps of one saturation of each, the criteria M and F and the
+    # coprimality rule leave 2,655 s-pair normal forms: 2,775 without the
+    # coprimality rule, 3,289 without F, 4,428 without M
+    from gentrop.groebner import _buchberger_dicts, _saturation
+
+    spairs = counting_spairs(monkeypatch)
+    ideals = [random_graded_ideal(n, seed, gens=2 + seed % 3) for n in (3, 4) for seed in range(12)]
+    for seed in range(8):
+        ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
+        ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
+    for idx, I in enumerate(ideals):
+        n = I.n
+        rng = random.Random(f"cold:{idx}")
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        orders = [GREVLEX, LEX, OrderSpec("grevlex", perm), OrderSpec("lex", perm),
+                  GREVLEX.refine(tuple(rng.randint(0, 4) for _ in range(n)))]
+        for order in orders:
+            _buchberger_dicts([dict(f) for f in I.forms], order.key_function(n, 40), 40)
+        _saturation(Ideal(n, map(dict, I.forms)), (1,) * n)
+    assert len(spairs) <= 2720
 
 
 def test_a_warm_cache_keeps_the_s_pair_cap():
