@@ -85,6 +85,17 @@ def random_graded_ideal(n: int, seed: int, gens: int = 2, max_degree: int = 3,
     return Ideal(n, out)
 
 
+def seeded_ideals(sparse: int, dense: int) -> list:
+    """Seeded ideals in 3 and 4 variables: ``sparse`` random_graded_ideals of
+    each size, then ``dense`` pairs of dense forms of each size."""
+    out = [random_graded_ideal(n, seed, gens=2 + seed % 3)
+           for n in (3, 4) for seed in range(sparse)]
+    for seed in range(dense):
+        out.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
+        out.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
+    return out
+
+
 def counting_engine(monkeypatch) -> list:
     """Patch the Buchberger engine to record each run; returns the record."""
     runs = []

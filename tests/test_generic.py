@@ -36,6 +36,7 @@ from cases import (
     policy,
     product_family,
     random_graded_ideal,
+    seeded_ideals,
     smooth_quadric4,
     split_fan_ideal,
     stable_depth_family,
@@ -110,12 +111,8 @@ def test_a_transform_takes_over_the_hilbert_series(monkeypatch):
     # I has a cached basis gI takes its numerator, which must equal the one
     # a cold grevlex run on an uncached copy of gI gives.  A fresh I has no
     # numerator to hand over: building gI must not run the engine.
-    ideals = [random_graded_ideal(n, seed, gens=2 + seed % 3) for n in (3, 4) for seed in range(4)]
-    for seed in range(2):
-        ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
-        ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
     runs = counting_engine(monkeypatch)
-    for idx, I in enumerate(ideals):
+    for idx, I in enumerate(seeded_ideals(4, 2)):
         n = I.n
         gs = [Transform.identity(n)] + [
             random_transform(n, GenericityPolicy(bound=bound, seed=idx), i)

@@ -28,6 +28,7 @@ from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, norm
 import oracles
 from cases import (
     P, counting_engine, counting_spairs, dense_form, ideal, policy, random_graded_ideal,
+    seeded_ideals,
 )
 
 
@@ -779,10 +780,7 @@ def test_a_hilbert_target_changes_no_basis(monkeypatch):
     from gentrop.groebner import _buchberger_dicts, hilbert_numerator
 
     spairs = counting_spairs(monkeypatch)
-    ideals = [random_graded_ideal(n, seed, gens=2 + seed % 3) for n in (3, 4) for seed in range(4)]
-    for seed in range(3):
-        ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
-        ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
+    ideals = seeded_ideals(4, 3)
     plain_pairs = target_pairs = 0
     for idx, I in enumerate(ideals):
         n = I.n
@@ -804,19 +802,15 @@ def test_a_hilbert_target_changes_no_basis(monkeypatch):
 
 
 def test_pair_criteria_bound_the_s_pairs_of_cold_runs(monkeypatch):
-    # runs on fresh ideals have no Hilbert target and rely on the pair
-    # criteria alone.  On 40 seeded ideals, under five orders each and in
-    # the steps of one saturation of each, the criteria M and F and the
-    # coprimality rule leave 2,655 s-pair normal forms: 2,775 without the
-    # coprimality rule, 3,289 without F, 4,428 without M
+    # runs on ideals with no cached basis have no Hilbert target and rely on
+    # the pair criteria alone.  On 40 seeded ideals, under five orders each
+    # and in the steps of one saturation of a fresh copy, the criteria M and
+    # F and the coprimality rule leave 2,655 s-pair normal forms: 2,775
+    # without the coprimality rule, 3,289 without F, 4,428 without M
     from gentrop.groebner import _buchberger_dicts, _saturation
 
     spairs = counting_spairs(monkeypatch)
-    ideals = [random_graded_ideal(n, seed, gens=2 + seed % 3) for n in (3, 4) for seed in range(12)]
-    for seed in range(8):
-        ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
-        ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
-    for idx, I in enumerate(ideals):
+    for idx, I in enumerate(seeded_ideals(12, 8)):
         n = I.n
         rng = random.Random(f"cold:{idx}")
         perm = tuple(rng.sample(range(1, n + 1), n))
