@@ -13,6 +13,7 @@ from .generic import (
     apply_transform,
     classify_cm,
     cone_constancy,
+    depth,
     gin,
     identity_policy,
     random_transform,
@@ -37,7 +38,6 @@ from .groebner import (
 from .invariants import (
     HilbertData,
     MonomialIdeal,
-    depth,
     depth_of_stable,
     dimension,
     hilbert,

@@ -6,9 +6,13 @@ canonical JSON report: sorted keys, sorted generator strings, and every
 probabilistic knob recorded, so identical inputs and seeds produce
 byte-identical output.
 
-Exit codes: 0 success, 1 failed verification probe, 2 parse/usage error,
-3 non-homogeneous input, 4 genericity failure, 5 degree-cap abort,
-6 internal error (a broken invariant check inside the engine).
+Each ``cmd_*`` maps (ideal, policy, arguments) to (exit code, report
+fields); ``main`` adds the input hash, the seed and the policy.
+
+Exit codes: 0 success, 1 failed verification probe, 2 parse/usage error
+(also an unreadable path or an out-of-range flag), 3 non-homogeneous input,
+4 genericity failure, 5 degree-cap abort, 6 internal error (a broken
+invariant check inside the engine).
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .generic import (
     ProbeResult,
     adjacent_distinct,
     classify_cm,
-    cone_constancy,
+    constancy_probes,
+    depth,
     gin,
     identity_policy,
     recover_depth,
@@ -41,7 +46,7 @@ from .groebner import (
     NotGradedError,
     initial_ideal,
 )
-from .invariants import depth, dimension, multiplicity
+from .invariants import dimension, multiplicity
 from .poly import GREVLEX, ParseError, parse_polynomial
 from .tropmult import intrinsic_multiplicity
 
@@ -106,106 +111,54 @@ def _probe_json(p: ProbeResult) -> dict:
     }
 
 
-def _base_report(args, data: bytes, n: int) -> dict:
-    return {
-        "input_sha256": hashlib.sha256(data).hexdigest(),
-        "n": n,
-        "seed": args.seed,
-        "policy": {
-            "samples": args.samples,
-            "bound": args.bound,
-            "points": args.points,
-            "degree_cap": args.degree_cap,
-            "identity": bool(args.identity),
-        },
-    }
-
-
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _load_ideal(args):
-    with open(args.file, "rb") as fh:
-        data = fh.read()
-    n, polys = parse_ideal_file(data.decode("utf-8"))
-    return data, Ideal(n, polys, args.degree_cap)
-
-
-def cmd_analyze(args) -> int:
-    data, I = _load_ideal(args)
-    policy = _policy(args, I.n)
-    m = dimension(I)
-    t = depth(I, policy)
-    result = classify_cm(I, policy, points=args.points)
-    g = gin(I, GREVLEX, policy)
-    report = _base_report(args, data, I.n)
-    report.update(
-        {
-            "dimension": m,
-            "depth": t,
-            "cm_class": result.label,
-            "multiplicity": multiplicity(I),
-            "gin": sorted(str(p) for p in g.polynomials()),
-            "probes": [_probe_json(p) for p in result.probes],
-        }
-    )
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_tropical(args) -> int:
-    data, I = _load_ideal(args)
-    policy = _policy(args, I.n)
-    w = _parse_omega(args.omega, I.n)
-    member = tropical_member(I, w, policy)
-    J = initial_ideal(transformed(I, policy)[0], w)
-    report = _base_report(args, data, I.n)
-    report.update(
-        {
-            "omega": [str(x) for x in w],
-            "member": member,
-            "initial_ideal": sorted(str(p) for p in J.generators),
-        }
-    )
-    _emit(report, args)
-    return EXIT_OK
-
-
-def _verify_wnm(I, policy, args):
-    m = dimension(I)
-    probes = []
-    for cone in budget(ConeSequence(I.n, m), args.seed):
-        ok = cone_constancy(I, cone, args.points, policy)
-        probes.append(ProbeResult("cone_constancy", cone, ok, "sampled"))
-    return probes
-
-
-def _verify_wnmt(I, policy, args):
+def _intermediate_depth(I, policy, target: str) -> tuple:
+    """(dimension, depth) of I, which the target needs with 0 < depth < dim-1."""
     m = dimension(I)
     t = depth(I, policy)
     if not 0 < t < m - 1:
         raise ParseError(
-            f"target Wnmt needs 0 < depth < dim-1, got depth {t}, dim {m}"
+            f"target {target} needs 0 < depth < dim-1, got depth {t}, dim {m}"
         )
-    probes = []
-    for cone in budget(ConeSequence(I.n, m, t), args.seed):
-        ok = cone_constancy(I, cone, args.points, policy)
-        probes.append(ProbeResult("cone_constancy", cone, ok, "sampled"))
-    for c1, c2 in budget(adjacent_pairs(I.n, m, t), args.seed):
+    return m, t
+
+
+def cmd_analyze(I, policy, args) -> tuple:
+    m = dimension(I)
+    t = depth(I, policy)
+    result = classify_cm(I, policy, points=args.points)
+    g = gin(I, GREVLEX, policy)
+    return EXIT_OK, {
+        "dimension": m,
+        "depth": t,
+        "cm_class": result.label,
+        "multiplicity": multiplicity(I),
+        "gin": sorted(str(p) for p in g.polynomials()),
+        "probes": [_probe_json(p) for p in result.probes],
+    }
+
+
+def cmd_tropical(I, policy, args) -> tuple:
+    w = _parse_omega(args.omega, I.n)
+    member = tropical_member(I, w, policy)
+    J = initial_ideal(transformed(I, policy)[0], w)
+    return EXIT_OK, {
+        "omega": [str(x) for x in w],
+        "member": member,
+        "initial_ideal": sorted(str(p) for p in J.generators),
+    }
+
+
+def _verify_wnm(I, policy, args):
+    return list(constancy_probes(I, ConeSequence(I.n, dimension(I)), args.points, policy))
+
+
+def _verify_wnmt(I, policy, args):
+    m, t = _intermediate_depth(I, policy, "Wnmt")
+    probes = list(constancy_probes(I, ConeSequence(I.n, m, t), args.points, policy))
+    for c1, c2 in budget(adjacent_pairs(I.n, m, t), policy.seed):
         ok = adjacent_distinct(I, c1, c2, policy)
         probes.append(
-            ProbeResult(
-                "adjacent_pair_distinct",
-                c1,
-                ok,
-                "exact",
-                f"versus {c2.to_json()}",
-            )
+            ProbeResult("adjacent_pair_distinct", c1, ok, "exact", f"versus {c2.to_json()}")
         )
     return probes
 
@@ -215,7 +168,7 @@ def _verify_multiplicity(I, policy, args):
     t = depth(I, policy)
     cones = ConeSequence(I.n, m, t if 0 < t < m - 1 else None)
     probes = []
-    for cone in budget(cones, args.seed):
+    for cone in budget(cones, policy.seed):
         rep = intrinsic_multiplicity(I, cone, policy)
         detail = (
             f"dim {rep.dim_initial}->{rep.dim_saturated}, "
@@ -228,22 +181,9 @@ def _verify_multiplicity(I, policy, args):
 
 
 def _verify_depth_recovery(I, policy, args):
-    m = dimension(I)
-    t = depth(I, policy)
-    if not 0 < t < m - 1:
-        raise ParseError(
-            f"target depth-recovery needs 0 < depth < dim-1, got depth {t}, dim {m}"
-        )
-    recovered = recover_depth(I, policy)
-    return [
-        ProbeResult(
-            "depth_recovery",
-            None,
-            recovered == t,
-            "exact",
-            f"recovered {recovered}, depth {t}",
-        )
-    ]
+    _, t = _intermediate_depth(I, policy, "depth-recovery")
+    r = recover_depth(I, policy)
+    return [ProbeResult("depth_recovery", None, r == t, "exact", f"recovered {r}, depth {t}")]
 
 
 _TARGETS = {
@@ -254,21 +194,14 @@ _TARGETS = {
 }
 
 
-def cmd_verify(args) -> int:
-    data, I = _load_ideal(args)
-    policy = _policy(args, I.n)
+def cmd_verify(I, policy, args) -> tuple:
     probes = _TARGETS[args.target](I, policy, args)
     passed = all(p.result for p in probes)
-    report = _base_report(args, data, I.n)
-    report.update(
-        {
-            "target": args.target,
-            "passed": passed,
-            "probes": [_probe_json(p) for p in probes],
-        }
-    )
-    _emit(report, args)
-    return EXIT_OK if passed else EXIT_PROBE_FAILED
+    return EXIT_OK if passed else EXIT_PROBE_FAILED, {
+        "target": args.target,
+        "passed": passed,
+        "probes": [_probe_json(p) for p in probes],
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,31 +239,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each failure class, looked up along the exception's MRO;
+# an unreadable path (missing, a directory, no permission) is a usage error
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    NotGradedError: EXIT_NOT_GRADED,
+    GenericityFailure: EXIT_GENERICITY,
+    DegreeCapExceeded: EXIT_DEGREE_CAP,
+    RuntimeError: EXIT_INTERNAL,
+    OSError: EXIT_PARSE,
+    ValueError: EXIT_PARSE,
+}
+
+# the least value of each numeric flag that the probes can use
+_FLAG_MINIMA = {"points": 2, "samples": 2, "bound": 1}
+
+
 def main(argv=None) -> int:
+    """Run one command: read the ideal file, run the command on the ideal
+    under the policy of the flags, and write the canonical report."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotGradedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_GRADED
-    except GenericityFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERICITY
-    except DegreeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGREE_CAP
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        for flag, least in _FLAG_MINIMA.items():
+            if getattr(args, flag) < least:
+                raise ParseError(f"--{flag} must be at least {least}")
+        with open(args.file, "rb") as fh:
+            data = fh.read()
+        n, polys = parse_ideal_file(data.decode("utf-8"))
+        I = Ideal(n, polys, args.degree_cap)
+        code, fields = args.func(I, _policy(args, n), args)
+        report = {
+            "input_sha256": hashlib.sha256(data).hexdigest(),
+            "n": n,
+            "seed": args.seed,
+            "policy": {
+                "samples": args.samples,
+                "bound": args.bound,
+                "points": args.points,
+                "degree_cap": args.degree_cap,
+                "identity": bool(args.identity),
+            },
+            **fields,
+        }
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        sys.stdout.write(text)
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
+    except tuple(_EXIT_CODES) as exc:
+        code = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
+        label = "internal error" if code == EXIT_INTERNAL else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

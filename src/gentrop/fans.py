@@ -211,16 +211,9 @@ def _ladder(count: int, gap: int) -> list:
 
 def interior_point(c: ConeId, c_gap: int = 1) -> tuple:
     """A deterministic interior point: zero on the min-set, then the smallest
-    integer ladder with the given gap factor across middle then top."""
-    if c_gap < 1:
-        raise ValueError("gap factor must be at least 1")
-    blocks = _blocks(c)
-    free = [i for b in blocks for i in b]
-    vals = _ladder(len(free), c_gap)
-    w = [0] * c.n
-    for i, v in zip(free, vals):
-        w[i - 1] = v
-    return tuple(w)
+    integer ladder with the given gap factor across middle then top (the
+    first of ``interior_points``)."""
+    return interior_points(c, c_gap, 1)[0]
 
 
 def _blocks(c: ConeId) -> list:
@@ -254,6 +247,8 @@ def interior_points(c: ConeId, c_gap: int, count: int) -> list:
     is the block's digit of q in the mixed radix of the block factorials;
     it is unranked directly, so memory stays linear in n.
     """
+    if c_gap < 1:
+        raise ValueError("gap factor must be at least 1")
     if count < 1:
         raise ValueError("need at least one point")
     blocks = _blocks(c)

@@ -32,7 +32,7 @@ from .groebner import (
 )
 from .invariants import (
     MonomialIdeal,
-    depth,
+    depth_of_stable,
     dimension,
     is_strongly_stable,
     monomial_ideal_of,
@@ -52,7 +52,8 @@ class GenericityFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class Transform:
-    """An invertible linear coordinate change with exact integer entries.
+    """An invertible linear coordinate change with exact integer entries;
+    a singular or non-square matrix raises ``ValueError``.
 
     Acts on polynomials by substituting each variable with the linear form
     given by the corresponding matrix column: x_i maps to sum_j m[j][i] x_j.
@@ -61,7 +62,12 @@ class Transform:
     matrix: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
+        rows = tuple(tuple(row) for row in self.matrix)
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise ValueError("a transform needs a nonempty square matrix")
+        if _det_int(rows) == 0:
+            raise ValueError("a transform needs an invertible matrix")
+        object.__setattr__(self, "matrix", rows)
 
     @property
     def n(self) -> int:
@@ -137,16 +143,18 @@ def random_transform(
             tuple(rng.randint(-policy.bound, policy.bound) for _ in range(n))
             for _ in range(n)
         )
-        if _det_int(rows) != 0:
+        try:
             return Transform(rows)
+        except ValueError:
+            pass
     raise RuntimeError("could not draw an invertible transform in 100 attempts")
 
 
 def apply_transform(I: Ideal, g: Transform) -> Ideal:
     """The ideal generated by the images of the generators under g, with the
     degree cap of I.  Images of the integer forms are expanded over the
-    integers.  An invertible g keeps the Hilbert series, so gI takes the
-    numerator of I if known (``groebner.known_numerator``)."""
+    integers.  A transform is invertible, so it keeps the Hilbert series
+    and gI takes the numerator of I if known (``groebner.known_numerator``)."""
     if g.n != I.n:
         raise ValueError("transform size does not match the ambient ring")
     n = I.n
@@ -180,8 +188,7 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
                 acc[e] = acc.get(e, 0) + c * v
         gens.append({e: v for e, v in acc.items() if v})
     J = Ideal(n, gens, I.degree_cap)
-    if _det_int(g.matrix):
-        J.numerator = known_numerator(I)
+    J.numerator = known_numerator(I)
     return J
 
 
@@ -256,6 +263,12 @@ def gin(
         return is_strongly_stable(M, priority)
 
     return agreed(I, policy, compute, "generic initial ideal", valid=stable)
+
+
+def depth(I: Ideal, policy: GenericityPolicy) -> int:
+    """Depth of S/I via the generic initial ideal for the graded reverse
+    lexicographic order, where the two agree."""
+    return depth_of_stable(gin(I, GREVLEX, policy))
 
 
 def tropical_member(
@@ -389,6 +402,20 @@ class ClassifyResult:
     probes: tuple
 
 
+def constancy_probes(
+    I: Ideal,
+    cones: Sequence,
+    points: int,
+    policy: GenericityPolicy,
+) -> Iterable[ProbeResult]:
+    """One ``cone_constancy`` probe per cone of ``cones`` (all of them, or
+    ``CONE_BUDGET`` drawn with the policy seed when there are more), yielded
+    one at a time so that a caller can stop at the first split cone."""
+    for cone in budget(cones, policy.seed):
+        ok = cone_constancy(I, cone, points, policy)
+        yield ProbeResult("cone_constancy", cone, ok, "sampled")
+
+
 def classify_cm(
     I: Ideal,
     policy: GenericityPolicy = GenericityPolicy(),
@@ -413,14 +440,11 @@ def classify_cm(
         label = NEITHER
     probes = []
     if label in (CM, ALMOST_CM):
-        for cone in budget(ConeSequence(I.n, m), policy.seed):
-            ok = cone_constancy(I, cone, points, policy)
-            probes.append(
-                ProbeResult("cone_constancy", cone, ok, "sampled")
-            )
-            if not ok:
+        for probe in constancy_probes(I, ConeSequence(I.n, m), points, policy):
+            probes.append(probe)
+            if not probe.result:
                 raise GenericityFailure(
-                    f"{label} classification contradicted by split cone {cone.to_json()}"
+                    f"{label} classification contradicted by split cone {probe.cone.to_json()}"
                 )
     elif label == NEITHER:
         w, v, distinct = separating_witness(I, policy)

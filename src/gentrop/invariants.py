@@ -1,10 +1,11 @@
 """Algebraic invariants: Krull dimension, Hilbert series, multiplicity,
-strongly stable ideals and depth read off from generic initial ideals."""
+strongly stable ideals and their depth (``generic.depth`` reads the depth of
+an ideal off its generic initial ideal)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .groebner import Ideal, buchberger, hilbert_numerator
@@ -153,55 +154,9 @@ def is_strongly_stable(M: MonomialIdeal, perm=None) -> bool:
     return True
 
 
-def depth_of_stable(M: MonomialIdeal, perm=None) -> int:
-    """Depth of S/M for M strongly stable: n minus the largest variable
-    position (in the stability ordering) dividing a minimal generator."""
-    order = tuple(perm) if perm is not None else tuple(range(1, M.n + 1))
-    if not is_strongly_stable(M, order):
-        raise ValueError("ideal is not strongly stable for this ordering")
-    last = 0
-    for g in M.generators:
-        for rank, var in enumerate(order, start=1):
-            if g[var - 1] > 0:
-                last = max(last, rank)
-    return M.n - last
-
-
-def depth(I: Ideal, policy) -> int:
-    """Depth of S/I via the generic initial ideal for the graded reverse
-    lexicographic order, where the two agree."""
-    from .generic import gin
-
-    g = gin(I, GREVLEX, policy)
-    return depth_of_stable(g)
-
-
-def certify_maximal_gdepth(I: Ideal) -> bool:
-    """True when all generic initial ideals of I provably share its depth:
-    the certificate implemented here is that I is itself a strongly stable
-    monomial ideal.  False means unknown, not a refutation."""
-    if any(len(f) > 1 for f in I.forms):
-        return False
-    return is_strongly_stable(minimalize(I.n, [f[0][0] for f in I.forms]))
-
-
-def gdepth_family_bound(I: Ideal, policy, perms=None) -> int:
-    """Upper bound for the generic depth: the minimum depth of the generic
-    initial ideals over a finite family of permuted grevlex orders (all n!
-    permutations by default, limited to n <= 6).  The true generic depth
-    minimizes over all term orders, so this is only a family bound."""
-    from .generic import gin
-
-    if perms is None:
-        if I.n > 6:
-            raise ValueError("full permutation family is limited to n <= 6")
-        perms = permutations(range(1, I.n + 1))
-    best = None
-    for perm in perms:
-        order = OrderSpec("grevlex", tuple(perm))
-        g = gin(I, order, policy)
-        d = depth_of_stable(g, tuple(perm))
-        best = d if best is None else min(best, d)
-    if best is None:
-        raise ValueError("empty order family")
-    return best
+def depth_of_stable(M: MonomialIdeal) -> int:
+    """Depth of S/M for M strongly stable: n minus the largest index of a
+    variable dividing a minimal generator."""
+    if not is_strongly_stable(M):
+        raise ValueError("ideal is not strongly stable")
+    return M.n - max((i + 1 for g in M.generators for i, e in enumerate(g) if e), default=0)

@@ -288,6 +288,28 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["analyze", q, "--degree-cap", cap]) == EXIT_PARSE
         assert f"degree cap {cap} is below 1" in capsys.readouterr().err
 
+    # numeric flags are checked before the file is read, on every command,
+    # also where the input would never use them (the non-CM family makes no
+    # constancy probe in analyze)
+    fam = write(tmp_path, "fam.ideal", FAMILY_531)
+    for flag, least, value in (("--points", 2, "0"), ("--points", 2, "1"),
+                               ("--samples", 2, "1"), ("--bound", 1, "0"), ("--bound", 1, "-5")):
+        for argv in (["analyze", fam], ["tropical", fam, "--omega", "0,0,1,1,2"],
+                     ["verify", fam, "--target", "Wnmt"], ["analyze", missing]):
+            assert main(argv + [flag, value]) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} must be at least {least}\n"
+
+    # an unreadable path is a usage error with one line, not a traceback
+    assert main(["analyze", str(tmp_path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    nowhere = str(tmp_path / "no-such-dir" / "r.json")
+    assert main(["analyze", fam, "--json", nowhere]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_degree_cap_binds_the_depth_gin(tmp_path, capsys):
     # the generators and their grevlex basis stay within the cap, but the gin

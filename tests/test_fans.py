@@ -177,6 +177,16 @@ def test_interior_points_vary_and_stay_interior():
     assert orders == {(3, 4), (4, 3)}
 
 
+def test_interior_points_need_a_positive_gap():
+    # with gap 0 the ladder is 1, 1, 1, ..., which ties middle and top
+    c = ConeId(5, {1, 2}, {3, 4}, {5})
+    for count in (1, 2):
+        with pytest.raises(ValueError):
+            interior_points(c, 0, count)
+    with pytest.raises(ValueError):
+        interior_point(c, 0)
+
+
 def test_point_in_exactly_one_open_cone():
     rng = random.Random(11)
     n = 5

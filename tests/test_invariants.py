@@ -9,11 +9,8 @@ import pytest
 
 from gentrop.invariants import (
     HilbertData,
-    certify_maximal_gdepth,
-    depth,
     depth_of_stable,
     dimension,
-    gdepth_family_bound,
     hilbert,
     is_strongly_stable,
     minimalize,
@@ -21,6 +18,7 @@ from gentrop.invariants import (
     monomial_ideal_of,
     multiplicity,
 )
+from gentrop.generic import depth
 from gentrop.poly import GREVLEX, LEX, OrderSpec
 from gentrop.groebner import hilbert_numerator
 import gentrop
@@ -181,19 +179,6 @@ def test_depth_examples():
     n = 4
     for k in (1, 2, 4):
         assert depth(product_family(n, k), pol) == n - k
-
-
-def test_gdepth_certificate_and_family_bound():
-    pol = policy()
-    fam = stable_depth_family(5, 3, 1)
-    assert certify_maximal_gdepth(fam)
-    assert certify_maximal_gdepth(split_fan_ideal())
-    assert not certify_maximal_gdepth(ideal(3, "x1^2 + x2^2"))
-    # small family probe on a strongly stable ideal in 3 variables: all
-    # permuted grevlex gins share the depth
-    I = ideal(3, "x1^2", "x1*x2")
-    bound = gdepth_family_bound(I, pol)
-    assert bound == depth(I, pol) == 1
 
 
 def test_depth_bounded_by_dimension():

@@ -1,7 +1,7 @@
 """Layering rules: no gentrop module imports another module's private
-(``_``-prefixed) names, at run time gentrop imports only the standard
-library and itself, and only the ``Ideal`` and the division engine take a
-degree cap."""
+(``_``-prefixed) names or imports another gentrop module inside a function,
+at run time gentrop imports only the standard library and itself, and only
+the ``Ideal`` and the division engine take a degree cap."""
 
 import ast
 import sys
@@ -42,6 +42,50 @@ def test_no_module_imports_private_names_of_another():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     offenders = {p.name: private_imports(p) for p in modules}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def function_level_imports(path: Path) -> list:
+    """(line, module) of every import of a gentrop module that ``path``
+    makes inside a function body; a module-level import graph has no
+    hidden cycles."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            found += [(node.lineno, name) for name in names
+                      if name.startswith(".") or name.split(".")[0] == "gentrop"]
+    return sorted(set(found))
+
+
+def test_function_level_import_check_sees_relative_and_absolute_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .generic import gin\n"
+        "def f():\n"
+        "    from .generic import gin\n"
+        "    import json\n"
+        "    def g():\n"
+        "        import gentrop.fans\n"
+        "class A:\n"
+        "    def h(self):\n"
+        "        from . import poly\n",
+        encoding="utf-8",
+    )
+    assert function_level_imports(probe) == [(3, ".generic"), (6, "gentrop.fans"), (9, ".")]
+
+
+def test_no_module_imports_another_inside_a_function():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    offenders = {p.name: function_level_imports(p) for p in modules}
     assert {k: v for k, v in offenders.items() if v} == {}
 
 
