@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .fans import ConeSequence, adjacent_pairs, budget
@@ -97,7 +96,7 @@ def _parse_omega(text: str, n: int):
 def _policy(args, n: int) -> GenericityPolicy:
     if args.identity:
         # the seed still draws the probed cones of fans above the budget
-        return replace(identity_policy(n), seed=args.seed)
+        return GenericityPolicy(seed=args.seed, transforms=identity_policy(n).transforms)
     return GenericityPolicy(samples=args.samples, bound=args.bound, seed=args.seed)
 
 
@@ -282,10 +281,10 @@ def main(argv=None) -> int:
             **fields,
         }
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        sys.stdout.write(text)
         if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        sys.stdout.write(text)
         return code
     except tuple(_EXIT_CODES) as exc:
         code = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)

@@ -12,40 +12,32 @@ machinery is needed.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import combinations
 from math import comb, factorial
-from typing import Iterable
 
 # the most cones a fan probe visits; ``budget`` samples larger fans
 CONE_BUDGET = 200
 
 
-@dataclass(frozen=True)
-class ConeId:
+class ConeId(namedtuple("ConeId", "n min_set middle top")):
     """Combinatorial descriptor of a cone (1-based coordinate indices)."""
 
-    n: int
-    min_set: frozenset
-    middle: frozenset = frozenset()
-    top: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "min_set", frozenset(self.min_set))
-        object.__setattr__(self, "middle", frozenset(self.middle))
-        object.__setattr__(self, "top", frozenset(self.top))
-        allv = set(range(1, self.n + 1))
-        if not self.min_set or not self.min_set <= allv:
+    def __new__(cls, n: int, min_set, middle=frozenset(), top=frozenset()):
+        min_set, middle, top = frozenset(min_set), frozenset(middle), frozenset(top)
+        allv = set(range(1, n + 1))
+        if not min_set or not min_set <= allv:
             raise ValueError("min_set must be a nonempty subset of 1..n")
-        if not (self.middle <= allv and self.top <= allv):
+        if not (middle <= allv and top <= allv):
             raise ValueError("middle/top must be subsets of 1..n")
-        if self.min_set & self.middle or self.min_set & self.top or self.middle & self.top:
+        if min_set & middle or min_set & top or middle & top:
             raise ValueError("min_set, middle and top must be pairwise disjoint")
-        if (self.middle or self.top) and (
-            self.min_set | self.middle | self.top != allv
-        ):
+        if (middle or top) and min_set | middle | top != allv:
             raise ValueError("refinement cones must partition all coordinates")
+        return super().__new__(cls, n, min_set, middle, top)
 
     def is_refinement(self) -> bool:
         return bool(self.middle or self.top)

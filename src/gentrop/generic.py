@@ -17,10 +17,10 @@ inequalities are exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable, Sequence
 
 from .fans import ConeId, ConeSequence, budget, interior_point, interior_points
 from .groebner import (
@@ -50,24 +50,24 @@ class GenericityFailure(RuntimeError):
     classification, after all escalations."""
 
 
-@dataclass(frozen=True)
-class Transform:
-    """An invertible linear coordinate change with exact integer entries;
-    a singular or non-square matrix raises ``ValueError``.
+class Transform(namedtuple("Transform", "matrix")):
+    """An invertible linear coordinate change with exact integer entries,
+    immutable and hashable; a singular or non-square matrix raises
+    ``ValueError``.
 
     Acts on polynomials by substituting each variable with the linear form
     given by the corresponding matrix column: x_i maps to sum_j m[j][i] x_j.
     """
 
-    matrix: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.matrix)
+    def __new__(cls, matrix):
+        rows = tuple(tuple(row) for row in matrix)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("a transform needs a nonempty square matrix")
         if _det_int(rows) == 0:
             raise ValueError("a transform needs an invertible matrix")
-        object.__setattr__(self, "matrix", rows)
+        return super().__new__(cls, rows)
 
     @property
     def n(self) -> int:
@@ -78,24 +78,23 @@ class Transform:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
-@dataclass(frozen=True)
-class GenericityPolicy:
-    """Sampling policy: ``samples`` independent transforms with entries in
-    [-bound, bound] must agree.  ``transforms`` injects explicit transforms
-    instead (testing hook; disables sampling and escalation)."""
+class GenericityPolicy(namedtuple("GenericityPolicy", "samples bound seed transforms")):
+    """Immutable and hashable sampling policy: ``samples`` independent
+    transforms with entries in [-bound, bound] must agree.  ``transforms``
+    injects explicit transforms instead (testing hook; disables sampling and
+    escalation)."""
 
-    samples: int = 2
-    bound: int = 1000
-    seed: int = 0
-    transforms: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.transforms is not None:
-            object.__setattr__(self, "transforms", tuple(self.transforms))
-        elif self.samples < 2:
+    def __new__(cls, samples: int = 2, bound: int = 1000, seed: int = 0,
+                transforms: tuple | None = None):
+        if transforms is not None:
+            transforms = tuple(transforms)
+        elif samples < 2:
             raise ValueError("agreement requires at least two samples")
-        if self.transforms is None and self.bound < 1:
+        elif bound < 1:
             raise ValueError("bound must be at least 1")
+        return super().__new__(cls, samples, bound, seed, transforms)
 
 
 def identity_policy(n: int) -> GenericityPolicy:
@@ -222,7 +221,8 @@ def agreed(
     exactly like disagreement does."""
     reason = "independent transforms disagree"
     for escalation in range(3):
-        pol = policy if escalation == 0 else replace(policy, bound=policy.bound * 100**escalation)
+        pol = policy if escalation == 0 else GenericityPolicy(
+            policy.samples, policy.bound * 100**escalation, policy.seed, policy.transforms)
         values = [compute(gI) for gI in transformed(I, pol)]
         if all(v == values[0] for v in values[1:]):
             if valid is None or valid(values[0]):
@@ -384,22 +384,15 @@ def separating_witness(
     return w, v, distinct
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """One verification probe: what was tested, where, and with which kind of
-    evidence (exact inequality versus sampled constancy)."""
+class ProbeResult(namedtuple("ProbeResult", "kind cone result evidence detail", defaults=("",))):
+    """One verification probe: what was tested, where (a ConeId or None), and
+    with which kind of evidence (exact inequality versus sampled constancy)."""
 
-    kind: str
-    cone: ConeId | None
-    result: bool
-    evidence: str
-    detail: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
-    label: str
-    probes: tuple
+class ClassifyResult(namedtuple("ClassifyResult", "label probes")):
+    __slots__ = ()
 
 
 def constancy_probes(

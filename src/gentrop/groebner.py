@@ -23,12 +23,12 @@ computations on it with ``DegreeCapExceeded`` instead of hanging.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Callable, Iterable, Sequence
 
 from .poly import (
     GREVLEX,
@@ -69,11 +69,11 @@ class Ideal:
     computed under its one cap.  ``gb_cache`` maps an OrderSpec to the
     reduced basis; a cached basis also serves any order whose Groebner cone
     contains it (see ``buchberger``), so the cap bounds every computation
-    performed, not the runs a reused basis skips.  ``images`` maps a frozen
-    GenericityPolicy to the tuple of transformed ideals (see
-    ``generic.transformed``).  ``initials`` interns the weighted initial
-    ideals (see ``initial_ideal``): it maps a normalized weight, and the
-    forms of an initial ideal, to one shared ``Ideal``, so equal initial
+    performed, not the runs a reused basis skips.  ``images`` maps an
+    immutable and hashable GenericityPolicy to the tuple of transformed
+    ideals (see ``generic.transformed``).  ``initials`` interns the weighted
+    initial ideals (see ``initial_ideal``): it maps a normalized weight, and
+    the forms of an initial ideal, to one shared ``Ideal``, so equal initial
     ideals share their cached bases.  ``numerator`` memoizes the numerator
     of the Hilbert series of S/I (see ``hilbert_numerator``), which every
     Buchberger run on the ideal takes as the target that ends it.  It is

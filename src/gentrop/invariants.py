@@ -4,20 +4,18 @@ an ideal off its generic initial ideal)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .groebner import Ideal, buchberger, hilbert_numerator
 from .poly import GREVLEX, OrderSpec, Polynomial
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(namedtuple("MonomialIdeal", "n generators")):
     """A monomial ideal by its unique minimal generating set."""
 
-    n: int
-    generators: tuple
+    __slots__ = ()
 
     def contains_unit(self) -> bool:
         return any(sum(e) == 0 for e in self.generators)
@@ -81,14 +79,11 @@ def dimension(I: Ideal) -> int:
     return monomial_dimension(M)
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(namedtuple("HilbertData", "numerator dim multiplicity")):
     """Hilbert series numerator Q (fully cancelled), dimension d and
     multiplicity Q(1) of S/M, where the series is Q(t) / (1-t)^d."""
 
-    numerator: tuple
-    dim: int
-    multiplicity: int
+    __slots__ = ()
 
 
 def _divide_one_minus_t(coeffs: Sequence[int]):

@@ -12,11 +12,11 @@ leading term of the refined order is always one of the weight-minimal terms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable
 
 Exponents = tuple
 Weights = tuple
@@ -32,8 +32,7 @@ def _exact(w: Weights) -> tuple:
     return tuple(x if isinstance(x, int) else Fraction(x) for x in w)
 
 
-@dataclass(frozen=True)
-class OrderSpec:
+class OrderSpec(namedtuple("OrderSpec", "base perm weight")):
     """A term order: lex or grevlex on a variable permutation, optionally
     refined by a weight vector.
 
@@ -44,17 +43,14 @@ class OrderSpec:
     by one integer key.
     """
 
-    base: str = "grevlex"
-    perm: tuple | None = None
-    weight: Weights | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base not in ("lex", "grevlex"):
-            raise ValueError(f"unknown base order {self.base!r}")
-        if self.perm is not None:
-            object.__setattr__(self, "perm", tuple(self.perm))
-        if self.weight is not None:
-            object.__setattr__(self, "weight", _exact(self.weight))
+    def __new__(cls, base: str = "grevlex", perm: tuple | None = None,
+                weight: Weights | None = None):
+        if base not in ("lex", "grevlex"):
+            raise ValueError(f"unknown base order {base!r}")
+        return super().__new__(cls, base, None if perm is None else tuple(perm),
+                               None if weight is None else _exact(weight))
 
     def refine(self, w: Weights) -> "OrderSpec":
         """The same base order refined by weight vector ``w``."""

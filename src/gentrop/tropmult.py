@@ -14,10 +14,10 @@ than verifying linearity (no primary decomposition here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
 
 from .fans import ConeId, interior_point
 from .generic import GenericityPolicy, agreed, gap_degree
@@ -26,20 +26,17 @@ from .invariants import dimension, multiplicity
 from .poly import Polynomial, initial_form
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
-    """Per-cone multiplicity evidence.
+class MultiplicityReport(namedtuple(
+    "MultiplicityReport",
+    "cone dim_initial dim_saturated topdim_monomial_free m_saturated m_ideal",
+)):
+    """Per-cone multiplicity evidence at a ConeId.
 
     ``matches`` certifies the multiplicity theorem at this cone: the
     saturation kept the dimension, the top-dimensional primes are
     monomial-free, and the saturated multiplicity equals the ideal's."""
 
-    cone: ConeId
-    dim_initial: int
-    dim_saturated: int
-    topdim_monomial_free: bool
-    m_saturated: int
-    m_ideal: int
+    __slots__ = ()
 
     @property
     def matches(self) -> bool:
@@ -125,12 +122,10 @@ def hypersurface_mc(factors: Sequence, w, of: Polynomial | None = None) -> int:
     return sum(e for f, e in factors if not f.is_monomial())
 
 
-@dataclass(frozen=True)
-class NewtonPolytope:
+class NewtonPolytope(namedtuple("NewtonPolytope", "n vertices")):
     """Convex-hull vertices of the exponent set of a polynomial."""
 
-    n: int
-    vertices: tuple
+    __slots__ = ()
 
 
 def _in_convex_hull(point, points) -> bool:

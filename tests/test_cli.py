@@ -308,7 +308,8 @@ def test_exit_codes(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     nowhere = str(tmp_path / "no-such-dir" / "r.json")
     assert main(["analyze", fam, "--json", nowhere]) == EXIT_PARSE
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_degree_cap_binds_the_depth_gin(tmp_path, capsys):

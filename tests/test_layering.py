@@ -1,9 +1,12 @@
 """Layering rules: no gentrop module imports another module's private
 (``_``-prefixed) names or imports another gentrop module inside a function,
-at run time gentrop imports only the standard library and itself, and only
-the ``Ideal`` and the division engine take a degree cap."""
+at run time gentrop imports only the standard library and itself, start-up
+loads no costly stdlib convenience, and only the ``Ideal`` and the division
+engine take a degree cap."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -126,6 +129,20 @@ def test_runtime_imports_are_stdlib_only():
     assert modules
     offenders = {p.name: non_stdlib_imports(p) for p in modules}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+# stdlib modules that cost a batch run milliseconds of start-up and that the
+# engine needs none of: dataclasses pulls in inspect, ast, dis and tokenize
+SLOW_AT_STARTUP = ("dataclasses", "inspect", "typing")
+
+
+def test_cli_start_up_loads_no_slow_stdlib_module():
+    # -S: no site hook, which may import typing itself on some installs
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = f"import sys, gentrop.cli; print(sorted(set({SLOW_AT_STARTUP!r}) & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 # the Ideal owns the cap of every computation on it; only division by a
