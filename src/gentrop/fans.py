@@ -106,7 +106,30 @@ def _unrank_combination(items: list, k: int, r: int) -> list:
     return out
 
 
-class ConeSequence(Sequence):
+class _Sequence(Sequence):
+    """A sequence of ``length`` items whose item i is ``unrank(i)``,
+    computed when it is read; a slice is the list of its items."""
+
+    def __init__(self, length: int, unrank):
+        self._len, self._unrank = length, unrank
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return map(self._unrank, range(self._len))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._unrank(k) for k in range(*i.indices(self._len))]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("sequence index out of range")
+        return self._unrank(i)
+
+
+class ConeSequence(_Sequence):
     """The maximal cones of the m-skeleton, or of its t-refinement when
     ``t`` is given, in the order of ``maximal_cones`` /
     ``refinement_maximal_cones``.
@@ -123,16 +146,9 @@ class ConeSequence(Sequence):
             _check_refinement(n, m, t)
         self.n, self.m, self.t = n, m, t
         self._tops = 1 if t is None else comb(m - 1, t)
-        self._len = comb(n, n - m + 1) * self._tops
+        super().__init__(comb(n, n - m + 1) * self._tops, self._cone)
 
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> ConeId:
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("cone index out of range")
+    def _cone(self, i: int) -> ConeId:
         n = self.n
         a_index, top_index = divmod(i, self._tops)
         a = _unrank_combination(list(range(1, n + 1)), n - self.m + 1, a_index)
@@ -143,33 +159,18 @@ class ConeSequence(Sequence):
         return ConeId(n, frozenset(a), frozenset(rest) - top, top)
 
 
-class PairSequence(Sequence):
-    """The pairs of ``adjacent_pairs``: grouped by min-set in the order of
+def adjacent_pairs(n: int, m: int, t: int) -> _Sequence:
+    """Unordered pairs of refinement cones sharing the same min-set but
+    splitting middle/top differently: grouped by min-set in the order of
     ``refinement_maximal_cones``, and within a group the pairs (i, j),
-    i < j, of its cones in lexicographic order.
+    i < j, of its cones in lexicographic order.  A pair is unranked from
+    its index when it is read."""
+    cones = ConeSequence(n, m, t)
+    tops = comb(m - 1, t)
+    per_group = tops * (tops - 1) // 2
 
-    A pair is unranked from its index when it is read, like the cones of
-    ``ConeSequence``, so a caller that samples a few pairs never lists
-    them all."""
-
-    def __init__(self, n: int, m: int, t: int):
-        self._cones = ConeSequence(n, m, t)
-        self._tops = tops = comb(m - 1, t)
-        self._per_group = tops * (tops - 1) // 2
-        self._len = comb(n, n - m + 1) * self._per_group
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(self._len))]
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("pair index out of range")
-        group, r = divmod(i, self._per_group)
-        tops = self._tops
+    def pair(i: int) -> tuple:
+        group, r = divmod(i, per_group)
         # first cone a: the largest a whose earlier pairs a*(2*tops-a-1)/2
         # number at most r
         lo, hi = 0, tops - 2
@@ -181,13 +182,9 @@ class PairSequence(Sequence):
                 hi = mid - 1
         b = lo + 1 + r - lo * (2 * tops - lo - 1) // 2
         base = group * tops
-        return self._cones[base + lo], self._cones[base + b]
+        return cones[base + lo], cones[base + b]
 
-
-def adjacent_pairs(n: int, m: int, t: int) -> PairSequence:
-    """Unordered pairs of refinement cones sharing the same min-set but
-    splitting middle/top differently."""
-    return PairSequence(n, m, t)
+    return _Sequence(comb(n, n - m + 1) * per_group, pair)
 
 
 def _ladder(count: int, gap: int) -> list:
@@ -226,8 +223,9 @@ def _unrank_permutation(items: list, r: int) -> list:
     return out
 
 
-def interior_points(c: ConeId, c_gap: int, count: int) -> list:
-    """``count`` distinct interior points of the open cone.
+def interior_points(c: ConeId, c_gap: int, count: int) -> _Sequence:
+    """``count`` distinct interior points of the open cone, each computed
+    when it is read.
 
     The ladder values and the gap vary with the sample index, and the
     assignment of ladder rungs is permuted within each block; relative order
@@ -245,8 +243,8 @@ def interior_points(c: ConeId, c_gap: int, count: int) -> list:
         raise ValueError("need at least one point")
     blocks = _blocks(c)
     radices = [factorial(len(b)) for b in blocks]
-    out = []
-    for q in range(count):
+
+    def point(q: int) -> tuple:
         arrangement = []
         idx = q
         for b, radix in zip(blocks, radices):
@@ -256,8 +254,9 @@ def interior_points(c: ConeId, c_gap: int, count: int) -> list:
         w = [0] * c.n
         for i, v in zip(arrangement, vals):
             w[i - 1] = v
-        out.append(tuple(w))
-    return out
+        return tuple(w)
+
+    return _Sequence(count, point)
 
 
 def locate(w: Iterable, m: int, t: int | None = None) -> ConeId | None:

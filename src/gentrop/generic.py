@@ -308,8 +308,9 @@ def _same_initial(I: Ideal, points: Sequence, policy: GenericityPolicy, what: st
     are one interned ``Ideal`` (see ``initial_ideal``)."""
 
     def compute(gI: Ideal) -> bool:
-        first = initial_ideal(gI, points[0])
-        return all(initial_ideal(gI, w) is first for w in points[1:])
+        it = iter(points)
+        first = initial_ideal(gI, next(it))
+        return all(initial_ideal(gI, w) is first for w in it)
 
     return agreed(I, policy, compute, what)
 

@@ -203,7 +203,8 @@ class GroebnerBasis:
 # division over the rationals; ``_primitive`` and ``_monic`` convert at the
 # boundary, where ``Ideal`` and ``normal_form`` meet ``Polynomial``s.
 
-def _divides(a, b) -> bool:
+def divides(a, b) -> bool:
+    """Whether the monomial with exponent vector ``a`` divides that of ``b``."""
     for x, y in zip(a, b):
         if x > y:
             return False
@@ -269,7 +270,7 @@ def _nf_dict(f: dict, reducers, key: Callable, cap: int) -> tuple:
         if not c:
             continue
         for r in reducers:
-            if _divides(r[0], e):
+            if divides(r[0], e):
                 break
         else:
             # terms leave the heap in descending order, so the first one
@@ -374,10 +375,10 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
         # M and F: keep one pair per lcm that no other new lcm strictly
         # divides, and none for an lcm with a coprime pair
         for lcm, j in by_lcm.items():
-            if j is None or any(o != lcm and _divides(o, lcm) for o in by_lcm):
+            if j is None or any(o != lcm and divides(o, lcm) for o in by_lcm):
                 continue
             heappush(heap, (sum(lcm), lcm, k, j))
-        active.difference_update([j for j in active if _divides(lm, basis[j][0])])
+        active.difference_update([j for j in active if divides(lm, basis[j][0])])
         active.add(k)
         basis.append(red)
 
@@ -412,7 +413,7 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
     out = []
     for idx, r in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        if any(_divides(o[0], e) for e, _ in r[2] for o in others):
+        if any(divides(o[0], e) for e, _ in r[2] for o in others):
             red, rlm, _ = _nf_dict(_poly(r), others, key, cap)
             r = _reducer(red, rlm)
         out.append(r)
@@ -422,11 +423,11 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
 # -- Hilbert series -------------------------------------------------------
 
 
-def _minimal_monomials(gens) -> frozenset:
+def minimal_monomials(gens) -> frozenset:
     """The divisibility-minimal elements of the exponent vectors ``gens``."""
     kept: list = []
     for e in sorted(set(gens), key=sum):
-        if not any(_divides(k, e) for k in kept):
+        if not any(divides(k, e) for k in kept):
             kept.append(e)
     return frozenset(kept)
 
@@ -461,7 +462,7 @@ def hilbert_numerator(n: int, leads: Iterable) -> tuple:
             p = counts.index(max(counts))
             unit = tuple(int(i == p) for i in range(n))
             out = list(num(frozenset([e for e in gens if not e[p]] + [unit])))
-            colon = num(_minimal_monomials(e[:p] + (max(e[p] - 1, 0),) + e[p + 1:] for e in gens))
+            colon = num(minimal_monomials(e[:p] + (max(e[p] - 1, 0),) + e[p + 1:] for e in gens))
             out += [0] * (len(colon) + 1 - len(out))
             for k, c in enumerate(colon, 1):
                 out[k] += c
@@ -470,7 +471,7 @@ def hilbert_numerator(n: int, leads: Iterable) -> tuple:
         q = memo[gens] = tuple(out)
         return q
 
-    return num(_minimal_monomials(leads))
+    return num(minimal_monomials(leads))
 
 
 # -- public operations ----------------------------------------------------

@@ -8,7 +8,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import combinations
 
-from .groebner import Ideal, buchberger, hilbert_numerator
+from .groebner import Ideal, buchberger, divides, hilbert_numerator, minimal_monomials
 from .poly import GREVLEX, OrderSpec, Polynomial
 
 
@@ -26,7 +26,7 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "n generators")):
     def member(self, exps) -> bool:
         """Monomial membership: divisibility by some minimal generator."""
         e = tuple(exps)
-        return any(all(a <= b for a, b in zip(g, e)) for g in self.generators)
+        return any(divides(g, e) for g in self.generators)
 
     def polynomials(self) -> list:
         return [Polynomial.monomial(self.n, e) for e in self.generators]
@@ -38,15 +38,11 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "n generators")):
 
 def minimalize(n: int, gens: Iterable) -> MonomialIdeal:
     """Keep only the divisibility-minimal exponent vectors."""
-    uniq = {tuple(g) for g in gens}
-    if not uniq:
+    kept = minimal_monomials(tuple(g) for g in gens)
+    if not kept:
         raise ValueError("empty generator list")
-    uniq = sorted(uniq, key=GREVLEX.key_function(n, max(map(sum, uniq))))
-    kept = []
-    for e in uniq:
-        if not any(all(a <= b for a, b in zip(k, e)) for k in kept):
-            kept.append(e)
-    return MonomialIdeal(n, tuple(kept))
+    key = GREVLEX.key_function(n, max(map(sum, kept)))
+    return MonomialIdeal(n, tuple(sorted(kept, key=key)))
 
 
 def monomial_ideal_of(I: Ideal, order: OrderSpec = GREVLEX) -> MonomialIdeal:

@@ -217,6 +217,13 @@ def test_verify_wnm_quadric(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["passed"] is True
     assert len(report["probes"]) == 6
+    # the split fan's probes stop at the first point that differs, and a
+    # point is computed only when a probe reads it, so a huge --points
+    # costs nothing more
+    split = write(tmp_path, "split.ideal", SPLIT)
+    _, few = run(capsys, "verify", split, "--target", "Wnm", "--points", "3")
+    _, many = run(capsys, "verify", split, "--target", "Wnm", "--points", "100000")
+    assert few["passed"] is False and many["probes"] == few["probes"]
 
 
 def test_verify_wnmt_family_passes_split_fails(tmp_path, capsys):

@@ -8,7 +8,9 @@ import pytest
 from gentrop.fans import (
     ConeId,
     ConeSequence,
+    CONE_BUDGET,
     adjacent_pairs,
+    budget,
     cone_dim,
     interior_point,
     interior_points,
@@ -112,6 +114,9 @@ def test_adjacent_pairs_unrank_the_listed_pairs():
     assert a.min_set == b.min_set == frozenset(range(25, 31))
     with pytest.raises(IndexError):
         wide[len(wide)]
+    # the first cone of a drawn pair is found by binary search, not by a
+    # scan over the C(24, 12) cones of its group
+    assert len(budget(wide, 0)) == CONE_BUDGET
 
 
 def test_interior_point_examples():
@@ -256,7 +261,7 @@ def test_interior_points_match_enumerated_arrangements():
         # two past the product of the block factorials, so the index wraps
         count = prod(factorial(len(b)) for b in free) + 2
         for gap in (1, 2, 3):
-            assert interior_points(c, gap, count) == _enumerated_interior_points(
+            assert list(interior_points(c, gap, count)) == _enumerated_interior_points(
                 c, gap, count
             )
 
@@ -266,6 +271,11 @@ def test_interior_points_memory_stays_linear():
     tracemalloc.start()
     try:
         interior_points(c, 2, 3)
+        # points are computed when read: 10**5 of them cost nothing up front
+        many = interior_points(c, 2, 10**5)
+        assert len(many) == 10**5
+        assert many[0] == interior_points(c, 2, 3)[0]
+        assert many[-1] == many[10**5 - 1]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -283,7 +293,12 @@ def test_cone_sequence_unranks_the_enumeration():
                     assert len(seq) == len(cones)
                     assert [seq[i] for i in range(len(seq))] == cones
     seq = ConeSequence(6, 3, 1)
-    assert seq[-1] == refinement_maximal_cones(6, 3, 1)[-1]
+    cones = refinement_maximal_cones(6, 3, 1)
+    assert seq[-1] == cones[-1] and seq[-len(seq)] == cones[0]
+    for part in (slice(1, 3), slice(None, None, -2), slice(-4, None), slice(5, 2)):
+        assert seq[part] == cones[part]
+    with pytest.raises(IndexError):
+        seq[-len(seq) - 1]
     with pytest.raises(IndexError):
         seq[len(seq)]
     with pytest.raises(ValueError):
