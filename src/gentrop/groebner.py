@@ -28,13 +28,14 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, sub
 
 from .poly import (
     GREVLEX,
     OrderSpec,
     Polynomial,
     check_exponents,
+    initial_terms,
     normalize_weight,
 )
 
@@ -170,18 +171,9 @@ class GroebnerBasis:
         initial ideal.  ``w`` holds ints or Fractions, so weights are exact."""
         if len(w) != self.n:
             raise ValueError("weight length does not match variable count")
-        for lm, _, tail in self._reducers:
-            low = sum(map(mul, w, lm))
-            ties = 0
-            for e, _ in tail:
-                v = sum(map(mul, w, e))
-                if v < low:
-                    low, ties = v, 0
-                elif v == low:
-                    ties += 1
-            if not ties:
-                return True
-        return False
+        return any(
+            len(initial_terms(w, ((lm, lc),) + tail)) == 1 for lm, lc, tail in self._reducers
+        )
 
     def __iter__(self):
         return iter(self.elements)
@@ -588,8 +580,7 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     """The initial ideal of I for weight w (minimal-weight forms).
 
     Generators are the initial forms of the reduced basis with respect to the
-    w-refined grevlex order, read from its reducers: the lead has minimal
-    weight, so a form is the lead plus the tail terms of equal weight.  They
+    w-refined grevlex order, read from its reducers by ``initial_terms``.  They
     constitute the reduced grevlex basis of the result; taken in the order
     of their leads, two initial ideals computed here are equal iff their
     ``forms`` agree.
@@ -605,12 +596,10 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     J = I.initials.get(wn)
     if J is not None:
         return J
-    forms = []
-    for lm, lc, tail in sorted(buchberger(I, GREVLEX.refine(wn))._reducers):
-        low = sum(map(mul, wn, lm))
-        form = {e: c for e, c in tail if sum(map(mul, wn, e)) == low}
-        form[lm] = lc
-        forms.append(form)
+    forms = [
+        dict(initial_terms(wn, ((lm, lc),) + tail))
+        for lm, lc, tail in sorted(buchberger(I, GREVLEX.refine(wn))._reducers)
+    ]
     J = Ideal(I.n, forms, I.degree_cap)
     J = I.initials[wn] = I.initials.setdefault(J.forms, J)
     J.numerator = known_numerator(I)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import combinations
 
 from .groebner import Ideal, buchberger, divides, hilbert_numerator, minimal_monomials
 from .poly import GREVLEX, OrderSpec, Polynomial
@@ -46,12 +45,19 @@ def minimalize(n: int, gens: Iterable) -> MonomialIdeal:
 
 
 def monomial_ideal_of(I: Ideal, order: OrderSpec = GREVLEX) -> MonomialIdeal:
-    """The leading-monomial ideal of I as a MonomialIdeal.  The leads of a
-    reduced basis are its minimal generators; they are listed in ascending
-    grevlex order, as ``minimalize`` lists them."""
-    leads = buchberger(I, order).leads
-    key = GREVLEX.key_function(I.n, max(map(sum, leads)))
-    return MonomialIdeal(I.n, tuple(sorted(leads, key=key)))
+    """The leading-monomial ideal of I as a MonomialIdeal, from the leads of
+    its reduced basis."""
+    return minimalize(I.n, buchberger(I, order).leads)
+
+
+def _least_cover(supports: list) -> int:
+    """The least number of variables meeting every set in ``supports``.
+    Every cover meets the smallest set, so it is 1 plus the least cover, over
+    each variable i of that set, of the sets that i misses."""
+    if not supports:
+        return 0
+    smallest = min(supports, key=len)
+    return 1 + min(_least_cover([s for s in supports if i not in s]) for i in smallest)
 
 
 def monomial_dimension(M: MonomialIdeal) -> int:
@@ -59,14 +65,7 @@ def monomial_dimension(M: MonomialIdeal) -> int:
     the support of every minimal generator."""
     if M.contains_unit():
         raise ValueError("dimension of the zero ring is undefined")
-    supports = [frozenset(i for i, e in enumerate(g) if e > 0) for g in M.generators]
-    pool = sorted(set().union(*supports))
-    for size in range(len(pool) + 1):
-        for cover in combinations(pool, size):
-            cs = set(cover)
-            if all(s & cs for s in supports):
-                return M.n - size
-    raise AssertionError("unreachable: the full support always covers")
+    return M.n - _least_cover([frozenset(i for i, e in enumerate(g) if e) for g in M.generators])
 
 
 def dimension(I: Ideal) -> int:

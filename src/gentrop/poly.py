@@ -96,15 +96,11 @@ GREVLEX = OrderSpec()
 LEX = OrderSpec(base="lex")
 
 
-def _dot(w: tuple, exps: Exponents) -> int | Fraction:
-    return sum(map(mul, w, exps))
-
-
 def weight(w: Weights, exps: Exponents) -> int | Fraction:
     """Weight of the monomial x^exps: the dot product w . exps."""
     if len(w) != len(exps):
         raise ValueError("weight/exponent length mismatch")
-    return _dot(_exact(w), exps)
+    return sum(map(mul, _exact(w), exps))
 
 
 def normalize_weight(w: Weights, n: int) -> tuple:
@@ -299,16 +295,27 @@ class Polynomial:
         return f"Polynomial({self.n}, {format_polynomial(self)!r})"
 
 
+def initial_terms(w: Weights, terms: Iterable) -> tuple:
+    """The (exponents, coefficient) pairs of ``terms`` whose w-weight is
+    least, in their input order.  ``w`` holds ints or Fractions, so weights
+    are exact."""
+    low, kept = None, []
+    for t in terms:
+        x = sum(map(mul, w, t[0]))
+        if low is None or x < low:
+            low, kept = x, [t]
+        elif x == low:
+            kept.append(t)
+    return tuple(kept)
+
+
 def initial_form(w: Weights, f: Polynomial) -> Polynomial:
     """The sum of the terms of f whose w-weight is minimal."""
     if not f.terms:
         raise ValueError("initial form of the zero polynomial")
     if len(w) != f.n:
         raise ValueError("weight/exponent length mismatch")
-    w = _exact(w)
-    wts = [(_dot(w, e), e, c) for e, c in f.terms]
-    mn = min(x[0] for x in wts)
-    return Polynomial(f.n, [(e, c) for x, e, c in wts if x == mn])
+    return Polynomial(f.n, initial_terms(_exact(w), f.terms))
 
 
 # -- text format ---------------------------------------------------------

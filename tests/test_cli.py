@@ -70,7 +70,7 @@ def test_parse_ideal_file_roundtrip():
 
 
 def test_parse_ideal_file_errors():
-    for bad in ["", "ring x\nx1", "x1\nx2", "ring 2\n", "ring 2\nx3"]:
+    for bad in ["", "ring x\nx1", "x1\nx2", "ring 2\n", "ring 2\nx3", "ring 0\nx1"]:
         with pytest.raises(ParseError):
             parse_ideal_file(bad)
 
@@ -207,8 +207,9 @@ def test_tropical_reports_are_pinned(tmp_path, capsys, omega, identity):
 
 def test_tropical_rejects_bad_omega(tmp_path, capsys):
     path = write(tmp_path, "prod.ideal", PRODUCT_FAMILY_2)
-    code, _ = run(capsys, "tropical", path, "--omega", "0,1")
-    assert code == EXIT_PARSE
+    for omega in ("0,1", "0,a,1,2", "0,1/0,1,2"):
+        code, _ = run(capsys, "tropical", path, "--omega", omega)
+        assert code == EXIT_PARSE
 
 
 def test_verify_wnm_quadric(tmp_path, capsys):
@@ -289,6 +290,11 @@ def test_exit_codes(tmp_path, capsys):
     q = write(tmp_path, "q.ideal", QUADRIC)
     assert main(["analyze", q, "--degree-cap", "1"]) == EXIT_DEGREE_CAP
     capsys.readouterr()
+
+    # the CM quadric has depth = dim, outside what these targets probe
+    for target in ("Wnmt", "depth-recovery"):
+        assert main(["verify", q, "--target", target]) == EXIT_PARSE
+        assert "needs 0 < depth < dim-1" in capsys.readouterr().err
 
     # a cap below 1 binds no graded computation: a bad argument, not an abort
     for cap in ("0", "-1"):

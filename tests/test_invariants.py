@@ -61,6 +61,14 @@ def test_monomial_dimension_examples():
     split = M(5, (2, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 2, 0, 0), (1, 0, 1, 1, 0))
     assert monomial_dimension(split) == 4
     assert monomial_dimension(M(2, (1, 1))) == 1
+    # the coordinate ideal (x1..x20), the matching (x1*x2, x3*x4, .., x19*x20)
+    # and the path (x1*x2, x2*x3, .., x20*x21) in 22 variables
+    def mono(*idx):
+        return tuple(int(i in idx) for i in range(22))
+
+    assert monomial_dimension(M(22, *[mono(i) for i in range(20)])) == 2
+    assert monomial_dimension(M(22, *[mono(2 * i, 2 * i + 1) for i in range(10)])) == 12
+    assert monomial_dimension(M(22, *[mono(i, i + 1) for i in range(20)])) == 12
     with pytest.raises(ValueError):
         monomial_dimension(M(2, (0, 0)))
 

@@ -11,6 +11,7 @@ from gentrop.poly import (
     Polynomial,
     format_polynomial,
     initial_form,
+    initial_terms,
     normalize_weight,
     parse_polynomial,
     weight,
@@ -150,6 +151,8 @@ def test_initial_form_fraction_weights_match_scaled_integers():
         want = initial_form(ints, f)
         assert initial_form(fracs, f) == want
         assert initial_form(mixed, f) == want
+        assert initial_terms(fracs, f.terms) == want.terms
+        assert initial_terms(ints, f.terms) == want.terms
         for e, _ in f.terms:
             assert weight(mixed, e) * den == weight(ints, e)
 
