@@ -12,6 +12,7 @@ machinery is needed.
 from __future__ import annotations
 
 import random
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import combinations
@@ -287,9 +288,20 @@ def locate(w: Iterable, m: int, t: int | None = None) -> ConeId | None:
 
 def budget(cones, seed: int) -> list:
     """Every item of the sequence ``cones``, or CONE_BUDGET of them drawn by
-    index with the seed; only the drawn items are read."""
-    if len(cones) <= CONE_BUDGET:
+    index with the seed, in index order; only the drawn items are read.
+
+    A fan sequence's length is read without ``len()``, which fails above
+    ``sys.maxsize``.  A fan that large draws its indices as
+    ``Random.sample`` does for a large population, one ``randrange`` at a
+    time, skipping repeats."""
+    size = cones._len if isinstance(cones, _Sequence) else len(cones)
+    if size <= CONE_BUDGET:
         return list(cones)
     rng = random.Random(f"cone-budget:{seed}")
-    idx = sorted(rng.sample(range(len(cones)), CONE_BUDGET))
-    return [cones[i] for i in idx]
+    if size <= sys.maxsize:
+        idx = rng.sample(range(size), CONE_BUDGET)
+    else:
+        idx = set()
+        while len(idx) < CONE_BUDGET:
+            idx.add(rng.randrange(size))
+    return [cones[i] for i in sorted(idx)]

@@ -9,6 +9,11 @@ coefficient).  Leads, weighted initial ideals and derived ideals are read
 from them, and monic Fraction ``Polynomial``s are built only when first
 read.  The remainders of ``normal_form`` are exact over the rationals.
 Generators enter a run reduced by the basis so far, as s-polynomials do.
+A run on an ideal whose reduced grevlex basis is cached enters that basis in
+place of the generators: it generates the same ideal and is inter-reduced
+already, and the reduced basis under the run's order is unique, so the
+result is the same, with fewer divisions and pairs.  The degree cap still
+bounds every element pushed and every pair formed.
 S-pairs are pruned when formed, by the Gebauer-Moeller criteria M and F
 (with the coprimality criterion), and taken from a heap by the normal
 strategy (smallest lcm degree first).  A run whose ideal has a known
@@ -228,8 +233,13 @@ def _poly(r: tuple) -> dict:
 
 
 def _reducer(d: dict, lm) -> tuple:
-    """The reducer (lm, lc, tail) of the primitive multiple of d."""
-    d = _primitive(d, lm)
+    """The reducer (lm, lc, tail) of the primitive multiple of the integer
+    polynomial d, whose leading exponents are lm; d may be consumed."""
+    g = gcd(*d.values())
+    if d[lm] < 0:
+        g = -g
+    if g != 1:
+        d = {e: c // g for e, c in d.items()}
     lc = d.pop(lm)
     return lm, lc, tuple(d.items())
 
@@ -493,7 +503,7 @@ def normal_form(
     key = order.key_function(f.n, max([degree_cap, f.degree] + [g.degree for g in G]))
     prepared = []
     for g in G:
-        d = dict(g.terms)
+        d = _primitive(dict(g.terms))
         prepared.append(_reducer(d, max(d, key=key)))
     prepared.sort(key=lambda r: key(r[0]))
     F = _primitive(dict(f.terms))
@@ -558,8 +568,13 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     cached basis whose Groebner cone contains the new order (every element
     keeps its lead) is served before any run, so the cap bounds every
     computation performed: a reused basis skips a run that might have
-    aborted.  A run takes the Hilbert numerator of I, when known, as its
-    target (see ``_buchberger_dicts``)."""
+    aborted.  A run enters the reducers of I's cached grevlex basis, when
+    there is one, and I's forms otherwise: both generate I, so the reduced
+    basis is the same, and the cached basis is inter-reduced already, so its
+    elements reduce little on entry and form few pairs.  ``I.degree_cap``
+    still bounds every element pushed and every pair formed.  A run takes
+    the Hilbert numerator of I, when known, as its target (see
+    ``_buchberger_dicts``)."""
     if order.weight is not None:
         wn = normalize_weight(order.weight, I.n)
         order = OrderSpec(order.base, order.perm, wn if any(wn) else None)
@@ -571,7 +586,9 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     if reused is not None:
         reds = sorted(reused, key=lambda r: key(r[0]))
     else:
-        reds = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap, known_numerator(I))
+        grevlex = I.gb_cache.get(GREVLEX)
+        gens = map(dict, I.forms) if grevlex is None else map(_poly, grevlex._reducers)
+        reds = _buchberger_dicts(gens, key, I.degree_cap, known_numerator(I))
     gb = I.gb_cache[order] = GroebnerBasis(order, I.n, reds)
     return gb
 

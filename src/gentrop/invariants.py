@@ -5,9 +5,12 @@ an ideal off its generic initial ideal)."""
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
+from itertools import accumulate
 
-from .groebner import Ideal, buchberger, divides, hilbert_numerator, minimal_monomials
+from .groebner import (
+    Ideal, buchberger, divides, hilbert_numerator, known_numerator, minimal_monomials,
+)
 from .poly import GREVLEX, OrderSpec, Polynomial
 
 
@@ -69,9 +72,14 @@ def monomial_dimension(M: MonomialIdeal) -> int:
 
 
 def dimension(I: Ideal) -> int:
-    """Krull dimension of the coordinate ring S/I."""
-    M = monomial_ideal_of(I)
-    return monomial_dimension(M)
+    """Krull dimension of the coordinate ring S/I: the order of the pole at
+    t = 1 of its Hilbert series, read from the numerator that I memoizes
+    once its grevlex basis is cached."""
+    buchberger(I, GREVLEX)
+    q = known_numerator(I)
+    if q == (0,):
+        raise ValueError("dimension of the zero ring is undefined")
+    return _cancel_one_minus_t(q, I.n)[1]
 
 
 class HilbertData(namedtuple("HilbertData", "numerator dim multiplicity")):
@@ -81,39 +89,27 @@ class HilbertData(namedtuple("HilbertData", "numerator dim multiplicity")):
     __slots__ = ()
 
 
-def _divide_one_minus_t(coeffs: Sequence[int]):
-    """Return coeffs / (1-t) if divisible, else None."""
-    acc = 0
-    out = []
-    for c in coeffs:
-        acc += c
-        out.append(acc)
-    if acc != 0:
-        return None
-    out.pop()
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out) if out else (0,)
+def _cancel_one_minus_t(q: tuple, d: int) -> tuple:
+    """(Q, d) for the series q(t) / (1-t)^d with every common factor 1 - t
+    cancelled.  A nonzero q without trailing zeros has 1 - t as a factor iff
+    q(1) = 0, and the quotient's coefficients are q's partial sums."""
+    while any(q) and not sum(q):
+        q = tuple(accumulate(q))[:-1]
+        d -= 1
+    return q, d
 
 
 def hilbert(M: MonomialIdeal) -> HilbertData:
     """Hilbert series data of S/M for a proper nonzero monomial ideal."""
     if M.contains_unit():
         raise ValueError("Hilbert series of the zero ring is not supported")
-    q = hilbert_numerator(M.n, M.generators)
-    d = M.n
-    while True:
-        nxt = _divide_one_minus_t(q)
-        if nxt is None:
-            break
-        q = nxt
-        d -= 1
+    q, d = _cancel_one_minus_t(hilbert_numerator(M.n, M.generators), M.n)
     mult = sum(q)
     if d != monomial_dimension(M):
         raise RuntimeError("Hilbert dimension disagrees with cover bound")
     if mult <= 0:
         raise RuntimeError("multiplicity must be positive")
-    return HilbertData(tuple(q), d, mult)
+    return HilbertData(q, d, mult)
 
 
 def multiplicity(I: Ideal) -> int:

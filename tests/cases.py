@@ -96,31 +96,34 @@ def seeded_ideals(sparse: int, dense: int) -> list:
     return out
 
 
-def counting_engine(monkeypatch) -> list:
-    """Patch the Buchberger engine to record each run; returns the record."""
-    runs = []
-    engine = groebner._buchberger_dicts
+def _counting(monkeypatch, name: str) -> list:
+    """Patch the engine function ``groebner.<name>`` to record each call;
+    returns the record."""
+    calls = []
+    f = getattr(groebner, name)
 
     def counting(*args):
-        runs.append(1)
-        return engine(*args)
+        calls.append(1)
+        return f(*args)
 
-    monkeypatch.setattr(groebner, "_buchberger_dicts", counting)
-    return runs
+    monkeypatch.setattr(groebner, name, counting)
+    return calls
+
+
+def counting_engine(monkeypatch) -> list:
+    """Record each Buchberger engine run."""
+    return _counting(monkeypatch, "_buchberger_dicts")
 
 
 def counting_spairs(monkeypatch) -> list:
-    """Patch the engine's s-polynomial to record each s-pair normal form a
-    run forms; returns the record."""
-    spairs = []
-    spair = groebner._spair_poly
+    """Record each s-pair normal form a run forms."""
+    return _counting(monkeypatch, "_spair_poly")
 
-    def counting(*args):
-        spairs.append(1)
-        return spair(*args)
 
-    monkeypatch.setattr(groebner, "_spair_poly", counting)
-    return spairs
+def counting_normal_forms(monkeypatch) -> list:
+    """Record each engine division (``_nf_dict``): generator entries,
+    s-pairs and tail reductions."""
+    return _counting(monkeypatch, "_nf_dict")
 
 
 IDENTITY = identity_policy

@@ -18,7 +18,7 @@ from gentrop.cli import (
 )
 from gentrop.poly import ParseError
 
-from cases import counting_engine, counting_spairs
+from cases import counting_engine, counting_normal_forms, counting_spairs
 
 FAMILY_531 = """\
 ring 5
@@ -250,15 +250,20 @@ def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
     # transformed ideals and their initial ideals take it over) and stops
     # once its leads have it.  So the job forms at most 6 s-pair normal
     # forms, those of the first run (726 when every run reduced all its
-    # pairs, each to zero)
+    # pairs, each to zero).  A run on an ideal whose reduced grevlex basis
+    # is cached starts from that basis, already inter-reduced, so the job
+    # makes at most 674 engine divisions (730 when every run started from
+    # the generators)
     rng = random.Random("fan-probe:1")
     seed = [str(rng.randrange(10**6)) for _ in range(2)][1]
     split = write(tmp_path, "split.ideal", SPLIT)
     runs = counting_engine(monkeypatch)
     spairs = counting_spairs(monkeypatch)
+    divisions = counting_normal_forms(monkeypatch)
     code, _ = run(capsys, "verify", split, "--target", "Wnmt", "--seed", seed)
     assert code == EXIT_PROBE_FAILED
     assert 0 < len(runs) <= 121 and 0 < len(spairs) <= 6
+    assert len(divisions) <= 674
 
 
 def test_verify_depth_recovery(tmp_path, capsys):
@@ -370,7 +375,7 @@ def test_exit_code_genericity(tmp_path, capsys):
 
 @pytest.mark.parametrize("target, broken, message", [
     ("gentrop.generic._det_int", lambda rows: 0, "invertible transform"),
-    ("gentrop.invariants._divide_one_minus_t", lambda q: None, "Hilbert dimension"),
+    ("gentrop.invariants._cancel_one_minus_t", lambda q, d: (q, d), "Hilbert dimension"),
 ], ids=["transform-draw", "hilbert"])
 def test_exit_code_internal(tmp_path, capsys, monkeypatch, target, broken, message):
     # a broken engine invariant is neither a failed probe nor a parse error:

@@ -305,3 +305,9 @@ def test_cone_sequence_unranks_the_enumeration():
         ConeSequence(5, 6)
     with pytest.raises(ValueError):
         ConeSequence(5, 4, 3)
+    # C(67, 34) cones, more than sys.maxsize: len() cannot report them, and
+    # the budget still draws 200 distinct cones, listed in index order
+    huge = budget(ConeSequence(67, 34), 0)
+    assert len(set(huge)) == CONE_BUDGET
+    ranks = [sorted(c.min_set) for c in huge]
+    assert ranks == sorted(ranks)

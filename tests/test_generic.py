@@ -249,7 +249,9 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # Hilbert series of the ideal and stop once their leads have it, so the
     # pass forms at most 190 s-pair normal forms (206 when the transformed
     # ideals start without the series, 602 when every run reduced all its
-    # pairs).
+    # pairs).  Each query reads the dimension of its ideal from the memoized
+    # Hilbert numerator, so the pass lists no minimal leads and solves no
+    # least cover (192 of each when every query did).
     rng = random.Random("tropical-sweep:1")
     ideals, queries = [], []
     for k in range(12):
@@ -266,6 +268,12 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     dims = [dimension(I) for I in ideals]
     runs = counting_engine(monkeypatch)
     spairs = counting_spairs(monkeypatch)
+
+    def forbidden(*args):
+        raise AssertionError("a tropical query read the leads of its ideal")
+
+    monkeypatch.setattr("gentrop.invariants.minimalize", forbidden)
+    monkeypatch.setattr("gentrop.invariants.monomial_dimension", forbidden)
     for k, w in queries:
         want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
         assert tropical_member(ideals[k], w, pol) == want

@@ -562,6 +562,31 @@ def test_cone_reuse_matches_a_fresh_run(monkeypatch):
     assert hits and misses
 
 
+def test_runs_seeded_by_the_grevlex_basis_match_the_forms_path(monkeypatch):
+    # once an ideal caches its reduced grevlex basis, a run for another
+    # order starts from that basis in place of the ideal's forms; the
+    # reduced basis is unique, so its reducers must be those of a fresh
+    # equal ideal, which starts from the forms.  A basis served by cone
+    # reuse lists each tail in the order of the basis it came from.
+    def reducers(gb):
+        return [(lm, lc, sorted(tail)) for lm, lc, tail in gb._reducers]
+
+    runs = counting_engine(monkeypatch)
+    seeded = 0
+    for I in seeded_ideals(4, 2):
+        n = I.n
+        orders = [GREVLEX.refine(w) for w in product(range(3), repeat=n)]
+        orders += [OrderSpec("grevlex", tuple(range(n, 0, -1))), LEX]
+        for order in orders:
+            warm = Ideal(n, I.generators)
+            buchberger(warm, GREVLEX)
+            before = len(runs)
+            got = buchberger(warm, order)
+            seeded += len(runs) - before
+            assert reducers(got) == reducers(buchberger(Ideal(n, I.generators), order))
+    assert seeded > 100
+
+
 def test_cone_reuse_bounds_engine_runs_on_a_wide_quadric(tmp_path, monkeypatch, capsys):
     # every weighted basis of one quadric is the quadric itself, so the
     # grevlex basis serves nearly every order of a Wnm probe

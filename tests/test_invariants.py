@@ -20,7 +20,7 @@ from gentrop.invariants import (
 )
 from gentrop.generic import depth
 from gentrop.poly import GREVLEX, LEX, OrderSpec
-from gentrop.groebner import hilbert_numerator
+from gentrop.groebner import hilbert_numerator, initial_ideal
 import gentrop
 
 import oracles
@@ -29,6 +29,7 @@ from cases import (
     policy,
     product_family,
     random_graded_ideal,
+    seeded_ideals,
     split_fan_ideal,
     stable_depth_family,
 )
@@ -79,6 +80,20 @@ def test_dimension_examples():
     assert dimension(stable_depth_family(6, 4, 1)) == 4
     assert dimension(stable_depth_family(6, 4, 2)) == 4
     assert dimension(ideal(3, "x1^3 + x2^3 + x3^3")) == 2
+
+
+def test_dimension_reads_the_hilbert_numerator():
+    # the pole order of the memoized Hilbert series agrees with the least
+    # cover of the grevlex leads, on seeded ideals and on weighted initial
+    # ideals, which take the numerator over from their parent
+    rng = random.Random(11)
+    for I in seeded_ideals(12, 6):
+        assert dimension(I) == monomial_dimension(monomial_ideal_of(I))
+        J = initial_ideal(I, tuple(rng.randint(0, 3) for _ in range(I.n)))
+        assert J.numerator is not None
+        assert dimension(J) == monomial_dimension(monomial_ideal_of(J)) == dimension(I)
+    with pytest.raises(ValueError, match="zero ring"):
+        dimension(ideal(3, "x1*x2", "x3^2", "7"))
 
 
 def test_hilbert_examples():
@@ -250,7 +265,7 @@ def test_invariant_checks_survive_optimize():
                 inv.hilbert(M)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(inv, "monomial_dimension", lambda M: 2)
-            mp.setattr(inv, "_divide_one_minus_t", lambda q: None)
+            mp.setattr(inv, "_cancel_one_minus_t", lambda q, d: (q, d))
             with pytest.raises(RuntimeError, match="multiplicity"):
                 inv.hilbert(M)
         with pytest.MonkeyPatch.context() as mp:
