@@ -180,6 +180,65 @@ class GroebnerBasis:
             len(initial_terms(w, ((lm, lc),) + tail)) == 1 for lm, lc, tail in self._reducers
         )
 
+    def cell_contains(self, v=None, cone=None) -> bool:
+        """Whether the Groebner cell of the basis's weight w (the weights v
+        with in_v(I) = in_w(I); w = 0 for an order without weight) contains
+        the point ``v`` or, given ``cone``, a whole open cone.  No basis at
+        any other weight is computed.
+
+        The basis G is reduced under an order refined by w, so in_v(I) =
+        in_w(I) iff in_v(g) = in_w(g) for every g in G (Sturmfels 1996,
+        "Groebner Bases and Convex Polytopes", Prop. 2.3; Mora and Robbiano
+        1988, "The Groebner fan of an ideal").  The point form asks that of
+        each reducer's terms of least weight; ``v`` holds ints or Fractions.
+
+        ``cone`` is (min_set, middle, top), the 1-based index sets of a
+        ``fans.ConeId`` whose open cone holds w: the minimum on the min-set
+        A, every top value above every middle value, and for a skeleton cone
+        (no middle, no top) every coordinate outside A in the middle M.  Let
+        e0 be a reducer's lead and c = e - e0 outside A for a tail term e.
+        The closed cone, shifted to a zero minimum, is spanned by e_t for t
+        in the top T and by (chi_S, 1_T) for S within M, so v . c >= 0 on it
+        iff c_t >= 0 on T and sum_M min(c_m, 0) + sum_T c_t >= 0.  If every
+        tail term passes, in_v(g) is e0 and the terms with c = 0 at every v
+        of the open cone, so in_v(I) = in_w(I) there; if one fails, some v of
+        the open cone ranks that term above e0.  The walk stops at the first
+        failing term."""
+        w = self.order.weight or (0,) * self.n
+        if cone is None:
+            if len(v) != self.n:
+                raise ValueError("weight length does not match variable count")
+            return all(
+                initial_terms(v, terms) == initial_terms(w, terms)
+                for terms in (((lm, lc),) + tail for lm, lc, tail in self._reducers)
+            )
+        low_set, middle, top = cone
+        if not middle and not top:
+            middle = set(range(1, self.n + 1)) - set(low_set)
+        low = min(w)
+        middle_w = [w[i - 1] for i in middle]
+        top_w = [w[i - 1] for i in top]
+        if (any(w[i - 1] != low for i in low_set) or low in middle_w + top_w
+                or middle_w and top_w and max(middle_w) >= min(top_w)):
+            raise ValueError("the open cone does not hold the basis's weight")
+        middle = [i - 1 for i in sorted(middle)]
+        top = [i - 1 for i in sorted(top)]
+        for lm, _, tail in self._reducers:
+            for e, _ in tail:
+                s = 0
+                for i in top:
+                    c = e[i] - lm[i]
+                    if c < 0:
+                        return False
+                    s += c
+                for i in middle:
+                    c = e[i] - lm[i]
+                    if c < 0:
+                        s += c
+                if s < 0:
+                    return False
+        return True
+
     def __iter__(self):
         return iter(self.elements)
 
@@ -195,10 +254,11 @@ class GroebnerBasis:
 # Inside the engine a polynomial is a dict {exponents: int}.  A basis element
 # is kept primitive (content 1, positive leading coefficient) as a reducer
 # (leading exponents, leading coefficient, tail), where the tail lists the
-# non-leading terms.  Every engine polynomial is a nonzero rational multiple
-# of the monic one, so leads, pair decisions and reduced bases are those of
-# division over the rationals; ``_primitive`` and ``_monic`` convert at the
-# boundary, where ``Ideal`` and ``normal_form`` meet ``Polynomial``s.
+# non-leading terms in descending order of the basis's order.  Every engine
+# polynomial is a nonzero rational multiple of the monic one, so leads, pair
+# decisions and reduced bases are those of division over the rationals;
+# ``_primitive`` and ``_monic`` convert at the boundary, where ``Ideal`` and
+# ``normal_form`` meet ``Polynomial``s.
 
 def divides(a, b) -> bool:
     """Whether the monomial with exponent vector ``a`` divides that of ``b``."""
@@ -513,20 +573,29 @@ def normal_form(
     return Polynomial(f.n, {e: c * ratio for e, c in R.items()})
 
 
-def _keeps_leads(reducers, key: Callable) -> bool:
-    """Whether every reducer's lead outranks each of its tail terms under
-    ``key``; stops at the first reducer that fails."""
-    for lm, _, tail in reducers:
+def _resorted(reducers, key: Callable):
+    """If every reducer's lead outranks each of its tail terms under
+    ``key``, the reducers listed as a run under ``key`` lists them: by
+    ascending lead, each tail descending.  Else None, from the first term
+    that outranks its lead."""
+    out = []
+    for lm, lc, tail in reducers:
         k = key(lm)
-        for e, _ in tail:
-            if key(e) > k:
-                return False
-    return True
+        keyed = []
+        for t in tail:
+            x = key(t[0])
+            if x > k:
+                return None
+            keyed.append((x, t))
+        keyed.sort(reverse=True)
+        out.append((k, (lm, lc, tuple(t for _, t in keyed))))
+    out.sort()
+    return [r for _, r in out]
 
 
 def _cone_hit(I: Ideal, key: Callable):
     """The reducers of a cached basis of I that is the reduced basis under
-    ``key`` too, or None.
+    ``key`` too, listed as a run under ``key`` lists them, or None.
 
     If every element of a reduced basis keeps its lead under a new order,
     the new initial ideal contains the old one; both have the Hilbert
@@ -544,8 +613,9 @@ def _cone_hit(I: Ideal, key: Callable):
         if leads in seen:
             continue
         seen.add(leads)
-        if _keeps_leads(gb._reducers, key):
-            return gb._reducers
+        reds = _resorted(gb._reducers, key)
+        if reds is not None:
+            return reds
     return None
 
 
@@ -566,15 +636,16 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     ideal changes no lead, and one that normalizes to zero is dropped; the
     basis is cached, ordered and returned under the normalized order.  A
     cached basis whose Groebner cone contains the new order (every element
-    keeps its lead) is served before any run, so the cap bounds every
-    computation performed: a reused basis skips a run that might have
-    aborted.  A run enters the reducers of I's cached grevlex basis, when
-    there is one, and I's forms otherwise: both generate I, so the reduced
-    basis is the same, and the cached basis is inter-reduced already, so its
-    elements reduce little on entry and form few pairs.  ``I.degree_cap``
-    still bounds every element pushed and every pair formed.  A run takes
-    the Hilbert numerator of I, when known, as its target (see
-    ``_buchberger_dicts``)."""
+    keeps its lead) is served before any run, its reducers and their tails
+    re-sorted by the new order, so a basis does not depend on the cache
+    history of I.  The cap bounds every computation performed: a reused
+    basis skips a run that might have aborted.  A run enters the reducers
+    of I's cached grevlex basis, when there is one, and I's forms
+    otherwise: both generate I, so the reduced basis is the same, and the
+    cached basis is inter-reduced already, so its elements reduce little on
+    entry and form few pairs.  ``I.degree_cap`` still bounds every element
+    pushed and every pair formed.  A run takes the Hilbert numerator of I,
+    when known, as its target (see ``_buchberger_dicts``)."""
     if order.weight is not None:
         wn = normalize_weight(order.weight, I.n)
         order = OrderSpec(order.base, order.perm, wn if any(wn) else None)
@@ -582,10 +653,8 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     if hit is not None:
         return hit
     key = order.key_function(I.n, I.degree_cap)
-    reused = _cone_hit(I, key)
-    if reused is not None:
-        reds = sorted(reused, key=lambda r: key(r[0]))
-    else:
+    reds = _cone_hit(I, key)
+    if reds is None:
         grevlex = I.gb_cache.get(GREVLEX)
         gens = map(dict, I.forms) if grevlex is None else map(_poly, grevlex._reducers)
         reds = _buchberger_dicts(gens, key, I.degree_cap, known_numerator(I))

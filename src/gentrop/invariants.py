@@ -71,15 +71,21 @@ def monomial_dimension(M: MonomialIdeal) -> int:
     return M.n - _least_cover([frozenset(i for i, e in enumerate(g) if e) for g in M.generators])
 
 
-def dimension(I: Ideal) -> int:
-    """Krull dimension of the coordinate ring S/I: the order of the pole at
-    t = 1 of its Hilbert series, read from the numerator that I memoizes
-    once its grevlex basis is cached."""
+def _series(I: Ideal, what: str) -> tuple:
+    """(Q, d) of the Hilbert series Q(t) / (1-t)^d of S/I, fully
+    cancelled, from the numerator that I memoizes once its grevlex basis is
+    cached; the zero ring raises ``ValueError`` naming ``what``."""
     buchberger(I, GREVLEX)
     q = known_numerator(I)
     if q == (0,):
-        raise ValueError("dimension of the zero ring is undefined")
-    return _cancel_one_minus_t(q, I.n)[1]
+        raise ValueError(f"{what} of the zero ring is undefined")
+    return _cancel_one_minus_t(q, I.n)
+
+
+def dimension(I: Ideal) -> int:
+    """Krull dimension of the coordinate ring S/I: the order of the pole at
+    t = 1 of its Hilbert series (see ``_series``)."""
+    return _series(I, "dimension")[1]
 
 
 class HilbertData(namedtuple("HilbertData", "numerator dim multiplicity")):
@@ -113,9 +119,12 @@ def hilbert(M: MonomialIdeal) -> HilbertData:
 
 
 def multiplicity(I: Ideal) -> int:
-    """Multiplicity of S/I: the fully cancelled Hilbert numerator at t=1,
-    computed from the grevlex leading-monomial ideal."""
-    return hilbert(monomial_ideal_of(I)).multiplicity
+    """Multiplicity of S/I: the fully cancelled Hilbert numerator at t = 1
+    (see ``_series``)."""
+    mult = sum(_series(I, "multiplicity")[0])
+    if mult <= 0:
+        raise RuntimeError("multiplicity must be positive")
+    return mult
 
 
 def is_strongly_stable(M: MonomialIdeal, perm=None) -> bool:

@@ -2,7 +2,10 @@
 
 Everything here is exact linear algebra (fraction-free integer elimination
 on rows scaled from the rationals) or exhaustive enumeration, deliberately
-sharing no code with the division/Buchberger path it checks.
+sharing no code with the division/Buchberger path it checks.  The one
+exception is ``interned_initial_ideals``, the fan probes' earlier comparison
+of weighted initial ideals, kept as the reference for the Groebner-cell test
+that replaced it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,17 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
+from gentrop.groebner import Ideal, initial_ideal
 from gentrop.poly import Polynomial
+
+
+def interned_initial_ideals(I: Ideal, points) -> list:
+    """The weighted initial ideal of I at each of ``points``, each from its
+    own reduced basis, of a fresh copy of I so that no basis cached on I is
+    read.  Equal initial ideals are one interned ``Ideal``, so in_v(I) =
+    in_w(I) iff the entries of v and w are the same object."""
+    J = Ideal(I.n, map(dict, I.forms), I.degree_cap)
+    return [initial_ideal(J, w) for w in points]
 
 
 def monomials_of_degree(n: int, d: int) -> list:

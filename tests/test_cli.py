@@ -245,15 +245,17 @@ def test_verify_wnmt_family_passes_split_fails(tmp_path, capsys):
 
 def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
     # the split Wnmt job of the fan-probe benchmark at workload seed 1 makes
-    # 121 engine runs.  Every run but the first, the cold grevlex run on the
-    # input ideal, has the Hilbert series of the input as its target (the
-    # transformed ideals and their initial ideals take it over) and stops
+    # 61 engine runs: a probe computes one basis per transformed ideal, at
+    # its first point, and point-tests the second point against it (121
+    # runs when both points had a basis).  Every run but the first, the
+    # cold grevlex run on the input ideal, has the Hilbert series of the
+    # input as its target (the transformed ideals take it over) and stops
     # once its leads have it.  So the job forms at most 6 s-pair normal
     # forms, those of the first run (726 when every run reduced all its
     # pairs, each to zero).  A run on an ideal whose reduced grevlex basis
     # is cached starts from that basis, already inter-reduced, so the job
-    # makes at most 674 engine divisions (730 when every run started from
-    # the generators)
+    # makes at most 338 engine divisions (730 when every run started from
+    # the generators, 674 with a basis at both points)
     rng = random.Random("fan-probe:1")
     seed = [str(rng.randrange(10**6)) for _ in range(2)][1]
     split = write(tmp_path, "split.ideal", SPLIT)
@@ -262,8 +264,8 @@ def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
     divisions = counting_normal_forms(monkeypatch)
     code, _ = run(capsys, "verify", split, "--target", "Wnmt", "--seed", seed)
     assert code == EXIT_PROBE_FAILED
-    assert 0 < len(runs) <= 121 and 0 < len(spairs) <= 6
-    assert len(divisions) <= 674
+    assert 0 < len(runs) <= 61 and 0 < len(spairs) <= 6
+    assert len(divisions) <= 338
 
 
 def test_verify_depth_recovery(tmp_path, capsys):
@@ -375,7 +377,7 @@ def test_exit_code_genericity(tmp_path, capsys):
 
 @pytest.mark.parametrize("target, broken, message", [
     ("gentrop.generic._det_int", lambda rows: 0, "invertible transform"),
-    ("gentrop.invariants._cancel_one_minus_t", lambda q, d: (q, d), "Hilbert dimension"),
+    ("gentrop.invariants._cancel_one_minus_t", lambda q, d: (q, d), "multiplicity must be positive"),
 ], ids=["transform-draw", "hilbert"])
 def test_exit_code_internal(tmp_path, capsys, monkeypatch, target, broken, message):
     # a broken engine invariant is neither a failed probe nor a parse error:

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from gentrop.fans import ConeId, interior_point, maximal_cones, refinement_maximal_cones
+from gentrop import generic, groebner
+from gentrop.fans import (
+    ConeId,
+    ConeSequence,
+    interior_point,
+    interior_points,
+    maximal_cones,
+    refinement_maximal_cones,
+)
 from gentrop.generic import (
     ALMOST_CM,
     CM,
@@ -15,17 +23,22 @@ from gentrop.generic import (
     apply_transform,
     classify_cm,
     cone_constancy,
+    constancy_probes,
+    gap_degree,
     gin,
     identity_policy,
     random_transform,
     ray_constancy,
     recover_depth,
     separating_witness,
+    transformed,
     tropical_member,
 )
 from gentrop.groebner import DegreeCapExceeded, Ideal, buchberger, hilbert_numerator, initial_ideal
 from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of
-from gentrop.poly import GREVLEX, OrderSpec
+from gentrop.poly import GREVLEX, OrderSpec, normalize_weight
+
+from oracles import interned_initial_ideals
 
 from cases import (
     codim2_complete_intersection,
@@ -324,6 +337,85 @@ def test_split_cones_divide_along_middle_order():
         ins = [initial_ideal(g, w).generators for w in p]
         assert ins[0] == ins[2] and ins[1] == ins[3]
         assert ins[0] != ins[1]
+
+
+def _differential_cases():
+    """(name, ideal, cones) for the cell-test differential test: the
+    maximal cones of the m-skeleton and of its t-refinements."""
+    ideals = [(f"random{n}:{seed}", random_graded_ideal(n, seed, gens=2 + seed % 2))
+              for n in (3, 4) for seed in range(5)]
+    ideals += [("stable5", stable_depth_family(5, 3, 1)), ("stable6", stable_depth_family(6, 4, 2)),
+               ("product4:2", product_family(4, 2)), ("product5:2", product_family(5, 2)),
+               ("split", split_fan_ideal())]
+    for name, I in ideals:
+        m = dimension(I)
+        if m == 0:
+            continue
+        cones = list(ConeSequence(I.n, m))
+        if m < I.n:
+            for t in range(1, m - 1):
+                cones += list(ConeSequence(I.n, m, t))
+        yield name, I, cones
+
+
+def test_cell_test_matches_interned_initial_ideals():
+    # the point form of GroebnerBasis.cell_contains against the fan probes'
+    # earlier comparison of interned initial ideals, on every ordered pair
+    # of 8 sampled interior points per cone and transform; the open-cone
+    # form must only certify cones where all 8 points agree, and never a
+    # cone of the split ideal's depth-1 refinement, all of which split
+    pol = policy(seed=3)
+    pairs, certified, split_cones = {True: 0, False: 0}, 0, 0
+    for name, I, cones in _differential_cases():
+        gap = gap_degree(I, pol) + 1
+        for cone in cones:
+            points = list(interior_points(cone, gap, 8))
+            for gI in transformed(I, pol):
+                want = interned_initial_ideals(gI, points)
+                bases = [buchberger(gI, GREVLEX.refine(w)) for w in points]
+                for i, gb in enumerate(bases):
+                    for j, v in enumerate(points):
+                        if i != j:
+                            same = want[i] is want[j]
+                            assert gb.cell_contains(v) == same, (name, cone, i, j)
+                            pairs[same] += 1
+                holds = bases[0].cell_contains(cone=(cone.min_set, cone.middle, cone.top))
+                if holds:
+                    assert all(J is want[0] for J in want), (name, cone)
+                    certified += 1
+                if name == "split" and len(cone.top) == 1:
+                    assert not holds and any(J is not want[0] for J in want), cone
+                    split_cones += 1
+    assert min(pairs.values()) > 1000 and certified > 100 and split_cones == 2 * 30
+    # a cone that does not hold the basis's weight is refused
+    gb = buchberger(smooth_quadric4(), GREVLEX.refine((0, 0, 1, 2)))
+    assert gb.cell_contains(cone=({1, 2}, (), ())) and gb.cell_contains(cone=({1, 2}, {3}, {4}))
+    for cone in (({1, 3}, (), ()), ({1, 2}, {4}, {3}), ({1}, {2, 3}, {4})):
+        with pytest.raises(ValueError):
+            gb.cell_contains(cone=cone)
+
+
+def test_wide_fan_probes_build_one_basis_per_cone(monkeypatch):
+    # the reduced wide-fan job, verify --target Wnm on one quadric in 7
+    # variables at workload seed 1: each transformed ideal caches one
+    # weighted basis per probed cone, at the cone's first interior point,
+    # and no probe builds an initial ideal; sampling initial ideals at
+    # every point would cache a basis, and intern an ideal, per point
+    def no_initial_ideal(*args):
+        raise AssertionError("a fan probe built an initial ideal")
+
+    monkeypatch.setattr(groebner, "initial_ideal", no_initial_ideal)
+    monkeypatch.setattr(generic, "initial_ideal", no_initial_ideal)
+    pol = policy(seed=random.Random("wide-fan:1").randrange(10**6))
+    I = ideal(7, "x1*x2 + x3*x4")
+    probes = list(constancy_probes(I, ConeSequence(7, dimension(I)), 3, pol))
+    assert len(probes) == 21 and all(p.result for p in probes)
+    gap = gap_degree(I, pol) + 1
+    want = {GREVLEX.refine(normalize_weight(interior_point(p.cone, gap), 7)) for p in probes}
+    assert len(want) == len(probes)
+    for gI in transformed(I, pol):
+        assert {order for order in gI.gb_cache if order.weight is not None} == want
+        assert not gI.initials
 
 
 def test_separating_witness():
