@@ -29,7 +29,6 @@ from .groebner import (
     NotGradedError,
     buchberger,
     contains_monomial,
-    eliminate,
     ideal_equal,
     initial_ideal,
     normal_form,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import combinations
@@ -92,18 +93,24 @@ def refinement_maximal_cones(n: int, m: int, t: int) -> list:
     return out
 
 
-def _unrank_combination(items: list, k: int, r: int) -> list:
+def _unrank_combination(items: Sequence, k: int, r: int) -> list:
     """The r-th k-subset of the sorted ``items`` in the order
-    ``itertools.combinations`` yields them."""
+    ``itertools.combinations`` yields them, each element found by bisection
+    in O(log len(items)) steps: the subsets whose next element lies in
+    items[lo:j] number C(size - lo, left + 1) - C(size - j, left + 1)."""
+    size = len(items)
     out = []
-    j = 0
+    lo = 0
     for left in range(k - 1, -1, -1):
-        # skip the subsets whose next element is items[j]
-        while r >= (c := comb(len(items) - j - 1, left)):
-            r -= c
-            j += 1
+        total = comb(size - lo, left + 1)
+
+        def before(j: int) -> int:
+            return total - comb(size - j, left + 1)
+
+        j = lo + bisect_right(range(lo, size - left), r, key=before) - 1
+        r -= before(j)
         out.append(items[j])
-        j += 1
+        lo = j + 1
     return out
 
 
@@ -172,18 +179,8 @@ def adjacent_pairs(n: int, m: int, t: int) -> _Sequence:
 
     def pair(i: int) -> tuple:
         group, r = divmod(i, per_group)
-        # first cone a: the largest a whose earlier pairs a*(2*tops-a-1)/2
-        # number at most r
-        lo, hi = 0, tops - 2
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if mid * (2 * tops - mid - 1) // 2 <= r:
-                lo = mid
-            else:
-                hi = mid - 1
-        b = lo + 1 + r - lo * (2 * tops - lo - 1) // 2
-        base = group * tops
-        return cones[base + lo], cones[base + b]
+        a, b = _unrank_combination(range(tops), 2, r)
+        return cones[group * tops + a], cones[group * tops + b]
 
     return _Sequence(comb(n, n - m + 1) * per_group, pair)
 

@@ -10,14 +10,14 @@ is available as a testing hook for reproducing non-generic behaviour.
 
 Fan-structure probes compare weighted initial ideals without building them.
 Per transformed ideal gI, one reduced basis at the first weight w of a probe
-decides whether another weight v has in_v(gI) = in_w(gI): v must lie in the
-Groebner cell of that basis (``GroebnerBasis.cell_contains``), so no basis at
-v is computed.  A cone-constancy probe first asks the same basis whether the
-cell holds the whole open cone; when it does, every interior point has the
-initial ideal of w, and when it does not, the probe point-tests the sampled
-interior points.  Either way its answer is the one the sampled points give,
-so constancy probes are still reported as sampled evidence; adjacent-cone
-separation, depth, dimension, multiplicity and witness inequalities are
+decides whether a weight v, or a whole coordinate ray w + s e_j (s >= 0), has
+the initial ideal in_w(gI): it must lie in the Groebner cell of that basis
+(``GroebnerBasis.cell_contains``), so no basis off w is computed.  A
+cone-constancy probe first asks the basis whether the cell holds the whole
+open cone; if not, it point-tests the sampled interior points.  Either way
+its answer is the one the sampled points give, so constancy probes, the only
+sampled probes, are reported as sampled evidence; adjacent-cone separation,
+ray containment, depth, dimension, multiplicity and witness inequalities are
 exact.
 """
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from fractions import Fraction
 from operator import add
 
 from .fans import ConeId, ConeSequence, budget, interior_point, interior_points
@@ -486,27 +485,20 @@ def ray_constancy(
     w,
     directions: Iterable[int],
     policy: GenericityPolicy = GenericityPolicy(),
-    c_gap: int | None = None,
 ) -> bool:
-    """Whether pushing w far along each coordinate direction in ``directions``
-    (1-based) leaves the weighted initial ideal unchanged.
+    """Whether, for each coordinate direction j in ``directions`` (1-based;
+    one outside 1..n raises ``ValueError``), the weighted initial ideal is
+    in_w all along the ray w + s e_j, s >= 0, agreed across transforms.
+    Per gI one reduced basis, under grevlex refined by w, decides every ray
+    (``GroebnerBasis.cell_contains`` with ``ray``), so the answer holds for
+    every step length."""
+    directions = list(directions)
 
-    The probe moves the coordinate strictly beyond c times the current
-    maximum, the threshold above which staying in the same fan cone is
-    equivalent to genuine ray containment."""
-    w = tuple(Fraction(x) for x in w)
-    if c_gap is None:
-        c_gap = gap_degree(I, policy)
-    mx = max(w)
-    target = c_gap * mx + 1
-    moved = []
-    for j in sorted(set(directions)):
-        if not 1 <= j <= I.n:
-            raise ValueError(f"direction {j} out of range")
-        w2 = list(w)
-        w2[j - 1] = max(target, w[j - 1] + 1)
-        moved.append(tuple(w2))
-    return _same_initial(I, [w] + moved, policy, "ray constancy")
+    def compute(gI: Ideal) -> bool:
+        gb = buchberger(gI, GREVLEX.refine(w))
+        return all([gb.cell_contains(ray=j) for j in directions])
+
+    return agreed(I, policy, compute, "ray constancy")
 
 
 def recover_depth(
@@ -514,22 +506,14 @@ def recover_depth(
     policy: GenericityPolicy = GenericityPolicy(),
 ) -> int:
     """Recover the depth from the fan structure alone: the least t for which
-    the top t coordinate rays stay inside the cone of the ladder point while
-    the ray in direction n-t leaves it.  Valid for 0 < depth < dim-1."""
-    n = I.n
-    m = dimension(I)
-    c0 = gin(I, GREVLEX, policy).max_degree()
-    base_cone = ConeId(n, frozenset(range(1, n - m + 2)))
+    the top t coordinate rays stay inside the cone of one ladder point (gap
+    factor from ``gap_degree``) while the ray in direction n-t leaves it.
+    Valid for 0 < depth < dim-1."""
+    n, m = I.n, dimension(I)
+    w = interior_point(ConeId(n, range(1, n - m + 2)), gap_degree(I, policy) + 1)
     for t in range(1, m - 1):
         p = n - t
-        perm = tuple(list(range(1, p)) + list(range(p + 1, n + 1)) + [p])
-        moved_last = OrderSpec("grevlex", perm)
-        ct = max(c0, gin(I, moved_last, policy).max_degree())
-        w = interior_point(base_cone, ct + 1)
-        stays = ray_constancy(I, w, range(n - t + 1, n + 1), policy, ct)
-        leaves = not ray_constancy(I, w, [p], policy, ct)
-        if stays and leaves:
+        stays = ray_constancy(I, w, range(p + 1, n + 1), policy)
+        if stays and not ray_constancy(I, w, [p], policy):
             return t
-    raise ValueError(
-        "depth recovery applies only to ideals with 0 < depth < dim-1"
-    )
+    raise ValueError("depth recovery applies only to ideals with 0 < depth < dim-1")

@@ -1,6 +1,6 @@
 """Buchberger engine: normal forms, reduced Groebner bases, weighted initial
-ideals, lex elimination, monomial saturation and the monomial-containment
-test, all of graded ideals.
+ideals, monomial saturation and the monomial-containment test, all of
+graded ideals.
 
 All arithmetic is exact.  The engine reduces fraction-free over the
 integers: an ``Ideal`` keeps its generators, and a ``GroebnerBasis`` its
@@ -69,15 +69,15 @@ class Ideal:
     coefficient), so scalar multiples give equal ``key()``s; ``generators``
     are their monic ``Polynomial``s, in input order, built when first read.
     Every Groebner computation on the ideal runs under ``degree_cap``, and
-    every ideal derived from it (transformed, initial, saturated,
-    eliminated) inherits the cap, so one cap bounds a whole analysis.  The
-    ideal is the only place results are cached, and every entry was
-    computed under its one cap.  ``gb_cache`` maps an OrderSpec to the
-    reduced basis; a cached basis also serves any order whose Groebner cone
-    contains it (see ``buchberger``), so the cap bounds every computation
-    performed, not the runs a reused basis skips.  ``images`` maps an
-    immutable and hashable GenericityPolicy to the tuple of transformed
-    ideals (see ``generic.transformed``).  ``initials`` interns the weighted
+    every ideal derived from it (transformed, initial, saturated) inherits
+    the cap, so one cap bounds a whole analysis.  The ideal is the only
+    place results are cached, and every entry was computed under its one
+    cap.  ``gb_cache`` maps an OrderSpec to the reduced basis; a cached
+    basis also serves any order whose Groebner cone contains it (see
+    ``buchberger``), so the cap bounds every computation performed, not the
+    runs a reused basis skips.  ``images`` maps an immutable and hashable
+    GenericityPolicy to the tuple of transformed ideals (see
+    ``generic.transformed``).  ``initials`` interns the weighted
     initial ideals (see ``initial_ideal``): it maps a normalized weight, and
     the forms of an initial ideal, to one shared ``Ideal``, so equal initial
     ideals share their cached bases.  ``numerator`` memoizes the numerator
@@ -180,17 +180,21 @@ class GroebnerBasis:
             len(initial_terms(w, ((lm, lc),) + tail)) == 1 for lm, lc, tail in self._reducers
         )
 
-    def cell_contains(self, v=None, cone=None) -> bool:
+    def cell_contains(self, v=None, cone=None, ray=None) -> bool:
         """Whether the Groebner cell of the basis's weight w (the weights v
         with in_v(I) = in_w(I); w = 0 for an order without weight) contains
-        the point ``v`` or, given ``cone``, a whole open cone.  No basis at
-        any other weight is computed.
+        the point ``v``, given ``cone`` a whole open cone, or given ``ray``
+        (1-based j) the ray w + s e_j, s >= 0.  No basis at any other weight
+        is computed.
 
         The basis G is reduced under an order refined by w, so in_v(I) =
         in_w(I) iff in_v(g) = in_w(g) for every g in G (Sturmfels 1996,
         "Groebner Bases and Convex Polytopes", Prop. 2.3; Mora and Robbiano
         1988, "The Groebner fan of an ideal").  The point form asks that of
         each reducer's terms of least weight; ``v`` holds ints or Fractions.
+        The ray form adds s e_j to the weight of each term e, so it asks that
+        each reducer's initial terms share the lead's x_j exponent and that
+        no term have a smaller one.
 
         ``cone`` is (min_set, middle, top), the 1-based index sets of a
         ``fans.ConeId`` whose open cone holds w: the minimum on the min-set
@@ -205,6 +209,14 @@ class GroebnerBasis:
         the open cone ranks that term above e0.  The walk stops at the first
         failing term."""
         w = self.order.weight or (0,) * self.n
+        if ray is not None:
+            if not 1 <= ray <= self.n:
+                raise ValueError(f"direction {ray} out of range")
+            j = ray - 1
+            return all(
+                all(e[j] >= lm[j] for e, _ in tail)
+                and all(e[j] == lm[j] for e, _ in initial_terms(w, ((lm, lc),) + tail))
+                for lm, lc, tail in self._reducers)
         if cone is None:
             if len(v) != self.n:
                 raise ValueError("weight length does not match variable count")
@@ -697,26 +709,6 @@ def ideal_equal(I: Ideal, J: Ideal, order: OrderSpec = GREVLEX) -> bool:
     if I.n != J.n:
         raise ValueError("ambient variable counts differ")
     return buchberger(I, order).elements == buchberger(J, order).elements
-
-
-def eliminate(I: Ideal, drop) -> Ideal:
-    """Generators of I intersected with the subring omitting the ``drop``
-    variables (1-based indices): the elements free of them in the reduced
-    basis for lex with the dropped variables first.  The result is presented
-    in the same ambient ring."""
-    drop = tuple(sorted(set(drop)))
-    if not drop:
-        return I
-    if any(not 1 <= i <= I.n for i in drop) or len(drop) >= I.n:
-        raise ValueError("drop must be a proper subset of the variables")
-    rest = tuple(i for i in range(1, I.n + 1) if i not in drop)
-    gb = buchberger(I, OrderSpec("lex", drop + rest))
-    # lex ranks every term with a dropped variable above every term
-    # without, so an element is free of them iff its lead is
-    kept = [_poly(r) for r in gb._reducers if not any(r[0][i - 1] for i in drop)]
-    if not kept:
-        raise ValueError("elimination ideal is zero")
-    return Ideal(I.n, kept, I.degree_cap)
 
 
 def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:

@@ -2,10 +2,13 @@
 
 Everything here is exact linear algebra (fraction-free integer elimination
 on rows scaled from the rationals) or exhaustive enumeration, deliberately
-sharing no code with the division/Buchberger path it checks.  The one
-exception is ``interned_initial_ideals``, the fan probes' earlier comparison
-of weighted initial ideals, kept as the reference for the Groebner-cell test
-that replaced it.
+sharing no code with the division/Buchberger path it checks.  The
+exceptions are the fan probes' earlier forms, kept as references for the
+exact forms that replaced them: ``interned_initial_ideals``, the comparison
+of weighted initial ideals that the Groebner-cell point test replaced, and
+``moved_point_ray_constancy`` and ``moved_point_recover_depth``, which
+approximate a coordinate ray by one far point, where the ray form of the
+cell test decides the whole ray.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from gentrop.groebner import Ideal, initial_ideal
-from gentrop.poly import Polynomial
+from gentrop.fans import ConeId, interior_point
+from gentrop.generic import agreed, gap_degree, gin
+from gentrop.groebner import Ideal, buchberger, initial_ideal
+from gentrop.invariants import dimension
+from gentrop.poly import GREVLEX, OrderSpec, Polynomial
 
 
 def interned_initial_ideals(I: Ideal, points) -> list:
@@ -25,6 +31,50 @@ def interned_initial_ideals(I: Ideal, points) -> list:
     in_w(I) iff the entries of v and w are the same object."""
     J = Ideal(I.n, map(dict, I.forms), I.degree_cap)
     return [initial_ideal(J, w) for w in points]
+
+
+def moved_point_ray_constancy(I: Ideal, w, directions, policy, c_gap=None) -> bool:
+    """Whether pushing w far along each coordinate direction in
+    ``directions`` (1-based) leaves the weighted initial ideal unchanged:
+    the coordinate moves strictly beyond c_gap times the current maximum
+    (c_gap from ``gap_degree`` by default), and the moved points are
+    point-tested against the reduced basis at w, agreed across transforms."""
+    w = tuple(Fraction(x) for x in w)
+    if c_gap is None:
+        c_gap = gap_degree(I, policy)
+    target = c_gap * max(w) + 1
+    moved = []
+    for j in sorted(set(directions)):
+        if not 1 <= j <= I.n:
+            raise ValueError(f"direction {j} out of range")
+        v = list(w)
+        v[j - 1] = max(target, w[j - 1] + 1)
+        moved.append(tuple(v))
+
+    def compute(gI: Ideal) -> bool:
+        gb = buchberger(gI, GREVLEX.refine(w))
+        return all(gb.cell_contains(v) for v in moved)
+
+    return agreed(I, policy, compute, "ray constancy")
+
+
+def moved_point_recover_depth(I: Ideal, policy) -> int:
+    """Depth recovery with a ladder point per step t: its gap factor covers
+    the grevlex gin and the gin under grevlex with x_{n-t} moved last, and
+    rays are probed by ``moved_point_ray_constancy``."""
+    n = I.n
+    m = dimension(I)
+    c0 = gin(I, GREVLEX, policy).max_degree()
+    base_cone = ConeId(n, frozenset(range(1, n - m + 2)))
+    for t in range(1, m - 1):
+        p = n - t
+        moved_last = OrderSpec("grevlex", tuple(list(range(1, p)) + list(range(p + 1, n + 1)) + [p]))
+        ct = max(c0, gin(I, moved_last, policy).max_degree())
+        w = interior_point(base_cone, ct + 1)
+        stays = moved_point_ray_constancy(I, w, range(p + 1, n + 1), policy, ct)
+        if stays and not moved_point_ray_constancy(I, w, [p], policy, ct):
+            return t
+    raise ValueError("depth recovery applies only to ideals with 0 < depth < dim-1")
 
 
 def monomials_of_degree(n: int, d: int) -> list:

@@ -274,6 +274,18 @@ def test_verify_depth_recovery(tmp_path, capsys):
     assert code == EXIT_OK and report["passed"] is True
 
 
+def test_depth_recovery_bounds_engine_runs(tmp_path, capsys, monkeypatch):
+    # one ladder point serves every step and one reduced basis per
+    # transformed ideal decides each ray at it, so the job makes at most 3
+    # engine runs (5 when each step took a gin under a moved order and
+    # point-tested a moved point)
+    fam = write(tmp_path, "fam.ideal", FAMILY_531)
+    runs = counting_engine(monkeypatch)
+    code, report = run(capsys, "verify", fam, "--target", "depth-recovery", "--seed", "3")
+    assert code == EXIT_OK and report["passed"] is True
+    assert 0 < len(runs) <= 3
+
+
 def test_verify_multiplicity_quadric(tmp_path, capsys):
     path = write(tmp_path, "q.ideal", QUADRIC)
     code, report = run(capsys, "verify", path, "--target", "multiplicity")

@@ -38,7 +38,7 @@ from gentrop.groebner import DegreeCapExceeded, Ideal, buchberger, hilbert_numer
 from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of
 from gentrop.poly import GREVLEX, OrderSpec, normalize_weight
 
-from oracles import interned_initial_ideals
+from oracles import interned_initial_ideals, moved_point_ray_constancy, moved_point_recover_depth
 
 from cases import (
     codim2_complete_intersection,
@@ -477,6 +477,85 @@ def test_recover_depth():
     assert recover_depth(split_fan_ideal(), pol) == 1
     with pytest.raises(ValueError):
         recover_depth(smooth_quadric4(), pol)
+
+
+def _ray_cases():
+    """(name, ideal) for the ray differential test: the split ideal, stable
+    and product families of intermediate depth, and seeded random ideals."""
+    yield "split", split_fan_ideal()
+    for n, m, t in ((5, 3, 1), (6, 4, 1), (6, 4, 2), (7, 5, 2), (7, 5, 3)):
+        yield f"stable{n}:{m}:{t}", stable_depth_family(n, m, t)
+    for n, k in ((5, 3), (6, 3)):
+        yield f"product{n}:{k}", product_family(n, k)
+    for n in (3, 4):
+        for seed in range(4):
+            yield f"random{n}:{seed}", random_graded_ideal(n, seed, gens=2 + seed % 2)
+
+
+def test_ray_form_matches_the_moved_point_probe():
+    # ray_constancy, which asks the reduced basis at w whether the whole
+    # ray w + s e_j stays in its Groebner cell, against the earlier probe
+    # that point-tests one point pushed past gap_degree * max(w) + 1: every
+    # direction at the ladder point of every maximal skeleton cone, and
+    # recover_depth against the per-step probe on every ideal of
+    # intermediate depth, at three policy seeds
+    triples, leaving, depths = 0, 0, []
+    for seed in (0, 1, 2):
+        pol = policy(seed=seed)
+        for name, I in _ray_cases():
+            m = dimension(I)
+            if m == 0:
+                continue
+            w_gap = gap_degree(I, pol) + 1
+            for cone in ConeSequence(I.n, m):
+                w = interior_point(cone, w_gap)
+                for j in range(1, I.n + 1):
+                    got = ray_constancy(I, w, [j], pol)
+                    assert got == moved_point_ray_constancy(I, w, [j], pol), (seed, name, w, j)
+                    triples += 1
+                    leaving += not got
+            t = generic.depth(I, pol)
+            if 0 < t < m - 1:
+                got = recover_depth(I, pol)
+                assert got == moved_point_recover_depth(I, pol) == t, (seed, name)
+                depths.append(got)
+    assert triples > 2000 and 100 < leaving < triples - 100
+    assert len(depths) == 3 * 8
+
+
+def test_depth_recovery_reads_rays_off_one_basis(monkeypatch):
+    # the ray form has no gap parameter and builds no point off w: every
+    # cell test recover_depth makes is a ray test on a basis at the one
+    # ladder point, and gin runs only under grevlex, through gap_degree
+    import inspect
+
+    assert "c_gap" not in inspect.signature(ray_constancy).parameters
+    tests, gin_orders = [], []
+    cell_contains = groebner.GroebnerBasis.cell_contains
+
+    def recording_cell_contains(gb, *args, **kwargs):
+        tests.append((gb.order, args, kwargs))
+        return cell_contains(gb, *args, **kwargs)
+
+    def recording_gin(I, order=GREVLEX, policy=GenericityPolicy()):
+        gin_orders.append(order)
+        return gin(I, order, policy)
+
+    monkeypatch.setattr(groebner.GroebnerBasis, "cell_contains", recording_cell_contains)
+    monkeypatch.setattr(generic, "gin", recording_gin)
+    pol = policy()
+    I = stable_depth_family(6, 4, 2)
+    assert recover_depth(I, pol) == 2
+    assert gin_orders and set(gin_orders) == {GREVLEX}
+    assert tests and all(not args and set(kwargs) == {"ray"} for _, args, kwargs in tests)
+    w = normalize_weight(interior_point(ConeId(6, {1, 2, 3}), gap_degree(I, pol) + 1), 6)
+    assert {order for order, _, _ in tests} == {GREVLEX.refine(w)}
+    # a direction outside 1..n is refused by both forms
+    for bad in (0, 7):
+        with pytest.raises(ValueError):
+            ray_constancy(I, w, [bad], pol)
+        with pytest.raises(ValueError):
+            buchberger(I, GREVLEX.refine(w)).cell_contains(ray=bad)
 
 
 def test_adjacent_cones_have_distinct_initial_ideals():
