@@ -5,6 +5,7 @@ from math import comb, factorial, prod
 
 import pytest
 
+from gentrop import fans
 from gentrop.fans import (
     ConeId,
     ConeSequence,
@@ -95,7 +96,7 @@ def _listed_adjacent_pairs(n, m, t):
     return out
 
 
-def test_adjacent_pairs_unrank_the_listed_pairs():
+def test_adjacent_pairs_unrank_the_listed_pairs(monkeypatch):
     checked = 0
     for n in range(1, 8):
         for m in range(1, n):
@@ -114,8 +115,12 @@ def test_adjacent_pairs_unrank_the_listed_pairs():
     assert a.min_set == b.min_set == frozenset(range(25, 31))
     with pytest.raises(IndexError):
         wide[len(wide)]
-    # the first cone of a drawn pair is found by binary search, not by a
-    # scan over the C(24, 12) cones of its group
+    # each cone of a drawn pair is found by bisection, not by a scan over
+    # the C(24, 12) cones of its group (about 10^6 binomials mid-group)
+    calls = []
+    monkeypatch.setattr(fans, "comb", lambda *a: calls.append(a) or comb(*a))
+    a, b = wide[len(wide) // 2]
+    assert a.min_set == b.min_set and len(calls) < 1000
     assert len(budget(wide, 0)) == CONE_BUDGET
 
 
