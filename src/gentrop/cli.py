@@ -262,6 +262,8 @@ def main(argv=None) -> int:
         for flag, least in _FLAG_MINIMA.items():
             if getattr(args, flag) < least:
                 raise ParseError(f"--{flag} must be at least {least}")
+        if args.degree_cap < 1:
+            raise ParseError(f"degree cap {args.degree_cap} is below 1")
         with open(args.file, "rb") as fh:
             data = fh.read()
         n, polys = parse_ideal_file(data.decode("utf-8"))

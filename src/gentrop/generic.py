@@ -156,9 +156,10 @@ def random_transform(
 
 
 def apply_transform(I: Ideal, g: Transform) -> Ideal:
-    """The ideal generated by the images of the generators under g, with the
-    degree cap of I.  Images of the integer forms are expanded over the
-    integers.  A transform is invertible, so it keeps the Hilbert series
+    """The ideal generated by the images of the generators under g, derived
+    from I: it has the degree cap of I and shares its memo of Hilbert checks
+    (see ``groebner.Ideal``).  Images of the integer forms are expanded over
+    the integers.  A transform is invertible, so it keeps the Hilbert series
     and gI takes the numerator of I if known (``groebner.known_numerator``)."""
     if g.n != I.n:
         raise ValueError("transform size does not match the ambient ring")
@@ -192,7 +193,7 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
             for e, v in image(exps).items():
                 acc[e] = acc.get(e, 0) + c * v
         gens.append({e: v for e, v in acc.items() if v})
-    J = Ideal(n, gens, I.degree_cap)
+    J = I._derive(gens)
     J.numerator = known_numerator(I)
     return J
 

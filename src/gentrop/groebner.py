@@ -23,7 +23,11 @@ the initial ideal, so every pending pair would reduce to zero (Traverso
 1996, "Hilbert functions and the Buchberger algorithm").  Every sort and
 tie-break is fixed, so identical inputs produce bit-identical output.
 Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
-computations on it with ``DegreeCapExceeded`` instead of hanging.
+computations on it with ``DegreeCapExceeded`` instead of hanging.  An
+ideal the engine derives from its own forms inherits what its parent knows:
+its cap, its memo of Hilbert checks and, for an initial ideal, its reduced
+grevlex basis, which is its forms (Sturmfels 1996, "Groebner Bases and
+Convex Polytopes", Prop. 1.8 and Cor. 1.9).
 """
 
 from __future__ import annotations
@@ -68,9 +72,12 @@ class Ideal:
     ((exponents, int) terms in grevlex order, content 1, positive leading
     coefficient), so scalar multiples give equal ``key()``s; ``generators``
     are their monic ``Polynomial``s, in input order, built when first read.
-    Every Groebner computation on the ideal runs under ``degree_cap``, and
-    every ideal derived from it (transformed, initial, saturated) inherits
-    the cap, so one cap bounds a whole analysis.  The ideal is the only
+    Every Groebner computation on the ideal runs under ``degree_cap``.  Every
+    ideal derived from it (transformed, initial, saturated) is built by
+    ``_derive`` without the constructor's checks, inherits the cap, so one
+    cap bounds a whole analysis, and shares ``hilbert_memo``, which maps the
+    minimal leads of a Hilbert check to its numerator (see
+    ``_buchberger_dicts``).  The ideal is the only
     place results are cached, and every entry was computed under its one
     cap.  ``gb_cache`` maps an OrderSpec to the reduced basis; a cached
     basis also serves any order whose Groebner cone contains it (see
@@ -89,7 +96,8 @@ class Ideal:
     """
 
     __slots__ = (
-        "n", "forms", "degree_cap", "gb_cache", "images", "initials", "numerator", "_gens",
+        "n", "forms", "degree_cap", "hilbert_memo", "gb_cache", "images", "initials",
+        "numerator", "_gens",
     )
 
     def __init__(
@@ -98,7 +106,7 @@ class Ideal:
     ):
         if degree_cap < 1:
             raise ValueError(f"degree cap {degree_cap} is below 1")
-        forms = []
+        gens = []
         for g in generators:
             if isinstance(g, Polynomial):
                 if g.n != n:
@@ -114,14 +122,31 @@ class Ideal:
             degree = sum(next(iter(g)))
             if any(sum(e) != degree for e in g):
                 raise NotGradedError(f"non-homogeneous generator: {Polynomial(n, g)}")
-            key = GREVLEX.key_function(n, degree)
-            terms = sorted(g.items(), key=lambda t: key(t[0]), reverse=True)
-            forms.append(tuple(_primitive(dict(terms), terms[0][0]).items()))
-        if not forms:
+            gens.append(_primitive(g))
+        if not gens:
             raise ValueError("the zero ideal is not supported")
-        self.n = n
+        self.n, self.degree_cap, self.hilbert_memo = n, degree_cap, {}
+        self._set_forms(gens)
+
+    def _derive(self, gens: Iterable[dict]) -> Ideal:
+        """The ideal of ``gens``, nonzero homogeneous integer dicts the engine
+        derived from this ideal's forms, built without the constructor's
+        checks; it inherits the cap and shares the memo of Hilbert checks."""
+        J = Ideal.__new__(Ideal)
+        J.n, J.degree_cap, J.hilbert_memo = self.n, self.degree_cap, self.hilbert_memo
+        J._set_forms(list(gens))
+        return J
+
+    def _set_forms(self, gens: list) -> None:
+        """Store integer dicts as primitive forms sorted by one grevlex key."""
+        top = max(self.degree_cap, *(sum(next(iter(g))) for g in gens))
+        key = GREVLEX.key_function(self.n, top)
+        forms = []
+        for g in gens:
+            terms = sorted(g.items(), key=lambda t: key(t[0]), reverse=True)
+            c = gcd(*g.values()) if terms[0][1] > 0 else -gcd(*g.values())
+            forms.append(tuple(terms) if c == 1 else tuple((e, v // c) for e, v in terms))
         self.forms = tuple(forms)
-        self.degree_cap = degree_cap
         self.gb_cache: dict = {}
         self.images: dict = {}
         self.initials: dict = {}
@@ -407,7 +432,8 @@ def _spair_poly(ri: tuple, rj: tuple) -> dict:
     return acc
 
 
-def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None) -> list:
+def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None,
+                      memo: dict | None = None) -> list:
     """Reduced Groebner basis of the ideal generated by ``gens``, primitive
     integer polynomials {exponents: int}.
 
@@ -421,7 +447,9 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
     ``hilbert_numerator``).  The leads of the basis generate an ideal inside
     the initial ideal, with the same series only if the two are equal; so
     once the leads of ``active`` reach the target the basis is Groebner and
-    the pending pairs are skipped.  Returns the primitive reducers
+    the pending pairs are skipped.  ``memo``, if given, maps the frozenset
+    of minimal leads of a check to its numerator; the check reads it before
+    computing one and adds what it computes.  Returns the primitive reducers
     (lm, lc, tail) of the minimal basis, tail-reduced and sorted ascending
     by the key of the leading monomial.
     """
@@ -471,11 +499,17 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
             push(_reducer(r, lm))
 
     checked = 0  # basis size at the last comparison with the target
+    memo = {} if memo is None else memo
     while heap:
         _, _, i, j = heappop(heap)
         if target is not None and checked < len(basis):
             checked = len(basis)
-            if hilbert_numerator(len(basis[0][0]), (basis[k][0] for k in active)) == target:
+            # the leads of ``active`` are the minimal ones: no lead divides a later one
+            leads = frozenset(basis[k][0] for k in active)
+            q = memo.get(leads)
+            if q is None:
+                q = memo[leads] = hilbert_numerator(len(basis[0][0]), leads)
+            if q == target:
                 break
         r, lm, _ = _nf_dict(_spair_poly(basis[i], basis[j]), basis, key, cap)
         if r:
@@ -669,7 +703,7 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     if reds is None:
         grevlex = I.gb_cache.get(GREVLEX)
         gens = map(dict, I.forms) if grevlex is None else map(_poly, grevlex._reducers)
-        reds = _buchberger_dicts(gens, key, I.degree_cap, known_numerator(I))
+        reds = _buchberger_dicts(gens, key, I.degree_cap, known_numerator(I), I.hilbert_memo)
     gb = I.gb_cache[order] = GroebnerBasis(order, I.n, reds)
     return gb
 
@@ -679,7 +713,8 @@ def initial_ideal(I: Ideal, w) -> Ideal:
 
     Generators are the initial forms of the reduced basis with respect to the
     w-refined grevlex order, read from its reducers by ``initial_terms``.  They
-    constitute the reduced grevlex basis of the result; taken in the order
+    constitute the reduced grevlex basis of the result (Sturmfels 1996, Prop.
+    1.8 and Cor. 1.9), so J carries it, read from its forms.  Taken in the order
     of their leads, two initial ideals computed here are equal iff their
     ``forms`` agree.
 
@@ -694,12 +729,15 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     J = I.initials.get(wn)
     if J is not None:
         return J
-    forms = [
+    J = I._derive(
         dict(initial_terms(wn, ((lm, lc),) + tail))
         for lm, lc, tail in sorted(buchberger(I, GREVLEX.refine(wn))._reducers)
-    ]
-    J = Ideal(I.n, forms, I.degree_cap)
+    )
     J = I.initials[wn] = I.initials.setdefault(J.forms, J)
+    if GREVLEX not in J.gb_cache:
+        key = GREVLEX.key_function(J.n, J.degree_cap)
+        J.gb_cache[GREVLEX] = GroebnerBasis(GREVLEX, J.n, sorted(
+            ((f[0][0], f[0][1], f[1:]) for f in J.forms), key=lambda r: key(r[0])))
     J.numerator = known_numerator(I)
     return J
 
@@ -734,10 +772,10 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
         if stop is not None and stop(gb):
             return None
         if any(lm[i] for lm, _, _ in gb._reducers):
-            J = Ideal(n, [
+            J = J._derive(
                 {e[:i] + (e[i] - r[0][i],) + e[i + 1:]: c for e, c in _poly(r).items()}
                 for r in gb._reducers
-            ], I.degree_cap)
+            )
     return J
 
 
@@ -751,7 +789,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
         raise ValueError("can only saturate by a nonzero monomial")
     J = _saturation(I, f.terms[0][0])
     gb = buchberger(J, GREVLEX)
-    S = Ideal(I.n, map(_poly, gb._reducers), I.degree_cap)
+    S = J._derive(map(_poly, gb._reducers))
     S.gb_cache[GREVLEX] = J.gb_cache[GREVLEX]
     return S
 

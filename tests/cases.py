@@ -126,4 +126,10 @@ def counting_normal_forms(monkeypatch) -> list:
     return _counting(monkeypatch, "_nf_dict")
 
 
+def counting_hilbert_numerators(monkeypatch) -> list:
+    """Record each Hilbert numerator the engine computes: the Hilbert checks
+    of runs with a target and the numerators read from cached leads."""
+    return _counting(monkeypatch, "hilbert_numerator")
+
+
 IDENTITY = identity_policy

@@ -319,6 +319,10 @@ def test_exit_codes(tmp_path, capsys):
     for cap in ("0", "-1"):
         assert main(["analyze", q, "--degree-cap", cap]) == EXIT_PARSE
         assert f"degree cap {cap} is below 1" in capsys.readouterr().err
+    # also before the file is read: a missing file is not what is reported
+    assert main(["analyze", missing, "--degree-cap", "0"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: degree cap 0 is below 1\n"
 
     # numeric flags are checked before the file is read, on every command,
     # also where the input would never use them (the non-CM family makes no

@@ -43,6 +43,7 @@ from oracles import interned_initial_ideals, moved_point_ray_constancy, moved_po
 from cases import (
     codim2_complete_intersection,
     counting_engine,
+    counting_hilbert_numerators,
     counting_spairs,
     dense_form,
     ideal,
@@ -292,6 +293,35 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
         assert tropical_member(ideals[k], w, pol) == want
     assert 0 < len(runs) <= 260
     assert 0 < len(spairs) <= 190
+
+
+def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):
+    # two pairs of dense quadrics, in 3 and 4 variables, 10 grid queries
+    # each.  Each new initial ideal J caches the reduced grevlex basis read
+    # from its forms, so the saturation steps of its membership test skip
+    # J's grevlex run: the sweep makes at most 24 engine runs (32 when every
+    # J ran one).  Every ideal derived from an input ideal shares its memo
+    # of Hilbert checks, keyed by the minimal leads, so the sweep computes
+    # at most 11 Hilbert numerators (28 when each ideal kept its own memo,
+    # 36 with no memo).
+    rng = random.Random("small-sweep")
+    ideals, queries = [], []
+    for n in (3, 4):
+        ideals.append(Ideal(n, [dense_form(n, 2, rng.randrange(10**6)) for _ in range(2)]))
+        for q in range(10):
+            ties = rng.randint(3, n) if q % 2 == 0 else rng.randint(1, 2)
+            low = rng.randint(-3, 2)
+            w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(n - ties)]
+            rng.shuffle(w)
+            queries.append((len(ideals) - 1, tuple(w)))
+    dims = [dimension(I) for I in ideals]
+    runs = counting_engine(monkeypatch)
+    numerators = counting_hilbert_numerators(monkeypatch)
+    for k, w in queries:
+        want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
+        assert tropical_member(ideals[k], w, policy()) == want
+    assert 0 < len(runs) <= 24
+    assert 0 < len(numerators) <= 11
 
 
 def test_tropical_member_rejects_dim_zero():

@@ -26,8 +26,8 @@ from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, norm
 
 import oracles
 from cases import (
-    P, counting_engine, counting_spairs, dense_form, ideal, policy, random_graded_ideal,
-    seeded_ideals,
+    P, counting_engine, counting_spairs, dense_form, ideal, policy, product_family,
+    random_graded_ideal, seeded_ideals, split_fan_ideal, stable_depth_family,
 )
 
 
@@ -480,6 +480,75 @@ def test_derived_ideals_carry_the_parent_cap():
     assert [J.degree_cap for J in derived] == [9] * len(derived)
     # the last saturation step is a new ideal, whose bases run under its cap
     assert derived[-1] is not I
+    # every derived ideal shares the memo of Hilbert checks of its root; an
+    # ideal built from generators starts its own
+    assert all(J.hilbert_memo is I.hilbert_memo for J in derived)
+    assert ideal(3, "x1^2 - x2*x3", "x1*x3", degree_cap=9).hilbert_memo is not I.hilbert_memo
+
+
+def _derived_cases() -> list:
+    """(ideal, weights) pairs for the differential tests of derived ideals:
+    seeded sparse and dense ideals, sparse ideals in 5 variables, strongly
+    stable families of intermediate depth, a product family and the split
+    ideal, each with the zero weight and five seeded weights with ties."""
+    ideals = [*seeded_ideals(3, 2), *(random_graded_ideal(5, seed) for seed in range(2)),
+              stable_depth_family(5, 3, 1), stable_depth_family(6, 4, 2), product_family(5, 3),
+              split_fan_ideal()]
+    out = []
+    for idx, I in enumerate(ideals):
+        rng = random.Random(f"derived:{idx}")
+        weights = [tuple(rng.randint(-1, 2) for _ in range(I.n)) for _ in range(5)]
+        out.append((I, [(0,) * I.n] + weights))
+    return out
+
+
+def test_seeded_initial_bases_match_a_grevlex_run():
+    # the initial forms of the reduced basis under grevlex refined by w are
+    # the reduced grevlex basis of J = in_w(I) (Sturmfels 1996, "Groebner
+    # Bases and Convex Polytopes", Prop. 1.8 and Cor. 1.9), so J caches the
+    # basis read from its forms.  For every interned J of each ideal and of
+    # its transforms, that basis must be the reducers a targetless grevlex
+    # run from J's forms returns, reducer for reducer.
+    from gentrop.groebner import _buchberger_dicts
+
+    checked = 0
+    for I, weights in _derived_cases():
+        for parent in (I, *transformed(I, policy())):
+            for w in weights:
+                initial_ideal(parent, w)
+            for J in set(parent.initials.values()):
+                key = GREVLEX.key_function(J.n, J.degree_cap)
+                run = _buchberger_dicts(map(dict, J.forms), key, J.degree_cap)
+                assert list(J.gb_cache[GREVLEX]._reducers) == run, (I, J)
+                checked += 1
+    assert checked > 200  # 239 here
+
+
+def test_the_derive_path_matches_the_checking_constructor(monkeypatch):
+    # transforms, initial ideals, saturation steps and saturations are built
+    # without the constructor's checks and without its rational
+    # normalization.  Their generators must pass those checks (exponent
+    # vectors, nonzero int coefficients, homogeneity, a nonzero ideal), and
+    # give the forms the checking constructor gives them.
+    derive, made = Ideal._derive, []
+
+    def checked(self, gens):
+        gens = list(gens)
+        J = derive(self, gens)
+        assert J.forms == Ideal(self.n, gens, self.degree_cap).forms
+        made.append(J)
+        return J
+
+    monkeypatch.setattr(Ideal, "_derive", checked)
+    for I, weights in _derived_cases():
+        every = Polynomial.monomial(I.n, (1,) * I.n, 1)
+        for parent in (I, *transformed(I, policy())):
+            for w in weights:
+                contains_monomial(initial_ideal(parent, w))
+            saturate(parent, every)
+    # 393 here: 32 transforms, 264 initial ideals, 49 saturation steps and
+    # 48 saturations
+    assert len(made) > 300
 
 
 def test_gb_cache_hits():
@@ -697,25 +766,27 @@ def test_buchberger_with_a_warm_cache_matches_the_reference_engine(monkeypatch):
     # the other orders' runs take the Hilbert numerator read from it as
     # their target.  Each such run is repeated without the target: it must
     # return the same reducers, or raise the same cap error, after forming
-    # at least as many s-pairs; some runs must have stopped early.
+    # at least as many s-pairs; some runs must have stopped early.  The run
+    # with the target reads and fills the ideal's memo of Hilbert checks, so
+    # a memo hit must not change its result either.
     from gentrop import groebner
 
     engine = groebner._buchberger_dicts
     spairs, saved = counting_spairs(monkeypatch), []
 
-    def both_ways(gens, key, cap, target=None):
+    def both_ways(gens, key, cap, target=None, memo=None):
         if target is None:
-            return engine(gens, key, cap)
+            return engine(gens, key, cap, None, memo)
         gens = list(gens)
         start = len(spairs)
         try:
             plain = engine(gens, key, cap)
         except DegreeCapExceeded as e:
             with pytest.raises(DegreeCapExceeded, match=re.escape(str(e))):
-                engine(gens, key, cap, target)
+                engine(gens, key, cap, target, memo)
             raise
         mid = len(spairs)
-        assert engine(gens, key, cap, target) == plain
+        assert engine(gens, key, cap, target, memo) == plain
         saved.append(2 * mid - start - len(spairs))
         return plain
 
@@ -838,11 +909,13 @@ def test_pair_criteria_bound_the_s_pairs_of_cold_runs(monkeypatch):
 
 
 def test_a_warm_cache_keeps_the_s_pair_cap():
+    from gentrop.groebner import _buchberger_dicts
+
     # under cap 4 the grevlex basis of this ideal fits (its largest element
     # has degree 3) and gives the ideal a Hilbert target, but the lex run
     # forms a pair of degree 5 and must still raise.  So must the lex run of
-    # an initial ideal that took its numerator from its parent and has no
-    # basis of its own.
+    # an initial ideal that took its numerator from its parent and whose one
+    # cached basis is the grevlex basis read from its forms.
     I = ideal(3, "x1*x2 + x3^2", "x1^2 + x2*x3", degree_cap=4)
     assert max(g.degree for g in buchberger(I)) == 3
     with pytest.raises(DegreeCapExceeded, match="s-pair degree exceeds cap 4"):
@@ -850,7 +923,10 @@ def test_a_warm_cache_keeps_the_s_pair_cap():
     assert I.numerator == (1, 0, -2, 0, 1)
     J = initial_ideal(I, (2, 1, 0))
     assert gens_of(J) == ["x3^2", "x2*x3", "x1*x2^2 - x1^2*x3"]
-    assert J.numerator == I.numerator and not J.gb_cache
+    assert J.numerator == I.numerator and list(J.gb_cache) == [GREVLEX]
+    seeded = J.gb_cache[GREVLEX]._reducers
+    assert sorted(seeded) == sorted((f[0][0], f[0][1], f[1:]) for f in J.forms)
+    assert list(seeded) == _buchberger_dicts(map(dict, J.forms), GREVLEX.key_function(3, 4), 4)
     with pytest.raises(DegreeCapExceeded, match="s-pair degree exceeds cap 4"):
         buchberger(J, LEX)
 
