@@ -13,12 +13,16 @@ Per transformed ideal gI, one reduced basis at the first weight w of a probe
 decides whether a weight v, or a whole coordinate ray w + s e_j (s >= 0), has
 the initial ideal in_w(gI): it must lie in the Groebner cell of that basis
 (``GroebnerBasis.cell_contains``), so no basis off w is computed.  A
-cone-constancy probe first asks the basis whether the cell holds the whole
-open cone; if not, it point-tests the sampled interior points.  Either way
-its answer is the one the sampled points give, so constancy probes, the only
-sampled probes, are reported as sampled evidence; adjacent-cone separation,
-ray containment, depth, dimension, multiplicity and witness inequalities are
-exact.
+cone-constancy probe first asks the bases gI already holds, its newest and
+its grevlex basis, whether either certifies that in_v(gI) is constant on the
+whole open cone, which is exact for a basis at any weight; only if neither
+does it compute the basis at the cone's first interior point and ask it the
+same, and if that fails too, point-test the sampled interior points.  Either
+way its answer is the one the sampled points give, so constancy probes, the
+only sampled probes, are reported as sampled evidence; adjacent-cone
+separation, ray containment, depth, dimension, multiplicity and witness
+inequalities are exact.  A probe list computes the gap factor of its
+interior points (``gap_degree``) once and hands it to every probe.
 """
 
 from __future__ import annotations
@@ -308,6 +312,22 @@ def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:
     return gin(I, GREVLEX, policy).max_degree()
 
 
+def _certified(gI: Ideal, cone: ConeId) -> bool:
+    """Whether gI's newest cached basis, or its grevlex basis, certifies that
+    in_v(gI) is constant on the open cone (``GroebnerBasis.cell_contains``
+    with ``cone``).  A True is exact for a reduced basis at any weight, so
+    nothing is computed at the cone.  Cones probed in index order share
+    their min-set with their neighbours, so the basis computed for the last
+    cone is the one that certifies the next; the grevlex basis certifies the
+    cones whose min-set holds every lead."""
+    sets = (cone.min_set, cone.middle, cone.top)
+    newest = next(reversed(gI.gb_cache.values()), None)
+    if newest is not None and newest.cell_contains(cone=sets):
+        return True
+    grevlex = gI.gb_cache.get(GREVLEX)
+    return grevlex is not None and grevlex is not newest and grevlex.cell_contains(cone=sets)
+
+
 def _same_initial(
     I: Ideal, points: Iterable, policy: GenericityPolicy, what: str, cone: ConeId | None = None,
 ) -> bool:
@@ -318,10 +338,14 @@ def _same_initial(
     point w, and point-tests the others against it: in_v(gI) = in_w(gI) iff
     v lies in the basis's Groebner cell (``GroebnerBasis.cell_contains``).
     It stops at the first point that differs.  With ``cone``, an open cone
-    that holds w, the basis first tries to certify the whole cone; if the
-    cell holds it, every point of the cone has the initial ideal of w."""
+    that holds the points, a basis gI already holds may certify the whole
+    cone first (``_certified``), and then no basis is computed and no point
+    read; else the basis at w tries to certify it.  If a basis certifies the
+    cone, every point of the cone has the initial ideal of w."""
 
     def compute(gI: Ideal) -> bool:
+        if cone is not None and _certified(gI, cone):
+            return True
         it = iter(points)
         gb = buchberger(gI, GREVLEX.refine(next(it)))
         if cone is not None and gb.cell_contains(cone=(cone.min_set, cone.middle, cone.top)):
@@ -336,20 +360,23 @@ def cone_constancy(
     cone: ConeId,
     samples: int = 3,
     policy: GenericityPolicy = GenericityPolicy(),
+    gap: int | None = None,
 ) -> bool:
     """Whether the weighted initial ideals at ``samples`` interior points of
     the open cone (varying ladder values and within-block arrangements)
-    coincide, agreed across transforms.
+    coincide, agreed across transforms.  ``gap`` is the points' gap factor,
+    ``gap_degree(I, policy) + 1`` when not given.
 
-    Per gI the reduced basis at the first point is asked whether its
-    Groebner cell holds the whole open cone.  If it does, the answer is
-    True, as every sampled point lies in the cone; if not, the other points
-    are point-tested against that basis (see ``_same_initial``).  Either
-    way the answer is the one the sampled points give, so reports label it
-    ``sampled``; a True from the certificate holds on the whole cone."""
+    Per gI, the newest cached basis and the grevlex basis are asked whether
+    either certifies the whole open cone; if not, the reduced basis at the
+    first point is asked; if that does not either, the other points are
+    point-tested against it (see ``_same_initial``).  Either way the answer
+    is the one the sampled points give, so reports label it ``sampled``; a
+    True from a certificate holds on the whole cone."""
     if samples < 2:
         raise ValueError("constancy needs at least two interior points")
-    gap = gap_degree(I, policy) + 1
+    if gap is None:
+        gap = gap_degree(I, policy) + 1
     pts = interior_points(cone, gap, samples)
     return _same_initial(I, pts, policy, "cone constancy", cone)
 
@@ -359,10 +386,13 @@ def adjacent_distinct(
     c1: ConeId,
     c2: ConeId,
     policy: GenericityPolicy = GenericityPolicy(),
+    gap: int | None = None,
 ) -> bool:
     """Exact witness that two cones carry different weighted initial ideals,
-    evaluated at their canonical interior points."""
-    gap = gap_degree(I, policy) + 1
+    evaluated at their canonical interior points, of gap factor ``gap``
+    (``gap_degree(I, policy) + 1`` when not given)."""
+    if gap is None:
+        gap = gap_degree(I, policy) + 1
     w1 = interior_point(c1, gap)
     w2 = interior_point(c2, gap)
     return not _same_initial(I, (w1, w2), policy, "adjacent cone separation")
@@ -424,12 +454,17 @@ def constancy_probes(
     cones: Sequence,
     points: int,
     policy: GenericityPolicy,
+    gap: int | None = None,
 ) -> Iterable[ProbeResult]:
     """One ``cone_constancy`` probe per cone of ``cones`` (all of them, or
-    ``CONE_BUDGET`` drawn with the policy seed when there are more), yielded
-    one at a time so that a caller can stop at the first split cone."""
+    ``CONE_BUDGET`` drawn with the policy seed when there are more), in
+    index order, yielded one at a time so that a caller can stop at the
+    first split cone.  The gap factor ``gap`` of every probe is computed
+    once, as ``gap_degree(I, policy) + 1``, when not given."""
+    if gap is None:
+        gap = gap_degree(I, policy) + 1
     for cone in budget(cones, policy.seed):
-        ok = cone_constancy(I, cone, points, policy)
+        ok = cone_constancy(I, cone, points, policy, gap)
         yield ProbeResult("cone_constancy", cone, ok, "sampled")
 
 

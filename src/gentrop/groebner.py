@@ -208,9 +208,10 @@ class GroebnerBasis:
     def cell_contains(self, v=None, cone=None, ray=None) -> bool:
         """Whether the Groebner cell of the basis's weight w (the weights v
         with in_v(I) = in_w(I); w = 0 for an order without weight) contains
-        the point ``v``, given ``cone`` a whole open cone, or given ``ray``
-        (1-based j) the ray w + s e_j, s >= 0.  No basis at any other weight
-        is computed.
+        the point ``v``, or given ``ray`` (1-based j) the ray w + s e_j,
+        s >= 0; given ``cone``, whether the basis certifies that in_v(I) is
+        constant on a whole open cone, which need not hold w.  No basis at
+        any other weight is computed.
 
         The basis G is reduced under an order refined by w, so in_v(I) =
         in_w(I) iff in_v(g) = in_w(g) for every g in G (Sturmfels 1996,
@@ -222,17 +223,23 @@ class GroebnerBasis:
         no term have a smaller one.
 
         ``cone`` is (min_set, middle, top), the 1-based index sets of a
-        ``fans.ConeId`` whose open cone holds w: the minimum on the min-set
-        A, every top value above every middle value, and for a skeleton cone
-        (no middle, no top) every coordinate outside A in the middle M.  Let
-        e0 be a reducer's lead and c = e - e0 outside A for a tail term e.
-        The closed cone, shifted to a zero minimum, is spanned by e_t for t
-        in the top T and by (chi_S, 1_T) for S within M, so v . c >= 0 on it
-        iff c_t >= 0 on T and sum_M min(c_m, 0) + sum_T c_t >= 0.  If every
-        tail term passes, in_v(g) is e0 and the terms with c = 0 at every v
-        of the open cone, so in_v(I) = in_w(I) there; if one fails, some v of
-        the open cone ranks that term above e0.  The walk stops at the first
-        failing term."""
+        ``fans.ConeId``: the minimum on the min-set A, every top value above
+        every middle value, and for a skeleton cone (no middle, no top) every
+        coordinate outside A in the middle M.  Let e0 be a reducer's lead and
+        c = e - e0 outside A for a tail term e.  The closed cone, shifted to
+        a zero minimum, is spanned by e_t for t in the top T and by
+        (chi_S, 1_T) for S within M, so v . c >= 0 on it iff c_t >= 0 on T
+        and sum_M min(c_m, 0) + sum_T c_t >= 0.  The cone form asks that of
+        every tail term: every element then keeps its lead e0 under v refined
+        by the basis's order, for each v of the closed cone, so G is a
+        Groebner basis there too and in_v(I) is generated by the in_v(g).
+        Each in_v(g) is e0 and the terms with c = 0 at every v of the open
+        cone, since v . c >= 0 on the cone and vanishing at one interior
+        point vanishes on all of it.  So a True says in_v(I) is constant on
+        the open cone, whatever w the basis was computed at.  A False is
+        exact when the open cone holds w: some v of the open cone then ranks
+        the failing term above e0, so in_v(I) != in_w(I).  The walk stops at
+        the first failing term."""
         w = self.order.weight or (0,) * self.n
         if ray is not None:
             if not 1 <= ray <= self.n:
@@ -252,12 +259,6 @@ class GroebnerBasis:
         low_set, middle, top = cone
         if not middle and not top:
             middle = set(range(1, self.n + 1)) - set(low_set)
-        low = min(w)
-        middle_w = [w[i - 1] for i in middle]
-        top_w = [w[i - 1] for i in top]
-        if (any(w[i - 1] != low for i in low_set) or low in middle_w + top_w
-                or middle_w and top_w and max(middle_w) >= min(top_w)):
-            raise ValueError("the open cone does not hold the basis's weight")
         middle = [i - 1 for i in sorted(middle)]
         top = [i - 1 for i in sorted(top)]
         for lm, _, tail in self._reducers:
@@ -678,13 +679,14 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     """The reduced Groebner basis of I, computed under ``I.degree_cap`` and
     memoized in ``I.gb_cache``.
 
-    A weight is normalized first (``normalize_weight``), which for a graded
-    ideal changes no lead, and one that normalizes to zero is dropped; the
-    basis is cached, ordered and returned under the normalized order.  A
-    cached basis whose Groebner cone contains the new order (every element
-    keeps its lead) is served before any run, its reducers and their tails
-    re-sorted by the new order, so a basis does not depend on the cache
-    history of I.  The cap bounds every computation performed: a reused
+    A weight is normalized (``normalize_weight``), which for a graded ideal
+    changes no lead, and one that normalizes to zero is dropped; the basis
+    is cached, ordered and returned under the normalized order.  A
+    normalized order is its own key, so the order is looked up as given
+    first and normalized only if that misses.  A cached basis whose
+    Groebner cone contains the new order (every element keeps its lead) is
+    served before any run, its reducers and their tails re-sorted by the
+    new order, so a basis does not depend on the cache history of I.  The cap bounds every computation performed: a reused
     basis skips a run that might have aborted.  A run enters the reducers
     of I's cached grevlex basis, when there is one, and I's forms
     otherwise: both generate I, so the reduced basis is the same, and the
@@ -692,10 +694,11 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     entry and form few pairs.  ``I.degree_cap`` still bounds every element
     pushed and every pair formed.  A run takes the Hilbert numerator of I,
     when known, as its target (see ``_buchberger_dicts``)."""
-    if order.weight is not None:
+    hit = I.gb_cache.get(order)
+    if hit is None and order.weight is not None:
         wn = normalize_weight(order.weight, I.n)
         order = OrderSpec(order.base, order.perm, wn if any(wn) else None)
-    hit = I.gb_cache.get(order)
+        hit = I.gb_cache.get(order)
     if hit is not None:
         return hit
     key = order.key_function(I.n, I.degree_cap)
@@ -722,11 +725,15 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     the same initial ideal gets the same ``Ideal``, so later computations on
     it (a saturation, say) reuse its cached bases, and equal initial ideals
     of I are one object.  A weight seen before, up to shift and positive
-    scaling, reads no basis of I.  J takes the Hilbert numerator of I,
-    which is its own, so its first run already has a target.
+    scaling, reads no basis of I; a normalized weight is its own key, so a
+    tuple ``w`` is looked up as given first and normalized only if that
+    misses.  J takes the Hilbert numerator of I, which is its own, so its
+    first run already has a target.
     """
-    wn = normalize_weight(w, I.n)
-    J = I.initials.get(wn)
+    J = I.initials.get(w) if isinstance(w, tuple) else None
+    if J is None:
+        wn = normalize_weight(w, I.n)
+        J = I.initials.get(wn)
     if J is not None:
         return J
     J = I._derive(

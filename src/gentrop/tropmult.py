@@ -76,11 +76,14 @@ def intrinsic_multiplicity(
     I: Ideal,
     cone: ConeId,
     policy: GenericityPolicy = GenericityPolicy(),
+    gap: int | None = None,
 ) -> MultiplicityReport:
     """Multiplicity evidence for one maximal cone of the sampled generic
-    tropical fan, computed at the cone's canonical interior point."""
+    tropical fan, computed at the cone's canonical interior point of gap
+    factor ``gap`` (``gap_degree(I, policy) + 1`` when not given)."""
     m_ideal = multiplicity(I)
-    gap = gap_degree(I, policy) + 1
+    if gap is None:
+        gap = gap_degree(I, policy) + 1
     w = interior_point(cone, gap)
 
     def compute(gI: Ideal) -> tuple:

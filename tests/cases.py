@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from gentrop import groebner
+from gentrop import generic, groebner
 from gentrop.groebner import DEFAULT_DEGREE_CAP, Ideal
 from gentrop.generic import GenericityPolicy, identity_policy
 from gentrop.poly import Polynomial, parse_polynomial
@@ -96,17 +96,17 @@ def seeded_ideals(sparse: int, dense: int) -> list:
     return out
 
 
-def _counting(monkeypatch, name: str) -> list:
-    """Patch the engine function ``groebner.<name>`` to record each call;
-    returns the record."""
+def _counting(monkeypatch, name: str, module=groebner) -> list:
+    """Patch the function ``<module>.<name>`` (an engine function by
+    default) to record each call; returns the record."""
     calls = []
-    f = getattr(groebner, name)
+    f = getattr(module, name)
 
     def counting(*args):
         calls.append(1)
         return f(*args)
 
-    monkeypatch.setattr(groebner, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -124,6 +124,18 @@ def counting_normal_forms(monkeypatch) -> list:
     """Record each engine division (``_nf_dict``): generator entries,
     s-pairs and tail reductions."""
     return _counting(monkeypatch, "_nf_dict")
+
+
+def counting_cone_hits(monkeypatch) -> list:
+    """Record each Groebner-cone lookup (``_cone_hit``): every basis that a
+    new order asks of the cache before it runs or reuses one."""
+    return _counting(monkeypatch, "_cone_hit")
+
+
+def counting_gap_degrees(monkeypatch) -> list:
+    """Record each ``generic.gap_degree`` call made inside ``generic``: one
+    generic initial ideal, agreed across transforms."""
+    return _counting(monkeypatch, "gap_degree", generic)
 
 
 def counting_hilbert_numerators(monkeypatch) -> list:

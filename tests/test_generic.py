@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gentrop import generic, groebner
+from gentrop import cli, generic, groebner
 from gentrop.fans import (
     ConeId,
     ConeSequence,
@@ -42,7 +42,9 @@ from oracles import interned_initial_ideals, moved_point_ray_constancy, moved_po
 
 from cases import (
     codim2_complete_intersection,
+    counting_cone_hits,
     counting_engine,
+    counting_gap_degrees,
     counting_hilbert_numerators,
     counting_spairs,
     dense_form,
@@ -417,20 +419,100 @@ def test_cell_test_matches_interned_initial_ideals():
                     assert not holds and any(J is not want[0] for J in want), cone
                     split_cones += 1
     assert min(pairs.values()) > 1000 and certified > 100 and split_cones == 2 * 30
-    # a cone that does not hold the basis's weight is refused
-    gb = buchberger(smooth_quadric4(), GREVLEX.refine((0, 0, 1, 2)))
+    # the cone form certifies a whole open cone from a basis at any weight:
+    # a basis at (0, 0, 1, 2) certifies two cones that do not hold its
+    # weight, and their 8 sampled points agree
+    q = smooth_quadric4()
+    gb = buchberger(q, GREVLEX.refine((0, 0, 1, 2)))
     assert gb.cell_contains(cone=({1, 2}, (), ())) and gb.cell_contains(cone=({1, 2}, {3}, {4}))
-    for cone in (({1, 3}, (), ()), ({1, 2}, {4}, {3}), ({1}, {2, 3}, {4})):
-        with pytest.raises(ValueError):
-            gb.cell_contains(cone=cone)
+    outside = 0
+    for sets in (({1, 3}, (), ()), ({1, 2}, {4}, {3}), ({1}, {2, 3}, {4})):
+        if gb.cell_contains(cone=sets):
+            want = interned_initial_ideals(q, list(interior_points(ConeId(4, *sets), 2, 8)))
+            assert all(J is want[0] for J in want), sets
+            outside += 1
+    assert outside == 2
 
 
-def test_wide_fan_probes_build_one_basis_per_cone(monkeypatch):
+def _in_open_cone(w, cone: ConeId) -> bool:
+    """Whether the weight w lies in the open cone."""
+    low = min(w)
+    if any((w[i - 1] == low) != (i in cone.min_set) for i in range(1, cone.n + 1)):
+        return False
+    if not cone.middle or not cone.top:
+        return True
+    return max(w[i - 1] for i in cone.middle) < min(w[i - 1] for i in cone.top)
+
+
+def test_cached_bases_certify_cones_exactly():
+    # the open-cone form of GroebnerBasis.cell_contains asked of bases at
+    # other weights, as a cone probe asks the bases gI already holds: each
+    # transformed ideal caches its grevlex basis and the basis at the first
+    # interior point of every cone, and every cached basis is asked about
+    # every cone.  Each True must see the cone's 8 sampled points agree
+    # under the interned initial ideals, and the basis at the cone's first
+    # point must certify the cone too.  730 of the 1,358 Trues come from a
+    # basis whose weight lies outside the cone
+    pol = policy(seed=3)
+    trues = outside = 0
+    for name, I, cones in _differential_cases():
+        gap = gap_degree(I, pol) + 1
+        points = {cone: list(interior_points(cone, gap, 8)) for cone in cones}
+        for gI in transformed(I, pol):
+            first = {cone: buchberger(gI, GREVLEX.refine(points[cone][0])) for cone in cones}
+            bases = list(gI.gb_cache.values())
+            for cone in cones:
+                sets = (cone.min_set, cone.middle, cone.top)
+                checked = False
+                for gb in bases:
+                    if not gb.cell_contains(cone=sets):
+                        continue
+                    if not checked:
+                        want = interned_initial_ideals(gI, points[cone])
+                        assert all(J is want[0] for J in want), (name, cone)
+                        assert first[cone].cell_contains(cone=sets), (name, cone)
+                        checked = True
+                    trues += 1
+                    outside += not _in_open_cone(gb.order.weight or (0,) * I.n, cone)
+    assert trues > 1000 and outside > 500
+
+
+def test_probe_results_do_not_depend_on_cache_history():
+    # a cone probe may read its answer off a basis cached for an earlier
+    # cone, so constancy probes in forward, reversed and shuffled cone
+    # order, each on a fresh ideal, must give every cone the result that a
+    # fresh ideal gives for that cone alone
+    pol = policy(seed=5)
+    rng = random.Random("probe-order")
+    makers = [split_fan_ideal, lambda: stable_depth_family(5, 3, 1), lambda: product_family(5, 2)]
+    makers += [lambda n=n, s=s: random_graded_ideal(n, s, gens=2 + s % 2)
+               for n in (3, 4) for s in range(3)]
+    results = set()
+    for make in makers:
+        I = make()
+        n, m = I.n, dimension(I)
+        if m == 0:
+            continue
+        cones = list(ConeSequence(n, m))
+        if 2 < m < n:
+            cones += list(ConeSequence(n, m, 1))
+        alone = {cone: cone_constancy(make(), cone, 3, pol) for cone in cones}
+        shuffled = rng.sample(cones, len(cones))
+        for order in (cones, cones[::-1], shuffled):
+            probes = list(constancy_probes(make(), order, 3, pol))
+            assert [p.cone for p in probes] == order
+            assert {p.cone: p.result for p in probes} == alone, I
+        results.update(alone.values())
+    assert results == {True, False}
+
+
+def test_wide_fan_probes_build_one_basis_per_lead_set(monkeypatch):
     # the reduced wide-fan job, verify --target Wnm on one quadric in 7
-    # variables at workload seed 1: each transformed ideal caches one
-    # weighted basis per probed cone, at the cone's first interior point,
-    # and no probe builds an initial ideal; sampling initial ideals at
-    # every point would cache a basis, and intern an ideal, per point
+    # variables at workload seed 1: no probe builds an initial ideal, the
+    # gin-degree gap is computed once for the whole probe list, and a cone
+    # that a basis gI already holds certifies computes no basis, so each
+    # transformed ideal caches at most one weighted basis per lead set (one
+    # per probed cone, 21, when every probe computed its own)
     def no_initial_ideal(*args):
         raise AssertionError("a fan probe built an initial ideal")
 
@@ -438,14 +520,30 @@ def test_wide_fan_probes_build_one_basis_per_cone(monkeypatch):
     monkeypatch.setattr(generic, "initial_ideal", no_initial_ideal)
     pol = policy(seed=random.Random("wide-fan:1").randrange(10**6))
     I = ideal(7, "x1*x2 + x3*x4")
+    gaps = counting_gap_degrees(monkeypatch)
     probes = list(constancy_probes(I, ConeSequence(7, dimension(I)), 3, pol))
     assert len(probes) == 21 and all(p.result for p in probes)
-    gap = gap_degree(I, pol) + 1
-    want = {GREVLEX.refine(normalize_weight(interior_point(p.cone, gap), 7)) for p in probes}
-    assert len(want) == len(probes)
+    assert len(gaps) == 1
     for gI in transformed(I, pol):
-        assert {order for order in gI.gb_cache if order.weight is not None} == want
+        leads = [frozenset(gb.leads) for order, gb in gI.gb_cache.items() if order.weight is not None]
+        assert len(set(leads)) == len(leads) < len(probes)
         assert not gI.initials
+
+
+def test_wide_fan_verify_pins_its_work(monkeypatch, tmp_path, capsys):
+    # in-process `verify q10.ideal --target Wnm` at workload seed 1: the 90
+    # (cone, gI) probes compute 8 weighted bases per gI, so the job makes 19
+    # Groebner-cone lookups (93 when every probe computed its basis), one
+    # gin-degree gap (45, one per cone) and 19 engine runs
+    path = tmp_path / "q10.ideal"
+    path.write_text("ring 10\nx1*x2 + x3*x4\n")
+    seed = random.Random("wide-fan:1").randrange(10**6)
+    runs = counting_engine(monkeypatch)
+    lookups = counting_cone_hits(monkeypatch)
+    gaps = counting_gap_degrees(monkeypatch)
+    assert cli.main(["verify", str(path), "--target", "Wnm", "--seed", str(seed)]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert len(runs) == 19 and len(lookups) <= 19 and len(gaps) == 1
 
 
 def test_separating_witness():
