@@ -32,7 +32,6 @@ from .generic import (
     classify_cm,
     constancy_probes,
     depth,
-    gap_degree,
     gin,
     identity_policy,
     recover_depth,
@@ -154,10 +153,9 @@ def _verify_wnm(I, policy, args):
 
 def _verify_wnmt(I, policy, args):
     m, t = _intermediate_depth(I, policy, "Wnmt")
-    gap = gap_degree(I, policy) + 1
-    probes = list(constancy_probes(I, ConeSequence(I.n, m, t), args.points, policy, gap))
+    probes = list(constancy_probes(I, ConeSequence(I.n, m, t), args.points, policy))
     for c1, c2 in budget(adjacent_pairs(I.n, m, t), policy.seed):
-        ok = adjacent_distinct(I, c1, c2, policy, gap)
+        ok = adjacent_distinct(I, c1, c2, policy)
         probes.append(
             ProbeResult("adjacent_pair_distinct", c1, ok, "exact", f"versus {c2.to_json()}")
         )
@@ -168,10 +166,9 @@ def _verify_multiplicity(I, policy, args):
     m = dimension(I)
     t = depth(I, policy)
     cones = ConeSequence(I.n, m, t if 0 < t < m - 1 else None)
-    gap = gap_degree(I, policy) + 1
     probes = []
     for cone in budget(cones, policy.seed):
-        rep = intrinsic_multiplicity(I, cone, policy, gap)
+        rep = intrinsic_multiplicity(I, cone, policy)
         detail = (
             f"dim {rep.dim_initial}->{rep.dim_saturated}, "
             f"m_sat {rep.m_saturated}, m_ideal {rep.m_ideal}"

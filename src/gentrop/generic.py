@@ -21,8 +21,9 @@ same, and if that fails too, point-test the sampled interior points.  Either
 way its answer is the one the sampled points give, so constancy probes, the
 only sampled probes, are reported as sampled evidence; adjacent-cone
 separation, ray containment, depth, dimension, multiplicity and witness
-inequalities are exact.  A probe list computes the gap factor of its
-interior points (``gap_degree``) once and hands it to every probe.
+inequalities are exact.  The generic initial ideal, which gives the gap
+factor of the probes' interior points (``gap_degree``), is memoized on the
+ideal, so it is computed once per order and policy.
 """
 
 from __future__ import annotations
@@ -264,7 +265,11 @@ def gin(
     """The generic initial ideal: the common leading-monomial ideal of the
     transformed ideal across agreeing transforms.  The result must be
     strongly stable for the order's variable priority; a violation is
-    treated as a genericity failure."""
+    treated as a genericity failure.  Memoized in ``I.gins`` by the order
+    and the policy."""
+    M = I.gins.get((order, policy))
+    if M is not None:
+        return M
     priority = _variable_priority(order, I.n)
 
     def compute(gI: Ideal) -> MonomialIdeal:
@@ -273,7 +278,8 @@ def gin(
     def stable(M: MonomialIdeal) -> bool:
         return is_strongly_stable(M, priority)
 
-    return agreed(I, policy, compute, "generic initial ideal", valid=stable)
+    M = I.gins[order, policy] = agreed(I, policy, compute, "generic initial ideal", valid=stable)
+    return M
 
 
 def depth(I: Ideal, policy: GenericityPolicy) -> int:
@@ -360,12 +366,10 @@ def cone_constancy(
     cone: ConeId,
     samples: int = 3,
     policy: GenericityPolicy = GenericityPolicy(),
-    gap: int | None = None,
 ) -> bool:
     """Whether the weighted initial ideals at ``samples`` interior points of
     the open cone (varying ladder values and within-block arrangements)
-    coincide, agreed across transforms.  ``gap`` is the points' gap factor,
-    ``gap_degree(I, policy) + 1`` when not given.
+    coincide, agreed across transforms.
 
     Per gI, the newest cached basis and the grevlex basis are asked whether
     either certifies the whole open cone; if not, the reduced basis at the
@@ -375,8 +379,7 @@ def cone_constancy(
     True from a certificate holds on the whole cone."""
     if samples < 2:
         raise ValueError("constancy needs at least two interior points")
-    if gap is None:
-        gap = gap_degree(I, policy) + 1
+    gap = gap_degree(I, policy) + 1
     pts = interior_points(cone, gap, samples)
     return _same_initial(I, pts, policy, "cone constancy", cone)
 
@@ -386,13 +389,10 @@ def adjacent_distinct(
     c1: ConeId,
     c2: ConeId,
     policy: GenericityPolicy = GenericityPolicy(),
-    gap: int | None = None,
 ) -> bool:
     """Exact witness that two cones carry different weighted initial ideals,
-    evaluated at their canonical interior points, of gap factor ``gap``
-    (``gap_degree(I, policy) + 1`` when not given)."""
-    if gap is None:
-        gap = gap_degree(I, policy) + 1
+    evaluated at their canonical interior points."""
+    gap = gap_degree(I, policy) + 1
     w1 = interior_point(c1, gap)
     w2 = interior_point(c2, gap)
     return not _same_initial(I, (w1, w2), policy, "adjacent cone separation")
@@ -454,17 +454,13 @@ def constancy_probes(
     cones: Sequence,
     points: int,
     policy: GenericityPolicy,
-    gap: int | None = None,
 ) -> Iterable[ProbeResult]:
     """One ``cone_constancy`` probe per cone of ``cones`` (all of them, or
     ``CONE_BUDGET`` drawn with the policy seed when there are more), in
     index order, yielded one at a time so that a caller can stop at the
-    first split cone.  The gap factor ``gap`` of every probe is computed
-    once, as ``gap_degree(I, policy) + 1``, when not given."""
-    if gap is None:
-        gap = gap_degree(I, policy) + 1
+    first split cone."""
     for cone in budget(cones, policy.seed):
-        ok = cone_constancy(I, cone, points, policy, gap)
+        ok = cone_constancy(I, cone, points, policy)
         yield ProbeResult("cone_constancy", cone, ok, "sampled")
 
 

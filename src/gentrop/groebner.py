@@ -64,40 +64,41 @@ class NotGradedError(ValueError):
 
 class Ideal:
     """A nonzero graded ideal given by generators, with the degree cap of
-    every computation on it and memos of its reduced bases and of its
-    generic transforms.
+    every computation on it and memos of its reduced bases, of its generic
+    transforms and of its generic initial ideals.
 
     Generators are homogeneous ``Polynomial``s or integer dicts
     {exponents: int}.  ``forms`` holds them as primitive integer forms
-    ((exponents, int) terms in grevlex order, content 1, positive leading
-    coefficient), so scalar multiples give equal ``key()``s; ``generators``
-    are their monic ``Polynomial``s, in input order, built when first read.
-    Every Groebner computation on the ideal runs under ``degree_cap``.  Every
-    ideal derived from it (transformed, initial, saturated) is built by
-    ``_derive`` without the constructor's checks, inherits the cap, so one
-    cap bounds a whole analysis, and shares ``hilbert_memo``, which maps the
-    minimal leads of a Hilbert check to its numerator (see
-    ``_buchberger_dicts``).  The ideal is the only
-    place results are cached, and every entry was computed under its one
-    cap.  ``gb_cache`` maps an OrderSpec to the reduced basis; a cached
-    basis also serves any order whose Groebner cone contains it (see
-    ``buchberger``), so the cap bounds every computation performed, not the
-    runs a reused basis skips.  ``images`` maps an immutable and hashable
-    GenericityPolicy to the tuple of transformed ideals (see
-    ``generic.transformed``).  ``initials`` interns the weighted
-    initial ideals (see ``initial_ideal``): it maps a normalized weight, and
-    the forms of an initial ideal, to one shared ``Ideal``, so equal initial
-    ideals share their cached bases.  ``numerator`` memoizes the numerator
-    of the Hilbert series of S/I (see ``hilbert_numerator``), which every
-    Buchberger run on the ideal takes as the target that ends it.  It is
-    read from the leads of any cached basis, or handed down by the parent of
-    an initial ideal or of an invertible transform (``generic.apply_transform``),
-    which has the same series; until then it is None.
+    ((exponents, int) terms in grevlex order, content 1, positive leading coefficient), so
+    scalar multiples give equal ``key()``s; ``generators`` are their monic
+    ``Polynomial``s, in input order, built when first read.  Every Groebner
+    computation on the ideal runs under ``degree_cap``.  Every ideal derived
+    from it (transformed, initial, saturated) is built by ``_derive``
+    without the constructor's checks, inherits the cap, so one cap bounds a
+    whole analysis, and shares ``hilbert_memo``, which maps the minimal
+    leads of a Hilbert check to its numerator (see ``_buchberger_dicts``).
+    The ideal is the only place results are cached, and every entry was
+    computed under its one cap.  ``gb_cache`` maps an OrderSpec to the
+    reduced basis; a cached basis also serves any order whose Groebner cone
+    contains it (see ``buchberger``), so the cap bounds every computation
+    performed, not the runs a reused basis skips.  ``images`` maps an
+    immutable and hashable GenericityPolicy to the tuple of transformed
+    ideals (see ``generic.transformed``), and ``gins`` maps an (OrderSpec,
+    policy) pair to the generic initial ideal (see ``generic.gin``).
+    ``initials`` interns the weighted initial ideals (see
+    ``initial_ideal``): it maps a normalized weight, and the forms of an
+    initial ideal, to one shared ``Ideal``, so equal initial ideals share
+    their cached bases.  ``numerator`` memoizes the numerator of the Hilbert
+    series of S/I (see ``hilbert_numerator``), which every Buchberger run on
+    the ideal takes as the target that ends it.  It is read from the leads
+    of any cached basis, or handed down by the parent of an initial ideal or
+    of an invertible transform (``generic.apply_transform``), which has the
+    same series; until then it is None.
     """
 
     __slots__ = (
-        "n", "forms", "degree_cap", "hilbert_memo", "gb_cache", "images", "initials",
-        "numerator", "_gens",
+        "n", "forms", "degree_cap", "hilbert_memo", "gb_cache", "images", "gins",
+        "initials", "numerator", "_gens",
     )
 
     def __init__(
@@ -149,6 +150,7 @@ class Ideal:
         self.forms = tuple(forms)
         self.gb_cache: dict = {}
         self.images: dict = {}
+        self.gins: dict = {}
         self.initials: dict = {}
         self.numerator = None
         self._gens = None
@@ -686,12 +688,13 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     first and normalized only if that misses.  A cached basis whose
     Groebner cone contains the new order (every element keeps its lead) is
     served before any run, its reducers and their tails re-sorted by the
-    new order, so a basis does not depend on the cache history of I.  The cap bounds every computation performed: a reused
-    basis skips a run that might have aborted.  A run enters the reducers
-    of I's cached grevlex basis, when there is one, and I's forms
-    otherwise: both generate I, so the reduced basis is the same, and the
-    cached basis is inter-reduced already, so its elements reduce little on
-    entry and form few pairs.  ``I.degree_cap`` still bounds every element
+    new order, so a basis does not depend on the cache history of I.  The
+    cap bounds every computation performed: a reused basis skips a run
+    that might have aborted.  A run enters the reducers of I's cached
+    grevlex basis, when there is one, and I's forms otherwise: both
+    generate I, so the reduced basis is the same, and the cached basis is
+    inter-reduced already, so its elements reduce little on entry and form
+    few pairs.  ``I.degree_cap`` still bounds every element
     pushed and every pair formed.  A run takes the Hilbert numerator of I,
     when known, as its target (see ``_buchberger_dicts``)."""
     hit = I.gb_cache.get(order)

@@ -76,14 +76,11 @@ def intrinsic_multiplicity(
     I: Ideal,
     cone: ConeId,
     policy: GenericityPolicy = GenericityPolicy(),
-    gap: int | None = None,
 ) -> MultiplicityReport:
     """Multiplicity evidence for one maximal cone of the sampled generic
-    tropical fan, computed at the cone's canonical interior point of gap
-    factor ``gap`` (``gap_degree(I, policy) + 1`` when not given)."""
+    tropical fan, computed at the cone's canonical interior point."""
     m_ideal = multiplicity(I)
-    if gap is None:
-        gap = gap_degree(I, policy) + 1
+    gap = gap_degree(I, policy) + 1
     w = interior_point(cone, gap)
 
     def compute(gI: Ideal) -> tuple:

@@ -132,10 +132,11 @@ def counting_cone_hits(monkeypatch) -> list:
     return _counting(monkeypatch, "_cone_hit")
 
 
-def counting_gap_degrees(monkeypatch) -> list:
-    """Record each ``generic.gap_degree`` call made inside ``generic``: one
-    generic initial ideal, agreed across transforms."""
-    return _counting(monkeypatch, "gap_degree", generic)
+def counting_gins(monkeypatch) -> list:
+    """Record each leading-monomial ideal ``generic.gin`` reads off a
+    transformed ideal: one per transform for each generic initial ideal it
+    computes, none for one it finds in ``Ideal.gins``."""
+    return _counting(monkeypatch, "monomial_ideal_of", generic)
 
 
 def counting_hilbert_numerators(monkeypatch) -> list:

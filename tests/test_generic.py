@@ -44,7 +44,7 @@ from cases import (
     codim2_complete_intersection,
     counting_cone_hits,
     counting_engine,
-    counting_gap_degrees,
+    counting_gins,
     counting_hilbert_numerators,
     counting_spairs,
     dense_form,
@@ -509,10 +509,11 @@ def test_probe_results_do_not_depend_on_cache_history():
 def test_wide_fan_probes_build_one_basis_per_lead_set(monkeypatch):
     # the reduced wide-fan job, verify --target Wnm on one quadric in 7
     # variables at workload seed 1: no probe builds an initial ideal, the
-    # gin-degree gap is computed once for the whole probe list, and a cone
-    # that a basis gI already holds certifies computes no basis, so each
-    # transformed ideal caches at most one weighted basis per lead set (one
-    # per probed cone, 21, when every probe computed its own)
+    # generic initial ideal behind the gap factor is computed once for the
+    # whole probe list, and a cone that a basis gI already holds certifies
+    # computes no basis, so each transformed ideal caches at most one
+    # weighted basis per lead set (one per probed cone, 21, when every probe
+    # computed its own)
     def no_initial_ideal(*args):
         raise AssertionError("a fan probe built an initial ideal")
 
@@ -520,10 +521,9 @@ def test_wide_fan_probes_build_one_basis_per_lead_set(monkeypatch):
     monkeypatch.setattr(generic, "initial_ideal", no_initial_ideal)
     pol = policy(seed=random.Random("wide-fan:1").randrange(10**6))
     I = ideal(7, "x1*x2 + x3*x4")
-    gaps = counting_gap_degrees(monkeypatch)
     probes = list(constancy_probes(I, ConeSequence(7, dimension(I)), 3, pol))
     assert len(probes) == 21 and all(p.result for p in probes)
-    assert len(gaps) == 1
+    assert list(I.gins) == [(GREVLEX, pol)]
     for gI in transformed(I, pol):
         leads = [frozenset(gb.leads) for order, gb in gI.gb_cache.items() if order.weight is not None]
         assert len(set(leads)) == len(leads) < len(probes)
@@ -534,16 +534,17 @@ def test_wide_fan_verify_pins_its_work(monkeypatch, tmp_path, capsys):
     # in-process `verify q10.ideal --target Wnm` at workload seed 1: the 90
     # (cone, gI) probes compute 8 weighted bases per gI, so the job makes 19
     # Groebner-cone lookups (93 when every probe computed its basis), one
-    # gin-degree gap (45, one per cone) and 19 engine runs
+    # generic initial ideal, read off each of the policy's two transforms,
+    # and 19 engine runs
     path = tmp_path / "q10.ideal"
     path.write_text("ring 10\nx1*x2 + x3*x4\n")
     seed = random.Random("wide-fan:1").randrange(10**6)
     runs = counting_engine(monkeypatch)
     lookups = counting_cone_hits(monkeypatch)
-    gaps = counting_gap_degrees(monkeypatch)
+    gins = counting_gins(monkeypatch)
     assert cli.main(["verify", str(path), "--target", "Wnm", "--seed", str(seed)]) == 0
     assert '"passed": true' in capsys.readouterr().out
-    assert len(runs) == 19 and len(lookups) <= 19 and len(gaps) == 1
+    assert len(runs) == 19 and len(lookups) <= 19 and len(gins) == 2
 
 
 def test_separating_witness():
