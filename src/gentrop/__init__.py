@@ -5,7 +5,7 @@ class and multiplicity from the fan structure of the generic tropical
 variety in the constant-coefficient case.
 """
 
-from .fans import ConeId, adjacent_pairs, cone_dim, interior_point, locate, maximal_cones, refinement_maximal_cones
+from .fans import ConeId, adjacent_pairs, interior_point, maximal_cones, refinement_maximal_cones
 from .generic import (
     GenericityFailure,
     GenericityPolicy,
@@ -53,7 +53,6 @@ from .poly import (
     Polynomial,
     initial_form,
     parse_polynomial,
-    weight,
 )
 from .tropmult import (
     MultiplicityReport,

@@ -79,10 +79,6 @@ def parse_ideal_file(text: str):
     return n, polys
 
 
-def format_ideal_file(n: int, polys) -> str:
-    return "\n".join([f"ring {n}"] + [str(p) for p in polys]) + "\n"
-
-
 def _parse_omega(text: str, n: int):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:

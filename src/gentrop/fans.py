@@ -15,7 +15,7 @@ import random
 import sys
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb, factorial
 
@@ -50,16 +50,6 @@ class ConeId(namedtuple("ConeId", "n min_set middle top")):
             "middle": sorted(self.middle),
             "top": sorted(self.top),
         }
-
-
-def cone_dim(c: ConeId) -> int:
-    """Dimension of the cone: the common minimum plus one free value per
-    coordinate outside the min-set."""
-    dim = c.n - len(c.min_set) + 1
-    if c.is_refinement():
-        if len(c.middle) + len(c.top) != dim - 1:
-            raise ValueError("inconsistent refinement partition")
-    return dim
 
 
 def _check_skeleton(n: int, m: int) -> None:
@@ -255,32 +245,6 @@ def interior_points(c: ConeId, c_gap: int, count: int) -> _Sequence:
         return tuple(w)
 
     return _Sequence(count, point)
-
-
-def locate(w: Iterable, m: int, t: int | None = None) -> ConeId | None:
-    """The relatively open cone of the m-skeleton (or of its t-refinement)
-    containing ``w``, or None when the minimum is attained fewer than n-m+1
-    times.
-
-    With ``t`` given, a maximal refinement cone is returned only when the
-    strict block pattern holds; otherwise the point lies on the refinement's
-    internal boundary and the plain min-set cone containing it is returned.
-    """
-    w = tuple(w)
-    n = len(w)
-    mn = min(w)
-    a = frozenset(i + 1 for i, x in enumerate(w) if x == mn)
-    if len(a) < n - m + 1:
-        return None
-    if t is None or len(a) > n - m + 1:
-        return ConeId(n, a)
-    if not 0 < t < m - 1:
-        raise ValueError("need 0 < t < m-1 for a refinement lookup")
-    rest = sorted((x for x in range(1, n + 1) if x not in a), key=lambda i: w[i - 1])
-    middle, top = rest[: m - 1 - t], rest[m - 1 - t:]
-    if w[middle[-1] - 1] < w[top[0] - 1]:
-        return ConeId(n, a, frozenset(middle), frozenset(top))
-    return ConeId(n, a)
 
 
 def budget(cones, seed: int) -> list:

@@ -96,13 +96,6 @@ GREVLEX = OrderSpec()
 LEX = OrderSpec(base="lex")
 
 
-def weight(w: Weights, exps: Exponents) -> int | Fraction:
-    """Weight of the monomial x^exps: the dot product w . exps."""
-    if len(w) != len(exps):
-        raise ValueError("weight/exponent length mismatch")
-    return sum(map(mul, _exact(w), exps))
-
-
 def normalize_weight(w: Weights, n: int) -> tuple:
     """Shift ``w`` so its minimum is 0 and scale to coprime integers.
 

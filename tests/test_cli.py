@@ -12,7 +12,6 @@ from gentrop.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PROBE_FAILED,
-    format_ideal_file,
     main,
     parse_ideal_file,
 )
@@ -64,7 +63,7 @@ def run(capsys, *argv):
 def test_parse_ideal_file_roundtrip():
     n, polys = parse_ideal_file(FAMILY_531)
     assert n == 5 and len(polys) == 4
-    text = format_ideal_file(n, polys)
+    text = "\n".join([f"ring {n}"] + [str(p) for p in polys]) + "\n"
     n2, polys2 = parse_ideal_file(text)
     assert n2 == n and polys2 == polys
 
@@ -297,6 +296,12 @@ def test_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.ideal", "ring two\nx1\n")
     assert main(["analyze", bad]) == EXIT_PARSE
     capsys.readouterr()
+    for text, why in (("x1+", "cannot tokenize"), ("1/0*x1", "zero denominator")):
+        bad = write(tmp_path, "bad.ideal", f"ring 2\n{text}\n")
+        assert main(["analyze", bad]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {why} ") and captured.err.count("\n") == 1
 
     nongraded = write(tmp_path, "ng.ideal", "ring 2\nx1 + x2^2\n")
     assert main(["analyze", nongraded]) == EXIT_NOT_GRADED

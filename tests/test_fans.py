@@ -12,23 +12,11 @@ from gentrop.fans import (
     CONE_BUDGET,
     adjacent_pairs,
     budget,
-    cone_dim,
     interior_point,
     interior_points,
-    locate,
     maximal_cones,
     refinement_maximal_cones,
 )
-
-
-def test_cone_dim_examples():
-    assert cone_dim(ConeId(5, frozenset(range(1, 6)))) == 1
-    assert cone_dim(ConeId(5, {1, 2})) == 4
-    assert cone_dim(ConeId(5, {1, 2, 3})) == 3
-    refinement = ConeId(5, {1, 2}, {3, 4}, {5})
-    assert cone_dim(refinement) == 4
-    with pytest.raises(ValueError):
-        cone_dim(ConeId(5, {1, 2}, {3}, {5}))
 
 
 def test_cone_id_validation():
@@ -38,6 +26,10 @@ def test_cone_id_validation():
         ConeId(3, {1}, {1}, {2})
     with pytest.raises(ValueError):
         ConeId(3, {1, 4})
+    with pytest.raises(ValueError, match="middle/top"):
+        ConeId(3, {1}, {4}, {2, 3})
+    with pytest.raises(ValueError, match="partition"):
+        ConeId(4, {1}, {2}, {3})
 
 
 def test_maximal_cone_counts():
@@ -149,19 +141,13 @@ def test_interior_point_gap_condition():
             prev = v
 
 
-def test_locate_examples():
-    assert locate((0, 0, 1, 2, 3), 4) == ConeId(5, {1, 2})
-    got = locate((0, 0, 1, 2, 3), 4, 1)
-    assert got == ConeId(5, {1, 2}, {3, 4}, {5})
-    assert locate((0, 1, 2, 3, 4), 4) is None
-    assert locate((0, 0, 0, 0, 0), 4) == ConeId(5, frozenset(range(1, 6)))
-
-
-def test_locate_boundary_of_refinement():
-    # top tie: not in any maximal open refinement cone
-    got = locate((0, 0, 1, 1, 1), 4, 1)
-    assert got == ConeId(5, {1, 2})
-    assert not got.is_refinement()
+def _assert_in_open_cone(w, c):
+    # the minimum is attained exactly on the min-set, and in a refinement
+    # cone every middle value lies below every top value
+    mn = min(w)
+    assert {i + 1 for i, x in enumerate(w) if x == mn} == c.min_set
+    if c.is_refinement():
+        assert max(w[i - 1] for i in c.middle) < min(w[i - 1] for i in c.top)
 
 
 def test_locate_interior_point_roundtrip():
@@ -169,11 +155,11 @@ def test_locate_interior_point_roundtrip():
         for m in range(1, n + 1):
             for c in maximal_cones(n, m):
                 for gap in (1, 3):
-                    assert locate(interior_point(c, gap), m) == c
+                    _assert_in_open_cone(interior_point(c, gap), c)
         for m in range(2, n):
             for t in range(1, m - 1):
                 for c in refinement_maximal_cones(n, m, t):
-                    assert locate(interior_point(c, 2), m, t) == c
+                    _assert_in_open_cone(interior_point(c, 2), c)
 
 
 def test_interior_points_vary_and_stay_interior():
@@ -181,7 +167,7 @@ def test_interior_points_vary_and_stay_interior():
     pts = interior_points(c, 2, 4)
     assert len(set(pts)) == 4
     for w in pts:
-        assert locate(w, 4, 1) == c
+        _assert_in_open_cone(w, c)
     # middle orderings must both occur so splits can be detected
     orders = {tuple(sorted({3, 4}, key=lambda i: w[i - 1])) for w in pts}
     assert orders == {(3, 4), (4, 3)}
@@ -195,24 +181,8 @@ def test_interior_points_need_a_positive_gap():
             interior_points(c, 0, count)
     with pytest.raises(ValueError):
         interior_point(c, 0)
-
-
-def test_point_in_exactly_one_open_cone():
-    rng = random.Random(11)
-    n = 5
-    for _ in range(200):
-        w = tuple(rng.randint(-3, 3) for _ in range(n))
-        for m in range(1, n + 1):
-            hits = []
-            for size in range(n - m + 1, n + 1):
-                mn = min(w)
-                a = frozenset(i + 1 for i, x in enumerate(w) if x == mn)
-                if len(a) == size:
-                    hits.append(a)
-            members = 1 if len(frozenset(i + 1 for i, x in enumerate(w) if x == min(w))) >= n - m + 1 else 0
-            assert len(hits) == members
-            got = locate(w, m)
-            assert (got is not None) == bool(members)
+    with pytest.raises(ValueError, match="at least one point"):
+        interior_points(c, 2, 0)
 
 
 def test_skeleton_faces_are_faces_of_maximal_cones():

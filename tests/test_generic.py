@@ -108,6 +108,8 @@ def test_apply_transform_examples():
     assert [str(g) for g in apply_transform(I, swap).generators] == ["x2"]
     tri = Transform(((1, 0), (2, 1)))
     assert [str(g) for g in apply_transform(I, tri).generators] == ["x1 + 2*x2"]
+    with pytest.raises(ValueError, match="transform size"):
+        apply_transform(I, Transform.identity(3))
 
 
 def test_transform_preserves_invariants():
@@ -570,6 +572,8 @@ def test_classify_cm_labels():
     assert classify_cm(product_family(4, 4), pol).label == DEPTH_ZERO
     # union of a plane and a line: depth dim-1
     assert classify_cm(ideal(3, "x1*x2", "x1*x3"), pol).label == ALMOST_CM
+    with pytest.raises(ValueError, match="positive dimension"):
+        classify_cm(ideal(2, "x1^2", "x2"), pol)
 
 
 def test_classify_probes_recorded():

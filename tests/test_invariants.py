@@ -44,6 +44,8 @@ def test_minimalize_examples():
     incomparable = M(3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
     assert set(incomparable.generators) == {(1, 1, 0), (0, 1, 1), (1, 0, 1)}
     assert M(2, (2, 0), (2, 1)).generators == ((2, 0),)
+    with pytest.raises(ValueError, match="empty generator list"):
+        minimalize(2, [])
 
 
 def test_monomial_ideal_of_examples():
@@ -178,6 +180,9 @@ def test_is_strongly_stable_examples():
     assert is_strongly_stable(M(5, (2, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 2, 0, 0), (1, 0, 1, 1, 0)))
     # stability depends on the ordering
     assert is_strongly_stable(M(2, (0, 1)), perm=(2, 1))
+    for perm in ((1, 1), (1,), (0, 1)):
+        with pytest.raises(ValueError, match="permutation"):
+            is_strongly_stable(M(2, (0, 1)), perm=perm)
 
 
 def test_depth_of_stable_examples():

@@ -167,6 +167,11 @@ def test_hypersurface_mc_validation():
     # matching up to a scalar is accepted
     f = 5 * (x1 + x2) * (x1 + x2)
     assert hypersurface_mc([(x1 + x2, 2)], (0, 0, 0), of=f) == 2
+    with pytest.raises(ValueError, match="empty factorization"):
+        hypersurface_mc([], (0, 0, 0))
+    for factors in ([(Polynomial.zero(n), 1)], [(x1, 0)], [(x1, 1), (x2, -1)]):
+        with pytest.raises(ValueError, match="nonzero with positive exponents"):
+            hypersurface_mc(factors, (0, 0, 0))
 
 
 def test_hypersurface_mc_monomial_free_factor_increments():
@@ -201,6 +206,11 @@ def test_newton_polytope_examples():
     assert newton_polytope(P("x1^2 + x1*x2 + x2^2", 2)).vertices == ((0, 2), (2, 0))
     f = P("x1^3 + x1^2*x2 + x1*x2*x3 + x3^3", 3)
     assert set(newton_polytope(f).vertices) == {(3, 0, 0), (2, 1, 0), (1, 1, 1), (0, 0, 3)}
+    with pytest.raises(ValueError, match="zero polynomial"):
+        newton_polytope(Polynomial.zero(2))
+    assert newton_polytope(P("x8", 8)).vertices == ((0,) * 7 + (1,),)
+    with pytest.raises(ValueError, match="at most 8 variables"):
+        newton_polytope(P("x9", 9))
 
 
 def test_newton_polytope_of_generic_form_is_scaled_simplex():
