@@ -51,6 +51,7 @@ from .poly import (
     OrderSpec,
     ParseError,
     Polynomial,
+    UsageError,
     initial_form,
     parse_polynomial,
 )

@@ -10,9 +10,11 @@ Each ``cmd_*`` maps (ideal, policy, arguments) to (exit code, report
 fields); ``main`` adds the input hash, the seed and the policy.
 
 Exit codes: 0 success, 1 failed verification probe, 2 parse/usage error
-(also an unreadable path or an out-of-range flag), 3 non-homogeneous input,
-4 genericity failure, 5 degree-cap abort, 6 internal error (a broken
-invariant check inside the engine).
+(``UsageError``: also an unreadable path, an out-of-range flag, and an ideal
+the command does not support, such as the zero or unit ideal), 3
+non-homogeneous input, 4 genericity failure, 5 degree-cap abort, 6 internal
+error (a broken invariant check inside the engine, or any other
+``ValueError``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .groebner import (
     initial_ideal,
 )
 from .invariants import dimension, multiplicity
-from .poly import GREVLEX, ParseError, parse_polynomial
+from .poly import GREVLEX, ParseError, UsageError, parse_polynomial
 from .tropmult import intrinsic_multiplicity
 
 EXIT_OK = 0
@@ -111,7 +113,7 @@ def _intermediate_depth(I, policy, target: str) -> tuple:
     m = dimension(I)
     t = depth(I, policy)
     if not 0 < t < m - 1:
-        raise ParseError(
+        raise UsageError(
             f"target {target} needs 0 < depth < dim-1, got depth {t}, dim {m}"
         )
     return m, t
@@ -235,15 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the exit code of each failure class, looked up along the exception's MRO;
-# an unreadable path (missing, a directory, no permission) is a usage error
+# an unreadable path (missing, a directory, no permission) is a usage error,
+# and any other ValueError is a bug in the engine, not bad input
 _EXIT_CODES = {
-    ParseError: EXIT_PARSE,
+    UsageError: EXIT_PARSE,
     NotGradedError: EXIT_NOT_GRADED,
     GenericityFailure: EXIT_GENERICITY,
     DegreeCapExceeded: EXIT_DEGREE_CAP,
     RuntimeError: EXIT_INTERNAL,
     OSError: EXIT_PARSE,
-    ValueError: EXIT_PARSE,
+    ValueError: EXIT_INTERNAL,
 }
 
 # the least value of each numeric flag that the probes can use
@@ -257,9 +260,9 @@ def main(argv=None) -> int:
     try:
         for flag, least in _FLAG_MINIMA.items():
             if getattr(args, flag) < least:
-                raise ParseError(f"--{flag} must be at least {least}")
+                raise UsageError(f"--{flag} must be at least {least}")
         if args.degree_cap < 1:
-            raise ParseError(f"degree cap {args.degree_cap} is below 1")
+            raise UsageError(f"degree cap {args.degree_cap} is below 1")
         with open(args.file, "rb") as fh:
             data = fh.read()
         n, polys = parse_ideal_file(data.decode("utf-8"))

@@ -19,6 +19,8 @@ from collections.abc import Sequence
 from itertools import combinations
 from math import comb, factorial
 
+from .poly import UsageError
+
 # the most cones a fan probe visits; ``budget`` samples larger fans
 CONE_BUDGET = 200
 
@@ -54,7 +56,7 @@ class ConeId(namedtuple("ConeId", "n min_set middle top")):
 
 def _check_skeleton(n: int, m: int) -> None:
     if not 0 < m <= n:
-        raise ValueError("need 0 < m <= n")
+        raise UsageError("need 0 < m <= n")
 
 
 def _check_refinement(n: int, m: int, t: int) -> None:

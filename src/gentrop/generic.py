@@ -13,17 +13,17 @@ Per transformed ideal gI, one reduced basis at the first weight w of a probe
 decides whether a weight v, or a whole coordinate ray w + s e_j (s >= 0), has
 the initial ideal in_w(gI): it must lie in the Groebner cell of that basis
 (``GroebnerBasis.cell_contains``), so no basis off w is computed.  A
-cone-constancy probe first asks the bases gI already holds, its newest and
-its grevlex basis, whether either certifies that in_v(gI) is constant on the
-whole open cone, which is exact for a basis at any weight; only if neither
-does it compute the basis at the cone's first interior point and ask it the
-same, and if that fails too, point-test the sampled interior points.  Either
-way its answer is the one the sampled points give, so constancy probes, the
-only sampled probes, are reported as sampled evidence; adjacent-cone
-separation, ray containment, depth, dimension, multiplicity and witness
-inequalities are exact.  The generic initial ideal, which gives the gap
-factor of the probes' interior points (``gap_degree``), is memoized on the
-ideal, so it is computed once per order and policy.
+cone-constancy probe first asks the newest basis gI already holds whether it
+certifies that in_v(gI) is constant on the whole open cone, which is exact
+for a basis at any weight; only if it does not does the probe compute the
+basis at the cone's first interior point and ask it the same, and if that
+fails too, point-test the sampled interior points.  Either way its answer is
+the one the sampled points give, so constancy probes, the only sampled
+probes, are reported as sampled evidence; adjacent-cone separation, ray
+containment, depth, dimension, multiplicity and witness inequalities are
+exact.  The generic initial ideal, which gives the gap factor of the probes'
+interior points (``gap_degree``), is memoized on the ideal, so it is
+computed once per order and policy.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .invariants import (
     is_strongly_stable,
     monomial_ideal_of,
 )
-from .poly import GREVLEX, OrderSpec, normalize_weight
+from .poly import GREVLEX, OrderSpec, UsageError, normalize_weight
 
 CM = "CM"
 ALMOST_CM = "almostCM"
@@ -297,7 +297,7 @@ def tropical_member(
     the weighted initial ideal contains no monomial."""
     m = dimension(I)
     if m == 0:
-        raise ValueError("zero-dimensional ideals have empty tropical variety")
+        raise UsageError("zero-dimensional ideals have empty tropical variety")
     wn = normalize_weight(w, I.n)
 
     def compute(gI: Ideal) -> bool:
@@ -319,19 +319,17 @@ def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:
 
 
 def _certified(gI: Ideal, cone: ConeId) -> bool:
-    """Whether gI's newest cached basis, or its grevlex basis, certifies that
-    in_v(gI) is constant on the open cone (``GroebnerBasis.cell_contains``
-    with ``cone``).  A True is exact for a reduced basis at any weight, so
-    nothing is computed at the cone.  Cones probed in index order share
-    their min-set with their neighbours, so the basis computed for the last
-    cone is the one that certifies the next; the grevlex basis certifies the
-    cones whose min-set holds every lead."""
-    sets = (cone.min_set, cone.middle, cone.top)
+    """Whether gI's newest cached basis certifies that in_v(gI) is constant
+    on the open cone (``GroebnerBasis.cell_contains`` with ``cone``).  A
+    True is exact for a reduced basis at any weight, so nothing is computed
+    at the cone.  Cones probed in index order share their min-set with their
+    neighbours, so the basis computed for the last cone is the one that
+    certifies the next.  After a False the probe asks the basis at the
+    cone's first interior point, which certifies the cone whenever in_v(gI)
+    is constant on it, so the answer does not depend on which bases gI
+    holds."""
     newest = next(reversed(gI.gb_cache.values()), None)
-    if newest is not None and newest.cell_contains(cone=sets):
-        return True
-    grevlex = gI.gb_cache.get(GREVLEX)
-    return grevlex is not None and grevlex is not newest and grevlex.cell_contains(cone=sets)
+    return newest is not None and newest.cell_contains(cone=(cone.min_set, cone.middle, cone.top))
 
 
 def _same_initial(
@@ -371,12 +369,12 @@ def cone_constancy(
     the open cone (varying ladder values and within-block arrangements)
     coincide, agreed across transforms.
 
-    Per gI, the newest cached basis and the grevlex basis are asked whether
-    either certifies the whole open cone; if not, the reduced basis at the
-    first point is asked; if that does not either, the other points are
-    point-tested against it (see ``_same_initial``).  Either way the answer
-    is the one the sampled points give, so reports label it ``sampled``; a
-    True from a certificate holds on the whole cone."""
+    Per gI, the newest cached basis is asked whether it certifies the whole
+    open cone; if not, the reduced basis at the first point is asked; if
+    that does not either, the other points are point-tested against it (see
+    ``_same_initial``).  Either way the answer is the one the sampled points
+    give, so reports label it ``sampled``; a True from a certificate holds
+    on the whole cone."""
     if samples < 2:
         raise ValueError("constancy needs at least two interior points")
     gap = gap_degree(I, policy) + 1
@@ -476,7 +474,7 @@ def classify_cm(
     produce a separating witness."""
     m = dimension(I)
     if m == 0:
-        raise ValueError("classification requires positive dimension")
+        raise UsageError("classification requires positive dimension")
     t = depth(I, policy)
     if t == m:
         label = CM

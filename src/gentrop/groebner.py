@@ -43,6 +43,7 @@ from .poly import (
     GREVLEX,
     OrderSpec,
     Polynomial,
+    UsageError,
     check_exponents,
     initial_terms,
     normalize_weight,
@@ -125,7 +126,7 @@ class Ideal:
                 raise NotGradedError(f"non-homogeneous generator: {Polynomial(n, g)}")
             gens.append(_primitive(g))
         if not gens:
-            raise ValueError("the zero ideal is not supported")
+            raise UsageError("the zero ideal is not supported")
         self.n, self.degree_cap, self.hilbert_memo = n, degree_cap, {}
         self._set_forms(gens)
 
@@ -493,12 +494,7 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
         if degree > cap:
             raise DegreeCapExceeded(f"generator degree {degree} exceeds cap {cap}")
         r, lm, _ = _nf_dict(d, basis, key, cap)
-        if r == d and r[lm] > 0:
-            # no lead reduced the primitive d and its lead is positive:
-            # r, listed in descending order, is the reducer's terms already
-            lc = r.pop(lm)
-            push((lm, lc, tuple(r.items())))
-        elif r:
+        if r:
             push(_reducer(r, lm))
 
     checked = 0  # basis size at the last comparison with the target
@@ -650,18 +646,12 @@ def _cone_hit(I: Ideal, key: Callable):
     the new initial ideal contains the old one; both have the Hilbert
     function of I, so they are equal, and the basis is the new reduced basis
     (the new order lies in its Groebner cone).  Candidates are the grevlex
-    basis, then the newest ``_CONE_WINDOW`` entries, each distinct basis
-    once."""
+    basis, then the newest ``_CONE_WINDOW`` entries."""
     entries = islice(reversed(I.gb_cache.values()), _CONE_WINDOW)
     grevlex = I.gb_cache.get(GREVLEX)
     if grevlex is not None:
         entries = chain((grevlex,), entries)
-    seen = set()
     for gb in entries:
-        leads = frozenset(r[0] for r in gb._reducers)
-        if leads in seen:
-            continue
-        seen.add(leads)
         reds = _resorted(gb._reducers, key)
         if reds is not None:
             return reds
@@ -683,25 +673,22 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
 
     A weight is normalized (``normalize_weight``), which for a graded ideal
     changes no lead, and one that normalizes to zero is dropped; the basis
-    is cached, ordered and returned under the normalized order.  A
-    normalized order is its own key, so the order is looked up as given
-    first and normalized only if that misses.  A cached basis whose
-    Groebner cone contains the new order (every element keeps its lead) is
-    served before any run, its reducers and their tails re-sorted by the
-    new order, so a basis does not depend on the cache history of I.  The
-    cap bounds every computation performed: a reused basis skips a run
-    that might have aborted.  A run enters the reducers of I's cached
-    grevlex basis, when there is one, and I's forms otherwise: both
-    generate I, so the reduced basis is the same, and the cached basis is
-    inter-reduced already, so its elements reduce little on entry and form
-    few pairs.  ``I.degree_cap`` still bounds every element
+    is cached, ordered and returned under the normalized order.  A cached
+    basis whose Groebner cone contains the new order (every element keeps
+    its lead) is served before any run, its reducers and their tails
+    re-sorted by the new order, so a basis does not depend on the cache
+    history of I.  The cap bounds every computation performed: a reused
+    basis skips a run that might have aborted.  A run enters the reducers
+    of I's cached grevlex basis, when there is one, and I's forms
+    otherwise: both generate I, so the reduced basis is the same, and the
+    cached basis is inter-reduced already, so its elements reduce little on
+    entry and form few pairs.  ``I.degree_cap`` still bounds every element
     pushed and every pair formed.  A run takes the Hilbert numerator of I,
     when known, as its target (see ``_buchberger_dicts``)."""
-    hit = I.gb_cache.get(order)
-    if hit is None and order.weight is not None:
+    if order.weight is not None:
         wn = normalize_weight(order.weight, I.n)
         order = OrderSpec(order.base, order.perm, wn if any(wn) else None)
-        hit = I.gb_cache.get(order)
+    hit = I.gb_cache.get(order)
     if hit is not None:
         return hit
     key = order.key_function(I.n, I.degree_cap)
@@ -728,15 +715,11 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     the same initial ideal gets the same ``Ideal``, so later computations on
     it (a saturation, say) reuse its cached bases, and equal initial ideals
     of I are one object.  A weight seen before, up to shift and positive
-    scaling, reads no basis of I; a normalized weight is its own key, so a
-    tuple ``w`` is looked up as given first and normalized only if that
-    misses.  J takes the Hilbert numerator of I, which is its own, so its
-    first run already has a target.
+    scaling, reads no basis of I.  J takes the Hilbert numerator of I, which
+    is its own, so its first run already has a target.
     """
-    J = I.initials.get(w) if isinstance(w, tuple) else None
-    if J is None:
-        wn = normalize_weight(w, I.n)
-        J = I.initials.get(wn)
+    wn = normalize_weight(w, I.n)
+    J = I.initials.get(wn)
     if J is not None:
         return J
     J = I._derive(
@@ -819,8 +802,6 @@ def contains_monomial(I: Ideal) -> bool:
     step for x_1 starts from holds a power of x_1, the least monomial of its
     degree under grevlex with x_1 last, so that step's basis has an element
     x_1^k; no further basis is needed."""
-    if any(len(f) == 1 for f in I.forms):
-        return True
     return _saturation(
         I, (1,) * I.n, lambda gb: any(not tail for _, _, tail in gb._reducers)
     ) is None

@@ -11,7 +11,7 @@ from itertools import accumulate
 from .groebner import (
     Ideal, buchberger, divides, hilbert_numerator, known_numerator, minimal_monomials,
 )
-from .poly import GREVLEX, OrderSpec, Polynomial
+from .poly import GREVLEX, OrderSpec, Polynomial, UsageError
 
 
 class MonomialIdeal(namedtuple("MonomialIdeal", "n generators")):
@@ -74,11 +74,11 @@ def monomial_dimension(M: MonomialIdeal) -> int:
 def _series(I: Ideal, what: str) -> tuple:
     """(Q, d) of the Hilbert series Q(t) / (1-t)^d of S/I, fully
     cancelled, from the numerator that I memoizes once its grevlex basis is
-    cached; the zero ring raises ``ValueError`` naming ``what``."""
+    cached; the zero ring raises ``UsageError`` naming ``what``."""
     buchberger(I, GREVLEX)
     q = known_numerator(I)
     if q == (0,):
-        raise ValueError(f"{what} of the zero ring is undefined")
+        raise UsageError(f"{what} of the zero ring is undefined")
     return _cancel_one_minus_t(q, I.n)
 
 

@@ -22,7 +22,12 @@ Exponents = tuple
 Weights = tuple
 
 
-class ParseError(ValueError):
+class UsageError(ValueError):
+    """Input the program cannot run on: a bad flag, or an ideal outside
+    what a command supports."""
+
+
+class ParseError(UsageError):
     """Polynomial or ideal-file text that does not match the grammar."""
 
 

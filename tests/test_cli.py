@@ -17,7 +17,13 @@ from gentrop.cli import (
 )
 from gentrop.poly import ParseError
 
-from cases import counting_engine, counting_normal_forms, counting_spairs
+from cases import (
+    counting_cone_hits,
+    counting_engine,
+    counting_hilbert_numerators,
+    counting_normal_forms,
+    counting_spairs,
+)
 
 FAMILY_531 = """\
 ring 5
@@ -242,6 +248,13 @@ def test_verify_wnmt_family_passes_split_fails(tmp_path, capsys):
     )
 
 
+def _fan_probe_seed(job: int) -> str:
+    """The --seed of the fan-probe benchmark's CLI job ``job`` at workload
+    seed 1."""
+    rng = random.Random("fan-probe:1")
+    return [str(rng.randrange(10**6)) for _ in range(4)][job]
+
+
 def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
     # the split Wnmt job of the fan-probe benchmark at workload seed 1 makes
     # 61 engine runs: a probe computes one basis per transformed ideal, at
@@ -255,8 +268,7 @@ def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
     # is cached starts from that basis, already inter-reduced, so the job
     # makes at most 338 engine divisions (730 when every run started from
     # the generators, 674 with a basis at both points)
-    rng = random.Random("fan-probe:1")
-    seed = [str(rng.randrange(10**6)) for _ in range(2)][1]
+    seed = _fan_probe_seed(1)
     split = write(tmp_path, "split.ideal", SPLIT)
     runs = counting_engine(monkeypatch)
     spairs = counting_spairs(monkeypatch)
@@ -265,6 +277,39 @@ def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PROBE_FAILED
     assert 0 < len(runs) <= 61 and 0 < len(spairs) <= 6
     assert len(divisions) <= 338
+
+
+def test_family_wnmt_bounds_engine_runs(tmp_path, capsys, monkeypatch):
+    # the family Wnmt job of the fan-probe benchmark at workload seed 1: a
+    # cone probe asks the newest basis of each transformed ideal, then the
+    # basis at the cone's first point, so it makes at most 31 engine runs
+    # (33 when the grevlex basis was asked too, which changed the cache
+    # history) and at most 16 Hilbert numerators
+    fam = write(tmp_path, "fam.ideal", FAMILY_531)
+    runs = counting_engine(monkeypatch)
+    numerators = counting_hilbert_numerators(monkeypatch)
+    code, report = run(capsys, "verify", fam, "--target", "Wnmt", "--seed", _fan_probe_seed(2))
+    assert code == EXIT_OK and report["passed"] is True
+    assert 0 < len(runs) <= 31 and 0 < len(numerators) <= 16
+
+
+def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
+    # the family multiplicity job of the fan-probe benchmark at workload
+    # seed 1 makes at most 151 engine runs, 96 Hilbert numerators and 243
+    # Groebner-cone lookups.  Each reuse path shows in the runs: with the
+    # grevlex basis and only the newest basis as cone candidates (not the
+    # six newest) it makes 199, without the grevlex basis an initial ideal
+    # reads from its forms 191, and without the grevlex basis a saturation
+    # keeps 191
+    fam = write(tmp_path, "fam.ideal", FAMILY_531)
+    runs = counting_engine(monkeypatch)
+    numerators = counting_hilbert_numerators(monkeypatch)
+    lookups = counting_cone_hits(monkeypatch)
+    code, report = run(capsys, "verify", fam, "--target", "multiplicity",
+                       "--seed", _fan_probe_seed(3))
+    assert code == EXIT_OK and report["passed"] is True
+    assert 0 < len(runs) <= 151 and 0 < len(numerators) <= 96
+    assert 0 < len(lookups) <= 243
 
 
 def test_verify_depth_recovery(tmp_path, capsys):
@@ -396,13 +441,36 @@ def test_exit_code_genericity(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["analyze"], "ring 2\n0\n", "the zero ideal is not supported"),
+    (["analyze"], "ring 2\n1\n", "dimension of the zero ring is undefined"),
+    (["analyze"], "ring 1\nx1\n", "classification requires positive dimension"),
+    (["tropical", "--omega", "0,1"], "ring 2\nx1\nx2\n", "zero-dimensional ideals"),
+    (["verify", "--target", "Wnm"], "ring 2\nx1\nx2\n", "need 0 < m <= n"),
+], ids=["zero-ideal", "unit-ideal", "analyze-dim-0", "tropical-dim-0", "wnm-dim-0"])
+def test_exit_code_unsupported_ideal(tmp_path, capsys, argv, text, message):
+    # a well-formed file whose ideal the command does not support is a usage
+    # error, raised by the library's own guard
+    path = write(tmp_path, "u.ideal", text)
+    assert main(argv[:1] + [path] + argv[1:]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def _bare_value_error(*args):
+    raise ValueError("an engine bug")
+
+
 @pytest.mark.parametrize("target, broken, message", [
     ("gentrop.generic._det_int", lambda rows: 0, "invertible transform"),
     ("gentrop.invariants._cancel_one_minus_t", lambda q, d: (q, d), "multiplicity must be positive"),
-], ids=["transform-draw", "hilbert"])
+    ("gentrop.groebner._buchberger_dicts", _bare_value_error, "an engine bug"),
+], ids=["transform-draw", "hilbert", "engine-value-error"])
 def test_exit_code_internal(tmp_path, capsys, monkeypatch, target, broken, message):
-    # a broken engine invariant is neither a failed probe nor a parse error:
-    # it exits with its own code and a one-line message, no traceback
+    # a broken engine invariant, or a bare ValueError from the engine, is
+    # neither a failed probe nor a usage error: it exits with its own code
+    # and a one-line message, no traceback
     monkeypatch.setattr(target, broken)
     path = write(tmp_path, "q.ideal", QUADRIC)
     assert main(["analyze", path]) == EXIT_INTERNAL
