@@ -294,11 +294,16 @@ def tropical_member(
     policy: GenericityPolicy = GenericityPolicy(),
 ) -> bool:
     """Whether w lies in the tropical variety of the generic transform of I:
-    the weighted initial ideal contains no monomial."""
-    m = dimension(I)
-    if m == 0:
-        raise UsageError("zero-dimensional ideals have empty tropical variety")
+    the weighted initial ideal contains no monomial.  The agreed answer is
+    memoized in ``I.members`` under the policy and the normalized weight, so
+    a repeated query, or one by a shift or a positive multiple of w, computes
+    nothing; a query that raises is not memoized."""
     wn = normalize_weight(w, I.n)
+    member = I.members.get((policy, wn))
+    if member is not None:
+        return member
+    if dimension(I) == 0:
+        raise UsageError("zero-dimensional ideals have empty tropical variety")
 
     def compute(gI: Ideal) -> bool:
         # cheap certificate: a single-term initial form of a basis element
@@ -308,7 +313,8 @@ def tropical_member(
         J = initial_ideal(gI, wn)
         return not contains_monomial(J)
 
-    return agreed(I, policy, compute, "tropical membership")
+    member = I.members[policy, wn] = agreed(I, policy, compute, "tropical membership")
+    return member
 
 
 def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:

@@ -8,6 +8,8 @@ elements, as primitive integer polynomials (content 1, positive leading
 coefficient).  Leads, weighted initial ideals and derived ideals are read
 from them, and monic Fraction ``Polynomial``s are built only when first
 read.  The remainders of ``normal_form`` are exact over the rationals.
+Inside a run a monomial is one int (``_Monomials``): fields sized by the
+degree cap and the input degrees, and a linear order key above them.
 Generators enter a run reduced by the basis so far, as s-polynomials do.
 A run on an ideal whose reduced grevlex basis is cached enters that basis in
 place of the generators: it generates the same ideal and is inter-reduced
@@ -32,12 +34,13 @@ Convex Polytopes", Prop. 1.8 and Cor. 1.9).
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import chain, islice
 from math import gcd, lcm
-from operator import add, sub
+from operator import mul, sub
 
 from .poly import (
     GREVLEX,
@@ -84,10 +87,11 @@ class Ideal:
     contains it (see ``buchberger``), so the cap bounds every computation
     performed, not the runs a reused basis skips.  ``images`` maps an
     immutable and hashable GenericityPolicy to the tuple of transformed
-    ideals (see ``generic.transformed``), and ``gins`` maps an (OrderSpec,
-    policy) pair to the generic initial ideal (see ``generic.gin``).
-    ``initials`` interns the weighted initial ideals (see
-    ``initial_ideal``): it maps a normalized weight, and the forms of an
+    ideals (see ``generic.transformed``), ``gins`` maps an (OrderSpec,
+    policy) pair to the generic initial ideal (see ``generic.gin``), and
+    ``members`` maps a (policy, normalized weight) pair to the answer of
+    ``generic.tropical_member``.  ``initials`` interns the weighted initial
+    ideals (see ``initial_ideal``): it maps a normalized weight, and the forms of an
     initial ideal, to one shared ``Ideal``, so equal initial ideals share
     their cached bases.  ``numerator`` memoizes the numerator of the Hilbert
     series of S/I (see ``hilbert_numerator``), which every Buchberger run on
@@ -99,7 +103,7 @@ class Ideal:
 
     __slots__ = (
         "n", "forms", "degree_cap", "hilbert_memo", "gb_cache", "images", "gins",
-        "initials", "numerator", "_gens",
+        "initials", "members", "numerator", "_gens",
     )
 
     def __init__(
@@ -153,6 +157,7 @@ class Ideal:
         self.images: dict = {}
         self.gins: dict = {}
         self.initials: dict = {}
+        self.members: dict = {}
         self.numerator = None
         self._gens = None
 
@@ -292,14 +297,16 @@ class GroebnerBasis:
 
 # -- dict-level engine ----------------------------------------------------
 #
-# Inside the engine a polynomial is a dict {exponents: int}.  A basis element
-# is kept primitive (content 1, positive leading coefficient) as a reducer
-# (leading exponents, leading coefficient, tail), where the tail lists the
-# non-leading terms in descending order of the basis's order.  Every engine
-# polynomial is a nonzero rational multiple of the monic one, so leads, pair
-# decisions and reduced bases are those of division over the rationals;
-# ``_primitive`` and ``_monic`` convert at the boundary, where ``Ideal`` and
-# ``normal_form`` meet ``Polynomial``s.
+# At its boundary the engine takes a polynomial as a dict {exponents: int}.
+# A basis element is kept primitive (content 1, positive leading
+# coefficient) as a reducer (leading exponents, leading coefficient, tail),
+# where the tail lists the non-leading terms in descending order of the
+# basis's order.  Every engine polynomial is a nonzero rational multiple of
+# the monic one, so leads, pair decisions and reduced bases are those of
+# division over the rationals; ``_primitive`` and ``_monic`` convert at the
+# boundary, where ``Ideal`` and ``normal_form`` meet ``Polynomial``s.
+# Inside a run a polynomial is a dict {index: int} (see ``_Monomials``),
+# and a reducer is (lead index, packed lead, lc, tail of (index, int)).
 
 def divides(a, b) -> bool:
     """Whether the monomial with exponent vector ``a`` divides that of ``b``."""
@@ -307,10 +314,6 @@ def divides(a, b) -> bool:
         if x > y:
             return False
     return True
-
-
-def _lcm(a, b) -> tuple:
-    return tuple(map(max, a, b))
 
 
 def _primitive(d: dict, lm=None) -> dict:
@@ -333,16 +336,72 @@ def _poly(r: tuple) -> dict:
     return d
 
 
-def _reducer(d: dict, lm) -> tuple:
-    """The reducer (lm, lc, tail) of the primitive multiple of the integer
-    polynomial d, whose leading exponents are lm; d may be consumed."""
+class _Monomials:
+    """How one run writes a monomial as one int, its index: minus the order
+    key, above the exponents x_1 .. x_n and the total degree packed into
+    fields of ``width`` bits (the degree highest, x_n lowest).  The width is
+    the smallest of 8, 16, 32 and 64 bits whose top bit, a guard bit, no
+    degree up to ``bound`` reaches (else one bit more than the bound takes).
+    With G the guard bits, a divides b iff ((b | G) - a) & G == G.  ``key``
+    must be linear, a dot product as ``OrderSpec.key_function`` is, so the
+    index is one dot product too (read off ``key`` at the unit vectors): a
+    product or quotient of monomials, key included, is one int sum or
+    difference, and a min-heap of indices pops terms in descending order.
+    A product of two terms within the bound still fits its fields, as it
+    does those of ``key_function``, so a new term's degree field can be
+    checked against the cap.  Packed monomials compare as (degree,
+    exponents) do; ``lcm`` keeps the larger field and sums the degree."""
+
+    __slots__ = ("width", "guard", "shift", "mask", "index", "unpack", "lcm")
+
+    def __init__(self, n: int, bound: int, key: Callable):
+        for width, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
+            if bound < 1 << (width - 1):
+                fields = struct.Struct(f">{n + 1}{code}")
+                break
+        else:
+            width, fields = bound.bit_length() + 1, None
+        shift, full = width * n, (1 << width) - 1
+        mask, low = (1 << (shift + width)) - 1, (1 << shift) - 1
+        ones = low // full  # a 1 in each exponent field
+        guard = (mask // full) << (width - 1)
+        # x_i's field, the degree field, and minus x_i's key above them
+        vector = [(1 << width * (n - 1 - i)) + (1 << shift)
+                  - (key((0,) * i + (1,) + (0,) * (n - 1 - i)) << shift + width)
+                  for i in range(n)]
+        self.index = lambda e: sum(map(mul, vector, e))
+        if fields is not None:
+            self.unpack = lambda t: fields.unpack((t & mask).to_bytes(fields.size, "big"))[1:]
+        else:
+            shifts = range(width * (n - 1), -1, -width)
+            self.unpack = lambda t: tuple((t >> s) & full for s in shifts)
+
+        def lcm(p: int, q: int) -> int:
+            # full fields where p's exponent is at least q's
+            m = ((((p | guard) - q) & guard) >> (width - 1)) * full
+            x = ((p & m) | (q & ~m)) & low
+            return x | ((x * ones >> (shift - width)) & full) << shift
+
+        self.lcm = lcm
+        self.width, self.guard, self.shift, self.mask = width, guard, shift, mask
+
+    def poly(self, terms) -> dict:
+        """The polynomial {index: coefficient} of (exponents, coefficient) terms."""
+        index = self.index
+        return {index(e): c for e, c in terms}
+
+
+def _reducer(d: dict, mons: _Monomials) -> tuple:
+    """The run's reducer of the primitive multiple of the integer polynomial
+    d ({index: int}, tail terms in descending order); d may be consumed."""
+    t0 = min(d)
     g = gcd(*d.values())
-    if d[lm] < 0:
+    if d[t0] < 0:
         g = -g
     if g != 1:
-        d = {e: c // g for e, c in d.items()}
-    lc = d.pop(lm)
-    return lm, lc, tuple(d.items())
+        d = {t: c // g for t, c in d.items()}
+    lc = d.pop(t0)
+    return t0, t0 & mons.mask, lc, tuple(d.items())
 
 
 def _monic(r: tuple) -> dict:
@@ -353,93 +412,91 @@ def _monic(r: tuple) -> dict:
     return out
 
 
-def _nf_dict(f: dict, reducers, key: Callable, cap: int) -> tuple:
-    """Division of the integer polynomial f by ``reducers``, fraction-free.
+def _nf_dict(f: dict, reducers, mons: _Monomials, cap: int) -> tuple:
+    """Division of the integer polynomial f ({index: int}) by the run's
+    ``reducers``, fraction-free.
 
-    Returns (R, lead, scale): R is congruent to scale * f modulo the
-    reducers and no term of R is divisible by a reducer's leading monomial;
-    lead is R's leading monomial (None when R is zero).  ``key`` is an
-    integer order key exact on f's terms and on every term up to ``cap``."""
+    Returns (R, scale): R, in the same form, is congruent to scale * f modulo
+    the reducers, no term of R is divisible by a reducer's leading monomial,
+    and R lists its terms in descending order.  A term the division makes is
+    checked against ``cap``; the terms of f are not."""
+    guard, shift, mask = mons.guard, mons.shift, mons.mask
+    full = (1 << mons.width) - 1
     coeffs = dict(f)
-    # a min-heap on -key pops terms in descending order
-    heap = [(-key(e), e) for e in coeffs]
-    heapify(heap)
+    heap = sorted(f)  # a sorted list is a heap
     remainder: dict = {}
-    lead = None
     scale = 1
     while heap:
-        _, e = heappop(heap)
-        c = coeffs.pop(e, 0)
+        t = heappop(heap)
+        c = coeffs.pop(t, 0)
         if not c:
             continue
+        tg = (t & mask) | guard
         for r in reducers:
-            if divides(r[0], e):
+            if (tg - r[1]) & guard == guard:
                 break
         else:
-            # terms leave the heap in descending order, so the first one
-            # kept is the leading monomial of the remainder
-            if lead is None:
-                lead = e
-            remainder[e] = c
+            remainder[t] = c
             continue
-        lm, lc, tail = r
+        lt, _, lc, tail = r
         if lc != 1:
             g = gcd(lc, c)
             a = lc // g
             c //= g
             if a != 1:
                 scale *= a
-                for k in coeffs:
-                    coeffs[k] *= a
-                for k in remainder:
-                    remainder[k] *= a
-        shift = tuple(map(sub, e, lm))
-        for e2, c2 in tail:
-            ee = tuple(map(add, shift, e2))
-            prev = coeffs.get(ee)
+                for x in coeffs:
+                    coeffs[x] *= a
+                for x in remainder:
+                    remainder[x] *= a
+        s = t - lt
+        for u, uc in tail:
+            u += s
+            prev = coeffs.get(u)
             if prev is None:
-                if sum(ee) > cap:
+                if (u >> shift) & full > cap:
                     raise DegreeCapExceeded(
-                        f"degree {sum(ee)} exceeds cap {cap} during reduction"
+                        f"degree {(u >> shift) & full} exceeds cap {cap} during reduction"
                     )
-                coeffs[ee] = -c * c2
-                heappush(heap, (-key(ee), ee))
+                coeffs[u] = -c * uc
+                heappush(heap, u)
             else:
-                nv = prev - c * c2
+                nv = prev - c * uc
                 if nv:
-                    coeffs[ee] = nv
+                    coeffs[u] = nv
                 else:
-                    del coeffs[ee]
-    return remainder, lead, scale
+                    del coeffs[u]
+    return remainder, scale
 
 
-def _spair_poly(ri: tuple, rj: tuple) -> dict:
-    """The s-polynomial of two reducers, scaled to integer coefficients; the
-    leading terms cancel, so only the tails contribute."""
-    lmi, lci, taili = ri
-    lmj, lcj, tailj = rj
+def _spair_poly(ri: tuple, rj: tuple, mons: _Monomials) -> dict:
+    """The s-polynomial of two reducers of a run, scaled to integer
+    coefficients; the leading terms cancel, so only the tails contribute."""
+    ti, pi, lci, taili = ri
+    tj, pj, lcj, tailj = rj
     g = gcd(lci, lcj)
     mi, mj = lcj // g, lci // g
-    lcm = _lcm(lmi, lmj)
-    si = tuple(map(sub, lcm, lmi))
-    sj = tuple(map(sub, lcm, lmj))
+    t = mons.index(mons.unpack(mons.lcm(pi, pj)))
+    si, sj = t - ti, t - tj
     acc: dict = {}
-    for e, c in taili:
-        acc[tuple(map(add, si, e))] = mi * c
-    for e, c in tailj:
-        ee = tuple(map(add, sj, e))
-        nv = acc.get(ee, 0) - mj * c
+    for u, c in taili:
+        acc[si + u] = mi * c
+    for u, c in tailj:
+        u += sj
+        nv = acc.get(u, 0) - mj * c
         if nv:
-            acc[ee] = nv
-        elif ee in acc:
-            del acc[ee]
+            acc[u] = nv
+        else:
+            del acc[u]
     return acc
 
 
 def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None,
                       memo: dict | None = None) -> list:
     """Reduced Groebner basis of the ideal generated by ``gens``, primitive
-    integer polynomials {exponents: int}.
+    integer polynomials {exponents: int}.  ``key`` is an integer order key,
+    a dot product (see ``_Monomials``), exact on terms of degree up to
+    ``cap``; the packed fields fit ``cap`` and the input degrees.
 
     Each generator is checked against ``cap``, then enters the basis as its
     normal form by the basis built so far, as an s-polynomial does.  So no
@@ -457,74 +514,87 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
     (lm, lc, tail) of the minimal basis, tail-reduced and sorted ascending
     by the key of the leading monomial.
     """
-    basis: list = []      # reducers (lm, lc, tail)
+    gens = [(max(map(sum, d)), d.items()) for d in gens]
+    if not gens:
+        return []
+    n = len(next(iter(gens[0][1]))[0])
+    mons = _Monomials(n, max([cap, *(d for d, _ in gens)]), key)
+    guard, shift, lcm_of, unpack = mons.guard, mons.shift, mons.lcm, mons.unpack
+    basis: list = []      # the run's reducers
     active: set = set()   # indices whose lead no later lead divides
-    heap: list = []       # pending pairs (deg lcm, lcm, i, j): the normal strategy
+    heap: list = []       # pending pairs (lcm, i, j): the normal strategy, as
+                          # packed monomials rank by degree first
 
     def push(red: tuple):
         """Append the reducer red to the basis and add its pairs with the
         active elements that the criteria M and F keep."""
-        lm = red[0]
-        if sum(lm) > cap:
-            raise DegreeCapExceeded(f"basis degree {sum(lm)} exceeds cap {cap}")
+        p = red[1]
+        degree = p >> shift
+        if degree > cap:
+            raise DegreeCapExceeded(f"basis degree {degree} exceeds cap {cap}")
         k = len(basis)
         # new pairs by lcm; None marks an lcm shared with a coprime pair.  The
         # cap sees every non-coprime pair, also those the criteria drop.
         by_lcm: dict = {}
-        for j, (lmj, _, _) in enumerate(basis):
-            lcm = _lcm(lm, lmj)
-            coprime = all(a == 0 or b == 0 for a, b in zip(lm, lmj))
-            if not coprime and sum(lcm) > cap:
+        for j, rj in enumerate(basis):
+            q = rj[1]
+            lcm = lcm_of(p, q)
+            coprime = lcm >> shift == degree + (q >> shift)
+            if not coprime and lcm >> shift > cap:
                 raise DegreeCapExceeded(f"s-pair degree exceeds cap {cap}")
             if j in active:
                 by_lcm[lcm] = None if coprime else by_lcm.get(lcm, j)
         # M and F: keep one pair per lcm that no other new lcm strictly
         # divides, and none for an lcm with a coprime pair
         for lcm, j in by_lcm.items():
-            if j is None or any(o != lcm and divides(o, lcm) for o in by_lcm):
+            lg = lcm | guard
+            if j is None or any(o != lcm and (lg - o) & guard == guard for o in by_lcm):
                 continue
-            heappush(heap, (sum(lcm), lcm, k, j))
-        active.difference_update([j for j in active if divides(lm, basis[j][0])])
+            heappush(heap, (lcm, k, j))
+        active.difference_update(
+            [j for j in active if ((basis[j][1] | guard) - p) & guard == guard])
         active.add(k)
         basis.append(red)
 
-    for d in gens:
+    for degree, terms in gens:
         # the cap binds a generator that reduces to zero too
-        degree = max(map(sum, d))
         if degree > cap:
             raise DegreeCapExceeded(f"generator degree {degree} exceeds cap {cap}")
-        r, lm, _ = _nf_dict(d, basis, key, cap)
+        r, _ = _nf_dict(mons.poly(terms), basis, mons, cap)
         if r:
-            push(_reducer(r, lm))
+            push(_reducer(r, mons))
 
     checked = 0  # basis size at the last comparison with the target
     memo = {} if memo is None else memo
     while heap:
-        _, _, i, j = heappop(heap)
+        _, i, j = heappop(heap)
         if target is not None and checked < len(basis):
             checked = len(basis)
             # the leads of ``active`` are the minimal ones: no lead divides a later one
-            leads = frozenset(basis[k][0] for k in active)
+            leads = frozenset(unpack(basis[k][1]) for k in active)
             q = memo.get(leads)
             if q is None:
-                q = memo[leads] = hilbert_numerator(len(basis[0][0]), leads)
+                q = memo[leads] = hilbert_numerator(n, leads)
             if q == target:
                 break
-        r, lm, _ = _nf_dict(_spair_poly(basis[i], basis[j]), basis, key, cap)
+        r, _ = _nf_dict(_spair_poly(basis[i], basis[j], mons), basis, mons, cap)
         if r:
-            push(_reducer(r, lm))
+            push(_reducer(r, mons))
 
-    kept = [basis[i] for i in sorted(active, key=lambda i: key(basis[i][0]))]
+    kept = sorted((basis[i] for i in active), reverse=True)
     # tail-reduce each kept element against the others; no other lead
     # divides its lead, so the order of ``kept`` is the order of the output
+    mask = mons.mask
     out = []
     for idx, r in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        if any(divides(o[0], e) for e, _ in r[2] for o in others):
-            red, rlm, _ = _nf_dict(_poly(r), others, key, cap)
-            r = _reducer(red, rlm)
+        if any((((u & mask) | guard) - o[1]) & guard == guard for u, _ in r[3] for o in others):
+            f = dict(r[3])
+            f[r[0]] = r[2]
+            red, _ = _nf_dict(f, others, mons, cap)
+            r = _reducer(red, mons)
         out.append(r)
-    return out
+    return [(unpack(t), lc, tuple([(unpack(u), c) for u, c in tail])) for t, _, lc, tail in out]
 
 
 # -- Hilbert series -------------------------------------------------------
@@ -604,18 +674,18 @@ def normal_form(
         return f
     if not all(G):
         raise ValueError("zero polynomial in divisor list")
-    # input terms are never cap-checked, so the key must also cover them
-    key = order.key_function(f.n, max([degree_cap, f.degree] + [g.degree for g in G]))
-    prepared = []
-    for g in G:
-        d = _primitive(dict(g.terms))
-        prepared.append(_reducer(d, max(d, key=key)))
-    prepared.sort(key=lambda r: key(r[0]))
+    # input terms are never cap-checked, so the key and the packing must
+    # also cover them
+    bound = max([degree_cap, f.degree] + [g.degree for g in G])
+    mons = _Monomials(f.n, bound, order.key_function(f.n, bound))
+    # ascending leads, in input order among equal ones
+    prepared = sorted((_reducer(mons.poly(_primitive(dict(g.terms)).items()), mons) for g in G),
+                      key=lambda r: r[0], reverse=True)
     F = _primitive(dict(f.terms))
-    R, _, scale = _nf_dict(F, prepared, key, degree_cap)
+    R, scale = _nf_dict(mons.poly(F.items()), prepared, mons, degree_cap)
     e0, c0 = f.terms[0]
     ratio = c0 / (F[e0] * scale)  # f = F * c0 / F[e0]
-    return Polynomial(f.n, {e: c * ratio for e, c in R.items()})
+    return Polynomial(f.n, {mons.unpack(t): c * ratio for t, c in R.items()})
 
 
 def _resorted(reducers, key: Callable):
@@ -646,11 +716,11 @@ def _cone_hit(I: Ideal, key: Callable):
     the new initial ideal contains the old one; both have the Hilbert
     function of I, so they are equal, and the basis is the new reduced basis
     (the new order lies in its Groebner cone).  Candidates are the grevlex
-    basis, then the newest ``_CONE_WINDOW`` entries."""
+    basis, then the newest ``_CONE_WINDOW`` entries, each asked once."""
     entries = islice(reversed(I.gb_cache.values()), _CONE_WINDOW)
     grevlex = I.gb_cache.get(GREVLEX)
     if grevlex is not None:
-        entries = chain((grevlex,), entries)
+        entries = chain((grevlex,), (gb for gb in entries if gb is not grevlex))
     for gb in entries:
         reds = _resorted(gb._reducers, key)
         if reds is not None:

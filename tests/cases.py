@@ -132,6 +132,12 @@ def counting_cone_hits(monkeypatch) -> list:
     return _counting(monkeypatch, "_cone_hit")
 
 
+def counting_resorts(monkeypatch) -> list:
+    """Record each cached basis a Groebner-cone lookup asks (``_resorted``):
+    one call per candidate tried."""
+    return _counting(monkeypatch, "_resorted")
+
+
 def counting_gins(monkeypatch) -> list:
     """Record each leading-monomial ideal ``generic.gin`` reads off a
     transformed ideal: one per transform for each generic initial ideal it

@@ -46,6 +46,8 @@ from cases import (
     counting_engine,
     counting_gins,
     counting_hilbert_numerators,
+    counting_normal_forms,
+    counting_resorts,
     counting_spairs,
     dense_form,
     ideal,
@@ -234,7 +236,7 @@ def test_tropical_member_identity_family():
         assert not tropical_member(I, (0, 1, 1, 1), idp)
 
 
-def test_tropical_member_generic_set_description():
+def test_tropical_member_generic_set_description(monkeypatch):
     pol = policy(seed=3)
     I = product_family(4, 2)
     m = dimension(I)
@@ -248,6 +250,15 @@ def test_tropical_member_generic_set_description():
         w = tuple(rng.randint(-2, 2) for _ in range(4))
         want = w.count(min(w)) >= 2
         assert tropical_member(I, w, pol) == want
+    # answers are memoized per policy and normalized weight: a repeat, a
+    # shift or a positive multiple of a weight asked before runs no engine,
+    # divides nothing and reads no dimension
+    runs, divisions, dims = counting_engine(monkeypatch), counting_normal_forms(monkeypatch), []
+    monkeypatch.setattr(generic, "dimension", lambda J: dims.append(J))
+    for w, want in [((0, 0, 1, 2), True), ((3, 3, 4, 5), True), ((0, 2, 0, 4), True),
+                    ((0, 1, 2, 3), False), ((-1, 1, 3, 5), False)]:
+        assert tropical_member(I, w, pol) == want
+    assert not runs and not divisions and not dims
 
 
 def test_tropical_member_at_zero_weight():
@@ -269,7 +280,9 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # ideals start without the series, 602 when every run reduced all its
     # pairs).  Each query reads the dimension of its ideal from the memoized
     # Hilbert numerator, so the pass lists no minimal leads and solves no
-    # least cover (192 of each when every query did).
+    # least cover (192 of each when every query did).  Each Groebner-cone
+    # lookup asks a cached basis once, so the pass re-sorts at most 448 of
+    # them (602 when the grevlex basis was asked again as one of the newest).
     rng = random.Random("tropical-sweep:1")
     ideals, queries = [], []
     for k in range(12):
@@ -286,6 +299,7 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     dims = [dimension(I) for I in ideals]
     runs = counting_engine(monkeypatch)
     spairs = counting_spairs(monkeypatch)
+    resorts = counting_resorts(monkeypatch)
 
     def forbidden(*args):
         raise AssertionError("a tropical query read the leads of its ideal")
@@ -297,6 +311,7 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
         assert tropical_member(ideals[k], w, pol) == want
     assert 0 < len(runs) <= 260
     assert 0 < len(spairs) <= 190
+    assert 0 < len(resorts) <= 448
 
 
 def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):
@@ -329,9 +344,12 @@ def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):
 
 
 def test_tropical_member_rejects_dim_zero():
+    # a query that raises is not memoized, so it raises again
     I = ideal(2, "x1", "x2")
-    with pytest.raises(ValueError):
-        tropical_member(I, (0, 0), policy())
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            tropical_member(I, (0, 0), policy())
+    assert not I.members
 
 
 def test_cone_constancy_cm_and_family():

@@ -308,17 +308,17 @@ def test_saturate_rejects_zero():
     assert gens_of(saturate(ideal(2, "x1*x2"), P("3", 2))) == ["x1*x2"]
 
 
-def _aux_saturation(I, f):
+def _aux_saturation(I, f, cap=40):
     """Reference (I : f^infinity) by an auxiliary variable y: the y-free
     elements of the reduced basis of I + (1 - y*f) under a block order,
     grevlex on y first and then grevlex on x1..xn, as monic polynomials in
-    ascending grevlex order."""
+    ascending grevlex order, computed under degree cap ``cap``."""
     from gentrop.groebner import _buchberger_dicts, _monic
 
     n = I.n
     # integer key: y in a field above grevlex on x1..xn, whose fields of b
     # bits are exact for x-degree up to ``bound``
-    bound = 120
+    bound = 3 * cap
     b = bound.bit_length() + 1
     v = [(1 << (b * n)) - (1 << (b * i)) for i in range(n)] + [1 << (b * (n + 1))]
 
@@ -332,7 +332,7 @@ def _aux_saturation(I, f):
     lifted = [{e + (0,): c for e, c in form} for form in I.forms]
     ((e, _),) = f.terms
     aux = {e + (1,): -1, (0,) * (n + 1): 1}
-    reds = _buchberger_dicts(lifted + [aux], block_key, 40)
+    reds = _buchberger_dicts(lifted + [aux], block_key, cap)
     return [
         Polynomial(n, {e[:-1]: c for e, c in _monic(r).items()})
         for r in reds
@@ -375,6 +375,12 @@ def test_saturate_matches_auxiliary_variable_reference():
             moved += not ideal_equal(Ideal(n, got), I)
         assert contains_monomial(I) == _aux_contains_monomial(I)
     assert moved and units
+    # at the edge of one-byte exponent fields: the pair of x1^126*x2 - x2^127
+    # and 1 - y*x2 has degree 128, which cap 127 refuses and cap 128 admits
+    I, f = ideal(2, "x1^126*x2 - x2^127", degree_cap=128), P("x2", 2)
+    with pytest.raises(DegreeCapExceeded, match="^s-pair degree exceeds cap 127$"):
+        _aux_saturation(I, f, cap=127)
+    assert _aux_saturation(I, f, cap=128) == list(saturate(I, f).generators) == [P("x1^126 - x2^126", 2)]
 
 
 def test_contains_monomial_examples_and_oracle():
@@ -709,11 +715,13 @@ def test_reducer_reads_match_element_computations():
     assert monomial_seen == certified == {False, True}
 
 
-def _engine_at_smallest_cap(I, order, warm=False):
+def _engine_at_smallest_cap(I, order, warm=False, cap=None):
     """The basis of I under ``order`` from a copy of I with the smallest
-    degree cap the run fits, and that cap.  ``warm`` computes the copy's
-    grevlex basis first, under the same cap, so the run has a target."""
-    cap = max(g.degree for g in I.generators)
+    degree cap the run fits, and that cap, or under ``cap`` if given.
+    ``warm`` computes the copy's grevlex basis first, under the same cap, so
+    the run has a target."""
+    smallest = cap is None
+    cap = max(g.degree for g in I.generators) if smallest else cap
     while True:
         J = Ideal(I.n, I.generators, cap)
         try:
@@ -721,17 +729,23 @@ def _engine_at_smallest_cap(I, order, warm=False):
                 buchberger(J)
             return buchberger(J, order), cap
         except DegreeCapExceeded:
+            if not smallest:
+                raise
             cap += 1
 
 
 def _check_against_the_reference_engine(warm):
     """Compare the engine with the reference Buchberger on seeded ideals and
     orders; returns how many runs used the smallest cap the reference basis
-    fits."""
+    fits.  Each run is repeated under cap 200, whose exponent fields take two
+    bytes, and under cap 2^64, beyond the widest fields.  Binomial ideals
+    with an exponent at their smallest cap join the seeded ones: 127, the
+    most a one-byte field holds, and 200."""
     ideals = [random_graded_ideal(n, seed, gens=2 + seed % 2) for n in (3, 4) for seed in range(4)]
     for seed in range(2):
         ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 2, seed + 1)]))
         ideals.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
+    ideals += [ideal(4, f"x1^{top} - x2^{top}", "x3*x4 - x4^2") for top in (127, 200)]
     at_cap = 0
     for idx, I in enumerate(ideals):
         n = I.n
@@ -746,9 +760,12 @@ def _check_against_the_reference_engine(warm):
             want = oracles.reference_groebner(I.generators, order, n)
             # the engine ranks leads of different degrees by the normalized
             # weight, so the two lists may differ in order
-            assert sorted(gb.elements, key=lambda p: p.terms) == sorted(want, key=lambda p: p.terms), (
-                I, order)
+            want = sorted(want, key=lambda p: p.terms)
+            assert sorted(gb.elements, key=lambda p: p.terms) == want, (I, order)
             at_cap += max(g.degree for g in want) == cap
+            for wide in (200, 2**64):
+                gb, _ = _engine_at_smallest_cap(I, order, warm, wide)
+                assert sorted(gb.elements, key=lambda p: p.terms) == want, (I, order, wide)
     return at_cap
 
 
@@ -812,7 +829,7 @@ def _certify(gens, key):
     is the reduced Groebner basis of the ideal they generate, if it lies in
     that ideal: every s-pair and every generator reduces to zero, and the
     basis is reduced.  Returns the basis as monic dicts."""
-    from gentrop.groebner import _buchberger_dicts, _monic, _nf_dict, _spair_poly
+    from gentrop.groebner import _buchberger_dicts, _monic, _Monomials, _nf_dict, _reducer, _spair_poly
 
     basis = _buchberger_dicts(gens, key, 40)
     leads = [lm for lm, _, _ in basis]
@@ -825,11 +842,14 @@ def _certify(gens, key):
         for e in terms:
             for j, lmj in enumerate(leads):
                 assert i == j or not all(a <= b for a, b in zip(lmj, e))
+    # the divisions run on the basis as a run holds it
+    mons = _Monomials(len(leads[0]), 80, key)
+    reds = [_reducer(mons.poly(((lm, lc),) + tail), mons) for lm, lc, tail in basis]
     for i in range(len(basis)):
         for j in range(i):
-            assert _nf_dict(_spair_poly(basis[i], basis[j]), basis, key, 80)[0] == {}
+            assert _nf_dict(_spair_poly(reds[i], reds[j], mons), reds, mons, 80)[0] == {}
     for g in gens:
-        assert _nf_dict(g, basis, key, 80)[0] == {}
+        assert _nf_dict(mons.poly(g.items()), reds, mons, 80)[0] == {}
     return [_monic(r) for r in basis]
 
 
@@ -1042,9 +1062,17 @@ def test_degree_cap_fires_mid_reduction():
     # non-homogeneous divisor: reducing x1 by x1 - 1/6*x2^3 raises the
     # degree, so the cap aborts inside the reduction, not at a lead
     divisor = [P("-2*x1 + 1/3*x2^3", 2)]
-    with pytest.raises(DegreeCapExceeded, match="during reduction"):
+    with pytest.raises(DegreeCapExceeded, match="^degree 6 exceeds cap 5 during reduction$"):
         normal_form(P("x1^2", 2), divisor, LEX, degree_cap=5)
     assert normal_form(P("x1^2", 2), divisor, LEX, degree_cap=6) == P("1/36*x2^6", 2)
+    # the same at the edge of one-byte exponent fields (cap 127), of
+    # two-byte ones (128) and beyond the widest (2^64): x1^2 reduces to
+    # x2^128 through x1*x2^64
+    divisor = [P("-2*x1 + 1/3*x2^64", 2)]
+    with pytest.raises(DegreeCapExceeded, match="^degree 128 exceeds cap 127 during reduction$"):
+        normal_form(P("x1^2", 2), divisor, LEX, degree_cap=127)
+    for cap in (128, 2**64):
+        assert normal_form(P("x1^2", 2), divisor, LEX, degree_cap=cap) == P("1/36*x2^128", 2)
 
 
 def test_normal_form_ranks_input_terms_above_the_cap():
@@ -1054,3 +1082,7 @@ def test_normal_form_ranks_input_terms_above_the_cap():
     f = P("x2^6 + 2*x1^5*x3", 3)
     got = normal_form(f, [P("x2^6 + x1^5*x3", 3)], GREVLEX, degree_cap=1)
     assert got == P("x1^5*x3", 3)
+    # inputs too wide for one-byte exponent fields widen them
+    f = P("x2^130 + 2*x1^129*x3", 3)
+    got = normal_form(f, [P("x2^130 + x1^129*x3", 3)], GREVLEX, degree_cap=1)
+    assert got == P("x1^129*x3", 3)
