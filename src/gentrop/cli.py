@@ -70,7 +70,7 @@ def parse_ideal_file(text: str):
     if not lines:
         raise ParseError("empty ideal file")
     header = lines[0].split()
-    if len(header) != 2 or header[0] != "ring" or not header[1].isdigit():
+    if len(header) != 2 or header[0] != "ring" or not header[1].isdecimal():
         raise ParseError(f"bad header {lines[0]!r}; expected 'ring <n>'")
     n = int(header[1])
     if n < 1:

@@ -4,10 +4,11 @@ graded ideals.
 
 All arithmetic is exact.  The engine reduces fraction-free over the
 integers: an ``Ideal`` keeps its generators, and a ``GroebnerBasis`` its
-elements, as primitive integer polynomials (content 1, positive leading
-coefficient).  Leads, weighted initial ideals and derived ideals are read
-from them, and monic Fraction ``Polynomial``s are built only when first
-read.  The remainders of ``normal_form`` are exact over the rationals.
+elements, in one layout, as ``forms``: primitive integer polynomials
+(content 1, positive leading coefficient), each a tuple of (exponents,
+int) terms, lead first.  Leads, weighted initial ideals and derived ideals
+are read from them, and monic Fraction ``Polynomial``s are built only when
+first read.  The remainders of ``normal_form`` are exact over the rationals.
 Inside a run a monomial is one int (``_Monomials``): fields sized by the
 degree cap and the input degrees, and a linear order key above them.
 Generators enter a run reduced by the basis so far, as s-polynomials do.
@@ -164,9 +165,7 @@ class Ideal:
     @property
     def generators(self) -> tuple:
         if self._gens is None:
-            self._gens = tuple(
-                Polynomial(self.n, _monic((f[0][0], f[0][1], f[1:]))) for f in self.forms
-            )
+            self._gens = tuple(Polynomial(self.n, _monic(f)) for f in self.forms)
         return self._gens
 
     def key(self) -> tuple:
@@ -179,28 +178,31 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis, held as the engine's primitive integer
-    reducers in ascending order of leading monomial.
+    """A reduced Groebner basis, held as primitive integer forms in
+    ascending order of leading monomial.
 
-    ``leads`` are the leading exponent vectors; ``elements`` are the monic
-    Fraction polynomials, built the first time they are read."""
+    ``forms`` has the layout of ``Ideal.forms``: each element is a tuple of
+    (exponents, int) terms with content 1, its terms in descending order of
+    the basis's order, so its lead, with a positive coefficient, comes
+    first.  ``leads`` are the leading exponent vectors; ``elements`` are the
+    monic Fraction polynomials, built the first time they are read."""
 
-    __slots__ = ("order", "n", "_reducers", "_elements")
+    __slots__ = ("order", "n", "forms", "_elements")
 
-    def __init__(self, order: OrderSpec, n: int, reducers: Sequence[tuple]):
+    def __init__(self, order: OrderSpec, n: int, forms: Sequence[tuple]):
         self.order = order
         self.n = n
-        self._reducers = tuple(reducers)
+        self.forms = tuple(forms)
         self._elements = None
 
     @property
     def leads(self) -> tuple:
-        return tuple(r[0] for r in self._reducers)
+        return tuple(f[0][0] for f in self.forms)
 
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = tuple(Polynomial(self.n, _monic(r)) for r in self._reducers)
+            self._elements = tuple(Polynomial(self.n, _monic(f)) for f in self.forms)
         return self._elements
 
     def has_monomial_initial_form(self, w) -> bool:
@@ -209,9 +211,7 @@ class GroebnerBasis:
         initial ideal.  ``w`` holds ints or Fractions, so weights are exact."""
         if len(w) != self.n:
             raise ValueError("weight length does not match variable count")
-        return any(
-            len(initial_terms(w, ((lm, lc),) + tail)) == 1 for lm, lc, tail in self._reducers
-        )
+        return any(len(initial_terms(w, f)) == 1 for f in self.forms)
 
     def cell_contains(self, v=None, cone=None, ray=None) -> bool:
         """Whether the Groebner cell of the basis's weight w (the weights v
@@ -225,22 +225,23 @@ class GroebnerBasis:
         in_w(I) iff in_v(g) = in_w(g) for every g in G (Sturmfels 1996,
         "Groebner Bases and Convex Polytopes", Prop. 2.3; Mora and Robbiano
         1988, "The Groebner fan of an ideal").  The point form asks that of
-        each reducer's terms of least weight; ``v`` holds ints or Fractions.
+        each form's terms of least weight; ``v`` holds ints or Fractions.
         The ray form adds s e_j to the weight of each term e, so it asks that
-        each reducer's initial terms share the lead's x_j exponent and that
-        no term have a smaller one.
+        each form's initial terms share the lead's x_j exponent and that no
+        term have a smaller one.
 
         ``cone`` is (min_set, middle, top), the 1-based index sets of a
         ``fans.ConeId``: the minimum on the min-set A, every top value above
         every middle value, and for a skeleton cone (no middle, no top) every
-        coordinate outside A in the middle M.  Let e0 be a reducer's lead and
-        c = e - e0 outside A for a tail term e.  The closed cone, shifted to
+        coordinate outside A in the middle M.  Let e0 be a form's lead and
+        c = e - e0 outside A for a term e.  The closed cone, shifted to
         a zero minimum, is spanned by e_t for t in the top T and by
         (chi_S, 1_T) for S within M, so v . c >= 0 on it iff c_t >= 0 on T
         and sum_M min(c_m, 0) + sum_T c_t >= 0.  The cone form asks that of
-        every tail term: every element then keeps its lead e0 under v refined
-        by the basis's order, for each v of the closed cone, so G is a
-        Groebner basis there too and in_v(I) is generated by the in_v(g).
+        every term (the lead has c = 0): every element then keeps its lead
+        e0 under v refined by the basis's order, for each v of the closed
+        cone, so G is a Groebner basis there too and in_v(I) is generated by
+        the in_v(g).
         Each in_v(g) is e0 and the terms with c = 0 at every v of the open
         cone, since v . c >= 0 on the cone and vanishing at one interior
         point vanishes on all of it.  So a True says in_v(I) is constant on
@@ -254,23 +255,21 @@ class GroebnerBasis:
                 raise ValueError(f"direction {ray} out of range")
             j = ray - 1
             return all(
-                all(e[j] >= lm[j] for e, _ in tail)
-                and all(e[j] == lm[j] for e, _ in initial_terms(w, ((lm, lc),) + tail))
-                for lm, lc, tail in self._reducers)
+                all(e[j] >= f[0][0][j] for e, _ in f)
+                and all(e[j] == f[0][0][j] for e, _ in initial_terms(w, f))
+                for f in self.forms)
         if cone is None:
             if len(v) != self.n:
                 raise ValueError("weight length does not match variable count")
-            return all(
-                initial_terms(v, terms) == initial_terms(w, terms)
-                for terms in (((lm, lc),) + tail for lm, lc, tail in self._reducers)
-            )
+            return all(initial_terms(v, f) == initial_terms(w, f) for f in self.forms)
         low_set, middle, top = cone
         if not middle and not top:
             middle = set(range(1, self.n + 1)) - set(low_set)
         middle = [i - 1 for i in sorted(middle)]
         top = [i - 1 for i in sorted(top)]
-        for lm, _, tail in self._reducers:
-            for e, _ in tail:
+        for f in self.forms:
+            lm = f[0][0]
+            for e, _ in f:
                 s = 0
                 for i in top:
                     c = e[i] - lm[i]
@@ -289,7 +288,7 @@ class GroebnerBasis:
         return iter(self.elements)
 
     def __len__(self):
-        return len(self._reducers)
+        return len(self.forms)
 
     def __repr__(self):
         return f"GroebnerBasis({self.order}, [{', '.join(str(g) for g in self.elements)}])"
@@ -297,16 +296,17 @@ class GroebnerBasis:
 
 # -- dict-level engine ----------------------------------------------------
 #
-# At its boundary the engine takes a polynomial as a dict {exponents: int}.
-# A basis element is kept primitive (content 1, positive leading
-# coefficient) as a reducer (leading exponents, leading coefficient, tail),
-# where the tail lists the non-leading terms in descending order of the
-# basis's order.  Every engine polynomial is a nonzero rational multiple of
-# the monic one, so leads, pair decisions and reduced bases are those of
-# division over the rationals; ``_primitive`` and ``_monic`` convert at the
-# boundary, where ``Ideal`` and ``normal_form`` meet ``Polynomial``s.
-# Inside a run a polynomial is a dict {index: int} (see ``_Monomials``),
-# and a reducer is (lead index, packed lead, lc, tail of (index, int)).
+# At its boundary the engine takes a polynomial as a dict {exponents: int}
+# and returns a basis element as a form, the layout of ``Ideal.forms``: a
+# tuple of (exponents, int) terms in descending order of the basis's
+# order, content 1 and a positive leading coefficient.  Every engine
+# polynomial is a nonzero rational multiple of the monic one, so leads,
+# pair decisions and reduced bases are those of division over the
+# rationals; ``_primitive`` and ``_monic`` convert at the boundary, where
+# ``Ideal`` and ``normal_form`` meet ``Polynomial``s.  Inside a run a
+# polynomial is a dict {index: int} (see ``_Monomials``), and a reducer is
+# (lead index, packed lead, lc, tail of (index, int)); no reducer leaves
+# a run.
 
 def divides(a, b) -> bool:
     """Whether the monomial with exponent vector ``a`` divides that of ``b``."""
@@ -316,24 +316,15 @@ def divides(a, b) -> bool:
     return True
 
 
-def _primitive(d: dict, lm=None) -> dict:
-    """The integer multiple of d (int or Fraction values) with content 1 and,
-    if its leading exponents lm are given, a positive leading coefficient."""
+def _primitive(d: dict) -> dict:
+    """The integer multiple of d (int or Fraction values) with content 1 and
+    the signs of d; callers that need a positive lead fix the sign."""
     den = lcm(*(c.denominator for c in d.values()))
     ints = {e: c.numerator * (den // c.denominator) for e, c in d.items()}
     g = gcd(*ints.values())
-    if lm is not None and ints[lm] < 0:
-        g = -g
     if g == 1:
         return ints
     return {e: c // g for e, c in ints.items()}
-
-
-def _poly(r: tuple) -> dict:
-    """The integer polynomial of a reducer, as {exponents: int}."""
-    d = dict(r[2])
-    d[r[0]] = r[1]
-    return d
 
 
 class _Monomials:
@@ -404,12 +395,10 @@ def _reducer(d: dict, mons: _Monomials) -> tuple:
     return t0, t0 & mons.mask, lc, tuple(d.items())
 
 
-def _monic(r: tuple) -> dict:
-    """The monic rational polynomial of a reducer, as {exponents: Fraction}."""
-    lm, lc, tail = r
-    out = {e: Fraction(c, lc) for e, c in tail}
-    out[lm] = Fraction(1)
-    return out
+def _monic(f: tuple) -> dict:
+    """The monic rational polynomial of a form, as {exponents: Fraction}."""
+    lc = f[0][1]
+    return {e: Fraction(c, lc) for e, c in f}
 
 
 def _nf_dict(f: dict, reducers, mons: _Monomials, cap: int) -> tuple:
@@ -510,8 +499,8 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
     once the leads of ``active`` reach the target the basis is Groebner and
     the pending pairs are skipped.  ``memo``, if given, maps the frozenset
     of minimal leads of a check to its numerator; the check reads it before
-    computing one and adds what it computes.  Returns the primitive reducers
-    (lm, lc, tail) of the minimal basis, tail-reduced and sorted ascending
+    computing one and adds what it computes.  Returns the forms of the
+    minimal basis (see ``GroebnerBasis``), tail-reduced and sorted ascending
     by the key of the leading monomial.
     """
     gens = [(max(map(sum, d)), d.items()) for d in gens]
@@ -594,7 +583,7 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
             red, _ = _nf_dict(f, others, mons, cap)
             r = _reducer(red, mons)
         out.append(r)
-    return [(unpack(t), lc, tuple([(unpack(u), c) for u, c in tail])) for t, _, lc, tail in out]
+    return [((unpack(t), lc), *[(unpack(u), c) for u, c in tail]) for t, _, lc, tail in out]
 
 
 # -- Hilbert series -------------------------------------------------------
@@ -688,28 +677,28 @@ def normal_form(
     return Polynomial(f.n, {mons.unpack(t): c * ratio for t, c in R.items()})
 
 
-def _resorted(reducers, key: Callable):
-    """If every reducer's lead outranks each of its tail terms under
-    ``key``, the reducers listed as a run under ``key`` lists them: by
-    ascending lead, each tail descending.  Else None, from the first term
-    that outranks its lead."""
+def _resorted(forms, key: Callable):
+    """If every form's lead outranks each of its other terms under ``key``,
+    the forms listed as a run under ``key`` lists them: by ascending lead,
+    each form's terms descending.  Else None, from the first term that
+    outranks its lead."""
     out = []
-    for lm, lc, tail in reducers:
-        k = key(lm)
+    for f in forms:
+        k = key(f[0][0])
         keyed = []
-        for t in tail:
+        for t in f:
             x = key(t[0])
             if x > k:
                 return None
             keyed.append((x, t))
         keyed.sort(reverse=True)
-        out.append((k, (lm, lc, tuple(t for _, t in keyed))))
+        out.append((k, tuple([t for _, t in keyed])))
     out.sort()
-    return [r for _, r in out]
+    return [f for _, f in out]
 
 
 def _cone_hit(I: Ideal, key: Callable):
-    """The reducers of a cached basis of I that is the reduced basis under
+    """The forms of a cached basis of I that is the reduced basis under
     ``key`` too, listed as a run under ``key`` lists them, or None.
 
     If every element of a reduced basis keeps its lead under a new order,
@@ -722,9 +711,9 @@ def _cone_hit(I: Ideal, key: Callable):
     if grevlex is not None:
         entries = chain((grevlex,), (gb for gb in entries if gb is not grevlex))
     for gb in entries:
-        reds = _resorted(gb._reducers, key)
-        if reds is not None:
-            return reds
+        forms = _resorted(gb.forms, key)
+        if forms is not None:
+            return forms
     return None
 
 
@@ -745,16 +734,16 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     changes no lead, and one that normalizes to zero is dropped; the basis
     is cached, ordered and returned under the normalized order.  A cached
     basis whose Groebner cone contains the new order (every element keeps
-    its lead) is served before any run, its reducers and their tails
-    re-sorted by the new order, so a basis does not depend on the cache
-    history of I.  The cap bounds every computation performed: a reused
-    basis skips a run that might have aborted.  A run enters the reducers
-    of I's cached grevlex basis, when there is one, and I's forms
-    otherwise: both generate I, so the reduced basis is the same, and the
-    cached basis is inter-reduced already, so its elements reduce little on
-    entry and form few pairs.  ``I.degree_cap`` still bounds every element
-    pushed and every pair formed.  A run takes the Hilbert numerator of I,
-    when known, as its target (see ``_buchberger_dicts``)."""
+    its lead) is served before any run, its forms and their terms re-sorted
+    by the new order, so a basis does not depend on the cache history of I.
+    The cap bounds every computation performed: a reused basis skips a run
+    that might have aborted.  A run enters the forms of I's cached grevlex
+    basis, when there is one, and I's forms otherwise: both generate I, so
+    the reduced basis is the same, and the cached basis is inter-reduced
+    already, so its elements reduce little on entry and form few pairs.
+    ``I.degree_cap`` still bounds every element pushed and every pair
+    formed.  A run takes the Hilbert numerator of I, when known, as its
+    target (see ``_buchberger_dicts``)."""
     if order.weight is not None:
         wn = normalize_weight(order.weight, I.n)
         order = OrderSpec(order.base, order.perm, wn if any(wn) else None)
@@ -762,12 +751,12 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     if hit is not None:
         return hit
     key = order.key_function(I.n, I.degree_cap)
-    reds = _cone_hit(I, key)
-    if reds is None:
+    forms = _cone_hit(I, key)
+    if forms is None:
         grevlex = I.gb_cache.get(GREVLEX)
-        gens = map(dict, I.forms) if grevlex is None else map(_poly, grevlex._reducers)
-        reds = _buchberger_dicts(gens, key, I.degree_cap, known_numerator(I), I.hilbert_memo)
-    gb = I.gb_cache[order] = GroebnerBasis(order, I.n, reds)
+        gens = map(dict, I.forms if grevlex is None else grevlex.forms)
+        forms = _buchberger_dicts(gens, key, I.degree_cap, known_numerator(I), I.hilbert_memo)
+    gb = I.gb_cache[order] = GroebnerBasis(order, I.n, forms)
     return gb
 
 
@@ -775,7 +764,7 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     """The initial ideal of I for weight w (minimal-weight forms).
 
     Generators are the initial forms of the reduced basis with respect to the
-    w-refined grevlex order, read from its reducers by ``initial_terms``.  They
+    w-refined grevlex order, read from its forms by ``initial_terms``.  They
     constitute the reduced grevlex basis of the result (Sturmfels 1996, Prop.
     1.8 and Cor. 1.9), so J carries it, read from its forms.  Taken in the order
     of their leads, two initial ideals computed here are equal iff their
@@ -793,14 +782,13 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     if J is not None:
         return J
     J = I._derive(
-        dict(initial_terms(wn, ((lm, lc),) + tail))
-        for lm, lc, tail in sorted(buchberger(I, GREVLEX.refine(wn))._reducers)
+        dict(initial_terms(wn, f)) for f in sorted(buchberger(I, GREVLEX.refine(wn)).forms)
     )
     J = I.initials[wn] = I.initials.setdefault(J.forms, J)
     if GREVLEX not in J.gb_cache:
         key = GREVLEX.key_function(J.n, J.degree_cap)
-        J.gb_cache[GREVLEX] = GroebnerBasis(GREVLEX, J.n, sorted(
-            ((f[0][0], f[0][1], f[1:]) for f in J.forms), key=lambda r: key(r[0])))
+        J.gb_cache[GREVLEX] = GroebnerBasis(
+            GREVLEX, J.n, sorted(J.forms, key=lambda f: key(f[0][0])))
     J.numerator = known_numerator(I)
     return J
 
@@ -834,10 +822,9 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
         gb = buchberger(J, order)
         if stop is not None and stop(gb):
             return None
-        if any(lm[i] for lm, _, _ in gb._reducers):
+        if any(f[0][0][i] for f in gb.forms):
             J = J._derive(
-                {e[:i] + (e[i] - r[0][i],) + e[i + 1:]: c for e, c in _poly(r).items()}
-                for r in gb._reducers
+                {e[:i] + (e[i] - f[0][0][i],) + e[i + 1:]: c for e, c in f} for f in gb.forms
             )
     return J
 
@@ -852,7 +839,7 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
         raise ValueError("can only saturate by a nonzero monomial")
     J = _saturation(I, f.terms[0][0])
     gb = buchberger(J, GREVLEX)
-    S = J._derive(map(_poly, gb._reducers))
+    S = J._derive(map(dict, gb.forms))
     S.gb_cache[GREVLEX] = J.gb_cache[GREVLEX]
     return S
 
@@ -872,6 +859,4 @@ def contains_monomial(I: Ideal) -> bool:
     step for x_1 starts from holds a power of x_1, the least monomial of its
     degree under grevlex with x_1 last, so that step's basis has an element
     x_1^k; no further basis is needed."""
-    return _saturation(
-        I, (1,) * I.n, lambda gb: any(not tail for _, _, tail in gb._reducers)
-    ) is None
+    return _saturation(I, (1,) * I.n, lambda gb: any(len(f) == 1 for f in gb.forms)) is None

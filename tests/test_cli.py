@@ -341,6 +341,11 @@ def test_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.ideal", "ring two\nx1\n")
     assert main(["analyze", bad]) == EXIT_PARSE
     capsys.readouterr()
+    # a superscript two is a digit to str.isdigit but not to int()
+    bad = write(tmp_path, "bad.ideal", "ring \u00b2\nx1\n")
+    assert main(["analyze", bad]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: bad header ")
     for text, why in (("x1+", "cannot tokenize"), ("1/0*x1", "zero denominator")):
         bad = write(tmp_path, "bad.ideal", f"ring 2\n{text}\n")
         assert main(["analyze", bad]) == EXIT_PARSE

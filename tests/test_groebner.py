@@ -4,7 +4,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import le, mul
 
 import pytest
 
@@ -332,11 +332,11 @@ def _aux_saturation(I, f, cap=40):
     lifted = [{e + (0,): c for e, c in form} for form in I.forms]
     ((e, _),) = f.terms
     aux = {e + (1,): -1, (0,) * (n + 1): 1}
-    reds = _buchberger_dicts(lifted + [aux], block_key, cap)
+    forms = _buchberger_dicts(lifted + [aux], block_key, cap)
     return [
-        Polynomial(n, {e[:-1]: c for e, c in _monic(r).items()})
-        for r in reds
-        if r[0][n] == 0 and all(e[n] == 0 for e, _ in r[2])
+        Polynomial(n, {e[:-1]: c for e, c in _monic(f).items()})
+        for f in forms
+        if all(e[n] == 0 for e, _ in f)
     ]
 
 
@@ -513,8 +513,8 @@ def test_seeded_initial_bases_match_a_grevlex_run():
     # the reduced grevlex basis of J = in_w(I) (Sturmfels 1996, "Groebner
     # Bases and Convex Polytopes", Prop. 1.8 and Cor. 1.9), so J caches the
     # basis read from its forms.  For every interned J of each ideal and of
-    # its transforms, that basis must be the reducers a targetless grevlex
-    # run from J's forms returns, reducer for reducer.
+    # its transforms, that basis must be the forms a targetless grevlex
+    # run from J's forms returns, form for form.
     from gentrop.groebner import _buchberger_dicts
 
     checked = 0
@@ -525,7 +525,7 @@ def test_seeded_initial_bases_match_a_grevlex_run():
             for J in set(parent.initials.values()):
                 key = GREVLEX.key_function(J.n, J.degree_cap)
                 run = _buchberger_dicts(map(dict, J.forms), key, J.degree_cap)
-                assert list(J.gb_cache[GREVLEX]._reducers) == run, (I, J)
+                assert list(J.gb_cache[GREVLEX].forms) == run, (I, J)
                 checked += 1
     assert checked > 200  # 239 here
 
@@ -591,7 +591,7 @@ def test_cone_reuse_honours_a_smaller_cap():
     grevlex = buchberger(K)
     gb = buchberger(K, order)
     assert K.gb_cache[order] is gb
-    assert sorted(gb._reducers) == sorted(grevlex._reducers)
+    assert sorted(gb.forms) == sorted(grevlex.forms)
 
 
 def test_cone_reuse_matches_a_fresh_run(monkeypatch):
@@ -633,8 +633,8 @@ def test_cone_reuse_matches_a_fresh_run(monkeypatch):
 def test_runs_seeded_by_the_grevlex_basis_match_the_forms_path(monkeypatch):
     # once an ideal caches its reduced grevlex basis, a run for another
     # order starts from that basis in place of the ideal's forms; the
-    # reduced basis is unique, so its reducers must be those of a fresh
-    # equal ideal, which starts from the forms, tails in the same order:
+    # reduced basis is unique, so its forms must be those of a fresh equal
+    # ideal, which starts from the ideal's forms, terms in the same order:
     # a basis served by cone reuse re-sorts them by the new order.
     runs = counting_engine(monkeypatch)
     seeded = 0
@@ -648,7 +648,7 @@ def test_runs_seeded_by_the_grevlex_basis_match_the_forms_path(monkeypatch):
             before = len(runs)
             got = buchberger(warm, order)
             seeded += len(runs) - before
-            assert got._reducers == buchberger(Ideal(n, I.generators), order)._reducers
+            assert got.forms == buchberger(Ideal(n, I.generators), order).forms
     assert seeded > 100
 
 
@@ -678,7 +678,7 @@ def _contains_monomial_by_elements(I):
 
 def test_reducer_reads_match_element_computations():
     # leads, weighted initial ideals and the monomial tests are read from the
-    # basis's integer reducers; the element-based computations they replaced
+    # basis's integer forms; the element-based computations they replaced
     # are the reference.  Weights include zero, constant, tied and rational
     # vectors.
     rng = random.Random(23)
@@ -782,7 +782,7 @@ def test_buchberger_with_a_warm_cache_matches_the_reference_engine(monkeypatch):
     # the same comparison with each copy's grevlex basis computed first, so
     # the other orders' runs take the Hilbert numerator read from it as
     # their target.  Each such run is repeated without the target: it must
-    # return the same reducers, or raise the same cap error, after forming
+    # return the same forms, or raise the same cap error, after forming
     # at least as many s-pairs; some runs must have stopped early.  The run
     # with the target reads and fills the ideal's memo of Hilbert checks, so
     # a memo hit must not change its result either.
@@ -824,33 +824,44 @@ def test_cached_basis_generates_the_same_ideal():
             assert oracles.member_homogeneous(b, I.generators, 3)
 
 
-def _certify(gens, key):
-    """Check from the basis alone that the engine's basis of ``gens`` (dicts)
-    is the reduced Groebner basis of the ideal they generate, if it lies in
-    that ideal: every s-pair and every generator reduces to zero, and the
-    basis is reduced.  Returns the basis as monic dicts."""
-    from gentrop.groebner import _buchberger_dicts, _monic, _Monomials, _nf_dict, _reducer, _spair_poly
+def _certify(gens, order):
+    """Check from the basis alone that the basis ``buchberger`` computes
+    for the ideal of ``gens`` (dicts) under ``order``, with no basis cached,
+    is the reduced Groebner basis of that ideal, if it lies in it: every
+    s-pair and every generator reduces to zero, and the basis is reduced.
+    Its forms must keep the invariants of ``Ideal.forms``: content 1, a
+    positive leading coefficient and terms strictly descending under the
+    basis's order, and the forms ascend by lead.  Returns the basis as monic
+    dicts."""
+    from gentrop.groebner import _monic, _Monomials, _nf_dict, _reducer, _spair_poly
 
-    basis = _buchberger_dicts(gens, key, 40)
-    leads = [lm for lm, _, _ in basis]
-    for i, (lm, lc, tail) in enumerate(basis):
-        terms = [lm] + [e for e, _ in tail]
+    n = len(next(iter(gens[0])))
+    gb = buchberger(Ideal(n, gens), order)
+    # s-pairs of basis elements reach twice the engine's cap of 40
+    key = gb.order.key_function(n, 80)
+    basis = gb.forms
+    leads = [f[0][0] for f in basis]
+    assert leads == sorted(leads, key=key)
+    for i, f in enumerate(basis):
+        terms = [e for e, _ in f]
+        lm, lc = f[0]
         # lm leads; the element is primitive and leaves the engine monic
         assert max(terms, key=key) == lm
-        assert lc > 0 and math.gcd(lc, *(c for _, c in tail)) == 1
-        assert _monic(basis[i])[lm] == 1
+        assert all(key(a) > key(b) for a, b in zip(terms, terms[1:]))
+        assert lc > 0 and math.gcd(*(c for _, c in f)) == 1
+        assert _monic(f)[lm] == 1
         for e in terms:
             for j, lmj in enumerate(leads):
                 assert i == j or not all(a <= b for a, b in zip(lmj, e))
     # the divisions run on the basis as a run holds it
-    mons = _Monomials(len(leads[0]), 80, key)
-    reds = [_reducer(mons.poly(((lm, lc),) + tail), mons) for lm, lc, tail in basis]
+    mons = _Monomials(n, 80, key)
+    reds = [_reducer(mons.poly(f), mons) for f in basis]
     for i in range(len(basis)):
         for j in range(i):
             assert _nf_dict(_spair_poly(reds[i], reds[j], mons), reds, mons, 80)[0] == {}
     for g in gens:
         assert _nf_dict(mons.poly(g.items()), reds, mons, 80)[0] == {}
-    return [_monic(r) for r in basis]
+    return [_monic(f) for f in basis]
 
 
 def test_seeded_groebner_certificates():
@@ -874,14 +885,13 @@ def test_seeded_groebner_certificates():
             for i in range(1, n)
         ]
         gens = [dict(f) for f in I.forms]
-        # s-pairs of basis elements reach twice the engine's cap of 40
-        graded = [Polynomial(n, g) for o in orders for g in _certify(gens, o.key_function(n, 80))]
+        graded = [Polynomial(n, g) for o in orders for g in _certify(gens, o)]
         assert oracles.members_homogeneous(graded, I.generators, n)
 
 
 def test_a_hilbert_target_changes_no_basis(monkeypatch):
     # with the ideal's Hilbert numerator as target the engine must return
-    # the reducers it returns without one, under every order kind the
+    # the forms it returns without one, under every order kind the
     # package uses, and form fewer s-pair normal forms in all
     from gentrop.groebner import _buchberger_dicts, hilbert_numerator
 
@@ -944,8 +954,8 @@ def test_a_warm_cache_keeps_the_s_pair_cap():
     J = initial_ideal(I, (2, 1, 0))
     assert gens_of(J) == ["x3^2", "x2*x3", "x1*x2^2 - x1^2*x3"]
     assert J.numerator == I.numerator and list(J.gb_cache) == [GREVLEX]
-    seeded = J.gb_cache[GREVLEX]._reducers
-    assert sorted(seeded) == sorted((f[0][0], f[0][1], f[1:]) for f in J.forms)
+    seeded = J.gb_cache[GREVLEX].forms
+    assert sorted(seeded) == sorted(J.forms)
     assert list(seeded) == _buchberger_dicts(map(dict, J.forms), GREVLEX.key_function(3, 4), 4)
     with pytest.raises(DegreeCapExceeded, match="s-pair degree exceeds cap 4"):
         buchberger(J, LEX)
@@ -1086,3 +1096,44 @@ def test_normal_form_ranks_input_terms_above_the_cap():
     f = P("x2^130 + 2*x1^129*x3", 3)
     got = normal_form(f, [P("x2^130 + x1^129*x3", 3)], GREVLEX, degree_cap=1)
     assert got == P("x1^129*x3", 3)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("bound", [127, 128, 32767, 32768, 2**31, 2**63])
+def test_packed_monomials_match_their_exponent_tuples(bound, n):
+    # at each boundary of the 8-, 16-, 32- and 64-bit fields, and beyond
+    # the widest, every packed operation the division kernel uses must
+    # agree with the same operation on exponent tuples, for monomials of
+    # total degree up to the bound, the bound itself included
+    from gentrop.groebner import _Monomials
+
+    rng = random.Random(f"packed:{bound}:{n}")
+    key = GREVLEX.refine(tuple(rng.randint(-3, 3) for _ in range(n))).key_function(n, bound)
+    mons = _Monomials(n, bound, key)
+    guard, shift, mask = mons.guard, mons.shift, mons.mask
+    full = (1 << mons.width) - 1
+
+    def below(e):
+        return tuple(rng.randint(0, x) for x in e)
+
+    def vector():
+        d = rng.choice((bound, bound - 1, rng.randint(0, bound)))
+        cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+
+    vectors = [tuple(bound * (i == j) for i in range(n)) for j in range(n)]
+    vectors += [vector() for _ in range(60)]
+    for e in vectors:
+        t = mons.index(e)
+        assert mons.unpack(t) == e
+        assert (t >> shift) & full == sum(e) == (t & mask) >> shift
+    pairs = [(a, b) for a in vectors[:20] for b in vectors[:20]]
+    pairs += [(below(b), b) for b in vectors]
+    for a, b in pairs:
+        ta, tb = mons.index(a), mons.index(b)
+        pa, pb = ta & mask, tb & mask
+        assert ((((pb | guard) - pa) & guard) == guard) == all(map(le, a, b)), (a, b)
+        m = tuple(map(max, a, b))
+        assert mons.lcm(pa, pb) == mons.index(m) & mask, (a, b)
+        assert mons.unpack(mons.lcm(pa, pb)) == m and mons.lcm(pa, pb) >> shift == sum(m)
+        assert (ta < tb) == (key(a) > key(b)), (a, b)
