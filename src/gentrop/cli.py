@@ -25,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .fans import ConeSequence, adjacent_pairs, budget
+from .fans import ConeSequence, adjacent_pairs, cone_orbit_key, pair_orbit_key
 from .generic import (
     GenericityFailure,
     GenericityPolicy,
@@ -36,6 +36,7 @@ from .generic import (
     depth,
     gin,
     identity_policy,
+    per_orbit,
     recover_depth,
     transformed,
     tropical_member,
@@ -152,8 +153,9 @@ def _verify_wnm(I, policy, args):
 def _verify_wnmt(I, policy, args):
     m, t = _intermediate_depth(I, policy, "Wnmt")
     probes = list(constancy_probes(I, ConeSequence(I.n, m, t), args.points, policy))
-    for c1, c2 in budget(adjacent_pairs(I.n, m, t), policy.seed):
-        ok = adjacent_distinct(I, c1, c2, policy)
+    pairs = per_orbit(adjacent_pairs(I.n, m, t), pair_orbit_key,
+                      lambda pair: adjacent_distinct(I, *pair, policy), policy)
+    for (c1, c2), ok in pairs:
         probes.append(
             ProbeResult("adjacent_pair_distinct", c1, ok, "exact", f"versus {c2.to_json()}")
         )
@@ -165,8 +167,9 @@ def _verify_multiplicity(I, policy, args):
     t = depth(I, policy)
     cones = ConeSequence(I.n, m, t if 0 < t < m - 1 else None)
     probes = []
-    for cone in budget(cones, policy.seed):
-        rep = intrinsic_multiplicity(I, cone, policy)
+    reports = per_orbit(cones, cone_orbit_key, lambda cone: intrinsic_multiplicity(I, cone, policy),
+                        policy)
+    for cone, rep in reports:
         detail = (
             f"dim {rep.dim_initial}->{rep.dim_saturated}, "
             f"m_sat {rep.m_saturated}, m_ideal {rep.m_ideal}"

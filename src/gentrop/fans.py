@@ -177,6 +177,30 @@ def adjacent_pairs(n: int, m: int, t: int) -> _Sequence:
     return _Sequence(comb(n, n - m + 1) * per_group, pair)
 
 
+def cone_orbit_key(c: ConeId) -> tuple:
+    """(|min_set|, |middle|, |top|): cones with one key form one orbit of the
+    coordinate permutations.  The permutation that maps each block of c
+    onto the block of an equal-keyed cone in increasing order maps every
+    point ``interior_points`` reads at c onto the one it reads there."""
+    return len(c.min_set), len(c.middle), len(c.top)
+
+
+def pair_orbit_key(pair: tuple) -> tuple:
+    """The orbit key of a pair (c1, c2) of refinement cones with one
+    min-set, as ``adjacent_pairs`` yields them: |min_set|, then, along the
+    sorted complement of the min-set, whether each coordinate lies in the
+    top of c1 and whether it lies in the top of c2.  For equal keys, the
+    permutation that maps min-set onto min-set and complement onto
+    complement in increasing order maps both cones onto the other pair's,
+    in order, and with them both canonical interior points.  A count of the
+    shared top coordinates would not do: ({1}, {3}) and ({2}, {3}) on the
+    complement {1, 2, 3} share one, but no permutation increasing on every
+    block maps one pair onto the other."""
+    c1, c2 = pair
+    rest = [i for i in range(1, c1.n + 1) if i not in c1.min_set]
+    return len(c1.min_set), tuple((i in c1.top, i in c2.top) for i in rest)
+
+
 def _ladder(count: int, gap: int) -> list:
     """Smallest integer ladder 1, gap*1+1, gap*(gap+1)+1, ... with each value
     strictly exceeding gap times its predecessor."""

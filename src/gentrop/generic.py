@@ -24,6 +24,21 @@ containment, depth, dimension, multiplicity and witness inequalities are
 exact.  The generic initial ideal, which gives the gap factor of the probes'
 interior points (``gap_degree``), is memoized on the ideal, so it is
 computed once per order and policy.
+
+A fan probe runs once per symmetry orbit of the cones, or of the adjacent
+pairs, it visits (``per_orbit``).  For a permutation matrix P_s of the
+coordinates, in_{s w}(gI) is the permuted in_w((P_s^T g) I), and every answer
+a probe gives is read off the initial ideals at the points it reads and the
+open cones that hold them.  A permutation s that maps each block of a cone C
+increasing onto the block of s C maps every point the probe reads at C onto
+the one it reads at s C (``fans.cone_orbit_key``, ``fans.pair_orbit_key``).
+So the probe of s C under g is, exactly, the probe of C under P_s^T g: the
+per-cone results of a fan were one cone probed under as many structured
+transforms as the orbit has cones.  For generic g, P_s^T g is generic too, so
+every cone of an orbit has the representative's answer, and each entry of a
+probe list now carries the probe of its orbit's first cone.  Injected
+transforms, such as the identity, are not generic; under them every cone is
+probed on its own.
 """
 
 from __future__ import annotations
@@ -33,7 +48,14 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from operator import add
 
-from .fans import ConeId, ConeSequence, budget, interior_point, interior_points
+from .fans import (
+    ConeId,
+    ConeSequence,
+    budget,
+    cone_orbit_key,
+    interior_point,
+    interior_points,
+)
 from .groebner import (
     Ideal,
     buchberger,
@@ -328,12 +350,12 @@ def _certified(gI: Ideal, cone: ConeId) -> bool:
     """Whether gI's newest cached basis certifies that in_v(gI) is constant
     on the open cone (``GroebnerBasis.cell_contains`` with ``cone``).  A
     True is exact for a reduced basis at any weight, so nothing is computed
-    at the cone.  Cones probed in index order share their min-set with their
-    neighbours, so the basis computed for the last cone is the one that
-    certifies the next.  After a False the probe asks the basis at the
-    cone's first interior point, which certifies the cone whenever in_v(gI)
-    is constant on it, so the answer does not depend on which bases gI
-    holds."""
+    at the cone.  Under sampled transforms only the first cone of each orbit
+    is probed (``per_orbit``), so the newest basis is usually the one an
+    earlier probe or the generic initial ideal left, not a neighbour's.
+    After a False the probe asks the basis at the cone's first interior
+    point, which certifies the cone whenever in_v(gI) is constant on it, so
+    the answer does not depend on which bases gI holds."""
     newest = next(reversed(gI.gb_cache.values()), None)
     return newest is not None and newest.cell_contains(cone=(cone.min_set, cone.middle, cone.top))
 
@@ -380,7 +402,9 @@ def cone_constancy(
     that does not either, the other points are point-tested against it (see
     ``_same_initial``).  Either way the answer is the one the sampled points
     give, so reports label it ``sampled``; a True from a certificate holds
-    on the whole cone."""
+    on the whole cone.  The answer at a permuted cone s C is the answer at C
+    under the permuted transforms (see the module docstring), which is how
+    ``constancy_probes`` hands one answer to a whole orbit."""
     if samples < 2:
         raise ValueError("constancy needs at least two interior points")
     gap = gap_degree(I, policy) + 1
@@ -453,18 +477,34 @@ class ClassifyResult(namedtuple("ClassifyResult", "label probes")):
     __slots__ = ()
 
 
+def per_orbit(items: Sequence, key: Callable, probe: Callable, policy: GenericityPolicy):
+    """(item, probe(item)) for each item of ``budget(items, policy.seed)``,
+    in that order, yielded one at a time.  Under sampled transforms the
+    probe runs at the first item of each orbit ``key`` and later items with
+    that key take its result, which is theirs too (see the module
+    docstring); under injected transforms it runs at every item."""
+    results: dict = {}
+    for item in budget(items, policy.seed):
+        k = key(item) if policy.transforms is None else item
+        if k not in results:
+            results[k] = probe(item)
+        yield item, results[k]
+
+
 def constancy_probes(
     I: Ideal,
     cones: Sequence,
     points: int,
     policy: GenericityPolicy,
 ) -> Iterable[ProbeResult]:
-    """One ``cone_constancy`` probe per cone of ``cones`` (all of them, or
+    """One constancy entry per cone of ``cones`` (all of them, or
     ``CONE_BUDGET`` drawn with the policy seed when there are more), in
     index order, yielded one at a time so that a caller can stop at the
-    first split cone."""
-    for cone in budget(cones, policy.seed):
-        ok = cone_constancy(I, cone, points, policy)
+    first split cone.  ``cone_constancy`` runs once per orbit of cones
+    (``per_orbit``); under injected transforms, once per cone."""
+    probes = per_orbit(cones, cone_orbit_key,
+                       lambda cone: cone_constancy(I, cone, points, policy), policy)
+    for cone, ok in probes:
         yield ProbeResult("cone_constancy", cone, ok, "sampled")
 
 

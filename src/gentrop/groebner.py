@@ -40,7 +40,7 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, islice
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul, sub
 
 from .poly import (
@@ -401,18 +401,32 @@ def _monic(f: tuple) -> dict:
     return {e: Fraction(c, lc) for e, c in f}
 
 
-def _nf_dict(f: dict, reducers, mons: _Monomials, cap: int) -> tuple:
+def _nf_dict(f: dict, reducers, mons: _Monomials, cap: int, steps: int | None = None) -> tuple:
     """Division of the integer polynomial f ({index: int}) by the run's
     ``reducers``, fraction-free.
 
     Returns (R, scale): R, in the same form, is congruent to scale * f modulo
     the reducers, no term of R is divisible by a reducer's leading monomial,
     and R lists its terms in descending order.  A term the division makes is
-    checked against ``cap``; the terms of f are not."""
+    checked against ``cap``; the terms of f are not.
+
+    The division takes at most ``steps`` reduction steps, by default the
+    number C(d+n-1, n-1) of monomials of the degree d of f's first term, and
+    raises ``RuntimeError`` at one more.  Proof of the default for f and
+    reducers homogeneous, as in a run: a reducer's lead is its least index,
+    so a step that reduces the popped term t makes only terms of index
+    t - lead + u > t, each of degree d.  Terms therefore pop in strictly
+    ascending index, no monomial pops twice with a nonzero coefficient, and
+    each step pops a distinct monomial of degree d.  More steps than that
+    mean a broken packing or order invariant, which would otherwise loop
+    forever.  For other input the caller passes its own count."""
     guard, shift, mask = mons.guard, mons.shift, mons.mask
     full = (1 << mons.width) - 1
     coeffs = dict(f)
     heap = sorted(f)  # a sorted list is a heap
+    if steps is None and heap:
+        n = shift // mons.width
+        steps = comb(((heap[0] >> shift) & full) + n - 1, n - 1)
     remainder: dict = {}
     scale = 1
     while heap:
@@ -427,6 +441,10 @@ def _nf_dict(f: dict, reducers, mons: _Monomials, cap: int) -> tuple:
         else:
             remainder[t] = c
             continue
+        steps -= 1
+        if steps < 0:
+            raise RuntimeError("a division took more steps than its monomials allow: "
+                               "broken reducers or monomial packing")
         lt, _, lc, tail = r
         if lc != 1:
             g = gcd(lc, c)
@@ -671,7 +689,8 @@ def normal_form(
     prepared = sorted((_reducer(mons.poly(_primitive(dict(g.terms)).items()), mons) for g in G),
                       key=lambda r: r[0], reverse=True)
     F = _primitive(dict(f.terms))
-    R, scale = _nf_dict(mons.poly(F.items()), prepared, mons, degree_cap)
+    # every term has degree at most ``bound``: one step per such monomial
+    R, scale = _nf_dict(mons.poly(F.items()), prepared, mons, degree_cap, comb(bound + f.n, f.n))
     e0, c0 = f.terms[0]
     ratio = c0 / (F[e0] * scale)  # f = F * c0 / F[e0]
     return Polynomial(f.n, {mons.unpack(t): c * ratio for t, c in R.items()})

@@ -8,7 +8,10 @@ exact forms that replaced them: ``interned_initial_ideals``, the comparison
 of weighted initial ideals that the Groebner-cell point test replaced, and
 ``moved_point_ray_constancy`` and ``moved_point_recover_depth``, which
 approximate a coordinate ray by one far point, where the ray form of the
-cell test decides the whole ray.
+cell test decides the whole ray; and the per-cone probe loops
+(``per_cone_constancy``, ``per_pair_distinct``, ``per_cone_multiplicity``),
+which probe every budgeted cone or pair on its own where the package probes
+one per symmetry orbit.
 """
 
 from __future__ import annotations
@@ -17,11 +20,19 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from gentrop.fans import ConeId, interior_point
-from gentrop.generic import agreed, gap_degree, gin
+from gentrop.fans import ConeId, budget, interior_point
+from gentrop.generic import (
+    ProbeResult,
+    adjacent_distinct,
+    agreed,
+    cone_constancy,
+    gap_degree,
+    gin,
+)
 from gentrop.groebner import Ideal, buchberger, initial_ideal
 from gentrop.invariants import dimension
 from gentrop.poly import GREVLEX, OrderSpec, Polynomial
+from gentrop.tropmult import intrinsic_multiplicity
 
 
 def interned_initial_ideals(I: Ideal, points) -> list:
@@ -75,6 +86,33 @@ def moved_point_recover_depth(I: Ideal, policy) -> int:
         if stays and not moved_point_ray_constancy(I, w, [p], policy, ct):
             return t
     raise ValueError("depth recovery applies only to ideals with 0 < depth < dim-1")
+
+
+def per_cone_constancy(I: Ideal, cones, points: int, policy) -> list:
+    """The constancy probes of ``cones`` with ``cone_constancy`` run at
+    every budgeted cone."""
+    return [ProbeResult("cone_constancy", cone, cone_constancy(I, cone, points, policy), "sampled")
+            for cone in budget(cones, policy.seed)]
+
+
+def per_pair_distinct(I: Ideal, pairs, policy) -> list:
+    """The adjacent-pair probes of ``verify --target Wnmt`` with
+    ``adjacent_distinct`` run at every budgeted pair."""
+    return [ProbeResult("adjacent_pair_distinct", c1, adjacent_distinct(I, c1, c2, policy),
+                        "exact", f"versus {c2.to_json()}")
+            for c1, c2 in budget(pairs, policy.seed)]
+
+
+def per_cone_multiplicity(I: Ideal, cones, policy) -> list:
+    """The probes of ``verify --target multiplicity`` with
+    ``intrinsic_multiplicity`` run at every budgeted cone."""
+    out = []
+    for cone in budget(cones, policy.seed):
+        rep = intrinsic_multiplicity(I, cone, policy)
+        detail = (f"dim {rep.dim_initial}->{rep.dim_saturated}, "
+                  f"m_sat {rep.m_saturated}, m_ideal {rep.m_ideal}")
+        out.append(ProbeResult("multiplicity_matches", cone, rep.matches, "exact", detail))
+    return out
 
 
 def monomials_of_degree(n: int, d: int) -> list:

@@ -23,6 +23,7 @@ from cases import (
     counting_hilbert_numerators,
     counting_normal_forms,
     counting_spairs,
+    dense_form,
 )
 
 FAMILY_531 = """\
@@ -257,17 +258,14 @@ def _fan_probe_seed(job: int) -> str:
 
 def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
     # the split Wnmt job of the fan-probe benchmark at workload seed 1 makes
-    # 61 engine runs: a probe computes one basis per transformed ideal, at
-    # its first point, and point-tests the second point against it (121
-    # runs when both points had a basis).  Every run but the first, the
+    # 7 engine runs: its 30 refinement cones form one orbit and its 30
+    # adjacent pairs three, so it probes one cone and three pairs (61 runs
+    # when every cone and pair was probed).  Every run but the first, the
     # cold grevlex run on the input ideal, has the Hilbert series of the
     # input as its target (the transformed ideals take it over) and stops
-    # once its leads have it.  So the job forms at most 6 s-pair normal
-    # forms, those of the first run (726 when every run reduced all its
-    # pairs, each to zero).  A run on an ideal whose reduced grevlex basis
-    # is cached starts from that basis, already inter-reduced, so the job
-    # makes at most 338 engine divisions (730 when every run started from
-    # the generators, 674 with a basis at both points)
+    # once its leads have it.  So the job forms 6 s-pair normal forms, those
+    # of the first run, and makes 40 engine divisions (338 when every cone
+    # and pair was probed)
     seed = _fan_probe_seed(1)
     split = write(tmp_path, "split.ideal", SPLIT)
     runs = counting_engine(monkeypatch)
@@ -275,32 +273,28 @@ def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
     divisions = counting_normal_forms(monkeypatch)
     code, _ = run(capsys, "verify", split, "--target", "Wnmt", "--seed", seed)
     assert code == EXIT_PROBE_FAILED
-    assert 0 < len(runs) <= 61 and 0 < len(spairs) <= 6
-    assert len(divisions) <= 338
+    assert len(runs) == 7 and len(spairs) == 6
+    assert len(divisions) == 40
 
 
 def test_family_wnmt_bounds_engine_runs(tmp_path, capsys, monkeypatch):
-    # the family Wnmt job of the fan-probe benchmark at workload seed 1: a
-    # cone probe asks the newest basis of each transformed ideal, then the
-    # basis at the cone's first point, so it makes at most 31 engine runs
-    # (33 when the grevlex basis was asked too, which changed the cache
-    # history) and at most 16 Hilbert numerators
+    # the family Wnmt job of the fan-probe benchmark at workload seed 1: its
+    # 20 refinement cones form one orbit and its 10 adjacent pairs one, so
+    # it makes 5 engine runs (31 when every cone and pair was probed) and 3
+    # Hilbert numerators (16)
     fam = write(tmp_path, "fam.ideal", FAMILY_531)
     runs = counting_engine(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
     code, report = run(capsys, "verify", fam, "--target", "Wnmt", "--seed", _fan_probe_seed(2))
     assert code == EXIT_OK and report["passed"] is True
-    assert 0 < len(runs) <= 31 and 0 < len(numerators) <= 16
+    assert len(runs) == 5 and len(numerators) == 3
 
 
 def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     # the family multiplicity job of the fan-probe benchmark at workload
-    # seed 1 makes at most 151 engine runs, 96 Hilbert numerators and 243
-    # Groebner-cone lookups.  Each reuse path shows in the runs: with the
-    # grevlex basis and only the newest basis as cone candidates (not the
-    # six newest) it makes 199, without the grevlex basis an initial ideal
-    # reads from its forms 191, and without the grevlex basis a saturation
-    # keeps 191
+    # seed 1 probes one of its 20 refinement cones, which form one orbit: it
+    # makes 11 engine runs, 7 Hilbert numerators and 15 Groebner-cone
+    # lookups (151, 96 and 243 when every cone was probed)
     fam = write(tmp_path, "fam.ideal", FAMILY_531)
     runs = counting_engine(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
@@ -308,8 +302,25 @@ def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     code, report = run(capsys, "verify", fam, "--target", "multiplicity",
                        "--seed", _fan_probe_seed(3))
     assert code == EXIT_OK and report["passed"] is True
-    assert 0 < len(runs) <= 151 and 0 < len(numerators) <= 96
-    assert 0 < len(lookups) <= 243
+    assert len(runs) == 11 and len(numerators) == 7
+    assert len(lookups) == 15
+
+
+def test_analyze_jobs_pin_their_engine_runs(tmp_path, capsys, monkeypatch):
+    # at workload seed 1, the analyze-split job of the fan-probe benchmark
+    # makes 5 engine runs, as before orbits (its depth is intermediate, so
+    # it probes no cone), and the ci0 job of coeff-growth, a dense quadric
+    # and cubic in 5 variables, makes 3: its 10 skeleton cones form one
+    # orbit, which the grevlex basis of each transformed ideal certifies (13
+    # when every cone was probed)
+    rng = random.Random("coeff-growth:1")
+    a, b, ci0_seed = (rng.randrange(10**6) for _ in range(3))
+    ci0 = f"ring 5\n{dense_form(5, 2, a)}\n{dense_form(5, 3, b)}\n"
+    for text, seed, want in ((SPLIT, _fan_probe_seed(0), 5), (ci0, str(ci0_seed), 3)):
+        path = write(tmp_path, "job.ideal", text)
+        runs = counting_engine(monkeypatch)
+        code, _ = run(capsys, "analyze", path, "--seed", seed)
+        assert code == EXIT_OK and len(runs) == want
 
 
 def test_verify_depth_recovery(tmp_path, capsys):

@@ -1137,3 +1137,33 @@ def test_packed_monomials_match_their_exponent_tuples(bound, n):
         assert mons.lcm(pa, pb) == mons.index(m) & mask, (a, b)
         assert mons.unpack(mons.lcm(pa, pb)) == m and mons.lcm(pa, pb) >> shift == sum(m)
         assert (ta < tb) == (key(a) > key(b)), (a, b)
+
+
+def test_a_division_by_broken_reducers_raises_in_place_of_looping():
+    # reducers whose tails outrank their leads, x1 -> x2 and x2 -> x1, break
+    # the invariant that bounds a division: each step brings back the term
+    # the other removed.  The division must raise within a second, at one
+    # step more than the C(1 + 2 - 1, 1) = 2 monomials of degree 1
+    import signal
+
+    from gentrop.groebner import _Monomials, _nf_dict
+
+    mons = _Monomials(2, 4, GREVLEX.key_function(2, 4))
+    x1, x2 = mons.index((1, 0)), mons.index((0, 1))
+    broken = [(x1, x1 & mons.mask, 1, ((x2, -1),)), (x2, x2 & mons.mask, 1, ((x1, -1),))]
+
+    def timed_out(*_):
+        raise TimeoutError("the division did not end")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(RuntimeError, match="more steps than its monomials allow"):
+            _nf_dict({x1: 1}, broken, mons, 4)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # valid reducers end within the bound: x1 - x2 with its true lead
+    lead, tail = min(x1, x2), max(x1, x2)
+    valid = [(lead, lead & mons.mask, 1, ((tail, -1),))]
+    assert _nf_dict({x1: 1, x2: 1}, valid, mons, 4) == ({tail: 2}, 1)
