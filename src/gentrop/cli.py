@@ -6,24 +6,29 @@ canonical JSON report: sorted keys, sorted generator strings, and every
 probabilistic knob recorded, so identical inputs and seeds produce
 byte-identical output.
 
-Each ``cmd_*`` maps (ideal, policy, arguments) to (exit code, report
-fields); ``main`` adds the input hash, the seed and the policy.
+The command line is ``gentrop <command> <file> [flags]``.  ``parse_args``
+reads it from the tables ``_COMMANDS`` and ``_FLAGS`` without argparse,
+which with the gettext and locale modules it loads would cost every job
+milliseconds of start-up.  A flag's value is the next token or follows
+``=``, and may start with ``-``; flag names match exactly, with no
+abbreviations.  Each ``cmd_*`` maps (ideal, policy, arguments) to (exit code,
+report fields); ``main`` adds the input hash, the seed and the policy.
 
-Exit codes: 0 success, 1 failed verification probe, 2 parse/usage error
-(``UsageError``: also an unreadable path, an out-of-range flag, and an ideal
-the command does not support, such as the zero or unit ideal), 3
-non-homogeneous input, 4 genericity failure, 5 degree-cap abort, 6 internal
-error (a broken invariant check inside the engine, or any other
-``ValueError``).
+Exit codes: 0 success (also for ``-h``/``--help``), 1 failed verification
+probe, 2 parse/usage error (``UsageError``: also a bad command line, an
+unreadable path, an out-of-range flag, and an ideal the command does not
+support, such as the zero or unit ideal), 3 non-homogeneous input, 4
+genericity failure, 5 degree-cap abort, 6 internal error (a broken invariant
+check inside the engine, or any other ``ValueError``).
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .fans import ConeSequence, adjacent_pairs, cone_orbit_key, pair_orbit_key
 from .generic import (
@@ -204,39 +209,105 @@ def cmd_verify(I, policy, args) -> tuple:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gentrop",
-        description="Generic tropical varieties of graded ideals: exact "
-        "dimension, depth, Cohen-Macaulay class and multiplicity.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMANDS = {
+    "analyze": (cmd_analyze, "dimension, depth, CM class, multiplicity, gin"),
+    "tropical": (cmd_tropical, "tropical membership of a weight vector (requires --omega)"),
+    "verify": (cmd_verify, "fan-structure and multiplicity probes (requires --target)"),
+}
 
-    def common(p):
-        p.add_argument("file", help="ideal file: 'ring <n>' then one polynomial per line")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-        p.add_argument("--bound", type=int, default=1000, help="transform entry bound")
-        p.add_argument("--samples", type=int, default=2, help="agreeing transforms required")
-        p.add_argument("--points", type=int, default=3, help="interior points per cone")
-        p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP, dest="degree_cap")
-        p.add_argument("--identity", action="store_true", help="use the identity transform (non-generic)")
-        p.add_argument("--json", help="also write the report to this path")
+# flag -> (attribute, kind of value, default, help); the kind is int, str,
+# a tuple of the allowed values, or None for a switch, which takes no value
+_FLAGS = {
+    "--seed": ("seed", int, 0, "PRNG seed (default 0)"),
+    "--bound": ("bound", int, 1000, "transform entry bound (default 1000)"),
+    "--samples": ("samples", int, 2, "agreeing transforms required (default 2)"),
+    "--points": ("points", int, 3, "interior points per cone (default 3)"),
+    "--degree-cap": ("degree_cap", int, DEFAULT_DEGREE_CAP,
+                     f"degree cap of every Groebner run (default {DEFAULT_DEGREE_CAP})"),
+    "--identity": ("identity", None, False, "use the identity transform (non-generic)"),
+    "--json": ("json", str, None, "also write the report to this path"),
+    "--omega": ("omega", str, None, "tropical: comma-separated rational weights"),
+    "--target": ("target", tuple(sorted(_TARGETS)), None,
+                 f"verify: the probe suite, one of {', '.join(sorted(_TARGETS))}"),
+}
 
-    p_analyze = sub.add_parser("analyze", help="dimension, depth, CM class, multiplicity, gin")
-    common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
+# the flag that only its command takes, and that it requires
+_OWN_FLAGS = {"tropical": "--omega", "verify": "--target"}
 
-    p_trop = sub.add_parser("tropical", help="tropical membership of a weight vector")
-    common(p_trop)
-    p_trop.add_argument("--omega", required=True, help="comma-separated rational weights")
-    p_trop.set_defaults(func=cmd_tropical)
+_HELP = ("-h", "--help")
 
-    p_verify = sub.add_parser("verify", help="fan-structure and multiplicity verification probes")
-    common(p_verify)
-    p_verify.add_argument("--target", required=True, choices=sorted(_TARGETS))
-    p_verify.set_defaults(func=cmd_verify)
 
-    return parser
+def _usage() -> str:
+    """The text of ``gentrop --help``."""
+    lines = [
+        "usage: gentrop <command> <file> [flags]",
+        "",
+        "Generic tropical varieties of graded ideals: exact dimension, depth,",
+        "Cohen-Macaulay class and multiplicity.",
+        "",
+        "commands:",
+        *(f"  {name:<10}{text}" for name, (_, text) in _COMMANDS.items()),
+        "",
+        "file: ideal file, 'ring <n>' then one polynomial per line",
+        "",
+        "flags (--flag value or --flag=value):",
+    ]
+    for flag, (_, kind, _, text) in _FLAGS.items():
+        value = {None: "", int: " N"}.get(kind, " VALUE")
+        lines.append(f"  {flag + value:<18}{text}")
+    lines.append(f"  {'-h, --help':<18}show this help and exit")
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: list):
+    """The arguments of ``gentrop <command> <file> [flags]`` as a namespace
+    with one attribute per flag, ``command``, ``file`` and ``func`` (the
+    command's ``cmd_*``), or None if argv asks for help.  A flag's value is
+    the next token or follows ``=``; it may start with ``-``.  Flag names
+    match exactly.  Raises UsageError."""
+    if argv and argv[0] in _HELP:
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        got = repr(argv[0]) if argv else "none"
+        raise UsageError(f"expected a command, one of {', '.join(_COMMANDS)}; got {got}")
+    command = argv[0]
+    values = {attr: default for attr, _, default, _ in _FLAGS.values()}
+    own = _OWN_FLAGS.get(command)
+    files, given = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return None
+        if not token.startswith("-"):
+            files.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in _FLAGS or flag in _OWN_FLAGS.values() and flag != own:
+            raise UsageError(f"{command} takes no flag {flag}")
+        attr, kind, _, _ = _FLAGS[flag]
+        given.add(flag)
+        if kind is None:
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            values[attr] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"{flag} expects a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{flag} expects an integer, got {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise UsageError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        values[attr] = value
+    if len(files) != 1:
+        raise UsageError(f"{command} takes one file, got {len(files)}")
+    if own is not None and own not in given:
+        raise UsageError(f"{command} requires {own}")
+    return SimpleNamespace(command=command, file=files[0], func=_COMMANDS[command][0], **values)
 
 
 # the exit code of each failure class, looked up along the exception's MRO;
@@ -259,8 +330,11 @@ _FLAG_MINIMA = {"points": 2, "samples": 2, "bound": 1}
 def main(argv=None) -> int:
     """Run one command: read the ideal file, run the command on the ideal
     under the policy of the flags, and write the canonical report."""
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_usage())
+            return EXIT_OK
         for flag, least in _FLAG_MINIMA.items():
             if getattr(args, flag) < least:
                 raise UsageError(f"--{flag} must be at least {least}")

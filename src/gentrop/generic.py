@@ -46,7 +46,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from operator import add
 
 from .fans import (
     ConeId,
@@ -185,41 +184,46 @@ def random_transform(
 def apply_transform(I: Ideal, g: Transform) -> Ideal:
     """The ideal generated by the images of the generators under g, derived
     from I: it has the degree cap of I and shares its memo of Hilbert checks
-    (see ``groebner.Ideal``).  Images of the integer forms are expanded over
-    the integers.  A transform is invertible, so it keeps the Hilbert series
-    and gI takes the numerator of I if known (``groebner.known_numerator``)."""
+    (see ``groebner.Ideal``).  A transform is invertible, so it keeps the
+    Hilbert series and gI takes the numerator of I if known
+    (``groebner.known_numerator``).
+
+    Images of the integer forms are expanded over the integers on packed
+    monomials: the exponent of x_j sits in bits [w j, w (j+1)) of an int,
+    with w the bit length of the largest degree d of a form.  Every
+    monomial of an image of a form has the form's degree, so no exponent
+    exceeds d < 2**w, and the product of two monomials is the sum of their
+    ints.  Each term of a result is unpacked once."""
     if g.n != I.n:
         raise ValueError("transform size does not match the ambient ring")
     n = I.n
-    one = (0,) * n
-    units = [one[:i] + (1,) + one[i + 1:] for i in range(n)]
+    w = max((sum(f[0][0]) for f in I.forms), default=0).bit_length()
+    shifts = [w * j for j in range(n)]
+    mask = (1 << w) - 1
     # x_i maps to the linear form of column i
-    images = {
-        units[i]: {units[j]: row[i] for j, row in enumerate(g.matrix) if row[i]}
-        for i in range(n)
-    }
-    images[one] = {one: 1}
+    columns = [[(1 << s, row[i]) for s, row in zip(shifts, g.matrix) if row[i]]
+               for i in range(n)]
+    images = {0: {0: 1}}
 
-    def image(e: tuple) -> dict:
-        """The image of the monomial x^e: the image of x^e / x_i times the
-        image of x_i, for the first variable x_i that divides x^e."""
+    def image(e: int) -> dict:
+        """The image of the packed monomial e: the image of e / x_i times
+        the image of x_i, for the first variable x_i that divides e."""
         p = images.get(e)
         if p is None:
-            i = next(k for k, x in enumerate(e) if x)
+            i = next(i for i, s in enumerate(shifts) if e >> s & mask)
             p = images[e] = {}
-            for e1, c1 in image(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
-                for e2, c2 in images[units[i]].items():
-                    ee = tuple(map(add, e1, e2))
-                    p[ee] = p.get(ee, 0) + c1 * c2
+            for e1, c1 in image(e - (1 << shifts[i])).items():
+                for e2, c2 in columns[i]:
+                    p[e1 + e2] = p.get(e1 + e2, 0) + c1 * c2
         return p
 
     gens = []
     for f in I.forms:
         acc: dict = {}
         for exps, c in f:
-            for e, v in image(exps).items():
+            for e, v in image(sum(x << s for x, s in zip(exps, shifts))).items():
                 acc[e] = acc.get(e, 0) + c * v
-        gens.append({e: v for e, v in acc.items() if v})
+        gens.append({tuple(e >> s & mask for s in shifts): v for e, v in acc.items() if v})
     J = I._derive(gens)
     J.numerator = known_numerator(I)
     return J

@@ -115,6 +115,27 @@ def per_cone_multiplicity(I: Ideal, cones, policy) -> list:
     return out
 
 
+def expanded_transform(I: Ideal, matrix) -> list:
+    """The images of the forms of I under the coordinate change ``matrix``,
+    which maps x_i to the linear form l_i = sum_j matrix[j][i] x_j of its
+    column i: each term c x^e is expanded as c l_1^e_1 ... l_n^e_n in
+    ``Polynomial`` arithmetic, and the terms are summed."""
+    n = I.n
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    columns = [Polynomial(n, {units[j]: row[i] for j, row in enumerate(matrix)})
+               for i in range(n)]
+    images = []
+    for f in I.forms:
+        image = Polynomial.zero(n)
+        for e, c in f:
+            term = Polynomial.constant(n, c)
+            for linear, k in zip(columns, e):
+                term = term * linear**k
+            image = image + term
+        images.append(image)
+    return images
+
+
 def monomials_of_degree(n: int, d: int) -> list:
     """All exponent vectors of total degree d, in a fixed order."""
     if n == 1:

@@ -414,6 +414,65 @@ def test_exit_codes(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "{f}", "--bogus", "1"], "analyze takes no flag --bogus"),
+    (["analyze", "{f}", "--deg", "3"], "analyze takes no flag --deg"),
+    (["analyze", "{f}", "--omega", "1,2"], "analyze takes no flag --omega"),
+    (["tropical", "{f}", "--target", "Wnm", "--omega", "0,0,1,1,2"],
+     "tropical takes no flag --target"),
+    (["verify", "{f}"], "verify requires --target"),
+    (["tropical", "{f}"], "tropical requires --omega"),
+    (["verify", "{f}", "--target", "bogus"], "--target must be one of "),
+    (["analyze", "{f}", "--seed", "x"], "--seed expects an integer, got 'x'"),
+    (["analyze", "{f}", "--seed"], "--seed expects a value"),
+    (["analyze", "{f}", "--identity=1"], "--identity takes no value"),
+    (["analyze"], "analyze takes one file, got 0"),
+    (["analyze", "{f}", "{f}"], "analyze takes one file, got 2"),
+    ([], "expected a command"),
+    (["bogus", "{f}"], "expected a command"),
+    (["--seed", "1", "analyze", "{f}"], "expected a command"),
+], ids=["unknown-flag", "abbreviated-flag", "foreign-flag", "foreign-target", "no-target",
+        "no-omega", "bad-target", "bad-int", "no-value", "switch-value", "no-file",
+        "two-files", "no-command", "bad-command", "flag-before-command"])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    # a bad command line is a UsageError inside main: no SystemExit, no
+    # usage text, one error line and no report
+    fam = write(tmp_path, "fam.ideal", FAMILY_531)
+    assert main([a.format(f=fam) for a in argv]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_flag_values_may_be_negative_or_follow_an_equals_sign(tmp_path, capsys):
+    fam = write(tmp_path, "fam.ideal", FAMILY_531)
+    # a negative value reaches the range check, not the parser
+    for argv in (["--bound", "-5"], ["--bound=-5"]):
+        assert main(["analyze", fam] + argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --bound must be at least 1\n"
+    reports = []
+    for argv in (["--omega", "-1,0,0,1,2"], ["--omega=-1,0,0,1,2"]):
+        assert main(["tropical", fam] + argv) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["omega"] == ["-1", "0", "0", "1", "2"]
+    # flags may come before the file, and the last of a repeated flag wins
+    assert main(["analyze", "--seed=3", fam, "--seed", "7"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "f.ideal", "-h"],
+                                  ["analyze", "--help", "--bogus"]])
+def test_help_prints_the_usage_and_exits_0(capsys, argv):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: gentrop <command> <file> [flags]\n")
+    for word in ("analyze", "tropical", "verify", "--degree-cap", "--omega", "depth-recovery"):
+        assert word in captured.out
+
+
 def test_degree_cap_binds_the_depth_gin(tmp_path, capsys):
     # the generators and their grevlex basis stay within the cap, but the gin
     # that depth reads has generators x1*x2^3 and x2^5 above it, and its

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -36,9 +38,15 @@ from gentrop.generic import (
 )
 from gentrop.groebner import DegreeCapExceeded, Ideal, buchberger, hilbert_numerator, initial_ideal
 from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of
-from gentrop.poly import GREVLEX, OrderSpec, normalize_weight
+from gentrop.poly import GREVLEX, OrderSpec, Polynomial, normalize_weight
 
-from oracles import interned_initial_ideals, moved_point_ray_constancy, moved_point_recover_depth
+from oracles import (
+    expanded_transform,
+    interned_initial_ideals,
+    monomials_of_degree,
+    moved_point_ray_constancy,
+    moved_point_recover_depth,
+)
 
 from cases import (
     codim2_complete_intersection,
@@ -51,6 +59,7 @@ from cases import (
     counting_spairs,
     dense_form,
     ideal,
+    P,
     policy,
     product_family,
     random_graded_ideal,
@@ -112,6 +121,88 @@ def test_apply_transform_examples():
     assert [str(g) for g in apply_transform(I, tri).generators] == ["x1 + 2*x2"]
     with pytest.raises(ValueError, match="transform size"):
         apply_transform(I, Transform.identity(3))
+
+
+def _sparse_transform(n: int, rng: random.Random) -> Transform:
+    """A seeded invertible transform with entries in [-1000, 1000], about a
+    third of them zero."""
+    while True:
+        try:
+            return Transform([[rng.choice((0, rng.randint(-1000, 1000), rng.randint(-1000, 1000)))
+                               for _ in range(n)] for _ in range(n)])
+        except ValueError:
+            pass
+
+
+def _expands_like_the_oracle(I: Ideal, g: Transform) -> bool:
+    return apply_transform(I, g).forms == Ideal(I.n, expanded_transform(I, g.matrix)).forms
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_transform_matches_polynomial_expansion(seed):
+    # dense forms of every degree 1..8 in 2..6 variables, two per ideal, so
+    # the packing width comes from the larger degree; the term count is kept
+    # small enough for the Polynomial oracle
+    rng = random.Random(f"apply-transform:{seed}")
+    checked = 0
+    for n in range(2, 7):
+        for d in range(1, 9):
+            if comb(n + d - 1, d) > 60:
+                continue
+            other = rng.randint(1, d)
+            I = Ideal(n, [dense_form(n, d, seed), dense_form(n, other, seed + 1)])
+            assert _expands_like_the_oracle(I, _sparse_transform(n, rng)), (n, d)
+            checked += 1
+    assert checked == 27
+
+
+def _inverse(rows) -> list:
+    """The inverse of an invertible square matrix, by Gauss-Jordan over Q."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if m[i][k])
+        m[k], m[pivot] = m[pivot], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                m[i] = [a - m[i][k] * b for a, b in zip(m[i], m[k])]
+    return [row[n:] for row in m]
+
+
+def test_apply_transform_cancels_terms():
+    # (x1 + x2)^2 - (x1 - x2)^2 = 4 x1 x2: both squares cancel
+    I = ideal(2, "x1^2 - x2^2")
+    g = Transform(((1, 1), (1, -1)))
+    assert apply_transform(I, g).forms == ((((1, 1), 1),),)
+    assert _expands_like_the_oracle(I, g)
+    # the image under g^-1 of a sparse form h is dense; under g every term
+    # outside h cancels again
+    rng = random.Random("apply-transform:cancel")
+    for n in range(2, 6):
+        for d in (2, 3, 5):
+            g = _sparse_transform(n, rng)
+            h = Polynomial(n, {rng.choice(monomials_of_degree(n, d)): rng.randint(1, 9)
+                               for _ in range(2)})
+            f = expanded_transform(Ideal(n, [h]), _inverse(g.matrix))[0]
+            assert len(f.terms) > len(h.terms)
+            assert apply_transform(Ideal(n, [f]), g).forms == Ideal(n, [h]).forms
+            assert _expands_like_the_oracle(Ideal(n, [f]), g)
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 7, 8, 15, 16])
+def test_apply_transform_at_the_packing_width_edges(d):
+    # the exponent fields are just wide enough for degree d: the image of a
+    # pure power puts d into one field, which one bit less could not hold;
+    # a lower-degree generator shares the width
+    rng = random.Random(f"apply-transform:edge:{d}")
+    for n in (2, 3):
+        g = _sparse_transform(n, rng)
+        dense = dense_form(n, d if n == 2 else min(d, 4), 0)
+        for gens in ([f"x1^{d}"], [f"x{n}^{d}", "x1"], [f"x1^{d - 1}*x{n}"], [f"x2^{d}"]):
+            I = Ideal(n, [P(text, n) for text in gens] + [dense])
+            assert _expands_like_the_oracle(I, g), (n, gens)
 
 
 def test_transform_preserves_invariants():

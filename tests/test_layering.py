@@ -1,8 +1,8 @@
 """Layering rules: no gentrop module imports another module's private
 (``_``-prefixed) names or imports another gentrop module inside a function,
-at run time gentrop imports only the standard library and itself, start-up
-loads no costly stdlib convenience, and only the ``Ideal`` and the division
-engine take a degree cap."""
+at run time gentrop imports only the standard library and itself, neither
+start-up nor a CLI job loads a costly stdlib convenience, and only the
+``Ideal`` and the division engine take a degree cap."""
 
 import ast
 import os
@@ -132,17 +132,28 @@ def test_runtime_imports_are_stdlib_only():
 
 
 # stdlib modules that cost a batch run milliseconds of start-up and that the
-# engine needs none of: dataclasses pulls in inspect, ast, dis and tokenize
-SLOW_AT_STARTUP = ("dataclasses", "inspect", "typing")
+# engine needs none of: dataclasses pulls in inspect, ast, dis and tokenize,
+# and argparse pulls in gettext, which imports locale when a parser is built
+SLOW_AT_STARTUP = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 
 
-def test_cli_start_up_loads_no_slow_stdlib_module():
-    # -S: no site hook, which may import typing itself on some installs
+def test_cli_start_up_loads_no_slow_stdlib_module(tmp_path):
+    # -S: no site hook, which may import typing itself on some installs; one
+    # small job runs too, so a module that only running a command loads is
+    # caught as well as one that importing the CLI loads
+    path = tmp_path / "q.ideal"
+    path.write_text("ring 4\nx1*x2 + x3*x4\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    probe = f"import sys, gentrop.cli; print(sorted(set({SLOW_AT_STARTUP!r}) & set(sys.modules)))"
+    probe = (
+        "import io, sys, gentrop.cli\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"code = gentrop.cli.main(['analyze', {str(path)!r}])\n"
+        "sys.stdout = out\n"
+        f"print(code, sorted(set({SLOW_AT_STARTUP!r}) & set(sys.modules)))\n"
+    )
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert done.stdout == "0 []\n"
 
 
 # the Ideal owns the cap of every computation on it; only division by a
