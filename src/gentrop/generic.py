@@ -13,11 +13,11 @@ Per transformed ideal gI, one reduced basis at the first weight w of a probe
 decides whether a weight v, or a whole coordinate ray w + s e_j (s >= 0), has
 the initial ideal in_w(gI): it must lie in the Groebner cell of that basis
 (``GroebnerBasis.cell_contains``), so no basis off w is computed.  A
-cone-constancy probe first asks the newest basis gI already holds whether it
+cone-constancy probe first asks every basis gI already holds whether it
 certifies that in_v(gI) is constant on the whole open cone, which is exact
-for a basis at any weight; only if it does not does the probe compute the
-basis at the cone's first interior point and ask it the same, and if that
-fails too, point-test the sampled interior points.  Either way its answer is
+for a basis at any weight.  When none does, the probe computes the basis
+at the cone's first interior point and asks it the same, and if that fails
+too, point-tests the sampled interior points.  Either way its answer is
 the one the sampled points give, so constancy probes, the only sampled
 probes, are reported as sampled evidence; adjacent-cone separation, ray
 containment, depth, dimension, multiplicity and witness inequalities are
@@ -351,17 +351,15 @@ def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:
 
 
 def _certified(gI: Ideal, cone: ConeId) -> bool:
-    """Whether gI's newest cached basis certifies that in_v(gI) is constant
+    """Whether a basis gI already holds certifies that in_v(gI) is constant
     on the open cone (``GroebnerBasis.cell_contains`` with ``cone``).  A
-    True is exact for a reduced basis at any weight, so nothing is computed
-    at the cone.  Under sampled transforms only the first cone of each orbit
-    is probed (``per_orbit``), so the newest basis is usually the one an
-    earlier probe or the generic initial ideal left, not a neighbour's.
+    True is exact for a reduced basis at any weight, so every cached basis
+    is asked, in insertion order, and nothing is computed at the cone.
     After a False the probe asks the basis at the cone's first interior
     point, which certifies the cone whenever in_v(gI) is constant on it, so
     the answer does not depend on which bases gI holds."""
-    newest = next(reversed(gI.gb_cache.values()), None)
-    return newest is not None and newest.cell_contains(cone=(cone.min_set, cone.middle, cone.top))
+    sets = (cone.min_set, cone.middle, cone.top)
+    return any(gb.cell_contains(cone=sets) for gb in gI.gb_cache.values())
 
 
 def _same_initial(
@@ -401,14 +399,15 @@ def cone_constancy(
     the open cone (varying ladder values and within-block arrangements)
     coincide, agreed across transforms.
 
-    Per gI, the newest cached basis is asked whether it certifies the whole
-    open cone; if not, the reduced basis at the first point is asked; if
-    that does not either, the other points are point-tested against it (see
-    ``_same_initial``).  Either way the answer is the one the sampled points
-    give, so reports label it ``sampled``; a True from a certificate holds
-    on the whole cone.  The answer at a permuted cone s C is the answer at C
-    under the permuted transforms (see the module docstring), which is how
-    ``constancy_probes`` hands one answer to a whole orbit."""
+    Per gI, every cached basis is asked whether it certifies the whole open
+    cone (``_certified``); if none does, the reduced basis at the first
+    point is asked; if that does not either, the other points are
+    point-tested against it (see ``_same_initial``).  Either way the answer
+    is the one the sampled points give, so reports label it ``sampled``; a
+    True from a certificate holds on the whole cone.  The answer at a
+    permuted cone s C is the answer at C under the permuted transforms (see
+    the module docstring), which is how ``constancy_probes`` hands one
+    answer to a whole orbit."""
     if samples < 2:
         raise ValueError("constancy needs at least two interior points")
     gap = gap_degree(I, policy) + 1

@@ -39,7 +39,6 @@ import struct
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, islice
 from math import comb, gcd, lcm
 from operator import mul, sub
 
@@ -54,9 +53,6 @@ from .poly import (
 )
 
 DEFAULT_DEGREE_CAP = 40
-# how many of the newest cached bases an ideal tries, after its
-# grevlex basis, before running Buchberger for a new order
-_CONE_WINDOW = 6
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -723,13 +719,9 @@ def _cone_hit(I: Ideal, key: Callable):
     If every element of a reduced basis keeps its lead under a new order,
     the new initial ideal contains the old one; both have the Hilbert
     function of I, so they are equal, and the basis is the new reduced basis
-    (the new order lies in its Groebner cone).  Candidates are the grevlex
-    basis, then the newest ``_CONE_WINDOW`` entries, each asked once."""
-    entries = islice(reversed(I.gb_cache.values()), _CONE_WINDOW)
-    grevlex = I.gb_cache.get(GREVLEX)
-    if grevlex is not None:
-        entries = chain((grevlex,), (gb for gb in entries if gb is not grevlex))
-    for gb in entries:
+    (the new order lies in its Groebner cone).  That holds for every cached
+    basis, so each is asked once, in insertion order."""
+    for gb in I.gb_cache.values():
         forms = _resorted(gb.forms, key)
         if forms is not None:
             return forms

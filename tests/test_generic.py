@@ -363,17 +363,17 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # the tropical-sweep pass at workload seed 1: 12 pairs of dense quadrics,
     # alternately in 3 and 4 variables, 16 grid queries each, half of them
     # with the minimum attained at least three times.  Queries that share an
-    # initial ideal share its saturation runs, so the pass makes at most 260
-    # engine runs (662 when every query built its initial ideal afresh).
-    # Runs on the transformed ideals and their initial ideals take over the
-    # Hilbert series of the ideal and stop once their leads have it, so the
-    # pass forms at most 190 s-pair normal forms (206 when the transformed
-    # ideals start without the series, 602 when every run reduced all its
-    # pairs).  Each query reads the dimension of its ideal from the memoized
-    # Hilbert numerator, so the pass lists no minimal leads and solves no
-    # least cover (192 of each when every query did).  Each Groebner-cone
-    # lookup asks a cached basis once, so the pass re-sorts at most 448 of
-    # them (602 when the grevlex basis was asked again as one of the newest).
+    # initial ideal share its saturation runs, so the pass makes 182 engine
+    # runs (662 when every query built its initial ideal afresh).  Runs on
+    # the transformed ideals and their initial ideals take over the Hilbert
+    # series of the ideal and stop once their leads have it, so the pass
+    # forms 24 s-pair normal forms (206 when the transformed ideals start
+    # without the series, 602 when every run reduced all its pairs).  Each
+    # query reads the dimension of its ideal from the memoized Hilbert
+    # numerator, so the pass lists no minimal leads and solves no least
+    # cover (192 of each when every query did).  Each Groebner-cone lookup
+    # asks every cached basis once, oldest first, until one serves, so the
+    # pass re-sorts 448 of them.
     rng = random.Random("tropical-sweep:1")
     ideals, queries = [], []
     for k in range(12):
@@ -400,9 +400,31 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     for k, w in queries:
         want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
         assert tropical_member(ideals[k], w, pol) == want
-    assert 0 < len(runs) <= 260
-    assert 0 < len(spairs) <= 190
-    assert 0 < len(resorts) <= 448
+    assert len(runs) == 182
+    assert len(spairs) == 24
+    assert len(resorts) == 448
+
+
+def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
+    # 4 pairs of dense quadrics in 5 variables, policy seed k for ideal k,
+    # 30 grid queries each, half with the minimum attained 3 to 5 times and
+    # half once or twice.  Each transformed ideal ends with 15 to 19 cached
+    # bases, and a new query's order is often in the Groebner cone of one
+    # cached long before, so the scan makes 186 engine runs (196 when a
+    # lookup asked only the grevlex basis and the six newest, 214 when
+    # equal initial ideals were not one interned object)
+    rng = random.Random(5)
+    runs = counting_engine(monkeypatch)
+    for k in range(4):
+        I = Ideal(5, [dense_form(5, 2, rng.randrange(10**6)) for _ in range(2)])
+        m = dimension(I)
+        for q in range(30):
+            ties = rng.randint(3, 5) if q % 2 == 0 else rng.randint(1, 2)
+            low = rng.randint(-3, 2)
+            w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(5 - ties)]
+            rng.shuffle(w)
+            assert tropical_member(I, tuple(w), policy(seed=k)) == (w.count(low) >= 5 - m + 1)
+    assert len(runs) == 186
 
 
 def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):
@@ -586,6 +608,31 @@ def test_cached_bases_certify_cones_exactly():
                     trues += 1
                     outside += not _in_open_cone(gb.order.weight or (0,) * I.n, cone)
     assert trues > 1000 and outside > 500
+
+
+def test_a_cone_certified_by_an_older_cached_basis_computes_no_basis(monkeypatch):
+    # under one injected transform, gI caches its grevlex basis (for the
+    # generic initial ideal behind the gap factor), then a basis at weight
+    # (0, 1, 0, 1), which certifies the open cone with min-set {1, 3, 4},
+    # then six bases with other leads that do not.  The constancy probe
+    # reads its answer off the older basis and computes no basis (one
+    # engine run when only the newest basis was asked: the grevlex basis
+    # and the six newest cannot serve the cone's first interior point)
+    I = random_graded_ideal(4, 0, gens=2)
+    pol = GenericityPolicy(transforms=(random_transform(4, GenericityPolicy(bound=5), 0),))
+    cone = ConeId(4, {1, 3, 4})
+    sets = (cone.min_set, cone.middle, cone.top)
+    gap_degree(I, pol)
+    (gI,) = transformed(I, pol)
+    weights = [(0, 1, 0, 1), (0, 0, 0, 1), (0, 1, 1, 1), (0, 1, 1, 2), (0, 1, 2, 1),
+               (1, 0, 0, 0), (1, 0, 1, 0)]
+    for w in weights:
+        buchberger(gI, GREVLEX.refine(w))
+    cached = list(gI.gb_cache)
+    assert [gb.cell_contains(cone=sets) for gb in gI.gb_cache.values()] == [False, True] + [False] * 6
+    runs = counting_engine(monkeypatch)
+    assert cone_constancy(I, cone, 3, pol)
+    assert not runs and list(gI.gb_cache) == cached
 
 
 def test_probe_results_do_not_depend_on_cache_history():
