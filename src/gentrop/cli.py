@@ -54,7 +54,7 @@ from .groebner import (
     initial_ideal,
 )
 from .invariants import dimension, multiplicity
-from .poly import GREVLEX, ParseError, UsageError, parse_polynomial
+from .poly import GREVLEX, MAX_DIGITS, ParseError, UsageError, parse_int, parse_polynomial
 from .tropmult import intrinsic_multiplicity
 
 EXIT_OK = 0
@@ -78,7 +78,7 @@ def parse_ideal_file(text: str):
     header = lines[0].split()
     if len(header) != 2 or header[0] != "ring" or not header[1].isdecimal():
         raise ParseError(f"bad header {lines[0]!r}; expected 'ring <n>'")
-    n = int(header[1])
+    n = parse_int(header[1])
     if n < 1:
         raise ParseError("ring must have at least one variable")
     polys = [parse_polynomial(line, n) for line in lines[1:]]
@@ -92,6 +92,11 @@ def _parse_omega(text: str, n: int):
     if len(parts) != n:
         raise ParseError(f"omega needs {n} comma-separated entries")
     try:
+        for p in parts:
+            # a bound on the digits Fraction(p) builds, checked before it does
+            mantissa, _, exp = p.lower().partition("e")
+            if len(mantissa) + abs(int(exp or 0)) > MAX_DIGITS:
+                raise ValueError(f"{p[:20]!r} could exceed {MAX_DIGITS} digits")
         return tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad omega entry: {exc}") from None

@@ -39,6 +39,17 @@ every cone of an orbit has the representative's answer, and each entry of a
 probe list now carries the probe of its orbit's first cone.  Injected
 transforms, such as the identity, are not generic; under them every cone is
 probed on its own.
+
+A tropical-membership query is answered once per permutation orbit of its
+normalized weight, at the sorted weight.  As above, in_{s w}(gI) is the
+permuted in_w((P_s^T g) I), and permuting the variables does not change
+whether an ideal contains a monomial, so the membership of s w under g is
+that of w under P_s^T g, which is generic when g is; agreement across the
+draws still certifies every answer computed.  The sorted weight, unlike
+the first one asked, makes an answer independent of earlier queries and
+shares Groebner cones and interned initial ideals far more often.  Under
+injected transforms answers differ along an orbit, so each normalized
+weight is answered on its own.
 """
 
 from __future__ import annotations
@@ -321,10 +332,14 @@ def tropical_member(
 ) -> bool:
     """Whether w lies in the tropical variety of the generic transform of I:
     the weighted initial ideal contains no monomial.  The agreed answer is
-    memoized in ``I.members`` under the policy and the normalized weight, so
-    a repeated query, or one by a shift or a positive multiple of w, computes
-    nothing; a query that raises is not memoized."""
+    computed and memoized in ``I.members`` at the policy and the normalized
+    weight, sorted under sampled transforms (see the module docstring), so a
+    repeated query, or one by a shift, a positive multiple or, if sorted, a
+    permutation of w, computes nothing; a query that raises is not
+    memoized."""
     wn = normalize_weight(w, I.n)
+    if policy.transforms is None:
+        wn = tuple(sorted(wn))
     member = I.members.get((policy, wn))
     if member is not None:
         return member

@@ -86,8 +86,10 @@ class Ideal:
     immutable and hashable GenericityPolicy to the tuple of transformed
     ideals (see ``generic.transformed``), ``gins`` maps an (OrderSpec,
     policy) pair to the generic initial ideal (see ``generic.gin``), and
-    ``members`` maps a (policy, normalized weight) pair to the answer of
-    ``generic.tropical_member``.  ``initials`` interns the weighted initial
+    ``members`` maps a (policy, weight) pair to the answer of
+    ``generic.tropical_member``, with the sorted normalized weight under
+    sampled transforms and the normalized weight itself under injected
+    ones.  ``initials`` interns the weighted initial
     ideals (see ``initial_ideal``): it maps a normalized weight, and the forms of an
     initial ideal, to one shared ``Ideal``, so equal initial ideals share
     their cached bases.  ``numerator`` memoizes the numerator of the Hilbert

@@ -318,6 +318,19 @@ def initial_form(w: Weights, f: Polynomial) -> Polynomial:
 
 # -- text format ---------------------------------------------------------
 
+# the most digits a number of the input may have: CPython's default limit on
+# int/str conversion, so that a report can print every number it was given
+MAX_DIGITS = 4300
+
+
+def parse_int(digits: str) -> int:
+    """``int(digits)``; ParseError, before building it, for more than
+    ``MAX_DIGITS`` digits."""
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"number of {len(digits)} digits exceeds the limit of {MAX_DIGITS}")
+    return int(digits)
+
+
 _COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
@@ -348,8 +361,8 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         for factor in body.split("*"):
             m = _COEFF_RE.match(factor)
             if m and not saw_factor:
-                num = int(m.group(1))
-                den = int(m.group(2)) if m.group(2) else 1
+                num = parse_int(m.group(1))
+                den = parse_int(m.group(2)) if m.group(2) else 1
                 if den == 0:
                     raise ParseError(f"zero denominator in {text!r}")
                 coeff *= Fraction(num, den)
@@ -358,10 +371,10 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
             m = _VAR_RE.match(factor)
             if not m:
                 raise ParseError(f"bad factor {factor!r} in {text!r}")
-            i = int(m.group(1))
+            i = parse_int(m.group(1))
             if not 1 <= i <= n:
                 raise ParseError(f"variable x{i} out of range 1..{n}")
-            e = int(m.group(2)) if m.group(2) else 1
+            e = parse_int(m.group(2)) if m.group(2) else 1
             exps[i - 1] += e
             saw_factor = True
         if not saw_factor:

@@ -11,7 +11,9 @@ approximate a coordinate ray by one far point, where the ray form of the
 cell test decides the whole ray; and the per-cone probe loops
 (``per_cone_constancy``, ``per_pair_distinct``, ``per_cone_multiplicity``),
 which probe every budgeted cone or pair on its own where the package probes
-one per symmetry orbit.
+one per symmetry orbit; and ``per_weight_member``, which answers each
+normalized weight at itself where the package answers one weight per
+permutation orbit.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from gentrop.generic import (
     gap_degree,
     gin,
 )
-from gentrop.groebner import Ideal, buchberger, initial_ideal
+from gentrop.groebner import Ideal, buchberger, contains_monomial, initial_ideal
 from gentrop.invariants import dimension
-from gentrop.poly import GREVLEX, OrderSpec, Polynomial
+from gentrop.poly import GREVLEX, OrderSpec, Polynomial, normalize_weight
 from gentrop.tropmult import intrinsic_multiplicity
 
 
@@ -113,6 +115,21 @@ def per_cone_multiplicity(I: Ideal, cones, policy) -> list:
                   f"m_sat {rep.m_saturated}, m_ideal {rep.m_ideal}")
         out.append(ProbeResult("multiplicity_matches", cone, rep.matches, "exact", detail))
     return out
+
+
+def per_weight_member(I: Ideal, w, policy) -> bool:
+    """Tropical membership of w keyed and computed per normalized weight:
+    whether in_w(gI) contains no monomial, agreed across the transforms,
+    memoized in ``I.members`` under the policy and the normalized weight
+    itself."""
+    wn = normalize_weight(w, I.n)
+    member = I.members.get((policy, wn))
+    if member is None:
+        def compute(gI: Ideal) -> bool:
+            return not contains_monomial(initial_ideal(gI, wn))
+
+        member = I.members[policy, wn] = agreed(I, policy, compute, "tropical membership")
+    return member
 
 
 def expanded_transform(I: Ideal, matrix) -> list:

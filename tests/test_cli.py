@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from math import comb
 
 import pytest
@@ -363,6 +364,22 @@ def test_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {why} ") and captured.err.count("\n") == 1
+
+    # a number too long to print is refused before it is built, also where
+    # building it would take seconds (1e10000000)
+    big = "1" * 5001
+    files = [f"ring 2\n{big}*x1\n", f"ring 2\n1/{big}*x1\n", f"ring 2\nx1^{big}\n",
+             f"ring {big}\nx1\n"]
+    q4 = write(tmp_path, "q4.ideal", "ring 4\nx1*x2 + x3*x4\n")
+    argvs = [["analyze", write(tmp_path, "big.ideal", text)] for text in files]
+    argvs += [["tropical", q4, f"--omega={e},0,0,1"] for e in ("1e100000", "1e10000000")]
+    for argv in argvs:
+        start = time.perf_counter()
+        assert main(argv) == EXIT_PARSE
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     nongraded = write(tmp_path, "ng.ideal", "ring 2\nx1 + x2^2\n")
     assert main(["analyze", nongraded]) == EXIT_NOT_GRADED

@@ -362,18 +362,23 @@ def test_tropical_member_at_zero_weight():
 def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # the tropical-sweep pass at workload seed 1: 12 pairs of dense quadrics,
     # alternately in 3 and 4 variables, 16 grid queries each, half of them
-    # with the minimum attained at least three times.  Queries that share an
-    # initial ideal share its saturation runs, so the pass makes 182 engine
-    # runs (662 when every query built its initial ideal afresh).  Runs on
-    # the transformed ideals and their initial ideals take over the Hilbert
-    # series of the ideal and stop once their leads have it, so the pass
-    # forms 24 s-pair normal forms (206 when the transformed ideals start
-    # without the series, 602 when every run reduced all its pairs).  Each
-    # query reads the dimension of its ideal from the memoized Hilbert
+    # with the minimum attained at least three times.  A query is answered
+    # once per permutation orbit of its normalized weight, at the sorted
+    # weight: the 192 queries, at 105 normalized weights, compute 77
+    # answers.  Queries that share an initial ideal share its saturation
+    # runs, so the pass makes 96 engine runs (182 when each normalized
+    # weight was computed at itself).  Runs on the transformed ideals and
+    # their initial ideals take over the Hilbert series of the ideal and stop
+    # once their leads have it, so the pass forms 24 s-pair normal forms.
+    # Each query reads the dimension of its ideal from the memoized Hilbert
     # numerator, so the pass lists no minimal leads and solves no least
-    # cover (192 of each when every query did).  Each Groebner-cone lookup
-    # asks every cached basis once, oldest first, until one serves, so the
-    # pass re-sorts 448 of them.
+    # cover.  Each Groebner-cone lookup asks every cached basis once, oldest
+    # first, until one serves, so the pass re-sorts 192 of them (448 per
+    # normalized weight).  Measured per normalized weight: 662 runs when
+    # every query built its initial ideal afresh; 206 s-pairs when the
+    # transformed ideals started without the series, 602 when every run
+    # reduced all its pairs; 192 lead lists and covers when every query
+    # read its leads.
     rng = random.Random("tropical-sweep:1")
     ideals, queries = [], []
     for k in range(12):
@@ -400,31 +405,43 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     for k, w in queries:
         want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
         assert tropical_member(ideals[k], w, pol) == want
-    assert len(runs) == 182
+    assert len(runs) == 96
     assert len(spairs) == 24
-    assert len(resorts) == 448
+    assert len(resorts) == 192
 
 
 def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # 4 pairs of dense quadrics in 5 variables, policy seed k for ideal k,
     # 30 grid queries each, half with the minimum attained 3 to 5 times and
-    # half once or twice.  Each transformed ideal ends with 15 to 19 cached
-    # bases, and a new query's order is often in the Groebner cone of one
-    # cached long before, so the scan makes 186 engine runs (196 when a
-    # lookup asked only the grevlex basis and the six newest, 214 when
-    # equal initial ideals were not one interned object)
-    rng = random.Random(5)
-    runs = counting_engine(monkeypatch)
-    for k in range(4):
-        I = Ideal(5, [dense_form(5, 2, rng.randrange(10**6)) for _ in range(2)])
-        m = dimension(I)
-        for q in range(30):
-            ties = rng.randint(3, 5) if q % 2 == 0 else rng.randint(1, 2)
-            low = rng.randint(-3, 2)
-            w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(5 - ties)]
-            rng.shuffle(w)
-            assert tropical_member(I, tuple(w), policy(seed=k)) == (w.count(low) >= 5 - m + 1)
-    assert len(runs) == 186
+    # half once or twice.  Answered once per permutation orbit, at the
+    # sorted weight, the scan makes 60 engine runs (186 when each normalized
+    # weight was computed at itself).  Injected as explicit transforms, the
+    # same draws answer each normalized weight at itself: each transformed
+    # ideal ends with 15 to 19 cached bases, and a new query's order is
+    # often in the Groebner cone of one cached long before, so that scan
+    # makes 186 runs (196 when a lookup asked only the grevlex basis and the
+    # six newest, 214 when equal initial ideals were not one interned object)
+    # and, asking the cached bases oldest first, re-sorts 1132 of them (1214
+    # newest first)
+    def scan(injected: bool) -> tuple:
+        rng = random.Random(5)
+        runs, resorts = counting_engine(monkeypatch), counting_resorts(monkeypatch)
+        for k in range(4):
+            I = Ideal(5, [dense_form(5, 2, rng.randrange(10**6)) for _ in range(2)])
+            m = dimension(I)
+            pol = policy(seed=k)
+            if injected:
+                pol = GenericityPolicy(transforms=[random_transform(5, pol, i) for i in range(2)])
+            for q in range(30):
+                ties = rng.randint(3, 5) if q % 2 == 0 else rng.randint(1, 2)
+                low = rng.randint(-3, 2)
+                w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(5 - ties)]
+                rng.shuffle(w)
+                assert tropical_member(I, tuple(w), pol) == (w.count(low) >= 5 - m + 1)
+        return len(runs), len(resorts)
+
+    assert scan(injected=False)[0] == 60
+    assert scan(injected=True) == (186, 1132)
 
 
 def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):

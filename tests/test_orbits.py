@@ -1,9 +1,11 @@
-"""One fan probe per symmetry orbit: the orbit path against the per-cone
-loops, the permutation identity behind it, the orbit keys, and the work it
-saves."""
+"""One fan probe per symmetry orbit, and one tropical-membership answer per
+permutation orbit of weights: the orbit paths against the per-cone loops and
+the per-weight oracle, the permutation identity behind them, the orbit keys,
+and the work they save."""
 
 import random
 from argparse import Namespace
+from itertools import permutations
 
 import pytest
 
@@ -25,20 +27,26 @@ from gentrop.generic import (
     cone_constancy,
     constancy_probes,
     gap_degree,
+    identity_policy,
     random_transform,
+    transformed,
+    tropical_member,
 )
 from gentrop.groebner import Ideal
 from gentrop.invariants import dimension
 from gentrop.tropmult import intrinsic_multiplicity
 
 from cases import (
+    counting_engine,
     dense_form,
     ideal,
     policy,
+    product_family,
+    random_graded_ideal,
     split_fan_ideal,
     stable_depth_family,
 )
-from oracles import per_cone_constancy, per_cone_multiplicity, per_pair_distinct
+from oracles import per_cone_constancy, per_cone_multiplicity, per_pair_distinct, per_weight_member
 
 
 def coeff_growth_smallest(seed: int = 1) -> Ideal:
@@ -248,3 +256,111 @@ def test_injected_transforms_probe_every_cone(monkeypatch):
     cli.cmd_verify(I, policy(), Namespace(target="Wnmt", points=3))
     cli.cmd_verify(I, policy(), Namespace(target="multiplicity", points=3))
     assert (len(constancy), len(pairs), len(mults)) == (2, 1, 1)
+
+
+def fresh_copy(I: Ideal) -> Ideal:
+    """An equal ideal that shares no memo with I."""
+    return Ideal(I.n, map(dict, I.forms), I.degree_cap)
+
+
+def moved_weight(w, s: dict) -> tuple:
+    """s w: the entry of w at coordinate i moves to coordinate s(i)."""
+    out = [None] * len(w)
+    for i, x in enumerate(w, 1):
+        out[s[i] - 1] = x
+    return tuple(out)
+
+
+def test_a_permuted_weight_is_the_weight_under_permuted_transforms():
+    # membership of s w under an injected draw g equals membership of w
+    # under P_s^T g, for every permutation s; the draw is not generic, so
+    # the answers vary along the orbit
+    I = ideal(5, "x1*x2 + x3*x4", "x1*x5 - x2*x3 + x4^2")
+    g = random_transform(5, GenericityPolicy(bound=1, seed=0), 0)
+    pol = GenericityPolicy(transforms=(g,))
+    w = (0, 0, 1, 2, 3)
+    seen = set()
+    for perm in permutations(range(1, 6)):
+        s = dict(zip(range(1, 6), perm))
+        here = tropical_member(I, moved_weight(w, s), pol)
+        assert here == tropical_member(I, w, GenericityPolicy(transforms=(permuted(g, s),))), perm
+        seen.add(here)
+    assert seen == {False, True}
+
+
+# seeded ideals in 3, 4 and 5 variables
+MEMBER_CASES = [
+    lambda: random_graded_ideal(3, 0),
+    lambda: random_graded_ideal(4, 1),
+    lambda: Ideal(5, [dense_form(5, 2, 11), dense_form(5, 2, 12)]),
+]
+
+
+@pytest.mark.parametrize("make", MEMBER_CASES)
+def test_point_queries_match_the_per_weight_oracle(make):
+    # at policy seeds 0-5, every permutation of three seeded weights gets
+    # the answer of the per-weight oracle on a fresh copy of the ideal, and
+    # the one acceptance criterion 2 gives: the minimum attained at least
+    # n - m + 1 times
+    I = make()
+    n, m = I.n, dimension(I)
+    fresh = fresh_copy(I)
+    rng = random.Random(f"orbit-member:{n}")
+    weights = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)]
+    weights[0] = (0,) * (n - m + 1) + tuple(range(1, m))
+    for seed in range(6):
+        pol = policy(seed=seed)
+        for w in weights:
+            for v in set(permutations(w)):
+                want = v.count(min(v)) >= n - m + 1
+                assert tropical_member(I, v, pol) == per_weight_member(fresh, v, pol) == want, v
+
+
+def initial_weights(I: Ideal, pol) -> set:
+    """The weights at which the transformed ideals built initial ideals."""
+    return {(k, wn) for k, gI in enumerate(transformed(I, pol))
+            for wn in gI.initials if isinstance(wn[0], int)}
+
+
+def test_point_query_answers_do_not_depend_on_the_history(monkeypatch):
+    # a shuffled list of queries and its reverse, each on its own copy of
+    # the ideal, give the same answers, the same memo keys, and build their
+    # initial ideals at the same weights; on a third copy, a query at a
+    # permutation of an answered weight makes no engine run
+    I = Ideal(4, [dense_form(4, 2, 3), dense_form(4, 2, 4)])
+    rng = random.Random("orbit-history")
+    queries = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(12)]
+    queries += [tuple(rng.sample(w, 4)) for w in queries]
+    rng.shuffle(queries)
+    pol = policy(seed=2)
+    A, B = fresh_copy(I), fresh_copy(I)
+    forward = [tropical_member(A, w, pol) for w in queries]
+    backward = [tropical_member(B, w, pol) for w in reversed(queries)]
+    assert forward == backward[::-1]
+    assert set(A.members) == set(B.members)
+    assert initial_weights(A, pol) == initial_weights(B, pol)
+    for w, member in ((0, 0, 0, 1), True), ((0, 1, 2, 3), False):
+        C = fresh_copy(I)
+        assert tropical_member(C, w, pol) == member
+        runs = counting_engine(monkeypatch)
+        for v in permutations(w):
+            assert tropical_member(C, v, pol) == member
+        assert not runs
+
+
+def test_injected_transforms_answer_every_weight_on_its_own(monkeypatch):
+    # identity answers differ along an orbit, so under injected transforms
+    # w and a permutation of w each make their own engine run and keep
+    # their own answers
+    I = product_family(4, 2)
+    idp = identity_policy(4)
+    runs = counting_engine(monkeypatch)
+    assert not tropical_member(I, (0, 1, 1, 2), idp)
+    first = len(runs)
+    assert tropical_member(I, (1, 1, 0, 2), idp)
+    assert first > 0 and len(runs) > first
+    runs.clear()
+    assert not tropical_member(I, (0, 1, 1, 2), idp)
+    assert tropical_member(I, (1, 1, 0, 2), idp)
+    assert not runs
+    assert set(I.members) == {(idp, (0, 1, 1, 2)), (idp, (1, 1, 0, 2))}
