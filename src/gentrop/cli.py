@@ -16,10 +16,11 @@ report fields); ``main`` adds the input hash, the seed and the policy.
 
 Exit codes: 0 success (also for ``-h``/``--help``), 1 failed verification
 probe, 2 parse/usage error (``UsageError``: also a bad command line, an
-unreadable path, an out-of-range flag, and an ideal the command does not
-support, such as the zero or unit ideal), 3 non-homogeneous input, 4
-genericity failure, 5 degree-cap abort, 6 internal error (a broken invariant
-check inside the engine, or any other ``ValueError``).
+unreadable path, an ideal file that is not UTF-8, an out-of-range flag, and
+an ideal the command does not support, such as the zero or unit ideal), 3
+non-homogeneous input, 4 genericity failure, 5 degree-cap abort, 6 internal
+error (a broken invariant check inside the engine, or any other
+``ValueError``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .fans import ConeSequence, adjacent_pairs, cone_orbit_key, pair_orbit_key
+from .fans import (
+    adjacent_pairs,
+    cone_orbit_key,
+    maximal_cones,
+    pair_orbit_key,
+    refinement_maximal_cones,
+)
 from .generic import (
     GenericityFailure,
     GenericityPolicy,
@@ -157,12 +164,12 @@ def cmd_tropical(I, policy, args) -> tuple:
 
 
 def _verify_wnm(I, policy, args):
-    return list(constancy_probes(I, ConeSequence(I.n, dimension(I)), args.points, policy))
+    return list(constancy_probes(I, maximal_cones(I.n, dimension(I)), args.points, policy))
 
 
 def _verify_wnmt(I, policy, args):
     m, t = _intermediate_depth(I, policy, "Wnmt")
-    probes = list(constancy_probes(I, ConeSequence(I.n, m, t), args.points, policy))
+    probes = list(constancy_probes(I, refinement_maximal_cones(I.n, m, t), args.points, policy))
     pairs = per_orbit(adjacent_pairs(I.n, m, t), pair_orbit_key,
                       lambda pair: adjacent_distinct(I, *pair, policy), policy)
     for (c1, c2), ok in pairs:
@@ -175,7 +182,7 @@ def _verify_wnmt(I, policy, args):
 def _verify_multiplicity(I, policy, args):
     m = dimension(I)
     t = depth(I, policy)
-    cones = ConeSequence(I.n, m, t if 0 < t < m - 1 else None)
+    cones = refinement_maximal_cones(I.n, m, t) if 0 < t < m - 1 else maximal_cones(I.n, m)
     probes = []
     reports = per_orbit(cones, cone_orbit_key, lambda cone: intrinsic_multiplicity(I, cone, policy),
                         policy)
@@ -347,7 +354,10 @@ def main(argv=None) -> int:
             raise UsageError(f"degree cap {args.degree_cap} is below 1")
         with open(args.file, "rb") as fh:
             data = fh.read()
-        n, polys = parse_ideal_file(data.decode("utf-8"))
+        try:
+            n, polys = parse_ideal_file(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.file}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
         I = Ideal(n, polys, args.degree_cap)
         code, fields = args.func(I, _policy(args, n), args)
         report = {

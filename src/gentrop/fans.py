@@ -16,7 +16,6 @@ import sys
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import combinations
 from math import comb, factorial
 
 from .poly import UsageError
@@ -52,37 +51,6 @@ class ConeId(namedtuple("ConeId", "n min_set middle top")):
             "middle": sorted(self.middle),
             "top": sorted(self.top),
         }
-
-
-def _check_skeleton(n: int, m: int) -> None:
-    if not 0 < m <= n:
-        raise UsageError("need 0 < m <= n")
-
-
-def _check_refinement(n: int, m: int, t: int) -> None:
-    if not (0 < t < m - 1 < n - 1):
-        raise ValueError("need 0 < t < m-1 < n-1")
-
-
-def maximal_cones(n: int, m: int) -> list:
-    """All maximal cones of the m-skeleton: min-sets of size n-m+1."""
-    _check_skeleton(n, m)
-    size = n - m + 1
-    return [ConeId(n, frozenset(a)) for a in combinations(range(1, n + 1), size)]
-
-
-def refinement_maximal_cones(n: int, m: int, t: int) -> list:
-    """All maximal cones of the t-refinement of the m-skeleton."""
-    _check_refinement(n, m, t)
-    out = []
-    for a in combinations(range(1, n + 1), n - m + 1):
-        rest = [i for i in range(1, n + 1) if i not in a]
-        for top in combinations(rest, t):
-            middle = frozenset(rest) - frozenset(top)
-            out.append(ConeId(n, frozenset(a), middle, frozenset(top)))
-    if len(out) != comb(n, n - m + 1) * comb(m - 1, t):
-        raise RuntimeError("refinement cone count disagrees with its binomial formula")
-    return out
 
 
 def _unrank_combination(items: Sequence, k: int, r: int) -> list:
@@ -129,34 +97,39 @@ class _Sequence(Sequence):
         return self._unrank(i)
 
 
-class ConeSequence(_Sequence):
-    """The maximal cones of the m-skeleton, or of its t-refinement when
-    ``t`` is given, in the order of ``maximal_cones`` /
-    ``refinement_maximal_cones``.
+def _cones(n: int, m: int, t: int | None = None) -> _Sequence:
+    """The maximal cones of the m-skeleton, or of its t-refinement, in the
+    order ``itertools.combinations`` lists their min-sets and then their
+    tops, each unranked from its index when it is read: a caller that
+    samples a few indices never lists a fan of C(n, n-m+1) * C(m-1, t) cones."""
+    if t is None:
+        if not 0 < m <= n:
+            raise UsageError("need 0 < m <= n")
+    elif not 0 < t < m - 1 < n - 1:
+        raise ValueError("need 0 < t < m-1 < n-1")
+    coords = range(1, n + 1)
+    tops = 1 if t is None else comb(m - 1, t)
 
-    A cone is unranked from its index when it is read, so a caller that
-    samples a few indices never lists a fan of C(n, n-m+1) * C(m-1, t)
-    cones.
-    """
-
-    def __init__(self, n: int, m: int, t: int | None = None):
+    def cone(i: int) -> ConeId:
+        a_index, top_index = divmod(i, tops)
+        a = _unrank_combination(coords, n - m + 1, a_index)
         if t is None:
-            _check_skeleton(n, m)
-        else:
-            _check_refinement(n, m, t)
-        self.n, self.m, self.t = n, m, t
-        self._tops = 1 if t is None else comb(m - 1, t)
-        super().__init__(comb(n, n - m + 1) * self._tops, self._cone)
+            return ConeId(n, a)
+        rest = [x for x in coords if x not in a]
+        top = frozenset(_unrank_combination(rest, t, top_index))
+        return ConeId(n, a, frozenset(rest) - top, top)
 
-    def _cone(self, i: int) -> ConeId:
-        n = self.n
-        a_index, top_index = divmod(i, self._tops)
-        a = _unrank_combination(list(range(1, n + 1)), n - self.m + 1, a_index)
-        if self.t is None:
-            return ConeId(n, frozenset(a))
-        rest = [x for x in range(1, n + 1) if x not in a]
-        top = frozenset(_unrank_combination(rest, self.t, top_index))
-        return ConeId(n, frozenset(a), frozenset(rest) - top, top)
+    return _Sequence(comb(n, n - m + 1) * tops, cone)
+
+
+def maximal_cones(n: int, m: int) -> _Sequence:
+    """The maximal cones of the m-skeleton: min-sets of size n-m+1."""
+    return _cones(n, m)
+
+
+def refinement_maximal_cones(n: int, m: int, t: int) -> _Sequence:
+    """The maximal cones of the t-refinement of the m-skeleton."""
+    return _cones(n, m, t)
 
 
 def adjacent_pairs(n: int, m: int, t: int) -> _Sequence:
@@ -165,7 +138,7 @@ def adjacent_pairs(n: int, m: int, t: int) -> _Sequence:
     ``refinement_maximal_cones``, and within a group the pairs (i, j),
     i < j, of its cones in lexicographic order.  A pair is unranked from
     its index when it is read."""
-    cones = ConeSequence(n, m, t)
+    cones = _cones(n, m, t)
     tops = comb(m - 1, t)
     per_group = tops * (tops - 1) // 2
 
@@ -179,9 +152,11 @@ def adjacent_pairs(n: int, m: int, t: int) -> _Sequence:
 
 def cone_orbit_key(c: ConeId) -> tuple:
     """(|min_set|, |middle|, |top|): cones with one key form one orbit of the
-    coordinate permutations.  The permutation that maps each block of c
-    onto the block of an equal-keyed cone in increasing order maps every
-    point ``interior_points`` reads at c onto the one it reads there."""
+    coordinate permutations, and all cones of one fan (``maximal_cones``,
+    ``refinement_maximal_cones``) have one key.  The permutation that maps
+    each block of c onto the block of an equal-keyed cone in increasing
+    order maps every point ``interior_points`` reads at c onto the one it
+    reads there."""
     return len(c.min_set), len(c.middle), len(c.top)
 
 
@@ -201,29 +176,10 @@ def pair_orbit_key(pair: tuple) -> tuple:
     return len(c1.min_set), tuple((i in c1.top, i in c2.top) for i in rest)
 
 
-def _ladder(count: int, gap: int) -> list:
-    """Smallest integer ladder 1, gap*1+1, gap*(gap+1)+1, ... with each value
-    strictly exceeding gap times its predecessor."""
-    vals = []
-    v = 1
-    for _ in range(count):
-        vals.append(v)
-        v = gap * v + 1
-    return vals
-
-
 def interior_point(c: ConeId, c_gap: int = 1) -> tuple:
-    """A deterministic interior point: zero on the min-set, then the smallest
-    integer ladder with the given gap factor across middle then top (the
-    first of ``interior_points``)."""
+    """The first of ``interior_points``: zero on the min-set, then the
+    smallest integer ladder with gap factor ``c_gap`` across middle then top."""
     return interior_points(c, c_gap, 1)[0]
-
-
-def _blocks(c: ConeId) -> list:
-    if c.is_refinement():
-        return [sorted(c.middle), sorted(c.top)]
-    rest = sorted(set(range(1, c.n + 1)) - c.min_set)
-    return [rest] if rest else []
 
 
 def _unrank_permutation(items: list, r: int) -> list:
@@ -241,11 +197,12 @@ def interior_points(c: ConeId, c_gap: int, count: int) -> _Sequence:
     """``count`` distinct interior points of the open cone, each computed
     when it is read.
 
-    The ladder values and the gap vary with the sample index, and the
-    assignment of ladder rungs is permuted within each block; relative order
-    inside a block is unconstrained in the open cone, so every assignment
-    stays interior.  Sampling both block orderings is what lets constancy
-    probes detect a cone that the sampled tropical fan actually splits.
+    Sample q is zero on the min-set and climbs the smallest integer ladder
+    1, g + 1, g(g + 1) + 1, ..., g = ``c_gap`` + q, across middle then top,
+    its rungs permuted within each block; relative order inside a block is
+    unconstrained in the open cone, so every assignment stays interior.
+    Sampling both block orderings is what lets constancy probes detect a
+    cone that the sampled tropical fan actually splits.
 
     Sample q takes, in each block, the arrangement whose lexicographic rank
     is the block's digit of q in the mixed radix of the block factorials;
@@ -255,7 +212,10 @@ def interior_points(c: ConeId, c_gap: int, count: int) -> _Sequence:
         raise ValueError("gap factor must be at least 1")
     if count < 1:
         raise ValueError("need at least one point")
-    blocks = _blocks(c)
+    if c.is_refinement():
+        blocks = [sorted(c.middle), sorted(c.top)]
+    else:
+        blocks = [sorted(set(range(1, c.n + 1)) - c.min_set)]
     radices = [factorial(len(b)) for b in blocks]
 
     def point(q: int) -> tuple:
@@ -264,10 +224,11 @@ def interior_points(c: ConeId, c_gap: int, count: int) -> _Sequence:
         for b, radix in zip(blocks, radices):
             arrangement.extend(_unrank_permutation(b, idx % radix))
             idx //= radix
-        vals = _ladder(len(arrangement), c_gap + q)
         w = [0] * c.n
-        for i, v in zip(arrangement, vals):
+        v = 1
+        for i in arrangement:
             w[i - 1] = v
+            v = (c_gap + q) * v + 1
         return tuple(w)
 
     return _Sequence(count, point)

@@ -10,26 +10,28 @@ is available as a testing hook for reproducing non-generic behaviour.
 
 Fan-structure probes compare weighted initial ideals without building them.
 Per transformed ideal gI, one reduced basis at the first weight w of a probe
-decides whether a weight v, or a whole coordinate ray w + s e_j (s >= 0), has
-the initial ideal in_w(gI): it must lie in the Groebner cell of that basis
-(``GroebnerBasis.cell_contains``), so no basis off w is computed.  A
-cone-constancy probe first asks every basis gI already holds whether it
-certifies that in_v(gI) is constant on the whole open cone, which is exact
-for a basis at any weight.  When none does, the probe computes the basis
-at the cone's first interior point and asks it the same, and if that fails
-too, point-tests the sampled interior points.  Either way its answer is
-the one the sampled points give, so constancy probes, the only sampled
-probes, are reported as sampled evidence; adjacent-cone separation, ray
-containment, depth, dimension, multiplicity and witness inequalities are
-exact.  The generic initial ideal, which gives the gap factor of the probes'
-interior points (``gap_degree``), is memoized on the ideal, so it is
-computed once per order and policy.
+decides whether a second weight v (``_same_initial``), or a whole coordinate
+ray w + s e_j (s >= 0), has the initial ideal in_w(gI): it must lie in the
+Groebner cell of that basis (``GroebnerBasis.cell_contains``), so no basis
+off w is computed.  A cone-constancy probe first asks every basis gI
+already holds whether it certifies that in_v(gI) is constant on the whole
+open cone (``_certified``), exact for a basis at any weight.  When none
+does, it computes the basis at the cone's first interior point and asks it
+the same, and if that fails too, point-tests the sampled interior points,
+each computed when it is tested.  Either way its answer is the one the
+sampled points give, so constancy probes, the only sampled probes, are
+reported as sampled evidence; adjacent-cone separation, ray containment,
+depth, dimension, multiplicity and witness inequalities are exact.  The
+generic initial ideal, which gives the gap factor of the probes' interior
+points (``gap_degree``), is memoized on the ideal, so it is computed once
+per order and policy.
 
-A fan probe runs once per symmetry orbit of the cones, or of the adjacent
-pairs, it visits (``per_orbit``).  For a permutation matrix P_s of the
-coordinates, in_{s w}(gI) is the permuted in_w((P_s^T g) I), and every answer
-a probe gives is read off the initial ideals at the points it reads and the
-open cones that hold them.  A permutation s that maps each block of a cone C
+A fan probe reads its cones off the lazy fan sequences of ``fans`` and runs
+once per symmetry orbit of the cones, or of the adjacent pairs, it visits
+(``per_orbit``).  For a permutation matrix P_s of the coordinates,
+in_{s w}(gI) is the permuted in_w((P_s^T g) I), and every answer a probe
+gives is read off the initial ideals at the points it reads and the open
+cones that hold them.  A permutation s that maps each block of a cone C
 increasing onto the block of s C maps every point the probe reads at C onto
 the one it reads at s C (``fans.cone_orbit_key``, ``fans.pair_orbit_key``).
 So the probe of s C under g is, exactly, the probe of C under P_s^T g: the
@@ -60,11 +62,11 @@ from collections.abc import Callable, Iterable, Sequence
 
 from .fans import (
     ConeId,
-    ConeSequence,
     budget,
     cone_orbit_key,
     interior_point,
     interior_points,
+    maximal_cones,
 )
 from .groebner import (
     Ideal,
@@ -365,41 +367,23 @@ def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:
     return gin(I, GREVLEX, policy).max_degree()
 
 
-def _certified(gI: Ideal, cone: ConeId) -> bool:
+def _certified(gI: Ideal, sets: tuple) -> bool:
     """Whether a basis gI already holds certifies that in_v(gI) is constant
-    on the open cone (``GroebnerBasis.cell_contains`` with ``cone``).  A
-    True is exact for a reduced basis at any weight, so every cached basis
-    is asked, in insertion order, and nothing is computed at the cone.
-    After a False the probe asks the basis at the cone's first interior
+    on the open cone of blocks ``sets`` (``GroebnerBasis.cell_contains``
+    with ``cone``), which is exact for a reduced basis at any weight.  After
+    a False, ``cone_constancy`` asks the basis at the cone's first interior
     point, which certifies the cone whenever in_v(gI) is constant on it, so
     the answer does not depend on which bases gI holds."""
-    sets = (cone.min_set, cone.middle, cone.top)
     return any(gb.cell_contains(cone=sets) for gb in gI.gb_cache.values())
 
 
-def _same_initial(
-    I: Ideal, points: Iterable, policy: GenericityPolicy, what: str, cone: ConeId | None = None,
-) -> bool:
-    """Whether the transformed ideals' weighted initial ideals at ``points``
-    all coincide, agreed across transforms.
-
-    Per gI it computes one reduced basis, under grevlex refined by the first
-    point w, and point-tests the others against it: in_v(gI) = in_w(gI) iff
-    v lies in the basis's Groebner cell (``GroebnerBasis.cell_contains``).
-    It stops at the first point that differs.  With ``cone``, an open cone
-    that holds the points, a basis gI already holds may certify the whole
-    cone first (``_certified``), and then no basis is computed and no point
-    read; else the basis at w tries to certify it.  If a basis certifies the
-    cone, every point of the cone has the initial ideal of w."""
+def _same_initial(I: Ideal, w, v, policy: GenericityPolicy, what: str) -> bool:
+    """Whether in_w(gI) = in_v(gI) for the transformed ideals, agreed across
+    transforms: v must lie in the Groebner cell of the reduced basis of gI
+    under grevlex refined by w (``GroebnerBasis.cell_contains``)."""
 
     def compute(gI: Ideal) -> bool:
-        if cone is not None and _certified(gI, cone):
-            return True
-        it = iter(points)
-        gb = buchberger(gI, GREVLEX.refine(next(it)))
-        if cone is not None and gb.cell_contains(cone=(cone.min_set, cone.middle, cone.top)):
-            return True
-        return all(gb.cell_contains(v) for v in it)
+        return buchberger(gI, GREVLEX.refine(w)).cell_contains(v)
 
     return agreed(I, policy, compute, what)
 
@@ -416,18 +400,27 @@ def cone_constancy(
 
     Per gI, every cached basis is asked whether it certifies the whole open
     cone (``_certified``); if none does, the reduced basis at the first
-    point is asked; if that does not either, the other points are
-    point-tested against it (see ``_same_initial``).  Either way the answer
-    is the one the sampled points give, so reports label it ``sampled``; a
-    True from a certificate holds on the whole cone.  The answer at a
-    permuted cone s C is the answer at C under the permuted transforms (see
-    the module docstring), which is how ``constancy_probes`` hands one
-    answer to a whole orbit."""
+    point is asked; if that does not either, the other points are read one
+    at a time and point-tested against it, up to the first that differs.
+    Either way the answer is the one the sampled points give, so reports
+    label it ``sampled``; a True from a certificate holds on the whole cone.
+    The answer at a permuted cone s C is the answer at C under the permuted
+    transforms (see the module docstring), which is how ``constancy_probes``
+    hands one answer to a whole orbit."""
     if samples < 2:
         raise ValueError("constancy needs at least two interior points")
     gap = gap_degree(I, policy) + 1
-    pts = interior_points(cone, gap, samples)
-    return _same_initial(I, pts, policy, "cone constancy", cone)
+    points = interior_points(cone, gap, samples)
+    sets = (cone.min_set, cone.middle, cone.top)
+
+    def compute(gI: Ideal) -> bool:
+        if _certified(gI, sets):
+            return True
+        it = iter(points)
+        gb = buchberger(gI, GREVLEX.refine(next(it)))
+        return gb.cell_contains(cone=sets) or all(gb.cell_contains(v) for v in it)
+
+    return agreed(I, policy, compute, "cone constancy")
 
 
 def adjacent_distinct(
@@ -441,7 +434,7 @@ def adjacent_distinct(
     gap = gap_degree(I, policy) + 1
     w1 = interior_point(c1, gap)
     w2 = interior_point(c2, gap)
-    return not _same_initial(I, (w1, w2), policy, "adjacent cone separation")
+    return not _same_initial(I, w1, w2, policy, "adjacent cone separation")
 
 
 def _swap_coords(w: Sequence, a: int, b: int) -> tuple:
@@ -480,7 +473,7 @@ def separating_witness(
     base_cone = ConeId(n, frozenset(range(1, n - m + 2)))
     w = interior_point(base_cone, c + 1)
     v = _swap_coords(w, p, p + 1)
-    distinct = not _same_initial(I, (w, v), policy, "separating witness")
+    distinct = not _same_initial(I, w, v, policy, "separating witness")
     return w, v, distinct
 
 
@@ -550,7 +543,7 @@ def classify_cm(
         label = NEITHER
     probes = []
     if label in (CM, ALMOST_CM):
-        for probe in constancy_probes(I, ConeSequence(I.n, m), points, policy):
+        for probe in constancy_probes(I, maximal_cones(I.n, m), points, policy):
             probes.append(probe)
             if not probe.result:
                 raise GenericityFailure(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -390,15 +391,20 @@ def _format_term(e: Exponents, c: Fraction) -> str:
         for i, v in enumerate(e)
         if v > 0
     ]
+    # Decimal prints an int of any length; str refuses one of over 4,300 digits
+    c = abs(c)
+    digits = str(Decimal(c.numerator))
+    if c.denominator != 1:
+        digits += f"/{Decimal(c.denominator)}"
     if not factors:
-        return str(abs(c))
-    if abs(c) == 1:
+        return digits
+    if c == 1:
         return "*".join(factors)
-    return str(abs(c)) + "*" + "*".join(factors)
+    return digits + "*" + "*".join(factors)
 
 
 def format_polynomial(f: Polynomial) -> str:
-    """Canonical text form; ``parse_polynomial`` round-trips it."""
+    """Canonical text form; ``parse_polynomial`` reads it back up to ``MAX_DIGITS``."""
     if not f.terms:
         return "0"
     parts = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import gcd, lcm
 
 from gentrop.fans import ConeId, budget, interior_point
@@ -151,6 +152,21 @@ def expanded_transform(I: Ideal, matrix) -> list:
             image = image + term
         images.append(image)
     return images
+
+
+def listed_cones(n: int, m: int, t: int | None = None) -> list:
+    """Every maximal cone of the m-skeleton, or of its t-refinement, listed
+    eagerly by ``itertools.combinations``: the min-sets of size n-m+1 in its
+    order, and under each the tops of size t among the other coordinates."""
+    out = []
+    for a in combinations(range(1, n + 1), n - m + 1):
+        if t is None:
+            out.append(ConeId(n, a))
+            continue
+        rest = [i for i in range(1, n + 1) if i not in a]
+        for top in combinations(rest, t):
+            out.append(ConeId(n, a, set(rest) - set(top), top))
+    return out
 
 
 def monomials_of_degree(n: int, d: int) -> list:

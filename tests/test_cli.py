@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from math import comb
 
@@ -16,7 +17,9 @@ from gentrop.cli import (
     main,
     parse_ideal_file,
 )
-from gentrop.poly import ParseError
+from gentrop.generic import GenericityPolicy, transformed
+from gentrop.groebner import Ideal, initial_ideal
+from gentrop.poly import MAX_DIGITS, ParseError
 
 from cases import (
     counting_cone_hits,
@@ -219,6 +222,27 @@ def test_tropical_rejects_bad_omega(tmp_path, capsys):
         assert code == EXIT_PARSE
 
 
+def test_tropical_prints_a_coefficient_past_the_int_str_limit(tmp_path, capsys):
+    # 4,200-digit inputs pass the parse limit, and in_omega of the first
+    # transformed ideal has coefficients of about 16,800 digits, past the
+    # 4,300 digits CPython's str() prints of an int
+    text = (f"ring 3\n{'7' * 4200}*x1^2 + 3*x1*x2 + x2^2 + x3^2\n"
+            f"x1*x2 + {'3' * 4199}1*x2^2 + 5*x1*x3\n")
+    path = write(tmp_path, "long.ideal", text)
+    code, report = run(capsys, "tropical", path, "--omega", "0,0,1")
+    assert code == EXIT_OK
+    n, polys = parse_ideal_file(text)
+    J = initial_ideal(transformed(Ideal(n, polys), GenericityPolicy())[0], (0, 0, 1))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = {str(abs(c)) for g in J.generators for _, c in g.terms}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(map(len, want)) > MAX_DIGITS
+    assert all(any(w in g for g in report["initial_ideal"]) for w in want)
+
+
 def test_verify_wnm_quadric(tmp_path, capsys):
     path = write(tmp_path, "q.ideal", QUADRIC)
     code, report = run(capsys, "verify", path, "--target", "Wnm")
@@ -380,6 +404,14 @@ def test_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    # bytes that are not UTF-8 are bad input, not an engine fault
+    latin = tmp_path / "latin.ideal"
+    latin.write_bytes(b"ring 2\nx1*x2 \xff\n")
+    assert main(["analyze", str(latin)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {latin}: not UTF-8 ")
+    assert captured.err.count("\n") == 1
 
     nongraded = write(tmp_path, "ng.ideal", "ring 2\nx1 + x2^2\n")
     assert main(["analyze", nongraded]) == EXIT_NOT_GRADED
@@ -583,23 +615,24 @@ def test_budget_sampling_deterministic():
 
 
 def test_budget_picks_the_same_cones_by_index():
-    from gentrop.fans import ConeSequence, budget, maximal_cones, refinement_maximal_cones
+    from gentrop.fans import budget, maximal_cones, refinement_maximal_cones
+    from oracles import listed_cones
 
     for seed in (0, 3):
-        assert budget(ConeSequence(12, 6), seed) == budget(maximal_cones(12, 6), seed)
-        assert budget(ConeSequence(10, 6, 2), seed) == budget(
-            refinement_maximal_cones(10, 6, 2), seed
+        assert budget(maximal_cones(12, 6), seed) == budget(listed_cones(12, 6), seed)
+        assert budget(refinement_maximal_cones(10, 6, 2), seed) == budget(
+            listed_cones(10, 6, 2), seed
         )
 
 
 def test_budget_samples_a_huge_fan_without_listing_it():
-    from gentrop.fans import CONE_BUDGET, ConeSequence, budget
+    from gentrop.fans import CONE_BUDGET, budget, maximal_cones, refinement_maximal_cones
 
-    cones = ConeSequence(30, 15)  # C(30, 16), about 1.45e8 cones
+    cones = maximal_cones(30, 15)  # C(30, 16), about 1.45e8 cones
     assert len(cones) == comb(30, 16)
     picked = budget(cones, 7)
     assert picked == budget(cones, 7)
     assert len(set(picked)) == CONE_BUDGET
     assert all(len(c.min_set) == 16 for c in picked)
-    refinement = ConeSequence(30, 15, 5)
+    refinement = refinement_maximal_cones(30, 15, 5)
     assert len(budget(refinement, 7)) == CONE_BUDGET

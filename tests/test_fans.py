@@ -8,7 +8,6 @@ import pytest
 from gentrop import fans
 from gentrop.fans import (
     ConeId,
-    ConeSequence,
     CONE_BUDGET,
     adjacent_pairs,
     budget,
@@ -17,6 +16,8 @@ from gentrop.fans import (
     maximal_cones,
     refinement_maximal_cones,
 )
+
+from oracles import listed_cones
 
 
 def test_cone_id_validation():
@@ -79,7 +80,7 @@ def test_adjacent_pairs():
 def _listed_adjacent_pairs(n, m, t):
     """Reference: every pair, listed group by group from the whole fan."""
     groups = {}
-    for c in refinement_maximal_cones(n, m, t):
+    for c in listed_cones(n, m, t):
         groups.setdefault(c.min_set, []).append(c)
     out = []
     for a in sorted(groups, key=sorted):
@@ -258,17 +259,20 @@ def test_interior_points_memory_stays_linear():
 
 
 def test_cone_sequence_unranks_the_enumeration():
+    # each fan is a lazy sequence: against an eager itertools.combinations
+    # listing, the same cones in the same order, by iteration and by index
     for n in range(1, 8):
         for m in range(1, n + 1):
-            assert list(ConeSequence(n, m)) == maximal_cones(n, m)
+            seq, cones = maximal_cones(n, m), listed_cones(n, m)
+            assert len(seq) == len(cones) and list(seq) == cones
             for t in range(1, m - 1):
                 if m < n:
-                    cones = refinement_maximal_cones(n, m, t)
-                    seq = ConeSequence(n, m, t)
+                    cones = listed_cones(n, m, t)
+                    seq = refinement_maximal_cones(n, m, t)
                     assert len(seq) == len(cones)
                     assert [seq[i] for i in range(len(seq))] == cones
-    seq = ConeSequence(6, 3, 1)
-    cones = refinement_maximal_cones(6, 3, 1)
+    seq = refinement_maximal_cones(6, 3, 1)
+    cones = listed_cones(6, 3, 1)
     assert seq[-1] == cones[-1] and seq[-len(seq)] == cones[0]
     for part in (slice(1, 3), slice(None, None, -2), slice(-4, None), slice(5, 2)):
         assert seq[part] == cones[part]
@@ -277,12 +281,12 @@ def test_cone_sequence_unranks_the_enumeration():
     with pytest.raises(IndexError):
         seq[len(seq)]
     with pytest.raises(ValueError):
-        ConeSequence(5, 6)
+        maximal_cones(5, 6)
     with pytest.raises(ValueError):
-        ConeSequence(5, 4, 3)
+        refinement_maximal_cones(5, 4, 3)
     # C(67, 34) cones, more than sys.maxsize: len() cannot report them, and
     # the budget still draws 200 distinct cones, listed in index order
-    huge = budget(ConeSequence(67, 34), 0)
+    huge = budget(maximal_cones(67, 34), 0)
     assert len(set(huge)) == CONE_BUDGET
     ranks = [sorted(c.min_set) for c in huge]
     assert ranks == sorted(ranks)

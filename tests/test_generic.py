@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -7,7 +8,6 @@ import pytest
 from gentrop import cli, generic, groebner
 from gentrop.fans import (
     ConeId,
-    ConeSequence,
     interior_point,
     interior_points,
     maximal_cones,
@@ -502,6 +502,22 @@ def test_cone_constancy_detects_split():
     assert not all(results)
 
 
+def test_constancy_points_stay_lazy():
+    # a split cone stops at the first point that differs, so 10**5 asked
+    # points must cost nothing up front, as for interior_points itself
+    pol = policy()
+    split = split_fan_ideal()
+    cone = refinement_maximal_cones(5, 4, 1)[0]
+    assert not cone_constancy(split, cone, 3, pol)
+    tracemalloc.start()
+    try:
+        assert not cone_constancy(split, cone, 10**5, pol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_split_cones_divide_along_middle_order():
     # for the split-fan ideal, sampled evidence that each refinement cone
     # divides exactly along the ordering of its two middle coordinates:
@@ -533,10 +549,10 @@ def _differential_cases():
         m = dimension(I)
         if m == 0:
             continue
-        cones = list(ConeSequence(I.n, m))
+        cones = list(maximal_cones(I.n, m))
         if m < I.n:
             for t in range(1, m - 1):
-                cones += list(ConeSequence(I.n, m, t))
+                cones += list(refinement_maximal_cones(I.n, m, t))
         yield name, I, cones
 
 
@@ -668,9 +684,9 @@ def test_probe_results_do_not_depend_on_cache_history():
         n, m = I.n, dimension(I)
         if m == 0:
             continue
-        cones = list(ConeSequence(n, m))
+        cones = list(maximal_cones(n, m))
         if 2 < m < n:
-            cones += list(ConeSequence(n, m, 1))
+            cones += list(refinement_maximal_cones(n, m, 1))
         alone = {cone: cone_constancy(make(), cone, 3, pol) for cone in cones}
         shuffled = rng.sample(cones, len(cones))
         for order in (cones, cones[::-1], shuffled):
@@ -696,7 +712,7 @@ def test_wide_fan_probes_build_one_basis_per_lead_set(monkeypatch):
     monkeypatch.setattr(generic, "initial_ideal", no_initial_ideal)
     pol = policy(seed=random.Random("wide-fan:1").randrange(10**6))
     I = ideal(7, "x1*x2 + x3*x4")
-    probes = list(constancy_probes(I, ConeSequence(7, dimension(I)), 3, pol))
+    probes = list(constancy_probes(I, maximal_cones(7, dimension(I)), 3, pol))
     assert len(probes) == 21 and all(p.result for p in probes)
     assert list(I.gins) == [(GREVLEX, pol)]
     for gI in transformed(I, pol):
@@ -815,7 +831,7 @@ def test_ray_form_matches_the_moved_point_probe():
             if m == 0:
                 continue
             w_gap = gap_degree(I, pol) + 1
-            for cone in ConeSequence(I.n, m):
+            for cone in maximal_cones(I.n, m):
                 w = interior_point(cone, w_gap)
                 for j in range(1, I.n + 1):
                     got = ray_constancy(I, w, [j], pol)

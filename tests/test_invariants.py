@@ -261,7 +261,7 @@ def test_invariant_checks_survive_optimize():
         """
         import sys
         import pytest
-        from gentrop import fans, invariants as inv
+        from gentrop import invariants as inv
 
         M = inv.minimalize(2, [(1, 0)])
         with pytest.MonkeyPatch.context() as mp:
@@ -273,10 +273,6 @@ def test_invariant_checks_survive_optimize():
             mp.setattr(inv, "_cancel_one_minus_t", lambda q, d: (q, d))
             with pytest.raises(RuntimeError, match="multiplicity"):
                 inv.hilbert(M)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fans, "comb", lambda a, b: 0)
-            with pytest.raises(RuntimeError, match="cone count"):
-                fans.refinement_maximal_cones(5, 4, 1)
         print("checked", sys.flags.optimize)
         """
     )

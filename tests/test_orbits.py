@@ -12,10 +12,11 @@ import pytest
 from gentrop import cli, generic, tropmult
 from gentrop.fans import (
     ConeId,
-    ConeSequence,
     adjacent_pairs,
     cone_orbit_key,
+    maximal_cones,
     pair_orbit_key,
+    refinement_maximal_cones,
 )
 from gentrop.generic import (
     CM,
@@ -86,19 +87,19 @@ def test_orbit_probes_match_the_per_cone_oracle(name):
 
         _, report = cli.cmd_analyze(I, pol, Namespace(points=3))
         if report["cm_class"] in (CM, ALMOST_CM):
-            assert report["probes"] == as_json(per_cone_constancy(fresh, ConeSequence(n, m), 3, pol))
+            assert report["probes"] == as_json(per_cone_constancy(fresh, maximal_cones(n, m), 3, pol))
         else:
             assert [p["kind"] for p in report["probes"]] == ["separating_witness"]
 
         def verify(target):
             return cli.cmd_verify(I, pol, Namespace(target=target, points=3))[1]["probes"]
 
-        assert verify("Wnm") == as_json(per_cone_constancy(fresh, ConeSequence(n, m), 3, pol))
+        assert verify("Wnm") == as_json(per_cone_constancy(fresh, maximal_cones(n, m), 3, pol))
         if refined:
-            want = per_cone_constancy(fresh, ConeSequence(n, m, t), 3, pol)
+            want = per_cone_constancy(fresh, refinement_maximal_cones(n, m, t), 3, pol)
             want += per_pair_distinct(fresh, adjacent_pairs(n, m, t), pol)
             assert verify("Wnmt") == as_json(want)
-        cones = ConeSequence(n, m, t if refined else None)
+        cones = refinement_maximal_cones(n, m, t) if refined else maximal_cones(n, m)
         assert verify("multiplicity") == as_json(per_cone_multiplicity(fresh, cones, pol))
 
 
@@ -158,7 +159,7 @@ def test_a_permuted_cone_is_the_cone_under_permuted_transforms(make, bound, seed
     gs = tuple(random_transform(n, GenericityPolicy(bound=bound, seed=seed), i) for i in range(2))
     pol = GenericityPolicy(transforms=gs)
     seen = set()
-    for cones in (list(ConeSequence(n, m)), list(ConeSequence(n, m, 1))):
+    for cones in (list(maximal_cones(n, m)), list(refinement_maximal_cones(n, m, 1))):
         c = cones[0]
         for d in cones:
             s = increasing_on(cone_blocks(c), cone_blocks(d))
@@ -217,8 +218,8 @@ def test_pair_keys_tell_patterns_apart():
     pairs = list(adjacent_pairs(n, m, t))
     assert p in pairs and q in pairs
     assert len({pair_orbit_key(pair) for pair in pairs}) == 15
-    assert {cone_orbit_key(c) for c in ConeSequence(n, m, t)} == {(3, 2, 2)}
-    assert {cone_orbit_key(c) for c in ConeSequence(n, m)} == {(3, 0, 0)}
+    assert {cone_orbit_key(c) for c in refinement_maximal_cones(n, m, t)} == {(3, 2, 2)}
+    assert {cone_orbit_key(c) for c in maximal_cones(n, m)} == {(3, 0, 0)}
 
 
 def counting_calls(monkeypatch, module, name, *also) -> list:
@@ -244,7 +245,7 @@ def test_injected_transforms_probe_every_cone(monkeypatch):
     constancy = counting_calls(monkeypatch, generic, "cone_constancy")
     pairs = counting_calls(monkeypatch, generic, "adjacent_distinct", cli)
     mults = counting_calls(monkeypatch, tropmult, "intrinsic_multiplicity", cli)
-    assert len(list(constancy_probes(I, ConeSequence(5, 3), 3, pol))) == len(constancy) == 10
+    assert len(list(constancy_probes(I, maximal_cones(5, 3), 3, pol))) == len(constancy) == 10
     cli.cmd_verify(I, pol, Namespace(target="Wnmt", points=3))
     assert len(constancy) == 10 + 20 and len(pairs) == 10
     cli.cmd_verify(I, pol, Namespace(target="multiplicity", points=3))
@@ -252,7 +253,7 @@ def test_injected_transforms_probe_every_cone(monkeypatch):
     for calls in (constancy, pairs, mults):
         calls.clear()
     I = stable_depth_family(5, 3, 1)
-    assert len(list(constancy_probes(I, ConeSequence(5, 3), 3, policy()))) == 10
+    assert len(list(constancy_probes(I, maximal_cones(5, 3), 3, policy()))) == 10
     cli.cmd_verify(I, policy(), Namespace(target="Wnmt", points=3))
     cli.cmd_verify(I, policy(), Namespace(target="multiplicity", points=3))
     assert (len(constancy), len(pairs), len(mults)) == (2, 1, 1)
