@@ -206,7 +206,9 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
     with w the bit length of the largest degree d of a form.  Every
     monomial of an image of a form has the form's degree, so no exponent
     exceeds d < 2**w, and the product of two monomials is the sum of their
-    ints.  Each term of a result is unpacked once."""
+    ints.  The image of each monomial of the forms is built once, keyed by
+    its exponent vector, and each distinct monomial of the results is
+    unpacked once."""
     if g.n != I.n:
         raise ValueError("transform size does not match the ambient ring")
     n = I.n
@@ -216,27 +218,37 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
     # x_i maps to the linear form of column i
     columns = [[(1 << s, row[i]) for s, row in zip(shifts, g.matrix) if row[i]]
                for i in range(n)]
-    images = {0: {0: 1}}
+    images = {(0,) * n: {0: 1}}
 
-    def image(e: int) -> dict:
-        """The image of the packed monomial e: the image of e / x_i times
-        the image of x_i, for the first variable x_i that divides e."""
+    def image(e: tuple) -> dict:
+        """The image of x^e, packed: the image of x^e / x_i times the image
+        of x_i, for the first variable x_i that divides x^e."""
         p = images.get(e)
         if p is None:
-            i = next(i for i, s in enumerate(shifts) if e >> s & mask)
+            i = 0
+            while not e[i]:
+                i += 1
             p = images[e] = {}
-            for e1, c1 in image(e - (1 << shifts[i])).items():
+            for e1, c1 in image(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
                 for e2, c2 in columns[i]:
                     p[e1 + e2] = p.get(e1 + e2, 0) + c1 * c2
         return p
 
+    unpacked: dict = {}
     gens = []
     for f in I.forms:
         acc: dict = {}
         for exps, c in f:
-            for e, v in image(sum(x << s for x, s in zip(exps, shifts))).items():
+            for e, v in image(exps).items():
                 acc[e] = acc.get(e, 0) + c * v
-        gens.append({tuple(e >> s & mask for s in shifts): v for e, v in acc.items() if v})
+        out = {}
+        for e, v in acc.items():
+            if v:
+                t = unpacked.get(e)
+                if t is None:
+                    t = unpacked[e] = tuple(e >> s & mask for s in shifts)
+                out[t] = v
+        gens.append(out)
     J = I._derive(gens)
     J.numerator = known_numerator(I)
     return J

@@ -23,7 +23,12 @@ strategy (smallest lcm degree first).  A run whose ideal has a known
 Hilbert series (``known_numerator``) stops, in place of the criterion B,
 as soon as the leads of its basis have that series: they then generate
 the initial ideal, so every pending pair would reduce to zero (Traverso
-1996, "Hilbert functions and the Buchberger algorithm").  Every sort and
+1996, "Hilbert functions and the Buchberger algorithm").  Saturation by a
+monomial, and so the monomial-containment test, takes one variable at a
+time (Bayer and Stillman 1987); a step whose variable divides no lead of a
+basis the ideal already holds makes no run, since the variable is then a
+nonzerodivisor, and a step that runs orders the next variable just before
+its own, so that its basis usually certifies that step.  Every sort and
 tie-break is fixed, so identical inputs produce bit-identical output.
 Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
 computations on it with ``DegreeCapExceeded`` instead of hanging.  An
@@ -818,21 +823,42 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
     variable at a time (Bayer and Stillman 1987); None as soon as ``stop``
     holds for a step's basis.
 
-    For each variable x_i of x^m, x_n first, a step takes the reduced basis
-    of the ideal saturated so far under grevlex with x_i last (GREVLEX
-    itself for x_n).  A homogeneous polynomial is divisible by a power of
-    x_i iff its lead under that order is, so dividing every element by the
-    largest power of x_i that divides it generates the saturation by x_i.
-    A step that divides nothing keeps the ideal and its cached bases."""
+    The steps take the variables x_i of x^m from x_n down, each on the ideal
+    J saturated so far.  A step first asks each basis cached on J, oldest
+    first, whether x_i divides none of its leads.  If one does, x_i is a
+    nonzerodivisor on S/J, so J : x_i^infinity = J and the step keeps J
+    without a run.  Proof, for the basis's order >: in(J + (x_i)) contains
+    in(J) + (x_i), so HS(S/(J + x_i)) <= HS(S/(in(J) + x_i)) = (1 - t)
+    HS(S/J) coefficientwise, as x_i divides no minimal generator of in(J)
+    and so is regular on S/in(J); and the exact sequence 0 -> (0 : x_i)(-1) -> S/J(-1) -> S/J
+    -> S/(J + x_i) -> 0 gives HS(S/(J + x_i)) = (1 - t) HS(S/J) + t
+    HS(0 : x_i), so 0 : x_i = 0.  The basis (1) of the unit ideal certifies
+    every variable, and ``stop`` sees a certifying basis as it sees a
+    computed one.
+
+    Otherwise the step takes J's reduced basis under grevlex with x_i last,
+    the variables still to saturate just before it and the ones done (and
+    those outside x^m) first, each group in natural order: GREVLEX itself
+    for the first step.  A homogeneous polynomial is divisible by a power
+    of x_i iff its lead under that order is, so dividing every element by
+    the largest power of x_i that divides it generates the saturation by
+    x_i.  A step that divides nothing keeps J and its cached bases; the
+    leads of a generic basis lie in its most significant variables, so
+    under this order they usually avoid the next variable too, which that
+    step then takes as its certificate.  A step that divides builds a new
+    ideal, with no cached basis."""
     n = I.n
+    pending = [i for i in range(n) if m[i]]
     J = I
-    for i in reversed(range(n)):
-        if not m[i]:
-            continue
-        order = GREVLEX if i == n - 1 else OrderSpec(
-            "grevlex", tuple(k for k in range(1, n + 1) if k != i + 1) + (i + 1,)
-        )
-        gb = buchberger(J, order)
+    while pending:
+        i = pending.pop()
+        gb = next((gb for gb in J.gb_cache.values() if not any(f[0][0][i] for f in gb.forms)),
+                  None)
+        if gb is None:
+            first = [k + 1 for k in range(n) if k != i and k not in pending]
+            perm = (*first, *(k + 1 for k in pending), i + 1)
+            gb = buchberger(J, GREVLEX if perm == tuple(range(1, n + 1)) else
+                            OrderSpec("grevlex", perm))
         if stop is not None and stop(gb):
             return None
         if any(f[0][0][i] for f in gb.forms):
@@ -845,7 +871,10 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """The saturation (I : f^infinity) by a nonzero monomial f, generated by
     its reduced grevlex basis, which the result keeps in its cache; any
-    other f raises ``ValueError``.  See ``_saturation``."""
+    other f raises ``ValueError``.  The saturation takes one variable of f
+    at a time, and a step that a basis held by the ideal being saturated
+    certifies makes no run (see ``_saturation``), so the runs made depend
+    on the bases I holds, and the result does not."""
     if f.n != I.n:
         raise ValueError("ambient variable counts differ")
     if not f.is_monomial():
@@ -867,9 +896,12 @@ def contains_monomial(I: Ideal) -> bool:
     """True iff I contains some monomial, i.e. saturating by the product of
     all variables gives the unit ideal.
 
-    Walks the steps of that saturation and stops at the first basis with a
-    monomial element.  If the saturation is the unit ideal, the ideal the
-    step for x_1 starts from holds a power of x_1, the least monomial of its
-    degree under grevlex with x_1 last, so that step's basis has an element
-    x_1^k; no further basis is needed."""
+    Walks the steps of that saturation and stops at the first basis, run or
+    certifying, with a monomial element.  If the saturation is the unit
+    ideal, let J be the ideal that the last step, for x_1, starts from;
+    then J : x_1^infinity = (1).  If a basis cached on J certifies x_1, J
+    itself is the unit ideal, and that basis is (1).  Otherwise J holds a
+    power of x_1, the least monomial of its degree under the step's order,
+    grevlex with x_1 last, so the step's basis has an element x_1^k.  Either
+    way the walk stops there, and no further basis is needed."""
     return _saturation(I, (1,) * I.n, lambda gb: any(len(f) == 1 for f in gb.forms)) is None

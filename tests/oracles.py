@@ -11,9 +11,11 @@ approximate a coordinate ray by one far point, where the ray form of the
 cell test decides the whole ray; and the per-cone probe loops
 (``per_cone_constancy``, ``per_pair_distinct``, ``per_cone_multiplicity``),
 which probe every budgeted cone or pair on its own where the package probes
-one per symmetry orbit; and ``per_weight_member``, which answers each
+one per symmetry orbit; ``per_weight_member``, which answers each
 normalized weight at itself where the package answers one weight per
-permutation orbit.
+permutation orbit; and ``bayer_stillman_saturation``, the saturation walk
+that runs one basis per variable, where the package certifies a step from
+a basis it already holds.
 """
 
 from __future__ import annotations
@@ -131,6 +133,27 @@ def per_weight_member(I: Ideal, w, policy) -> bool:
 
         member = I.members[policy, wn] = agreed(I, policy, compute, "tropical membership")
     return member
+
+
+def bayer_stillman_saturation(I: Ideal, m, stop=None):
+    """(I : (x^m)^infinity) by one reduced basis per variable x_i of x^m,
+    x_n first, each under grevlex with x_i last and the other variables in
+    natural order, dividing every element by the largest power of x_i that
+    divides it (Bayer and Stillman 1987); None as soon as ``stop`` holds
+    for a step's basis.  No step is skipped."""
+    n = I.n
+    J = I
+    for i in reversed(range(n)):
+        if not m[i]:
+            continue
+        perm = tuple(k for k in range(1, n + 1) if k != i + 1) + (i + 1,)
+        gb = buchberger(J, OrderSpec("grevlex", perm))
+        if stop is not None and stop(gb):
+            return None
+        if any(f[0][0][i] for f in gb.forms):
+            J = Ideal(n, [{e[:i] + (e[i] - f[0][0][i],) + e[i + 1:]: c for e, c in f}
+                          for f in gb.forms], I.degree_cap)
+    return J
 
 
 def expanded_transform(I: Ideal, matrix) -> list:

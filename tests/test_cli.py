@@ -318,8 +318,10 @@ def test_family_wnmt_bounds_engine_runs(tmp_path, capsys, monkeypatch):
 def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     # the family multiplicity job of the fan-probe benchmark at workload
     # seed 1 probes one of its 20 refinement cones, which form one orbit: it
-    # makes 11 engine runs, 7 Hilbert numerators and 15 Groebner-cone
-    # lookups (151, 96 and 243 when every cone was probed)
+    # makes 11 engine runs, 7 Hilbert numerators and 13 Groebner-cone
+    # lookups (151, 96 and 243 when every cone was probed).  A saturation
+    # step that a cached basis certifies looks up no order (15 lookups when
+    # every step took a basis)
     fam = write(tmp_path, "fam.ideal", FAMILY_531)
     runs = counting_engine(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
@@ -328,7 +330,7 @@ def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
                        "--seed", _fan_probe_seed(3))
     assert code == EXIT_OK and report["passed"] is True
     assert len(runs) == 11 and len(numerators) == 7
-    assert len(lookups) == 15
+    assert len(lookups) == 13
 
 
 def test_analyze_jobs_pin_their_engine_runs(tmp_path, capsys, monkeypatch):
@@ -346,6 +348,43 @@ def test_analyze_jobs_pin_their_engine_runs(tmp_path, capsys, monkeypatch):
         runs = counting_engine(monkeypatch)
         code, _ = run(capsys, "analyze", path, "--seed", seed)
         assert code == EXIT_OK and len(runs) == want
+
+
+def _stanley_reisner(n: int, *non_faces: str) -> str:
+    """The ideal file of the Stanley-Reisner ideal of a simplicial complex
+    on n vertices, from the digit strings of its minimal non-faces."""
+    return "".join([f"ring {n}\n"] + ["*".join(f"x{v}" for v in f) + "\n" for f in non_faces])
+
+
+@pytest.mark.parametrize("text, want, depth_recovery", [
+    # the bowtie: two triangles 123 and 345 glued at a vertex
+    (_stanley_reisner(5, "14", "15", "24", "25"), (3, 2, "almostCM", 2), False),
+    # two tetrahedra 1234 and 4567 glued at a vertex
+    (_stanley_reisner(7, *(f"{i}{j}" for i in "123" for j in "567")), (4, 2, "neither", 2), True),
+    # the join of two triangle boundaries
+    (_stanley_reisner(6, "123", "456"), (4, 4, "CM", 9), False),
+    # a triangulated disk
+    (_stanley_reisner(6, "14", "25", "36", "123"), (3, 3, "CM", 7), False),
+    # the 6-vertex real projective plane, facets 124, 126, 135, 136, 145,
+    # 234, 235, 256, 346 and 456: Cohen-Macaulay in characteristic 0
+    (_stanley_reisner(6, "123", "125", "134", "146", "156", "236", "245", "246", "345", "356"),
+     (3, 3, "CM", 10), False),
+], ids=["bowtie", "two-tetrahedra", "join-of-triangles", "disk", "rp2"])
+def test_stanley_reisner_complexes(tmp_path, capsys, text, want, depth_recovery):
+    # dimension, depth, CM class and multiplicity of k[Delta], each derived
+    # by hand from the complex: the largest face size, Hochster's formula
+    # (Reisner's criterion for CM) and the number of faces of largest size.
+    # The multiplicity check saturates each probed initial ideal
+    path = write(tmp_path, "sr.ideal", text)
+    code, report = run(capsys, "analyze", path, "--seed", "1")
+    assert code == EXIT_OK
+    assert (report["dimension"], report["depth"], report["cm_class"],
+            report["multiplicity"]) == want
+    code, report = run(capsys, "verify", path, "--target", "multiplicity", "--seed", "1")
+    assert code == EXIT_OK and report["passed"] is True
+    if depth_recovery:
+        code, report = run(capsys, "verify", path, "--target", "depth-recovery", "--seed", "1")
+        assert code == EXIT_OK and report["passed"] is True
 
 
 def test_verify_depth_recovery(tmp_path, capsys):

@@ -366,19 +366,24 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # once per permutation orbit of its normalized weight, at the sorted
     # weight: the 192 queries, at 105 normalized weights, compute 77
     # answers.  Queries that share an initial ideal share its saturation
-    # runs, so the pass makes 96 engine runs (182 when each normalized
-    # weight was computed at itself).  Runs on the transformed ideals and
-    # their initial ideals take over the Hilbert series of the ideal and stop
-    # once their leads have it, so the pass forms 24 s-pair normal forms.
-    # Each query reads the dimension of its ideal from the memoized Hilbert
-    # numerator, so the pass lists no minimal leads and solves no least
-    # cover.  Each Groebner-cone lookup asks every cached basis once, oldest
-    # first, until one serves, so the pass re-sorts 192 of them (448 per
-    # normalized weight).  Measured per normalized weight: 662 runs when
-    # every query built its initial ideal afresh; 206 s-pairs when the
-    # transformed ideals started without the series, 602 when every run
-    # reduced all its pairs; 192 lead lists and covers when every query
-    # read its leads.
+    # runs.  A saturation step that a basis cached on its ideal certifies
+    # makes no run, and each step that runs puts the next variable to
+    # saturate just before its own, so that its basis usually certifies the
+    # next step: the pass makes 84 engine runs (96 when every step ran, with
+    # the other variables in natural order; 182 before that, when each
+    # normalized weight was computed at itself).  Runs on the transformed
+    # ideals and their initial ideals take over the Hilbert series of the
+    # ideal and stop once their leads have it, so the pass forms 24 s-pair
+    # normal forms.  Each query reads the dimension of its ideal from the
+    # memoized Hilbert numerator, so the pass lists no minimal leads and
+    # solves no least cover.  Each Groebner-cone lookup asks every cached
+    # basis once, oldest first, until one serves, and a certified step makes
+    # no lookup, so the pass re-sorts 96 of them (192 when every step ran;
+    # 448 before that, per normalized weight).  Measured per normalized
+    # weight: 662 runs when every query built its initial ideal afresh;
+    # 206 s-pairs when the transformed ideals started without the series,
+    # 602 when every run reduced all its pairs; 192 lead lists and covers
+    # when every query read its leads.
     rng = random.Random("tropical-sweep:1")
     ideals, queries = [], []
     for k in range(12):
@@ -405,24 +410,28 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     for k, w in queries:
         want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
         assert tropical_member(ideals[k], w, pol) == want
-    assert len(runs) == 96
+    assert len(runs) == 84
     assert len(spairs) == 24
-    assert len(resorts) == 192
+    assert len(resorts) == 96
 
 
 def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # 4 pairs of dense quadrics in 5 variables, policy seed k for ideal k,
     # 30 grid queries each, half with the minimum attained 3 to 5 times and
     # half once or twice.  Answered once per permutation orbit, at the
-    # sorted weight, the scan makes 60 engine runs (186 when each normalized
-    # weight was computed at itself).  Injected as explicit transforms, the
-    # same draws answer each normalized weight at itself: each transformed
-    # ideal ends with 15 to 19 cached bases, and a new query's order is
-    # often in the Groebner cone of one cached long before, so that scan
-    # makes 186 runs (196 when a lookup asked only the grevlex basis and the
-    # six newest, 214 when equal initial ideals were not one interned object)
-    # and, asking the cached bases oldest first, re-sorts 1132 of them (1214
-    # newest first)
+    # sorted weight, the scan makes 44 engine runs: a saturation step that a
+    # cached basis certifies makes none, and each step that runs puts the
+    # next variable to saturate just before its own (60 when every step ran,
+    # with the other variables in natural order; 186 before that, when each
+    # normalized weight was computed at itself).  Injected as explicit
+    # transforms, the same draws answer each normalized weight at itself:
+    # each transformed ideal ends with 15 to 19 cached bases, and a new
+    # query's order is often in the Groebner cone of one cached long before,
+    # so that scan makes 152 runs and, asking the cached bases oldest first,
+    # re-sorts 750 of them.  Before certified steps it made 186 runs (196
+    # when a lookup asked only the grevlex basis and the six newest, 214
+    # when equal initial ideals were not one interned object) and re-sorted
+    # 1132 (1214 newest first)
     def scan(injected: bool) -> tuple:
         rng = random.Random(5)
         runs, resorts = counting_engine(monkeypatch), counting_resorts(monkeypatch)
@@ -440,8 +449,8 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
                 assert tropical_member(I, tuple(w), pol) == (w.count(low) >= 5 - m + 1)
         return len(runs), len(resorts)
 
-    assert scan(injected=False)[0] == 60
-    assert scan(injected=True) == (186, 1132)
+    assert scan(injected=False)[0] == 44
+    assert scan(injected=True) == (152, 750)
 
 
 def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):

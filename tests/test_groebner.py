@@ -10,7 +10,7 @@ from operator import le, mul
 
 import pytest
 
-from gentrop.generic import identity_policy, transformed
+from gentrop.generic import identity_policy, transformed, tropical_member
 from gentrop.groebner import (
     DEFAULT_DEGREE_CAP,
     DegreeCapExceeded,
@@ -398,6 +398,74 @@ def test_contains_monomial_examples_and_oracle():
             assert has
         if not has:
             assert not found_low
+
+
+def _sweep_initial_ideals() -> list:
+    """The interned initial ideals of the transformed ideals after a small
+    tropical sweep: six pairs of dense quadrics, alternately in 3 and 4
+    variables, 16 grid queries each.  Each keeps the bases its membership
+    tests cached.  A query that the grevlex certificate answers builds no
+    initial ideal, so the initial ideals at the sorted weights of all the
+    queries are interned after the sweep too, and the ideals with a
+    monomial come from there."""
+    rng = random.Random("walk-sweep")
+    out = []
+    for n in (3, 4) * 3:
+        I = Ideal(n, [dense_form(n, 2, rng.randrange(10**6)) for _ in range(2)])
+        weights = []
+        for q in range(16):
+            ties = rng.randint(3, n) if q % 2 == 0 else rng.randint(1, 2)
+            low = rng.randint(-3, 2)
+            w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(n - ties)]
+            rng.shuffle(w)
+            tropical_member(I, tuple(w), policy())
+            weights.append(tuple(sorted(w)))
+        for gI in transformed(I, policy()):
+            for w in weights:
+                initial_ideal(gI, w)
+            out += {id(J): J for J in gI.initials.values()}.values()
+    return out
+
+
+def test_the_saturation_walk_matches_one_basis_per_variable():
+    # the walk that certifies steps from cached bases against the walk that
+    # runs one basis per variable: equal reduced grevlex bases for
+    # ``saturate`` and equal answers for ``contains_monomial``.  The
+    # package side walks one copy of each ideal, fresh and again after
+    # its grevlex basis was cached; the reference walks a fresh copy each
+    # time.  The cases: x1 a zero divisor, x4 in no generator, the unit
+    # ideal, three ideals whose grevlex bases hold no monomial though they
+    # contain one, the sparse and dense seeded ideals, and the interned
+    # initial ideals of a sweep, with the bases the sweep cached, some with
+    # a monomial and some without
+    def fresh(I):
+        return Ideal(I.n, map(dict, I.forms), I.degree_cap)
+
+    def has_monomial(gb):
+        return any(len(f) == 1 for f in gb.forms)
+
+    late = [random_graded_ideal(3, seed, gens=3, terms_per_gen=3) for seed in (7, 18, 48)]
+    for I in late:
+        assert not has_monomial(buchberger(fresh(I)))
+    plain = [ideal(3, "x1*x2", "x1*x3"), ideal(4, "x1*x2 - x3^2", "x1^2 + x2*x3"),
+             Ideal(3, [{(0, 0, 0): 1}]), *late, *seeded_ideals(2, 1)]
+    cases = [J for I in plain for J in (fresh(I), fresh(I))]
+    for J in cases[1::2]:
+        buchberger(J)
+    swept = _sweep_initial_ideals()
+    changed, contains = 0, {}
+    for J in cases + swept:
+        n = J.n
+        want = oracles.bayer_stillman_saturation(fresh(J), (1,) * n, has_monomial) is None
+        contains[id(J)] = contains_monomial(J)
+        assert contains[id(J)] == want, J
+        for m in [(1,) * n, (0, 1) + (0,) * (n - 2), (2, 0, 1) + (0,) * (n - 3)]:
+            want = oracles.bayer_stillman_saturation(fresh(J), m)
+            got = saturate(J, Polynomial.monomial(n, m))
+            assert buchberger(got).forms == buchberger(want).forms, (J, m)
+            changed += got.forms != buchberger(fresh(J)).forms
+    assert changed and len(swept) > 60
+    assert 0 < sum(contains[id(J)] for J in swept) < len(swept)
 
 
 def test_graded_validation_and_errors():
@@ -915,8 +983,10 @@ def _certify(gens, order):
 def test_seeded_groebner_certificates():
     # pair pruning must not lose an s-pair: certify bases of seeded sparse
     # and dense ideals under every order kind the package uses, including
-    # the grevlex orders with x_i last that saturation steps use, and check
-    # membership of the bases with the linear-algebra oracle
+    # the grevlex orders with x_i last that saturation steps use (the other
+    # variables in natural order, or x_{i+1} .. x_n first, as in the
+    # monomial-containment walk), and check membership of the bases with
+    # the linear-algebra oracle
     ideals = [random_graded_ideal(n, seed, gens=2 + seed % 3) for n in (3, 4) for seed in range(3)]
     for seed in range(3):
         ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
@@ -932,6 +1002,8 @@ def test_seeded_groebner_certificates():
             OrderSpec("grevlex", tuple(k for k in range(1, n + 1) if k != i) + (i,))
             for i in range(1, n)
         ]
+        orders += [OrderSpec("grevlex", (*range(i + 1, n + 1), *range(1, i + 1)))
+                   for i in range(2, n)]
         gens = [dict(f) for f in I.forms]
         graded = [Polynomial(n, g) for o in orders for g in _certify(gens, o)]
         assert oracles.members_homogeneous(graded, I.generators, n)
