@@ -27,7 +27,9 @@ the initial ideal, so every pending pair would reduce to zero (Traverso
 monomial, and so the monomial-containment test, takes one variable at a
 time (Bayer and Stillman 1987); a step whose variable divides no lead of a
 basis the ideal already holds makes no run, since the variable is then a
-nonzerodivisor, and a step that runs orders the next variable just before
+nonzerodivisor.  Otherwise a run on the ideal with the variable set to
+zero, in one variable fewer, certifies it when its leads have the ideal's
+Hilbert series, and a step that runs orders the next variable just before
 its own, so that its basis usually certifies that step.  Every sort and
 tie-break is fixed, so identical inputs produce bit-identical output.
 Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
@@ -102,12 +104,13 @@ class Ideal:
     the ideal takes as the target that ends it.  It is read from the leads
     of any cached basis, or handed down by the parent of an initial ideal or
     of an invertible transform (``generic.apply_transform``), which has the
-    same series; until then it is None.
+    same series; until then it is None.  ``has_monomial`` memoizes the
+    answer of ``contains_monomial``, None until one is computed.
     """
 
     __slots__ = (
         "n", "forms", "degree_cap", "hilbert_memo", "gb_cache", "images", "gins",
-        "initials", "members", "numerator", "_gens",
+        "initials", "members", "numerator", "has_monomial", "_gens",
     )
 
     def __init__(
@@ -163,6 +166,7 @@ class Ideal:
         self.initials: dict = {}
         self.members: dict = {}
         self.numerator = None
+        self.has_monomial = None
         self._gens = None
 
     @property
@@ -818,6 +822,25 @@ def ideal_equal(I: Ideal, J: Ideal, order: OrderSpec = GREVLEX) -> bool:
     return buchberger(I, order).elements == buchberger(J, order).elements
 
 
+def _restriction_certifies(J: Ideal, i: int, q: tuple) -> bool:
+    """Whether one run on J restricted to x_i = 0, in n - 1 variables, has
+    leads with J's Hilbert numerator q, which certifies x_i (see
+    ``_saturation``); a run over the cap certifies nothing."""
+    src = J.gb_cache.get(GREVLEX)
+    gens = [g for g in ({e[:i] + e[i + 1:]: c for e, c in f if not e[i]}
+                        for f in (J.forms if src is None else src.forms)) if g]
+    try:
+        forms = _buchberger_dicts(gens, GREVLEX.key_function(J.n - 1, J.degree_cap),
+                                  J.degree_cap, q, J.hilbert_memo)
+    except DegreeCapExceeded:
+        return False
+    leads = frozenset(f[0][0] for f in forms)
+    got = J.hilbert_memo.get(leads)
+    if got is None:
+        got = J.hilbert_memo[leads] = hilbert_numerator(J.n - 1, leads)
+    return got == q
+
+
 def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
     """(I : (x^m)^infinity) for an exponent vector m, saturating by one
     variable at a time (Bayer and Stillman 1987); None as soon as ``stop``
@@ -834,7 +857,16 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
     -> S/(J + x_i) -> 0 gives HS(S/(J + x_i)) = (1 - t) HS(S/J) + t
     HS(0 : x_i), so 0 : x_i = 0.  The basis (1) of the unit ideal certifies
     every variable, and ``stop`` sees a certifying basis as it sees a
-    computed one.
+    computed one.  A cached grevlex basis with x_i last that x_i does not
+    certify is a step basis (see below), and x_i is a zero divisor.
+
+    Otherwise, if J is not (1) and its Hilbert numerator Q is known, one
+    grevlex run on the restrictions J' to x_i = 0 of J's grevlex basis (or
+    forms), in the ring S' of the other variables, may certify x_i: S/(J +
+    x_i) = S'/J', so by the sequence above J' has the numerator Q iff 0 :
+    x_i = 0, and leads that reach Q generate in(J'), as the run's target
+    stop uses.  A certified step keeps J and shows ``stop`` no basis: a
+    walk that ends on (1) still stops at a division or on the basis (1).
 
     Otherwise the step takes J's reduced basis under grevlex with x_i last,
     the variables still to saturate just before it and the ones done (and
@@ -846,19 +878,22 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
     leads of a generic basis lie in its most significant variables, so
     under this order they usually avoid the next variable too, which that
     step then takes as its certificate.  A step that divides builds a new
-    ideal, with no cached basis."""
+    ideal, with no cached basis and no known numerator."""
     n = I.n
     pending = [i for i in range(n) if m[i]]
     J = I
     while pending:
         i = pending.pop()
-        gb = next((gb for gb in J.gb_cache.values() if not any(f[0][0][i] for f in gb.forms)),
-                  None)
+        gb = next((gb for gb in J.gb_cache.values()
+                   if gb.order.base == "grevlex" and gb.order.weight is None
+                   and (gb.order.perm or (n,))[-1] == i + 1
+                   or not any(f[0][0][i] for f in gb.forms)), None)
         if gb is None:
+            q = known_numerator(J)
+            if q not in (None, (0,)) and _restriction_certifies(J, i, q):
+                continue
             first = [k + 1 for k in range(n) if k != i and k not in pending]
-            perm = (*first, *(k + 1 for k in pending), i + 1)
-            gb = buchberger(J, GREVLEX if perm == tuple(range(1, n + 1)) else
-                            OrderSpec("grevlex", perm))
+            gb = buchberger(J, OrderSpec("grevlex", (*first, *(k + 1 for k in pending), i + 1)))
         if stop is not None and stop(gb):
             return None
         if any(f[0][0][i] for f in gb.forms):
@@ -872,9 +907,10 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """The saturation (I : f^infinity) by a nonzero monomial f, generated by
     its reduced grevlex basis, which the result keeps in its cache; any
     other f raises ``ValueError``.  The saturation takes one variable of f
-    at a time, and a step that a basis held by the ideal being saturated
-    certifies makes no run (see ``_saturation``), so the runs made depend
-    on the bases I holds, and the result does not."""
+    at a time, and a step that a basis held by the ideal being saturated,
+    or a run on its restriction to x_i = 0, certifies makes no run in n
+    variables (see ``_saturation``), so the runs made depend on the bases
+    and the numerator I holds, and the result does not."""
     if f.n != I.n:
         raise ValueError("ambient variable counts differ")
     if not f.is_monomial():
@@ -903,5 +939,10 @@ def contains_monomial(I: Ideal) -> bool:
     itself is the unit ideal, and that basis is (1).  Otherwise J holds a
     power of x_1, the least monomial of its degree under the step's order,
     grevlex with x_1 last, so the step's basis has an element x_1^k.  Either
-    way the walk stops there, and no further basis is needed."""
-    return _saturation(I, (1,) * I.n, lambda gb: any(len(f) == 1 for f in gb.forms)) is None
+    way the walk stops there, and no further basis is needed; a restricted
+    run is never tried on (1).  The answer is memoized in
+    ``I.has_monomial``, which a walk over the cap leaves unset."""
+    if I.has_monomial is None:
+        I.has_monomial = _saturation(
+            I, (1,) * I.n, lambda gb: any(len(f) == 1 for f in gb.forms)) is None
+    return I.has_monomial

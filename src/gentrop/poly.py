@@ -43,7 +43,8 @@ class OrderSpec(namedtuple("OrderSpec", "base perm weight")):
     refined by a weight vector.
 
     ``perm`` lists 1-based variable indices, most significant first; ``None``
-    means the identity (x1 > x2 > ... > xn).  With a weight refinement,
+    means the identity (x1 > x2 > ... > xn), and an identity ``perm`` is
+    stored as ``None``, so each order has one spec.  With a weight refinement,
     comparison is by weight first (smaller weight ranks higher), ties broken
     by the base order.  ``key_function`` ranks monomials of bounded degree
     by one integer key.
@@ -55,8 +56,11 @@ class OrderSpec(namedtuple("OrderSpec", "base perm weight")):
                 weight: Weights | None = None):
         if base not in ("lex", "grevlex"):
             raise ValueError(f"unknown base order {base!r}")
-        return super().__new__(cls, base, None if perm is None else tuple(perm),
-                               None if weight is None else _exact(weight))
+        if perm is not None:
+            perm = tuple(perm)
+            if perm == tuple(range(1, len(perm) + 1)):
+                perm = None
+        return super().__new__(cls, base, perm, None if weight is None else _exact(weight))
 
     def refine(self, w: Weights) -> "OrderSpec":
         """The same base order refined by weight vector ``w``."""

@@ -96,14 +96,16 @@ def seeded_ideals(sparse: int, dense: int) -> list:
     return out
 
 
-def _counting(monkeypatch, name: str, module=groebner) -> list:
+def _counting(monkeypatch, name: str, module=groebner, record=None) -> list:
     """Patch the function ``<module>.<name>`` (an engine function by
-    default) to record each call; returns the record."""
+    default) to record each call, as ``record(args)`` (a list of the
+    arguments, which it may rewrite) or as 1; returns the record."""
     calls = []
     f = getattr(module, name)
 
     def counting(*args):
-        calls.append(1)
+        args = list(args)
+        calls.append(1 if record is None else record(args))
         return f(*args)
 
     monkeypatch.setattr(module, name, counting)
@@ -113,6 +115,23 @@ def _counting(monkeypatch, name: str, module=groebner) -> list:
 def counting_engine(monkeypatch) -> list:
     """Record each Buchberger engine run."""
     return _counting(monkeypatch, "_buchberger_dicts")
+
+
+def counting_engine_variables(monkeypatch) -> list:
+    """Record the variable count of each Buchberger engine run: n for a run
+    on an ideal in n variables, n - 1 for a saturation step's run on its
+    restriction to x_i = 0, and None for a run without generators."""
+    def variables(args):
+        args[0] = gens = list(args[0])
+        return len(next(iter(gens[0]))) if gens else None
+
+    return _counting(monkeypatch, "_buchberger_dicts", record=variables)
+
+
+def counting_restrictions(monkeypatch) -> list:
+    """Record each run of a saturation step on its restriction to x_i = 0
+    (``_restriction_certifies``)."""
+    return _counting(monkeypatch, "_restriction_certifies")
 
 
 def counting_spairs(monkeypatch) -> list:

@@ -24,6 +24,7 @@ from gentrop.poly import MAX_DIGITS, ParseError
 from cases import (
     counting_cone_hits,
     counting_engine,
+    counting_engine_variables,
     counting_hilbert_numerators,
     counting_normal_forms,
     counting_spairs,
@@ -318,19 +319,24 @@ def test_family_wnmt_bounds_engine_runs(tmp_path, capsys, monkeypatch):
 def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     # the family multiplicity job of the fan-probe benchmark at workload
     # seed 1 probes one of its 20 refinement cones, which form one orbit: it
-    # makes 11 engine runs, 7 Hilbert numerators and 13 Groebner-cone
+    # makes 11 engine runs, 8 Hilbert numerators and 9 Groebner-cone
     # lookups (151, 96 and 243 when every cone was probed).  A saturation
     # step that a cached basis certifies looks up no order (15 lookups when
-    # every step took a basis)
+    # every step took a basis).  Four of the runs are saturation steps run
+    # on the ideal restricted to x_i = 0, in 4 variables, which certify
+    # their steps without a lookup, in place of four runs in 5 (7
+    # numerators and 13 lookups before); a cached grevlex basis with x_i
+    # last is a step's basis without one (13 runs and 9 numerators when the
+    # restricted run was tried there too)
     fam = write(tmp_path, "fam.ideal", FAMILY_531)
-    runs = counting_engine(monkeypatch)
+    runs = counting_engine_variables(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
     lookups = counting_cone_hits(monkeypatch)
     code, report = run(capsys, "verify", fam, "--target", "multiplicity",
                        "--seed", _fan_probe_seed(3))
     assert code == EXIT_OK and report["passed"] is True
-    assert len(runs) == 11 and len(numerators) == 7
-    assert len(lookups) == 13
+    assert runs.count(5) == 7 and runs.count(4) == 4 and len(runs) == 11
+    assert len(numerators) == 8 and len(lookups) == 9
 
 
 def test_analyze_jobs_pin_their_engine_runs(tmp_path, capsys, monkeypatch):

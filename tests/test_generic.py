@@ -52,10 +52,12 @@ from cases import (
     codim2_complete_intersection,
     counting_cone_hits,
     counting_engine,
+    counting_engine_variables,
     counting_gins,
     counting_hilbert_numerators,
     counting_normal_forms,
     counting_resorts,
+    counting_restrictions,
     counting_spairs,
     dense_form,
     ideal,
@@ -367,9 +369,13 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # weight: the 192 queries, at 105 normalized weights, compute 77
     # answers.  Queries that share an initial ideal share its saturation
     # runs.  A saturation step that a basis cached on its ideal certifies
-    # makes no run, and each step that runs puts the next variable to
-    # saturate just before its own, so that its basis usually certifies the
-    # next step: the pass makes 84 engine runs (96 when every step ran, with
+    # makes no run.  Any other step on an ideal with a known Hilbert series
+    # first runs the ideal restricted to x_i = 0, in one variable fewer,
+    # which certifies x_i when its leads reach that series: the pass makes
+    # 24 runs in n variables and 72 restricted ones.  Without the
+    # restricted run it made 84 runs in n variables: each step that runs
+    # puts the next variable to saturate just before its own, so that its
+    # basis usually certifies the next step (96 when every step ran, with
     # the other variables in natural order; 182 before that, when each
     # normalized weight was computed at itself).  Runs on the transformed
     # ideals and their initial ideals take over the Hilbert series of the
@@ -378,8 +384,9 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # memoized Hilbert numerator, so the pass lists no minimal leads and
     # solves no least cover.  Each Groebner-cone lookup asks every cached
     # basis once, oldest first, until one serves, and a certified step makes
-    # no lookup, so the pass re-sorts 96 of them (192 when every step ran;
-    # 448 before that, per normalized weight).  Measured per normalized
+    # no lookup, so the pass re-sorts 12 of them (96 without the restricted
+    # run, 192 when every step ran; 448 before that, per normalized
+    # weight).  Measured per normalized
     # weight: 662 runs when every query built its initial ideal afresh;
     # 206 s-pairs when the transformed ideals started without the series,
     # 602 when every run reduced all its pairs; 192 lead lists and covers
@@ -399,6 +406,7 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     pol = policy(seed=rng.randrange(10**6))
     dims = [dimension(I) for I in ideals]
     runs = counting_engine(monkeypatch)
+    restricted = counting_restrictions(monkeypatch)
     spairs = counting_spairs(monkeypatch)
     resorts = counting_resorts(monkeypatch)
 
@@ -410,31 +418,39 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     for k, w in queries:
         want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
         assert tropical_member(ideals[k], w, pol) == want
-    assert len(runs) == 84
+    assert len(runs) - len(restricted) == 24 and len(restricted) == 72
     assert len(spairs) == 24
-    assert len(resorts) == 96
+    assert len(resorts) == 12
 
 
 def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # 4 pairs of dense quadrics in 5 variables, policy seed k for ideal k,
     # 30 grid queries each, half with the minimum attained 3 to 5 times and
     # half once or twice.  Answered once per permutation orbit, at the
-    # sorted weight, the scan makes 44 engine runs: a saturation step that a
-    # cached basis certifies makes none, and each step that runs puts the
-    # next variable to saturate just before its own (60 when every step ran,
-    # with the other variables in natural order; 186 before that, when each
-    # normalized weight was computed at itself).  Injected as explicit
+    # sorted weight, the scan makes 12 engine runs in 5 variables and 48 in
+    # 4: a saturation step that a cached basis certifies makes none, and
+    # one on an ideal with a known Hilbert series first runs the ideal
+    # restricted to x_i = 0, in 4 variables.  Each interned initial ideal
+    # memoizes its answer, so the queries that share one walk it once (84
+    # restricted runs when every query walked it).  Without the restricted
+    # run the scan made 44 runs in 5 variables, as each step that runs puts
+    # the next variable to saturate just before its own (60 when every step
+    # ran, with the other variables in natural order; 186 before that, when
+    # each normalized weight was computed at itself).  Injected as explicit
     # transforms, the same draws answer each normalized weight at itself:
     # each transformed ideal ends with 15 to 19 cached bases, and a new
     # query's order is often in the Groebner cone of one cached long before,
-    # so that scan makes 152 runs and, asking the cached bases oldest first,
-    # re-sorts 750 of them.  Before certified steps it made 186 runs (196
-    # when a lookup asked only the grevlex basis and the six newest, 214
-    # when equal initial ideals were not one interned object) and re-sorted
-    # 1132 (1214 newest first)
+    # so that scan makes 66 runs in 5 variables and 120 in 4 and, asking the
+    # cached bases oldest first, re-sorts 638 of them.  A cached grevlex
+    # basis with x_i last is a step's basis, and the restricted run is not
+    # tried there (142 restricted runs when it was).  Without the restricted
+    # run it made 152 runs in 5 variables and re-sorted 750; before
+    # certified steps it made 186 runs (196 when a lookup asked only the
+    # grevlex basis and the six newest, 214 when equal initial ideals were
+    # not one interned object) and re-sorted 1132 (1214 newest first)
     def scan(injected: bool) -> tuple:
         rng = random.Random(5)
-        runs, resorts = counting_engine(monkeypatch), counting_resorts(monkeypatch)
+        runs, resorts = counting_engine_variables(monkeypatch), counting_resorts(monkeypatch)
         for k in range(4):
             I = Ideal(5, [dense_form(5, 2, rng.randrange(10**6)) for _ in range(2)])
             m = dimension(I)
@@ -447,10 +463,10 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
                 w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(5 - ties)]
                 rng.shuffle(w)
                 assert tropical_member(I, tuple(w), pol) == (w.count(low) >= 5 - m + 1)
-        return len(runs), len(resorts)
+        return runs.count(5), runs.count(4), len(runs), len(resorts)
 
-    assert scan(injected=False)[0] == 44
-    assert scan(injected=True) == (152, 750)
+    assert scan(injected=False)[:3] == (12, 48, 60)
+    assert scan(injected=True) == (66, 120, 186, 638)
 
 
 def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):

@@ -18,6 +18,7 @@ from gentrop.groebner import (
     NotGradedError,
     buchberger,
     contains_monomial,
+    hilbert_numerator,
     ideal_equal,
     initial_ideal,
     is_unit_ideal,
@@ -28,7 +29,8 @@ from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, norm
 
 import oracles
 from cases import (
-    P, counting_engine, counting_spairs, dense_form, ideal, policy, product_family,
+    P, counting_cone_hits, counting_engine, counting_restrictions, counting_spairs, dense_form,
+    ideal, policy, product_family,
     random_graded_ideal, seeded_ideals, split_fan_ideal, stable_depth_family,
 )
 
@@ -427,45 +429,186 @@ def _sweep_initial_ideals() -> list:
     return out
 
 
-def test_the_saturation_walk_matches_one_basis_per_variable():
-    # the walk that certifies steps from cached bases against the walk that
-    # runs one basis per variable: equal reduced grevlex bases for
-    # ``saturate`` and equal answers for ``contains_monomial``.  The
-    # package side walks one copy of each ideal, fresh and again after
-    # its grevlex basis was cached; the reference walks a fresh copy each
-    # time.  The cases: x1 a zero divisor, x4 in no generator, the unit
-    # ideal, three ideals whose grevlex bases hold no monomial though they
-    # contain one, the sparse and dense seeded ideals, and the interned
-    # initial ideals of a sweep, with the bases the sweep cached, some with
-    # a monomial and some without
-    def fresh(I):
-        return Ideal(I.n, map(dict, I.forms), I.degree_cap)
+def test_a_spelled_out_identity_order_is_one_cache_key(monkeypatch):
+    # an identity ``perm`` is stored as None, so grevlex on (1, ..., n) is
+    # GREVLEX: after buchberger(I), the spelled-out order is a cache hit,
+    # with one gb_cache entry and no Groebner-cone lookup
+    spelled = OrderSpec("grevlex", (1, 2, 3))
+    assert spelled == GREVLEX and spelled.perm is None and OrderSpec("lex", [1, 2]) == LEX
+    assert OrderSpec("grevlex", (2, 1, 3)).perm == (2, 1, 3)
+    I = ideal(3, "x1*x2 - x3^2", "x1^2 + x2*x3")
+    gb = buchberger(I)
+    lookups = counting_cone_hits(monkeypatch)
+    assert buchberger(I, spelled) is gb
+    assert list(I.gb_cache) == [GREVLEX] and not lookups
 
+
+def _fresh(I: Ideal) -> Ideal:
+    """A copy of I with nothing cached and its numerator unknown."""
+    return Ideal(I.n, map(dict, I.forms), I.degree_cap)
+
+
+def _with_numerator(I: Ideal) -> Ideal:
+    """A copy of I with no basis but its Hilbert numerator known, as a
+    transformed ideal has it, so its saturation steps try the restricted
+    run."""
+    J = _fresh(I)
+    J.numerator = hilbert_numerator(I.n, buchberger(_fresh(I)).leads)
+    return J
+
+
+# ideals on which the restricted run must refuse some step: J inside (x3),
+# where every restriction to x3 = 0 vanishes; a monomial ideal; n = 1; n = 2
+REFUSING = [ideal(3, "x1*x3", "x2*x3 + x3^2"), ideal(3, "x1*x2", "x3^2"),
+            ideal(1, "x1^3"), ideal(2, "x1*x2"), ideal(2, "x1^2 + x2^2")]
+
+
+def test_the_saturation_walk_matches_one_basis_per_variable():
+    # the walk that certifies steps from cached bases and from runs on the
+    # ideal restricted to x_i = 0 against the walk that runs one basis per
+    # variable: equal reduced grevlex bases for ``saturate`` and equal
+    # answers for ``contains_monomial``.  The package side walks three
+    # copies of each ideal: fresh, after its grevlex basis was cached, and
+    # with only its Hilbert numerator known, which tries the restricted
+    # run; the reference walks a fresh copy each time.  The cases: x1 a
+    # zero divisor, x4 in no generator, the unit ideal, three ideals whose
+    # grevlex bases hold no monomial though they contain one, the ideals
+    # of REFUSING, the sparse and dense seeded ideals, and the interned
+    # initial ideals of a sweep, walked again with the bases the sweep
+    # cached, some with a monomial and some without
     def has_monomial(gb):
         return any(len(f) == 1 for f in gb.forms)
 
     late = [random_graded_ideal(3, seed, gens=3, terms_per_gen=3) for seed in (7, 18, 48)]
     for I in late:
-        assert not has_monomial(buchberger(fresh(I)))
+        assert not has_monomial(buchberger(_fresh(I)))
     plain = [ideal(3, "x1*x2", "x1*x3"), ideal(4, "x1*x2 - x3^2", "x1^2 + x2*x3"),
-             Ideal(3, [{(0, 0, 0): 1}]), *late, *seeded_ideals(2, 1)]
-    cases = [J for I in plain for J in (fresh(I), fresh(I))]
-    for J in cases[1::2]:
+             Ideal(3, [{(0, 0, 0): 1}]), *late, *REFUSING, *seeded_ideals(2, 1)]
+    cases = [J for I in plain for J in (_fresh(I), _fresh(I), _with_numerator(I))]
+    for J in cases[1::3]:
         buchberger(J)
     swept = _sweep_initial_ideals()
+    for J in swept:
+        J.has_monomial = None
     changed, contains = 0, {}
     for J in cases + swept:
         n = J.n
-        want = oracles.bayer_stillman_saturation(fresh(J), (1,) * n, has_monomial) is None
+        want = oracles.bayer_stillman_saturation(_fresh(J), (1,) * n, has_monomial) is None
         contains[id(J)] = contains_monomial(J)
         assert contains[id(J)] == want, J
-        for m in [(1,) * n, (0, 1) + (0,) * (n - 2), (2, 0, 1) + (0,) * (n - 3)]:
-            want = oracles.bayer_stillman_saturation(fresh(J), m)
+        for m in [(1,) * n, ((0, 1) + (0,) * n)[:n], ((2, 0, 1) + (0,) * n)[:n]]:
+            want = oracles.bayer_stillman_saturation(_fresh(J), m)
             got = saturate(J, Polynomial.monomial(n, m))
             assert buchberger(got).forms == buchberger(want).forms, (J, m)
-            changed += got.forms != buchberger(fresh(J)).forms
+            changed += got.forms != buchberger(_fresh(J)).forms
     assert changed and len(swept) > 60
     assert 0 < sum(contains[id(J)] for J in swept) < len(swept)
+
+
+def test_the_restricted_run_certifies_exactly_the_nonzerodivisors(monkeypatch):
+    # one run on J restricted to x_i = 0, with J's Hilbert numerator Q as
+    # the target, certifies x_i iff the saturation by x_i alone keeps J
+    # (x_i a nonzerodivisor on S/J), for every variable of each ideal, from
+    # J's forms and from its cached grevlex basis.  Among the refusals: J
+    # inside (x3) at x3, (x1x2, x1x3) at x1, a monomial ideal, n = 1 and
+    # n = 2
+    from gentrop.groebner import _restriction_certifies
+
+    cases = [ideal(3, "x1*x2", "x1*x3"), ideal(3, "x1^2", "x1*x2"), *REFUSING,
+             *seeded_ideals(3, 2)]
+    certified = refused = 0
+    for I in cases:
+        n = I.n
+        q = hilbert_numerator(n, buchberger(_fresh(I)).leads)
+        cached = _fresh(I)
+        buchberger(cached)
+        for i in range(n):
+            unit = tuple(int(k == i) for k in range(n))
+            sat = oracles.bayer_stillman_saturation(_fresh(I), unit)
+            regular = buchberger(sat).forms == buchberger(_fresh(I)).forms
+            for J in (_fresh(I), cached):
+                assert _restriction_certifies(J, i, q) == regular, (I, i)
+            certified += regular
+            refused += not regular
+    assert certified > 20 and refused > 10
+    for I, i in [(REFUSING[0], 2), (ideal(3, "x1*x2", "x1*x3"), 0), (REFUSING[1], 2),
+                 (REFUSING[2], 0), (REFUSING[3], 0)]:
+        assert not _restriction_certifies(I, i, hilbert_numerator(I.n, buchberger(I).leads))
+    assert _restriction_certifies(REFUSING[4], 0, (1, 0, -1))
+    # a step that divides builds an ideal whose numerator is unknown, so
+    # the later steps try no restricted run: (x1x4, x2x4) with its numerator
+    # known tries one at x4, which refuses, and its step divides to (x1,
+    # x2), whose step for x3 runs
+    J = _with_numerator(ideal(4, "x1*x4", "x2*x4"))
+    restricted, runs = counting_restrictions(monkeypatch), counting_engine(monkeypatch)
+    got = saturate(J, P("x3*x4", 4))
+    assert sorted(gens_of(got)) == ["x1", "x2"] and len(restricted) == 1 and len(runs) == 3
+
+
+def test_contains_monomial_memoizes_its_answer(monkeypatch):
+    # two weights in different orbits, (0, 0, 1, 2) and (0, 0, 1, 3), give
+    # one interned initial ideal of each transformed quadric, whose basis
+    # at the second weight is the first one's re-sorted: the first query
+    # walks it, and the second makes no engine run
+    I = Ideal(4, [dense_form(4, 2, 0)])
+    runs = counting_engine(monkeypatch)
+    assert tropical_member(I, (0, 0, 1, 2), policy()) and runs
+    runs.clear()
+    assert tropical_member(I, (0, 0, 1, 3), policy()) and not runs
+    for gI in transformed(I, policy()):
+        J = initial_ideal(gI, (0, 0, 1, 2))
+        assert J is initial_ideal(gI, (0, 0, 1, 3)) and J.has_monomial is False
+
+
+def test_a_restricted_run_over_the_cap_falls_back_to_the_steps_run(monkeypatch):
+    # two quadrics in 3 variables under cap 3, their Hilbert numerator
+    # known: the restricted run at x3 certifies it, the one at x2 goes over
+    # the cap, which certifies nothing, and the step's own run then raises,
+    # as the walk that runs one basis per variable does.  A walk that
+    # raises leaves the memo unset.  A seeded search (300 sparse and 40
+    # dense ideals in 3 and 4 variables, caps from their generator degree
+    # up) found no step whose restricted run went over the cap where its
+    # own run did not, so that fallback is forced below, by failing every
+    # run in fewer variables than the ideal walked: each walk then answers
+    # as the reference does
+    from gentrop import groebner
+
+    gens = ("x1^2 - 1/3*x2^2 + 4/3*x1*x3 - 4/3*x3^2", "x1^2 + x2^2 - 3/4*x2*x3 - 3/4*x3^2")
+    with pytest.raises(DegreeCapExceeded):
+        oracles.bayer_stillman_saturation(ideal(3, *gens, degree_cap=3), (1, 1, 1))
+    J = ideal(3, *gens, degree_cap=3)
+    J.numerator = hilbert_numerator(3, buchberger(ideal(3, *gens)).leads)
+    engine, outcomes = groebner._buchberger_dicts, []
+
+    def recording(gens, *args):
+        gens = list(gens)
+        outcomes.append(len(next(iter(gens[0]))))
+        try:
+            return engine(gens, *args)
+        except DegreeCapExceeded:
+            outcomes.append("over")
+            raise
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", recording)
+    with pytest.raises(DegreeCapExceeded):
+        contains_monomial(J)
+    assert outcomes == [2, 2, "over", 3, "over"] and J.has_monomial is None
+
+    def over(gens, *args):
+        gens = list(gens)
+        if gens and len(next(iter(gens[0]))) < n:  # n: the ideal walked below
+            raise DegreeCapExceeded("forced")
+        return engine(gens, *args)
+
+    monkeypatch.setattr(groebner, "_buchberger_dicts", over)
+    restricted = counting_restrictions(monkeypatch)
+    for I in [*REFUSING, *seeded_ideals(2, 1)]:
+        n = I.n
+        want = oracles.bayer_stillman_saturation(_fresh(I), (1,) * n)
+        assert buchberger(saturate(_with_numerator(I), P("*".join(
+            f"x{k}" for k in range(1, n + 1)), n))).forms == buchberger(want).forms
+        assert contains_monomial(_with_numerator(I)) == is_unit_ideal(want)
+    assert len(restricted) > 10
 
 
 def test_graded_validation_and_errors():
