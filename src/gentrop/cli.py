@@ -43,6 +43,7 @@ from .generic import (
     GenericityPolicy,
     ProbeResult,
     adjacent_distinct,
+    agreed_initial_ideal,
     classify_cm,
     constancy_probes,
     depth,
@@ -50,7 +51,6 @@ from .generic import (
     identity_policy,
     per_orbit,
     recover_depth,
-    transformed,
     tropical_member,
 )
 from .groebner import (
@@ -58,7 +58,6 @@ from .groebner import (
     DegreeCapExceeded,
     Ideal,
     NotGradedError,
-    initial_ideal,
 )
 from .invariants import dimension, multiplicity
 from .poly import GREVLEX, MAX_DIGITS, ParseError, UsageError, parse_int, parse_polynomial
@@ -98,15 +97,19 @@ def _parse_omega(text: str, n: int):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise ParseError(f"omega needs {n} comma-separated entries")
-    try:
-        for p in parts:
+    w = []
+    for p in parts:
+        try:
             # a bound on the digits Fraction(p) builds, checked before it does
             mantissa, _, exp = p.lower().partition("e")
             if len(mantissa) + abs(int(exp or 0)) > MAX_DIGITS:
                 raise ValueError(f"{p[:20]!r} could exceed {MAX_DIGITS} digits")
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad omega entry: {exc}") from None
+            w.append(Fraction(p))
+        except ValueError as exc:
+            raise ParseError(f"bad omega entry: {exc}") from None
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in omega entry {p!r}") from None
+    return tuple(w)
 
 
 def _policy(args, n: int) -> GenericityPolicy:
@@ -155,7 +158,7 @@ def cmd_analyze(I, policy, args) -> tuple:
 def cmd_tropical(I, policy, args) -> tuple:
     w = _parse_omega(args.omega, I.n)
     member = tropical_member(I, w, policy)
-    J = initial_ideal(transformed(I, policy)[0], w)
+    J = agreed_initial_ideal(I, w, policy)
     return EXIT_OK, {
         "omega": [str(x) for x in w],
         "member": member,

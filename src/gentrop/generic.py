@@ -283,17 +283,22 @@ def agreed(
     non-generic (small entry bounds), so a failed validity check escalates
     exactly like disagreement does."""
     reason = "independent transforms disagree"
-    for escalation in range(3):
-        pol = policy if escalation == 0 else GenericityPolicy(
-            policy.samples, policy.bound * 100**escalation, policy.seed, policy.transforms)
+    for pol in _escalations(policy):
         values = [compute(gI) for gI in transformed(I, pol)]
         if all(v == values[0] for v in values[1:]):
             if valid is None or valid(values[0]):
                 return values[0]
             reason = "agreed value failed the genericity validity check"
-        if policy.transforms is not None:
-            break
     raise GenericityFailure(f"{what}: {reason}")
+
+
+def _escalations(policy: GenericityPolicy) -> list:
+    """The policies ``agreed`` asks in turn: the policy, then, under sampled
+    transforms, the policy with its entry bound times 100 and 10,000."""
+    if policy.transforms is not None:
+        return [policy]
+    return [policy] + [GenericityPolicy(policy.samples, policy.bound * 100**k, policy.seed)
+                       for k in (1, 2)]
 
 
 def _variable_priority(order: OrderSpec, n: int) -> tuple:
@@ -351,25 +356,44 @@ def tropical_member(
     repeated query, or one by a shift, a positive multiple or, if sorted, a
     permutation of w, computes nothing; a query that raises is not
     memoized."""
-    wn = normalize_weight(w, I.n)
-    if policy.transforms is None:
-        wn = tuple(sorted(wn))
+    wn = _member_weight(I, w, policy)
     member = I.members.get((policy, wn))
     if member is not None:
         return member
     if dimension(I) == 0:
         raise UsageError("zero-dimensional ideals have empty tropical variety")
-
-    def compute(gI: Ideal) -> bool:
-        # cheap certificate: a single-term initial form of a basis element
-        # already exhibits a monomial inside the weighted initial ideal
-        if buchberger(gI, GREVLEX).has_monomial_initial_form(wn):
-            return False
-        J = initial_ideal(gI, wn)
-        return not contains_monomial(J)
-
-    member = I.members[policy, wn] = agreed(I, policy, compute, "tropical membership")
+    member = I.members[policy, wn] = agreed(
+        I, policy, lambda gI: _member_at(gI, wn), "tropical membership")
     return member
+
+
+def _member_weight(I: Ideal, w, policy: GenericityPolicy) -> tuple:
+    """The weight at which ``tropical_member`` answers w: normalized, and
+    sorted under sampled transforms."""
+    wn = normalize_weight(w, I.n)
+    return tuple(sorted(wn)) if policy.transforms is None else wn
+
+
+def _member_at(gI: Ideal, wn) -> bool:
+    """Whether in_wn(gI) contains no monomial, for one transformed ideal."""
+    # cheap certificate: a single-term initial form of a basis element
+    # already exhibits a monomial inside the weighted initial ideal
+    if buchberger(gI, GREVLEX).has_monomial_initial_form(wn):
+        return False
+    return not contains_monomial(initial_ideal(gI, wn))
+
+
+def agreed_initial_ideal(I: Ideal, w, policy: GenericityPolicy = GenericityPolicy()) -> Ideal:
+    """in_w(gI) for the first transformed ideal gI of the policy whose draws
+    agreed on ``tropical_member(I, w, policy)``: the base policy's, or the
+    escalated one's when its draws disagreed (see ``agreed``).  The answer
+    of each draw is read again from what the query cached."""
+    member = tropical_member(I, w, policy)
+    wn = _member_weight(I, w, policy)
+    for pol in _escalations(policy):
+        images = transformed(I, pol)
+        if all(_member_at(gI, wn) == member for gI in images):
+            return initial_ideal(images[0], w)
 
 
 def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:

@@ -29,9 +29,8 @@ time (Bayer and Stillman 1987); a step whose variable divides no lead of a
 basis the ideal already holds makes no run, since the variable is then a
 nonzerodivisor.  Otherwise a run on the ideal with the variable set to
 zero, in one variable fewer, certifies it when its leads have the ideal's
-Hilbert series, and a step that runs orders the next variable just before
-its own, so that its basis usually certifies that step.  Every sort and
-tie-break is fixed, so identical inputs produce bit-identical output.
+Hilbert series.  Every sort and tie-break is fixed, so identical inputs
+produce bit-identical output.
 Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
 computations on it with ``DegreeCapExceeded`` instead of hanging.  An
 ideal the engine derives from its own forms inherits what its parent knows:
@@ -84,7 +83,7 @@ class Ideal:
     from it (transformed, initial, saturated) is built by ``_derive``
     without the constructor's checks, inherits the cap, so one cap bounds a
     whole analysis, and shares ``hilbert_memo``, which maps the minimal
-    leads of a Hilbert check to its numerator (see ``_buchberger_dicts``).
+    leads of a Hilbert check to its numerator (see ``_memo_numerator``).
     The ideal is the only place results are cached, and every entry was
     computed under its one cap.  ``gb_cache`` maps an OrderSpec to the
     reduced basis; a cached basis also serves any order whose Groebner cone
@@ -96,12 +95,12 @@ class Ideal:
     ``members`` maps a (policy, weight) pair to the answer of
     ``generic.tropical_member``, with the sorted normalized weight under
     sampled transforms and the normalized weight itself under injected
-    ones.  ``initials`` interns the weighted initial
-    ideals (see ``initial_ideal``): it maps a normalized weight, and the forms of an
-    initial ideal, to one shared ``Ideal``, so equal initial ideals share
-    their cached bases.  ``numerator`` memoizes the numerator of the Hilbert
-    series of S/I (see ``hilbert_numerator``), which every Buchberger run on
-    the ideal takes as the target that ends it.  It is read from the leads
+    ones.  ``initials`` interns the weighted initial ideals (see
+    ``initial_ideal``): it maps the forms of an initial ideal to one shared
+    ``Ideal``, so equal initial ideals share their cached bases.
+    ``numerator`` memoizes the numerator of the Hilbert series of S/I (see
+    ``hilbert_numerator``), which every Buchberger run on the ideal takes
+    as the target that ends it.  It is read from the leads
     of any cached basis, or handed down by the parent of an initial ideal or
     of an invertible transform (``generic.apply_transform``), which has the
     same series; until then it is None.  ``has_monomial`` memoizes the
@@ -586,10 +585,7 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
             checked = len(basis)
             # the leads of ``active`` are the minimal ones: no lead divides a later one
             leads = frozenset(unpack(basis[k][1]) for k in active)
-            q = memo.get(leads)
-            if q is None:
-                q = memo[leads] = hilbert_numerator(n, leads)
-            if q == target:
+            if _memo_numerator(memo, n, leads) == target:
                 break
         r, _ = _nf_dict(_spair_poly(basis[i], basis[j], mons), basis, mons, cap)
         if r:
@@ -663,6 +659,16 @@ def hilbert_numerator(n: int, leads: Iterable) -> tuple:
         return q
 
     return num(minimal_monomials(leads))
+
+
+def _memo_numerator(memo: dict, n: int, leads: frozenset) -> tuple:
+    """The Hilbert numerator of the minimal exponent vectors ``leads`` in n
+    variables, read from ``memo`` (see ``Ideal.hilbert_memo``) or computed
+    and added to it."""
+    q = memo.get(leads)
+    if q is None:
+        q = memo[leads] = hilbert_numerator(n, leads)
+    return q
 
 
 # -- public operations ----------------------------------------------------
@@ -741,10 +747,12 @@ def _cone_hit(I: Ideal, key: Callable):
 
 def known_numerator(I: Ideal):
     """The Hilbert numerator of I: ``I.numerator``, read from the leads of a
-    cached basis if unset; None while I has neither.  Ideals with the same
-    series (initial ideals, invertible transforms) take it over."""
+    cached basis if unset, through ``I.hilbert_memo``; None while I has
+    neither.  Ideals with the same series (initial ideals, invertible
+    transforms) take it over."""
     if I.numerator is None and I.gb_cache:
-        I.numerator = hilbert_numerator(I.n, next(iter(I.gb_cache.values())).leads)
+        leads = frozenset(next(iter(I.gb_cache.values())).leads)
+        I.numerator = _memo_numerator(I.hilbert_memo, I.n, leads)
     return I.numerator
 
 
@@ -794,19 +802,15 @@ def initial_ideal(I: Ideal, w) -> Ideal:
 
     Results are interned in ``I.initials`` by their forms: every weight with
     the same initial ideal gets the same ``Ideal``, so later computations on
-    it (a saturation, say) reuse its cached bases, and equal initial ideals
-    of I are one object.  A weight seen before, up to shift and positive
-    scaling, reads no basis of I.  J takes the Hilbert numerator of I, which
-    is its own, so its first run already has a target.
+    it (a saturation, say) reuse its cached bases and memoized answers, and
+    equal initial ideals of I are one object.  J takes the Hilbert numerator
+    of I, which is its own, so its first run already has a target.
     """
     wn = normalize_weight(w, I.n)
-    J = I.initials.get(wn)
-    if J is not None:
-        return J
     J = I._derive(
         dict(initial_terms(wn, f)) for f in sorted(buchberger(I, GREVLEX.refine(wn)).forms)
     )
-    J = I.initials[wn] = I.initials.setdefault(J.forms, J)
+    J = I.initials.setdefault(J.forms, J)
     if GREVLEX not in J.gb_cache:
         key = GREVLEX.key_function(J.n, J.degree_cap)
         J.gb_cache[GREVLEX] = GroebnerBasis(
@@ -834,11 +838,7 @@ def _restriction_certifies(J: Ideal, i: int, q: tuple) -> bool:
                                   J.degree_cap, q, J.hilbert_memo)
     except DegreeCapExceeded:
         return False
-    leads = frozenset(f[0][0] for f in forms)
-    got = J.hilbert_memo.get(leads)
-    if got is None:
-        got = J.hilbert_memo[leads] = hilbert_numerator(J.n - 1, leads)
-    return got == q
+    return _memo_numerator(J.hilbert_memo, J.n - 1, frozenset(f[0][0] for f in forms)) == q
 
 
 def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
@@ -868,22 +868,17 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
     stop uses.  A certified step keeps J and shows ``stop`` no basis: a
     walk that ends on (1) still stops at a division or on the basis (1).
 
-    Otherwise the step takes J's reduced basis under grevlex with x_i last,
-    the variables still to saturate just before it and the ones done (and
-    those outside x^m) first, each group in natural order: GREVLEX itself
-    for the first step.  A homogeneous polynomial is divisible by a power
-    of x_i iff its lead under that order is, so dividing every element by
-    the largest power of x_i that divides it generates the saturation by
-    x_i.  A step that divides nothing keeps J and its cached bases; the
-    leads of a generic basis lie in its most significant variables, so
-    under this order they usually avoid the next variable too, which that
-    step then takes as its certificate.  A step that divides builds a new
-    ideal, with no cached basis and no known numerator."""
+    Otherwise the step takes J's reduced basis under grevlex with x_i last
+    and the other variables in natural order: GREVLEX itself for x_n.  A
+    homogeneous polynomial is divisible by a power of x_i iff its lead
+    under that order is, so dividing every element by the largest power of
+    x_i that divides it generates the saturation by x_i.  A step that
+    divides nothing keeps J and its cached bases, which later steps ask
+    first.  A step that divides builds a new ideal, with no cached basis
+    and no known numerator."""
     n = I.n
-    pending = [i for i in range(n) if m[i]]
     J = I
-    while pending:
-        i = pending.pop()
+    for i in (k for k in reversed(range(n)) if m[k]):
         gb = next((gb for gb in J.gb_cache.values()
                    if gb.order.base == "grevlex" and gb.order.weight is None
                    and (gb.order.perm or (n,))[-1] == i + 1
@@ -892,8 +887,7 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
             q = known_numerator(J)
             if q not in (None, (0,)) and _restriction_certifies(J, i, q):
                 continue
-            first = [k + 1 for k in range(n) if k != i and k not in pending]
-            gb = buchberger(J, OrderSpec("grevlex", (*first, *(k + 1 for k in pending), i + 1)))
+            gb = buchberger(J, OrderSpec("grevlex", (*(k + 1 for k in range(n) if k != i), i + 1)))
         if stop is not None and stop(gb):
             return None
         if any(f[0][0][i] for f in gb.forms):

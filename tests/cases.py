@@ -134,6 +134,13 @@ def counting_restrictions(monkeypatch) -> list:
     return _counting(monkeypatch, "_restriction_certifies")
 
 
+def counting_orders(monkeypatch) -> list:
+    """Record the (ideal, order) of each ``buchberger`` call inside the
+    engine, order None for the default."""
+    return _counting(monkeypatch, "buchberger",
+                     record=lambda args: (args[0], args[1] if len(args) > 1 else None))
+
+
 def counting_spairs(monkeypatch) -> list:
     """Record each s-pair normal form a run forms."""
     return _counting(monkeypatch, "_spair_poly")

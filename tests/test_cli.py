@@ -18,10 +18,11 @@ from gentrop.cli import (
     parse_ideal_file,
 )
 from gentrop.generic import GenericityPolicy, transformed
-from gentrop.groebner import Ideal, initial_ideal
+from gentrop.groebner import Ideal, contains_monomial, initial_ideal
 from gentrop.poly import MAX_DIGITS, ParseError
 
 from cases import (
+    P,
     counting_cone_hits,
     counting_engine,
     counting_engine_variables,
@@ -219,8 +220,28 @@ def test_tropical_reports_are_pinned(tmp_path, capsys, omega, identity):
 def test_tropical_rejects_bad_omega(tmp_path, capsys):
     path = write(tmp_path, "prod.ideal", PRODUCT_FAMILY_2)
     for omega in ("0,1", "0,a,1,2", "0,1/0,1,2"):
-        code, _ = run(capsys, "tropical", path, "--omega", omega)
-        assert code == EXIT_PARSE
+        assert main(["tropical", path, "--omega", omega]) == EXIT_PARSE
+    # as parse_polynomial does, the message names the zero denominator and
+    # the entry, not the Fraction that raised
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == "error: zero denominator in omega entry '1/0'"
+
+
+def test_tropical_prints_the_initial_ideal_of_the_agreeing_draws(tmp_path, capsys):
+    # at --bound 1 the two draws of seed 2 disagree on omega = (1, 2, 1) for
+    # (x1^2), and the bound-100 draws agree that omega is a member.  The
+    # report prints in_omega of the first bound-100 transform, which holds
+    # no monomial, where the first bound-1 transform's in_omega is (x3^2)
+    path = write(tmp_path, "sq.ideal", "ring 3\nx1^2\n")
+    argv = ["tropical", path, "--omega", "1,2,1", "--bound", "1", "--seed", "2"]
+    code, report = run(capsys, *argv)
+    assert code == EXIT_OK and report["member"] is True
+    I = Ideal(3, [P("x1^2", 3)])
+    base = GenericityPolicy(bound=1, seed=2)
+    assert [str(g) for g in initial_ideal(transformed(I, base)[0], (1, 2, 1)).generators] == ["x3^2"]
+    J = initial_ideal(transformed(I, GenericityPolicy(bound=100, seed=2))[0], (1, 2, 1))
+    assert report["initial_ideal"] == sorted(str(g) for g in J.generators)
+    assert not contains_monomial(J)
 
 
 def test_tropical_prints_a_coefficient_past_the_int_str_limit(tmp_path, capsys):
@@ -306,21 +327,24 @@ def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
 def test_family_wnmt_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     # the family Wnmt job of the fan-probe benchmark at workload seed 1: its
     # 20 refinement cones form one orbit and its 10 adjacent pairs one, so
-    # it makes 5 engine runs (31 when every cone and pair was probed) and 3
-    # Hilbert numerators (16)
+    # it makes 5 engine runs (31 when every cone and pair was probed) and 2
+    # Hilbert numerators (16; 3 when the numerator read from a cached basis
+    # did not consult the memo of Hilbert checks)
     fam = write(tmp_path, "fam.ideal", FAMILY_531)
     runs = counting_engine(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
     code, report = run(capsys, "verify", fam, "--target", "Wnmt", "--seed", _fan_probe_seed(2))
     assert code == EXIT_OK and report["passed"] is True
-    assert len(runs) == 5 and len(numerators) == 3
+    assert len(runs) == 5 and len(numerators) == 2
 
 
 def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     # the family multiplicity job of the fan-probe benchmark at workload
     # seed 1 probes one of its 20 refinement cones, which form one orbit: it
-    # makes 11 engine runs, 8 Hilbert numerators and 9 Groebner-cone
-    # lookups (151, 96 and 243 when every cone was probed).  A saturation
+    # makes 11 engine runs, 4 Hilbert numerators and 9 Groebner-cone
+    # lookups (151, 96 and 243 when every cone was probed; 8 numerators
+    # when the numerator read from a cached basis did not consult the memo
+    # of Hilbert checks).  A saturation
     # step that a cached basis certifies looks up no order (15 lookups when
     # every step took a basis).  Four of the runs are saturation steps run
     # on the ideal restricted to x_i = 0, in 4 variables, which certify
@@ -336,7 +360,7 @@ def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
                        "--seed", _fan_probe_seed(3))
     assert code == EXIT_OK and report["passed"] is True
     assert runs.count(5) == 7 and runs.count(4) == 4 and len(runs) == 11
-    assert len(numerators) == 8 and len(lookups) == 9
+    assert len(numerators) == 4 and len(lookups) == 9
 
 
 def test_analyze_jobs_pin_their_engine_runs(tmp_path, capsys, monkeypatch):

@@ -373,20 +373,20 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # first runs the ideal restricted to x_i = 0, in one variable fewer,
     # which certifies x_i when its leads reach that series: the pass makes
     # 24 runs in n variables and 72 restricted ones.  Without the
-    # restricted run it made 84 runs in n variables: each step that runs
-    # puts the next variable to saturate just before its own, so that its
-    # basis usually certifies the next step (96 when every step ran, with
-    # the other variables in natural order; 182 before that, when each
-    # normalized weight was computed at itself).  Runs on the transformed
+    # restricted run it makes 96 runs in n variables, each step that runs
+    # ordering its variable last and the others naturally (84 when such a
+    # step put the next variable to saturate just before its own; 182
+    # before that, when each normalized weight was computed at itself).
+    # Runs on the transformed
     # ideals and their initial ideals take over the Hilbert series of the
     # ideal and stop once their leads have it, so the pass forms 24 s-pair
     # normal forms.  Each query reads the dimension of its ideal from the
     # memoized Hilbert numerator, so the pass lists no minimal leads and
     # solves no least cover.  Each Groebner-cone lookup asks every cached
     # basis once, oldest first, until one serves, and a certified step makes
-    # no lookup, so the pass re-sorts 12 of them (96 without the restricted
-    # run, 192 when every step ran; 448 before that, per normalized
-    # weight).  Measured per normalized
+    # no lookup, so the pass re-sorts 12 of them (120 without the
+    # restricted run, 96 with the step order above, 192 when every step
+    # ran; 448 before that, per normalized weight).  Measured per normalized
     # weight: 662 runs when every query built its initial ideal afresh;
     # 206 s-pairs when the transformed ideals started without the series,
     # 602 when every run reduced all its pairs; 192 lead lists and covers
@@ -433,10 +433,9 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # restricted to x_i = 0, in 4 variables.  Each interned initial ideal
     # memoizes its answer, so the queries that share one walk it once (84
     # restricted runs when every query walked it).  Without the restricted
-    # run the scan made 44 runs in 5 variables, as each step that runs puts
-    # the next variable to saturate just before its own (60 when every step
-    # ran, with the other variables in natural order; 186 before that, when
-    # each normalized weight was computed at itself).  Injected as explicit
+    # run the scan makes 60 runs in 5 variables (44 when each step that ran
+    # put the next variable to saturate just before its own; 186 before
+    # that, when each normalized weight was computed at itself).  Injected as explicit
     # transforms, the same draws answer each normalized weight at itself:
     # each transformed ideal ends with 15 to 19 cached bases, and a new
     # query's order is often in the Groebner cone of one cached long before,
@@ -444,7 +443,8 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # cached bases oldest first, re-sorts 638 of them.  A cached grevlex
     # basis with x_i last is a step's basis, and the restricted run is not
     # tried there (142 restricted runs when it was).  Without the restricted
-    # run it made 152 runs in 5 variables and re-sorted 750; before
+    # run it makes 186 runs in 5 variables and re-sorts 818 (152 and 750
+    # with the step order that put the next variable second last); before
     # certified steps it made 186 runs (196 when a lookup asked only the
     # grevlex basis and the six newest, 214 when equal initial ideals were
     # not one interned object) and re-sorted 1132 (1214 newest first)

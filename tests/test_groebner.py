@@ -29,7 +29,8 @@ from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, norm
 
 import oracles
 from cases import (
-    P, counting_cone_hits, counting_engine, counting_restrictions, counting_spairs, dense_form,
+    P, counting_cone_hits, counting_engine, counting_orders, counting_restrictions,
+    counting_spairs, dense_form,
     ideal, policy, product_family,
     random_graded_ideal, seeded_ideals, split_fan_ideal, stable_depth_family,
 )
@@ -211,10 +212,10 @@ def test_initial_ideals_are_interned_on_their_parent():
             assert all(J is found[0][1] for _, J in found)
             shared += len({wn for wn, _ in found}) > 1
         assert len({id(found[0][1]) for found in by_gens.values()}) == len(by_gens) > 1
-        # the memo reads nothing of the parent once a weight is known
+        # a parent whose bases were dropped recomputes one and finds the
+        # interned ideal by its forms
         I.gb_cache.clear()
         assert initial_ideal(I, (2,) * (n - 1) + (3,)) is initial_ideal(I, (0,) * (n - 1) + (1,))
-        assert not I.gb_cache
         # containment on a shared ideal, after its other uses, is that of a
         # fresh ideal with the same generators
         for gens, found in by_gens.items():
@@ -457,6 +458,10 @@ def _with_numerator(I: Ideal) -> Ideal:
     return J
 
 
+def _has_monomial(gb) -> bool:
+    return any(len(f) == 1 for f in gb.forms)
+
+
 # ideals on which the restricted run must refuse some step: J inside (x3),
 # where every restriction to x3 = 0 vanishes; a monomial ideal; n = 1; n = 2
 REFUSING = [ideal(3, "x1*x3", "x2*x3 + x3^2"), ideal(3, "x1*x2", "x3^2"),
@@ -476,12 +481,9 @@ def test_the_saturation_walk_matches_one_basis_per_variable():
     # of REFUSING, the sparse and dense seeded ideals, and the interned
     # initial ideals of a sweep, walked again with the bases the sweep
     # cached, some with a monomial and some without
-    def has_monomial(gb):
-        return any(len(f) == 1 for f in gb.forms)
-
     late = [random_graded_ideal(3, seed, gens=3, terms_per_gen=3) for seed in (7, 18, 48)]
     for I in late:
-        assert not has_monomial(buchberger(_fresh(I)))
+        assert not _has_monomial(buchberger(_fresh(I)))
     plain = [ideal(3, "x1*x2", "x1*x3"), ideal(4, "x1*x2 - x3^2", "x1^2 + x2*x3"),
              Ideal(3, [{(0, 0, 0): 1}]), *late, *REFUSING, *seeded_ideals(2, 1)]
     cases = [J for I in plain for J in (_fresh(I), _fresh(I), _with_numerator(I))]
@@ -493,7 +495,7 @@ def test_the_saturation_walk_matches_one_basis_per_variable():
     changed, contains = 0, {}
     for J in cases + swept:
         n = J.n
-        want = oracles.bayer_stillman_saturation(_fresh(J), (1,) * n, has_monomial) is None
+        want = oracles.bayer_stillman_saturation(_fresh(J), (1,) * n, _has_monomial) is None
         contains[id(J)] = contains_monomial(J)
         assert contains[id(J)] == want, J
         for m in [(1,) * n, ((0, 1) + (0,) * n)[:n], ((2, 0, 1) + (0,) * n)[:n]]:
@@ -503,6 +505,45 @@ def test_the_saturation_walk_matches_one_basis_per_variable():
             changed += got.forms != buchberger(_fresh(J)).forms
     assert changed and len(swept) > 60
     assert 0 < sum(contains[id(J)] for J in swept) < len(swept)
+
+
+def test_a_step_after_a_division_runs_in_natural_order(monkeypatch):
+    # fresh copies, their numerators unknown, try no restricted run, and a
+    # step that divides builds an ideal with no cached basis, so the next
+    # step runs: under grevlex with its variable last and the others in
+    # natural order.  Each walk, to the saturation by x^m or to the first
+    # basis with a monomial, answers as the walk that runs one basis per
+    # variable.  In 40 steps the walks ask for a basis of an ideal that a
+    # division built, and they make 166 engine runs in all (164 when such a
+    # step put the next variable to saturate just before its own)
+    from gentrop.groebner import _saturation
+
+    cases = [ideal(3, "x1*x2", "x1*x3"), ideal(4, "x1*x4", "x2*x4"),
+             *[random_graded_ideal(3, seed, gens=3, terms_per_gen=3) for seed in range(1, 9)],
+             *seeded_ideals(3, 2)]
+    walks = []
+    for I in cases:
+        n = I.n
+        for m in [(1,) * n, ((1, 0, 2) + (1,) * n)[:n]]:
+            for stop in (None, _has_monomial):
+                want = oracles.bayer_stillman_saturation(_fresh(I), m, stop)
+                walks.append((I, m, stop, want and buchberger(want).forms))
+    runs, orders = counting_engine(monkeypatch), counting_orders(monkeypatch)
+    after = walked = 0
+    for I, m, stop, want in walks:
+        J = _fresh(I)
+        orders.clear()
+        before = len(runs)
+        got = _saturation(J, m, stop)
+        walked += len(runs) - before
+        for K, order in orders:
+            if K is not J:
+                last = (order.perm or (I.n,))[-1]
+                assert order == OrderSpec(
+                    "grevlex", (*(k for k in range(1, I.n + 1) if k != last), last)), (I, m)
+                after += 1
+        assert (got and buchberger(got).forms) == want, (I, m, stop)
+    assert (after, walked) == (40, 166)
 
 
 def test_the_restricted_run_certifies_exactly_the_nonzerodivisors(monkeypatch):
