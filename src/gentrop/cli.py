@@ -43,7 +43,6 @@ from .generic import (
     GenericityPolicy,
     ProbeResult,
     adjacent_distinct,
-    agreed_initial_ideal,
     classify_cm,
     constancy_probes,
     depth,
@@ -51,7 +50,7 @@ from .generic import (
     identity_policy,
     per_orbit,
     recover_depth,
-    tropical_member,
+    tropical_report,
 )
 from .groebner import (
     DEFAULT_DEGREE_CAP,
@@ -143,7 +142,7 @@ def _intermediate_depth(I, policy, target: str) -> tuple:
 def cmd_analyze(I, policy, args) -> tuple:
     m = dimension(I)
     t = depth(I, policy)
-    result = classify_cm(I, policy, points=args.points)
+    result = classify_cm(I, policy)
     g = gin(I, GREVLEX, policy)
     return EXIT_OK, {
         "dimension": m,
@@ -157,8 +156,7 @@ def cmd_analyze(I, policy, args) -> tuple:
 
 def cmd_tropical(I, policy, args) -> tuple:
     w = _parse_omega(args.omega, I.n)
-    member = tropical_member(I, w, policy)
-    J = agreed_initial_ideal(I, w, policy)
+    member, J = tropical_report(I, w, policy)
     return EXIT_OK, {
         "omega": [str(x) for x in w],
         "member": member,
@@ -167,12 +165,12 @@ def cmd_tropical(I, policy, args) -> tuple:
 
 
 def _verify_wnm(I, policy, args):
-    return list(constancy_probes(I, maximal_cones(I.n, dimension(I)), args.points, policy))
+    return list(constancy_probes(I, maximal_cones(I.n, dimension(I)), policy))
 
 
 def _verify_wnmt(I, policy, args):
     m, t = _intermediate_depth(I, policy, "Wnmt")
-    probes = list(constancy_probes(I, refinement_maximal_cones(I.n, m, t), args.points, policy))
+    probes = list(constancy_probes(I, refinement_maximal_cones(I.n, m, t), policy))
     pairs = per_orbit(adjacent_pairs(I.n, m, t), pair_orbit_key,
                       lambda pair: adjacent_distinct(I, *pair, policy), policy)
     for (c1, c2), ok in pairs:
@@ -236,7 +234,8 @@ _FLAGS = {
     "--seed": ("seed", int, 0, "PRNG seed (default 0)"),
     "--bound": ("bound", int, 1000, "transform entry bound (default 1000)"),
     "--samples": ("samples", int, 2, "agreeing transforms required (default 2)"),
-    "--points": ("points", int, 3, "interior points per cone (default 3)"),
+    "--points": ("points", int, 3,
+                 "unused; kept in policy.points so reports keep their bytes (default 3)"),
     "--degree-cap": ("degree_cap", int, DEFAULT_DEGREE_CAP,
                      f"degree cap of every Groebner run (default {DEFAULT_DEGREE_CAP})"),
     "--identity": ("identity", None, False, "use the identity transform (non-generic)"),

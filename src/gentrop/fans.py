@@ -201,8 +201,8 @@ def interior_points(c: ConeId, c_gap: int, count: int) -> _Sequence:
     1, g + 1, g(g + 1) + 1, ..., g = ``c_gap`` + q, across middle then top,
     its rungs permuted within each block; relative order inside a block is
     unconstrained in the open cone, so every assignment stays interior.
-    Sampling both block orderings is what lets constancy probes detect a
-    cone that the sampled tropical fan actually splits.
+    Sampling both block orderings lets point tests see a cone that the
+    fan splits along the order inside a block.
 
     Sample q takes, in each block, the arrangement whose lexicographic rank
     is the block's digit of q in the mixed radix of the block factorials;

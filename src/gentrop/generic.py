@@ -17,14 +17,14 @@ off w is computed.  A cone-constancy probe first asks every basis gI
 already holds whether it certifies that in_v(gI) is constant on the whole
 open cone (``_certified``), exact for a basis at any weight.  When none
 does, it computes the basis at the cone's first interior point and asks it
-the same, and if that fails too, point-tests the sampled interior points,
-each computed when it is tested.  Either way its answer is the one the
-sampled points give, so constancy probes, the only sampled probes, are
-reported as sampled evidence; adjacent-cone separation, ray containment,
-depth, dimension, multiplicity and witness inequalities are exact.  The
-generic initial ideal, which gives the gap factor of the probes' interior
-points (``gap_degree``), is memoized on the ideal, so it is computed once
-per order and policy.
+the same.  That point lies in the open cone, so its basis certifies the
+cone iff in_v(gI) is constant on it, and the probe makes no point test.
+Every probe is exact, but reports still label constancy probes
+``sampled``, after the point tests they once made: every recorded report
+holds the label in its bytes, so relabelling waits for the benchmark's
+goldens to be re-recorded.  The generic initial ideal, which gives the
+gap factor of the probes' interior points (``gap_degree``), is memoized
+on the ideal, so it is computed once per order and policy.
 
 A fan probe reads its cones off the lazy fan sequences of ``fans`` and runs
 once per symmetry orbit of the cones, or of the adjacent pairs, it visits
@@ -51,7 +51,10 @@ draws still certifies every answer computed.  The sorted weight, unlike
 the first one asked, makes an answer independent of earlier queries and
 shares Groebner cones and interned initial ideals far more often.  Under
 injected transforms answers differ along an orbit, so each normalized
-weight is answered on its own.
+weight is answered on its own.  ``tropical_report``, behind ``gentrop
+tropical``, answers at the normalized weight itself and returns the
+initial ideal of a draw that agreed on that answer, so the two never
+contradict each other.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from .fans import (
     budget,
     cone_orbit_key,
     interior_point,
-    interior_points,
     maximal_cones,
 )
 from .groebner import (
@@ -282,23 +284,24 @@ def agreed(
     ``valid`` vets the agreed value: transforms can agree while all being
     non-generic (small entry bounds), so a failed validity check escalates
     exactly like disagreement does."""
+    return _agreement(I, policy, compute, what, valid)[0]
+
+
+def _agreement(I: Ideal, policy: GenericityPolicy, compute: Callable, what: str,
+               valid: Callable | None = None) -> tuple:
+    """(value, draws) for ``agreed``: the agreed value and the transformed
+    ideals that agreed on it.  The policies are asked in turn: the policy,
+    then, under sampled transforms, the policy with its entry bound times
+    100 and 10,000."""
     reason = "independent transforms disagree"
-    for pol in _escalations(policy):
-        values = [compute(gI) for gI in transformed(I, pol)]
+    for scale in (1, 100, 10_000) if policy.transforms is None else (1,):
+        images = transformed(I, policy._replace(bound=policy.bound * scale))
+        values = [compute(gI) for gI in images]
         if all(v == values[0] for v in values[1:]):
             if valid is None or valid(values[0]):
-                return values[0]
+                return values[0], images
             reason = "agreed value failed the genericity validity check"
     raise GenericityFailure(f"{what}: {reason}")
-
-
-def _escalations(policy: GenericityPolicy) -> list:
-    """The policies ``agreed`` asks in turn: the policy, then, under sampled
-    transforms, the policy with its entry bound times 100 and 10,000."""
-    if policy.transforms is not None:
-        return [policy]
-    return [policy] + [GenericityPolicy(policy.samples, policy.bound * 100**k, policy.seed)
-                       for k in (1, 2)]
 
 
 def _variable_priority(order: OrderSpec, n: int) -> tuple:
@@ -356,7 +359,9 @@ def tropical_member(
     repeated query, or one by a shift, a positive multiple or, if sorted, a
     permutation of w, computes nothing; a query that raises is not
     memoized."""
-    wn = _member_weight(I, w, policy)
+    wn = normalize_weight(w, I.n)
+    if policy.transforms is None:
+        wn = tuple(sorted(wn))
     member = I.members.get((policy, wn))
     if member is not None:
         return member
@@ -365,13 +370,6 @@ def tropical_member(
     member = I.members[policy, wn] = agreed(
         I, policy, lambda gI: _member_at(gI, wn), "tropical membership")
     return member
-
-
-def _member_weight(I: Ideal, w, policy: GenericityPolicy) -> tuple:
-    """The weight at which ``tropical_member`` answers w: normalized, and
-    sorted under sampled transforms."""
-    wn = normalize_weight(w, I.n)
-    return tuple(sorted(wn)) if policy.transforms is None else wn
 
 
 def _member_at(gI: Ideal, wn) -> bool:
@@ -383,17 +381,20 @@ def _member_at(gI: Ideal, wn) -> bool:
     return not contains_monomial(initial_ideal(gI, wn))
 
 
-def agreed_initial_ideal(I: Ideal, w, policy: GenericityPolicy = GenericityPolicy()) -> Ideal:
-    """in_w(gI) for the first transformed ideal gI of the policy whose draws
-    agreed on ``tropical_member(I, w, policy)``: the base policy's, or the
-    escalated one's when its draws disagreed (see ``agreed``).  The answer
-    of each draw is read again from what the query cached."""
-    member = tropical_member(I, w, policy)
-    wn = _member_weight(I, w, policy)
-    for pol in _escalations(policy):
-        images = transformed(I, pol)
-        if all(_member_at(gI, wn) == member for gI in images):
-            return initial_ideal(images[0], w)
+def tropical_report(I: Ideal, w, policy: GenericityPolicy = GenericityPolicy()) -> tuple:
+    """(member, J) for ``gentrop tropical``: whether in_w(gI) contains no
+    monomial, agreed across the draws at the normalized w itself, and J =
+    in_w(gI) for the first draw gI of the policy whose draws agreed (the
+    base policy's, or an escalated one's, see ``agreed``).  So J contains
+    a monomial iff ``member`` is false.  ``tropical_member`` answers at the
+    sorted weight, where a non-generic draw can answer otherwise than at
+    w; this answer is not memoized.  Raises ``UsageError`` for a
+    zero-dimensional ideal."""
+    if dimension(I) == 0:
+        raise UsageError("zero-dimensional ideals have empty tropical variety")
+    wn = normalize_weight(w, I.n)
+    member, images = _agreement(I, policy, lambda gI: _member_at(gI, wn), "tropical membership")
+    return member, initial_ideal(images[0], w)
 
 
 def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:
@@ -427,34 +428,26 @@ def _same_initial(I: Ideal, w, v, policy: GenericityPolicy, what: str) -> bool:
 def cone_constancy(
     I: Ideal,
     cone: ConeId,
-    samples: int = 3,
     policy: GenericityPolicy = GenericityPolicy(),
 ) -> bool:
-    """Whether the weighted initial ideals at ``samples`` interior points of
-    the open cone (varying ladder values and within-block arrangements)
-    coincide, agreed across transforms.
+    """Whether the weighted initial ideal in_v(gI) is constant on the open
+    cone, agreed across transforms.
 
     Per gI, every cached basis is asked whether it certifies the whole open
-    cone (``_certified``); if none does, the reduced basis at the first
-    point is asked; if that does not either, the other points are read one
-    at a time and point-tested against it, up to the first that differs.
-    Either way the answer is the one the sampled points give, so reports
-    label it ``sampled``; a True from a certificate holds on the whole cone.
-    The answer at a permuted cone s C is the answer at C under the permuted
-    transforms (see the module docstring), which is how ``constancy_probes``
-    hands one answer to a whole orbit."""
-    if samples < 2:
-        raise ValueError("constancy needs at least two interior points")
-    gap = gap_degree(I, policy) + 1
-    points = interior_points(cone, gap, samples)
+    cone (``_certified``); if none does, the reduced basis at the cone's
+    first interior point is asked the same.  That point lies in the open
+    cone, so its basis certifies the cone iff in_v(gI) is constant on it,
+    and both answers are exact.  Reports still label the probe
+    ``sampled``: relabelling it ``exact`` changes the bytes of every
+    report that lists one, so it waits for the benchmark's goldens to be
+    re-recorded.  The answer at a permuted cone s C is the answer at C
+    under the permuted transforms (see the module docstring), which is how
+    ``constancy_probes`` hands one answer to a whole orbit."""
+    w = interior_point(cone, gap_degree(I, policy) + 1)
     sets = (cone.min_set, cone.middle, cone.top)
 
     def compute(gI: Ideal) -> bool:
-        if _certified(gI, sets):
-            return True
-        it = iter(points)
-        gb = buchberger(gI, GREVLEX.refine(next(it)))
-        return gb.cell_contains(cone=sets) or all(gb.cell_contains(v) for v in it)
+        return _certified(gI, sets) or buchberger(gI, GREVLEX.refine(w)).cell_contains(cone=sets)
 
     return agreed(I, policy, compute, "cone constancy")
 
@@ -515,7 +508,9 @@ def separating_witness(
 
 class ProbeResult(namedtuple("ProbeResult", "kind cone result evidence detail", defaults=("",))):
     """One verification probe: what was tested, where (a ConeId or None), and
-    with which kind of evidence (exact inequality versus sampled constancy)."""
+    with which kind of evidence.  Every probe is exact; cone constancy is
+    still labelled ``sampled``, after the point tests it once made, so that
+    recorded reports keep their bytes (see ``cone_constancy``)."""
 
     __slots__ = ()
 
@@ -541,16 +536,17 @@ def per_orbit(items: Sequence, key: Callable, probe: Callable, policy: Genericit
 def constancy_probes(
     I: Ideal,
     cones: Sequence,
-    points: int,
     policy: GenericityPolicy,
 ) -> Iterable[ProbeResult]:
     """One constancy entry per cone of ``cones`` (all of them, or
     ``CONE_BUDGET`` drawn with the policy seed when there are more), in
     index order, yielded one at a time so that a caller can stop at the
     first split cone.  ``cone_constancy`` runs once per orbit of cones
-    (``per_orbit``); under injected transforms, once per cone."""
+    (``per_orbit``); under injected transforms, once per cone.  Each
+    answer is exact, but its entry keeps the label ``sampled``, which
+    every recorded report holds in its bytes (see ``cone_constancy``)."""
     probes = per_orbit(cones, cone_orbit_key,
-                       lambda cone: cone_constancy(I, cone, points, policy), policy)
+                       lambda cone: cone_constancy(I, cone, policy), policy)
     for cone, ok in probes:
         yield ProbeResult("cone_constancy", cone, ok, "sampled")
 
@@ -558,7 +554,6 @@ def constancy_probes(
 def classify_cm(
     I: Ideal,
     policy: GenericityPolicy = GenericityPolicy(),
-    points: int = 3,
 ) -> ClassifyResult:
     """Depth-based Cohen-Macaulay classification, cross-validated against the
     fan structure: CM/almost-CM ideals must show constant initial ideals on
@@ -579,7 +574,7 @@ def classify_cm(
         label = NEITHER
     probes = []
     if label in (CM, ALMOST_CM):
-        for probe in constancy_probes(I, maximal_cones(I.n, m), points, policy):
+        for probe in constancy_probes(I, maximal_cones(I.n, m), policy):
             probes.append(probe)
             if not probe.result:
                 raise GenericityFailure(

@@ -8,7 +8,9 @@ exact forms that replaced them: ``interned_initial_ideals``, the comparison
 of weighted initial ideals that the Groebner-cell point test replaced, and
 ``moved_point_ray_constancy`` and ``moved_point_recover_depth``, which
 approximate a coordinate ray by one far point, where the ray form of the
-cell test decides the whole ray; and the per-cone probe loops
+cell test decides the whole ray; ``sampled_cone_constancy``, which
+point-tests a few sampled interior points of a cone, where the open-cone
+certificate decides the whole cone; and the per-cone probe loops
 (``per_cone_constancy``, ``per_pair_distinct``, ``per_cone_multiplicity``),
 which probe every budgeted cone or pair on its own where the package probes
 one per symmetry orbit; ``per_weight_member``, which answers each
@@ -25,7 +27,7 @@ from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 
-from gentrop.fans import ConeId, budget, interior_point
+from gentrop.fans import ConeId, budget, interior_point, interior_points
 from gentrop.generic import (
     ProbeResult,
     adjacent_distinct,
@@ -93,10 +95,26 @@ def moved_point_recover_depth(I: Ideal, policy) -> int:
     raise ValueError("depth recovery applies only to ideals with 0 < depth < dim-1")
 
 
-def per_cone_constancy(I: Ideal, cones, points: int, policy) -> list:
+def sampled_cone_constancy(I: Ideal, cone: ConeId, samples: int, policy) -> bool:
+    """Cone constancy from ``samples`` sampled interior points: the reduced
+    basis at the first point certifies the open cone, or else every other
+    point lies in its Groebner cell, agreed across transforms.  A True is
+    evidence only, since the points can miss a wall inside the cone."""
+    gap = gap_degree(I, policy) + 1
+    points = interior_points(cone, gap, samples)
+    sets = (cone.min_set, cone.middle, cone.top)
+
+    def compute(gI: Ideal) -> bool:
+        gb = buchberger(gI, GREVLEX.refine(points[0]))
+        return gb.cell_contains(cone=sets) or all(gb.cell_contains(v) for v in points[1:])
+
+    return agreed(I, policy, compute, "cone constancy")
+
+
+def per_cone_constancy(I: Ideal, cones, policy) -> list:
     """The constancy probes of ``cones`` with ``cone_constancy`` run at
     every budgeted cone."""
-    return [ProbeResult("cone_constancy", cone, cone_constancy(I, cone, points, policy), "sampled")
+    return [ProbeResult("cone_constancy", cone, cone_constancy(I, cone, policy), "sampled")
             for cone in budget(cones, policy.seed)]
 
 

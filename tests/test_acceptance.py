@@ -77,7 +77,7 @@ def test_criterion_03_cm_fan_equality():
         m = gt.dimension(I)
         ok = ok and m == m_want
         for cone in gt.maximal_cones(I.n, m):
-            ok = ok and gt.cone_constancy(I, cone, 3, POLICY)
+            ok = ok and gt.cone_constancy(I, cone, POLICY)
     report(3, ok, "quadric and codim-2 complete intersection")
 
 
@@ -101,7 +101,7 @@ def test_criterion_04_non_cm_separation(tmp_path):
 def test_criterion_05_refinement_fan_equality():
     fam = stable_depth_family(5, 3, 1)
     cones = gt.refinement_maximal_cones(5, 3, 1)
-    constancy = [gt.cone_constancy(fam, c, 3, POLICY) for c in cones]
+    constancy = [gt.cone_constancy(fam, c, POLICY) for c in cones]
     from gentrop.generic import adjacent_distinct
 
     pairs = gt.adjacent_pairs(5, 3, 1)

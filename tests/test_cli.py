@@ -3,9 +3,11 @@ import random
 import sys
 import time
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
+from gentrop import fans
 from gentrop.cli import (
     EXIT_DEGREE_CAP,
     EXIT_GENERICITY,
@@ -14,6 +16,7 @@ from gentrop.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PROBE_FAILED,
+    cmd_tropical,
     main,
     parse_ideal_file,
 )
@@ -30,6 +33,7 @@ from cases import (
     counting_normal_forms,
     counting_spairs,
     dense_form,
+    random_graded_ideal,
 )
 
 FAMILY_531 = """\
@@ -244,6 +248,26 @@ def test_tropical_prints_the_initial_ideal_of_the_agreeing_draws(tmp_path, capsy
     assert not contains_monomial(J)
 
 
+def test_tropical_prints_an_initial_ideal_that_matches_member():
+    # 200 queries at --bound 1 on random sparse ideals in 3 and 4 variables,
+    # weights in [-2, 2]^n and policy seeds 0-19: the printed initial ideal
+    # contains a monomial iff member is false.  When member was answered at
+    # the sorted weight and the ideal printed at omega, 6 of them did not
+    rng = random.Random("tropical-scan")
+    mismatches = []
+    for _ in range(200):
+        n = rng.choice((3, 4))
+        I = random_graded_ideal(n, rng.randrange(10**6), gens=rng.choice((1, 2)),
+                                max_degree=rng.choice((2, 3)), terms_per_gen=rng.choice((2, 3)))
+        omega = ",".join(str(rng.randint(-2, 2)) for _ in range(n))
+        pol = GenericityPolicy(bound=1, seed=rng.randrange(20))
+        _, report = cmd_tropical(I, pol, SimpleNamespace(omega=omega))
+        J = Ideal(n, [P(g, n) for g in report["initial_ideal"]])
+        if contains_monomial(J) == report["member"]:
+            mismatches.append((I.forms, omega, pol.seed))
+    assert not mismatches
+
+
 def test_tropical_prints_a_coefficient_past_the_int_str_limit(tmp_path, capsys):
     # 4,200-digit inputs pass the parse limit, and in_omega of the first
     # transformed ideal has coefficients of about 16,800 digits, past the
@@ -271,13 +295,50 @@ def test_verify_wnm_quadric(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["passed"] is True
     assert len(report["probes"]) == 6
-    # the split fan's probes stop at the first point that differs, and a
-    # point is computed only when a probe reads it, so a huge --points
-    # costs nothing more
     split = write(tmp_path, "split.ideal", SPLIT)
-    _, few = run(capsys, "verify", split, "--target", "Wnm", "--points", "3")
-    _, many = run(capsys, "verify", split, "--target", "Wnm", "--points", "100000")
-    assert few["passed"] is False and many["probes"] == few["probes"]
+    code, report = run(capsys, "verify", split, "--target", "Wnm")
+    assert code == EXIT_PROBE_FAILED and report["passed"] is False
+
+
+def test_points_changes_only_the_policy_field(tmp_path, capsys, monkeypatch):
+    # no probe reads --points: 100000 gives the default report but for
+    # policy.points, with the same engine runs, and no interior point
+    # sequence longer than one is asked for
+    counts = []
+    interior_points = fans.interior_points
+    monkeypatch.setattr(fans, "interior_points",
+                        lambda c, gap, count: counts.append(count) or interior_points(c, gap, count))
+    runs = counting_engine(monkeypatch)
+    split, fam = write(tmp_path, "split.ideal", SPLIT), write(tmp_path, "fam.ideal", FAMILY_531)
+    q = write(tmp_path, "q.ideal", QUADRIC)
+    for argv in (["verify", split, "--target", "Wnm"], ["verify", fam, "--target", "Wnmt"],
+                 ["analyze", q], ["analyze", split]):
+        reports = []
+        for points in ([], ["--points", "100000"]):
+            runs.clear()
+            code, report = run(capsys, *argv, *points)
+            reports.append((code, report.pop("policy").pop("points"), report, len(runs)))
+        (code, three, report, n_runs), many = reports
+        assert many == (code, 100000, report, n_runs) and three == 3 and n_runs > 0
+    assert counts and set(counts) == {1}
+
+
+def test_identity_wnm_fails_the_cones_a_linear_form_splits(tmp_path, capsys):
+    # under --identity, 8 x1 + 5 x5 splits the skeleton cones with min-set
+    # {2,3}, {2,4} and {3,4}, each along w1 = w5 (see test_generic): Wnm
+    # fails exactly those, and the CM classification that analyze finds is
+    # contradicted by a split cone.  The sampled point tests of the
+    # interior points passed all ten cones
+    path = write(tmp_path, "lin.ideal", "ring 5\n8*x1 + 5*x5\n")
+    code, report = run(capsys, "verify", path, "--target", "Wnm", "--identity")
+    assert code == EXIT_PROBE_FAILED and len(report["probes"]) == 10
+    failed = [p["cone"]["min"] for p in report["probes"] if not p["result"]]
+    assert failed == [[2, 3], [2, 4], [3, 4]]
+    assert main(["analyze", path, "--identity"]) == EXIT_GENERICITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: CM classification contradicted by split cone {'min': [2, 3], 'middle': [], 'top': []}\n")
 
 
 def test_verify_wnmt_family_passes_split_fails(tmp_path, capsys):

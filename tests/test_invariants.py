@@ -276,10 +276,12 @@ def test_invariant_checks_survive_optimize():
         print("checked", sys.flags.optimize)
         """
     )
+    # src goes first on the caller's PYTHONPATH, which may be what provides pytest
     src = os.path.dirname(os.path.dirname(gentrop.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["checked", "1"]

@@ -85,18 +85,18 @@ def test_orbit_probes_match_the_per_cone_oracle(name):
         t = generic.depth(I, pol)
         refined = 0 < t < m - 1
 
-        _, report = cli.cmd_analyze(I, pol, Namespace(points=3))
+        _, report = cli.cmd_analyze(I, pol, Namespace())
         if report["cm_class"] in (CM, ALMOST_CM):
-            assert report["probes"] == as_json(per_cone_constancy(fresh, maximal_cones(n, m), 3, pol))
+            assert report["probes"] == as_json(per_cone_constancy(fresh, maximal_cones(n, m), pol))
         else:
             assert [p["kind"] for p in report["probes"]] == ["separating_witness"]
 
         def verify(target):
-            return cli.cmd_verify(I, pol, Namespace(target=target, points=3))[1]["probes"]
+            return cli.cmd_verify(I, pol, Namespace(target=target))[1]["probes"]
 
-        assert verify("Wnm") == as_json(per_cone_constancy(fresh, maximal_cones(n, m), 3, pol))
+        assert verify("Wnm") == as_json(per_cone_constancy(fresh, maximal_cones(n, m), pol))
         if refined:
-            want = per_cone_constancy(fresh, refinement_maximal_cones(n, m, t), 3, pol)
+            want = per_cone_constancy(fresh, refinement_maximal_cones(n, m, t), pol)
             want += per_pair_distinct(fresh, adjacent_pairs(n, m, t), pol)
             assert verify("Wnmt") == as_json(want)
         cones = refinement_maximal_cones(n, m, t) if refined else maximal_cones(n, m)
@@ -166,8 +166,8 @@ def test_a_permuted_cone_is_the_cone_under_permuted_transforms(make, bound, seed
             assert moved(c, s) == d
             permuted_pol = GenericityPolicy(transforms=tuple(permuted(g, s) for g in gs))
             assert gap_degree(I, permuted_pol) == gap_degree(I, pol)
-            here = outcome(lambda: cone_constancy(I, d, 3, pol))
-            assert here == outcome(lambda: cone_constancy(I, c, 3, permuted_pol)), d
+            here = outcome(lambda: cone_constancy(I, d, pol))
+            assert here == outcome(lambda: cone_constancy(I, c, permuted_pol)), d
             here_m = outcome(lambda: intrinsic_multiplicity(I, d, pol)[1:])
             assert here_m == outcome(lambda: intrinsic_multiplicity(I, c, permuted_pol)[1:]), d
             seen.add((here, here_m))
@@ -245,17 +245,17 @@ def test_injected_transforms_probe_every_cone(monkeypatch):
     constancy = counting_calls(monkeypatch, generic, "cone_constancy")
     pairs = counting_calls(monkeypatch, generic, "adjacent_distinct", cli)
     mults = counting_calls(monkeypatch, tropmult, "intrinsic_multiplicity", cli)
-    assert len(list(constancy_probes(I, maximal_cones(5, 3), 3, pol))) == len(constancy) == 10
-    cli.cmd_verify(I, pol, Namespace(target="Wnmt", points=3))
+    assert len(list(constancy_probes(I, maximal_cones(5, 3), pol))) == len(constancy) == 10
+    cli.cmd_verify(I, pol, Namespace(target="Wnmt"))
     assert len(constancy) == 10 + 20 and len(pairs) == 10
-    cli.cmd_verify(I, pol, Namespace(target="multiplicity", points=3))
+    cli.cmd_verify(I, pol, Namespace(target="multiplicity"))
     assert len(mults) == 20
     for calls in (constancy, pairs, mults):
         calls.clear()
     I = stable_depth_family(5, 3, 1)
-    assert len(list(constancy_probes(I, maximal_cones(5, 3), 3, policy()))) == 10
-    cli.cmd_verify(I, policy(), Namespace(target="Wnmt", points=3))
-    cli.cmd_verify(I, policy(), Namespace(target="multiplicity", points=3))
+    assert len(list(constancy_probes(I, maximal_cones(5, 3), policy()))) == 10
+    cli.cmd_verify(I, policy(), Namespace(target="Wnmt"))
+    cli.cmd_verify(I, policy(), Namespace(target="multiplicity"))
     assert (len(constancy), len(pairs), len(mults)) == (2, 1, 1)
 
 
