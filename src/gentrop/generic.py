@@ -13,18 +13,16 @@ Per transformed ideal gI, one reduced basis at the first weight w of a probe
 decides whether a second weight v (``_same_initial``), or a whole coordinate
 ray w + s e_j (s >= 0), has the initial ideal in_w(gI): it must lie in the
 Groebner cell of that basis (``GroebnerBasis.cell_contains``), so no basis
-off w is computed.  A cone-constancy probe first asks every basis gI
-already holds whether it certifies that in_v(gI) is constant on the whole
-open cone (``_certified``), exact for a basis at any weight.  When none
-does, it computes the basis at the cone's first interior point and asks it
-the same.  That point lies in the open cone, so its basis certifies the
-cone iff in_v(gI) is constant on it, and the probe makes no point test.
-Every probe is exact, but reports still label constancy probes
-``sampled``, after the point tests they once made: every recorded report
-holds the label in its bytes, so relabelling waits for the benchmark's
-goldens to be re-recorded.  The generic initial ideal, which gives the
-gap factor of the probes' interior points (``gap_degree``), is memoized
-on the ideal, so it is computed once per order and policy.
+off w is computed.  A cone-constancy probe asks the reduced basis at the
+cone's first interior point whether it certifies that in_v(gI) is constant
+on the whole open cone.  That point lies in the open cone, so its basis
+certifies the cone iff in_v(gI) is constant on it, and the probe makes no
+point test; ``buchberger`` serves that basis from a cached one whose
+Groebner cone holds the point.  Every probe is exact, though constancy
+probes are labelled ``sampled`` (see ``ProbeResult``).  The generic
+initial ideal, which gives the gap factor of the probes' interior points
+(``gap_degree``), is memoized on the ideal, so it is computed once per
+order and policy.
 
 A fan probe reads its cones off the lazy fan sequences of ``fans`` and runs
 once per symmetry orbit of the cones, or of the adjacent pairs, it visits
@@ -404,16 +402,6 @@ def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:
     return gin(I, GREVLEX, policy).max_degree()
 
 
-def _certified(gI: Ideal, sets: tuple) -> bool:
-    """Whether a basis gI already holds certifies that in_v(gI) is constant
-    on the open cone of blocks ``sets`` (``GroebnerBasis.cell_contains``
-    with ``cone``), which is exact for a reduced basis at any weight.  After
-    a False, ``cone_constancy`` asks the basis at the cone's first interior
-    point, which certifies the cone whenever in_v(gI) is constant on it, so
-    the answer does not depend on which bases gI holds."""
-    return any(gb.cell_contains(cone=sets) for gb in gI.gb_cache.values())
-
-
 def _same_initial(I: Ideal, w, v, policy: GenericityPolicy, what: str) -> bool:
     """Whether in_w(gI) = in_v(gI) for the transformed ideals, agreed across
     transforms: v must lie in the Groebner cell of the reduced basis of gI
@@ -433,21 +421,26 @@ def cone_constancy(
     """Whether the weighted initial ideal in_v(gI) is constant on the open
     cone, agreed across transforms.
 
-    Per gI, every cached basis is asked whether it certifies the whole open
-    cone (``_certified``); if none does, the reduced basis at the cone's
-    first interior point is asked the same.  That point lies in the open
-    cone, so its basis certifies the cone iff in_v(gI) is constant on it,
-    and both answers are exact.  Reports still label the probe
-    ``sampled``: relabelling it ``exact`` changes the bytes of every
-    report that lists one, so it waits for the benchmark's goldens to be
-    re-recorded.  The answer at a permuted cone s C is the answer at C
-    under the permuted transforms (see the module docstring), which is how
-    ``constancy_probes`` hands one answer to a whole orbit."""
+    Per gI, the reduced basis at the cone's first interior point w is asked
+    whether it certifies the whole open cone
+    (``GroebnerBasis.cell_contains`` with ``cone``).  w lies in the open
+    cone, so that basis certifies the cone iff in_v(gI) is constant on it,
+    and the answer is exact.  ``buchberger`` serves the basis from any
+    cached basis whose Groebner cone holds w, so a cone that a cached
+    basis certifies makes no engine run, unless that basis was computed
+    at a weight off the cone's span and breaks a tie on the span
+    otherwise than grevlex refined by w.  One run then gives the same
+    answer.  No benchmark CLI job has been seen to make that run; the
+    tests' differential cases make it for 14 of 312 such (gI, cone) pairs
+    at one seed.  Its report entry is labelled ``sampled`` (see
+    ``ProbeResult``).  The answer at a permuted cone s C is the answer at
+    C under the permuted transforms (see the module docstring), which is
+    how ``constancy_probes`` hands one answer to a whole orbit."""
     w = interior_point(cone, gap_degree(I, policy) + 1)
     sets = (cone.min_set, cone.middle, cone.top)
 
     def compute(gI: Ideal) -> bool:
-        return _certified(gI, sets) or buchberger(gI, GREVLEX.refine(w)).cell_contains(cone=sets)
+        return buchberger(gI, GREVLEX.refine(w)).cell_contains(cone=sets)
 
     return agreed(I, policy, compute, "cone constancy")
 
@@ -508,9 +501,10 @@ def separating_witness(
 
 class ProbeResult(namedtuple("ProbeResult", "kind cone result evidence detail", defaults=("",))):
     """One verification probe: what was tested, where (a ConeId or None), and
-    with which kind of evidence.  Every probe is exact; cone constancy is
-    still labelled ``sampled``, after the point tests it once made, so that
-    recorded reports keep their bytes (see ``cone_constancy``)."""
+    with which kind of evidence.  Every probe is exact, but cone constancy
+    is still labelled ``sampled``, after the point tests it once made:
+    every recorded report holds the label in its bytes, so relabelling it
+    ``exact`` waits for the benchmark's goldens to be re-recorded."""
 
     __slots__ = ()
 
@@ -543,8 +537,7 @@ def constancy_probes(
     index order, yielded one at a time so that a caller can stop at the
     first split cone.  ``cone_constancy`` runs once per orbit of cones
     (``per_orbit``); under injected transforms, once per cone.  Each
-    answer is exact, but its entry keeps the label ``sampled``, which
-    every recorded report holds in its bytes (see ``cone_constancy``)."""
+    answer is exact, though labelled ``sampled`` (see ``ProbeResult``)."""
     probes = per_orbit(cones, cone_orbit_key,
                        lambda cone: cone_constancy(I, cone, policy), policy)
     for cone, ok in probes:

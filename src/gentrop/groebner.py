@@ -820,10 +820,12 @@ def initial_ideal(I: Ideal, w) -> Ideal:
 
 
 def ideal_equal(I: Ideal, J: Ideal, order: OrderSpec = GREVLEX) -> bool:
-    """Equality via uniqueness of the reduced Groebner basis."""
+    """Equality via uniqueness of the reduced Groebner basis, compared as
+    its forms: a primitive form with a positive lead is unique per monic
+    polynomial."""
     if I.n != J.n:
         raise ValueError("ambient variable counts differ")
-    return buchberger(I, order).elements == buchberger(J, order).elements
+    return buchberger(I, order).forms == buchberger(J, order).forms
 
 
 def _restriction_certifies(J: Ideal, i: int, q: tuple) -> bool:
