@@ -12,11 +12,9 @@ first read.  The remainders of ``normal_form`` are exact over the rationals.
 Inside a run a monomial is one int (``_Monomials``): fields sized by the
 degree cap and the input degrees, and a linear order key above them.
 Generators enter a run reduced by the basis so far, as s-polynomials do.
-A run on an ideal whose reduced grevlex basis is cached enters that basis in
-place of the generators: it generates the same ideal and is inter-reduced
-already, and the reduced basis under the run's order is unique, so the
-result is the same, with fewer divisions and pairs.  The degree cap still
-bounds every element pushed and every pair formed.
+A run enters its ideal's own forms, whatever bases the ideal holds (see
+``buchberger``).  The degree cap bounds every element pushed and every pair
+formed.
 S-pairs are pruned when formed, by the Gebauer-Moeller criteria M and F
 (with the coprimality criterion), and taken from a heap by the normal
 strategy (smallest lcm degree first).  A run whose ideal has a known
@@ -29,8 +27,9 @@ time (Bayer and Stillman 1987); a step whose variable divides no lead of a
 basis the ideal already holds makes no run, since the variable is then a
 nonzerodivisor.  Otherwise a run on the ideal with the variable set to
 zero, in one variable fewer, certifies it when its leads have the ideal's
-Hilbert series.  Every sort and tie-break is fixed, so identical inputs
-produce bit-identical output.
+Hilbert series; that run enters the restriction of the ideal's held grevlex
+basis, which saves s-pairs (see ``_saturation``).  Every sort and tie-break
+is fixed, so identical inputs produce bit-identical output.
 Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
 computations on it with ``DegreeCapExceeded`` instead of hanging.  An
 ideal the engine derives from its own forms inherits what its parent knows:
@@ -767,13 +766,12 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     its lead) is served before any run, its forms and their terms re-sorted
     by the new order, so a basis does not depend on the cache history of I.
     The cap bounds every computation performed: a reused basis skips a run
-    that might have aborted.  A run enters the forms of I's cached grevlex
-    basis, when there is one, and I's forms otherwise: both generate I, so
-    the reduced basis is the same, and the cached basis is inter-reduced
-    already, so its elements reduce little on entry and form few pairs.
-    ``I.degree_cap`` still bounds every element pushed and every pair
-    formed.  A run takes the Hilbert numerator of I, when known, as its
-    target (see ``_buchberger_dicts``)."""
+    that might have aborted.  A run enters I's forms, whatever bases I
+    holds: entering its held grevlex basis changed no run and no s-pair on
+    the workloads, saved only a few entry divisions, and cost more when that
+    basis has large coefficients.  ``I.degree_cap`` bounds every element
+    pushed and every pair formed.  A run takes the Hilbert numerator of I,
+    when known, as its target (see ``_buchberger_dicts``)."""
     if order.weight is not None:
         wn = normalize_weight(order.weight, I.n)
         order = OrderSpec(order.base, order.perm, wn if any(wn) else None)
@@ -783,9 +781,8 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     key = order.key_function(I.n, I.degree_cap)
     forms = _cone_hit(I, key)
     if forms is None:
-        grevlex = I.gb_cache.get(GREVLEX)
-        gens = map(dict, I.forms if grevlex is None else grevlex.forms)
-        forms = _buchberger_dicts(gens, key, I.degree_cap, known_numerator(I), I.hilbert_memo)
+        forms = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap, known_numerator(I),
+                                  I.hilbert_memo)
     gb = I.gb_cache[order] = GroebnerBasis(order, I.n, forms)
     return gb
 
@@ -849,29 +846,33 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
     holds for a step's basis.
 
     The steps take the variables x_i of x^m from x_n down, each on the ideal
-    J saturated so far.  A step first asks each basis cached on J, oldest
-    first, whether x_i divides none of its leads.  If one does, x_i is a
-    nonzerodivisor on S/J, so J : x_i^infinity = J and the step keeps J
-    without a run.  Proof, for the basis's order >: in(J + (x_i)) contains
+    J saturated so far.  Each step has one order: grevlex with x_i last and
+    the other variables in natural order, GREVLEX itself for x_n.  A step
+    first asks each basis cached on J, oldest first, whether it is under the
+    step's order, or whether x_i divides none of its leads.  In the second
+    case x_i is a nonzerodivisor on S/J, so J : x_i^infinity = J and the
+    step keeps J without a run.  Proof, for the basis's order >: in(J + (x_i)) contains
     in(J) + (x_i), so HS(S/(J + x_i)) <= HS(S/(in(J) + x_i)) = (1 - t)
     HS(S/J) coefficientwise, as x_i divides no minimal generator of in(J)
     and so is regular on S/in(J); and the exact sequence 0 -> (0 : x_i)(-1) -> S/J(-1) -> S/J
     -> S/(J + x_i) -> 0 gives HS(S/(J + x_i)) = (1 - t) HS(S/J) + t
     HS(0 : x_i), so 0 : x_i = 0.  The basis (1) of the unit ideal certifies
     every variable, and ``stop`` sees a certifying basis as it sees a
-    computed one.  A cached grevlex basis with x_i last that x_i does not
-    certify is a step basis (see below), and x_i is a zero divisor.
+    computed one.  A held basis under the step's order is the step's basis
+    (see below).
 
     Otherwise, if J is not (1) and its Hilbert numerator Q is known, one
-    grevlex run on the restrictions J' to x_i = 0 of J's grevlex basis (or
-    forms), in the ring S' of the other variables, may certify x_i: S/(J +
-    x_i) = S'/J', so by the sequence above J' has the numerator Q iff 0 :
-    x_i = 0, and leads that reach Q generate in(J'), as the run's target
-    stop uses.  A certified step keeps J and shows ``stop`` no basis: a
-    walk that ends on (1) still stops at a division or on the basis (1).
+    grevlex run on the restrictions J' to x_i = 0 of J's held grevlex basis
+    (or of its forms), in the ring S' of the other variables, may certify
+    x_i: S/(J + x_i) = S'/J', so by the sequence above J' has the numerator
+    Q iff 0 : x_i = 0, and leads that reach Q generate in(J'), as the run's
+    target stop uses.  Unlike a run through ``buchberger``, the restricted
+    run enters the held grevlex basis, because that pays: entering J's forms
+    raised a tropical-sweep pass at workload seed 1 from 46 to 118 s-pairs.
+    A certified step keeps J and shows ``stop`` no basis: a walk that ends
+    on (1) still stops at a division or on the basis (1).
 
-    Otherwise the step takes J's reduced basis under grevlex with x_i last
-    and the other variables in natural order: GREVLEX itself for x_n.  A
+    Otherwise the step takes J's reduced basis under the step's order.  A
     homogeneous polynomial is divisible by a power of x_i iff its lead
     under that order is, so dividing every element by the largest power of
     x_i that divides it generates the saturation by x_i.  A step that
@@ -881,15 +882,14 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
     n = I.n
     J = I
     for i in (k for k in reversed(range(n)) if m[k]):
+        step = OrderSpec("grevlex", (*(k + 1 for k in range(n) if k != i), i + 1))
         gb = next((gb for gb in J.gb_cache.values()
-                   if gb.order.base == "grevlex" and gb.order.weight is None
-                   and (gb.order.perm or (n,))[-1] == i + 1
-                   or not any(f[0][0][i] for f in gb.forms)), None)
+                   if gb.order == step or not any(f[0][0][i] for f in gb.forms)), None)
         if gb is None:
             q = known_numerator(J)
             if q not in (None, (0,)) and _restriction_certifies(J, i, q):
                 continue
-            gb = buchberger(J, OrderSpec("grevlex", (*(k + 1 for k in range(n) if k != i), i + 1)))
+            gb = buchberger(J, step)
         if stop is not None and stop(gb):
             return None
         if any(f[0][0][i] for f in gb.forms):

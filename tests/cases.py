@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from gentrop import generic, groebner
 from gentrop.groebner import DEFAULT_DEGREE_CAP, Ideal
@@ -94,6 +94,21 @@ def seeded_ideals(sparse: int, dense: int) -> list:
         out.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
         out.append(Ideal(4, [dense_form(4, 2, seed), dense_form(4, 2, seed + 1)]))
     return out
+
+
+def stanley_reisner_ideal(n: int, facets) -> Ideal:
+    """The Stanley-Reisner ideal of the simplicial complex on n vertices
+    with these facets (vertex sets): one squarefree monomial per minimal
+    non-face, a vertex set in no facet each of whose subsets one smaller is
+    in one."""
+    facets = [set(F) for F in facets]
+
+    def face(S) -> bool:
+        return any(set(S) <= F for F in facets)
+
+    non_faces = [S for k in range(1, n + 1) for S in combinations(range(1, n + 1), k)
+                 if not face(S) and all(face(S[:i] + S[i + 1:]) for i in range(k))]
+    return Ideal(n, [{tuple(int(v in S) for v in range(1, n + 1)): 1} for S in non_faces])
 
 
 def _counting(monkeypatch, name: str, module=groebner, record=None) -> list:

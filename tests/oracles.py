@@ -504,3 +504,71 @@ def reference_groebner(generators, order, n: int) -> list:
         tail[lm] = Fraction(1)
         out.append(Polynomial(n, tail))
     return out
+
+
+def _faces(facets) -> set:
+    """Every face of the simplicial complex with these facets, each a sorted
+    tuple of vertices, the empty face included."""
+    out = set()
+    for F in facets:
+        F = tuple(sorted(F))
+        for k in range(len(F) + 1):
+            out.update(combinations(F, k))
+    return out
+
+
+def _reduced_homology(faces) -> dict:
+    """The nonzero ranks of the reduced homology over Q of the complex with
+    these faces (the empty face included), by degree j >= -1: the number of
+    faces of size j + 1, less the ranks of the boundary maps out of and into
+    that degree, each read from ``_echelon`` of its +-1 matrix."""
+    by_degree: dict = {}
+    for F in faces:
+        by_degree.setdefault(len(F) - 1, []).append(F)
+
+    def boundary_rank(j: int) -> int:
+        if j not in by_degree or j - 1 not in by_degree:
+            return 0
+        index = {F: k for k, F in enumerate(by_degree[j - 1])}
+        rows = []
+        for F in by_degree[j]:
+            row = [0] * len(index)
+            for k in range(len(F)):
+                row[index[F[:k] + F[k + 1:]]] = (-1) ** k
+            rows.append(row)
+        return len(_echelon(rows))
+
+    ranks = {j: len(fs) - boundary_rank(j) - boundary_rank(j + 1) for j, fs in by_degree.items()}
+    return {j: r for j, r in ranks.items() if r}
+
+
+def stanley_reisner(facets) -> tuple:
+    """(dimension, depth, cm_class, multiplicity) of the Stanley-Reisner ring
+    k[Delta] over Q, for the simplicial complex Delta with these facets
+    (vertex sets), read from the complex alone.  The dimension is the
+    largest face size and the multiplicity the number of faces of that
+    size.  The depth is Hochster's formula, the least |F| + 1 + j over faces
+    F and degrees j with reduced H_j(lk F; Q) nonzero (Hochster 1977; Bruns
+    and Herzog 1993, 5.3), where lk F is the set of faces G disjoint from F
+    with G + F a face; a facet's link is the empty complex, whose H_-1 is Q.
+    The class compares the depth with the dimension, as the package labels
+    it: CM when equal (Reisner's criterion), almostCM one below, depthZero
+    at 0, neither otherwise."""
+    faces = _faces(facets)
+    dim = max(map(len, faces))
+    multiplicity = sum(len(F) == dim for F in faces)
+    depth = min(
+        len(F) + 1 + j
+        for F in faces
+        for j in _reduced_homology({G for G in faces if not set(G) & set(F)
+                                    and tuple(sorted(G + F)) in faces})
+    )
+    if depth == dim:
+        label = "CM"
+    elif depth == dim - 1:
+        label = "almostCM"
+    elif depth == 0:
+        label = "depthZero"
+    else:
+        label = "neither"
+    return dim, depth, label, multiplicity

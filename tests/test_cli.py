@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import time
+from itertools import combinations
 from math import comb
 from types import SimpleNamespace
 
@@ -372,8 +373,10 @@ def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
     # cold grevlex run on the input ideal, has the Hilbert series of the
     # input as its target (the transformed ideals take it over) and stops
     # once its leads have it.  So the job forms 6 s-pair normal forms, those
-    # of the first run, and makes 40 engine divisions (338 when every cone
-    # and pair was probed)
+    # of the first run, and makes 46 engine divisions (338 when every cone
+    # and pair was probed; 40 when a run entered the cached grevlex basis of
+    # its ideal in place of its forms, whose elements need less reduction
+    # on entry)
     seed = _fan_probe_seed(1)
     split = write(tmp_path, "split.ideal", SPLIT)
     runs = counting_engine(monkeypatch)
@@ -382,7 +385,7 @@ def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, "verify", split, "--target", "Wnmt", "--seed", seed)
     assert code == EXIT_PROBE_FAILED
     assert len(runs) == 7 and len(spairs) == 6
-    assert len(divisions) == 40
+    assert len(divisions) == 46
 
 
 def test_family_wnmt_bounds_engine_runs(tmp_path, capsys, monkeypatch):
@@ -410,9 +413,9 @@ def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     # every step took a basis).  Four of the runs are saturation steps run
     # on the ideal restricted to x_i = 0, in 4 variables, which certify
     # their steps without a lookup, in place of four runs in 5 (7
-    # numerators and 13 lookups before); a cached grevlex basis with x_i
-    # last is a step's basis without one (13 runs and 9 numerators when the
-    # restricted run was tried there too)
+    # numerators and 13 lookups before); a cached basis under a step's
+    # order, grevlex with x_i last, is the step's basis without one (13 runs
+    # and 9 numerators when the restricted run was tried there too)
     fam = write(tmp_path, "fam.ideal", FAMILY_531)
     runs = counting_engine_variables(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
@@ -441,32 +444,38 @@ def test_analyze_jobs_pin_their_engine_runs(tmp_path, capsys, monkeypatch):
         assert code == EXIT_OK and len(runs) == want
 
 
-def _stanley_reisner(n: int, *non_faces: str) -> str:
+def _stanley_reisner(n: int, non_faces) -> str:
     """The ideal file of the Stanley-Reisner ideal of a simplicial complex
     on n vertices, from the digit strings of its minimal non-faces."""
     return "".join([f"ring {n}\n"] + ["*".join(f"x{v}" for v in f) + "\n" for f in non_faces])
 
 
-@pytest.mark.parametrize("text, want, depth_recovery", [
+# name: (vertices, minimal non-faces, (dimension, depth, cm_class,
+# multiplicity), whether to verify depth recovery)
+STANLEY_REISNER = {
     # the bowtie: two triangles 123 and 345 glued at a vertex
-    (_stanley_reisner(5, "14", "15", "24", "25"), (3, 2, "almostCM", 2), False),
+    "bowtie": (5, ("14", "15", "24", "25"), (3, 2, "almostCM", 2), False),
     # two tetrahedra 1234 and 4567 glued at a vertex
-    (_stanley_reisner(7, *(f"{i}{j}" for i in "123" for j in "567")), (4, 2, "neither", 2), True),
+    "two-tetrahedra": (7, [f"{i}{j}" for i in "123" for j in "567"], (4, 2, "neither", 2), True),
     # the join of two triangle boundaries
-    (_stanley_reisner(6, "123", "456"), (4, 4, "CM", 9), False),
+    "join-of-triangles": (6, ("123", "456"), (4, 4, "CM", 9), False),
     # a triangulated disk
-    (_stanley_reisner(6, "14", "25", "36", "123"), (3, 3, "CM", 7), False),
+    "disk": (6, ("14", "25", "36", "123"), (3, 3, "CM", 7), False),
     # the 6-vertex real projective plane, facets 124, 126, 135, 136, 145,
     # 234, 235, 256, 346 and 456: Cohen-Macaulay in characteristic 0
-    (_stanley_reisner(6, "123", "125", "134", "146", "156", "236", "245", "246", "345", "356"),
-     (3, 3, "CM", 10), False),
-], ids=["bowtie", "two-tetrahedra", "join-of-triangles", "disk", "rp2"])
-def test_stanley_reisner_complexes(tmp_path, capsys, text, want, depth_recovery):
+    "rp2": (6, ("123", "125", "134", "146", "156", "236", "245", "246", "345", "356"),
+            (3, 3, "CM", 10), False),
+}
+
+
+@pytest.mark.parametrize("name", STANLEY_REISNER)
+def test_stanley_reisner_complexes(tmp_path, capsys, name):
     # dimension, depth, CM class and multiplicity of k[Delta], each derived
     # by hand from the complex: the largest face size, Hochster's formula
     # (Reisner's criterion for CM) and the number of faces of largest size.
     # The multiplicity check saturates each probed initial ideal
-    path = write(tmp_path, "sr.ideal", text)
+    n, non_faces, want, depth_recovery = STANLEY_REISNER[name]
+    path = write(tmp_path, "sr.ideal", _stanley_reisner(n, non_faces))
     code, report = run(capsys, "analyze", path, "--seed", "1")
     assert code == EXIT_OK
     assert (report["dimension"], report["depth"], report["cm_class"],
@@ -476,6 +485,20 @@ def test_stanley_reisner_complexes(tmp_path, capsys, text, want, depth_recovery)
     if depth_recovery:
         code, report = run(capsys, "verify", path, "--target", "depth-recovery", "--seed", "1")
         assert code == EXIT_OK and report["passed"] is True
+
+
+@pytest.mark.parametrize("name", STANLEY_REISNER)
+def test_the_topological_oracle_derives_the_pinned_complexes(name):
+    # the hand-derived invariants of each pinned complex, from its facets
+    # (the vertex sets containing no minimal non-face, maximal among them)
+    # by Hochster's formula in ``oracles.stanley_reisner``
+    from oracles import stanley_reisner
+
+    n, non_faces, want, _ = STANLEY_REISNER[name]
+    faces = [set(S) for k in range(n + 1) for S in combinations(range(1, n + 1), k)
+             if not any(set(map(int, f)) <= set(S) for f in non_faces)]
+    facets = [F for F in faces if not any(F < G for G in faces)]
+    assert stanley_reisner(facets) == want
 
 
 def test_verify_depth_recovery(tmp_path, capsys):

@@ -36,7 +36,7 @@ from gentrop.generic import (
     tropical_member,
 )
 from gentrop.groebner import DegreeCapExceeded, Ideal, buchberger, hilbert_numerator, initial_ideal
-from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of
+from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of, multiplicity
 from gentrop.poly import GREVLEX, OrderSpec, Polynomial, normalize_weight
 
 from oracles import (
@@ -46,6 +46,7 @@ from oracles import (
     moved_point_ray_constancy,
     moved_point_recover_depth,
     sampled_cone_constancy,
+    stanley_reisner,
 )
 
 from cases import (
@@ -69,6 +70,7 @@ from cases import (
     smooth_quadric4,
     split_fan_ideal,
     stable_depth_family,
+    stanley_reisner_ideal,
 )
 
 
@@ -380,11 +382,13 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # Runs on the transformed
     # ideals and their initial ideals take over the Hilbert series of the
     # ideal and stop once their leads have it, so the pass forms 24 s-pair
-    # normal forms.  Each query reads the dimension of its ideal from the
-    # memoized Hilbert numerator, so the pass lists no minimal leads and
-    # solves no least cover.  Each Groebner-cone lookup asks every cached
-    # basis once, oldest first, until one serves, and a certified step makes
-    # no lookup, so the pass re-sorts 12 of them (120 without the
+    # normal forms (96 when a restricted run entered the restriction of its
+    # ideal's forms in place of its cached grevlex basis).  Each query reads
+    # the dimension of its ideal from the memoized Hilbert numerator, so the
+    # pass lists no minimal leads and solves no least cover.  Each
+    # Groebner-cone lookup asks every cached basis once, oldest first, until
+    # one serves, and a certified step makes no lookup, so the pass
+    # re-sorts 12 of them (120 without the
     # restricted run, 96 with the step order above, 192 when every step
     # ran; 448 before that, per normalized weight).  Measured per normalized
     # weight: 662 runs when every query built its initial ideal afresh;
@@ -440,9 +444,11 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # each transformed ideal ends with 15 to 19 cached bases, and a new
     # query's order is often in the Groebner cone of one cached long before,
     # so that scan makes 66 runs in 5 variables and 120 in 4 and, asking the
-    # cached bases oldest first, re-sorts 638 of them.  A cached grevlex
-    # basis with x_i last is a step's basis, and the restricted run is not
-    # tried there (142 restricted runs when it was).  Without the restricted
+    # cached bases oldest first, re-sorts 638 of them.  A cached basis
+    # under a step's order (grevlex with x_i last, the others in natural
+    # order) is the step's basis, and the restricted run is not tried there
+    # (142 restricted runs when it was); taking one under any order with
+    # x_i last moved no count.  Without the restricted
     # run it makes 186 runs in 5 variables and re-sorts 818 (152 and 750
     # with the step order that put the next variable second last); before
     # certified steps it made 186 runs (196 when a lookup asked only the
@@ -1026,3 +1032,27 @@ def test_determinism_across_fresh_objects():
     w1 = separating_witness(stable_depth_family(5, 3, 1), pol)
     w2 = separating_witness(stable_depth_family(5, 3, 1), pol)
     assert w1 == w2
+
+
+def test_stanley_reisner_rings_match_the_topological_oracle():
+    # dimension, depth, CM class and multiplicity of k[Delta] against
+    # ``oracles.stanley_reisner``, which reads them off the complex by
+    # Hochster's formula, for a seeded draw of 200 complexes on 4-6
+    # vertices: two to five facets each, all of one size (pure) or of sizes
+    # drawn apart, so some vertices lie in no face.  Each complex is
+    # analyzed at policy seeds 0 and 1.  The draw holds each class the
+    # package labels a Stanley-Reisner ring with (its depth is never 0)
+    rng = random.Random("stanley-reisner")
+    labels = {}
+    for _ in range(200):
+        n = rng.randint(4, 6)
+        size = rng.randint(2, n - 2) if rng.random() < 0.5 else None
+        facets = [rng.sample(range(1, n + 1), size or rng.randint(1, n - 1))
+                  for _ in range(rng.randint(2, 5))]
+        want = stanley_reisner(facets)
+        labels[want[2]] = labels.get(want[2], 0) + 1
+        for seed in (0, 1):
+            I, pol = stanley_reisner_ideal(n, facets), policy(seed)
+            got = (dimension(I), generic.depth(I, pol), classify_cm(I, pol).label, multiplicity(I))
+            assert got == want, (n, facets, seed)
+    assert labels == {CM: 127, ALMOST_CM: 46, NEITHER: 27}

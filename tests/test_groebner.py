@@ -29,8 +29,8 @@ from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, norm
 
 import oracles
 from cases import (
-    P, counting_cone_hits, counting_engine, counting_orders, counting_restrictions,
-    counting_spairs, dense_form,
+    P, counting_cone_hits, counting_engine, counting_normal_forms, counting_orders,
+    counting_restrictions, counting_spairs, dense_form,
     ideal, policy, product_family,
     random_graded_ideal, seeded_ideals, split_fan_ideal, stable_depth_family,
 )
@@ -546,6 +546,34 @@ def test_a_step_after_a_division_runs_in_natural_order(monkeypatch):
     assert (after, walked) == (40, 166)
 
 
+def test_a_step_takes_a_held_basis_only_under_its_own_order():
+    # a step takes a held basis only if it is under the step's order,
+    # grevlex with x_i last and the others in natural order, or if x_i
+    # divides none of its leads.  Each ideal holds its reduced basis under
+    # grevlex with x4 last and x1, x2 swapped, and x4 divides one of its
+    # leads, so x4 is a zero divisor and that basis certifies nothing: the
+    # x4 step runs under GREVLEX in place of taking it, and every walk
+    # answers as the walk that runs one basis per variable
+    from gentrop.groebner import _saturation
+
+    held = OrderSpec("grevlex", (2, 1, 3, 4))
+    for I in [random_graded_ideal(4, seed, gens=2) for seed in (3, 12, 22)]:
+        for m in [(0, 0, 0, 1), (1, 1, 1, 1), (1, 0, 1, 1)]:
+            J = _fresh(I)
+            assert any(f[0][0][3] for f in buchberger(J, held).forms)
+            steps = []
+
+            def record(gb):
+                steps.append(gb)
+                return False
+
+            got = _saturation(J, m, record)
+            assert steps[0].order == GREVLEX, (I, m)
+            assert all(gb.order != held for gb in steps), (I, m)
+            want = oracles.bayer_stillman_saturation(_fresh(I), m)
+            assert buchberger(got).forms == buchberger(want).forms, (I, m)
+
+
 def test_the_restricted_run_certifies_exactly_the_nonzerodivisors(monkeypatch):
     # one run on J restricted to x_i = 0, with J's Hilbert numerator Q as
     # the target, certifies x_i iff the saturation by x_i alone keeps J
@@ -906,26 +934,34 @@ def test_any_cached_basis_serves_an_order_in_its_groebner_cone(monkeypatch):
     assert not runs
 
 
-def test_runs_seeded_by_the_grevlex_basis_match_the_forms_path(monkeypatch):
-    # once an ideal caches its reduced grevlex basis, a run for another
-    # order starts from that basis in place of the ideal's forms; the
-    # reduced basis is unique, so its forms must be those of a fresh equal
-    # ideal, which starts from the ideal's forms, terms in the same order:
-    # a basis served by cone reuse re-sorts them by the new order.
+def test_a_run_does_not_depend_on_the_bases_its_ideal_holds(monkeypatch):
+    # a run enters its ideal's forms, whatever bases the ideal holds: for
+    # every order that no held basis serves, an ideal whose reduced grevlex
+    # basis is cached (warm) and a copy with nothing cached that knows the
+    # same Hilbert numerator (cold) give equal forms, terms in the same
+    # order, and make the same engine divisions.  A run that entered the
+    # held grevlex basis in place of the forms divided less
     runs = counting_engine(monkeypatch)
-    seeded = 0
+    divisions = counting_normal_forms(monkeypatch)
+    compared = 0
     for I in seeded_ideals(4, 2):
         n = I.n
         orders = [GREVLEX.refine(w) for w in product(range(3), repeat=n)]
         orders += [OrderSpec("grevlex", tuple(range(n, 0, -1))), LEX]
         for order in orders:
-            warm = Ideal(n, I.generators)
+            warm = _fresh(I)
             buchberger(warm, GREVLEX)
-            before = len(runs)
+            cold = _with_numerator(I)
+            before = len(runs), len(divisions)
             got = buchberger(warm, order)
-            seeded += len(runs) - before
-            assert got.forms == buchberger(Ideal(n, I.generators), order).forms
-    assert seeded > 100
+            if len(runs) == before[0]:
+                continue  # served by the held basis (``_cone_hit``)
+            warm_divisions = len(divisions) - before[1]
+            before = len(divisions)
+            assert buchberger(cold, order).forms == got.forms, (I, order)
+            assert len(divisions) - before == warm_divisions, (I, order)
+            compared += 1
+    assert compared > 100
 
 
 def test_cone_reuse_bounds_engine_runs_on_a_wide_quadric(tmp_path, monkeypatch, capsys):
