@@ -52,7 +52,12 @@ injected transforms answers differ along an orbit, so each normalized
 weight is answered on its own.  ``tropical_report``, behind ``gentrop
 tropical``, answers at the normalized weight itself and returns the
 initial ideal of a draw that agreed on that answer, so the two never
-contradict each other.
+contradict each other.  Neither makes a run on the ideal I itself: the
+zero-dimension check reads the Hilbert series of the first draw, which I
+and the other draws share (``apply_transform``).  Per draw gI, containment
+answers flow between gI and its initial ideals (``_member_at``): the zero
+weight walks gI itself, and a monomial in gI, or none in some in_w(gI),
+is memoized on gI.
 """
 
 from __future__ import annotations
@@ -198,8 +203,11 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
     """The ideal generated by the images of the generators under g, derived
     from I: it has the degree cap of I and shares its memo of Hilbert checks
     (see ``groebner.Ideal``).  A transform is invertible, so it keeps the
-    Hilbert series and gI takes the numerator of I if known
-    (``groebner.known_numerator``).
+    Hilbert series, and gI shares I's holder of the Hilbert numerator
+    (``Ideal.series``), filled first from a basis I holds
+    (``groebner.known_numerator``).  So the numerator read from the basis of
+    one draw gI is known to I and to every other draw, whose first run then
+    has a target.
 
     Images of the integer forms are expanded over the integers on packed
     monomials: the exponent of x_j sits in bits [w j, w (j+1)) of an int,
@@ -250,7 +258,8 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
                 out[t] = v
         gens.append(out)
     J = I._derive(gens)
-    J.numerator = known_numerator(I)
+    known_numerator(I)
+    J.series = I.series
     return J
 
 
@@ -356,27 +365,49 @@ def tropical_member(
     weight, sorted under sampled transforms (see the module docstring), so a
     repeated query, or one by a shift, a positive multiple or, if sorted, a
     permutation of w, computes nothing; a query that raises is not
-    memoized."""
+    memoized.  A zero-dimensional I raises ``UsageError``: the check reads
+    the dimension of the first draw gI, which has I's Hilbert series and
+    whose grevlex basis ``_member_at`` needs anyway, so no run is made on I;
+    the numerator read from it is shared with I and the other draws (see
+    ``apply_transform``)."""
     wn = normalize_weight(w, I.n)
     if policy.transforms is None:
         wn = tuple(sorted(wn))
     member = I.members.get((policy, wn))
     if member is not None:
         return member
-    if dimension(I) == 0:
-        raise UsageError("zero-dimensional ideals have empty tropical variety")
+    _check_positive_dimension(I, policy)
     member = I.members[policy, wn] = agreed(
         I, policy, lambda gI: _member_at(gI, wn), "tropical membership")
     return member
 
 
+def _check_positive_dimension(I: Ideal, policy: GenericityPolicy) -> None:
+    """Raise ``UsageError`` if I is zero-dimensional, read off the first
+    transformed ideal of the policy, which has I's Hilbert series."""
+    if dimension(transformed(I, policy)[0]) == 0:
+        raise UsageError("zero-dimensional ideals have empty tropical variety")
+
+
 def _member_at(gI: Ideal, wn) -> bool:
-    """Whether in_wn(gI) contains no monomial, for one transformed ideal."""
+    """Whether in_wn(gI) contains no monomial, for one transformed ideal.
+
+    A monomial m has in_w(m) = m, so if gI contains one, so does every
+    in_w(gI): once gI is known to contain one (``gI.has_monomial``, set by
+    a walk of gI) every weight answers False, and a monomial-free in_w(gI)
+    shows that gI is monomial-free, which is memoized on gI.  At the zero
+    weight in_0(gI) = gI, so gI itself is walked and no initial ideal is
+    built."""
+    if gI.has_monomial:
+        return False
     # cheap certificate: a single-term initial form of a basis element
     # already exhibits a monomial inside the weighted initial ideal
     if buchberger(gI, GREVLEX).has_monomial_initial_form(wn):
         return False
-    return not contains_monomial(initial_ideal(gI, wn))
+    if contains_monomial(initial_ideal(gI, wn) if any(wn) else gI):
+        return False
+    gI.has_monomial = False
+    return True
 
 
 def tropical_report(I: Ideal, w, policy: GenericityPolicy = GenericityPolicy()) -> tuple:
@@ -387,9 +418,9 @@ def tropical_report(I: Ideal, w, policy: GenericityPolicy = GenericityPolicy()) 
     a monomial iff ``member`` is false.  ``tropical_member`` answers at the
     sorted weight, where a non-generic draw can answer otherwise than at
     w; this answer is not memoized.  Raises ``UsageError`` for a
-    zero-dimensional ideal."""
-    if dimension(I) == 0:
-        raise UsageError("zero-dimensional ideals have empty tropical variety")
+    zero-dimensional ideal, read off the first draw as in
+    ``tropical_member``, so no run is made on I."""
+    _check_positive_dimension(I, policy)
     wn = normalize_weight(w, I.n)
     member, images = _agreement(I, policy, lambda gI: _member_at(gI, wn), "tropical membership")
     return member, initial_ideal(images[0], w)

@@ -35,7 +35,10 @@ computations on it with ``DegreeCapExceeded`` instead of hanging.  An
 ideal the engine derives from its own forms inherits what its parent knows:
 its cap, its memo of Hilbert checks and, for an initial ideal, its reduced
 grevlex basis, which is its forms (Sturmfels 1996, "Groebner Bases and
-Convex Polytopes", Prop. 1.8 and Cor. 1.9).
+Convex Polytopes", Prop. 1.8 and Cor. 1.9).  An initial ideal and an
+invertible transform share their parent's holder of the Hilbert numerator
+(``Ideal.series``), so a numerator read from any one's basis ends the runs
+of all.
 """
 
 from __future__ import annotations
@@ -99,16 +102,19 @@ class Ideal:
     ``Ideal``, so equal initial ideals share their cached bases.
     ``numerator`` memoizes the numerator of the Hilbert series of S/I (see
     ``hilbert_numerator``), which every Buchberger run on the ideal takes
-    as the target that ends it.  It is read from the leads
-    of any cached basis, or handed down by the parent of an initial ideal or
-    of an invertible transform (``generic.apply_transform``), which has the
-    same series; until then it is None.  ``has_monomial`` memoizes the
-    answer of ``contains_monomial``, None until one is computed.
+    as the target that ends it; until one is known it is None.  It is held
+    in ``series``, a one-item list that the ideals of one Hilbert series
+    share: an invertible transform (``generic.apply_transform``) and an
+    initial ideal take over their parent's, so a numerator read from the
+    leads of any cached basis of one of them (``known_numerator``) is known
+    to all.  A saturation step and a saturation get a list of their own.
+    ``has_monomial`` memoizes the answer of ``contains_monomial``, None
+    until one is known.
     """
 
     __slots__ = (
         "n", "forms", "degree_cap", "hilbert_memo", "gb_cache", "images", "gins",
-        "initials", "members", "numerator", "has_monomial", "_gens",
+        "initials", "members", "series", "has_monomial", "_gens",
     )
 
     def __init__(
@@ -163,9 +169,17 @@ class Ideal:
         self.gins: dict = {}
         self.initials: dict = {}
         self.members: dict = {}
-        self.numerator = None
+        self.series = [None]
         self.has_monomial = None
         self._gens = None
+
+    @property
+    def numerator(self):
+        return self.series[0]
+
+    @numerator.setter
+    def numerator(self, q) -> None:
+        self.series[0] = q
 
     @property
     def generators(self) -> tuple:
@@ -747,8 +761,9 @@ def _cone_hit(I: Ideal, key: Callable):
 def known_numerator(I: Ideal):
     """The Hilbert numerator of I: ``I.numerator``, read from the leads of a
     cached basis if unset, through ``I.hilbert_memo``; None while I has
-    neither.  Ideals with the same series (initial ideals, invertible
-    transforms) take it over."""
+    neither.  A numerator read here is set in ``I.series``, so the ideals
+    that share it (I's transforms and initial ideals, and I's parent if I
+    is one of those) know it too."""
     if I.numerator is None and I.gb_cache:
         leads = frozenset(next(iter(I.gb_cache.values())).leads)
         I.numerator = _memo_numerator(I.hilbert_memo, I.n, leads)
@@ -800,8 +815,9 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     Results are interned in ``I.initials`` by their forms: every weight with
     the same initial ideal gets the same ``Ideal``, so later computations on
     it (a saturation, say) reuse its cached bases and memoized answers, and
-    equal initial ideals of I are one object.  J takes the Hilbert numerator
-    of I, which is its own, so its first run already has a target.
+    equal initial ideals of I are one object.  J has the Hilbert series of
+    I and shares I's ``series``, in which the numerator read from the basis
+    under the refined order is set, so J's first run already has a target.
     """
     wn = normalize_weight(w, I.n)
     J = I._derive(
@@ -812,7 +828,8 @@ def initial_ideal(I: Ideal, w) -> Ideal:
         key = GREVLEX.key_function(J.n, J.degree_cap)
         J.gb_cache[GREVLEX] = GroebnerBasis(
             GREVLEX, J.n, sorted(J.forms, key=lambda f: key(f[0][0])))
-    J.numerator = known_numerator(I)
+    known_numerator(I)
+    J.series = I.series
     return J
 
 
@@ -937,7 +954,10 @@ def contains_monomial(I: Ideal) -> bool:
     grevlex with x_1 last, so the step's basis has an element x_1^k.  Either
     way the walk stops there, and no further basis is needed; a restricted
     run is never tried on (1).  The answer is memoized in
-    ``I.has_monomial``, which a walk over the cap leaves unset."""
+    ``I.has_monomial``, which a walk over the cap leaves unset; a set memo
+    answers without a walk.  An initial ideal in_w(I) with no monomial
+    shows that I has none, since in_w(m) = m for a monomial m, and
+    ``generic.tropical_member`` sets the memo of a transformed ideal so."""
     if I.has_monomial is None:
         I.has_monomial = _saturation(
             I, (1,) * I.n, lambda gb: any(len(f) == 1 for f in gb.forms)) is None

@@ -73,10 +73,14 @@ def monomial_dimension(M: MonomialIdeal) -> int:
 
 def _series(I: Ideal, what: str) -> tuple:
     """(Q, d) of the Hilbert series Q(t) / (1-t)^d of S/I, fully
-    cancelled, from the numerator that I memoizes once its grevlex basis is
-    cached; the zero ring raises ``UsageError`` naming ``what``."""
-    buchberger(I, GREVLEX)
+    cancelled, from the numerator that I memoizes (``known_numerator``):
+    one already known, read from a basis of I or of an ideal that shares
+    I's series, makes no run; else it is read from I's grevlex basis.  The
+    zero ring raises ``UsageError`` naming ``what``."""
     q = known_numerator(I)
+    if q is None:
+        buchberger(I, GREVLEX)
+        q = known_numerator(I)
     if q == (0,):
         raise UsageError(f"{what} of the zero ring is undefined")
     return _cancel_one_minus_t(q, I.n)

@@ -143,6 +143,16 @@ def counting_engine_variables(monkeypatch) -> list:
     return _counting(monkeypatch, "_buchberger_dicts", record=variables)
 
 
+def counting_engine_inputs(monkeypatch) -> list:
+    """Record the polynomials each Buchberger engine run enters, as a
+    frozenset of their term sets, comparable with an ideal's forms."""
+    def inputs(args):
+        args[0] = gens = list(args[0])
+        return frozenset(frozenset(g.items()) for g in gens)
+
+    return _counting(monkeypatch, "_buchberger_dicts", record=inputs)
+
+
 def counting_restrictions(monkeypatch) -> list:
     """Record each run of a saturation step on its restriction to x_i = 0
     (``_restriction_certifies``)."""

@@ -222,6 +222,21 @@ def test_tropical_reports_are_pinned(tmp_path, capsys, omega, identity):
     assert (report["member"], report["initial_ideal"]) == TROPICAL_PINS[omega, identity]
 
 
+def test_a_tropical_job_pins_its_engine_runs(tmp_path, capsys, monkeypatch):
+    # ``tropical`` checks that its ideal is not zero-dimensional on the
+    # first transformed ideal, which has the ideal's Hilbert series and
+    # whose grevlex basis the answer needs anyway, so it makes no run on the
+    # ideal itself.  On RATIONAL_PAIR at omega (5, 0, 5, 5) the job makes 3
+    # engine runs, and 2 under --identity (4 and 3 when the check ran the
+    # ideal's grevlex basis); its report is pinned above
+    path = write(tmp_path, "pair.ideal", RATIONAL_PAIR)
+    for identity, want in ((False, 3), (True, 2)):
+        runs = counting_engine(monkeypatch)
+        code, report = run(capsys, "tropical", path, "--omega", "5,0,5,5", *["--identity"] * identity)
+        assert code == EXIT_OK and report["member"] is False
+        assert len(runs) == want
+
+
 def test_tropical_rejects_bad_omega(tmp_path, capsys):
     path = write(tmp_path, "prod.ideal", PRODUCT_FAMILY_2)
     for omega in ("0,1", "0,a,1,2", "0,1/0,1,2"):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -35,7 +36,9 @@ from gentrop.generic import (
     transformed,
     tropical_member,
 )
-from gentrop.groebner import DegreeCapExceeded, Ideal, buchberger, hilbert_numerator, initial_ideal
+from gentrop.groebner import (
+    DegreeCapExceeded, Ideal, buchberger, contains_monomial, hilbert_numerator, initial_ideal,
+)
 from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of, multiplicity
 from gentrop.poly import GREVLEX, OrderSpec, Polynomial, normalize_weight
 
@@ -53,6 +56,7 @@ from cases import (
     codim2_complete_intersection,
     counting_cone_hits,
     counting_engine,
+    counting_engine_inputs,
     counting_engine_variables,
     counting_gins,
     counting_hilbert_numerators,
@@ -363,18 +367,40 @@ def test_tropical_member_at_zero_weight():
         assert tropical_member(I, (0,) * I.n, pol)
 
 
+def _tropical_sweep_at_seed_1() -> tuple:
+    """(ideals, queries, policy) of the tropical-sweep pass at workload
+    seed 1: 12 pairs of dense quadrics, alternately in 3 and 4 variables,
+    16 grid queries each, half of them with the minimum attained at least
+    three times."""
+    rng = random.Random("tropical-sweep:1")
+    ideals, queries = [], []
+    for k in range(12):
+        n = 3 + k % 2
+        ideals.append(Ideal(n, [dense_form(n, 2, rng.randrange(10**6)) for _ in range(2)]))
+        for q in range(16):
+            ties = rng.randint(3, n) if q % 2 == 0 else rng.randint(1, 2)
+            low = rng.randint(-3, 2)
+            w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(n - ties)]
+            rng.shuffle(w)
+            queries.append((k, tuple(w)))
+    rng.shuffle(queries)
+    return ideals, queries, policy(seed=rng.randrange(10**6))
+
+
 def test_tropical_sweep_bounds_engine_runs(monkeypatch):
-    # the tropical-sweep pass at workload seed 1: 12 pairs of dense quadrics,
-    # alternately in 3 and 4 variables, 16 grid queries each, half of them
-    # with the minimum attained at least three times.  A query is answered
-    # once per permutation orbit of its normalized weight, at the sorted
-    # weight: the 192 queries, at 105 normalized weights, compute 77
-    # answers.  Queries that share an initial ideal share its saturation
+    # the tropical-sweep pass at workload seed 1, its dimensions computed
+    # first.  A query is answered once per permutation orbit of its
+    # normalized weight, at the sorted weight: the 192 queries, at 105
+    # normalized weights, compute 77 answers.  Queries that share an initial ideal share its saturation
     # runs.  A saturation step that a basis cached on its ideal certifies
     # makes no run.  Any other step on an ideal with a known Hilbert series
     # first runs the ideal restricted to x_i = 0, in one variable fewer,
     # which certifies x_i when its leads reach that series: the pass makes
-    # 24 runs in n variables and 72 restricted ones.  Without the
+    # 24 runs in n variables and 60 restricted ones.  A transformed ideal
+    # gI is walked itself at the zero weight, and a monomial-free in_w(gI)
+    # memoizes that gI holds no monomial, so a zero-weight query walks
+    # nothing after one: 72 restricted runs when each zero-weight query
+    # walked a new in_0(gI).  Without the
     # restricted run it makes 96 runs in n variables, each step that runs
     # ordering its variable last and the others naturally (84 when such a
     # step put the next variable to saturate just before its own; 182
@@ -395,19 +421,7 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # 206 s-pairs when the transformed ideals started without the series,
     # 602 when every run reduced all its pairs; 192 lead lists and covers
     # when every query read its leads.
-    rng = random.Random("tropical-sweep:1")
-    ideals, queries = [], []
-    for k in range(12):
-        n = 3 + k % 2
-        ideals.append(Ideal(n, [dense_form(n, 2, rng.randrange(10**6)) for _ in range(2)]))
-        for q in range(16):
-            ties = rng.randint(3, n) if q % 2 == 0 else rng.randint(1, 2)
-            low = rng.randint(-3, 2)
-            w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(n - ties)]
-            rng.shuffle(w)
-            queries.append((k, tuple(w)))
-    rng.shuffle(queries)
-    pol = policy(seed=rng.randrange(10**6))
+    ideals, queries, pol = _tropical_sweep_at_seed_1()
     dims = [dimension(I) for I in ideals]
     runs = counting_engine(monkeypatch)
     restricted = counting_restrictions(monkeypatch)
@@ -422,28 +436,62 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     for k, w in queries:
         want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
         assert tropical_member(ideals[k], w, pol) == want
-    assert len(runs) - len(restricted) == 24 and len(restricted) == 72
+    assert len(runs) - len(restricted) == 24 and len(restricted) == 60
     assert len(spairs) == 24
     assert len(resorts) == 12
+
+
+def test_a_tropical_sweep_makes_no_run_on_its_ideals(monkeypatch):
+    # the same pass as the benchmark times it, with no dimension computed
+    # first.  A query checks that its ideal I is not zero-dimensional on the
+    # first transformed ideal, which has I's Hilbert series and needs its
+    # grevlex basis anyway, so no engine run enters the forms of an input
+    # ideal (12 runs, one per ideal, when the check ran I's grevlex basis).
+    # The numerator read from that basis is shared with I and the other
+    # draw, so the second draw's first run has a target, and dimension(I)
+    # after the pass makes no run either: the run on I is gone, not moved
+    # into a later call.  The pass makes 24 runs in n variables, 60
+    # restricted ones, 36 s-pairs and 318 divisions (72 restricted runs, 46
+    # s-pairs and 406 divisions when the check ran I's basis and each
+    # zero-weight query walked a new in_0(gI))
+    ideals, queries, pol = _tropical_sweep_at_seed_1()
+    entered = counting_engine_inputs(monkeypatch)
+    restricted = counting_restrictions(monkeypatch)
+    spairs = counting_spairs(monkeypatch)
+    divisions = counting_normal_forms(monkeypatch)
+    answers = [tropical_member(ideals[k], w, pol) for k, w in queries]
+    assert len(entered) - len(restricted) == 24 and len(restricted) == 60
+    assert len(spairs) == 36 and len(divisions) == 318
+    forms = {frozenset(frozenset(f) for f in I.forms) for I in ideals}
+    assert not forms & set(entered)
+    del entered[:]
+    dims = [dimension(I) for I in ideals]
+    assert not entered and dims == [I.n - 2 for I in ideals]
+    for (k, w), member in zip(queries, answers):
+        assert member == (w.count(min(w)) >= 3)
 
 
 def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # 4 pairs of dense quadrics in 5 variables, policy seed k for ideal k,
     # 30 grid queries each, half with the minimum attained 3 to 5 times and
     # half once or twice.  Answered once per permutation orbit, at the
-    # sorted weight, the scan makes 12 engine runs in 5 variables and 48 in
+    # sorted weight, the scan makes 12 engine runs in 5 variables and 44 in
     # 4: a saturation step that a cached basis certifies makes none, and
     # one on an ideal with a known Hilbert series first runs the ideal
     # restricted to x_i = 0, in 4 variables.  Each interned initial ideal
     # memoizes its answer, so the queries that share one walk it once (84
-    # restricted runs when every query walked it).  Without the restricted
+    # restricted runs when every query walked it).  The zero weight walks
+    # a transformed ideal gI itself, and after a monomial-free in_w(gI)
+    # gI is known to hold no monomial, so it walks nothing (48 restricted
+    # runs when it walked a new in_0(gI)).  Without the restricted
     # run the scan makes 60 runs in 5 variables (44 when each step that ran
     # put the next variable to saturate just before its own; 186 before
     # that, when each normalized weight was computed at itself).  Injected as explicit
     # transforms, the same draws answer each normalized weight at itself:
     # each transformed ideal ends with 15 to 19 cached bases, and a new
     # query's order is often in the Groebner cone of one cached long before,
-    # so that scan makes 66 runs in 5 variables and 120 in 4 and, asking the
+    # so that scan makes 66 runs in 5 variables and 116 in 4 (120 when the
+    # zero weight walked a new in_0(gI)) and, asking the
     # cached bases oldest first, re-sorts 638 of them.  A cached basis
     # under a step's order (grevlex with x_i last, the others in natural
     # order) is the step's basis, and the restricted run is not tried there
@@ -471,8 +519,48 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
                 assert tropical_member(I, tuple(w), pol) == (w.count(low) >= 5 - m + 1)
         return runs.count(5), runs.count(4), len(runs), len(resorts)
 
-    assert scan(injected=False)[:3] == (12, 48, 60)
-    assert scan(injected=True) == (66, 120, 186, 638)
+    assert scan(injected=False)[:3] == (12, 44, 56)
+    assert scan(injected=True) == (66, 116, 182, 638)
+
+
+def test_membership_answers_flow_between_a_draw_and_its_initial_ideals():
+    # ``_member_at`` answers for one transformed ideal gI from what gI and
+    # its initial ideals know: the zero weight walks gI itself, a
+    # monomial-free in_w(gI) memoizes that gI holds no monomial, and a gI
+    # known to hold one answers False at every weight.  Asked at every
+    # normalized weight of the grid [-1, 1]^n, the zero weight first or
+    # last, each draw must answer as the containment test of in_w on a
+    # fresh copy of gI, which shares no memo with it.  The last ideal is
+    # injected through the identity: it holds a monomial that no element of
+    # its grevlex basis is, so only a walk finds it, and with the zero
+    # weight first each later weight answers False from ``has_monomial``
+    # without building an initial ideal.  The second seeded ideal is
+    # zero-dimensional, so its draws hold a monomial too; the third, sparse
+    # in 4 variables, is left out for time (0.9 s).
+    from gentrop.generic import _member_at
+
+    held = ideal(3, "x1*x3 - x2*x3 - x3^2", "x1*x2 - x2^2 + x3^2")
+    assert contains_monomial(Ideal(3, map(dict, held.forms)))
+    assert not any(len(f) == 1 for f in buchberger(held).forms)
+    sparse = seeded_ideals(2, 1)
+    cases = [(I, policy()) for I in (*sparse[:2], *sparse[3:], smooth_quadric4(), product_family(4, 2))]
+    cases.append((held, identity_policy(3)))
+    for I, pol in cases:
+        n = I.n
+        grid = sorted({normalize_weight(w, n) for w in product(range(-1, 2), repeat=n)})
+        grid.remove((0,) * n)
+        wants = [[not contains_monomial(initial_ideal(Ideal(n, map(dict, gI.forms)), wn))
+                  for wn in [(0,) * n] + grid] for gI in transformed(I, pol)]
+        for zero_first in (True, False):
+            weights = [(0,) * n] + grid if zero_first else grid + [(0,) * n]
+            for gI, want in zip(transformed(Ideal(n, map(dict, I.forms)), pol), wants):
+                answers = [_member_at(gI, wn) for wn in weights]
+                assert answers == (want if zero_first else want[1:] + want[:1])
+                # a draw is known monomial-free once one in_w(gI) is
+                assert (gI.has_monomial is False) == any(answers)
+                if I is held:
+                    assert gI.has_monomial is True
+                    assert bool(gI.initials) != zero_first
 
 
 def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):
@@ -1034,21 +1122,29 @@ def test_determinism_across_fresh_objects():
     assert w1 == w2
 
 
-def test_stanley_reisner_rings_match_the_topological_oracle():
-    # dimension, depth, CM class and multiplicity of k[Delta] against
-    # ``oracles.stanley_reisner``, which reads them off the complex by
-    # Hochster's formula, for a seeded draw of 200 complexes on 4-6
-    # vertices: two to five facets each, all of one size (pure) or of sizes
-    # drawn apart, so some vertices lie in no face.  Each complex is
-    # analyzed at policy seeds 0 and 1.  The draw holds each class the
-    # package labels a Stanley-Reisner ring with (its depth is never 0)
+def _stanley_reisner_draw() -> list:
+    """(n, facets) of 200 seeded complexes on 4-6 vertices: two to five
+    facets each, all of one size (pure) or of sizes drawn apart, so some
+    vertices lie in no face."""
     rng = random.Random("stanley-reisner")
-    labels = {}
+    draw = []
     for _ in range(200):
         n = rng.randint(4, 6)
         size = rng.randint(2, n - 2) if rng.random() < 0.5 else None
-        facets = [rng.sample(range(1, n + 1), size or rng.randint(1, n - 1))
-                  for _ in range(rng.randint(2, 5))]
+        draw.append((n, [rng.sample(range(1, n + 1), size or rng.randint(1, n - 1))
+                         for _ in range(rng.randint(2, 5))]))
+    return draw
+
+
+def test_stanley_reisner_rings_match_the_topological_oracle():
+    # dimension, depth, CM class and multiplicity of k[Delta] against
+    # ``oracles.stanley_reisner``, which reads them off the complex by
+    # Hochster's formula, for the seeded draw of 200 complexes.  Each
+    # complex is analyzed at policy seeds 0 and 1.  The draw holds each
+    # class the package labels a Stanley-Reisner ring with (its depth is
+    # never 0)
+    labels = {}
+    for n, facets in _stanley_reisner_draw():
         want = stanley_reisner(facets)
         labels[want[2]] = labels.get(want[2], 0) + 1
         for seed in (0, 1):
@@ -1056,3 +1152,21 @@ def test_stanley_reisner_rings_match_the_topological_oracle():
             got = (dimension(I), generic.depth(I, pol), classify_cm(I, pol).label, multiplicity(I))
             assert got == want, (n, facets, seed)
     assert labels == {CM: 127, ALMOST_CM: 46, NEITHER: 27}
+
+
+def test_stanley_reisner_tropical_varieties_are_the_oracle_skeleta():
+    # the generic tropical variety of an m-dimensional ideal in n variables
+    # is W_{n,m}, the weights whose minimum is attained at least n-m+1
+    # times.  On each complex of the seeded draw, with m from
+    # ``oracles.stanley_reisner``, ``tropical_member`` must say so at three
+    # grid weights of [-2, 2]^n: the minimum attained n-m+1 times (in
+    # W_{n,m}), n-m times (outside it) and a drawn number of times
+    rng = random.Random("stanley-reisner:tropical")
+    for n, facets in _stanley_reisner_draw():
+        m = stanley_reisner(facets)[0]
+        I = stanley_reisner_ideal(n, facets)
+        for ties in (n - m + 1, n - m, rng.randint(1, n)):
+            low = rng.randint(-2, 1)
+            w = [low] * ties + [rng.randint(low + 1, 2) for _ in range(n - ties)]
+            rng.shuffle(w)
+            assert tropical_member(I, tuple(w), policy()) == (ties >= n - m + 1), (n, facets, w)

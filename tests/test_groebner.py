@@ -750,7 +750,7 @@ def test_a_generator_that_reduces_to_zero_forms_no_pair():
         assert sorted(str(g) for g in gb) == ["x1", "x2^3"]
 
 
-def test_derived_ideals_carry_the_parent_cap():
+def test_derived_ideals_carry_the_parent_cap(monkeypatch):
     from gentrop.groebner import _saturation
 
     I = ideal(3, "x1^2 - x2*x3", "x1*x3", degree_cap=9)
@@ -772,6 +772,19 @@ def test_derived_ideals_carry_the_parent_cap():
     # ideal built from generators starts its own
     assert all(J.hilbert_memo is I.hilbert_memo for J in derived)
     assert ideal(3, "x1^2 - x2*x3", "x1*x3", degree_cap=9).hilbert_memo is not I.hilbert_memo
+    # transforms and initial ideals have the Hilbert series of I and share
+    # its holder of the numerator, so one read from any one's basis is
+    # known to all; a saturation step that divides and a saturation have
+    # series of their own, and so holders of their own
+    assert all(J.series is I.series for J in derived[:6])
+    assert all(J.series is not I.series for J in derived[6:])
+    assert I.numerator == (1, 0, -2, 0, 1)
+    # a restricted run, on J with x_i set to zero, enters forms in one
+    # variable fewer and builds no ideal, so its leads set no holder
+    J = initial_ideal(transformed(I, policy(seed=1))[1], (0, 0, 0))
+    restricted = counting_restrictions(monkeypatch)
+    assert not contains_monomial(J)
+    assert restricted and J.series is I.series and I.numerator == (1, 0, -2, 0, 1)
 
 
 def _derived_cases() -> list:
