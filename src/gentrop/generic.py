@@ -56,8 +56,10 @@ contradict each other.  Neither makes a run on the ideal I itself: the
 zero-dimension check reads the Hilbert series of the first draw, which I
 and the other draws share (``apply_transform``).  Per draw gI, containment
 answers flow between gI and its initial ideals (``_member_at``): the zero
-weight walks gI itself, and a monomial in gI, or none in some in_w(gI),
-is memoized on gI.
+weight asks gI itself, and a monomial in gI, or none in some in_w(gI),
+is memoized on gI.  Each such ideal holds its grevlex basis, so in generic
+coordinates a trace mostly shows a Cohen-Macaulay one monomial-free with
+no run (``groebner.contains_monomial``); the saturation walk is the fallback.
 """
 
 from __future__ import annotations
@@ -394,10 +396,10 @@ def _member_at(gI: Ideal, wn) -> bool:
 
     A monomial m has in_w(m) = m, so if gI contains one, so does every
     in_w(gI): once gI is known to contain one (``gI.has_monomial``, set by
-    a walk of gI) every weight answers False, and a monomial-free in_w(gI)
-    shows that gI is monomial-free, which is memoized on gI.  At the zero
-    weight in_0(gI) = gI, so gI itself is walked and no initial ideal is
-    built."""
+    the containment test of gI) every weight answers False, and a
+    monomial-free in_w(gI) shows that gI is monomial-free, which is
+    memoized on gI.  At the zero weight in_0(gI) = gI, so gI itself is
+    tested and no initial ideal is built."""
     if gI.has_monomial:
         return False
     # cheap certificate: a single-term initial form of a basis element

@@ -21,8 +21,13 @@ strategy (smallest lcm degree first).  A run whose ideal has a known
 Hilbert series (``known_numerator``) stops, in place of the criterion B,
 as soon as the leads of its basis have that series: they then generate
 the initial ideal, so every pending pair would reduce to zero (Traverso
-1996, "Hilbert functions and the Buchberger algorithm").  Saturation by a
-monomial, and so the monomial-containment test, takes one variable at a
+1996, "Hilbert functions and the Buchberger algorithm").  The
+monomial-containment test first asks an ideal that holds its grevlex basis
+and Hilbert series whether that basis shows it Cohen-Macaulay, its last d
+variables regular; if so, a nonzero trace of one multiplication map, read
+off D normal forms, shows it monomial-free with no run
+(``_trace_certifies``).  Any other ideal falls back to the saturation walk.
+Saturation by a monomial, and so that walk, takes one variable at a
 time (Bayer and Stillman 1987); a step whose variable divides no lead of a
 basis the ideal already holds makes no run, since the variable is then a
 nonzerodivisor.  Otherwise a run on the ideal with the variable set to
@@ -47,6 +52,7 @@ import struct
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import mul, sub
 
@@ -674,6 +680,16 @@ def hilbert_numerator(n: int, leads: Iterable) -> tuple:
     return num(minimal_monomials(leads))
 
 
+def cancel_one_minus_t(q: tuple, d: int) -> tuple:
+    """(Q, d) for the series q(t) / (1-t)^d with every common factor 1 - t
+    cancelled.  A nonzero q without trailing zeros has 1 - t as a factor iff
+    q(1) = 0, and the quotient's coefficients are q's partial sums."""
+    while any(q) and not sum(q):
+        q = tuple(accumulate(q))[:-1]
+        d -= 1
+    return q, d
+
+
 def _memo_numerator(memo: dict, n: int, leads: frozenset) -> tuple:
     """The Hilbert numerator of the minimal exponent vectors ``leads`` in n
     variables, read from ``memo`` (see ``Ideal.hilbert_memo``) or computed
@@ -941,10 +957,65 @@ def is_unit_ideal(I: Ideal) -> bool:
     return any(not any(f[0][0]) for f in I.forms)
 
 
+def _trace_certifies(J: Ideal) -> bool:
+    """Whether J's held reduced grevlex basis G and Hilbert series Q(t) /
+    (1-t)^d, fully cancelled, show that J holds no monomial, with no run.
+
+    It asks that x_{n-d+1}, ..., x_n divide no lead of G.  Let j0 = deg Q,
+    D = Q(1), k = n - d + 1, y = x_k and u = x_1 ... x_{n-d}.
+    1. For grevlex, in(J : x_n) = in(J) : x_n and in(J + x_n) = in(J) + x_n
+       (Bayer and Stillman 1987), and x_n divides no lead; so, inductively,
+       x_n, ..., x_{n-d+1} is a regular sequence on S/J, which is then
+       Cohen-Macaulay.
+    2. Graded regular sequences permute, so each of those variables is a
+       nonzerodivisor on S/J, and J holds a monomial iff u lies in rad(J).
+    3. G restricted to x_{k+1} = ... = x_n = 0 is a grevlex Groebner basis,
+       with G's leads, of the image J'' of J in the ring S'' of x_1, ...,
+       x_k.  The leads lie in x_1, ..., x_{n-d}, so S''/J'' is
+       one-dimensional Cohen-Macaulay of multiplicity D, y is regular on
+       it, and y Std_j = Std_{j+1} for j >= j0, where Std_j are the D
+       standard monomials of degree j.
+    4. So {b / y^j0 : b in Std_j0} is a basis of the degree-0 part A of
+       (S''/J'')_y, and the sum over b of the coefficient of y^(n-d) b in
+       NF(u b) is the trace of multiplication by u / y^(n-d) on A.
+    5. u in rad(J) puts u in rad(J''), so u / y^(n-d) is nilpotent on A
+       and the trace is 0 (Cox, Little and O'Shea, "Using Algebraic
+       Geometry", ch. 2 sec. 4).  A nonzero trace thus certifies J.
+    Anything else, or normal forms of degree j0 + n - d above the cap,
+    certifies nothing."""
+    gb = J.gb_cache.get(GREVLEX)
+    q = None if gb is None else known_numerator(J)
+    if q in (None, (0,)):
+        return False
+    Q, d = cancel_one_minus_t(q, J.n)
+    k, j0, cap = J.n - d + 1, len(Q) - 1, J.degree_cap
+    if d < 1 or j0 + k - 1 > cap or any(any(f[0][0][k - 1:]) for f in gb.forms):
+        return False
+    mons = _Monomials(k, cap, GREVLEX.key_function(k, cap))
+    reducers = [_reducer(mons.poly((e[:k], c) for e, c in f if not any(e[k:])), mons)
+                for f in gb.forms]
+    # Std_j0: y^j x^e for the standard x^e of degree j0 - j in x_1, ...,
+    # x_{n-d}, an order ideal, listed degree by degree
+    leads = [f[0][0][:k - 1] for f in gb.forms]
+    layer, std = {(0,) * (k - 1)}, []
+    for j in range(j0, -1, -1):
+        std += [mons.index(e + (j,)) for e in layer]
+        layer = {e[:i] + (e[i] + 1,) + e[i + 1:] for e in layer for i in range(k - 1)}
+        layer = {e for e in layer if not any(divides(a, e) for a in leads)}
+    u, shift = mons.index((1,) * (k - 1) + (0,)), mons.index((0,) * (k - 1) + (k - 1,))
+    num, den = 0, 1  # the trace, as num / den
+    for b in std:
+        r, scale = _nf_dict({b + u: 1}, reducers, mons, cap)
+        num, den = num * scale + r.get(b + shift, 0) * den, den * scale
+    return num != 0
+
+
 def contains_monomial(I: Ideal) -> bool:
     """True iff I contains some monomial, i.e. saturating by the product of
     all variables gives the unit ideal.
 
+    First asks ``_trace_certifies``, which makes no run; the walk below is
+    the fallback for every ideal that it does not certify.
     Walks the steps of that saturation and stops at the first basis, run or
     certifying, with a monomial element.  If the saturation is the unit
     ideal, let J be the ideal that the last step, for x_1, starts from;
@@ -959,6 +1030,6 @@ def contains_monomial(I: Ideal) -> bool:
     shows that I has none, since in_w(m) = m for a monomial m, and
     ``generic.tropical_member`` sets the memo of a transformed ideal so."""
     if I.has_monomial is None:
-        I.has_monomial = _saturation(
+        I.has_monomial = False if _trace_certifies(I) else _saturation(
             I, (1,) * I.n, lambda gb: any(len(f) == 1 for f in gb.forms)) is None
     return I.has_monomial

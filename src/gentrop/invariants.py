@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import accumulate
 
 from .groebner import (
-    Ideal, buchberger, divides, hilbert_numerator, known_numerator, minimal_monomials,
+    Ideal, buchberger, cancel_one_minus_t, divides, hilbert_numerator, known_numerator,
+    minimal_monomials,
 )
 from .poly import GREVLEX, OrderSpec, Polynomial, UsageError
 
@@ -83,7 +83,7 @@ def _series(I: Ideal, what: str) -> tuple:
         q = known_numerator(I)
     if q == (0,):
         raise UsageError(f"{what} of the zero ring is undefined")
-    return _cancel_one_minus_t(q, I.n)
+    return cancel_one_minus_t(q, I.n)
 
 
 def dimension(I: Ideal) -> int:
@@ -99,21 +99,11 @@ class HilbertData(namedtuple("HilbertData", "numerator dim multiplicity")):
     __slots__ = ()
 
 
-def _cancel_one_minus_t(q: tuple, d: int) -> tuple:
-    """(Q, d) for the series q(t) / (1-t)^d with every common factor 1 - t
-    cancelled.  A nonzero q without trailing zeros has 1 - t as a factor iff
-    q(1) = 0, and the quotient's coefficients are q's partial sums."""
-    while any(q) and not sum(q):
-        q = tuple(accumulate(q))[:-1]
-        d -= 1
-    return q, d
-
-
 def hilbert(M: MonomialIdeal) -> HilbertData:
     """Hilbert series data of S/M for a proper nonzero monomial ideal."""
     if M.contains_unit():
         raise ValueError("Hilbert series of the zero ring is not supported")
-    q, d = _cancel_one_minus_t(hilbert_numerator(M.n, M.generators), M.n)
+    q, d = cancel_one_minus_t(hilbert_numerator(M.n, M.generators), M.n)
     mult = sum(q)
     if d != monomial_dimension(M):
         raise RuntimeError("Hilbert dimension disagrees with cover bound")

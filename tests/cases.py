@@ -111,6 +111,20 @@ def stanley_reisner_ideal(n: int, facets) -> Ideal:
     return Ideal(n, [{tuple(int(v in S) for v in range(1, n + 1)): 1} for S in non_faces])
 
 
+def stanley_reisner_draw() -> list:
+    """(n, facets) of 200 seeded complexes on 4-6 vertices: two to five
+    facets each, all of one size (pure) or of sizes drawn apart, so some
+    vertices lie in no face."""
+    rng = random.Random("stanley-reisner")
+    draw = []
+    for _ in range(200):
+        n = rng.randint(4, 6)
+        size = rng.randint(2, n - 2) if rng.random() < 0.5 else None
+        draw.append((n, [rng.sample(range(1, n + 1), size or rng.randint(1, n - 1))
+                         for _ in range(rng.randint(2, 5))]))
+    return draw
+
+
 def _counting(monkeypatch, name: str, module=groebner, record=None) -> list:
     """Patch the function ``<module>.<name>`` (an engine function by
     default) to record each call, as ``record(args)`` (a list of the
@@ -157,6 +171,12 @@ def counting_restrictions(monkeypatch) -> list:
     """Record each run of a saturation step on its restriction to x_i = 0
     (``_restriction_certifies``)."""
     return _counting(monkeypatch, "_restriction_certifies")
+
+
+def counting_walks(monkeypatch) -> list:
+    """Record each saturation walk (``_saturation``), which
+    ``contains_monomial`` takes when the trace check certifies nothing."""
+    return _counting(monkeypatch, "_saturation")
 
 
 def counting_orders(monkeypatch) -> list:

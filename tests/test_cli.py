@@ -32,6 +32,7 @@ from cases import (
     counting_engine_variables,
     counting_hilbert_numerators,
     counting_normal_forms,
+    counting_restrictions,
     counting_spairs,
     dense_form,
     random_graded_ideal,
@@ -228,13 +229,20 @@ def test_a_tropical_job_pins_its_engine_runs(tmp_path, capsys, monkeypatch):
     # whose grevlex basis the answer needs anyway, so it makes no run on the
     # ideal itself.  On RATIONAL_PAIR at omega (5, 0, 5, 5) the job makes 3
     # engine runs, and 2 under --identity (4 and 3 when the check ran the
-    # ideal's grevlex basis); its report is pinned above
+    # ideal's grevlex basis): the grevlex certificate answers, and no
+    # containment test is made.  At the member omega (0, 0, 0, 1) each draw
+    # tests in_omega(gI), which its trace certifies, so the job makes 2
+    # runs (6, 4 of them restricted, when each test walked its
+    # saturation); under --identity x3 divides a grevlex lead of
+    # in_omega(I), so the test walks, in 4 runs, 2 of them restricted.  The reports
+    # are pinned above
     path = write(tmp_path, "pair.ideal", RATIONAL_PAIR)
-    for identity, want in ((False, 3), (True, 2)):
-        runs = counting_engine(monkeypatch)
-        code, report = run(capsys, "tropical", path, "--omega", "5,0,5,5", *["--identity"] * identity)
-        assert code == EXIT_OK and report["member"] is False
-        assert len(runs) == want
+    for omega, identity, want in (("5,0,5,5", False, (3, 0)), ("5,0,5,5", True, (2, 0)),
+                                  ("0,0,0,1", False, (2, 0)), ("0,0,0,1", True, (4, 2))):
+        runs, restricted = counting_engine(monkeypatch), counting_restrictions(monkeypatch)
+        code, report = run(capsys, "tropical", path, "--omega", omega, *["--identity"] * identity)
+        assert code == EXIT_OK and report["member"] is (omega == "0,0,0,1")
+        assert (len(runs), len(restricted)) == want
 
 
 def test_tropical_rejects_bad_omega(tmp_path, capsys):
@@ -756,7 +764,7 @@ def _bare_value_error(*args):
 
 @pytest.mark.parametrize("target, broken, message", [
     ("gentrop.generic._det_int", lambda rows: 0, "invertible transform"),
-    ("gentrop.invariants._cancel_one_minus_t", lambda q, d: (q, d), "multiplicity must be positive"),
+    ("gentrop.invariants.cancel_one_minus_t", lambda q, d: (q, d), "multiplicity must be positive"),
     ("gentrop.groebner._buchberger_dicts", _bare_value_error, "an engine bug"),
 ], ids=["transform-draw", "hilbert", "engine-value-error"])
 def test_exit_code_internal(tmp_path, capsys, monkeypatch, target, broken, message):

@@ -74,6 +74,7 @@ from cases import (
     smooth_quadric4,
     split_fan_ideal,
     stable_depth_family,
+    stanley_reisner_draw,
     stanley_reisner_ideal,
 )
 
@@ -391,12 +392,16 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # the tropical-sweep pass at workload seed 1, its dimensions computed
     # first.  A query is answered once per permutation orbit of its
     # normalized weight, at the sorted weight: the 192 queries, at 105
-    # normalized weights, compute 77 answers.  Queries that share an initial ideal share its saturation
+    # normalized weights, compute 77 answers.  Each of the 30 containment
+    # tests the pass makes is answered by the trace of its Cohen-Macaulay
+    # ideal, read off the held grevlex basis, so the pass makes 24 runs in
+    # n variables and no restricted one (60 when every containment test
+    # walked its saturation).  Counts for that walk: queries that share an
+    # initial ideal share its saturation
     # runs.  A saturation step that a basis cached on its ideal certifies
     # makes no run.  Any other step on an ideal with a known Hilbert series
     # first runs the ideal restricted to x_i = 0, in one variable fewer,
-    # which certifies x_i when its leads reach that series: the pass makes
-    # 24 runs in n variables and 60 restricted ones.  A transformed ideal
+    # which certifies x_i when its leads reach that series.  A transformed ideal
     # gI is walked itself at the zero weight, and a monomial-free in_w(gI)
     # memoizes that gI holds no monomial, so a zero-weight query walks
     # nothing after one: 72 restricted runs when each zero-weight query
@@ -436,7 +441,7 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     for k, w in queries:
         want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
         assert tropical_member(ideals[k], w, pol) == want
-    assert len(runs) - len(restricted) == 24 and len(restricted) == 60
+    assert len(runs) == 24 and not restricted
     assert len(spairs) == 24
     assert len(resorts) == 12
 
@@ -450,18 +455,20 @@ def test_a_tropical_sweep_makes_no_run_on_its_ideals(monkeypatch):
     # The numerator read from that basis is shared with I and the other
     # draw, so the second draw's first run has a target, and dimension(I)
     # after the pass makes no run either: the run on I is gone, not moved
-    # into a later call.  The pass makes 24 runs in n variables, 60
-    # restricted ones, 36 s-pairs and 318 divisions (72 restricted runs, 46
-    # s-pairs and 406 divisions when the check ran I's basis and each
-    # zero-weight query walked a new in_0(gI))
+    # into a later call.  The pass makes 24 runs in n variables, no
+    # restricted one, 36 s-pairs and 228 divisions, 120 of them the normal
+    # forms of the 30 trace checks (60 restricted runs and 318 divisions
+    # when each containment test walked its saturation; 72, 46 s-pairs and
+    # 406 when the check ran I's basis and each zero-weight query walked a
+    # new in_0(gI))
     ideals, queries, pol = _tropical_sweep_at_seed_1()
     entered = counting_engine_inputs(monkeypatch)
     restricted = counting_restrictions(monkeypatch)
     spairs = counting_spairs(monkeypatch)
     divisions = counting_normal_forms(monkeypatch)
     answers = [tropical_member(ideals[k], w, pol) for k, w in queries]
-    assert len(entered) - len(restricted) == 24 and len(restricted) == 60
-    assert len(spairs) == 36 and len(divisions) == 318
+    assert len(entered) == 24 and not restricted
+    assert len(spairs) == 36 and len(divisions) == 228
     forms = {frozenset(frozenset(f) for f in I.forms) for I in ideals}
     assert not forms & set(entered)
     del entered[:]
@@ -475,8 +482,13 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # 4 pairs of dense quadrics in 5 variables, policy seed k for ideal k,
     # 30 grid queries each, half with the minimum attained 3 to 5 times and
     # half once or twice.  Answered once per permutation orbit, at the
-    # sorted weight, the scan makes 12 engine runs in 5 variables and 44 in
-    # 4: a saturation step that a cached basis certifies makes none, and
+    # sorted weight, the scan makes 12 engine runs in 5 variables and none
+    # in 4: every containment test is answered by the trace of its
+    # Cohen-Macaulay ideal (44 runs in 4 variables when each walked its
+    # saturation).  Counts for that walk, which the injected twin below
+    # still takes for 82 of its 104 containment tests (70 with a trailing
+    # variable in a grevlex lead at an unsorted weight, 12 with a zero
+    # trace): a saturation step that a cached basis certifies makes none, and
     # one on an ideal with a known Hilbert series first runs the ideal
     # restricted to x_i = 0, in 4 variables.  Each interned initial ideal
     # memoizes its answer, so the queries that share one walk it once (84
@@ -490,21 +502,27 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # transforms, the same draws answer each normalized weight at itself:
     # each transformed ideal ends with 15 to 19 cached bases, and a new
     # query's order is often in the Groebner cone of one cached long before,
-    # so that scan makes 66 runs in 5 variables and 116 in 4 (120 when the
+    # so that scan makes 66 runs in 5 variables and 72 in 4 (116 when no
+    # containment test was answered by its trace, 120 when, too, the
     # zero weight walked a new in_0(gI)) and, asking the
     # cached bases oldest first, re-sorts 638 of them.  A cached basis
     # under a step's order (grevlex with x_i last, the others in natural
     # order) is the step's basis, and the restricted run is not tried there
-    # (142 restricted runs when it was); taking one under any order with
-    # x_i last moved no count.  Without the restricted
-    # run it makes 186 runs in 5 variables and re-sorts 818 (152 and 750
-    # with the step order that put the next variable second last); before
+    # (142 restricted runs when it was, without the trace check); taking
+    # one under any order with
+    # x_i last moved no count.  Its restricted runs enter the restriction
+    # of the held grevlex basis, and the scan forms 70 s-pairs (142 when
+    # they entered the ideal's forms).  Without the restricted
+    # run it makes 138 runs in 5 variables and re-sorts 746; without the
+    # trace check too, 186 and 818 (152 and 750 with the step order that
+    # put the next variable second last); before
     # certified steps it made 186 runs (196 when a lookup asked only the
     # grevlex basis and the six newest, 214 when equal initial ideals were
     # not one interned object) and re-sorted 1132 (1214 newest first)
     def scan(injected: bool) -> tuple:
         rng = random.Random(5)
         runs, resorts = counting_engine_variables(monkeypatch), counting_resorts(monkeypatch)
+        spairs = counting_spairs(monkeypatch)
         for k in range(4):
             I = Ideal(5, [dense_form(5, 2, rng.randrange(10**6)) for _ in range(2)])
             m = dimension(I)
@@ -517,10 +535,10 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
                 w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(5 - ties)]
                 rng.shuffle(w)
                 assert tropical_member(I, tuple(w), pol) == (w.count(low) >= 5 - m + 1)
-        return runs.count(5), runs.count(4), len(runs), len(resorts)
+        return runs.count(5), runs.count(4), len(runs), len(resorts), len(spairs)
 
-    assert scan(injected=False)[:3] == (12, 44, 56)
-    assert scan(injected=True) == (66, 116, 182, 638)
+    assert scan(injected=False)[:3] == (12, 0, 12)
+    assert scan(injected=True) == (66, 72, 138, 638, 70)
 
 
 def test_membership_answers_flow_between_a_draw_and_its_initial_ideals():
@@ -1122,20 +1140,6 @@ def test_determinism_across_fresh_objects():
     assert w1 == w2
 
 
-def _stanley_reisner_draw() -> list:
-    """(n, facets) of 200 seeded complexes on 4-6 vertices: two to five
-    facets each, all of one size (pure) or of sizes drawn apart, so some
-    vertices lie in no face."""
-    rng = random.Random("stanley-reisner")
-    draw = []
-    for _ in range(200):
-        n = rng.randint(4, 6)
-        size = rng.randint(2, n - 2) if rng.random() < 0.5 else None
-        draw.append((n, [rng.sample(range(1, n + 1), size or rng.randint(1, n - 1))
-                         for _ in range(rng.randint(2, 5))]))
-    return draw
-
-
 def test_stanley_reisner_rings_match_the_topological_oracle():
     # dimension, depth, CM class and multiplicity of k[Delta] against
     # ``oracles.stanley_reisner``, which reads them off the complex by
@@ -1144,7 +1148,7 @@ def test_stanley_reisner_rings_match_the_topological_oracle():
     # class the package labels a Stanley-Reisner ring with (its depth is
     # never 0)
     labels = {}
-    for n, facets in _stanley_reisner_draw():
+    for n, facets in stanley_reisner_draw():
         want = stanley_reisner(facets)
         labels[want[2]] = labels.get(want[2], 0) + 1
         for seed in (0, 1):
@@ -1162,7 +1166,7 @@ def test_stanley_reisner_tropical_varieties_are_the_oracle_skeleta():
     # grid weights of [-2, 2]^n: the minimum attained n-m+1 times (in
     # W_{n,m}), n-m times (outside it) and a drawn number of times
     rng = random.Random("stanley-reisner:tropical")
-    for n, facets in _stanley_reisner_draw():
+    for n, facets in stanley_reisner_draw():
         m = stanley_reisner(facets)[0]
         I = stanley_reisner_ideal(n, facets)
         for ties in (n - m + 1, n - m, rng.randint(1, n)):

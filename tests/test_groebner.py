@@ -1,8 +1,10 @@
+import inspect
 import json
 import math
 import random
 import re
 import signal
+import textwrap
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
@@ -30,9 +32,10 @@ from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, norm
 import oracles
 from cases import (
     P, counting_cone_hits, counting_engine, counting_normal_forms, counting_orders,
-    counting_restrictions, counting_spairs, dense_form,
+    counting_restrictions, counting_spairs, counting_walks, dense_form,
     ideal, policy, product_family,
     random_graded_ideal, seeded_ideals, split_fan_ideal, stable_depth_family,
+    stanley_reisner_draw, stanley_reisner_ideal,
 )
 
 
@@ -629,6 +632,87 @@ def test_contains_monomial_memoizes_its_answer(monkeypatch):
         assert J is initial_ideal(gI, (0, 0, 1, 3)) and J.has_monomial is False
 
 
+def _trace_cases() -> list:
+    """Ideals that hold their reduced grevlex basis: each draw of seeded
+    sparse ideals in 3-5 variables, dense complete intersections in 3-5 and
+    Stanley-Reisner ideals on 4-6 vertices, under a sampled and the
+    identity policy, and its initial ideals at the normalized weights of
+    [-1, 1]^n (every sixth in 5 variables, every twentieth in 6)."""
+    ideals = [random_graded_ideal(3, seed) for seed in range(8)]
+    ideals += [random_graded_ideal(n, seed, max_degree=2) for n in (4, 5) for seed in range(4)]
+    ideals += [Ideal(n, [dense_form(n, 2, seed + i) for i in range(k)])
+               for n in (3, 4, 5) for k in (1, 2) for seed in range(2)]
+    ideals += [stanley_reisner_ideal(n, facets) for n, facets in stanley_reisner_draw()[:9]]
+    out = []
+    for I in ideals:
+        n = I.n
+        grid = sorted({normalize_weight(w, n) for w in product(range(-1, 2), repeat=n)})
+        grid = grid[1:][::{5: 6, 6: 20}.get(n, 1)]  # the zero weight first, dropped
+        for pol in (policy(), identity_policy(n)):
+            for gI in transformed(I, pol):
+                buchberger(gI)
+                out += [gI, *(initial_ideal(gI, w) for w in grid)]
+    return out
+
+
+def test_the_trace_check_agrees_with_the_walk(monkeypatch):
+    # ``_trace_certifies`` against the walk of ``contains_monomial`` on a
+    # fresh copy, which holds no basis and so walks.  The check only ever
+    # certifies that an ideal holds no monomial, and it makes no engine
+    # run: of the 3,462 cases it certifies 202 of the 738 monomial-free
+    # ones, and none that holds a monomial.  Without its test that
+    # x_{n-d+1}, ..., x_n divide no grevlex lead (and dropping the
+    # restrictions that vanish, as the restricted run does, so that it
+    # answers where it would raise) it certifies some that do: two initial
+    # ideals of a sampled draw of the Stanley-Reisner ideal (x1, x2*x5,
+    # x3*x5), each of which holds x4
+    from gentrop import groebner
+
+    source = textwrap.dedent(inspect.getsource(groebner._trace_certifies))
+    test = " or any(any(f[0][0][k - 1:]) for f in gb.forms)"
+    restrict = "mons)\n                for f in gb.forms]"
+    assert source.count(test) == 1 and source.count(restrict) == 1
+    kept = restrict[:-1] + " if any(not any(e[k:]) for e, _ in f)]"
+    namespace = dict(vars(groebner))
+    exec(source.replace(test, "").replace(restrict, kept), namespace)
+    mutant = namespace["_trace_certifies"]
+    cases = _trace_cases()
+    with monkeypatch.context() as patched:
+        def forbidden(*args):
+            raise AssertionError("the trace check ran the engine")
+
+        patched.setattr(groebner, "_buchberger_dicts", forbidden)
+        checked = [(groebner._trace_certifies(J), mutant(J)) for J in cases]
+    free = certified = wrong = 0
+    for J, (got, mutated) in zip(cases, checked):
+        has = contains_monomial(_fresh(J))
+        assert not (got and has), J
+        free += not has
+        certified += got
+        wrong += mutated and has
+    assert (len(cases), free, certified, wrong) == (3462, 738, 202, 2)
+
+
+def test_a_trace_check_over_the_cap_walks(monkeypatch):
+    # two quadrics with coprime leads in 3 variables are their own reduced
+    # grevlex basis, which cap 3 admits; the trace check takes normal forms
+    # of degree j0 + n - d = 4, so under cap 3 it certifies nothing and the
+    # walk runs, which goes over the cap too and leaves the memo unset.
+    # Under cap 4 the check answers with no engine run and no walk
+    gens = ("x1^2 + x2*x3 + x3^2", "x2^2 + x1*x3")
+    walks = counting_walks(monkeypatch)
+    J = ideal(3, *gens, degree_cap=3)
+    assert [str(g) for g in buchberger(J)] == ["x2^2 + x1*x3", "x1^2 + x2*x3 + x3^2"]
+    with pytest.raises(DegreeCapExceeded):
+        contains_monomial(J)
+    assert len(walks) == 1 and J.has_monomial is None
+    J = ideal(3, *gens, degree_cap=4)
+    buchberger(J)
+    runs = counting_engine(monkeypatch)
+    assert not contains_monomial(J) and not runs and len(walks) == 1
+    assert not contains_monomial(_fresh(J))
+
+
 def test_a_restricted_run_over_the_cap_falls_back_to_the_steps_run(monkeypatch):
     # two quadrics in 3 variables under cap 3, their Hilbert numerator
     # known: the restricted run at x3 certifies it, the one at x2 goes over
@@ -780,10 +864,11 @@ def test_derived_ideals_carry_the_parent_cap(monkeypatch):
     assert all(J.series is not I.series for J in derived[6:])
     assert I.numerator == (1, 0, -2, 0, 1)
     # a restricted run, on J with x_i set to zero, enters forms in one
-    # variable fewer and builds no ideal, so its leads set no holder
+    # variable fewer and builds no ideal, so its leads set no holder.  J is
+    # walked directly: ``contains_monomial`` answers it from its trace
     J = initial_ideal(transformed(I, policy(seed=1))[1], (0, 0, 0))
     restricted = counting_restrictions(monkeypatch)
-    assert not contains_monomial(J)
+    assert _saturation(J, (1, 1, 1)) is J
     assert restricted and J.series is I.series and I.numerator == (1, 0, -2, 0, 1)
 
 

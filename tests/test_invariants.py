@@ -270,7 +270,7 @@ def test_invariant_checks_survive_optimize():
                 inv.hilbert(M)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(inv, "monomial_dimension", lambda M: 2)
-            mp.setattr(inv, "_cancel_one_minus_t", lambda q, d: (q, d))
+            mp.setattr(inv, "cancel_one_minus_t", lambda q, d: (q, d))
             with pytest.raises(RuntimeError, match="multiplicity"):
                 inv.hilbert(M)
         print("checked", sys.flags.optimize)
