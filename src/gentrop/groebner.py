@@ -30,11 +30,9 @@ off D normal forms, shows it monomial-free with no run
 Saturation by a monomial, and so that walk, takes one variable at a
 time (Bayer and Stillman 1987); a step whose variable divides no lead of a
 basis the ideal already holds makes no run, since the variable is then a
-nonzerodivisor.  Otherwise a run on the ideal with the variable set to
-zero, in one variable fewer, certifies it when its leads have the ideal's
-Hilbert series; that run enters the restriction of the ideal's held grevlex
-basis, which saves s-pairs (see ``_saturation``).  Every sort and tie-break
-is fixed, so identical inputs produce bit-identical output.
+nonzerodivisor, and any other step takes one basis through ``buchberger``
+(see ``_saturation``).  Every sort and tie-break is fixed, so identical
+inputs produce bit-identical output.
 Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
 computations on it with ``DegreeCapExceeded`` instead of hanging.  An
 ideal the engine derives from its own forms inherits what its parent knows:
@@ -858,21 +856,6 @@ def ideal_equal(I: Ideal, J: Ideal, order: OrderSpec = GREVLEX) -> bool:
     return buchberger(I, order).forms == buchberger(J, order).forms
 
 
-def _restriction_certifies(J: Ideal, i: int, q: tuple) -> bool:
-    """Whether one run on J restricted to x_i = 0, in n - 1 variables, has
-    leads with J's Hilbert numerator q, which certifies x_i (see
-    ``_saturation``); a run over the cap certifies nothing."""
-    src = J.gb_cache.get(GREVLEX)
-    gens = [g for g in ({e[:i] + e[i + 1:]: c for e, c in f if not e[i]}
-                        for f in (J.forms if src is None else src.forms)) if g]
-    try:
-        forms = _buchberger_dicts(gens, GREVLEX.key_function(J.n - 1, J.degree_cap),
-                                  J.degree_cap, q, J.hilbert_memo)
-    except DegreeCapExceeded:
-        return False
-    return _memo_numerator(J.hilbert_memo, J.n - 1, frozenset(f[0][0] for f in forms)) == q
-
-
 def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
     """(I : (x^m)^infinity) for an exponent vector m, saturating by one
     variable at a time (Bayer and Stillman 1987); None as soon as ``stop``
@@ -894,24 +877,13 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
     computed one.  A held basis under the step's order is the step's basis
     (see below).
 
-    Otherwise, if J is not (1) and its Hilbert numerator Q is known, one
-    grevlex run on the restrictions J' to x_i = 0 of J's held grevlex basis
-    (or of its forms), in the ring S' of the other variables, may certify
-    x_i: S/(J + x_i) = S'/J', so by the sequence above J' has the numerator
-    Q iff 0 : x_i = 0, and leads that reach Q generate in(J'), as the run's
-    target stop uses.  Unlike a run through ``buchberger``, the restricted
-    run enters the held grevlex basis, because that pays: entering J's forms
-    raised a tropical-sweep pass at workload seed 1 from 46 to 118 s-pairs.
-    A certified step keeps J and shows ``stop`` no basis: a walk that ends
-    on (1) still stops at a division or on the basis (1).
-
-    Otherwise the step takes J's reduced basis under the step's order.  A
-    homogeneous polynomial is divisible by a power of x_i iff its lead
-    under that order is, so dividing every element by the largest power of
-    x_i that divides it generates the saturation by x_i.  A step that
-    divides nothing keeps J and its cached bases, which later steps ask
-    first.  A step that divides builds a new ideal, with no cached basis
-    and no known numerator."""
+    Otherwise the step runs J's reduced basis under the step's order
+    through ``buchberger``.  A homogeneous polynomial is divisible by a
+    power of x_i iff its lead under that order is, so dividing every
+    element by the largest power of x_i that divides it generates the
+    saturation by x_i.  A step that divides nothing keeps J and its cached
+    bases, which later steps ask first.  A step that divides builds a new
+    ideal, with no cached basis and no known numerator."""
     n = I.n
     J = I
     for i in (k for k in reversed(range(n)) if m[k]):
@@ -919,9 +891,6 @@ def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
         gb = next((gb for gb in J.gb_cache.values()
                    if gb.order == step or not any(f[0][0][i] for f in gb.forms)), None)
         if gb is None:
-            q = known_numerator(J)
-            if q not in (None, (0,)) and _restriction_certifies(J, i, q):
-                continue
             gb = buchberger(J, step)
         if stop is not None and stop(gb):
             return None
@@ -936,10 +905,9 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """The saturation (I : f^infinity) by a nonzero monomial f, generated by
     its reduced grevlex basis, which the result keeps in its cache; any
     other f raises ``ValueError``.  The saturation takes one variable of f
-    at a time, and a step that a basis held by the ideal being saturated,
-    or a run on its restriction to x_i = 0, certifies makes no run in n
-    variables (see ``_saturation``), so the runs made depend on the bases
-    and the numerator I holds, and the result does not."""
+    at a time, and a step that a basis held by the ideal being saturated
+    certifies makes no run (see ``_saturation``), so the runs made depend
+    on the bases I holds, and the result does not."""
     if f.n != I.n:
         raise ValueError("ambient variable counts differ")
     if not f.is_monomial():
@@ -1000,8 +968,9 @@ def _trace_certifies(J: Ideal) -> bool:
     layer, std = {(0,) * (k - 1)}, []
     for j in range(j0, -1, -1):
         std += [mons.index(e + (j,)) for e in layer]
-        layer = {e[:i] + (e[i] + 1,) + e[i + 1:] for e in layer for i in range(k - 1)}
-        layer = {e for e in layer if not any(divides(a, e) for a in leads)}
+        if j:
+            layer = {e[:i] + (e[i] + 1,) + e[i + 1:] for e in layer for i in range(k - 1)}
+            layer = {e for e in layer if not any(divides(a, e) for a in leads)}
     u, shift = mons.index((1,) * (k - 1) + (0,)), mons.index((0,) * (k - 1) + (k - 1,))
     num, den = 0, 1  # the trace, as num / den
     for b in std:
@@ -1023,12 +992,12 @@ def contains_monomial(I: Ideal) -> bool:
     itself is the unit ideal, and that basis is (1).  Otherwise J holds a
     power of x_1, the least monomial of its degree under the step's order,
     grevlex with x_1 last, so the step's basis has an element x_1^k.  Either
-    way the walk stops there, and no further basis is needed; a restricted
-    run is never tried on (1).  The answer is memoized in
-    ``I.has_monomial``, which a walk over the cap leaves unset; a set memo
-    answers without a walk.  An initial ideal in_w(I) with no monomial
-    shows that I has none, since in_w(m) = m for a monomial m, and
-    ``generic.tropical_member`` sets the memo of a transformed ideal so."""
+    way the walk stops there, and no further basis is needed.  The answer
+    is memoized in ``I.has_monomial``, which a walk over the cap leaves
+    unset; a set memo answers without a walk.  An initial ideal in_w(I)
+    with no monomial shows that I has none, since in_w(m) = m for a
+    monomial m, and ``generic.tropical_member`` sets the memo of a
+    transformed ideal so."""
     if I.has_monomial is None:
         I.has_monomial = False if _trace_certifies(I) else _saturation(
             I, (1,) * I.n, lambda gb: any(len(f) == 1 for f in gb.forms)) is None

@@ -148,8 +148,7 @@ def counting_engine(monkeypatch) -> list:
 
 def counting_engine_variables(monkeypatch) -> list:
     """Record the variable count of each Buchberger engine run: n for a run
-    on an ideal in n variables, n - 1 for a saturation step's run on its
-    restriction to x_i = 0, and None for a run without generators."""
+    on an ideal in n variables, and None for a run without generators."""
     def variables(args):
         args[0] = gens = list(args[0])
         return len(next(iter(gens[0]))) if gens else None
@@ -165,12 +164,6 @@ def counting_engine_inputs(monkeypatch) -> list:
         return frozenset(frozenset(g.items()) for g in gens)
 
     return _counting(monkeypatch, "_buchberger_dicts", record=inputs)
-
-
-def counting_restrictions(monkeypatch) -> list:
-    """Record each run of a saturation step on its restriction to x_i = 0
-    (``_restriction_certifies``)."""
-    return _counting(monkeypatch, "_restriction_certifies")
 
 
 def counting_walks(monkeypatch) -> list:

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to validate the engine.
 
-Everything here is exact linear algebra (fraction-free integer elimination
-on rows scaled from the rationals) or exhaustive enumeration, deliberately
-sharing no code with the division/Buchberger path it checks.  The
+Everything here is exact linear algebra (sparse Gaussian elimination over
+the rationals) or exhaustive enumeration, deliberately sharing no code
+with the division/Buchberger path it checks.  The
 exceptions are the fan probes' earlier forms, kept as references for the
 exact forms that replaced them: ``interned_initial_ideals``, the comparison
 of weighted initial ideals that the Groebner-cell point test replaced, and
@@ -25,7 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, lcm
 
 from gentrop.fans import ConeId, budget, interior_point, interior_points
 from gentrop.generic import (
@@ -227,72 +226,51 @@ def monomials_up_to(n: int, d: int) -> list:
     return out
 
 
-def _integral(row) -> list:
-    """``row`` (ints or Fractions) scaled by the lcm of its denominators."""
-    den = lcm(*(Fraction(x).denominator for x in row))
-    return [int(x * den) for x in row]
+def _reduce(row: dict, pivots: dict) -> dict:
+    """``row`` ({key: coefficient}) less the multiples of ``pivots`` (see
+    ``_add``) that clear its largest key while a pivot has that key: empty
+    iff the row lies in the span of the pivots."""
+    r = dict(row)
+    while r:
+        top = max(r)
+        p = pivots.get(top)
+        if p is None:
+            break
+        c = r[top]
+        for k, v in p.items():
+            x = r.get(k, 0) - c * v
+            if x:
+                r[k] = x
+            else:
+                r.pop(k, None)
+    return r
 
 
-def _echelon(rows: list) -> list:
-    """Row echelon form by fraction-free (Bareiss) elimination over the
-    integers, dropping zero rows.  Each row is first scaled to integers,
-    which keeps its span; every entry stays a minor of the scaled matrix,
-    so each division by the previous pivot is exact."""
-    m = [_integral(r) for r in rows]
-    m = [r for r in m if any(r)]
-    out = []
-    prev = 1
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((i for i, r in enumerate(m) if r[c]), None)
-        if piv is None:
-            continue
-        p = m.pop(piv)
-        pc = p[c]
-        nxt = []
-        for r in m:
-            rc = r[c]
-            r = r[:c] + [(x * pc - rc * y) // prev for x, y in zip(r[c:], p[c:])]
-            if any(r):
-                nxt.append(r)
-        m = nxt
-        out.append(p)
-        prev = pc
-    return out
+def _add(row: dict, pivots: dict) -> bool:
+    """Whether ``row`` lies outside the span of ``pivots``, a sparse echelon
+    basis over Q that maps the largest key of each of its rows to that row
+    scaled to 1 there; if so, the row, reduced, joins them.  So
+    ``len(pivots)`` is the rank of the rows added."""
+    r = _reduce(row, pivots)
+    if r:
+        top = max(r)
+        c = Fraction(r[top])
+        pivots[top] = {k: v / c for k, v in r.items()}
+    return bool(r)
 
 
-def _in_rowspace(vec, echelon_rows) -> bool:
-    r = _integral(vec)
-    for row in echelon_rows:
-        lead = next(c for c, x in enumerate(row) if x)
-        if r[lead]:
-            g = gcd(row[lead], r[lead])
-            a, b = row[lead] // g, r[lead] // g
-            r = [a * x - b * y for x, y in zip(r, row)]
-    return not any(r)
-
-
-def _coeff_vec(f: Polynomial, basis: list) -> list:
-    index = {e: i for i, e in enumerate(basis)}
-    v = [Fraction(0)] * len(basis)
-    for e, c in f.terms:
-        v[index[e]] = c
-    return v
-
-
-def degree_span(generators, n: int, d: int) -> list:
-    """Echelon basis of the degree-d slice of the ideal the homogeneous
-    ``generators`` generate: the span of all monomial multiples of degree d."""
-    basis = monomials_of_degree(n, d)
-    rows = []
+def degree_span(generators, n: int, d: int) -> dict:
+    """Echelon basis (see ``_add``) of the degree-d slice of the ideal the
+    homogeneous ``generators`` generate: the span of all monomial multiples
+    of degree d, as {exponents: coefficient} rows."""
+    pivots: dict = {}
     for g in generators:
         dg = g.degree
         if dg is None or dg > d:
             continue
         for shift in monomials_of_degree(n, d - dg):
-            mult = g * Polynomial.monomial(n, shift)
-            rows.append(_coeff_vec(mult, basis))
-    return _echelon(rows)
+            _add(dict((g * Polynomial.monomial(n, shift)).terms), pivots)
+    return pivots
 
 
 def member_homogeneous(f: Polynomial, generators, n: int) -> bool:
@@ -309,8 +287,7 @@ def members_homogeneous(fs, generators, n: int) -> bool:
             by_degree.setdefault(f.degree, []).append(f)
     for d, group in by_degree.items():
         span = degree_span(generators, n, d)
-        basis = monomials_of_degree(n, d)
-        if not all(_in_rowspace(_coeff_vec(f, basis), span) for f in group):
+        if any(_reduce(dict(f.terms), span) for f in group):
             return False
     return True
 
@@ -323,26 +300,14 @@ def colon_power_slice(generators, f: Polynomial, power: int, n: int, d: int) -> 
     """Dimension of the degree-d slice of (I : f^power), where I is generated
     by homogeneous ``generators``: solve g * f^power in I for unknown g."""
     fp = f**power
-    target_deg = d + fp.degree
-    lam_basis = monomials_of_degree(n, d)
-    big_basis = monomials_of_degree(n, target_deg)
-    lam_cols = []
-    for lam in lam_basis:
-        mult = fp * Polynomial.monomial(n, lam)
-        lam_cols.append(_coeff_vec(mult, big_basis))
-    gen_cols = []
-    for g in generators:
-        dg = g.degree
-        if dg is None or dg > target_deg:
-            continue
-        for shift in monomials_of_degree(n, target_deg - dg):
-            mult = g * Polynomial.monomial(n, shift)
-            gen_cols.append(_coeff_vec(mult, big_basis))
+    span = degree_span(generators, n, d + fp.degree)
     # the lambda with lambda * f^power in the span B of the generator
     # multiples form a space of dimension k - (rank [A | B] - rank B), where
-    # A holds the k columns lambda * f^power
-    k = len(lam_cols)
-    return k - (len(_echelon(lam_cols + gen_cols)) - len(_echelon(gen_cols)))
+    # A holds the k rows lambda * f^power, and the rows of A that join B's
+    # echelon basis one by one count rank [A | B] - rank B
+    lams = monomials_of_degree(n, d)
+    return len(lams) - sum(_add(dict((fp * Polynomial.monomial(n, lam)).terms), span)
+                           for lam in lams)
 
 
 def saturation_slice(generators, f: Polynomial, n: int, d: int, stable_power: int = 4) -> int:
@@ -521,7 +486,7 @@ def _reduced_homology(faces) -> dict:
     """The nonzero ranks of the reduced homology over Q of the complex with
     these faces (the empty face included), by degree j >= -1: the number of
     faces of size j + 1, less the ranks of the boundary maps out of and into
-    that degree, each read from ``_echelon`` of its +-1 matrix."""
+    that degree, each the rank of its +-1 matrix (see ``_add``)."""
     by_degree: dict = {}
     for F in faces:
         by_degree.setdefault(len(F) - 1, []).append(F)
@@ -530,13 +495,10 @@ def _reduced_homology(faces) -> dict:
         if j not in by_degree or j - 1 not in by_degree:
             return 0
         index = {F: k for k, F in enumerate(by_degree[j - 1])}
-        rows = []
+        pivots: dict = {}
         for F in by_degree[j]:
-            row = [0] * len(index)
-            for k in range(len(F)):
-                row[index[F[:k] + F[k + 1:]]] = (-1) ** k
-            rows.append(row)
-        return len(_echelon(rows))
+            _add({index[F[:k] + F[k + 1:]]: (-1) ** k for k in range(len(F))}, pivots)
+        return len(pivots)
 
     ranks = {j: len(fs) - boundary_rank(j) - boundary_rank(j + 1) for j, fs in by_degree.items()}
     return {j: r for j, r in ranks.items() if r}

@@ -32,7 +32,6 @@ from cases import (
     counting_engine_variables,
     counting_hilbert_numerators,
     counting_normal_forms,
-    counting_restrictions,
     counting_spairs,
     dense_form,
     random_graded_ideal,
@@ -232,17 +231,18 @@ def test_a_tropical_job_pins_its_engine_runs(tmp_path, capsys, monkeypatch):
     # ideal's grevlex basis): the grevlex certificate answers, and no
     # containment test is made.  At the member omega (0, 0, 0, 1) each draw
     # tests in_omega(gI), which its trace certifies, so the job makes 2
-    # runs (6, 4 of them restricted, when each test walked its
-    # saturation); under --identity x3 divides a grevlex lead of
-    # in_omega(I), so the test walks, in 4 runs, 2 of them restricted.  The reports
-    # are pinned above
+    # runs (6 when each test walked its saturation); under --identity x3
+    # divides a grevlex lead of in_omega(I), so the test walks, in 3 runs in
+    # 4 variables (4, 2 of them in 3 variables, when a run on the ideal
+    # restricted to x_i = 0 could certify a step).  The reports are pinned
+    # above
     path = write(tmp_path, "pair.ideal", RATIONAL_PAIR)
-    for omega, identity, want in (("5,0,5,5", False, (3, 0)), ("5,0,5,5", True, (2, 0)),
-                                  ("0,0,0,1", False, (2, 0)), ("0,0,0,1", True, (4, 2))):
-        runs, restricted = counting_engine(monkeypatch), counting_restrictions(monkeypatch)
+    for omega, identity, want in (("5,0,5,5", False, 3), ("5,0,5,5", True, 2),
+                                  ("0,0,0,1", False, 2), ("0,0,0,1", True, 3)):
+        runs = counting_engine_variables(monkeypatch)
         code, report = run(capsys, "tropical", path, "--omega", omega, *["--identity"] * identity)
         assert code == EXIT_OK and report["member"] is (omega == "0,0,0,1")
-        assert (len(runs), len(restricted)) == want
+        assert runs == [4] * want
 
 
 def test_tropical_rejects_bad_omega(tmp_path, capsys):
@@ -428,17 +428,15 @@ def test_family_wnmt_bounds_engine_runs(tmp_path, capsys, monkeypatch):
 def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     # the family multiplicity job of the fan-probe benchmark at workload
     # seed 1 probes one of its 20 refinement cones, which form one orbit: it
-    # makes 11 engine runs, 4 Hilbert numerators and 9 Groebner-cone
-    # lookups (151, 96 and 243 when every cone was probed; 8 numerators
-    # when the numerator read from a cached basis did not consult the memo
-    # of Hilbert checks).  A saturation
-    # step that a cached basis certifies looks up no order (15 lookups when
-    # every step took a basis).  Four of the runs are saturation steps run
-    # on the ideal restricted to x_i = 0, in 4 variables, which certify
-    # their steps without a lookup, in place of four runs in 5 (7
-    # numerators and 13 lookups before); a cached basis under a step's
-    # order, grevlex with x_i last, is the step's basis without one (13 runs
-    # and 9 numerators when the restricted run was tried there too)
+    # makes 11 engine runs, all in 5 variables, 3 Hilbert numerators and 13
+    # Groebner-cone lookups (151, 96 and 243 when every cone was probed; 8
+    # numerators when the numerator read from a cached basis did not
+    # consult the memo of Hilbert checks).  A saturation step that a cached
+    # basis certifies looks up no order (15 lookups when every step took a
+    # basis).  Six of the runs are saturation steps that no cached basis
+    # decides (two in 5 variables and four in 4, with 4 numerators and 9
+    # lookups in all, when a run on the ideal restricted to x_i = 0 could
+    # certify such a step)
     fam = write(tmp_path, "fam.ideal", FAMILY_531)
     runs = counting_engine_variables(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
@@ -446,8 +444,7 @@ def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     code, report = run(capsys, "verify", fam, "--target", "multiplicity",
                        "--seed", _fan_probe_seed(3))
     assert code == EXIT_OK and report["passed"] is True
-    assert runs.count(5) == 7 and runs.count(4) == 4 and len(runs) == 11
-    assert len(numerators) == 4 and len(lookups) == 9
+    assert runs == [5] * 11 and len(numerators) == 3 and len(lookups) == 13
 
 
 def test_analyze_jobs_pin_their_engine_runs(tmp_path, capsys, monkeypatch):

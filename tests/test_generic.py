@@ -62,7 +62,6 @@ from cases import (
     counting_hilbert_numerators,
     counting_normal_forms,
     counting_resorts,
-    counting_restrictions,
     counting_spairs,
     dense_form,
     ideal,
@@ -394,42 +393,28 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     # normalized weight, at the sorted weight: the 192 queries, at 105
     # normalized weights, compute 77 answers.  Each of the 30 containment
     # tests the pass makes is answered by the trace of its Cohen-Macaulay
-    # ideal, read off the held grevlex basis, so the pass makes 24 runs in
-    # n variables and no restricted one (60 when every containment test
-    # walked its saturation).  Counts for that walk: queries that share an
-    # initial ideal share its saturation
-    # runs.  A saturation step that a basis cached on its ideal certifies
-    # makes no run.  Any other step on an ideal with a known Hilbert series
-    # first runs the ideal restricted to x_i = 0, in one variable fewer,
-    # which certifies x_i when its leads reach that series.  A transformed ideal
-    # gI is walked itself at the zero weight, and a monomial-free in_w(gI)
-    # memoizes that gI holds no monomial, so a zero-weight query walks
-    # nothing after one: 72 restricted runs when each zero-weight query
-    # walked a new in_0(gI).  Without the
-    # restricted run it makes 96 runs in n variables, each step that runs
-    # ordering its variable last and the others naturally (84 when such a
-    # step put the next variable to saturate just before its own; 182
-    # before that, when each normalized weight was computed at itself).
-    # Runs on the transformed
+    # ideal, read off the held grevlex basis, so the pass makes 24 runs, 12
+    # on ideals in 3 variables and 12 in 4, and walks no saturation (84
+    # runs in n variables when every containment test walked its
+    # saturation; 24 and 60 in one variable fewer when, too, a run on the
+    # ideal restricted to x_i = 0 could certify a step; 182 when each
+    # normalized weight was computed at itself).  Runs on the transformed
     # ideals and their initial ideals take over the Hilbert series of the
     # ideal and stop once their leads have it, so the pass forms 24 s-pair
-    # normal forms (96 when a restricted run entered the restriction of its
-    # ideal's forms in place of its cached grevlex basis).  Each query reads
-    # the dimension of its ideal from the memoized Hilbert numerator, so the
+    # normal forms (84 when every test walked).  Each query reads the
+    # dimension of its ideal from the memoized Hilbert numerator, so the
     # pass lists no minimal leads and solves no least cover.  Each
     # Groebner-cone lookup asks every cached basis once, oldest first, until
-    # one serves, and a certified step makes no lookup, so the pass
-    # re-sorts 12 of them (120 without the
-    # restricted run, 96 with the step order above, 192 when every step
-    # ran; 448 before that, per normalized weight).  Measured per normalized
+    # one serves, so the pass re-sorts 12 of them (102 when every test
+    # walked, 156 when, too, every step took a basis; 448 when each
+    # normalized weight was computed at itself).  Measured per normalized
     # weight: 662 runs when every query built its initial ideal afresh;
     # 206 s-pairs when the transformed ideals started without the series,
     # 602 when every run reduced all its pairs; 192 lead lists and covers
     # when every query read its leads.
     ideals, queries, pol = _tropical_sweep_at_seed_1()
     dims = [dimension(I) for I in ideals]
-    runs = counting_engine(monkeypatch)
-    restricted = counting_restrictions(monkeypatch)
+    runs = counting_engine_variables(monkeypatch)
     spairs = counting_spairs(monkeypatch)
     resorts = counting_resorts(monkeypatch)
 
@@ -441,7 +426,7 @@ def test_tropical_sweep_bounds_engine_runs(monkeypatch):
     for k, w in queries:
         want = w.count(min(w)) >= ideals[k].n - dims[k] + 1
         assert tropical_member(ideals[k], w, pol) == want
-    assert len(runs) == 24 and not restricted
+    assert sorted(runs) == [3] * 12 + [4] * 12
     assert len(spairs) == 24
     assert len(resorts) == 12
 
@@ -455,19 +440,18 @@ def test_a_tropical_sweep_makes_no_run_on_its_ideals(monkeypatch):
     # The numerator read from that basis is shared with I and the other
     # draw, so the second draw's first run has a target, and dimension(I)
     # after the pass makes no run either: the run on I is gone, not moved
-    # into a later call.  The pass makes 24 runs in n variables, no
-    # restricted one, 36 s-pairs and 228 divisions, 120 of them the normal
-    # forms of the 30 trace checks (60 restricted runs and 318 divisions
-    # when each containment test walked its saturation; 72, 46 s-pairs and
-    # 406 when the check ran I's basis and each zero-weight query walked a
-    # new in_0(gI))
+    # into a later call.  The pass makes 24 runs, 36 s-pairs and 228
+    # divisions, 120 of them the normal forms of the 30 trace checks (60
+    # more runs, on ideals restricted to x_i = 0, and 318 divisions when
+    # each containment test walked its saturation; 72 such runs, 46 s-pairs
+    # and 406 divisions when the check ran I's basis and each zero-weight
+    # query walked a new in_0(gI))
     ideals, queries, pol = _tropical_sweep_at_seed_1()
     entered = counting_engine_inputs(monkeypatch)
-    restricted = counting_restrictions(monkeypatch)
     spairs = counting_spairs(monkeypatch)
     divisions = counting_normal_forms(monkeypatch)
     answers = [tropical_member(ideals[k], w, pol) for k, w in queries]
-    assert len(entered) == 24 and not restricted
+    assert len(entered) == 24
     assert len(spairs) == 36 and len(divisions) == 228
     forms = {frozenset(frozenset(f) for f in I.forms) for I in ideals}
     assert not forms & set(entered)
@@ -482,43 +466,27 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # 4 pairs of dense quadrics in 5 variables, policy seed k for ideal k,
     # 30 grid queries each, half with the minimum attained 3 to 5 times and
     # half once or twice.  Answered once per permutation orbit, at the
-    # sorted weight, the scan makes 12 engine runs in 5 variables and none
-    # in 4: every containment test is answered by the trace of its
-    # Cohen-Macaulay ideal (44 runs in 4 variables when each walked its
-    # saturation).  Counts for that walk, which the injected twin below
-    # still takes for 82 of its 104 containment tests (70 with a trailing
-    # variable in a grevlex lead at an unsorted weight, 12 with a zero
-    # trace): a saturation step that a cached basis certifies makes none, and
-    # one on an ideal with a known Hilbert series first runs the ideal
-    # restricted to x_i = 0, in 4 variables.  Each interned initial ideal
-    # memoizes its answer, so the queries that share one walk it once (84
-    # restricted runs when every query walked it).  The zero weight walks
-    # a transformed ideal gI itself, and after a monomial-free in_w(gI)
-    # gI is known to hold no monomial, so it walks nothing (48 restricted
-    # runs when it walked a new in_0(gI)).  Without the restricted
-    # run the scan makes 60 runs in 5 variables (44 when each step that ran
-    # put the next variable to saturate just before its own; 186 before
-    # that, when each normalized weight was computed at itself).  Injected as explicit
-    # transforms, the same draws answer each normalized weight at itself:
-    # each transformed ideal ends with 15 to 19 cached bases, and a new
-    # query's order is often in the Groebner cone of one cached long before,
-    # so that scan makes 66 runs in 5 variables and 72 in 4 (116 when no
-    # containment test was answered by its trace, 120 when, too, the
-    # zero weight walked a new in_0(gI)) and, asking the
-    # cached bases oldest first, re-sorts 638 of them.  A cached basis
-    # under a step's order (grevlex with x_i last, the others in natural
-    # order) is the step's basis, and the restricted run is not tried there
-    # (142 restricted runs when it was, without the trace check); taking
-    # one under any order with
-    # x_i last moved no count.  Its restricted runs enter the restriction
-    # of the held grevlex basis, and the scan forms 70 s-pairs (142 when
-    # they entered the ideal's forms).  Without the restricted
-    # run it makes 138 runs in 5 variables and re-sorts 746; without the
-    # trace check too, 186 and 818 (152 and 750 with the step order that
-    # put the next variable second last); before
-    # certified steps it made 186 runs (196 when a lookup asked only the
-    # grevlex basis and the six newest, 214 when equal initial ideals were
-    # not one interned object) and re-sorted 1132 (1214 newest first)
+    # sorted weight, the scan makes 12 engine runs, all in 5 variables:
+    # every containment test is answered by the trace of its Cohen-Macaulay
+    # ideal (56 runs when each walked its saturation; 12 and 44 in 4
+    # variables when, too, a run on the ideal restricted to x_i = 0 could
+    # certify a step).  Injected as explicit transforms, the same draws
+    # answer each normalized weight at itself: each transformed ideal ends
+    # with 15 to 19 cached bases, and a new query's order is often in the
+    # Groebner cone of one cached long before.  The trace check declines 82
+    # of that scan's 104 containment tests (70 with a trailing variable in
+    # a grevlex lead at an unsorted weight, 12 with a zero trace), which
+    # walk their saturations: a step that a cached basis certifies makes no
+    # run, and every other step takes its basis in 5 variables.  So that
+    # scan makes 138 runs, all in 5 variables, forms 142 s-pairs and,
+    # asking the cached bases oldest first, re-sorts 746 of them (66 runs
+    # in 5 variables and 72 in 4, 70 s-pairs and 638 re-sorts when a run on
+    # the restriction could certify a step).  Without the trace check it
+    # makes 170 runs and re-sorts 826; without the walk's early stop, 184
+    # runs; without interned initial ideals, 166.  Before certified steps
+    # it made 186 runs (196 when a lookup asked only the grevlex basis and
+    # the six newest, 214 when equal initial ideals were not one interned
+    # object) and re-sorted 1132 (1214 newest first)
     def scan(injected: bool) -> tuple:
         rng = random.Random(5)
         runs, resorts = counting_engine_variables(monkeypatch), counting_resorts(monkeypatch)
@@ -538,7 +506,7 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
         return runs.count(5), runs.count(4), len(runs), len(resorts), len(spairs)
 
     assert scan(injected=False)[:3] == (12, 0, 12)
-    assert scan(injected=True) == (66, 72, 138, 638, 70)
+    assert scan(injected=True) == (138, 0, 138, 746, 142)
 
 
 def test_membership_answers_flow_between_a_draw_and_its_initial_ideals():

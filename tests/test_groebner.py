@@ -12,7 +12,8 @@ from operator import le, mul
 
 import pytest
 
-from gentrop.generic import identity_policy, transformed, tropical_member
+from gentrop.fans import budget, interior_point, refinement_maximal_cones
+from gentrop.generic import gap_degree, identity_policy, transformed, tropical_member
 from gentrop.groebner import (
     DEFAULT_DEGREE_CAP,
     DegreeCapExceeded,
@@ -32,7 +33,7 @@ from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, norm
 import oracles
 from cases import (
     P, counting_cone_hits, counting_engine, counting_normal_forms, counting_orders,
-    counting_restrictions, counting_spairs, counting_walks, dense_form,
+    counting_spairs, counting_walks, dense_form,
     ideal, policy, product_family,
     random_graded_ideal, seeded_ideals, split_fan_ideal, stable_depth_family,
     stanley_reisner_draw, stanley_reisner_ideal,
@@ -280,29 +281,52 @@ def test_saturate_examples():
     assert is_unit_ideal(collapse)
 
 
+def _mult_family_initial_ideals() -> list:
+    """The ideals that the family multiplicity job of the fan-probe
+    benchmark saturates at workload seeds 1-3: in_w(gI) for both draws gI
+    of the strongly stable family (x1, x2^2, x2*x3, x2*x4) in 5 variables,
+    w the interior point of the one refinement cone the job probes."""
+    I = stable_depth_family(5, 3, 1)
+    out = []
+    for seed in (1, 2, 3):
+        rng = random.Random(f"fan-probe:{seed}")
+        pol = policy(seed=[rng.randrange(10**6) for _ in range(4)][3])
+        w = interior_point(budget(refinement_maximal_cones(5, 3, 1), pol.seed)[0],
+                           gap_degree(I, pol) + 1)
+        out += [initial_ideal(gI, w) for gI in transformed(I, pol)]
+    return out
+
+
 def test_saturate_matches_linear_algebra_oracle():
+    # (I, f, p): the oracle's colon slices are stable from f^p on, and f^p
+    # multiplies each generator of the saturation into I
     cases = [
-        (ideal(2, "x1*x2"), P("x1", 2)),
-        (ideal(3, "x1^2 + x1*x2", "x2*x1 + x2^2"), P("x1*x2*x3", 3)),
-        (random_graded_ideal(3, 2), P("x1*x2*x3", 3)),
+        (ideal(2, "x1*x2"), P("x1", 2), 2),
+        (ideal(3, "x1^2 + x1*x2", "x2*x1 + x2^2"), P("x1*x2*x3", 3), 2),
+        (random_graded_ideal(3, 2), P("x1*x2*x3", 3), 2),
     ]
     # seeded ideals of the auxiliary-variable comparison: a sparse one, its
-    # copy with monomial factors, and a dense one (the oracle takes ~1.5 s
-    # per case, so not all of them)
+    # copy with monomial factors, and a dense one
     seeded = _saturation_ideals()
     cases += [
-        (seeded[0], P("x1*x2*x3", 3)),
-        (seeded[1], P("x1^2*x3", 3)),
-        (seeded[12], P("x1*x2*x3", 3)),
+        (seeded[0], P("x1*x2*x3", 3), 2),
+        (seeded[1], P("x1^2*x3", 3), 2),
+        (seeded[12], P("x1*x2*x3", 3), 2),
     ]
-    for I, f in cases:
+    # the initial ideals that the family multiplicity job saturates by the
+    # product of the variables, holding their grevlex bases as in the job:
+    # each walk runs its steps for x4, x2 and x1 in 5 variables, the last
+    # two of which a run on the ideal restricted to x_i = 0 used to certify
+    # (the oracle takes ~1 s per case)
+    cases += [(J, P("x1*x2*x3*x4*x5", 5), 1) for J in _mult_family_initial_ideals()]
+    for I, f, p in cases:
         S = saturate(I, f)
         for g in S.generators:
             # exactness: a fixed power of f multiplies g into I
-            assert oracles.member_homogeneous(g * f**3, I.generators, I.n)
+            assert oracles.member_homogeneous(g * f**p, I.generators, I.n)
         for d in range(0, 5):
             got = oracles.slice_dimension(S.generators, I.n, d)
-            want = oracles.saturation_slice(I.generators, f, I.n, d, stable_power=2)
+            want = oracles.saturation_slice(I.generators, f, I.n, d, stable_power=p)
             assert got == want, (d, gens_of(S))
 
 
@@ -454,8 +478,7 @@ def _fresh(I: Ideal) -> Ideal:
 
 def _with_numerator(I: Ideal) -> Ideal:
     """A copy of I with no basis but its Hilbert numerator known, as a
-    transformed ideal has it, so its saturation steps try the restricted
-    run."""
+    transformed ideal has it, so its saturation steps run with a target."""
     J = _fresh(I)
     J.numerator = hilbert_numerator(I.n, buchberger(_fresh(I)).leads)
     return J
@@ -465,25 +488,24 @@ def _has_monomial(gb) -> bool:
     return any(len(f) == 1 for f in gb.forms)
 
 
-# ideals on which the restricted run must refuse some step: J inside (x3),
-# where every restriction to x3 = 0 vanishes; a monomial ideal; n = 1; n = 2
+# ideals on which some saturation step is refused a certificate: J inside
+# (x3), where x3 is a zero divisor; a monomial ideal; n = 1; n = 2
 REFUSING = [ideal(3, "x1*x3", "x2*x3 + x3^2"), ideal(3, "x1*x2", "x3^2"),
             ideal(1, "x1^3"), ideal(2, "x1*x2"), ideal(2, "x1^2 + x2^2")]
 
 
 def test_the_saturation_walk_matches_one_basis_per_variable():
-    # the walk that certifies steps from cached bases and from runs on the
-    # ideal restricted to x_i = 0 against the walk that runs one basis per
-    # variable: equal reduced grevlex bases for ``saturate`` and equal
-    # answers for ``contains_monomial``.  The package side walks three
-    # copies of each ideal: fresh, after its grevlex basis was cached, and
-    # with only its Hilbert numerator known, which tries the restricted
-    # run; the reference walks a fresh copy each time.  The cases: x1 a
-    # zero divisor, x4 in no generator, the unit ideal, three ideals whose
-    # grevlex bases hold no monomial though they contain one, the ideals
-    # of REFUSING, the sparse and dense seeded ideals, and the interned
-    # initial ideals of a sweep, walked again with the bases the sweep
-    # cached, some with a monomial and some without
+    # the walk that certifies steps from cached bases against the walk that
+    # runs one basis per variable: equal reduced grevlex bases for
+    # ``saturate`` and equal answers for ``contains_monomial``.  The
+    # package side walks three copies of each ideal: fresh, after its
+    # grevlex basis was cached, and with only its Hilbert numerator known,
+    # so that its runs have a target; the reference walks a fresh copy each
+    # time.  The cases: x1 a zero divisor, x4 in no generator, the unit
+    # ideal, three ideals whose grevlex bases hold no monomial though they
+    # contain one, the ideals of REFUSING, the sparse and dense seeded
+    # ideals, and the interned initial ideals of a sweep, walked again with
+    # the bases the sweep cached, some with a monomial and some without
     late = [random_graded_ideal(3, seed, gens=3, terms_per_gen=3) for seed in (7, 18, 48)]
     for I in late:
         assert not _has_monomial(buchberger(_fresh(I)))
@@ -508,17 +530,22 @@ def test_the_saturation_walk_matches_one_basis_per_variable():
             changed += got.forms != buchberger(_fresh(J)).forms
     assert changed and len(swept) > 60
     assert 0 < sum(contains[id(J)] for J in swept) < len(swept)
+    # a step that divides builds an ideal whose numerator is unknown: the x4
+    # step of (x1x4, x2x4) divides to (x1, x2), whose x3 step then runs
+    J = _with_numerator(ideal(4, "x1*x4", "x2*x4"))
+    assert sorted(gens_of(saturate(J, P("x3*x4", 4)))) == ["x1", "x2"]
 
 
 def test_a_step_after_a_division_runs_in_natural_order(monkeypatch):
-    # fresh copies, their numerators unknown, try no restricted run, and a
-    # step that divides builds an ideal with no cached basis, so the next
+    # a step that divides builds an ideal with no cached basis, so the next
     # step runs: under grevlex with its variable last and the others in
     # natural order.  Each walk, to the saturation by x^m or to the first
     # basis with a monomial, answers as the walk that runs one basis per
-    # variable.  In 40 steps the walks ask for a basis of an ideal that a
-    # division built, and they make 166 engine runs in all (164 when such a
-    # step put the next variable to saturate just before its own)
+    # variable.  In 46 steps the walks ask for a basis of an ideal that a
+    # division built, and they make 163 engine runs in all (40 and 166
+    # when a run on the ideal restricted to x_i = 0 could certify a step;
+    # 164 when, too, such a step put the next variable to saturate just
+    # before its own)
     from gentrop.groebner import _saturation
 
     cases = [ideal(3, "x1*x2", "x1*x3"), ideal(4, "x1*x4", "x2*x4"),
@@ -546,7 +573,7 @@ def test_a_step_after_a_division_runs_in_natural_order(monkeypatch):
                     "grevlex", (*(k for k in range(1, I.n + 1) if k != last), last)), (I, m)
                 after += 1
         assert (got and buchberger(got).forms) == want, (I, m, stop)
-    assert (after, walked) == (40, 166)
+    assert (after, walked) == (46, 163)
 
 
 def test_a_step_takes_a_held_basis_only_under_its_own_order():
@@ -575,46 +602,6 @@ def test_a_step_takes_a_held_basis_only_under_its_own_order():
             assert all(gb.order != held for gb in steps), (I, m)
             want = oracles.bayer_stillman_saturation(_fresh(I), m)
             assert buchberger(got).forms == buchberger(want).forms, (I, m)
-
-
-def test_the_restricted_run_certifies_exactly_the_nonzerodivisors(monkeypatch):
-    # one run on J restricted to x_i = 0, with J's Hilbert numerator Q as
-    # the target, certifies x_i iff the saturation by x_i alone keeps J
-    # (x_i a nonzerodivisor on S/J), for every variable of each ideal, from
-    # J's forms and from its cached grevlex basis.  Among the refusals: J
-    # inside (x3) at x3, (x1x2, x1x3) at x1, a monomial ideal, n = 1 and
-    # n = 2
-    from gentrop.groebner import _restriction_certifies
-
-    cases = [ideal(3, "x1*x2", "x1*x3"), ideal(3, "x1^2", "x1*x2"), *REFUSING,
-             *seeded_ideals(3, 2)]
-    certified = refused = 0
-    for I in cases:
-        n = I.n
-        q = hilbert_numerator(n, buchberger(_fresh(I)).leads)
-        cached = _fresh(I)
-        buchberger(cached)
-        for i in range(n):
-            unit = tuple(int(k == i) for k in range(n))
-            sat = oracles.bayer_stillman_saturation(_fresh(I), unit)
-            regular = buchberger(sat).forms == buchberger(_fresh(I)).forms
-            for J in (_fresh(I), cached):
-                assert _restriction_certifies(J, i, q) == regular, (I, i)
-            certified += regular
-            refused += not regular
-    assert certified > 20 and refused > 10
-    for I, i in [(REFUSING[0], 2), (ideal(3, "x1*x2", "x1*x3"), 0), (REFUSING[1], 2),
-                 (REFUSING[2], 0), (REFUSING[3], 0)]:
-        assert not _restriction_certifies(I, i, hilbert_numerator(I.n, buchberger(I).leads))
-    assert _restriction_certifies(REFUSING[4], 0, (1, 0, -1))
-    # a step that divides builds an ideal whose numerator is unknown, so
-    # the later steps try no restricted run: (x1x4, x2x4) with its numerator
-    # known tries one at x4, which refuses, and its step divides to (x1,
-    # x2), whose step for x3 runs
-    J = _with_numerator(ideal(4, "x1*x4", "x2*x4"))
-    restricted, runs = counting_restrictions(monkeypatch), counting_engine(monkeypatch)
-    got = saturate(J, P("x3*x4", 4))
-    assert sorted(gens_of(got)) == ["x1", "x2"] and len(restricted) == 1 and len(runs) == 3
 
 
 def test_contains_monomial_memoizes_its_answer(monkeypatch):
@@ -662,10 +649,9 @@ def test_the_trace_check_agrees_with_the_walk(monkeypatch):
     # run: of the 3,462 cases it certifies 202 of the 738 monomial-free
     # ones, and none that holds a monomial.  Without its test that
     # x_{n-d+1}, ..., x_n divide no grevlex lead (and dropping the
-    # restrictions that vanish, as the restricted run does, so that it
-    # answers where it would raise) it certifies some that do: two initial
-    # ideals of a sampled draw of the Stanley-Reisner ideal (x1, x2*x5,
-    # x3*x5), each of which holds x4
+    # restrictions that vanish, so that it answers where it would raise)
+    # it certifies some that do: two initial ideals of a sampled draw of
+    # the Stanley-Reisner ideal (x1, x2*x5, x3*x5), each of which holds x4
     from gentrop import groebner
 
     source = textwrap.dedent(inspect.getsource(groebner._trace_certifies))
@@ -711,57 +697,6 @@ def test_a_trace_check_over_the_cap_walks(monkeypatch):
     runs = counting_engine(monkeypatch)
     assert not contains_monomial(J) and not runs and len(walks) == 1
     assert not contains_monomial(_fresh(J))
-
-
-def test_a_restricted_run_over_the_cap_falls_back_to_the_steps_run(monkeypatch):
-    # two quadrics in 3 variables under cap 3, their Hilbert numerator
-    # known: the restricted run at x3 certifies it, the one at x2 goes over
-    # the cap, which certifies nothing, and the step's own run then raises,
-    # as the walk that runs one basis per variable does.  A walk that
-    # raises leaves the memo unset.  A seeded search (300 sparse and 40
-    # dense ideals in 3 and 4 variables, caps from their generator degree
-    # up) found no step whose restricted run went over the cap where its
-    # own run did not, so that fallback is forced below, by failing every
-    # run in fewer variables than the ideal walked: each walk then answers
-    # as the reference does
-    from gentrop import groebner
-
-    gens = ("x1^2 - 1/3*x2^2 + 4/3*x1*x3 - 4/3*x3^2", "x1^2 + x2^2 - 3/4*x2*x3 - 3/4*x3^2")
-    with pytest.raises(DegreeCapExceeded):
-        oracles.bayer_stillman_saturation(ideal(3, *gens, degree_cap=3), (1, 1, 1))
-    J = ideal(3, *gens, degree_cap=3)
-    J.numerator = hilbert_numerator(3, buchberger(ideal(3, *gens)).leads)
-    engine, outcomes = groebner._buchberger_dicts, []
-
-    def recording(gens, *args):
-        gens = list(gens)
-        outcomes.append(len(next(iter(gens[0]))))
-        try:
-            return engine(gens, *args)
-        except DegreeCapExceeded:
-            outcomes.append("over")
-            raise
-
-    monkeypatch.setattr(groebner, "_buchberger_dicts", recording)
-    with pytest.raises(DegreeCapExceeded):
-        contains_monomial(J)
-    assert outcomes == [2, 2, "over", 3, "over"] and J.has_monomial is None
-
-    def over(gens, *args):
-        gens = list(gens)
-        if gens and len(next(iter(gens[0]))) < n:  # n: the ideal walked below
-            raise DegreeCapExceeded("forced")
-        return engine(gens, *args)
-
-    monkeypatch.setattr(groebner, "_buchberger_dicts", over)
-    restricted = counting_restrictions(monkeypatch)
-    for I in [*REFUSING, *seeded_ideals(2, 1)]:
-        n = I.n
-        want = oracles.bayer_stillman_saturation(_fresh(I), (1,) * n)
-        assert buchberger(saturate(_with_numerator(I), P("*".join(
-            f"x{k}" for k in range(1, n + 1)), n))).forms == buchberger(want).forms
-        assert contains_monomial(_with_numerator(I)) == is_unit_ideal(want)
-    assert len(restricted) > 10
 
 
 def test_graded_validation_and_errors():
@@ -834,7 +769,7 @@ def test_a_generator_that_reduces_to_zero_forms_no_pair():
         assert sorted(str(g) for g in gb) == ["x1", "x2^3"]
 
 
-def test_derived_ideals_carry_the_parent_cap(monkeypatch):
+def test_derived_ideals_carry_the_parent_cap():
     from gentrop.groebner import _saturation
 
     I = ideal(3, "x1^2 - x2*x3", "x1*x3", degree_cap=9)
@@ -863,13 +798,12 @@ def test_derived_ideals_carry_the_parent_cap(monkeypatch):
     assert all(J.series is I.series for J in derived[:6])
     assert all(J.series is not I.series for J in derived[6:])
     assert I.numerator == (1, 0, -2, 0, 1)
-    # a restricted run, on J with x_i set to zero, enters forms in one
-    # variable fewer and builds no ideal, so its leads set no holder.  J is
-    # walked directly: ``contains_monomial`` answers it from its trace
+    # a walk whose steps divide nothing keeps J itself, and its runs leave
+    # J's holder as it was.  J is walked directly: ``contains_monomial``
+    # answers it from its trace
     J = initial_ideal(transformed(I, policy(seed=1))[1], (0, 0, 0))
-    restricted = counting_restrictions(monkeypatch)
     assert _saturation(J, (1, 1, 1)) is J
-    assert restricted and J.series is I.series and I.numerator == (1, 0, -2, 0, 1)
+    assert J.series is I.series and I.numerator == (1, 0, -2, 0, 1)
 
 
 def _derived_cases() -> list:
