@@ -142,6 +142,8 @@ class GenericityPolicy(namedtuple("GenericityPolicy", "samples bound seed transf
                 transforms: tuple | None = None):
         if transforms is not None:
             transforms = tuple(transforms)
+            if not transforms or not all(isinstance(g, Transform) for g in transforms):
+                raise ValueError("injected transforms must be a nonempty sequence of Transform")
         elif samples < 2:
             raise ValueError("agreement requires at least two samples")
         elif bound < 1:

@@ -26,13 +26,11 @@ monomial-containment test first asks an ideal that holds its grevlex basis
 and Hilbert series whether that basis shows it Cohen-Macaulay, its last d
 variables regular; if so, a nonzero trace of one multiplication map, read
 off D normal forms, shows it monomial-free with no run
-(``_trace_certifies``).  Any other ideal falls back to the saturation walk.
-Saturation by a monomial, and so that walk, takes one variable at a
-time (Bayer and Stillman 1987); a step whose variable divides no lead of a
-basis the ideal already holds makes no run, since the variable is then a
-nonzerodivisor, and any other step takes one basis through ``buchberger``
-(see ``_saturation``).  Every sort and tie-break is fixed, so identical
-inputs produce bit-identical output.
+(``_trace_certifies``).  Any other ideal falls back to its saturation by
+the product of all variables.  Saturation by a monomial takes one variable
+at a time (Bayer and Stillman 1987), each step one basis through
+``buchberger`` (see ``_saturation``).  Every sort and tie-break is fixed,
+so identical inputs produce bit-identical output.
 Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
 computations on it with ``DegreeCapExceeded`` instead of hanging.  An
 ideal the engine derives from its own forms inherits what its parent knows:
@@ -856,44 +854,26 @@ def ideal_equal(I: Ideal, J: Ideal, order: OrderSpec = GREVLEX) -> bool:
     return buchberger(I, order).forms == buchberger(J, order).forms
 
 
-def _saturation(I: Ideal, m: tuple, stop=None) -> Ideal | None:
+def _saturation(I: Ideal, m: tuple) -> Ideal:
     """(I : (x^m)^infinity) for an exponent vector m, saturating by one
-    variable at a time (Bayer and Stillman 1987); None as soon as ``stop``
-    holds for a step's basis.
+    variable at a time (Bayer and Stillman 1987).
 
     The steps take the variables x_i of x^m from x_n down, each on the ideal
-    J saturated so far.  Each step has one order: grevlex with x_i last and
-    the other variables in natural order, GREVLEX itself for x_n.  A step
-    first asks each basis cached on J, oldest first, whether it is under the
-    step's order, or whether x_i divides none of its leads.  In the second
-    case x_i is a nonzerodivisor on S/J, so J : x_i^infinity = J and the
-    step keeps J without a run.  Proof, for the basis's order >: in(J + (x_i)) contains
-    in(J) + (x_i), so HS(S/(J + x_i)) <= HS(S/(in(J) + x_i)) = (1 - t)
-    HS(S/J) coefficientwise, as x_i divides no minimal generator of in(J)
-    and so is regular on S/in(J); and the exact sequence 0 -> (0 : x_i)(-1) -> S/J(-1) -> S/J
-    -> S/(J + x_i) -> 0 gives HS(S/(J + x_i)) = (1 - t) HS(S/J) + t
-    HS(0 : x_i), so 0 : x_i = 0.  The basis (1) of the unit ideal certifies
-    every variable, and ``stop`` sees a certifying basis as it sees a
-    computed one.  A held basis under the step's order is the step's basis
-    (see below).
-
-    Otherwise the step runs J's reduced basis under the step's order
-    through ``buchberger``.  A homogeneous polynomial is divisible by a
-    power of x_i iff its lead under that order is, so dividing every
-    element by the largest power of x_i that divides it generates the
-    saturation by x_i.  A step that divides nothing keeps J and its cached
-    bases, which later steps ask first.  A step that divides builds a new
-    ideal, with no cached basis and no known numerator."""
+    J saturated so far, and stop as soon as J is the unit ideal.  A step
+    takes J's reduced basis under grevlex with x_i last and the other
+    variables in natural order, GREVLEX itself for x_n, through
+    ``buchberger``.  A homogeneous polynomial is divisible by a power of x_i
+    iff its lead under that order is, so dividing every element by the
+    largest power of x_i that divides it generates the saturation by x_i.
+    A step that divides nothing keeps J and its cached bases.  A step that
+    divides builds a new ideal, with no cached basis and no known
+    numerator."""
     n = I.n
     J = I
     for i in (k for k in reversed(range(n)) if m[k]):
-        step = OrderSpec("grevlex", (*(k + 1 for k in range(n) if k != i), i + 1))
-        gb = next((gb for gb in J.gb_cache.values()
-                   if gb.order == step or not any(f[0][0][i] for f in gb.forms)), None)
-        if gb is None:
-            gb = buchberger(J, step)
-        if stop is not None and stop(gb):
-            return None
+        if is_unit_ideal(J):
+            break
+        gb = buchberger(J, OrderSpec("grevlex", (*(k + 1 for k in range(n) if k != i), i + 1)))
         if any(f[0][0][i] for f in gb.forms):
             J = J._derive(
                 {e[:i] + (e[i] - f[0][0][i],) + e[i + 1:]: c for e, c in f} for f in gb.forms
@@ -905,9 +885,8 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """The saturation (I : f^infinity) by a nonzero monomial f, generated by
     its reduced grevlex basis, which the result keeps in its cache; any
     other f raises ``ValueError``.  The saturation takes one variable of f
-    at a time, and a step that a basis held by the ideal being saturated
-    certifies makes no run (see ``_saturation``), so the runs made depend
-    on the bases I holds, and the result does not."""
+    at a time (see ``_saturation``); the runs made depend on the bases I
+    holds, and the result does not."""
     if f.n != I.n:
         raise ValueError("ambient variable counts differ")
     if not f.is_monomial():
@@ -983,22 +962,13 @@ def contains_monomial(I: Ideal) -> bool:
     """True iff I contains some monomial, i.e. saturating by the product of
     all variables gives the unit ideal.
 
-    First asks ``_trace_certifies``, which makes no run; the walk below is
-    the fallback for every ideal that it does not certify.
-    Walks the steps of that saturation and stops at the first basis, run or
-    certifying, with a monomial element.  If the saturation is the unit
-    ideal, let J be the ideal that the last step, for x_1, starts from;
-    then J : x_1^infinity = (1).  If a basis cached on J certifies x_1, J
-    itself is the unit ideal, and that basis is (1).  Otherwise J holds a
-    power of x_1, the least monomial of its degree under the step's order,
-    grevlex with x_1 last, so the step's basis has an element x_1^k.  Either
-    way the walk stops there, and no further basis is needed.  The answer
-    is memoized in ``I.has_monomial``, which a walk over the cap leaves
-    unset; a set memo answers without a walk.  An initial ideal in_w(I)
-    with no monomial shows that I has none, since in_w(m) = m for a
-    monomial m, and ``generic.tropical_member`` sets the memo of a
-    transformed ideal so."""
+    First asks ``_trace_certifies``, which makes no run; every ideal that it
+    does not certify walks that saturation (``_saturation``), which stops
+    at the first unit ideal.  The answer is memoized in ``I.has_monomial``,
+    which a walk over the cap leaves unset; a set memo answers without a
+    walk.  An initial ideal in_w(I) with no monomial shows that I has none,
+    since in_w(m) = m for a monomial m, and ``generic.tropical_member`` sets
+    the memo of a transformed ideal so."""
     if I.has_monomial is None:
-        I.has_monomial = False if _trace_certifies(I) else _saturation(
-            I, (1,) * I.n, lambda gb: any(len(f) == 1 for f in gb.forms)) is None
+        I.has_monomial = not _trace_certifies(I) and is_unit_ideal(_saturation(I, (1,) * I.n))
     return I.has_monomial

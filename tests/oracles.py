@@ -16,8 +16,7 @@ which probe every budgeted cone or pair on its own where the package probes
 one per symmetry orbit; ``per_weight_member``, which answers each
 normalized weight at itself where the package answers one weight per
 permutation orbit; and ``bayer_stillman_saturation``, the saturation walk
-that runs one basis per variable, where the package certifies a step from
-a basis it already holds.
+that runs every step, where the package stops at the first unit ideal.
 """
 
 from __future__ import annotations
@@ -152,12 +151,11 @@ def per_weight_member(I: Ideal, w, policy) -> bool:
     return member
 
 
-def bayer_stillman_saturation(I: Ideal, m, stop=None):
+def bayer_stillman_saturation(I: Ideal, m):
     """(I : (x^m)^infinity) by one reduced basis per variable x_i of x^m,
     x_n first, each under grevlex with x_i last and the other variables in
     natural order, dividing every element by the largest power of x_i that
-    divides it (Bayer and Stillman 1987); None as soon as ``stop`` holds
-    for a step's basis.  No step is skipped."""
+    divides it (Bayer and Stillman 1987).  No step is skipped."""
     n = I.n
     J = I
     for i in reversed(range(n)):
@@ -165,8 +163,6 @@ def bayer_stillman_saturation(I: Ideal, m, stop=None):
             continue
         perm = tuple(k for k in range(1, n + 1) if k != i + 1) + (i + 1,)
         gb = buchberger(J, OrderSpec("grevlex", perm))
-        if stop is not None and stop(gb):
-            return None
         if any(f[0][0][i] for f in gb.forms):
             J = Ideal(n, [{e[:i] + (e[i] - f[0][0][i],) + e[i + 1:]: c for e, c in f}
                           for f in gb.forms], I.degree_cap)

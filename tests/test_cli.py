@@ -428,15 +428,15 @@ def test_family_wnmt_bounds_engine_runs(tmp_path, capsys, monkeypatch):
 def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     # the family multiplicity job of the fan-probe benchmark at workload
     # seed 1 probes one of its 20 refinement cones, which form one orbit: it
-    # makes 11 engine runs, all in 5 variables, 3 Hilbert numerators and 13
+    # makes 11 engine runs, all in 5 variables, 3 Hilbert numerators and 15
     # Groebner-cone lookups (151, 96 and 243 when every cone was probed; 8
     # numerators when the numerator read from a cached basis did not
-    # consult the memo of Hilbert checks).  A saturation step that a cached
-    # basis certifies looks up no order (15 lookups when every step took a
-    # basis).  Six of the runs are saturation steps that no cached basis
-    # decides (two in 5 variables and four in 4, with 4 numerators and 9
-    # lookups in all, when a run on the ideal restricted to x_i = 0 could
-    # certify such a step)
+    # consult the memo of Hilbert checks).  Every saturation step takes its
+    # basis through ``buchberger`` (13 lookups when a step that a cached
+    # basis certified looked up no order).  Six of the runs are saturation
+    # steps that no cached basis serves (two in 5 variables and four in 4,
+    # with 4 numerators and 9 lookups in all, when a run on the ideal
+    # restricted to x_i = 0 could certify such a step)
     fam = write(tmp_path, "fam.ideal", FAMILY_531)
     runs = counting_engine_variables(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
@@ -444,7 +444,7 @@ def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     code, report = run(capsys, "verify", fam, "--target", "multiplicity",
                        "--seed", _fan_probe_seed(3))
     assert code == EXIT_OK and report["passed"] is True
-    assert runs == [5] * 11 and len(numerators) == 3 and len(lookups) == 13
+    assert runs == [5] * 11 and len(numerators) == 3 and len(lookups) == 15
 
 
 def test_analyze_jobs_pin_their_engine_runs(tmp_path, capsys, monkeypatch):

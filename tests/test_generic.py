@@ -116,8 +116,13 @@ def test_policy_validation():
         GenericityPolicy(samples=1)
     with pytest.raises(ValueError):
         GenericityPolicy(bound=0)
-    # injected transforms may be a single one
+    # injected transforms may be a single one, but not none, and each must
+    # be a Transform: a nested list would fail unhashable at first use
     identity_policy(3)
+    with pytest.raises(ValueError):
+        GenericityPolicy(transforms=())
+    with pytest.raises(ValueError):
+        GenericityPolicy(transforms=[[[1, 0], [0, 1]]])
 
 
 def test_apply_transform_examples():
@@ -476,15 +481,18 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # Groebner cone of one cached long before.  The trace check declines 82
     # of that scan's 104 containment tests (70 with a trailing variable in
     # a grevlex lead at an unsorted weight, 12 with a zero trace), which
-    # walk their saturations: a step that a cached basis certifies makes no
-    # run, and every other step takes its basis in 5 variables.  So that
-    # scan makes 138 runs, all in 5 variables, forms 142 s-pairs and,
-    # asking the cached bases oldest first, re-sorts 746 of them (66 runs
-    # in 5 variables and 72 in 4, 70 s-pairs and 638 re-sorts when a run on
+    # walk their saturations: each step takes its basis through
+    # ``buchberger``, served from a cached basis or run in 5 variables.  So
+    # that scan makes 138 runs, all in 5 variables, forms 142 s-pairs and,
+    # asking the cached bases oldest first, re-sorts 954 of them (746 when
+    # a step that a cached basis certified asked no order; 66 runs in 5
+    # variables and 72 in 4, 70 s-pairs and 638 re-sorts when, too, a run on
     # the restriction could certify a step).  Without the trace check it
-    # makes 170 runs and re-sorts 826; without the walk's early stop, 184
-    # runs; without interned initial ideals, 166.  Before certified steps
-    # it made 186 runs (196 when a lookup asked only the grevlex basis and
+    # makes 170 runs and re-sorts 1302 (826 with certified steps); without
+    # the walk's stop at the unit ideal, 184 runs, as without the stop at
+    # the first basis with a monomial that it replaced; with certified
+    # steps and without interned initial ideals, 166.  Before certified
+    # steps it made 186 runs (196 when a lookup asked only the grevlex basis and
     # the six newest, 214 when equal initial ideals were not one interned
     # object) and re-sorted 1132 (1214 newest first)
     def scan(injected: bool) -> tuple:
@@ -506,7 +514,7 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
         return runs.count(5), runs.count(4), len(runs), len(resorts), len(spairs)
 
     assert scan(injected=False)[:3] == (12, 0, 12)
-    assert scan(injected=True) == (138, 0, 138, 746, 142)
+    assert scan(injected=True) == (138, 0, 138, 954, 142)
 
 
 def test_membership_answers_flow_between_a_draw_and_its_initial_ideals():

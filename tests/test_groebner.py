@@ -488,16 +488,16 @@ def _has_monomial(gb) -> bool:
     return any(len(f) == 1 for f in gb.forms)
 
 
-# ideals on which some saturation step is refused a certificate: J inside
-# (x3), where x3 is a zero divisor; a monomial ideal; n = 1; n = 2
+# ideals on which a held basis used to certify no saturation step: J
+# inside (x3), where x3 is a zero divisor; a monomial ideal; n = 1; n = 2
 REFUSING = [ideal(3, "x1*x3", "x2*x3 + x3^2"), ideal(3, "x1*x2", "x3^2"),
             ideal(1, "x1^3"), ideal(2, "x1*x2"), ideal(2, "x1^2 + x2^2")]
 
 
 def test_the_saturation_walk_matches_one_basis_per_variable():
-    # the walk that certifies steps from cached bases against the walk that
-    # runs one basis per variable: equal reduced grevlex bases for
-    # ``saturate`` and equal answers for ``contains_monomial``.  The
+    # the walk that takes cached bases and stops at the unit ideal against
+    # the walk that runs one basis per variable: equal reduced grevlex
+    # bases for ``saturate`` and equal answers for ``contains_monomial``.  The
     # package side walks three copies of each ideal: fresh, after its
     # grevlex basis was cached, and with only its Hilbert numerator known,
     # so that its runs have a target; the reference walks a fresh copy each
@@ -520,7 +520,7 @@ def test_the_saturation_walk_matches_one_basis_per_variable():
     changed, contains = 0, {}
     for J in cases + swept:
         n = J.n
-        want = oracles.bayer_stillman_saturation(_fresh(J), (1,) * n, _has_monomial) is None
+        want = is_unit_ideal(oracles.bayer_stillman_saturation(_fresh(J), (1,) * n))
         contains[id(J)] = contains_monomial(J)
         assert contains[id(J)] == want, J
         for m in [(1,) * n, ((0, 1) + (0,) * n)[:n], ((2, 0, 1) + (0,) * n)[:n]]:
@@ -539,13 +539,15 @@ def test_the_saturation_walk_matches_one_basis_per_variable():
 def test_a_step_after_a_division_runs_in_natural_order(monkeypatch):
     # a step that divides builds an ideal with no cached basis, so the next
     # step runs: under grevlex with its variable last and the others in
-    # natural order.  Each walk, to the saturation by x^m or to the first
-    # basis with a monomial, answers as the walk that runs one basis per
-    # variable.  In 46 steps the walks ask for a basis of an ideal that a
-    # division built, and they make 163 engine runs in all (40 and 166
-    # when a run on the ideal restricted to x_i = 0 could certify a step;
-    # 164 when, too, such a step put the next variable to saturate just
-    # before its own)
+    # natural order.  Each walk, to the saturation by x^m, answers as the
+    # walk that runs one basis per variable.  In 18 steps the walks ask for
+    # a basis of an ideal that a division built, and they make 75 engine
+    # runs in all (39 and 96 when a held basis could certify a step and the
+    # walk went on past the unit ideal.  With those walks run again, each
+    # stopping at the first basis with a monomial, the test counted 46 and
+    # 163; 40 and 166 when, too, a run on the ideal restricted to x_i = 0
+    # could certify a step; 164 when, too, such a step put the next
+    # variable to saturate just before its own)
     from gentrop.groebner import _saturation
 
     cases = [ideal(3, "x1*x2", "x1*x3"), ideal(4, "x1*x4", "x2*x4"),
@@ -555,16 +557,15 @@ def test_a_step_after_a_division_runs_in_natural_order(monkeypatch):
     for I in cases:
         n = I.n
         for m in [(1,) * n, ((1, 0, 2) + (1,) * n)[:n]]:
-            for stop in (None, _has_monomial):
-                want = oracles.bayer_stillman_saturation(_fresh(I), m, stop)
-                walks.append((I, m, stop, want and buchberger(want).forms))
+            want = oracles.bayer_stillman_saturation(_fresh(I), m)
+            walks.append((I, m, buchberger(want).forms))
     runs, orders = counting_engine(monkeypatch), counting_orders(monkeypatch)
     after = walked = 0
-    for I, m, stop, want in walks:
+    for I, m, want in walks:
         J = _fresh(I)
         orders.clear()
         before = len(runs)
-        got = _saturation(J, m, stop)
+        got = _saturation(J, m)
         walked += len(runs) - before
         for K, order in orders:
             if K is not J:
@@ -572,36 +573,19 @@ def test_a_step_after_a_division_runs_in_natural_order(monkeypatch):
                 assert order == OrderSpec(
                     "grevlex", (*(k for k in range(1, I.n + 1) if k != last), last)), (I, m)
                 after += 1
-        assert (got and buchberger(got).forms) == want, (I, m, stop)
-    assert (after, walked) == (46, 163)
+        assert buchberger(got).forms == want, (I, m)
+    assert (after, walked) == (18, 75)
 
 
-def test_a_step_takes_a_held_basis_only_under_its_own_order():
-    # a step takes a held basis only if it is under the step's order,
-    # grevlex with x_i last and the others in natural order, or if x_i
-    # divides none of its leads.  Each ideal holds its reduced basis under
-    # grevlex with x4 last and x1, x2 swapped, and x4 divides one of its
-    # leads, so x4 is a zero divisor and that basis certifies nothing: the
-    # x4 step runs under GREVLEX in place of taking it, and every walk
-    # answers as the walk that runs one basis per variable
+def test_the_walk_stops_at_the_unit_ideal(monkeypatch):
+    # the x3 step of (x3^2, x1*x2) divides x3^2 to 1, so the walk stops
+    # there with the unit ideal after 1 engine run (2 without the exit: the
+    # x2 step runs, and a cone hit serves the x1 step)
     from gentrop.groebner import _saturation
 
-    held = OrderSpec("grevlex", (2, 1, 3, 4))
-    for I in [random_graded_ideal(4, seed, gens=2) for seed in (3, 12, 22)]:
-        for m in [(0, 0, 0, 1), (1, 1, 1, 1), (1, 0, 1, 1)]:
-            J = _fresh(I)
-            assert any(f[0][0][3] for f in buchberger(J, held).forms)
-            steps = []
-
-            def record(gb):
-                steps.append(gb)
-                return False
-
-            got = _saturation(J, m, record)
-            assert steps[0].order == GREVLEX, (I, m)
-            assert all(gb.order != held for gb in steps), (I, m)
-            want = oracles.bayer_stillman_saturation(_fresh(I), m)
-            assert buchberger(got).forms == buchberger(want).forms, (I, m)
+    runs = counting_engine(monkeypatch)
+    J = _saturation(ideal(3, "x3^2", "x1*x2"), (1, 1, 1))
+    assert len(runs) == 1 and is_unit_ideal(J)
 
 
 def test_contains_monomial_memoizes_its_answer(monkeypatch):
