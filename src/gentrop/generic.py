@@ -47,19 +47,20 @@ whether an ideal contains a monomial, so the membership of s w under g is
 that of w under P_s^T g, which is generic when g is; agreement across the
 draws still certifies every answer computed.  The sorted weight, unlike
 the first one asked, makes an answer independent of earlier queries and
-shares Groebner cones and interned initial ideals far more often.  Under
-injected transforms answers differ along an orbit, so each normalized
-weight is answered on its own.  ``tropical_report``, behind ``gentrop
-tropical``, answers at the normalized weight itself and returns the
-initial ideal of a draw that agreed on that answer, so the two never
-contradict each other.  Neither makes a run on the ideal I itself: the
-zero-dimension check reads the Hilbert series of the first draw, which I
-and the other draws share (``apply_transform``).  Per draw gI, containment
-answers flow between gI and its initial ideals (``_member_at``): the zero
-weight asks gI itself, and a monomial in gI, or none in some in_w(gI),
-is memoized on gI.  Each such ideal holds its grevlex basis, so in generic
-coordinates a trace mostly shows a Cohen-Macaulay one monomial-free with
-no run (``groebner.contains_monomial``); the saturation walk is the fallback.
+shares Groebner cones far more often.  Under injected transforms answers
+differ along an orbit, so each normalized weight is answered on its own,
+and repeated queries there share interned initial ideals.
+``tropical_report``, behind ``gentrop tropical``, answers at the normalized
+weight itself and returns the initial ideal of a draw that agreed on that
+answer, so the two never contradict each other.  Neither makes a run on the
+ideal I itself: the zero-dimension check reads the Hilbert series of the
+first draw, which I and the other draws share (``apply_transform``).  Per
+draw gI, containment answers flow between gI and its initial ideals
+(``_member_at``): the zero weight asks gI itself, and a monomial in gI, or
+none in some in_w(gI), is memoized on gI.  Each such ideal holds its grevlex
+basis, so in generic coordinates a trace mostly shows a Cohen-Macaulay one
+monomial-free with no run (``groebner.contains_monomial``); the saturation
+walk is the fallback.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from .groebner import (
     buchberger,
     contains_monomial,
     initial_ideal,
-    known_numerator,
 )
 from .invariants import (
     MonomialIdeal,
@@ -104,8 +104,8 @@ class GenericityFailure(RuntimeError):
 
 class Transform(namedtuple("Transform", "matrix")):
     """An invertible linear coordinate change with exact integer entries,
-    immutable and hashable; a singular or non-square matrix raises
-    ``ValueError``.
+    immutable and hashable; a singular or non-square matrix, or an entry
+    that is not an int, raises ``ValueError``.
 
     Acts on polynomials by substituting each variable with the linear form
     given by the corresponding matrix column: x_i maps to sum_j m[j][i] x_j.
@@ -117,6 +117,8 @@ class Transform(namedtuple("Transform", "matrix")):
         rows = tuple(tuple(row) for row in matrix)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("a transform needs a nonempty square matrix")
+        if not all(isinstance(x, int) for row in rows for x in row):
+            raise ValueError("a transform needs integer entries")
         if _det_int(rows) == 0:
             raise ValueError("a transform needs an invertible matrix")
         return super().__new__(cls, rows)
@@ -140,6 +142,8 @@ class GenericityPolicy(namedtuple("GenericityPolicy", "samples bound seed transf
 
     def __new__(cls, samples: int = 2, bound: int = 1000, seed: int = 0,
                 transforms: tuple | None = None):
+        if not isinstance(samples, int) or not isinstance(bound, int):
+            raise ValueError("samples and bound must be ints")
         if transforms is not None:
             transforms = tuple(transforms)
             if not transforms or not all(isinstance(g, Transform) for g in transforms):
@@ -208,10 +212,9 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
     from I: it has the degree cap of I and shares its memo of Hilbert checks
     (see ``groebner.Ideal``).  A transform is invertible, so it keeps the
     Hilbert series, and gI shares I's holder of the Hilbert numerator
-    (``Ideal.series``), filled first from a basis I holds
-    (``groebner.known_numerator``).  So the numerator read from the basis of
-    one draw gI is known to I and to every other draw, whose first run then
-    has a target.
+    (``Ideal.series``).  So the numerator that ``groebner.buchberger``
+    records with the first basis of one draw gI, or of I, is known to I and
+    to every other draw, whose first run then has a target.
 
     Images of the integer forms are expanded over the integers on packed
     monomials: the exponent of x_j sits in bits [w j, w (j+1)) of an int,
@@ -262,7 +265,6 @@ def apply_transform(I: Ideal, g: Transform) -> Ideal:
                 out[t] = v
         gens.append(out)
     J = I._derive(gens)
-    known_numerator(I)
     J.series = I.series
     return J
 
@@ -372,7 +374,7 @@ def tropical_member(
     memoized.  A zero-dimensional I raises ``UsageError``: the check reads
     the dimension of the first draw gI, which has I's Hilbert series and
     whose grevlex basis ``_member_at`` needs anyway, so no run is made on I;
-    the numerator read from it is shared with I and the other draws (see
+    the numerator recorded with it is shared with I and the other draws (see
     ``apply_transform``)."""
     wn = normalize_weight(w, I.n)
     if policy.transforms is None:

@@ -17,20 +17,20 @@ A run enters its ideal's own forms, whatever bases the ideal holds (see
 formed.
 S-pairs are pruned when formed, by the Gebauer-Moeller criteria M and F
 (with the coprimality criterion), and taken from a heap by the normal
-strategy (smallest lcm degree first).  A run whose ideal has a known
-Hilbert series (``known_numerator``) stops, in place of the criterion B,
-as soon as the leads of its basis have that series: they then generate
-the initial ideal, so every pending pair would reduce to zero (Traverso
-1996, "Hilbert functions and the Buchberger algorithm").  The
-monomial-containment test first asks an ideal that holds its grevlex basis
-and Hilbert series whether that basis shows it Cohen-Macaulay, its last d
-variables regular; if so, a nonzero trace of one multiplication map, read
-off D normal forms, shows it monomial-free with no run
-(``_trace_certifies``).  Any other ideal falls back to its saturation by
-the product of all variables.  Saturation by a monomial takes one variable
-at a time (Bayer and Stillman 1987), each step one basis through
-``buchberger`` (see ``_saturation``).  Every sort and tie-break is fixed,
-so identical inputs produce bit-identical output.
+strategy (smallest lcm degree first).  ``buchberger`` records an ideal's
+Hilbert series with its first basis, and a run whose ideal knows it stops,
+in place of the criterion B, as soon as the leads of its basis have that
+series: they then generate the initial ideal, so every pending pair would
+reduce to zero (Traverso 1996, "Hilbert functions and the Buchberger
+algorithm").  The monomial-containment test first asks an ideal that
+holds its grevlex basis and Hilbert series whether that basis shows it
+Cohen-Macaulay, its last d variables regular; if so, a nonzero trace of
+one multiplication map, read off D normal forms, shows it monomial-free
+with no run (``_trace_certifies``).  Any other ideal falls back to its
+saturation by the product of all variables.  Saturation by a monomial
+takes one variable at a time (Bayer and Stillman 1987), each step one
+basis through ``buchberger`` (see ``_saturation``).  Every sort and
+tie-break is fixed, so identical inputs produce bit-identical output.
 Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
 computations on it with ``DegreeCapExceeded`` instead of hanging.  An
 ideal the engine derives from its own forms inherits what its parent knows:
@@ -38,8 +38,8 @@ its cap, its memo of Hilbert checks and, for an initial ideal, its reduced
 grevlex basis, which is its forms (Sturmfels 1996, "Groebner Bases and
 Convex Polytopes", Prop. 1.8 and Cor. 1.9).  An initial ideal and an
 invertible transform share their parent's holder of the Hilbert numerator
-(``Ideal.series``), so a numerator read from any one's basis ends the runs
-of all.
+(``Ideal.series``), and a saturation shares that of the last ideal of its
+walk, so a numerator recorded with any one's basis ends the runs of all.
 """
 
 from __future__ import annotations
@@ -104,12 +104,13 @@ class Ideal:
     ``Ideal``, so equal initial ideals share their cached bases.
     ``numerator`` memoizes the numerator of the Hilbert series of S/I (see
     ``hilbert_numerator``), which every Buchberger run on the ideal takes
-    as the target that ends it; until one is known it is None.  It is held
-    in ``series``, a one-item list that the ideals of one Hilbert series
-    share: an invertible transform (``generic.apply_transform``) and an
-    initial ideal take over their parent's, so a numerator read from the
-    leads of any cached basis of one of them (``known_numerator``) is known
-    to all.  A saturation step and a saturation get a list of their own.
+    as the target that ends it; ``buchberger`` sets it with the first basis
+    it stores, and until then it is None.  It is held in ``series``, a
+    one-item list that the ideals of one Hilbert series share: an
+    invertible transform (``generic.apply_transform``) and an initial ideal
+    take over their parent's, and a saturation that of the last ideal of
+    its walk, so a numerator recorded with a basis of one of them is known
+    to all.  A saturation step that divides gets a list of its own.
     ``has_monomial`` memoizes the answer of ``contains_monomial``, None
     until one is known.
     """
@@ -123,6 +124,8 @@ class Ideal:
         self, n: int, generators: Iterable,
         degree_cap: int = DEFAULT_DEGREE_CAP,
     ):
+        if not isinstance(degree_cap, int):
+            raise ValueError(f"degree cap {degree_cap!r} is not an int")
         if degree_cap < 1:
             raise ValueError(f"degree cap {degree_cap} is below 1")
         gens = []
@@ -770,18 +773,6 @@ def _cone_hit(I: Ideal, key: Callable):
     return None
 
 
-def known_numerator(I: Ideal):
-    """The Hilbert numerator of I: ``I.numerator``, read from the leads of a
-    cached basis if unset, through ``I.hilbert_memo``; None while I has
-    neither.  A numerator read here is set in ``I.series``, so the ideals
-    that share it (I's transforms and initial ideals, and I's parent if I
-    is one of those) know it too."""
-    if I.numerator is None and I.gb_cache:
-        leads = frozenset(next(iter(I.gb_cache.values())).leads)
-        I.numerator = _memo_numerator(I.hilbert_memo, I.n, leads)
-    return I.numerator
-
-
 def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     """The reduced Groebner basis of I, computed under ``I.degree_cap`` and
     memoized in ``I.gb_cache``.
@@ -798,7 +789,8 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     the workloads, saved only a few entry divisions, and cost more when that
     basis has large coefficients.  ``I.degree_cap`` bounds every element
     pushed and every pair formed.  A run takes the Hilbert numerator of I,
-    when known, as its target (see ``_buchberger_dicts``)."""
+    when known, as its target (see ``_buchberger_dicts``); the first basis
+    stored, by a run or a cone hit, sets it from its leads."""
     if order.weight is not None:
         wn = normalize_weight(order.weight, I.n)
         order = OrderSpec(order.base, order.perm, wn if any(wn) else None)
@@ -808,9 +800,11 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     key = order.key_function(I.n, I.degree_cap)
     forms = _cone_hit(I, key)
     if forms is None:
-        forms = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap, known_numerator(I),
+        forms = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap, I.numerator,
                                   I.hilbert_memo)
     gb = I.gb_cache[order] = GroebnerBasis(order, I.n, forms)
+    if I.numerator is None:
+        I.numerator = _memo_numerator(I.hilbert_memo, I.n, frozenset(gb.leads))
     return gb
 
 
@@ -827,9 +821,11 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     Results are interned in ``I.initials`` by their forms: every weight with
     the same initial ideal gets the same ``Ideal``, so later computations on
     it (a saturation, say) reuse its cached bases and memoized answers, and
-    equal initial ideals of I are one object.  J has the Hilbert series of
-    I and shares I's ``series``, in which the numerator read from the basis
-    under the refined order is set, so J's first run already has a target.
+    equal initial ideals of I are one object (this serves repeated queries
+    under injected transforms: a sampled query is answered at its sorted
+    weight, so each draw builds each initial ideal once).  J has the
+    Hilbert series of I and shares I's ``series``, which ``buchberger``
+    filled with I's basis, so J's first run already has a target.
     """
     wn = normalize_weight(w, I.n)
     J = I._derive(
@@ -840,7 +836,6 @@ def initial_ideal(I: Ideal, w) -> Ideal:
         key = GREVLEX.key_function(J.n, J.degree_cap)
         J.gb_cache[GREVLEX] = GroebnerBasis(
             GREVLEX, J.n, sorted(J.forms, key=lambda f: key(f[0][0])))
-    known_numerator(I)
     J.series = I.series
     return J
 
@@ -886,7 +881,8 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     its reduced grevlex basis, which the result keeps in its cache; any
     other f raises ``ValueError``.  The saturation takes one variable of f
     at a time (see ``_saturation``); the runs made depend on the bases I
-    holds, and the result does not."""
+    holds, and the result does not.  It shares the Hilbert series, and the
+    holder of it, of the last ideal of the walk."""
     if f.n != I.n:
         raise ValueError("ambient variable counts differ")
     if not f.is_monomial():
@@ -894,7 +890,8 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     J = _saturation(I, f.terms[0][0])
     gb = buchberger(J, GREVLEX)
     S = J._derive(map(dict, gb.forms))
-    S.gb_cache[GREVLEX] = J.gb_cache[GREVLEX]
+    S.gb_cache[GREVLEX] = gb
+    S.series = J.series
     return S
 
 
@@ -931,10 +928,9 @@ def _trace_certifies(J: Ideal) -> bool:
     Anything else, or normal forms of degree j0 + n - d above the cap,
     certifies nothing."""
     gb = J.gb_cache.get(GREVLEX)
-    q = None if gb is None else known_numerator(J)
-    if q in (None, (0,)):
+    if gb is None or J.numerator == (0,):
         return False
-    Q, d = cancel_one_minus_t(q, J.n)
+    Q, d = cancel_one_minus_t(J.numerator, J.n)
     k, j0, cap = J.n - d + 1, len(Q) - 1, J.degree_cap
     if d < 1 or j0 + k - 1 > cap or any(any(f[0][0][k - 1:]) for f in gb.forms):
         return False

@@ -8,8 +8,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .groebner import (
-    Ideal, buchberger, cancel_one_minus_t, divides, hilbert_numerator, known_numerator,
-    minimal_monomials,
+    Ideal, buchberger, cancel_one_minus_t, divides, hilbert_numerator, minimal_monomials,
 )
 from .poly import GREVLEX, OrderSpec, Polynomial, UsageError
 
@@ -73,14 +72,13 @@ def monomial_dimension(M: MonomialIdeal) -> int:
 
 def _series(I: Ideal, what: str) -> tuple:
     """(Q, d) of the Hilbert series Q(t) / (1-t)^d of S/I, fully
-    cancelled, from the numerator that I memoizes (``known_numerator``):
-    one already known, read from a basis of I or of an ideal that shares
-    I's series, makes no run; else it is read from I's grevlex basis.  The
-    zero ring raises ``UsageError`` naming ``what``."""
-    q = known_numerator(I)
-    if q is None:
+    cancelled, from the numerator that I memoizes (``Ideal.numerator``):
+    one already known, recorded with a basis of I or of an ideal that
+    shares I's series, makes no run; else ``buchberger(I, GREVLEX)``
+    records it.  The zero ring raises ``UsageError`` naming ``what``."""
+    if I.numerator is None:
         buchberger(I, GREVLEX)
-        q = known_numerator(I)
+    q = I.numerator
     if q == (0,):
         raise UsageError(f"{what} of the zero ring is undefined")
     return cancel_one_minus_t(q, I.n)

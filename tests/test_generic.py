@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from gentrop import cli, generic, groebner
+from gentrop import cli, generic, groebner, invariants
 from gentrop.fans import (
     ConeId,
     interior_point,
@@ -38,6 +38,7 @@ from gentrop.generic import (
 )
 from gentrop.groebner import (
     DegreeCapExceeded, Ideal, buchberger, contains_monomial, hilbert_numerator, initial_ideal,
+    saturate,
 )
 from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of, multiplicity
 from gentrop.poly import GREVLEX, OrderSpec, Polynomial, normalize_weight
@@ -116,6 +117,11 @@ def test_policy_validation():
         GenericityPolicy(samples=1)
     with pytest.raises(ValueError):
         GenericityPolicy(bound=0)
+    # a count that is not an int would fail only at first use, inside
+    # ``range`` or ``randrange``
+    for bad in ({"samples": 2.0}, {"bound": 10.5}, {"bound": "10"}):
+        with pytest.raises(ValueError, match="must be ints"):
+            GenericityPolicy(**bad)
     # injected transforms may be a single one, but not none, and each must
     # be a Transform: a nested list would fail unhashable at first use
     identity_policy(3)
@@ -251,8 +257,10 @@ def test_a_transform_takes_over_the_hilbert_series(monkeypatch):
             cold = Ideal(n, map(dict, gI.forms))
             assert gI.numerator == I.numerator == hilbert_numerator(n, buchberger(cold).leads)
     # a singular map need not keep the series, so it is no transform;
-    # neither is a matrix that is not square
-    for matrix in (((1, 1), (0, 0)), (), ((1, 0),), ((1, 0, 0), (0, 1, 0))):
+    # neither is a matrix that is not square, nor one with an entry that is
+    # not an int, which ``apply_transform`` could not expand
+    for matrix in (((1, 1), (0, 0)), (), ((1, 0),), ((1, 0, 0), (0, 1, 0)),
+                   [[1.5]], [[Fraction(1, 2)]], [["a"]]):
         with pytest.raises(ValueError):
             Transform(matrix)
 
@@ -557,15 +565,9 @@ def test_membership_answers_flow_between_a_draw_and_its_initial_ideals():
                     assert bool(gI.initials) != zero_first
 
 
-def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):
-    # two pairs of dense quadrics, in 3 and 4 variables, 10 grid queries
-    # each.  Each new initial ideal J caches the reduced grevlex basis read
-    # from its forms, so the saturation steps of its membership test skip
-    # J's grevlex run: the sweep makes at most 24 engine runs (32 when every
-    # J ran one).  Every ideal derived from an input ideal shares its memo
-    # of Hilbert checks, keyed by the minimal leads, so the sweep computes
-    # at most 11 Hilbert numerators (28 when each ideal kept its own memo,
-    # 36 with no memo).
+def _small_sweep() -> tuple:
+    """(ideals, queries): two pairs of dense quadrics, in 3 and 4
+    variables, 10 grid queries each."""
     rng = random.Random("small-sweep")
     ideals, queries = [], []
     for n in (3, 4):
@@ -576,6 +578,18 @@ def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):
             w = [low] * ties + [rng.randint(low + 1, 3) for _ in range(n - ties)]
             rng.shuffle(w)
             queries.append((len(ideals) - 1, tuple(w)))
+    return ideals, queries
+
+
+def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):
+    # each new initial ideal J caches the reduced grevlex basis read from
+    # its forms, so the saturation steps of its membership test skip J's
+    # grevlex run: the sweep makes at most 24 engine runs (32 when every J
+    # ran one).  Every ideal derived from an input ideal shares its memo of
+    # Hilbert checks, keyed by the minimal leads, so the sweep computes at
+    # most 11 Hilbert numerators (28 when each ideal kept its own memo, 36
+    # with no memo).
+    ideals, queries = _small_sweep()
     dims = [dimension(I) for I in ideals]
     runs = counting_engine(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
@@ -584,6 +598,36 @@ def test_a_small_sweep_bounds_runs_and_hilbert_checks(monkeypatch):
         assert tropical_member(ideals[k], w, policy()) == want
     assert 0 < len(runs) <= 24
     assert 0 < len(numerators) <= 11
+
+
+def test_an_ideal_that_holds_a_basis_knows_its_series(tmp_path, capsys, monkeypatch):
+    # ``buchberger`` records the Hilbert numerator with the first basis it
+    # stores, by a run or a cone hit, so every ideal it returns a basis for
+    # knows its series at once: in a small sweep, in an in-process
+    # multiplicity job and on a fresh ideal.  A saturation holds the
+    # grevlex basis of the last ideal of its walk, so it shares that
+    # ideal's series.  Wrapped wherever the package calls ``buchberger``.
+    known = []
+    engine = groebner.buchberger
+
+    def checked(I, *args):
+        gb = engine(I, *args)
+        known.append(I.numerator is not None)
+        return gb
+
+    for module in (groebner, generic, invariants):
+        monkeypatch.setattr(module, "buchberger", checked)
+    ideals, queries = _small_sweep()
+    for k, w in queries:
+        tropical_member(ideals[k], w, policy())
+    path = tmp_path / "fam.ideal"
+    path.write_text("ring 5\nx1\nx2^2\nx2*x3\nx2*x4\n")
+    assert cli.main(["verify", str(path), "--target", "multiplicity", "--seed", "1"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    buchberger(ideal(3, "x1*x2 - x3^2"))
+    assert len(known) > 20 and all(known)
+    S = saturate(ideal(4, "x1^2 + x1*x2", "x2*x1 + x2^2"), P("x1*x2*x3*x4", 4))
+    assert list(S.gb_cache) == [GREVLEX] and S.numerator == (1, -1)
 
 
 def test_tropical_member_rejects_dim_zero():

@@ -694,6 +694,9 @@ def test_graded_validation_and_errors():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="below 1"):
             ideal(2, "x1", degree_cap=cap)
+    # a cap that is not an int would fail only at the first run
+    with pytest.raises(ValueError, match="not an int"):
+        Ideal(3, [P("x1*x2", 3)], degree_cap=2.5)
 
 
 def test_ideal_stores_primitive_integer_forms():
