@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -71,6 +72,10 @@ EXIT_DEGREE_CAP = 5
 EXIT_INTERNAL = 6
 
 
+# an int flag: int() would also take other scripts' digits, "_" and "+"
+_INT = re.compile(f"-?[0-9]{{1,{MAX_DIGITS}}}")
+
+
 def parse_ideal_file(text: str):
     """Parse an ideal file into (n, polynomials).  Raises ParseError."""
     lines = []
@@ -81,7 +86,8 @@ def parse_ideal_file(text: str):
     if not lines:
         raise ParseError("empty ideal file")
     header = lines[0].split()
-    if len(header) != 2 or header[0] != "ring" or not header[1].isdecimal():
+    if (len(header) != 2 or header[0] != "ring" or not header[1].isascii()
+            or not header[1].isdecimal()):
         raise ParseError(f"bad header {lines[0]!r}; expected 'ring <n>'")
     n = parse_int(header[1])
     if n < 1:
@@ -99,6 +105,8 @@ def _parse_omega(text: str, n: int):
     w = []
     for p in parts:
         try:
+            if not p.isascii() or "_" in p:
+                raise ValueError(f"{p[:20]!r}: only ASCII digits, signs, '/', '.' and 'e'")
             # a bound on the digits Fraction(p) builds, checked before it does
             mantissa, _, exp = p.lower().partition("e")
             if len(mantissa) + abs(int(exp or 0)) > MAX_DIGITS:
@@ -310,10 +318,9 @@ def parse_args(argv: list):
             if value is None:
                 raise UsageError(f"{flag} expects a value")
         if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise UsageError(f"{flag} expects an integer, got {value!r}") from None
+            if not _INT.fullmatch(value):
+                raise UsageError(f"{flag} expects an integer, got {value[:20]!r}")
+            value = int(value)
         elif kind is not str and value not in kind:
             raise UsageError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
         values[attr] = value
@@ -376,7 +383,7 @@ def main(argv=None) -> int:
             **fields,
         }
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.json:
+        if args.json is not None:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(text)
         sys.stdout.write(text)

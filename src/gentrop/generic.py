@@ -48,8 +48,8 @@ that of w under P_s^T g, which is generic when g is; agreement across the
 draws still certifies every answer computed.  The sorted weight, unlike
 the first one asked, makes an answer independent of earlier queries and
 shares Groebner cones far more often.  Under injected transforms answers
-differ along an orbit, so each normalized weight is answered on its own,
-and repeated queries there share interned initial ideals.
+differ along an orbit, so each normalized weight is answered, and its
+answer memoized, on its own.
 ``tropical_report``, behind ``gentrop tropical``, answers at the normalized
 weight itself and returns the initial ideal of a draw that agreed on that
 answer, so the two never contradict each other.  Neither makes a run on the

@@ -36,10 +36,11 @@ computations on it with ``DegreeCapExceeded`` instead of hanging.  An
 ideal the engine derives from its own forms inherits what its parent knows:
 its cap, its memo of Hilbert checks and, for an initial ideal, its reduced
 grevlex basis, which is its forms (Sturmfels 1996, "Groebner Bases and
-Convex Polytopes", Prop. 1.8 and Cor. 1.9).  An initial ideal and an
-invertible transform share their parent's holder of the Hilbert numerator
-(``Ideal.series``), and a saturation shares that of the last ideal of its
-walk, so a numerator recorded with any one's basis ends the runs of all.
+Convex Polytopes", Prop. 1.8 and Cor. 1.9).  Each ``initial_ideal`` call
+builds a fresh ideal.  An initial ideal and an invertible transform share
+their parent's holder of the Hilbert numerator (``Ideal.series``), and a
+saturation shares that of the last ideal of its walk, so a numerator
+recorded with any one's basis ends the runs of all.
 """
 
 from __future__ import annotations
@@ -99,10 +100,8 @@ class Ideal:
     ``members`` maps a (policy, weight) pair to the answer of
     ``generic.tropical_member``, with the sorted normalized weight under
     sampled transforms and the normalized weight itself under injected
-    ones.  ``initials`` interns the weighted initial ideals (see
-    ``initial_ideal``): it maps the forms of an initial ideal to one shared
-    ``Ideal``, so equal initial ideals share their cached bases.
-    ``numerator`` memoizes the numerator of the Hilbert series of S/I (see
+    ones.  Weighted initial ideals are not memoized.  ``numerator``
+    memoizes the numerator of the Hilbert series of S/I (see
     ``hilbert_numerator``), which every Buchberger run on the ideal takes
     as the target that ends it; ``buchberger`` sets it with the first basis
     it stores, and until then it is None.  It is held in ``series``, a
@@ -117,7 +116,7 @@ class Ideal:
 
     __slots__ = (
         "n", "forms", "degree_cap", "hilbert_memo", "gb_cache", "images", "gins",
-        "initials", "members", "series", "has_monomial", "_gens",
+        "members", "series", "has_monomial", "_gens",
     )
 
     def __init__(
@@ -172,7 +171,6 @@ class Ideal:
         self.gb_cache: dict = {}
         self.images: dict = {}
         self.gins: dict = {}
-        self.initials: dict = {}
         self.members: dict = {}
         self.series = [None]
         self.has_monomial = None
@@ -818,24 +816,19 @@ def initial_ideal(I: Ideal, w) -> Ideal:
     of their leads, two initial ideals computed here are equal iff their
     ``forms`` agree.
 
-    Results are interned in ``I.initials`` by their forms: every weight with
-    the same initial ideal gets the same ``Ideal``, so later computations on
-    it (a saturation, say) reuse its cached bases and memoized answers, and
-    equal initial ideals of I are one object (this serves repeated queries
-    under injected transforms: a sampled query is answered at its sorted
-    weight, so each draw builds each initial ideal once).  J has the
-    Hilbert series of I and shares I's ``series``, which ``buchberger``
-    filled with I's basis, so J's first run already has a target.
+    Each call builds a fresh ``Ideal`` and memoizes nothing on I: a sampled
+    tropical-membership query is answered at its sorted weight, so each
+    draw builds each initial ideal once.  J has the Hilbert series of I and
+    shares I's ``series``, which ``buchberger`` filled with I's basis, so
+    J's first run already has a target.
     """
     wn = normalize_weight(w, I.n)
     J = I._derive(
         dict(initial_terms(wn, f)) for f in sorted(buchberger(I, GREVLEX.refine(wn)).forms)
     )
-    J = I.initials.setdefault(J.forms, J)
-    if GREVLEX not in J.gb_cache:
-        key = GREVLEX.key_function(J.n, J.degree_cap)
-        J.gb_cache[GREVLEX] = GroebnerBasis(
-            GREVLEX, J.n, sorted(J.forms, key=lambda f: key(f[0][0])))
+    key = GREVLEX.key_function(J.n, J.degree_cap)
+    J.gb_cache[GREVLEX] = GroebnerBasis(
+        GREVLEX, J.n, sorted(J.forms, key=lambda f: key(f[0][0])))
     J.series = I.series
     return J
 

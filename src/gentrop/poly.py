@@ -336,8 +336,8 @@ def parse_int(digits: str) -> int:
     return int(digits)
 
 
-_COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
-_VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_COEFF_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
+_VAR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
 
 
 def parse_polynomial(text: str, n: int) -> Polynomial:

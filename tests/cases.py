@@ -172,6 +172,12 @@ def counting_walks(monkeypatch) -> list:
     return _counting(monkeypatch, "_saturation")
 
 
+def counting_trace_checks(monkeypatch) -> list:
+    """Record each trace check (``_trace_certifies``) that
+    ``contains_monomial`` asks before it walks a saturation."""
+    return _counting(monkeypatch, "_trace_certifies")
+
+
 def counting_orders(monkeypatch) -> list:
     """Record the (ideal, order) of each ``buchberger`` call inside the
     engine, order None for the default."""
@@ -207,6 +213,12 @@ def counting_gins(monkeypatch) -> list:
     transformed ideal: one per transform for each generic initial ideal it
     computes, none for one it finds in ``Ideal.gins``."""
     return _counting(monkeypatch, "monomial_ideal_of", generic)
+
+
+def counting_initial_ideals(monkeypatch) -> list:
+    """Record each weighted initial ideal ``generic`` builds (its calls of
+    ``initial_ideal``)."""
+    return _counting(monkeypatch, "initial_ideal", generic)
 
 
 def counting_hilbert_numerators(monkeypatch) -> list:

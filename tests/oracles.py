@@ -4,8 +4,8 @@ Everything here is exact linear algebra (sparse Gaussian elimination over
 the rationals) or exhaustive enumeration, deliberately sharing no code
 with the division/Buchberger path it checks.  The
 exceptions are the fan probes' earlier forms, kept as references for the
-exact forms that replaced them: ``interned_initial_ideals``, the comparison
-of weighted initial ideals that the Groebner-cell point test replaced, and
+exact forms that replaced them: ``initial_ideal_forms``, the comparison of
+weighted initial ideals that the Groebner-cell point test replaced, and
 ``moved_point_ray_constancy`` and ``moved_point_recover_depth``, which
 approximate a coordinate ray by one far point, where the ray form of the
 cell test decides the whole ray; ``sampled_cone_constancy``, which
@@ -40,13 +40,13 @@ from gentrop.poly import GREVLEX, OrderSpec, Polynomial, normalize_weight
 from gentrop.tropmult import intrinsic_multiplicity
 
 
-def interned_initial_ideals(I: Ideal, points) -> list:
-    """The weighted initial ideal of I at each of ``points``, each from its
-    own reduced basis, of a fresh copy of I so that no basis cached on I is
-    read.  Equal initial ideals are one interned ``Ideal``, so in_v(I) =
-    in_w(I) iff the entries of v and w are the same object."""
+def initial_ideal_forms(I: Ideal, points) -> list:
+    """The forms of the weighted initial ideal of I at each of ``points``,
+    each from its own reduced basis, of a fresh copy of I so that no basis
+    cached on I is read.  Two initial ideals of I are equal iff their forms
+    agree, so in_v(I) = in_w(I) iff the entries of v and w are equal."""
     J = Ideal(I.n, map(dict, I.forms), I.degree_cap)
-    return [initial_ideal(J, w) for w in points]
+    return [initial_ideal(J, w).forms for w in points]
 
 
 def moved_point_ray_constancy(I: Ideal, w, directions, policy, c_gap=None) -> bool:

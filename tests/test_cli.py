@@ -253,6 +253,11 @@ def test_tropical_rejects_bad_omega(tmp_path, capsys):
     # the entry, not the Fraction that raised
     err = capsys.readouterr().err.splitlines()[-1]
     assert err == "error: zero denominator in omega entry '1/0'"
+    # Fraction() also reads other scripts' digits and "_" between digits
+    for omega in ("\u0663,1,2,3", "0,1_0,1,2", "0,1,\uff12,3"):
+        assert main(["tropical", path, "--omega", omega]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad omega entry: ")
 
 
 def test_tropical_prints_the_initial_ideal_of_the_agreeing_draws(tmp_path, capsys):
@@ -550,11 +555,19 @@ def test_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.ideal", "ring two\nx1\n")
     assert main(["analyze", bad]) == EXIT_PARSE
     capsys.readouterr()
-    # a superscript two is a digit to str.isdigit but not to int()
-    bad = write(tmp_path, "bad.ideal", "ring \u00b2\nx1\n")
-    assert main(["analyze", bad]) == EXIT_PARSE
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: bad header ")
+    # a superscript two is a digit to str.isdigit but not to int(), and a
+    # fullwidth three is one to str.isdecimal and int() but not ASCII
+    for header in ("\u00b2", "\uff13"):
+        bad = write(tmp_path, "bad.ideal", f"ring {header}\nx1\n")
+        assert main(["analyze", bad]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad header ")
+    # Arabic-Indic digits in a coefficient, an index or an exponent
+    for text in ("\u0663*x1^2 + x2*x3", "x\u0661^2 + x2*x3", "x1^\u0662 + x2*x3"):
+        bad = write(tmp_path, "bad.ideal", f"ring 3\n{text}\n")
+        assert main(["analyze", bad]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad factor ")
     for text, why in (("x1+", "cannot tokenize"), ("1/0*x1", "zero denominator")):
         bad = write(tmp_path, "bad.ideal", f"ring 2\n{text}\n")
         assert main(["analyze", bad]) == EXIT_PARSE
@@ -630,10 +643,13 @@ def test_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    # so is a --json path that cannot be written, also an empty one, which
+    # must not skip the report it asks for
     nowhere = str(tmp_path / "no-such-dir" / "r.json")
-    assert main(["analyze", fam, "--json", nowhere]) == EXIT_PARSE
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    for argv in (["--json", nowhere], ["--json", ""], ["--json="]):
+        assert main(["analyze", fam, *argv]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -646,6 +662,10 @@ def test_exit_codes(tmp_path, capsys):
     (["tropical", "{f}"], "tropical requires --omega"),
     (["verify", "{f}", "--target", "bogus"], "--target must be one of "),
     (["analyze", "{f}", "--seed", "x"], "--seed expects an integer, got 'x'"),
+    (["analyze", "{f}", "--seed", "3_000"], "--seed expects an integer, got '3_000'"),
+    (["analyze", "{f}", "--seed", "\u0663"], "--seed expects an integer, got '\u0663'"),
+    (["analyze", "{f}", "--bound=+5"], "--bound expects an integer, got '+5'"),
+    (["analyze", "{f}", "--seed", "7" * 5000], f"--seed expects an integer, got '{'7' * 20}'\n"),
     (["analyze", "{f}", "--seed"], "--seed expects a value"),
     (["analyze", "{f}", "--identity=1"], "--identity takes no value"),
     (["analyze"], "analyze takes one file, got 0"),
@@ -654,7 +674,8 @@ def test_exit_codes(tmp_path, capsys):
     (["bogus", "{f}"], "expected a command"),
     (["--seed", "1", "analyze", "{f}"], "expected a command"),
 ], ids=["unknown-flag", "abbreviated-flag", "foreign-flag", "foreign-target", "no-target",
-        "no-omega", "bad-target", "bad-int", "no-value", "switch-value", "no-file",
+        "no-omega", "bad-target", "bad-int", "underscore-int", "arabic-int", "plus-int",
+        "long-int", "no-value", "switch-value", "no-file",
         "two-files", "no-command", "bad-command", "flag-before-command"])
 def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
     # a bad command line is a UsageError inside main: no SystemExit, no

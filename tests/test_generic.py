@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,7 +47,7 @@ from gentrop.poly import GREVLEX, OrderSpec, Polynomial, normalize_weight
 
 from oracles import (
     expanded_transform,
-    interned_initial_ideals,
+    initial_ideal_forms,
     monomials_of_degree,
     moved_point_ray_constancy,
     moved_point_recover_depth,
@@ -61,6 +63,7 @@ from cases import (
     counting_engine_variables,
     counting_gins,
     counting_hilbert_numerators,
+    counting_initial_ideals,
     counting_normal_forms,
     counting_resorts,
     counting_spairs,
@@ -486,23 +489,25 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
     # certify a step).  Injected as explicit transforms, the same draws
     # answer each normalized weight at itself: each transformed ideal ends
     # with 15 to 19 cached bases, and a new query's order is often in the
-    # Groebner cone of one cached long before.  The trace check declines 82
-    # of that scan's 104 containment tests (70 with a trailing variable in
-    # a grevlex lead at an unsorted weight, 12 with a zero trace), which
-    # walk their saturations: each step takes its basis through
-    # ``buchberger``, served from a cached basis or run in 5 variables.  So
-    # that scan makes 138 runs, all in 5 variables, forms 142 s-pairs and,
-    # asking the cached bases oldest first, re-sorts 954 of them (746 when
-    # a step that a cached basis certified asked no order; 66 runs in 5
-    # variables and 72 in 4, 70 s-pairs and 638 re-sorts when, too, a run on
-    # the restriction could certify a step).  Without the trace check it
-    # makes 170 runs and re-sorts 1302 (826 with certified steps); without
-    # the walk's stop at the unit ideal, 184 runs, as without the stop at
-    # the first basis with a monomial that it replaced; with certified
-    # steps and without interned initial ideals, 166.  Before certified
-    # steps it made 186 runs (196 when a lookup asked only the grevlex basis and
-    # the six newest, 214 when equal initial ideals were not one interned
-    # object) and re-sorted 1132 (1214 newest first)
+    # Groebner cone of one cached long before.  Each of the scan's 128
+    # initial ideals is built fresh, so equal ones are tested apart: the
+    # trace check declines 112 of its 134 containment tests (94 with a
+    # trailing variable in a grevlex lead at an unsorted weight, 18 with a
+    # zero trace), which walk their saturations: each step takes its basis
+    # through ``buchberger``, served from a cached basis or run in 5
+    # variables.  So that scan makes 166 runs, all in 5 variables, forms 170
+    # s-pairs and, asking the cached bases oldest first, re-sorts 1066 of
+    # them.  When equal initial ideals of a draw were one interned object,
+    # it made 104 containment tests, 82 declined, and 138 runs, 142 s-pairs
+    # and 954 re-sorts (746 when a step that a cached basis certified asked
+    # no order; 66 runs in 5 variables and 72 in 4, 70 s-pairs and 638
+    # re-sorts when, too, a run on the restriction could certify a step).
+    # Then, without the trace check it made 170 runs and re-sorted 1302
+    # (826 with certified steps); without the walk's stop at the unit ideal,
+    # 184 runs, as without the stop at the first basis with a monomial that
+    # it replaced.  Before certified steps it made 186 runs (196 when a
+    # lookup asked only the grevlex basis and the six newest, 214 without
+    # interning) and re-sorted 1132 (1214 newest first)
     def scan(injected: bool) -> tuple:
         rng = random.Random(5)
         runs, resorts = counting_engine_variables(monkeypatch), counting_resorts(monkeypatch)
@@ -522,10 +527,10 @@ def test_a_membership_scan_in_five_variables_pins_its_runs(monkeypatch):
         return runs.count(5), runs.count(4), len(runs), len(resorts), len(spairs)
 
     assert scan(injected=False)[:3] == (12, 0, 12)
-    assert scan(injected=True) == (138, 0, 138, 954, 142)
+    assert scan(injected=True) == (166, 0, 166, 1066, 170)
 
 
-def test_membership_answers_flow_between_a_draw_and_its_initial_ideals():
+def test_membership_answers_flow_between_a_draw_and_its_initial_ideals(monkeypatch):
     # ``_member_at`` answers for one transformed ideal gI from what gI and
     # its initial ideals know: the zero weight walks gI itself, a
     # monomial-free in_w(gI) memoizes that gI holds no monomial, and a gI
@@ -547,6 +552,7 @@ def test_membership_answers_flow_between_a_draw_and_its_initial_ideals():
     sparse = seeded_ideals(2, 1)
     cases = [(I, policy()) for I in (*sparse[:2], *sparse[3:], smooth_quadric4(), product_family(4, 2))]
     cases.append((held, identity_policy(3)))
+    built = counting_initial_ideals(monkeypatch)
     for I, pol in cases:
         n = I.n
         grid = sorted({normalize_weight(w, n) for w in product(range(-1, 2), repeat=n)})
@@ -556,13 +562,14 @@ def test_membership_answers_flow_between_a_draw_and_its_initial_ideals():
         for zero_first in (True, False):
             weights = [(0,) * n] + grid if zero_first else grid + [(0,) * n]
             for gI, want in zip(transformed(Ideal(n, map(dict, I.forms)), pol), wants):
+                del built[:]
                 answers = [_member_at(gI, wn) for wn in weights]
                 assert answers == (want if zero_first else want[1:] + want[:1])
                 # a draw is known monomial-free once one in_w(gI) is
                 assert (gI.has_monomial is False) == any(answers)
                 if I is held:
                     assert gI.has_monomial is True
-                    assert bool(gI.initials) != zero_first
+                    assert bool(built) != zero_first
 
 
 def _small_sweep() -> tuple:
@@ -736,9 +743,9 @@ def _differential_cases():
         yield name, I, cones
 
 
-def test_cell_test_matches_interned_initial_ideals():
+def test_cell_test_matches_initial_ideal_forms():
     # the point form of GroebnerBasis.cell_contains against the fan probes'
-    # earlier comparison of interned initial ideals, on every ordered pair
+    # earlier comparison of weighted initial ideals, on every ordered pair
     # of 8 sampled interior points per cone and transform; the open-cone
     # form must only certify cones where all 8 points agree, and never a
     # cone of the split ideal's depth-1 refinement, all of which split
@@ -749,20 +756,20 @@ def test_cell_test_matches_interned_initial_ideals():
         for cone in cones:
             points = list(interior_points(cone, gap, 8))
             for gI in transformed(I, pol):
-                want = interned_initial_ideals(gI, points)
+                want = initial_ideal_forms(gI, points)
                 bases = [buchberger(gI, GREVLEX.refine(w)) for w in points]
                 for i, gb in enumerate(bases):
                     for j, v in enumerate(points):
                         if i != j:
-                            same = want[i] is want[j]
+                            same = want[i] == want[j]
                             assert gb.cell_contains(v) == same, (name, cone, i, j)
                             pairs[same] += 1
                 holds = bases[0].cell_contains(cone=(cone.min_set, cone.middle, cone.top))
                 if holds:
-                    assert all(J is want[0] for J in want), (name, cone)
+                    assert all(J == want[0] for J in want), (name, cone)
                     certified += 1
                 if name == "split" and len(cone.top) == 1:
-                    assert not holds and any(J is not want[0] for J in want), cone
+                    assert not holds and any(J != want[0] for J in want), cone
                     split_cones += 1
     assert min(pairs.values()) > 1000 and certified > 100 and split_cones == 2 * 30
     # the cone form certifies a whole open cone from a basis at any weight:
@@ -774,8 +781,8 @@ def test_cell_test_matches_interned_initial_ideals():
     outside = 0
     for sets in (({1, 3}, (), ()), ({1, 2}, {4}, {3}), ({1}, {2, 3}, {4})):
         if gb.cell_contains(cone=sets):
-            want = interned_initial_ideals(q, list(interior_points(ConeId(4, *sets), 2, 8)))
-            assert all(J is want[0] for J in want), sets
+            want = initial_ideal_forms(q, list(interior_points(ConeId(4, *sets), 2, 8)))
+            assert all(J == want[0] for J in want), sets
             outside += 1
     assert outside == 2
 
@@ -796,7 +803,7 @@ def test_cached_bases_certify_cones_exactly():
     # transformed ideal caches its grevlex basis and the basis at the first
     # interior point of every cone, and every cached basis is asked about
     # every cone.  Each True must see the cone's 8 sampled points agree
-    # under the interned initial ideals, and the basis at the cone's first
+    # in their initial ideals' forms, and the basis at the cone's first
     # point must certify the cone too.  730 of the 1,358 Trues come from a
     # basis whose weight lies outside the cone
     pol = policy(seed=3)
@@ -814,8 +821,8 @@ def test_cached_bases_certify_cones_exactly():
                     if not gb.cell_contains(cone=sets):
                         continue
                     if not checked:
-                        want = interned_initial_ideals(gI, points[cone])
-                        assert all(J is want[0] for J in want), (name, cone)
+                        want = initial_ideal_forms(gI, points[cone])
+                        assert all(J == want[0] for J in want), (name, cone)
                         assert first[cone].cell_contains(cone=sets), (name, cone)
                         checked = True
                     trues += 1
@@ -945,7 +952,6 @@ def test_wide_fan_probes_build_one_basis_per_lead_set(monkeypatch):
     for gI in transformed(I, pol):
         leads = [frozenset(gb.leads) for order, gb in gI.gb_cache.items() if order.weight is not None]
         assert len(set(leads)) == len(leads) < len(probes)
-        assert not gI.initials
 
 
 def test_wide_fan_verify_pins_its_work(monkeypatch, tmp_path, capsys):
@@ -1176,6 +1182,37 @@ def test_stanley_reisner_rings_match_the_topological_oracle():
             got = (dimension(I), generic.depth(I, pol), classify_cm(I, pol).label, multiplicity(I))
             assert got == want, (n, facets, seed)
     assert labels == {CM: 127, ALMOST_CM: 46, NEITHER: 27}
+
+
+def test_stanley_reisner_rings_pass_the_verify_probes():
+    # the ``verify`` targets on the seeded draw at policy seed 0, with the
+    # dimension and depth of ``oracles.stanley_reisner``: Wnm passes on the
+    # 173 CM and almost-CM complexes; on the 27 with 0 < depth < dim - 1,
+    # ``recover_depth`` gives the oracle's depth and Wnmt passes on all but
+    # complex 17; multiplicity passes on all 200.  Complex 17, n = 6 and
+    # I = x1 (x2, x3 x5, x4 x5, x4 x6, x5 x6) of dimension 5 and depth 2,
+    # is a known failure, kept in the draw: each of its 90 refinement cones
+    # fails its constancy probe at policy seeds 0-3, and its 200 adjacent
+    # pairs are distinct.  The split ideal x1 (x1, x2, x3^2, x3 x4) fails
+    # all 30 of its cones the same way
+    counts, wnmt_failures = Counter(), []
+    for k, (n, facets) in enumerate(stanley_reisner_draw()):
+        m, t = stanley_reisner(facets)[:2]
+        I, pol = stanley_reisner_ideal(n, facets), policy()
+        fan = "Wnm" if t >= m - 1 else "Wnmt"
+        if fan == "Wnmt":
+            assert recover_depth(I, pol) == t, (n, facets)
+        for target in (fan, "multiplicity"):
+            _, report = cli.cmd_verify(I, pol, SimpleNamespace(target=target))
+            counts[target] += 1
+            if target == "Wnmt" and not report["passed"]:
+                wnmt_failures.append(k)
+                probes = Counter((p["kind"], p["result"]) for p in report["probes"])
+                assert probes == {("cone_constancy", False): 90,
+                                  ("adjacent_pair_distinct", True): 200}, (n, facets)
+            else:
+                assert report["passed"], (target, n, facets)
+    assert counts == {"Wnm": 173, "Wnmt": 27, "multiplicity": 200} and wnmt_failures == [17]
 
 
 def test_stanley_reisner_tropical_varieties_are_the_oracle_skeleta():

@@ -12,6 +12,7 @@ from operator import le, mul
 
 import pytest
 
+from gentrop import generic
 from gentrop.fans import budget, interior_point, refinement_maximal_cones
 from gentrop.generic import gap_degree, identity_policy, transformed, tropical_member
 from gentrop.groebner import (
@@ -33,7 +34,7 @@ from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, norm
 import oracles
 from cases import (
     P, counting_cone_hits, counting_engine, counting_normal_forms, counting_orders,
-    counting_spairs, counting_walks, dense_form,
+    counting_spairs, counting_trace_checks, counting_walks, dense_form,
     ideal, policy, product_family,
     random_graded_ideal, seeded_ideals, split_fan_ideal, stable_depth_family,
     stanley_reisner_draw, stanley_reisner_ideal,
@@ -184,13 +185,15 @@ def test_initial_ideal_invariance_under_scaling_and_shift():
         lam = rng.randint(1, 4)
         c = rng.randint(-5, 5)
         w2 = tuple(lam * x + c for x in w)
-        # a fresh parent, so the second ideal is computed, not interned
+        # a fresh parent, so no basis cached on I is read
         assert initial_ideal(I, w).generators == initial_ideal(Ideal(3, I.generators), w2).generators
 
 
-def test_initial_ideals_are_interned_on_their_parent():
-    # every weight with the same initial ideal gets one Ideal object, with
-    # the generators a fresh parent computes and the parent's cap
+def test_equivalent_weights_give_equal_initial_ideals():
+    # a scaled, shifted or Fraction weight gives the initial ideal of w:
+    # equal forms, the generators a fresh parent computes and the parent's
+    # cap.  Each call builds a distinct Ideal that holds the grevlex basis
+    # read from its forms
     ideals = [random_graded_ideal(n, seed, gens=2 + seed % 2) for n in (3, 4) for seed in range(2)]
     for seed in range(2):
         ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)], degree_cap=30))
@@ -199,32 +202,32 @@ def test_initial_ideals_are_interned_on_their_parent():
     shared = 0
     for I in ideals:
         n = I.n
-        by_gens: dict = {}
+        by_forms: dict = {}
         for w in product(range(3), repeat=n):
             J = initial_ideal(I, w)
             assert J.degree_cap == I.degree_cap
             lam, c = rng.randint(2, 5), rng.randint(-4, 4)
-            assert initial_ideal(I, tuple(lam * x for x in w)) is J
-            assert initial_ideal(I, tuple(x + c for x in w)) is J
-            assert initial_ideal(I, tuple(Fraction(lam * x + c, 3) for x in w)) is J
+            for v in (w, tuple(lam * x for x in w), tuple(x + c for x in w),
+                      tuple(Fraction(lam * x + c, 3) for x in w)):
+                K = initial_ideal(I, v)
+                assert K is not J and K.forms == J.forms
+                assert K.gb_cache[GREVLEX].forms == J.gb_cache[GREVLEX].forms
             fresh = initial_ideal(Ideal(n, I.generators, I.degree_cap), w)
             assert J.generators == fresh.generators
-            by_gens.setdefault(J.generators, []).append((normalize_weight(w, n), J))
-        # weights with equal initial ideals (one open Groebner cone) share
-        # the object; different initial ideals never do
-        for found in by_gens.values():
-            assert all(J is found[0][1] for _, J in found)
-            shared += len({wn for wn, _ in found}) > 1
-        assert len({id(found[0][1]) for found in by_gens.values()}) == len(by_gens) > 1
-        # a parent whose bases were dropped recomputes one and finds the
-        # interned ideal by its forms
+            by_forms.setdefault(J.forms, (J, set()))[1].add(normalize_weight(w, n))
+        # weights of one open Groebner cone give equal forms, and different
+        # initial ideals have different generators
+        shared += any(len(found) > 1 for _, found in by_forms.values())
+        assert len({J.generators for J, _ in by_forms.values()}) == len(by_forms) > 1
+        # a parent whose bases were dropped recomputes one and builds the
+        # same forms
         I.gb_cache.clear()
-        assert initial_ideal(I, (2,) * (n - 1) + (3,)) is initial_ideal(I, (0,) * (n - 1) + (1,))
-        # containment on a shared ideal, after its other uses, is that of a
-        # fresh ideal with the same generators
-        for gens, found in by_gens.items():
-            J = found[0][1]
-            assert contains_monomial(J) == contains_monomial(Ideal(n, gens, I.degree_cap))
+        J = initial_ideal(I, (2,) * (n - 1) + (3,))
+        assert J.forms == initial_ideal(I, (0,) * (n - 1) + (1,)).forms
+        # containment on an initial ideal is that of a fresh ideal with the
+        # same generators
+        for J, _ in by_forms.values():
+            assert contains_monomial(J) == contains_monomial(Ideal(n, J.generators, I.degree_cap))
     assert shared
 
 
@@ -430,14 +433,21 @@ def test_contains_monomial_examples_and_oracle():
             assert not found_low
 
 
-def _sweep_initial_ideals() -> list:
-    """The interned initial ideals of the transformed ideals after a small
-    tropical sweep: six pairs of dense quadrics, alternately in 3 and 4
-    variables, 16 grid queries each.  Each keeps the bases its membership
-    tests cached.  A query that the grevlex certificate answers builds no
-    initial ideal, so the initial ideals at the sorted weights of all the
-    queries are interned after the sweep too, and the ideals with a
-    monomial come from there."""
+def _sweep_initial_ideals(monkeypatch) -> list:
+    """The initial ideals of the transformed ideals in a small tropical
+    sweep, one per distinct forms of each transformed ideal: six pairs of
+    dense quadrics, alternately in 3 and 4 variables, 16 grid queries each.
+    Those the sweep built keep the bases their membership tests cached.  A
+    query that the grevlex certificate answers builds no initial ideal, so
+    the initial ideals at the sorted weights of all the queries are built
+    after the sweep too, and the ideals with a monomial come from there."""
+    built = []
+
+    def building(gI, w):
+        built.append((gI, J := initial_ideal(gI, w)))
+        return J
+
+    monkeypatch.setattr(generic, "initial_ideal", building)
     rng = random.Random("walk-sweep")
     out = []
     for n in (3, 4) * 3:
@@ -451,9 +461,12 @@ def _sweep_initial_ideals() -> list:
             tropical_member(I, tuple(w), policy())
             weights.append(tuple(sorted(w)))
         for gI in transformed(I, policy()):
+            kept = {J.forms: J for g, J in reversed(built) if g is gI}
             for w in weights:
-                initial_ideal(gI, w)
-            out += {id(J): J for J in gI.initials.values()}.values()
+                J = initial_ideal(gI, w)
+                kept.setdefault(J.forms, J)
+            out += kept.values()
+        del built[:]
     return out
 
 
@@ -494,7 +507,7 @@ REFUSING = [ideal(3, "x1*x3", "x2*x3 + x3^2"), ideal(3, "x1*x2", "x3^2"),
             ideal(1, "x1^3"), ideal(2, "x1*x2"), ideal(2, "x1^2 + x2^2")]
 
 
-def test_the_saturation_walk_matches_one_basis_per_variable():
+def test_the_saturation_walk_matches_one_basis_per_variable(monkeypatch):
     # the walk that takes cached bases and stops at the unit ideal against
     # the walk that runs one basis per variable: equal reduced grevlex
     # bases for ``saturate`` and equal answers for ``contains_monomial``.  The
@@ -504,7 +517,7 @@ def test_the_saturation_walk_matches_one_basis_per_variable():
     # time.  The cases: x1 a zero divisor, x4 in no generator, the unit
     # ideal, three ideals whose grevlex bases hold no monomial though they
     # contain one, the ideals of REFUSING, the sparse and dense seeded
-    # ideals, and the interned initial ideals of a sweep, walked again with
+    # ideals, and the initial ideals of a sweep, walked again with
     # the bases the sweep cached, some with a monomial and some without
     late = [random_graded_ideal(3, seed, gens=3, terms_per_gen=3) for seed in (7, 18, 48)]
     for I in late:
@@ -514,7 +527,7 @@ def test_the_saturation_walk_matches_one_basis_per_variable():
     cases = [J for I in plain for J in (_fresh(I), _fresh(I), _with_numerator(I))]
     for J in cases[1::3]:
         buchberger(J)
-    swept = _sweep_initial_ideals()
+    swept = _sweep_initial_ideals(monkeypatch)
     for J in swept:
         J.has_monomial = None
     changed, contains = 0, {}
@@ -590,17 +603,21 @@ def test_the_walk_stops_at_the_unit_ideal(monkeypatch):
 
 def test_contains_monomial_memoizes_its_answer(monkeypatch):
     # two weights in different orbits, (0, 0, 1, 2) and (0, 0, 1, 3), give
-    # one interned initial ideal of each transformed quadric, whose basis
-    # at the second weight is the first one's re-sorted: the first query
-    # walks it, and the second makes no engine run
+    # equal initial ideals of each transformed quadric, each built fresh.
+    # The first containment test of one held J asks the trace check, which
+    # shows J monomial-free, and the memo in ``J.has_monomial`` answers the
+    # second with no trace check, walk or engine run
     I = Ideal(4, [dense_form(4, 2, 0)])
+    assert tropical_member(I, (0, 0, 1, 2), policy())
+    traces, walks = counting_trace_checks(monkeypatch), counting_walks(monkeypatch)
     runs = counting_engine(monkeypatch)
-    assert tropical_member(I, (0, 0, 1, 2), policy()) and runs
-    runs.clear()
-    assert tropical_member(I, (0, 0, 1, 3), policy()) and not runs
     for gI in transformed(I, policy()):
         J = initial_ideal(gI, (0, 0, 1, 2))
-        assert J is initial_ideal(gI, (0, 0, 1, 3)) and J.has_monomial is False
+        assert J.forms == initial_ideal(gI, (0, 0, 1, 3)).forms and J.has_monomial is None
+        del traces[:]
+        assert not contains_monomial(J) and traces and J.has_monomial is False
+        del traces[:], walks[:], runs[:]
+        assert not contains_monomial(J) and not (traces or walks or runs)
 
 
 def _trace_cases() -> list:
@@ -813,7 +830,7 @@ def test_seeded_initial_bases_match_a_grevlex_run():
     # the initial forms of the reduced basis under grevlex refined by w are
     # the reduced grevlex basis of J = in_w(I) (Sturmfels 1996, "Groebner
     # Bases and Convex Polytopes", Prop. 1.8 and Cor. 1.9), so J caches the
-    # basis read from its forms.  For every interned J of each ideal and of
+    # basis read from its forms.  For every distinct J of each ideal and of
     # its transforms, that basis must be the forms a targetless grevlex
     # run from J's forms returns, form for form.
     from gentrop.groebner import _buchberger_dicts
@@ -821,9 +838,7 @@ def test_seeded_initial_bases_match_a_grevlex_run():
     checked = 0
     for I, weights in _derived_cases():
         for parent in (I, *transformed(I, policy())):
-            for w in weights:
-                initial_ideal(parent, w)
-            for J in set(parent.initials.values()):
+            for J in {J.forms: J for J in (initial_ideal(parent, w) for w in weights)}.values():
                 key = GREVLEX.key_function(J.n, J.degree_cap)
                 run = _buchberger_dicts(map(dict, J.forms), key, J.degree_cap)
                 assert list(J.gb_cache[GREVLEX].forms) == run, (I, J)
