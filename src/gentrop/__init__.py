@@ -47,7 +47,6 @@ from .invariants import (
 )
 from .poly import (
     GREVLEX,
-    LEX,
     OrderSpec,
     ParseError,
     Polynomial,

@@ -60,7 +60,7 @@ from .groebner import (
     NotGradedError,
 )
 from .invariants import dimension, multiplicity
-from .poly import GREVLEX, MAX_DIGITS, ParseError, UsageError, parse_int, parse_polynomial
+from .poly import MAX_DIGITS, ParseError, UsageError, parse_int, parse_polynomial
 from .tropmult import intrinsic_multiplicity
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def parse_ideal_file(text: str):
     header = lines[0].split()
     if (len(header) != 2 or header[0] != "ring" or not header[1].isascii()
             or not header[1].isdecimal()):
-        raise ParseError(f"bad header {lines[0]!r}; expected 'ring <n>'")
+        raise ParseError(f"bad header {lines[0][:20]!r}; expected 'ring <n>'")
     n = parse_int(header[1])
     if n < 1:
         raise ParseError("ring must have at least one variable")
@@ -106,16 +106,18 @@ def _parse_omega(text: str, n: int):
     for p in parts:
         try:
             if not p.isascii() or "_" in p:
-                raise ValueError(f"{p[:20]!r}: only ASCII digits, signs, '/', '.' and 'e'")
+                raise ParseError("only ASCII digits, signs, '/', '.' and 'e'")
             # a bound on the digits Fraction(p) builds, checked before it does
             mantissa, _, exp = p.lower().partition("e")
             if len(mantissa) + abs(int(exp or 0)) > MAX_DIGITS:
-                raise ValueError(f"{p[:20]!r} could exceed {MAX_DIGITS} digits")
+                raise ParseError(f"could exceed {MAX_DIGITS} digits")
             w.append(Fraction(p))
         except ValueError as exc:
-            raise ParseError(f"bad omega entry: {exc}") from None
+            # the messages of int() and Fraction() quote the whole entry
+            why = exc if isinstance(exc, ParseError) else "not a number"
+            raise ParseError(f"bad omega entry: {p[:20]!r}: {why}") from None
         except ZeroDivisionError:
-            raise ParseError(f"zero denominator in omega entry {p!r}") from None
+            raise ParseError(f"zero denominator in omega entry {p[:20]!r}") from None
     return tuple(w)
 
 
@@ -151,7 +153,7 @@ def cmd_analyze(I, policy, args) -> tuple:
     m = dimension(I)
     t = depth(I, policy)
     result = classify_cm(I, policy)
-    g = gin(I, GREVLEX, policy)
+    g = gin(I, policy)
     return EXIT_OK, {
         "dimension": m,
         "depth": t,
@@ -290,7 +292,7 @@ def parse_args(argv: list):
     if argv and argv[0] in _HELP:
         return None
     if not argv or argv[0] not in _COMMANDS:
-        got = repr(argv[0]) if argv else "none"
+        got = repr(argv[0][:20]) if argv else "none"
         raise UsageError(f"expected a command, one of {', '.join(_COMMANDS)}; got {got}")
     command = argv[0]
     values = {attr: default for attr, _, default, _ in _FLAGS.values()}
@@ -305,7 +307,7 @@ def parse_args(argv: list):
             continue
         flag, eq, value = token.partition("=")
         if flag not in _FLAGS or flag in _OWN_FLAGS.values() and flag != own:
-            raise UsageError(f"{command} takes no flag {flag}")
+            raise UsageError(f"{command} takes no flag {flag[:20]}")
         attr, kind, _, _ = _FLAGS[flag]
         given.add(flag)
         if kind is None:
@@ -322,7 +324,7 @@ def parse_args(argv: list):
                 raise UsageError(f"{flag} expects an integer, got {value[:20]!r}")
             value = int(value)
         elif kind is not str and value not in kind:
-            raise UsageError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+            raise UsageError(f"{flag} must be one of {', '.join(kind)}, got {value[:20]!r}")
         values[attr] = value
     if len(files) != 1:
         raise UsageError(f"{command} takes one file, got {len(files)}")

@@ -22,7 +22,7 @@ Groebner cone holds the point.  Every probe is exact, though constancy
 probes are labelled ``sampled`` (see ``ProbeResult``).  The generic
 initial ideal, which gives the gap factor of the probes' interior points
 (``gap_degree``), is memoized on the ideal, so it is computed once per
-order and policy.
+policy.
 
 A fan probe reads its cones off the lazy fan sequences of ``fans`` and runs
 once per symmetry orbit of the cones, or of the adjacent pairs, it visits
@@ -89,7 +89,7 @@ from .invariants import (
     is_strongly_stable,
     monomial_ideal_of,
 )
-from .poly import GREVLEX, OrderSpec, UsageError, normalize_weight
+from .poly import GREVLEX, UsageError, normalize_weight
 
 CM = "CM"
 ALMOST_CM = "almostCM"
@@ -317,47 +317,23 @@ def _agreement(I: Ideal, policy: GenericityPolicy, compute: Callable, what: str,
     raise GenericityFailure(f"{what}: {reason}")
 
 
-def _variable_priority(order: OrderSpec, n: int) -> tuple:
-    """Variables sorted most significant first under the order (1-based)."""
-    key = order.key_function(n, 1)
-
-    def unit(i: int) -> tuple:
-        e = [0] * n
-        e[i - 1] = 1
-        return tuple(e)
-
-    return tuple(sorted(range(1, n + 1), key=lambda i: key(unit(i)), reverse=True))
-
-
-def gin(
-    I: Ideal,
-    order: OrderSpec = GREVLEX,
-    policy: GenericityPolicy = GenericityPolicy(),
-) -> MonomialIdeal:
-    """The generic initial ideal: the common leading-monomial ideal of the
-    transformed ideal across agreeing transforms.  The result must be
-    strongly stable for the order's variable priority; a violation is
-    treated as a genericity failure.  Memoized in ``I.gins`` by the order
-    and the policy."""
-    M = I.gins.get((order, policy))
-    if M is not None:
-        return M
-    priority = _variable_priority(order, I.n)
-
-    def compute(gI: Ideal) -> MonomialIdeal:
-        return monomial_ideal_of(gI, order)
-
-    def stable(M: MonomialIdeal) -> bool:
-        return is_strongly_stable(M, priority)
-
-    M = I.gins[order, policy] = agreed(I, policy, compute, "generic initial ideal", valid=stable)
+def gin(I: Ideal, policy: GenericityPolicy = GenericityPolicy()) -> MonomialIdeal:
+    """The generic initial ideal for grevlex: the common leading-monomial
+    ideal of the transformed ideal across agreeing transforms.  The result
+    must be strongly stable (Bayer and Stillman 1987); a violation is
+    treated as a genericity failure.  Memoized in ``I.gins`` by the
+    policy."""
+    M = I.gins.get(policy)
+    if M is None:
+        M = I.gins[policy] = agreed(I, policy, monomial_ideal_of, "generic initial ideal",
+                                    valid=is_strongly_stable)
     return M
 
 
 def depth(I: Ideal, policy: GenericityPolicy) -> int:
     """Depth of S/I via the generic initial ideal for the graded reverse
     lexicographic order, where the two agree."""
-    return depth_of_stable(gin(I, GREVLEX, policy))
+    return depth_of_stable(gin(I, policy))
 
 
 def tropical_member(
@@ -436,7 +412,7 @@ def gap_degree(I: Ideal, policy: GenericityPolicy) -> int:
     """The largest degree of a minimal generator of the grevlex generic
     initial ideal of I; fan probes take one more as the gap factor of their
     ladder interior points."""
-    return gin(I, GREVLEX, policy).max_degree()
+    return gin(I, policy).max_degree()
 
 
 def _same_initial(I: Ideal, w, v, policy: GenericityPolicy, what: str) -> bool:
@@ -513,6 +489,14 @@ def separating_witness(
     so for 0 < depth < dim-1 the initial ideals provably differ, while for
     Cohen-Macaulay and almost-Cohen-Macaulay ideals the analogous pair (the
     first two rungs above the minimum) yields equal initial ideals.
+
+    The ladder's gap factor must cover the grevlex gin and the gin under
+    grevlex with x_p and x_{p+1} swapped.  For the permutation matrix P of
+    the swap, the initial ideal of gI under the swapped order is the
+    swapped grevlex initial ideal of (P^-1 g) I, and P^-1 g is generic when
+    g is (Eisenbud 1995, "Commutative Algebra", sec. 15.9).  So the second
+    gin is the swapped grevlex gin, of the same largest degree, and
+    ``gap_degree`` gives the factor.
     """
     n = I.n
     m = dimension(I)
@@ -522,15 +506,8 @@ def separating_witness(
     if m < 3:
         raise ValueError("witness construction requires dimension at least 3")
     p = n - t if t < m - 1 else n - m + 2
-    perm = list(range(1, n + 1))
-    perm[p - 1], perm[p] = perm[p], perm[p - 1]
-    swapped = OrderSpec("grevlex", tuple(perm))
-    c = max(
-        gin(I, GREVLEX, policy).max_degree(),
-        gin(I, swapped, policy).max_degree(),
-    )
     base_cone = ConeId(n, frozenset(range(1, n - m + 2)))
-    w = interior_point(base_cone, c + 1)
+    w = interior_point(base_cone, gap_degree(I, policy) + 1)
     v = _swap_coords(w, p, p + 1)
     distinct = not _same_initial(I, w, v, policy, "separating witness")
     return w, v, distinct

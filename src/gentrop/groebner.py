@@ -95,8 +95,8 @@ class Ideal:
     contains it (see ``buchberger``), so the cap bounds every computation
     performed, not the runs a reused basis skips.  ``images`` maps an
     immutable and hashable GenericityPolicy to the tuple of transformed
-    ideals (see ``generic.transformed``), ``gins`` maps an (OrderSpec,
-    policy) pair to the generic initial ideal (see ``generic.gin``), and
+    ideals (see ``generic.transformed``), ``gins`` maps a policy to the
+    grevlex generic initial ideal (see ``generic.gin``), and
     ``members`` maps a (policy, weight) pair to the answer of
     ``generic.tropical_member``, with the sorted normalized weight under
     sampled transforms and the normalized weight itself under injected
@@ -791,7 +791,7 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     stored, by a run or a cone hit, sets it from its leads."""
     if order.weight is not None:
         wn = normalize_weight(order.weight, I.n)
-        order = OrderSpec(order.base, order.perm, wn if any(wn) else None)
+        order = OrderSpec(wn if any(wn) else None)
     hit = I.gb_cache.get(order)
     if hit is not None:
         return hit
@@ -848,20 +848,22 @@ def _saturation(I: Ideal, m: tuple) -> Ideal:
 
     The steps take the variables x_i of x^m from x_n down, each on the ideal
     J saturated so far, and stop as soon as J is the unit ideal.  A step
-    takes J's reduced basis under grevlex with x_i last and the other
-    variables in natural order, GREVLEX itself for x_n, through
-    ``buchberger``.  A homogeneous polynomial is divisible by a power of x_i
-    iff its lead under that order is, so dividing every element by the
-    largest power of x_i that divides it generates the saturation by x_i.
-    A step that divides nothing keeps J and its cached bases.  A step that
-    divides builds a new ideal, with no cached basis and no known
-    numerator."""
+    takes J's reduced basis under grevlex refined by the unit weight e_i
+    (GREVLEX itself for x_n, whose basis J may already hold) through
+    ``buchberger``.  On homogeneous polynomials that order ranks terms by
+    the least power of x_i first and breaks ties by grevlex, as grevlex does
+    for x_n.  So a homogeneous polynomial is divisible by a power of x_i iff
+    its lead is, and dividing every element by the largest power of x_i that
+    divides it generates the saturation by x_i.  A step that divides
+    nothing keeps J and its cached bases.  A step that divides builds a new
+    ideal, with no cached basis and no known numerator."""
     n = I.n
     J = I
     for i in (k for k in reversed(range(n)) if m[k]):
         if is_unit_ideal(J):
             break
-        gb = buchberger(J, OrderSpec("grevlex", (*(k + 1 for k in range(n) if k != i), i + 1)))
+        step = GREVLEX.refine([int(k == i) for k in range(n)]) if i < n - 1 else GREVLEX
+        gb = buchberger(J, step)
         if any(f[0][0][i] for f in gb.forms):
             J = J._derive(
                 {e[:i] + (e[i] - f[0][0][i],) + e[i + 1:]: c for e, c in f} for f in gb.forms

@@ -119,20 +119,13 @@ def multiplicity(I: Ideal) -> int:
     return mult
 
 
-def is_strongly_stable(M: MonomialIdeal, perm=None) -> bool:
-    """Closure under Borel exchange moves x_j * u / x_k for j before k in the
-    variable ordering (1-based ``perm``, identity by default)."""
-    order = tuple(perm) if perm is not None else tuple(range(1, M.n + 1))
-    if sorted(order) != list(range(1, M.n + 1)):
-        raise ValueError("perm must be a permutation of 1..n")
-    pos = [i - 1 for i in order]
+def is_strongly_stable(M: MonomialIdeal) -> bool:
+    """Closure under Borel exchange moves x_j * u / x_k for j < k."""
     for g in M.generators:
-        for kk in range(len(pos)):
-            k = pos[kk]
+        for k in range(M.n):
             if g[k] == 0:
                 continue
-            for jj in range(kk):
-                j = pos[jj]
+            for j in range(k):
                 moved = list(g)
                 moved[k] -= 1
                 moved[j] += 1

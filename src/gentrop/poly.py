@@ -1,8 +1,9 @@
-"""Exact multivariate polynomials over the rationals and weighted term orders.
+"""Exact multivariate polynomials over the rationals and the one family of
+term orders the engine uses: grevlex, optionally refined by a weight.
 
 Polynomials are immutable. Terms are stored in a fixed canonical order
-(graded reverse lexicographic on the identity permutation, leading term
-first), which makes printing and hashing deterministic.
+(graded reverse lexicographic with x1 > ... > xn, leading term first),
+which makes printing and hashing deterministic.
 
 Weighted orders follow the minimal-weight-first convention: when an order
 carries a weight vector, a term of *smaller* weight ranks *higher*, so the
@@ -38,33 +39,24 @@ def _exact(w: Weights) -> tuple:
     return tuple(x if isinstance(x, int) else Fraction(x) for x in w)
 
 
-class OrderSpec(namedtuple("OrderSpec", "base perm weight")):
-    """A term order: lex or grevlex on a variable permutation, optionally
-    refined by a weight vector.
+class OrderSpec(namedtuple("OrderSpec", "weight")):
+    """A term order: grevlex (x1 > x2 > ... > xn), optionally refined by a
+    weight vector.
 
-    ``perm`` lists 1-based variable indices, most significant first; ``None``
-    means the identity (x1 > x2 > ... > xn), and an identity ``perm`` is
-    stored as ``None``, so each order has one spec.  With a weight refinement,
-    comparison is by weight first (smaller weight ranks higher), ties broken
-    by the base order.  ``key_function`` ranks monomials of bounded degree
-    by one integer key.
+    With a weight, comparison is by weight first (smaller weight ranks
+    higher), ties broken by grevlex.  ``key_function`` ranks monomials of
+    bounded degree by one integer key.
     """
 
     __slots__ = ()
 
-    def __new__(cls, base: str = "grevlex", perm: tuple | None = None,
-                weight: Weights | None = None):
-        if base not in ("lex", "grevlex"):
-            raise ValueError(f"unknown base order {base!r}")
-        if perm is not None:
-            perm = tuple(perm)
-            if perm == tuple(range(1, len(perm) + 1)):
-                perm = None
-        return super().__new__(cls, base, perm, None if weight is None else _exact(weight))
+    def __new__(cls, weight: Weights | None = None):
+        return super().__new__(cls, None if weight is None else _exact(weight))
 
     def refine(self, w: Weights) -> "OrderSpec":
-        """The same base order refined by weight vector ``w``."""
-        return OrderSpec(self.base, self.perm, tuple(w))
+        """Grevlex refined by weight vector ``w``, in place of any weight
+        this order has."""
+        return OrderSpec(tuple(w))
 
     def key_function(self, n: int, degree_bound: int) -> Callable[[Exponents], int]:
         """Integer key: key(a) > key(b) iff monomial a outranks monomial b,
@@ -72,26 +64,13 @@ class OrderSpec(namedtuple("OrderSpec", "base perm weight")):
 
         The key is v . e for one integer vector v, the order's weight matrix
         collapsed into fields of B = degree_bound.bit_length() + 1 bits.
-        lex: the variable at index k of the permutation has v = 2^(B(n-1-k)).
-        grevlex: the variable at index k of the reversed permutation has
-        v = 2^(Bn) - 2^(B(n-1-k)), the total degree above reverse-lex digits.
-        A weight, scaled to integers by the lcm of its denominators, is
-        subtracted times 2^(B(n+1)): a weight difference of 1 outweighs the
-        whole base range, so negative entries need no shift."""
-        if self.perm is None:
-            pos = range(n)
-        elif sorted(self.perm) != list(range(1, n + 1)):
-            raise ValueError("perm must be a permutation of 1..n")
-        else:
-            pos = [i - 1 for i in self.perm]
+        Grevlex gives x_i (0-based i) v = 2^(Bn) - 2^(Bi), the total degree
+        above reverse-lex digits.  A weight, scaled to integers by the lcm of
+        its denominators, is subtracted times 2^(B(n+1)): a weight difference
+        of 1 outweighs the whole grevlex range, so negative entries need no
+        shift."""
         b = degree_bound.bit_length() + 1
-        v = [0] * n
-        if self.base == "lex":
-            for k, i in enumerate(pos):
-                v[i] = 1 << (b * (n - 1 - k))
-        else:
-            for k, i in enumerate(reversed(pos)):
-                v[i] = (1 << (b * n)) - (1 << (b * (n - 1 - k)))
+        v = [(1 << (b * n)) - (1 << (b * i)) for i in range(n)]
         w = self.weight
         if w is not None:
             if len(w) != n:
@@ -103,7 +82,6 @@ class OrderSpec(namedtuple("OrderSpec", "base perm weight")):
 
 
 GREVLEX = OrderSpec()
-LEX = OrderSpec(base="lex")
 
 
 def normalize_weight(w: Weights, n: int) -> tuple:
@@ -350,7 +328,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         raise ParseError("empty polynomial")
     chunks = re.findall(r"[+-]?[^+-]+", s)
     if "".join(chunks) != s:
-        raise ParseError(f"cannot tokenize {text!r}")
+        raise ParseError(f"cannot tokenize {text[:20]!r}")
     acc: dict = {}
     for chunk in chunks:
         sign = 1
@@ -358,8 +336,6 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         if body[0] in "+-":
             sign = -1 if body[0] == "-" else 1
             body = body[1:]
-        if not body:
-            raise ParseError(f"dangling sign in {text!r}")
         coeff = Fraction(sign)
         exps = [0] * n
         saw_factor = False
@@ -369,21 +345,19 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                 num = parse_int(m.group(1))
                 den = parse_int(m.group(2)) if m.group(2) else 1
                 if den == 0:
-                    raise ParseError(f"zero denominator in {text!r}")
+                    raise ParseError(f"zero denominator in {text[:20]!r}")
                 coeff *= Fraction(num, den)
                 saw_factor = True
                 continue
             m = _VAR_RE.match(factor)
             if not m:
-                raise ParseError(f"bad factor {factor!r} in {text!r}")
+                raise ParseError(f"bad factor {factor[:20]!r} in {text[:20]!r}")
             i = parse_int(m.group(1))
             if not 1 <= i <= n:
-                raise ParseError(f"variable x{i} out of range 1..{n}")
+                raise ParseError(f"variable x{m.group(1)[:20]} out of range 1..{n}")
             e = parse_int(m.group(2)) if m.group(2) else 1
             exps[i - 1] += e
             saw_factor = True
-        if not saw_factor:
-            raise ParseError(f"empty term in {text!r}")
         e = tuple(exps)
         acc[e] = acc.get(e, Fraction(0)) + coeff
     return Polynomial(n, acc)

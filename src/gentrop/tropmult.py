@@ -28,36 +28,30 @@ from .poly import Polynomial, initial_form
 
 class MultiplicityReport(namedtuple(
     "MultiplicityReport",
-    "cone dim_initial dim_saturated topdim_monomial_free m_saturated m_ideal",
+    "cone dim_initial dim_saturated m_saturated m_ideal",
 )):
     """Per-cone multiplicity evidence at a ConeId.
 
     ``matches`` certifies the multiplicity theorem at this cone: the
-    saturation kept the dimension, the top-dimensional primes are
-    monomial-free, and the saturated multiplicity equals the ideal's."""
+    saturation kept the dimension and the multiplicity.  The initial ideal
+    has the Hilbert series of the ideal, so its dimension is
+    ``dim_initial`` and its multiplicity ``m_ideal``, and a match also shows
+    its top-dimensional primes monomial-free (``topdim_monomial_free``)."""
 
     __slots__ = ()
 
     @property
     def matches(self) -> bool:
-        return (
-            self.dim_saturated == self.dim_initial
-            and self.topdim_monomial_free
-            and self.m_saturated == self.m_ideal
-        )
+        return self.dim_saturated == self.dim_initial and self.m_saturated == self.m_ideal
 
 
 def _saturation_invariants(J: Ideal) -> tuple:
-    """(dimension, multiplicity, monomial-freeness) read off the saturation
-    of J by the product of the variables, or (-1, 0, False) when that
-    saturation is the unit ideal."""
+    """(dimension, multiplicity) of the saturation of J by the product of
+    the variables, or (-1, 0) when that saturation is the unit ideal."""
     S = saturate(J, Polynomial.monomial(J.n, (1,) * J.n))
     if is_unit_ideal(S):
-        return (-1, 0, False)
-    dim_s = dimension(S)
-    m_s = multiplicity(S)
-    free = dim_s == dimension(J) and m_s == multiplicity(J)
-    return (dim_s, m_s, free)
+        return (-1, 0)
+    return (dimension(S), multiplicity(S))
 
 
 def topdim_monomial_free(J: Ideal, m: int) -> bool:
@@ -69,7 +63,7 @@ def topdim_monomial_free(J: Ideal, m: int) -> bool:
     ``ValueError``."""
     if dimension(J) != m:
         raise ValueError(f"m = {m} is not the dimension of the quotient by J")
-    return _saturation_invariants(J)[2]
+    return _saturation_invariants(J) == (m, multiplicity(J))
 
 
 def intrinsic_multiplicity(
@@ -85,13 +79,10 @@ def intrinsic_multiplicity(
 
     def compute(gI: Ideal) -> tuple:
         J = initial_ideal(gI, w)
-        dim_saturated, m_sat, free = _saturation_invariants(J)
-        return (dimension(J), dim_saturated, free, m_sat)
+        return (dimension(J), *_saturation_invariants(J))
 
-    dim_initial, dim_saturated, free, m_sat = agreed(
-        I, policy, compute, "intrinsic multiplicity"
-    )
-    return MultiplicityReport(cone, dim_initial, dim_saturated, free, m_sat, m_ideal)
+    dim_initial, dim_saturated, m_sat = agreed(I, policy, compute, "intrinsic multiplicity")
+    return MultiplicityReport(cone, dim_initial, dim_saturated, m_sat, m_ideal)
 
 
 def hypersurface_mc(factors: Sequence, w, of: Polynomial | None = None) -> int:

@@ -32,11 +32,10 @@ from gentrop.generic import (
     agreed,
     cone_constancy,
     gap_degree,
-    gin,
 )
 from gentrop.groebner import Ideal, buchberger, contains_monomial, initial_ideal
 from gentrop.invariants import dimension
-from gentrop.poly import GREVLEX, OrderSpec, Polynomial, normalize_weight
+from gentrop.poly import GREVLEX, Polynomial, normalize_weight
 from gentrop.tropmult import intrinsic_multiplicity
 
 
@@ -49,16 +48,14 @@ def initial_ideal_forms(I: Ideal, points) -> list:
     return [initial_ideal(J, w).forms for w in points]
 
 
-def moved_point_ray_constancy(I: Ideal, w, directions, policy, c_gap=None) -> bool:
+def moved_point_ray_constancy(I: Ideal, w, directions, policy) -> bool:
     """Whether pushing w far along each coordinate direction in
     ``directions`` (1-based) leaves the weighted initial ideal unchanged:
-    the coordinate moves strictly beyond c_gap times the current maximum
-    (c_gap from ``gap_degree`` by default), and the moved points are
-    point-tested against the reduced basis at w, agreed across transforms."""
+    the coordinate moves strictly beyond ``gap_degree`` times the current
+    maximum, and the moved points are point-tested against the reduced
+    basis at w, agreed across transforms."""
     w = tuple(Fraction(x) for x in w)
-    if c_gap is None:
-        c_gap = gap_degree(I, policy)
-    target = c_gap * max(w) + 1
+    target = gap_degree(I, policy) * max(w) + 1
     moved = []
     for j in sorted(set(directions)):
         if not 1 <= j <= I.n:
@@ -75,20 +72,18 @@ def moved_point_ray_constancy(I: Ideal, w, directions, policy, c_gap=None) -> bo
 
 
 def moved_point_recover_depth(I: Ideal, policy) -> int:
-    """Depth recovery with a ladder point per step t: its gap factor covers
-    the grevlex gin and the gin under grevlex with x_{n-t} moved last, and
-    rays are probed by ``moved_point_ray_constancy``."""
+    """Depth recovery with one ladder point, whose gap factor must cover the
+    grevlex gin and, per step t, the gin under grevlex with x_{n-t} moved
+    last, which in generic coordinates is the permuted grevlex gin, of the
+    same largest degree (see ``generic.separating_witness``); so the factor
+    is ``gap_degree``'s.  Rays are probed by ``moved_point_ray_constancy``."""
     n = I.n
     m = dimension(I)
-    c0 = gin(I, GREVLEX, policy).max_degree()
-    base_cone = ConeId(n, frozenset(range(1, n - m + 2)))
+    w = interior_point(ConeId(n, frozenset(range(1, n - m + 2))), gap_degree(I, policy) + 1)
     for t in range(1, m - 1):
         p = n - t
-        moved_last = OrderSpec("grevlex", tuple(list(range(1, p)) + list(range(p + 1, n + 1)) + [p]))
-        ct = max(c0, gin(I, moved_last, policy).max_degree())
-        w = interior_point(base_cone, ct + 1)
-        stays = moved_point_ray_constancy(I, w, range(p + 1, n + 1), policy, ct)
-        if stays and not moved_point_ray_constancy(I, w, [p], policy, ct):
+        stays = moved_point_ray_constancy(I, w, range(p + 1, n + 1), policy)
+        if stays and not moved_point_ray_constancy(I, w, [p], policy):
             return t
     raise ValueError("depth recovery applies only to ideals with 0 < depth < dim-1")
 
@@ -153,16 +148,15 @@ def per_weight_member(I: Ideal, w, policy) -> bool:
 
 def bayer_stillman_saturation(I: Ideal, m):
     """(I : (x^m)^infinity) by one reduced basis per variable x_i of x^m,
-    x_n first, each under grevlex with x_i last and the other variables in
-    natural order, dividing every element by the largest power of x_i that
-    divides it (Bayer and Stillman 1987).  No step is skipped."""
+    x_n first, each under grevlex refined by the unit weight e_i, dividing
+    every element by the largest power of x_i that divides it (Bayer and
+    Stillman 1987).  No step is skipped."""
     n = I.n
     J = I
     for i in reversed(range(n)):
         if not m[i]:
             continue
-        perm = tuple(k for k in range(1, n + 1) if k != i + 1) + (i + 1,)
-        gb = buchberger(J, OrderSpec("grevlex", perm))
+        gb = buchberger(J, GREVLEX.refine([int(k == i) for k in range(n)]))
         if any(f[0][0][i] for f in gb.forms):
             J = Ideal(n, [{e[:i] + (e[i] - f[0][0][i],) + e[i + 1:]: c for e, c in f}
                           for f in gb.forms], I.degree_cap)
@@ -373,23 +367,16 @@ def series_expansion(numerator, dim: int, upto: int) -> list:
 
 def order_key(order, n: int):
     """Tuple key of ``order`` written from its definition: bigger key ranks
-    higher.  lex compares exponents in permutation order; grevlex compares
-    total degree, then the negated exponents from the last variable of the
-    permutation back; a weight ranks smaller w . e higher and breaks ties by
-    the base order."""
-    pos = tuple(range(n)) if order.perm is None else tuple(i - 1 for i in order.perm)
-    if order.base == "lex":
-        def base(e):
-            return tuple(e[i] for i in pos)
-    else:
-        rev = pos[::-1]
+    higher.  Grevlex compares total degree, then the negated exponents from
+    x_n back; a weight ranks smaller w . e higher and breaks ties by
+    grevlex."""
+    def grevlex(e):
+        return (sum(e), tuple(-x for x in reversed(e)))
 
-        def base(e):
-            return (sum(e), tuple(-e[i] for i in rev))
     if order.weight is None:
-        return base
+        return grevlex
     w = tuple(Fraction(x) for x in order.weight)
-    return lambda e: (-sum(x * y for x, y in zip(w, e)), base(e))
+    return lambda e: (-sum(x * y for x, y in zip(w, e)), grevlex(e))
 
 
 def reference_groebner(generators, order, n: int) -> list:

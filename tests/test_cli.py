@@ -454,15 +454,16 @@ def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
 
 def test_analyze_jobs_pin_their_engine_runs(tmp_path, capsys, monkeypatch):
     # at workload seed 1, the analyze-split job of the fan-probe benchmark
-    # makes 5 engine runs, as before orbits (its depth is intermediate, so
-    # it probes no cone), and the ci0 job of coeff-growth, a dense quadric
-    # and cubic in 5 variables, makes 3: its 10 skeleton cones form one
-    # orbit, which the grevlex basis of each transformed ideal certifies (13
-    # when every cone was probed)
+    # makes 3 engine runs, the grevlex runs of the input and of its two
+    # transforms (5 while its separating witness read a second gin, under a
+    # swapped order; its depth is intermediate, so it probes no cone), and
+    # the ci0 job of coeff-growth, a dense quadric and cubic in 5 variables,
+    # makes 3: its 10 skeleton cones form one orbit, which the grevlex basis
+    # of each transformed ideal certifies (13 when every cone was probed)
     rng = random.Random("coeff-growth:1")
     a, b, ci0_seed = (rng.randrange(10**6) for _ in range(3))
     ci0 = f"ring 5\n{dense_form(5, 2, a)}\n{dense_form(5, 3, b)}\n"
-    for text, seed, want in ((SPLIT, _fan_probe_seed(0), 5), (ci0, str(ci0_seed), 3)):
+    for text, seed, want in ((SPLIT, _fan_probe_seed(0), 3), (ci0, str(ci0_seed), 3)):
         path = write(tmp_path, "job.ideal", text)
         runs = counting_engine(monkeypatch)
         code, _ = run(capsys, "analyze", path, "--seed", seed)
@@ -652,7 +653,27 @@ def test_exit_codes(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv, message", [
+# an input of 3,000 characters, in a flag, a command or the ideal file, is
+# quoted by its first 20 at most
+LONG_INPUT_ERRORS = [
+    (["verify", "{f}", "--target", "X" * 3000],
+     f"--target must be one of Wnm, Wnmt, depth-recovery, multiplicity, got '{'X' * 20}'\n",
+     FAMILY_531),
+    (["analyze", "{f}", "--" + "x" * 3000], f"analyze takes no flag --{'x' * 18}\n", FAMILY_531),
+    (["b" * 3000, "{f}"],
+     f"expected a command, one of analyze, tropical, verify; got '{'b' * 20}'\n", FAMILY_531),
+    (["analyze", "{f}"], f"bad factor '{'y' * 20}' in '{'y' * 20}'\n", "ring 3\n" + "y" * 3000),
+    (["analyze", "{f}"], f"bad header 'ring {'n' * 15}'; expected 'ring <n>'\n",
+     "ring " + "n" * 3000 + "\nx1\n"),
+    (["analyze", "{f}"], f"variable x{'9' * 20} out of range 1..3\n", "ring 3\nx" + "9" * 3000),
+    (["analyze", "{f}"], "cannot tokenize 'x1+x1+x1+x1+x1+x1+x1'\n",
+     "ring 3\n" + "+".join(["x1"] * 1000) + "+"),
+    (["tropical", "{f}", "--omega", "1,2,3,4," + "z" * 3000],
+     f"bad omega entry: '{'z' * 20}': not a number\n", FAMILY_531),
+]
+
+
+@pytest.mark.parametrize("argv, message, text", [(argv, message, FAMILY_531) for argv, message in [
     (["analyze", "{f}", "--bogus", "1"], "analyze takes no flag --bogus"),
     (["analyze", "{f}", "--deg", "3"], "analyze takes no flag --deg"),
     (["analyze", "{f}", "--omega", "1,2"], "analyze takes no flag --omega"),
@@ -673,14 +694,17 @@ def test_exit_codes(tmp_path, capsys):
     ([], "expected a command"),
     (["bogus", "{f}"], "expected a command"),
     (["--seed", "1", "analyze", "{f}"], "expected a command"),
-], ids=["unknown-flag", "abbreviated-flag", "foreign-flag", "foreign-target", "no-target",
-        "no-omega", "bad-target", "bad-int", "underscore-int", "arabic-int", "plus-int",
-        "long-int", "no-value", "switch-value", "no-file",
-        "two-files", "no-command", "bad-command", "flag-before-command"])
-def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
-    # a bad command line is a UsageError inside main: no SystemExit, no
-    # usage text, one error line and no report
-    fam = write(tmp_path, "fam.ideal", FAMILY_531)
+]] + LONG_INPUT_ERRORS, ids=[
+    "unknown-flag", "abbreviated-flag", "foreign-flag", "foreign-target", "no-target",
+    "no-omega", "bad-target", "bad-int", "underscore-int", "arabic-int", "plus-int",
+    "long-int", "no-value", "switch-value", "no-file",
+    "two-files", "no-command", "bad-command", "flag-before-command",
+    "long-target", "long-flag", "long-command", "long-factor", "long-header", "long-variable",
+    "long-untokenizable", "long-omega"])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, message, text):
+    # a bad command line, or a bad ideal file, is a UsageError inside main:
+    # no SystemExit, no usage text, one error line and no report
+    fam = write(tmp_path, "fam.ideal", text)
     assert main([a.format(f=fam) for a in argv]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -43,7 +43,7 @@ from gentrop.groebner import (
     saturate,
 )
 from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of, multiplicity
-from gentrop.poly import GREVLEX, OrderSpec, Polynomial, normalize_weight
+from gentrop.poly import GREVLEX, Polynomial, normalize_weight
 
 from oracles import (
     expanded_transform,
@@ -271,7 +271,7 @@ def test_a_transform_takes_over_the_hilbert_series(monkeypatch):
 def test_gin_of_strongly_stable_is_itself():
     pol = policy()
     for I in [split_fan_ideal(), stable_depth_family(5, 3, 1)]:
-        G = gin(I, GREVLEX, pol)
+        G = gin(I, pol)
         want = minimalize(I.n, [g.terms[0][0] for g in I.generators])
         assert set(G.generators) == set(want.generators)
 
@@ -280,24 +280,9 @@ def test_gin_of_principal_is_power_of_first_variable():
     pol = policy()
     for n, d in [(3, 2), (4, 2), (3, 3)]:
         f = "+".join(f"x{i}^{d}" for i in range(1, n + 1))
-        G = gin(ideal(n, f), GREVLEX, pol)
+        G = gin(ideal(n, f), pol)
         want = tuple([d] + [0] * (n - 1))
         assert G.generators == (want,)
-
-
-def test_gin_under_permuted_and_refined_orders():
-    pol = policy()
-    I = stable_depth_family(5, 3, 1)
-    base = gin(I, GREVLEX, pol)
-    # a weight refinement aligned with the variable order changes nothing
-    refined = gin(I, GREVLEX.refine((0, 0, 0, 1, 2)), pol)
-    assert refined.generators == base.generators
-    # permuted order: the gin is the relabelled ideal
-    perm = (2, 1, 3, 4, 5)
-    G = gin(I, OrderSpec("grevlex", perm), pol)
-    assert set(G.generators) == {
-        tuple(e[list(perm).index(i + 1)] for i in range(5)) for e in base.generators
-    }
 
 
 def test_gin_agreement_failure_raises():
@@ -306,7 +291,7 @@ def test_gin_agreement_failure_raises():
         transforms=(Transform.identity(2), Transform(((0, 1), (1, 0))))
     )
     with pytest.raises(GenericityFailure):
-        gin(I, GREVLEX, hostile)
+        gin(I, hostile)
 
 
 def test_gin_escalation_rescues_degenerate_small_bounds():
@@ -315,7 +300,7 @@ def test_gin_escalation_rescues_degenerate_small_bounds():
     fam = stable_depth_family(5, 3, 1)
     for seed in range(12):
         pol = GenericityPolicy(samples=2, bound=2, seed=seed)
-        G = gin(fam, GREVLEX, pol)
+        G = gin(fam, pol)
         assert set(G.generators) == {
             (1, 0, 0, 0, 0),
             (0, 2, 0, 0, 0),
@@ -329,7 +314,7 @@ def test_gin_injected_nonstable_raises_without_escalation():
     # surfaces as a genericity failure
     I = ideal(2, "x2")
     with pytest.raises(GenericityFailure):
-        gin(I, GREVLEX, identity_policy(2))
+        gin(I, identity_policy(2))
 
 
 def test_gin_honours_the_cap_after_an_equal_ideal_was_computed():
@@ -948,7 +933,7 @@ def test_wide_fan_probes_build_one_basis_per_lead_set(monkeypatch):
     I = ideal(7, "x1*x2 + x3*x4")
     probes = list(constancy_probes(I, maximal_cones(7, dimension(I)), pol))
     assert len(probes) == 21 and all(p.result for p in probes)
-    assert list(I.gins) == [(GREVLEX, pol)]
+    assert list(I.gins) == [pol]
     for gI in transformed(I, pol):
         leads = [frozenset(gb.leads) for order, gb in gI.gb_cache.items() if order.weight is not None]
         assert len(set(leads)) == len(leads) < len(probes)
@@ -988,6 +973,21 @@ def test_separating_witness():
         )
     w, v, distinct = separating_witness(smooth_quadric4(), pol)
     assert not distinct
+    # the witnesses at policy seeds 0-3, as recorded when a second gin, under
+    # grevlex with the two swapped variables exchanged, widened the gap
+    pins = [
+        (split_fan_ideal, ((0, 0, 1, 5, 21), (0, 0, 1, 21, 5))),
+        (lambda: stable_depth_family(5, 3, 1), ((0, 0, 0, 1, 4), (0, 0, 0, 4, 1))),
+        (lambda: stable_depth_family(6, 4, 2), ((0, 0, 0, 1, 4, 13), (0, 0, 0, 4, 1, 13))),
+    ]
+    for make, (w, v) in pins:
+        for seed in range(4):
+            assert separating_witness(make(), policy(seed)) == (w, v, True), seed
+    # the construction needs positive depth and dimension at least 3
+    with pytest.raises(ValueError, match="positive depth"):
+        separating_witness(product_family(4, 4), pol)
+    with pytest.raises(ValueError, match="dimension at least 3"):
+        separating_witness(ideal(3, "x1*x2"), pol)
 
 
 def test_classify_cm_labels():
@@ -1085,27 +1085,27 @@ def test_ray_form_matches_the_moved_point_probe():
 def test_depth_recovery_reads_rays_off_one_basis(monkeypatch):
     # the ray form has no gap parameter and builds no point off w: every
     # cell test recover_depth makes is a ray test on a basis at the one
-    # ladder point, and gin runs only under grevlex, through gap_degree
+    # ladder point, and the gin is read through gap_degree
     import inspect
 
     assert "c_gap" not in inspect.signature(ray_constancy).parameters
-    tests, gin_orders = [], []
+    tests, gin_policies = [], []
     cell_contains = groebner.GroebnerBasis.cell_contains
 
     def recording_cell_contains(gb, *args, **kwargs):
         tests.append((gb.order, args, kwargs))
         return cell_contains(gb, *args, **kwargs)
 
-    def recording_gin(I, order=GREVLEX, policy=GenericityPolicy()):
-        gin_orders.append(order)
-        return gin(I, order, policy)
+    def recording_gin(I, policy=GenericityPolicy()):
+        gin_policies.append(policy)
+        return gin(I, policy)
 
     monkeypatch.setattr(groebner.GroebnerBasis, "cell_contains", recording_cell_contains)
     monkeypatch.setattr(generic, "gin", recording_gin)
     pol = policy()
     I = stable_depth_family(6, 4, 2)
     assert recover_depth(I, pol) == 2
-    assert gin_orders and set(gin_orders) == {GREVLEX}
+    assert gin_policies and set(gin_policies) == {pol}
     assert tests and all(not args and set(kwargs) == {"ray"} for _, args, kwargs in tests)
     w = normalize_weight(interior_point(ConeId(6, {1, 2, 3}), gap_degree(I, pol) + 1), 6)
     assert {order for order, _, _ in tests} == {GREVLEX.refine(w)}
@@ -1158,8 +1158,8 @@ def test_boundary_points_split_adjacent_cones():
 
 def test_determinism_across_fresh_objects():
     pol = policy(seed=9)
-    a = gin(stable_depth_family(5, 3, 1), GREVLEX, pol)
-    b = gin(stable_depth_family(5, 3, 1), GREVLEX, pol)
+    a = gin(stable_depth_family(5, 3, 1), pol)
+    b = gin(stable_depth_family(5, 3, 1), pol)
     assert a == b
     w1 = separating_witness(stable_depth_family(5, 3, 1), pol)
     w2 = separating_witness(stable_depth_family(5, 3, 1), pol)

@@ -29,7 +29,7 @@ from gentrop.groebner import (
     normal_form,
     saturate,
 )
-from gentrop.poly import GREVLEX, LEX, OrderSpec, Polynomial, initial_form, normalize_weight
+from gentrop.poly import GREVLEX, OrderSpec, Polynomial, initial_form, normalize_weight
 
 import oracles
 from cases import (
@@ -109,7 +109,7 @@ def test_basis_idempotence():
 
 def test_membership_is_order_independent():
     rng = random.Random(9)
-    orders = [GREVLEX, LEX, OrderSpec("grevlex", (3, 1, 2))]
+    orders = [GREVLEX, GREVLEX.refine((0, 1, 2)), GREVLEX.refine((2, 0, 1))]
     for seed in range(4):
         I = random_graded_ideal(3, seed)
         bases = [buchberger(I, o).elements for o in orders]
@@ -234,21 +234,25 @@ def test_equivalent_weights_give_equal_initial_ideals():
 def test_weighted_bases_are_cached_under_the_normalized_order(monkeypatch):
     # shifts and positive multiples of a weight, and weights that normalize
     # to zero, are one order: one engine run and one cache entry, with the
-    # elements ascending under the order they are cached under
+    # elements ascending under the order they are cached under.  A weight
+    # that normalizes to zero, or the order spelled out anew, is the key
+    # GREVLEX: a cache hit with no Groebner-cone lookup
     runs = counting_engine(monkeypatch)
-    base = OrderSpec("grevlex", (3, 2, 1))
     for weights, want in [
-        ([(2, 2, 2), (5, 5, 5), (0, 0, 0), None], base),
-        ([(0, 1, 2), (3, 5, 7), (-2, 0, 2), (Fraction(1, 2), 1, Fraction(3, 2))], base.refine((0, 1, 2))),
+        ([(2, 2, 2), (5, 5, 5), (0, 0, 0), None], GREVLEX),
+        ([(0, 1, 2), (3, 5, 7), (-2, 0, 2), (Fraction(1, 2), 1, Fraction(3, 2))],
+         GREVLEX.refine((0, 1, 2))),
     ]:
         I = Ideal(3, [dense_form(3, 2, 0), dense_form(3, 2, 1)])
         before = len(runs)
-        got = [buchberger(I, base if w is None else base.refine(w)) for w in weights]
-        assert len(runs) == before + 1
+        first = buchberger(I, GREVLEX if weights[0] is None else GREVLEX.refine(weights[0]))
+        lookups = counting_cone_hits(monkeypatch)
+        got = [buchberger(I, OrderSpec() if w is None else GREVLEX.refine(w)) for w in weights]
+        assert len(runs) == before + 1 and not lookups
         assert list(I.gb_cache) == [want]
-        assert all(gb is got[0] for gb in got) and got[0].order == want
+        assert all(gb is first for gb in got) and first.order == want
         key = want.key_function(3, I.degree_cap)
-        leads = [key(e) for e in got[0].leads]
+        leads = [key(e) for e in first.leads]
         assert leads == sorted(leads) and len(set(leads)) == len(leads)
 
 
@@ -470,20 +474,6 @@ def _sweep_initial_ideals(monkeypatch) -> list:
     return out
 
 
-def test_a_spelled_out_identity_order_is_one_cache_key(monkeypatch):
-    # an identity ``perm`` is stored as None, so grevlex on (1, ..., n) is
-    # GREVLEX: after buchberger(I), the spelled-out order is a cache hit,
-    # with one gb_cache entry and no Groebner-cone lookup
-    spelled = OrderSpec("grevlex", (1, 2, 3))
-    assert spelled == GREVLEX and spelled.perm is None and OrderSpec("lex", [1, 2]) == LEX
-    assert OrderSpec("grevlex", (2, 1, 3)).perm == (2, 1, 3)
-    I = ideal(3, "x1*x2 - x3^2", "x1^2 + x2*x3")
-    gb = buchberger(I)
-    lookups = counting_cone_hits(monkeypatch)
-    assert buchberger(I, spelled) is gb
-    assert list(I.gb_cache) == [GREVLEX] and not lookups
-
-
 def _fresh(I: Ideal) -> Ideal:
     """A copy of I with nothing cached and its numerator unknown."""
     return Ideal(I.n, map(dict, I.forms), I.degree_cap)
@@ -551,8 +541,9 @@ def test_the_saturation_walk_matches_one_basis_per_variable(monkeypatch):
 
 def test_a_step_after_a_division_runs_in_natural_order(monkeypatch):
     # a step that divides builds an ideal with no cached basis, so the next
-    # step runs: under grevlex with its variable last and the others in
-    # natural order.  Each walk, to the saturation by x^m, answers as the
+    # step runs: under grevlex refined by its variable's unit weight, which
+    # ranks as grevlex with that variable last and the others in natural
+    # order.  Each walk, to the saturation by x^m, answers as the
     # walk that runs one basis per variable.  In 18 steps the walks ask for
     # a basis of an ideal that a division built, and they make 75 engine
     # runs in all (39 and 96 when a held basis could certify a step and the
@@ -582,9 +573,7 @@ def test_a_step_after_a_division_runs_in_natural_order(monkeypatch):
         walked += len(runs) - before
         for K, order in orders:
             if K is not J:
-                last = (order.perm or (I.n,))[-1]
-                assert order == OrderSpec(
-                    "grevlex", (*(k for k in range(1, I.n + 1) if k != last), last)), (I, m)
+                assert order == GREVLEX or sorted(order.weight) == [0] * (I.n - 1) + [1], (I, m)
                 after += 1
         assert buchberger(got).forms == want, (I, m)
     assert (after, walked) == (18, 75)
@@ -714,6 +703,21 @@ def test_graded_validation_and_errors():
     # a cap that is not an int would fail only at the first run
     with pytest.raises(ValueError, match="not an int"):
         Ideal(3, [P("x1*x2", 3)], degree_cap=2.5)
+    # a zero f is its own remainder; a zero divisor is refused
+    zero = Polynomial.zero(2)
+    assert normal_form(zero, [P("x1", 2)]) is zero
+    with pytest.raises(ValueError, match="zero polynomial in divisor list"):
+        normal_form(P("x1", 2), [P("x2", 2), zero])
+    # a second ideal, a saturating monomial or a weight in another number
+    # of variables
+    with pytest.raises(ValueError, match="variable counts differ"):
+        ideal_equal(ideal(2, "x1"), ideal(3, "x1"))
+    with pytest.raises(ValueError, match="variable counts differ"):
+        saturate(ideal(2, "x1"), P("x1", 3))
+    gb = buchberger(ideal(2, "x1*x2 + x2^2"))
+    for test in (gb.has_monomial_initial_form, gb.cell_contains):
+        with pytest.raises(ValueError, match="weight length"):
+            test((0, 1, 2))
 
 
 def test_ideal_stores_primitive_integer_forms():
@@ -760,7 +764,7 @@ def test_ideal_stores_primitive_integer_forms():
 def test_a_redundant_generator_above_the_cap_raises(gens, cap):
     # the second generator is a multiple of the first, so it reduces to zero
     # without making a term of a new monomial, but the cap binds it too
-    for order in (GREVLEX, LEX, GREVLEX.refine((1, 0))):
+    for order in (GREVLEX, GREVLEX.refine((0, 1)), GREVLEX.refine((1, 0))):
         with pytest.raises(DegreeCapExceeded, match=f"exceeds cap {cap}"):
             buchberger(ideal(2, *gens, degree_cap=cap), order)
 
@@ -768,7 +772,7 @@ def test_a_redundant_generator_above_the_cap_raises(gens, cap):
 def test_a_generator_that_reduces_to_zero_forms_no_pair():
     # x1*x2^2 reduces to zero by x1, so its pair with x2^3 (lcm degree 4)
     # is never formed and the cap of 3 is met
-    for order in (GREVLEX, LEX, GREVLEX.refine((1, 0))):
+    for order in (GREVLEX, GREVLEX.refine((0, 1)), GREVLEX.refine((1, 0))):
         gb = buchberger(ideal(2, "x1", "x2^3", "x1*x2^2", degree_cap=3), order)
         assert sorted(str(g) for g in gb) == ["x1", "x2^3"]
 
@@ -981,7 +985,8 @@ def test_a_run_does_not_depend_on_the_bases_its_ideal_holds(monkeypatch):
     for I in seeded_ideals(4, 2):
         n = I.n
         orders = [GREVLEX.refine(w) for w in product(range(3), repeat=n)]
-        orders += [OrderSpec("grevlex", tuple(range(n, 0, -1))), LEX]
+        orders += [GREVLEX.refine(tuple(4**k for k in range(n))),
+                   GREVLEX.refine(tuple(4**k for k in reversed(range(n))))]
         for order in orders:
             warm = _fresh(I)
             buchberger(warm, GREVLEX)
@@ -1097,11 +1102,11 @@ def _check_against_the_reference_engine(warm):
     for idx, I in enumerate(ideals):
         n = I.n
         rng = random.Random(f"reference:{idx}")
-        perm = tuple(rng.sample(range(1, n + 1), n))
         weights = [(0,) * n, (2,) * n, (1,) * (n - 1) + (0,), (10**9,) + (0,) * (n - 1)]
         weights.append(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)))
-        orders = [GREVLEX, OrderSpec("grevlex", perm), OrderSpec("lex", perm)]
-        orders += [OrderSpec(rng.choice(("lex", "grevlex")), perm).refine(w) for w in weights]
+        weights.append(tuple(rng.sample(range(n), n)))
+        weights.append(tuple(rng.randint(0, 4) for _ in range(n)))
+        orders = [GREVLEX] + [GREVLEX.refine(w) for w in weights]
         for order in orders:
             gb, cap = _engine_at_smallest_cap(I, order, warm)
             want = oracles.reference_groebner(I.generators, order, n)
@@ -1137,8 +1142,8 @@ def _time_budget(seconds: float, what: str):
 def test_buchberger_matches_the_reference_engine():
     # an independent textbook Buchberger (every pair, no criterion, tuple
     # keys from each order's definition, Fraction arithmetic) must return
-    # the same reduced basis under permuted grevlex and lex and weight
-    # refinements with zero, tied, negative and large weights.  Each run
+    # the same reduced basis under grevlex and its weight refinements, with
+    # zero, tied, permuted, negative and large weights.  Each run
     # uses the smallest cap it fits, so the integer key works at its bound.
     # The comparison takes a second or two; a broken divisibility test on
     # packed monomials makes a run push elements without end, and the
@@ -1237,10 +1242,8 @@ def _certify(gens, order):
 def test_seeded_groebner_certificates():
     # pair pruning must not lose an s-pair: certify bases of seeded sparse
     # and dense ideals under every order kind the package uses, including
-    # the grevlex orders with x_i last that saturation steps use (the other
-    # variables in natural order, or x_{i+1} .. x_n first, as in the
-    # monomial-containment walk), and check membership of the bases with
-    # the linear-algebra oracle
+    # grevlex refined by the unit weight e_i, which saturation steps use,
+    # and check membership of the bases with the linear-algebra oracle
     ideals = [random_graded_ideal(n, seed, gens=2 + seed % 3) for n in (3, 4) for seed in range(3)]
     for seed in range(3):
         ideals.append(Ideal(3, [dense_form(3, 2, seed), dense_form(3, 3, seed)]))
@@ -1248,16 +1251,9 @@ def test_seeded_groebner_certificates():
     for idx, I in enumerate(ideals):
         n = I.n
         rng = random.Random(f"certify:{idx}")
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        orders = [GREVLEX, LEX, OrderSpec("grevlex", tuple(perm))]
+        orders = [GREVLEX, GREVLEX.refine(tuple(rng.sample(range(n), n)))]
         orders += [GREVLEX.refine(tuple(rng.randint(0, 4) for _ in range(n))) for _ in range(2)]
-        orders += [
-            OrderSpec("grevlex", tuple(k for k in range(1, n + 1) if k != i) + (i,))
-            for i in range(1, n)
-        ]
-        orders += [OrderSpec("grevlex", (*range(i + 1, n + 1), *range(1, i + 1)))
-                   for i in range(2, n)]
+        orders += [GREVLEX.refine([int(k == i) for k in range(n)]) for i in range(n - 1)]
         gens = [dict(f) for f in I.forms]
         graded = [Polynomial(n, g) for o in orders for g in _certify(gens, o)]
         assert oracles.members_homogeneous(graded, I.generators, n)
@@ -1276,9 +1272,9 @@ def test_a_hilbert_target_changes_no_basis(monkeypatch):
         n = I.n
         target = hilbert_numerator(n, buchberger(I).leads)
         rng = random.Random(f"target:{idx}")
-        perm = tuple(rng.sample(range(1, n + 1), n))
-        orders = [GREVLEX, LEX, OrderSpec("grevlex", perm), OrderSpec("lex", perm)]
-        orders += [GREVLEX.refine(tuple(rng.randint(0, 4) for _ in range(n))) for _ in range(3)]
+        orders = [GREVLEX, GREVLEX.refine(tuple(4**k for k in range(n))),
+                  GREVLEX.refine(tuple(rng.sample(range(n), n)))]
+        orders += [GREVLEX.refine(tuple(rng.randint(0, 4) for _ in range(n))) for _ in range(4)]
         gens = [dict(f) for f in I.forms]
         for order in orders:
             key = order.key_function(n, 40)
@@ -1293,37 +1289,39 @@ def test_a_hilbert_target_changes_no_basis(monkeypatch):
 
 def test_pair_criteria_bound_the_s_pairs_of_cold_runs(monkeypatch):
     # runs on ideals with no cached basis have no Hilbert target and rely on
-    # the pair criteria alone.  On 40 seeded ideals, under five orders each
-    # and in the steps of one saturation of a fresh copy, the criteria M and
-    # F and the coprimality rule leave 2,655 s-pair normal forms: 2,775
-    # without the coprimality rule, 3,289 without F, 4,428 without M
+    # the pair criteria alone.  On 40 seeded ideals, under grevlex and four
+    # weight refinements each and in the steps of one saturation of a fresh
+    # copy, the criteria M and F and the coprimality rule leave 2,203 s-pair
+    # normal forms: 2,282 without the coprimality rule, 2,626 without F,
+    # 3,396 without M
     from gentrop.groebner import _buchberger_dicts, _saturation
 
     spairs = counting_spairs(monkeypatch)
     for idx, I in enumerate(seeded_ideals(12, 8)):
         n = I.n
         rng = random.Random(f"cold:{idx}")
-        perm = tuple(rng.sample(range(1, n + 1), n))
-        orders = [GREVLEX, LEX, OrderSpec("grevlex", perm), OrderSpec("lex", perm),
-                  GREVLEX.refine(tuple(rng.randint(0, 4) for _ in range(n)))]
+        orders = [GREVLEX, GREVLEX.refine(tuple(rng.sample(range(n), n)))]
+        orders += [GREVLEX.refine(tuple(rng.randint(0, 4) for _ in range(n))) for _ in range(3)]
         for order in orders:
             _buchberger_dicts([dict(f) for f in I.forms], order.key_function(n, 40), 40)
         _saturation(Ideal(n, map(dict, I.forms)), (1,) * n)
-    assert len(spairs) <= 2720
+    assert len(spairs) <= 2240
 
 
 def test_a_warm_cache_keeps_the_s_pair_cap():
     from gentrop.groebner import _buchberger_dicts
 
     # under cap 4 the grevlex basis of this ideal fits (its largest element
-    # has degree 3) and gives the ideal a Hilbert target, but the lex run
-    # forms a pair of degree 5 and must still raise.  So must the lex run of
+    # has degree 3) and gives the ideal a Hilbert target, but the run refined
+    # by (0, 2, 3), which ranks x1*x3^2 above x2^2*x3 as lex does, forms a
+    # pair of degree 5 and must still raise.  So must that run of
     # an initial ideal that took its numerator from its parent and whose one
     # cached basis is the grevlex basis read from its forms.
+    order = GREVLEX.refine((0, 2, 3))
     I = ideal(3, "x1*x2 + x3^2", "x1^2 + x2*x3", degree_cap=4)
     assert max(g.degree for g in buchberger(I)) == 3
     with pytest.raises(DegreeCapExceeded, match="s-pair degree exceeds cap 4"):
-        buchberger(I, LEX)
+        buchberger(I, order)
     assert I.numerator == (1, 0, -2, 0, 1)
     J = initial_ideal(I, (2, 1, 0))
     assert gens_of(J) == ["x3^2", "x2*x3", "x1*x2^2 - x1^2*x3"]
@@ -1332,7 +1330,7 @@ def test_a_warm_cache_keeps_the_s_pair_cap():
     assert sorted(seeded) == sorted(J.forms)
     assert list(seeded) == _buchberger_dicts(map(dict, J.forms), GREVLEX.key_function(3, 4), 4)
     with pytest.raises(DegreeCapExceeded, match="s-pair degree exceeds cap 4"):
-        buchberger(J, LEX)
+        buchberger(J, order)
 
 
 def _reference_division(f, G, key):
@@ -1377,7 +1375,7 @@ def test_rational_inputs_match_fraction_division():
         P("-6*x1^2*x2 + 1/2*x2^3 - 3/4*x1*x3^2", 3),
         P("-3/4*x1^4 + x2^2*x3^2 + 1/2*x1*x3^3", 3),
     ]
-    orders = [GREVLEX, LEX, OrderSpec("grevlex", (3, 1, 2)), GREVLEX.refine((2, 0, 1))]
+    orders = [GREVLEX] + [GREVLEX.refine(w) for w in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
     for order in orders:
         key = order.key_function(3, DEFAULT_DEGREE_CAP)
         # a non-Groebner divisor list
@@ -1444,19 +1442,21 @@ def test_normal_form_follows_the_given_weight():
 
 def test_degree_cap_fires_mid_reduction():
     # non-homogeneous divisor: reducing x1 by x1 - 1/6*x2^3 raises the
-    # degree, so the cap aborts inside the reduction, not at a lead
+    # degree, so the cap aborts inside the reduction, not at a lead.  The
+    # weight (0, 1) ranks x1 above every power of x2
+    order = GREVLEX.refine((0, 1))
     divisor = [P("-2*x1 + 1/3*x2^3", 2)]
     with pytest.raises(DegreeCapExceeded, match="^degree 6 exceeds cap 5 during reduction$"):
-        normal_form(P("x1^2", 2), divisor, LEX, degree_cap=5)
-    assert normal_form(P("x1^2", 2), divisor, LEX, degree_cap=6) == P("1/36*x2^6", 2)
+        normal_form(P("x1^2", 2), divisor, order, degree_cap=5)
+    assert normal_form(P("x1^2", 2), divisor, order, degree_cap=6) == P("1/36*x2^6", 2)
     # the same at the edge of one-byte exponent fields (cap 127), of
     # two-byte ones (128) and beyond the widest (2^64): x1^2 reduces to
     # x2^128 through x1*x2^64
     divisor = [P("-2*x1 + 1/3*x2^64", 2)]
     with pytest.raises(DegreeCapExceeded, match="^degree 128 exceeds cap 127 during reduction$"):
-        normal_form(P("x1^2", 2), divisor, LEX, degree_cap=127)
+        normal_form(P("x1^2", 2), divisor, order, degree_cap=127)
     for cap in (128, 2**64):
-        assert normal_form(P("x1^2", 2), divisor, LEX, degree_cap=cap) == P("1/36*x2^128", 2)
+        assert normal_form(P("x1^2", 2), divisor, order, degree_cap=cap) == P("1/36*x2^128", 2)
 
 
 def test_normal_form_ranks_input_terms_above_the_cap():

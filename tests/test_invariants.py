@@ -19,7 +19,7 @@ from gentrop.invariants import (
     multiplicity,
 )
 from gentrop.generic import depth
-from gentrop.poly import GREVLEX, LEX, OrderSpec
+from gentrop.poly import GREVLEX
 from gentrop.groebner import hilbert_numerator, initial_ideal
 import gentrop
 
@@ -108,6 +108,9 @@ def test_hilbert_examples():
     # the square of the irrelevant ideal of two variables inside three
     h = hilbert(M(3, (2, 0, 0), (1, 1, 0), (0, 2, 0)))
     assert h == HilbertData((1, 2), 1, 3)
+    # an ideal holding 1 has the zero ring as quotient
+    with pytest.raises(ValueError, match="zero ring"):
+        hilbert(M(3, (0, 0, 0)))
 
 
 def test_hilbert_reconstructs_counts():
@@ -168,8 +171,8 @@ def test_multiplicity_order_invariance():
     for seed in range(4):
         I = random_graded_ideal(3, seed)
         h1 = hilbert(monomial_ideal_of(I, GREVLEX))
-        h2 = hilbert(monomial_ideal_of(I, LEX))
-        h3 = hilbert(monomial_ideal_of(I, OrderSpec("grevlex", (3, 1, 2))))
+        h2 = hilbert(monomial_ideal_of(I, GREVLEX.refine((0, 5, 9))))
+        h3 = hilbert(monomial_ideal_of(I, GREVLEX.refine((2, 0, 1))))
         assert h1.multiplicity == h2.multiplicity == h3.multiplicity
         assert h1.dim == h2.dim == h3.dim
 
@@ -178,11 +181,6 @@ def test_is_strongly_stable_examples():
     assert is_strongly_stable(M(2, (2, 0), (1, 1)))
     assert not is_strongly_stable(M(2, (0, 1)))
     assert is_strongly_stable(M(5, (2, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 2, 0, 0), (1, 0, 1, 1, 0)))
-    # stability depends on the ordering
-    assert is_strongly_stable(M(2, (0, 1)), perm=(2, 1))
-    for perm in ((1, 1), (1,), (0, 1)):
-        with pytest.raises(ValueError, match="permutation"):
-            is_strongly_stable(M(2, (0, 1)), perm=perm)
 
 
 def test_depth_of_stable_examples():
@@ -241,7 +239,7 @@ def test_gin_structure_constraints():
         (stable_depth_family(6, 4, 2), 4, 2),
     ]:
         n = I.n
-        G = gin(I, GREVLEX, pol)
+        G = gin(I, pol)
         m = dimension(I)
         assert m == m_want
         t = depth_of_stable(G)

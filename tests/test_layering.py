@@ -1,16 +1,19 @@
 """Layering rules: no gentrop module imports another module's private
 (``_``-prefixed) names or imports another gentrop module inside a function,
 at run time gentrop imports only the standard library and itself, neither
-start-up nor a CLI job loads a costly stdlib convenience, and only the
-``Ideal`` and the division engine take a degree cap."""
+start-up nor a CLI job loads a costly stdlib convenience, only the
+``Ideal`` and the division engine take a degree cap, and every function the
+benchmark tracer wraps exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gentrop"
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 
 
 def private_imports(path: Path) -> list:
@@ -210,3 +213,17 @@ def test_only_the_ideal_carries_the_degree_cap():
     assert modules
     takers = {name for p in modules for name in cap_parameters(p)}
     assert sorted(takers - CAP_TAKERS) == []
+
+
+def test_every_traced_function_exists():
+    # the tracer wraps (module, function) pairs by name, and a renamed or
+    # deleted one fails only a traced benchmark run: read its table without
+    # importing the tracer
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+    assert len(traced) > 20
+    missing = [(module, func) for module, func, _ in traced
+               if not hasattr(importlib.import_module(f"gentrop.{module}"), func)]
+    assert missing == []

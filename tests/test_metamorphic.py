@@ -18,7 +18,7 @@ from gentrop.fans import interior_point, maximal_cones
 from gentrop.generic import Transform, _det_int, apply_transform, classify_cm, depth, gin, tropical_member
 from gentrop.groebner import Ideal
 from gentrop.invariants import dimension, multiplicity
-from gentrop.poly import GREVLEX, Polynomial
+from gentrop.poly import Polynomial
 
 from cases import policy, product_family, random_graded_ideal, split_fan_ideal, stable_depth_family
 
@@ -93,7 +93,7 @@ def _report(I, pol, weights):
         "depth": depth(I, pol),
         "multiplicity": multiplicity(I),
         "label": classify_cm(I, pol).label,
-        "gin": sorted(gin(I, GREVLEX, pol).generators),
+        "gin": sorted(gin(I, pol).generators),
         "tropical": [tropical_member(I, w, pol) for w in weights],
     }
 
