@@ -368,7 +368,8 @@ def main(argv=None) -> int:
         try:
             n, polys = parse_ideal_file(data.decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{args.file}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+            raise ParseError(
+                f"{args.file[:20]}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
         I = Ideal(n, polys, args.degree_cap)
         code, fields = args.func(I, _policy(args, n), args)
         report = {
@@ -392,6 +393,9 @@ def main(argv=None) -> int:
         return code
     except tuple(_EXIT_CODES) as exc:
         code = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):
+            # quote at most 20 characters of the path, as every usage error does
+            exc = OSError(exc.errno, exc.strerror, exc.filename[:20])
         label = "internal error" if code == EXIT_INTERNAL else "error"
         print(f"{label}: {exc}", file=sys.stderr)
         return code

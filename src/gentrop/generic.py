@@ -21,8 +21,8 @@ point test; ``buchberger`` serves that basis from a cached one whose
 Groebner cone holds the point.  Every probe is exact, though constancy
 probes are labelled ``sampled`` (see ``ProbeResult``).  The generic
 initial ideal, which gives the gap factor of the probes' interior points
-(``gap_degree``), is memoized on the ideal, so it is computed once per
-policy.
+(``gap_degree``), is read off each draw's held grevlex basis whenever it is
+asked for.
 
 A fan probe reads its cones off the lazy fan sequences of ``fans`` and runs
 once per symmetry orbit of the cones, or of the adjacent pairs, it visits
@@ -182,19 +182,15 @@ def _det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def random_transform(
-    n: int, policy: GenericityPolicy, index: int, rng: random.Random | None = None
-) -> Transform:
+def random_transform(n: int, policy: GenericityPolicy, index: int) -> Transform:
     """Deterministic invertible transform number ``index`` under the policy.
 
     Entries are i.i.d. uniform integers in [-bound, bound]; singular draws are
-    resampled (at most 100 attempts).  ``rng`` overrides the seeded stream for
-    adversarial tests.
+    resampled (at most 100 attempts).
     """
     if policy.bound < 1:
         raise ValueError("bound must be at least 1")
-    if rng is None:
-        rng = random.Random(f"{policy.seed}:{policy.bound}:{index}")
+    rng = random.Random(f"{policy.seed}:{policy.bound}:{index}")
     for _ in range(100):
         rows = tuple(
             tuple(rng.randint(-policy.bound, policy.bound) for _ in range(n))
@@ -209,12 +205,12 @@ def random_transform(
 
 def apply_transform(I: Ideal, g: Transform) -> Ideal:
     """The ideal generated by the images of the generators under g, derived
-    from I: it has the degree cap of I and shares its memo of Hilbert checks
-    (see ``groebner.Ideal``).  A transform is invertible, so it keeps the
-    Hilbert series, and gI shares I's holder of the Hilbert numerator
-    (``Ideal.series``).  So the numerator that ``groebner.buchberger``
-    records with the first basis of one draw gI, or of I, is known to I and
-    to every other draw, whose first run then has a target.
+    from I: it has the degree cap of I (see ``groebner.Ideal``).  A
+    transform is invertible, so it keeps the Hilbert series, and gI shares
+    I's holder of the Hilbert numerator (``Ideal.series``).  So the
+    numerator that ``groebner.buchberger`` records with the first basis of
+    one draw gI, or of I, is known to I and to every other draw, whose first
+    run then has a target.
 
     Images of the integer forms are expanded over the integers on packed
     monomials: the exponent of x_j sits in bits [w j, w (j+1)) of an int,
@@ -321,13 +317,11 @@ def gin(I: Ideal, policy: GenericityPolicy = GenericityPolicy()) -> MonomialIdea
     """The generic initial ideal for grevlex: the common leading-monomial
     ideal of the transformed ideal across agreeing transforms.  The result
     must be strongly stable (Bayer and Stillman 1987); a violation is
-    treated as a genericity failure.  Memoized in ``I.gins`` by the
-    policy."""
-    M = I.gins.get(policy)
-    if M is None:
-        M = I.gins[policy] = agreed(I, policy, monomial_ideal_of, "generic initial ideal",
-                                    valid=is_strongly_stable)
-    return M
+    treated as a genericity failure.  Not memoized: each call reads the
+    leads of every draw's grevlex basis again, and only the first call on a
+    draw runs the engine, as the draws and their bases are memoized."""
+    return agreed(I, policy, monomial_ideal_of, "generic initial ideal",
+                  valid=is_strongly_stable)
 
 
 def depth(I: Ideal, policy: GenericityPolicy) -> int:

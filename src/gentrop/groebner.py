@@ -7,8 +7,8 @@ integers: an ``Ideal`` keeps its generators, and a ``GroebnerBasis`` its
 elements, in one layout, as ``forms``: primitive integer polynomials
 (content 1, positive leading coefficient), each a tuple of (exponents,
 int) terms, lead first.  Leads, weighted initial ideals and derived ideals
-are read from them, and monic Fraction ``Polynomial``s are built only when
-first read.  The remainders of ``normal_form`` are exact over the rationals.
+are read from them, and monic Fraction ``Polynomial``s are built when
+read.  The remainders of ``normal_form`` are exact over the rationals.
 Inside a run a monomial is one int (``_Monomials``): fields sized by the
 degree cap and the input degrees, and a linear order key above them.
 Generators enter a run reduced by the basis so far, as s-polynomials do.
@@ -34,13 +34,15 @@ tie-break is fixed, so identical inputs produce bit-identical output.
 Each ``Ideal`` carries a degree cap (default 40) that aborts runaway
 computations on it with ``DegreeCapExceeded`` instead of hanging.  An
 ideal the engine derives from its own forms inherits what its parent knows:
-its cap, its memo of Hilbert checks and, for an initial ideal, its reduced
-grevlex basis, which is its forms (Sturmfels 1996, "Groebner Bases and
-Convex Polytopes", Prop. 1.8 and Cor. 1.9).  Each ``initial_ideal`` call
-builds a fresh ideal.  An initial ideal and an invertible transform share
-their parent's holder of the Hilbert numerator (``Ideal.series``), and a
-saturation shares that of the last ideal of its walk, so a numerator
-recorded with any one's basis ends the runs of all.
+its cap and, for an initial ideal, its reduced grevlex basis, which is its
+forms (Sturmfels 1996, "Groebner Bases and Convex Polytopes", Prop. 1.8 and
+Cor. 1.9).  Each ``initial_ideal`` call builds a fresh ideal.  An initial
+ideal and an invertible transform share their parent's holder of the
+Hilbert numerator (``Ideal.series``), and a saturation shares that of the
+last ideal of its walk, so a numerator recorded with any one's basis ends
+the runs of all.  Results are memoized on an ``Ideal`` only where
+recomputing them costs a run (see ``Ideal``), so each Hilbert check of a
+run computes its numerator afresh.
 """
 
 from __future__ import annotations
@@ -76,32 +78,30 @@ class NotGradedError(ValueError):
 
 class Ideal:
     """A nonzero graded ideal given by generators, with the degree cap of
-    every computation on it and memos of its reduced bases, of its generic
-    transforms and of its generic initial ideals.
+    every computation on it and memos of its reduced bases and of its
+    generic transforms.
 
     Generators are homogeneous ``Polynomial``s or integer dicts
     {exponents: int}.  ``forms`` holds them as primitive integer forms
     ((exponents, int) terms in grevlex order, content 1, positive leading coefficient), so
     scalar multiples give equal ``key()``s; ``generators`` are their monic
-    ``Polynomial``s, in input order, built when first read.  Every Groebner
+    ``Polynomial``s, in input order, built when read.  Every Groebner
     computation on the ideal runs under ``degree_cap``.  Every ideal derived
     from it (transformed, initial, saturated) is built by ``_derive``
-    without the constructor's checks, inherits the cap, so one cap bounds a
-    whole analysis, and shares ``hilbert_memo``, which maps the minimal
-    leads of a Hilbert check to its numerator (see ``_memo_numerator``).
-    The ideal is the only place results are cached, and every entry was
-    computed under its one cap.  ``gb_cache`` maps an OrderSpec to the
-    reduced basis; a cached basis also serves any order whose Groebner cone
-    contains it (see ``buchberger``), so the cap bounds every computation
-    performed, not the runs a reused basis skips.  ``images`` maps an
-    immutable and hashable GenericityPolicy to the tuple of transformed
-    ideals (see ``generic.transformed``), ``gins`` maps a policy to the
-    grevlex generic initial ideal (see ``generic.gin``), and
-    ``members`` maps a (policy, weight) pair to the answer of
-    ``generic.tropical_member``, with the sorted normalized weight under
-    sampled transforms and the normalized weight itself under injected
-    ones.  Weighted initial ideals are not memoized.  ``numerator``
-    memoizes the numerator of the Hilbert series of S/I (see
+    without the constructor's checks and inherits the cap, so one cap bounds
+    a whole analysis.  The ideal is the only place results are cached, and
+    every entry was computed under its one cap.  An entry is kept only where
+    recomputing it costs an engine run or a measured share of a workload.
+    ``gb_cache`` maps an OrderSpec to the reduced basis; a cached basis also
+    serves any order whose Groebner cone contains it (see ``buchberger``),
+    so the cap bounds every computation performed, not the runs a reused
+    basis skips.  ``images`` maps an immutable and hashable
+    GenericityPolicy to the tuple of transformed ideals (see
+    ``generic.transformed``), and ``members`` maps a (policy, weight) pair
+    to the answer of ``generic.tropical_member``, with the sorted normalized
+    weight under sampled transforms and the normalized weight itself under
+    injected ones.  Weighted and generic initial ideals are not memoized.
+    ``numerator`` memoizes the numerator of the Hilbert series of S/I (see
     ``hilbert_numerator``), which every Buchberger run on the ideal takes
     as the target that ends it; ``buchberger`` sets it with the first basis
     it stores, and until then it is None.  It is held in ``series``, a
@@ -115,8 +115,8 @@ class Ideal:
     """
 
     __slots__ = (
-        "n", "forms", "degree_cap", "hilbert_memo", "gb_cache", "images", "gins",
-        "members", "series", "has_monomial", "_gens",
+        "n", "forms", "degree_cap", "gb_cache", "images", "members", "series",
+        "has_monomial",
     )
 
     def __init__(
@@ -146,15 +146,15 @@ class Ideal:
             gens.append(_primitive(g))
         if not gens:
             raise UsageError("the zero ideal is not supported")
-        self.n, self.degree_cap, self.hilbert_memo = n, degree_cap, {}
+        self.n, self.degree_cap = n, degree_cap
         self._set_forms(gens)
 
     def _derive(self, gens: Iterable[dict]) -> Ideal:
         """The ideal of ``gens``, nonzero homogeneous integer dicts the engine
         derived from this ideal's forms, built without the constructor's
-        checks; it inherits the cap and shares the memo of Hilbert checks."""
+        checks; it inherits the cap."""
         J = Ideal.__new__(Ideal)
-        J.n, J.degree_cap, J.hilbert_memo = self.n, self.degree_cap, self.hilbert_memo
+        J.n, J.degree_cap = self.n, self.degree_cap
         J._set_forms(list(gens))
         return J
 
@@ -170,11 +170,9 @@ class Ideal:
         self.forms = tuple(forms)
         self.gb_cache: dict = {}
         self.images: dict = {}
-        self.gins: dict = {}
         self.members: dict = {}
         self.series = [None]
         self.has_monomial = None
-        self._gens = None
 
     @property
     def numerator(self):
@@ -186,9 +184,7 @@ class Ideal:
 
     @property
     def generators(self) -> tuple:
-        if self._gens is None:
-            self._gens = tuple(Polynomial(self.n, _monic(f)) for f in self.forms)
-        return self._gens
+        return tuple(Polynomial(self.n, _monic(f)) for f in self.forms)
 
     def key(self) -> tuple:
         """Hashable identity of the presented ideal (ambient + forms)."""
@@ -207,15 +203,14 @@ class GroebnerBasis:
     (exponents, int) terms with content 1, its terms in descending order of
     the basis's order, so its lead, with a positive coefficient, comes
     first.  ``leads`` are the leading exponent vectors; ``elements`` are the
-    monic Fraction polynomials, built the first time they are read."""
+    monic Fraction polynomials, built when read."""
 
-    __slots__ = ("order", "n", "forms", "_elements")
+    __slots__ = ("order", "n", "forms")
 
     def __init__(self, order: OrderSpec, n: int, forms: Sequence[tuple]):
         self.order = order
         self.n = n
         self.forms = tuple(forms)
-        self._elements = None
 
     @property
     def leads(self) -> tuple:
@@ -223,9 +218,7 @@ class GroebnerBasis:
 
     @property
     def elements(self) -> tuple:
-        if self._elements is None:
-            self._elements = tuple(Polynomial(self.n, _monic(f)) for f in self.forms)
-        return self._elements
+        return tuple(Polynomial(self.n, _monic(f)) for f in self.forms)
 
     def has_monomial_initial_form(self, w) -> bool:
         """Whether some element's w-initial form (its terms of minimal
@@ -520,12 +513,11 @@ def _spair_poly(ri: tuple, rj: tuple, mons: _Monomials) -> dict:
     return acc
 
 
-def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None,
-                      memo: dict | None = None) -> list:
-    """Reduced Groebner basis of the ideal generated by ``gens``, primitive
-    integer polynomials {exponents: int}.  ``key`` is an integer order key,
-    a dot product (see ``_Monomials``), exact on terms of degree up to
-    ``cap``; the packed fields fit ``cap`` and the input degrees.
+def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None) -> list:
+    """Reduced Groebner basis of the nonzero ideal generated by ``gens``,
+    primitive integer polynomials {exponents: int}.  ``key`` is an integer
+    order key, a dot product (see ``_Monomials``), exact on terms of degree
+    up to ``cap``; the packed fields fit ``cap`` and the input degrees.
 
     Each generator is checked against ``cap``, then enters the basis as its
     normal form by the basis built so far, as an s-polynomial does.  So no
@@ -537,15 +529,11 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
     ``hilbert_numerator``).  The leads of the basis generate an ideal inside
     the initial ideal, with the same series only if the two are equal; so
     once the leads of ``active`` reach the target the basis is Groebner and
-    the pending pairs are skipped.  ``memo``, if given, maps the frozenset
-    of minimal leads of a check to its numerator; the check reads it before
-    computing one and adds what it computes.  Returns the forms of the
-    minimal basis (see ``GroebnerBasis``), tail-reduced and sorted ascending
-    by the key of the leading monomial.
+    the pending pairs are skipped.  Returns the forms of the minimal basis
+    (see ``GroebnerBasis``), tail-reduced and sorted ascending by the key of
+    the leading monomial.
     """
     gens = [(max(map(sum, d)), d.items()) for d in gens]
-    if not gens:
-        return []
     n = len(next(iter(gens[0][1]))[0])
     mons = _Monomials(n, max([cap, *(d for d, _ in gens)]), key)
     guard, shift, lcm_of, unpack = mons.guard, mons.shift, mons.lcm, mons.unpack
@@ -594,14 +582,12 @@ def _buchberger_dicts(gens: Iterable[dict], key: Callable, cap: int, target=None
             push(_reducer(r, mons))
 
     checked = 0  # basis size at the last comparison with the target
-    memo = {} if memo is None else memo
     while heap:
         _, i, j = heappop(heap)
         if target is not None and checked < len(basis):
             checked = len(basis)
             # the leads of ``active`` are the minimal ones: no lead divides a later one
-            leads = frozenset(unpack(basis[k][1]) for k in active)
-            if _memo_numerator(memo, n, leads) == target:
+            if hilbert_numerator(n, [unpack(basis[k][1]) for k in active]) == target:
                 break
         r, _ = _nf_dict(_spair_poly(basis[i], basis[j], mons), basis, mons, cap)
         if r:
@@ -685,16 +671,6 @@ def cancel_one_minus_t(q: tuple, d: int) -> tuple:
         q = tuple(accumulate(q))[:-1]
         d -= 1
     return q, d
-
-
-def _memo_numerator(memo: dict, n: int, leads: frozenset) -> tuple:
-    """The Hilbert numerator of the minimal exponent vectors ``leads`` in n
-    variables, read from ``memo`` (see ``Ideal.hilbert_memo``) or computed
-    and added to it."""
-    q = memo.get(leads)
-    if q is None:
-        q = memo[leads] = hilbert_numerator(n, leads)
-    return q
 
 
 # -- public operations ----------------------------------------------------
@@ -798,11 +774,10 @@ def buchberger(I: Ideal, order: OrderSpec = GREVLEX) -> GroebnerBasis:
     key = order.key_function(I.n, I.degree_cap)
     forms = _cone_hit(I, key)
     if forms is None:
-        forms = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap, I.numerator,
-                                  I.hilbert_memo)
+        forms = _buchberger_dicts(map(dict, I.forms), key, I.degree_cap, I.numerator)
     gb = I.gb_cache[order] = GroebnerBasis(order, I.n, forms)
     if I.numerator is None:
-        I.numerator = _memo_numerator(I.hilbert_memo, I.n, frozenset(gb.leads))
+        I.numerator = hilbert_numerator(I.n, gb.leads)
     return gb
 
 

@@ -117,7 +117,7 @@ class Polynomial:
     (grevlex, leading first).  The zero polynomial has an empty term tuple.
     """
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Iterable = ()):
         if n < 1:
@@ -138,7 +138,6 @@ class Polynomial:
             kept.sort(key=lambda t: key(t[0]), reverse=True)
         self.n = n
         self.terms = tuple(kept)
-        self._hash = None
 
     # -- constructors ---------------------------------------------------
 
@@ -265,9 +264,7 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.terms))
-        return self._hash
+        return hash((self.n, self.terms))
 
     def __str__(self) -> str:
         return format_polynomial(self)

@@ -54,16 +54,13 @@ def _saturation_invariants(J: Ideal) -> tuple:
     return (dimension(S), multiplicity(S))
 
 
-def topdim_monomial_free(J: Ideal, m: int) -> bool:
+def topdim_monomial_free(J: Ideal) -> bool:
     """Whether no top-dimensional minimal prime of J contains a monomial:
     whether its saturation by the product of the variables is proper with
     the dimension and multiplicity of J, which the associativity formula
-    makes equivalent (see the module docstring).  ``m`` must be
-    ``dimension(J)``; any other value, and the unit ideal, raise
-    ``ValueError``."""
-    if dimension(J) != m:
-        raise ValueError(f"m = {m} is not the dimension of the quotient by J")
-    return _saturation_invariants(J) == (m, multiplicity(J))
+    makes equivalent (see the module docstring).  The unit ideal raises
+    ``UsageError``."""
+    return (dimension(J), multiplicity(J)) == _saturation_invariants(J)
 
 
 def intrinsic_multiplicity(

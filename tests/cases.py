@@ -148,10 +148,10 @@ def counting_engine(monkeypatch) -> list:
 
 def counting_engine_variables(monkeypatch) -> list:
     """Record the variable count of each Buchberger engine run: n for a run
-    on an ideal in n variables, and None for a run without generators."""
+    on an ideal in n variables."""
     def variables(args):
         args[0] = gens = list(args[0])
-        return len(next(iter(gens[0]))) if gens else None
+        return len(next(iter(gens[0])))
 
     return _counting(monkeypatch, "_buchberger_dicts", record=variables)
 
@@ -210,8 +210,7 @@ def counting_resorts(monkeypatch) -> list:
 
 def counting_gins(monkeypatch) -> list:
     """Record each leading-monomial ideal ``generic.gin`` reads off a
-    transformed ideal: one per transform for each generic initial ideal it
-    computes, none for one it finds in ``Ideal.gins``."""
+    transformed ideal: one per transform each time it is called."""
     return _counting(monkeypatch, "monomial_ideal_of", generic)
 
 

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import random
 import sys
 import time
@@ -68,7 +70,7 @@ x2*x1 + x2*x2
 
 def write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return str(p)
 
 
@@ -419,29 +421,29 @@ def test_split_wnmt_bounds_s_pair_normal_forms(tmp_path, capsys, monkeypatch):
 def test_family_wnmt_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     # the family Wnmt job of the fan-probe benchmark at workload seed 1: its
     # 20 refinement cones form one orbit and its 10 adjacent pairs one, so
-    # it makes 5 engine runs (31 when every cone and pair was probed) and 2
-    # Hilbert numerators (16; 3 when the numerator read from a cached basis
-    # did not consult the memo of Hilbert checks)
+    # it makes 5 engine runs (31 when every cone and pair was probed) and 5
+    # Hilbert numerators (2 while derived ideals shared a memo of Hilbert
+    # checks)
     fam = write(tmp_path, "fam.ideal", FAMILY_531)
     runs = counting_engine(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
     code, report = run(capsys, "verify", fam, "--target", "Wnmt", "--seed", _fan_probe_seed(2))
     assert code == EXIT_OK and report["passed"] is True
-    assert len(runs) == 5 and len(numerators) == 2
+    assert len(runs) == 5 and len(numerators) == 5
 
 
 def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     # the family multiplicity job of the fan-probe benchmark at workload
     # seed 1 probes one of its 20 refinement cones, which form one orbit: it
-    # makes 11 engine runs, all in 5 variables, 3 Hilbert numerators and 15
-    # Groebner-cone lookups (151, 96 and 243 when every cone was probed; 8
-    # numerators when the numerator read from a cached basis did not
-    # consult the memo of Hilbert checks).  Every saturation step takes its
-    # basis through ``buchberger`` (13 lookups when a step that a cached
-    # basis certified looked up no order).  Six of the runs are saturation
-    # steps that no cached basis serves (two in 5 variables and four in 4,
-    # with 4 numerators and 9 lookups in all, when a run on the ideal
-    # restricted to x_i = 0 could certify such a step)
+    # makes 11 engine runs, all in 5 variables, 7 Hilbert numerators and 15
+    # Groebner-cone lookups (151, 96 and 243 when every cone was probed; 3
+    # numerators while derived ideals shared a memo of Hilbert checks).
+    # Every saturation step takes its basis through ``buchberger`` (13
+    # lookups when a step that a cached basis certified looked up no
+    # order).  Six of the runs are saturation steps that no cached basis
+    # serves (two in 5 variables and four in 4, with 4 numerators and 9
+    # lookups in all, when a run on the ideal restricted to x_i = 0 could
+    # certify such a step)
     fam = write(tmp_path, "fam.ideal", FAMILY_531)
     runs = counting_engine_variables(monkeypatch)
     numerators = counting_hilbert_numerators(monkeypatch)
@@ -449,7 +451,7 @@ def test_family_multiplicity_bounds_engine_runs(tmp_path, capsys, monkeypatch):
     code, report = run(capsys, "verify", fam, "--target", "multiplicity",
                        "--seed", _fan_probe_seed(3))
     assert code == EXIT_OK and report["passed"] is True
-    assert runs == [5] * 11 and len(numerators) == 3 and len(lookups) == 15
+    assert runs == [5] * 11 and len(numerators) == 7 and len(lookups) == 15
 
 
 def test_analyze_jobs_pin_their_engine_runs(tmp_path, capsys, monkeypatch):
@@ -552,7 +554,7 @@ def test_verify_multiplicity_quadric(tmp_path, capsys):
     assert all(p["evidence"] == "exact" for p in report["probes"])
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad = write(tmp_path, "bad.ideal", "ring two\nx1\n")
     assert main(["analyze", bad]) == EXIT_PARSE
     capsys.readouterr()
@@ -592,12 +594,13 @@ def test_exit_codes(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
-    # bytes that are not UTF-8 are bad input, not an engine fault
-    latin = tmp_path / "latin.ideal"
-    latin.write_bytes(b"ring 2\nx1*x2 \xff\n")
-    assert main(["analyze", str(latin)]) == EXIT_PARSE
+    # bytes that are not UTF-8 are bad input, not an engine fault; the
+    # message starts with a short path whole
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "latin.ideal", b"ring 2\nx1*x2 \xff\n")
+    assert main(["analyze", "latin.ideal"]) == EXIT_PARSE
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"error: {latin}: not UTF-8 ")
+    assert captured.out == "" and captured.err.startswith("error: latin.ideal: not UTF-8 ")
     assert captured.err.count("\n") == 1
 
     nongraded = write(tmp_path, "ng.ideal", "ring 2\nx1 + x2^2\n")
@@ -670,6 +673,14 @@ LONG_INPUT_ERRORS = [
      "ring 3\n" + "+".join(["x1"] * 1000) + "+"),
     (["tropical", "{f}", "--omega", "1,2,3,4," + "z" * 3000],
      f"bad omega entry: '{'z' * 20}': not a number\n", FAMILY_531),
+    (["analyze", "p" * 3000],
+     f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '{'p' * 20}'\n",
+     FAMILY_531),
+    (["analyze", "{f}", "--json", "nodir/" + "j" * 3000],
+     f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'nodir/{'j' * 14}'\n", FAMILY_531),
+    # the ideal file itself, by a relative path of 3,009 characters
+    (["analyze", "./" * 1500 + "fam.ideal"],
+     f"{'./' * 10}: not UTF-8 (invalid start byte at byte 13)\n", b"ring 2\nx1*x2 \xff\n"),
 ]
 
 
@@ -700,10 +711,11 @@ LONG_INPUT_ERRORS = [
     "long-int", "no-value", "switch-value", "no-file",
     "two-files", "no-command", "bad-command", "flag-before-command",
     "long-target", "long-flag", "long-command", "long-factor", "long-header", "long-variable",
-    "long-untokenizable", "long-omega"])
-def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv, message, text):
+    "long-untokenizable", "long-omega", "long-path", "long-json-path", "long-not-utf8-path"])
+def test_usage_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message, text):
     # a bad command line, or a bad ideal file, is a UsageError inside main:
     # no SystemExit, no usage text, one error line and no report
+    monkeypatch.chdir(tmp_path)
     fam = write(tmp_path, "fam.ideal", text)
     assert main([a.format(f=fam) for a in argv]) == EXIT_PARSE
     captured = capsys.readouterr()
@@ -781,6 +793,13 @@ def test_exit_code_genericity(tmp_path, capsys):
     path = write(tmp_path, "line.ideal", "ring 2\nx2\n")
     assert main(["analyze", path, "--identity"]) == EXIT_GENERICITY
     capsys.readouterr()
+    # split.ideal has depth 1 and dimension 4, and under the identity its
+    # two witness points give one initial ideal
+    split = write(tmp_path, "split.ideal", SPLIT)
+    assert main(["analyze", split, "--identity"]) == EXIT_GENERICITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: intermediate depth but no separating witness found\n"
 
 
 @pytest.mark.parametrize("argv, text, message", [

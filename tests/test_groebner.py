@@ -72,6 +72,8 @@ def test_normal_form_membership_matches_oracle():
 def test_buchberger_examples():
     I = ideal(2, "x1 + x2", "x1^2")
     assert [str(g) for g in buchberger(I)] == ["x1 + x2", "x2^2"]
+    assert repr(I) == "Ideal(2; x1 + x2, x1^2)"
+    assert repr(buchberger(I)) == "GroebnerBasis(OrderSpec(weight=None), [x1 + x2, x2^2])"
     M = ideal(2, "x1^2", "x2^3")
     assert sorted(str(g) for g in buchberger(M)) == ["x1^2", "x2^3"]
     principal = ideal(3, "2*x1^2 + 4*x2*x3")
@@ -795,10 +797,6 @@ def test_derived_ideals_carry_the_parent_cap():
     assert [J.degree_cap for J in derived] == [9] * len(derived)
     # the last saturation step is a new ideal, whose bases run under its cap
     assert derived[-1] is not I
-    # every derived ideal shares the memo of Hilbert checks of its root; an
-    # ideal built from generators starts its own
-    assert all(J.hilbert_memo is I.hilbert_memo for J in derived)
-    assert ideal(3, "x1^2 - x2*x3", "x1*x3", degree_cap=9).hilbert_memo is not I.hilbert_memo
     # transforms and initial ideals have the Hilbert series of I and share
     # its holder of the numerator, so one read from any one's basis is
     # known to all; a saturation step that divides and a saturation have
@@ -1157,27 +1155,25 @@ def test_buchberger_with_a_warm_cache_matches_the_reference_engine(monkeypatch):
     # the other orders' runs take the Hilbert numerator read from it as
     # their target.  Each such run is repeated without the target: it must
     # return the same forms, or raise the same cap error, after forming
-    # at least as many s-pairs; some runs must have stopped early.  The run
-    # with the target reads and fills the ideal's memo of Hilbert checks, so
-    # a memo hit must not change its result either.
+    # at least as many s-pairs; some runs must have stopped early.
     from gentrop import groebner
 
     engine = groebner._buchberger_dicts
     spairs, saved = counting_spairs(monkeypatch), []
 
-    def both_ways(gens, key, cap, target=None, memo=None):
+    def both_ways(gens, key, cap, target=None):
         if target is None:
-            return engine(gens, key, cap, None, memo)
+            return engine(gens, key, cap)
         gens = list(gens)
         start = len(spairs)
         try:
             plain = engine(gens, key, cap)
         except DegreeCapExceeded as e:
             with pytest.raises(DegreeCapExceeded, match=re.escape(str(e))):
-                engine(gens, key, cap, target, memo)
+                engine(gens, key, cap, target)
             raise
         mid = len(spairs)
-        assert engine(gens, key, cap, target, memo) == plain
+        assert engine(gens, key, cap, target) == plain
         saved.append(2 * mid - start - len(spairs))
         return plain
 

@@ -44,6 +44,7 @@ def test_minimalize_examples():
     incomparable = M(3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
     assert set(incomparable.generators) == {(1, 1, 0), (0, 1, 1), (1, 0, 1)}
     assert M(2, (2, 0), (2, 1)).generators == ((2, 0),)
+    assert str(M(3, (1, 1, 0), (0, 0, 2), (1, 1, 1))) == "(x3^2, x1*x2)"
     with pytest.raises(ValueError, match="empty generator list"):
         minimalize(2, [])
 

@@ -179,6 +179,7 @@ def test_arithmetic_examples():
     f, g = P("x1 + x2", 2), P("x1 - x2", 2)
     assert f * g == P("x1^2 - x2^2", 2)
     assert f + (-1) * f == Polynomial.zero(2)
+    assert -g == P("x2 - x1", 2) and -Polynomial.zero(2) == Polynomial.zero(2)
     assert f**2 == P("x1^2 + 2*x1*x2 + x2^2", 2)
 
 
@@ -264,6 +265,7 @@ def test_polynomial_invariants():
     assert P("x1*x2", 2).degree == 2
     assert Polynomial.zero(2).degree is None
     assert format_polynomial(Polynomial.zero(2)) == "0"
+    assert repr(P("x1 - 2*x2", 2)) == "Polynomial(2, 'x1 - 2*x2')"
     with pytest.raises(ValueError, match="at least one variable"):
         Polynomial(0)
     with pytest.raises(ValueError, match="out of range"):

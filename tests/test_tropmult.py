@@ -8,7 +8,7 @@ from gentrop.fans import interior_points, maximal_cones, refinement_maximal_cone
 from gentrop.generic import apply_transform, gap_degree, identity_policy, random_transform, transformed
 from gentrop.groebner import Ideal, initial_ideal, is_unit_ideal, saturate
 from gentrop.invariants import dimension, multiplicity
-from gentrop.poly import Polynomial
+from gentrop.poly import Polynomial, UsageError
 from gentrop.tropmult import (
     _in_convex_hull,
     edge_lattice_length,
@@ -32,17 +32,15 @@ from cases import (
 
 
 def test_topdim_monomial_free_examples():
-    assert topdim_monomial_free(ideal(3, "x1 + x2"), 2)
-    assert not topdim_monomial_free(ideal(3, "x1"), 2)
-    assert not topdim_monomial_free(ideal(3, "x1*x2"), 2)
+    assert topdim_monomial_free(ideal(3, "x1 + x2"))
+    assert not topdim_monomial_free(ideal(3, "x1"))
+    assert not topdim_monomial_free(ideal(3, "x1*x2"))
     # (x1 + x2) * (x1, x3): only the lower-dimensional prime (x1, x3) holds
     # a monomial
-    assert topdim_monomial_free(ideal(3, "x1^2 + x1*x2", "x1*x3 + x2*x3"), 2)
-    assert not topdim_monomial_free(ideal(3, "x1*x3", "x2*x3"), 2)
-    with pytest.raises(ValueError):
-        topdim_monomial_free(ideal(3, "x1 + x2", "1"), 2)
-    with pytest.raises(ValueError):
-        topdim_monomial_free(ideal(3, "x1 + x2"), 1)
+    assert topdim_monomial_free(ideal(3, "x1^2 + x1*x2", "x1*x3 + x2*x3"))
+    assert not topdim_monomial_free(ideal(3, "x1*x3", "x2*x3"))
+    with pytest.raises(UsageError, match="zero ring"):
+        topdim_monomial_free(ideal(3, "x1 + x2", "1"))
 
 
 def _free_by_hyperplane_cuts(J: Ideal, m: int) -> bool:
@@ -75,9 +73,8 @@ def test_topdim_monomial_free_matches_hyperplane_cuts():
                     ideals += [initial_ideal(gI, w) for gI in transformed(I, pol)]
     outcomes = []
     for J in ideals:
-        m = dimension(J)
-        outcomes.append(topdim_monomial_free(J, m))
-        assert outcomes[-1] == _free_by_hyperplane_cuts(J, m), J.generators
+        outcomes.append(topdim_monomial_free(J))
+        assert outcomes[-1] == _free_by_hyperplane_cuts(J, dimension(J)), J.generators
     assert True in outcomes and False in outcomes
 
 
