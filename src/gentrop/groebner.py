@@ -47,7 +47,6 @@ run computes its numerator afresh.
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -159,7 +158,8 @@ class Ideal:
         return J
 
     def _set_forms(self, gens: list) -> None:
-        """Store integer dicts as primitive forms sorted by one grevlex key."""
+        """Store integer dicts as primitive forms, content divided out and lead
+        positive, their terms sorted by one grevlex key."""
         top = max(self.degree_cap, *(sum(next(iter(g))) for g in gens))
         key = GREVLEX.key_function(self.n, top)
         forms = []
@@ -332,27 +332,26 @@ def divides(a, b) -> bool:
 
 
 def _primitive(d: dict) -> dict:
-    """The integer multiple of d (int or Fraction values) with content 1 and
-    the signs of d; callers that need a positive lead fix the sign."""
+    """d (int or Fraction values) times the lcm of its denominators: an
+    integer multiple with the signs of d.  Its content stays: forms
+    (``Ideal._set_forms``) and a run's reducers (``_reducer``) are the only
+    places that divide it out and make the lead positive."""
     den = lcm(*(c.denominator for c in d.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in d.items()}
-    g = gcd(*ints.values())
-    if g == 1:
-        return ints
-    return {e: c // g for e, c in ints.items()}
+    return {e: c.numerator * (den // c.denominator) for e, c in d.items()}
 
 
 class _Monomials:
     """How one run writes a monomial as one int, its index: minus the order
     key, above the exponents x_1 .. x_n and the total degree packed into
     fields of ``width`` bits (the degree highest, x_n lowest).  The width is
-    the smallest of 8, 16, 32 and 64 bits whose top bit, a guard bit, no
-    degree up to ``bound`` reaches (else one bit more than the bound takes).
-    With G the guard bits, a divides b iff ((b | G) - a) & G == G.  ``key``
-    must be linear, a dot product as ``OrderSpec.key_function`` is, so the
-    index is one dot product too (read off ``key`` at the unit vectors): a
-    product or quotient of monomials, key included, is one int sum or
-    difference, and a min-heap of indices pops terms in descending order.
+    ``bound.bit_length() + 1``, the field width of ``OrderSpec.key_function``,
+    so one rule sizes both integer encodings of a monomial: no degree up to
+    ``bound`` reaches a field's top bit, its guard bit.  With G the guard
+    bits, a divides b iff ((b | G) - a) & G == G.  ``key`` must be linear,
+    a dot product as ``OrderSpec.key_function`` is, so the index is one dot
+    product too (read off ``key`` at the unit vectors): a product or
+    quotient of monomials, key included, is one int sum or difference, and
+    a min-heap of indices pops terms in descending order.
     A product of two terms within the bound still fits its fields, as it
     does those of ``key_function``, so a new term's degree field can be
     checked against the cap.  Packed monomials compare as (degree,
@@ -361,12 +360,7 @@ class _Monomials:
     __slots__ = ("width", "guard", "shift", "mask", "index", "unpack", "lcm")
 
     def __init__(self, n: int, bound: int, key: Callable):
-        for width, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
-            if bound < 1 << (width - 1):
-                fields = struct.Struct(f">{n + 1}{code}")
-                break
-        else:
-            width, fields = bound.bit_length() + 1, None
+        width = bound.bit_length() + 1
         shift, full = width * n, (1 << width) - 1
         mask, low = (1 << (shift + width)) - 1, (1 << shift) - 1
         ones = low // full  # a 1 in each exponent field
@@ -376,11 +370,8 @@ class _Monomials:
                   - (key((0,) * i + (1,) + (0,) * (n - 1 - i)) << shift + width)
                   for i in range(n)]
         self.index = lambda e: sum(map(mul, vector, e))
-        if fields is not None:
-            self.unpack = lambda t: fields.unpack((t & mask).to_bytes(fields.size, "big"))[1:]
-        else:
-            shifts = range(width * (n - 1), -1, -width)
-            self.unpack = lambda t: tuple((t >> s) & full for s in shifts)
+        shifts = range(width * (n - 1), -1, -width)
+        self.unpack = lambda t: tuple([(t >> s) & full for s in shifts])
 
         def lcm(p: int, q: int) -> int:
             # full fields where p's exponent is at least q's

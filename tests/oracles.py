@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to validate the engine.
 
-Everything here is exact linear algebra (sparse Gaussian elimination over
-the rationals) or exhaustive enumeration, deliberately sharing no code
-with the division/Buchberger path it checks.  The
-exceptions are the fan probes' earlier forms, kept as references for the
+Everything here is exact linear algebra (sparse fraction-free Gaussian
+elimination, exact over the rationals) or exhaustive enumeration,
+deliberately sharing no code with the division/Buchberger path it checks.
+The exceptions are the fan probes' earlier forms, kept as references for the
 exact forms that replaced them: ``initial_ideal_forms``, the comparison of
 weighted initial ideals that the Groebner-cell point test replaced, and
 ``moved_point_ray_constancy`` and ``moved_point_recover_depth``, which
@@ -23,7 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, combinations
+from math import gcd, lcm
+from operator import add, ge, le, sub
 
 from gentrop.fans import ConeId, budget, interior_point, interior_points
 from gentrop.generic import (
@@ -199,14 +202,13 @@ def listed_cones(n: int, m: int, t: int | None = None) -> list:
     return out
 
 
-def monomials_of_degree(n: int, d: int) -> list:
+@cache
+def monomials_of_degree(n: int, d: int) -> tuple:
     """All exponent vectors of total degree d, in a fixed order."""
     if n == 1:
-        return [(d,)]
-    out = []
-    for first in range(d + 1):
-        out.extend((first,) + rest for rest in monomials_of_degree(n - 1, d - first))
-    return out
+        return ((d,),)
+    return tuple((first,) + rest for first in range(d + 1)
+                 for rest in monomials_of_degree(n - 1, d - first))
 
 
 def monomials_up_to(n: int, d: int) -> list:
@@ -217,36 +219,55 @@ def monomials_up_to(n: int, d: int) -> list:
 
 
 def _reduce(row: dict, pivots: dict) -> dict:
-    """``row`` ({key: coefficient}) less the multiples of ``pivots`` (see
-    ``_add``) that clear its largest key while a pivot has that key: empty
-    iff the row lies in the span of the pivots."""
-    r = dict(row)
-    while r:
-        top = max(r)
-        p = pivots.get(top)
+    """An integer multiple of ``row`` ({key: int or Fraction}) less the
+    multiples of ``pivots`` (see ``_add``) that clear its least key while a
+    pivot has that key: empty iff the row lies in the span of the pivots.
+    The keys wait in a heap, least first, so no step rescans the row."""
+    den = lcm(*(c.denominator for c in row.values()))
+    r = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+    heap = list(r)
+    heapify(heap)
+    while heap:
+        low = heappop(heap)
+        c = r.get(low)
+        if c is None:
+            continue  # cancelled since it was pushed
+        p = pivots.get(low)
         if p is None:
             break
-        c = r[top]
+        g = gcd(p[low], c)
+        a, c = p[low] // g, c // g
+        if a != 1:
+            for k in r:
+                r[k] *= a
         for k, v in p.items():
-            x = r.get(k, 0) - c * v
-            if x:
-                r[k] = x
+            x = r.get(k)
+            if x is None:
+                r[k] = -c * v
+                heappush(heap, k)
+            elif x != c * v:
+                r[k] = x - c * v
             else:
-                r.pop(k, None)
+                del r[k]
     return r
 
 
 def _add(row: dict, pivots: dict) -> bool:
     """Whether ``row`` lies outside the span of ``pivots``, a sparse echelon
-    basis over Q that maps the largest key of each of its rows to that row
-    scaled to 1 there; if so, the row, reduced, joins them.  So
-    ``len(pivots)`` is the rank of the rows added."""
+    basis over Q that maps the least key of each of its rows to that row,
+    with integer entries of content 1 and positive there; if so, the row,
+    reduced, joins them.  So ``len(pivots)`` is the rank of the rows added."""
     r = _reduce(row, pivots)
     if r:
-        top = max(r)
-        c = Fraction(r[top])
-        pivots[top] = {k: v / c for k, v in r.items()}
+        low = min(r)
+        g = gcd(*r.values()) if r[low] > 0 else -gcd(*r.values())
+        pivots[low] = {k: v // g for k, v in r.items()}
     return bool(r)
+
+
+def _shifted(f: Polynomial, e) -> dict:
+    """The terms of f times the monomial x^e, as {exponents: coefficient}."""
+    return {tuple(map(add, u, e)): c for u, c in f.terms}
 
 
 def degree_span(generators, n: int, d: int) -> dict:
@@ -259,7 +280,7 @@ def degree_span(generators, n: int, d: int) -> dict:
         if dg is None or dg > d:
             continue
         for shift in monomials_of_degree(n, d - dg):
-            _add(dict((g * Polynomial.monomial(n, shift)).terms), pivots)
+            _add(_shifted(g, shift), pivots)
     return pivots
 
 
@@ -296,8 +317,7 @@ def colon_power_slice(generators, f: Polynomial, power: int, n: int, d: int) -> 
     # A holds the k rows lambda * f^power, and the rows of A that join B's
     # echelon basis one by one count rank [A | B] - rank B
     lams = monomials_of_degree(n, d)
-    return len(lams) - sum(_add(dict((fp * Polynomial.monomial(n, lam)).terms), span)
-                           for lam in lams)
+    return len(lams) - sum(_add(_shifted(fp, lam), span) for lam in lams)
 
 
 def saturation_slice(generators, f: Polynomial, n: int, d: int, stable_power: int = 4) -> int:
@@ -322,14 +342,17 @@ def monomial_in_ideal_upto(generators, n: int, d: int) -> bool:
 
 def standard_monomial_counts(min_gens, n: int, upto: int) -> list:
     """Counts per degree of monomials outside the monomial ideal; any
-    generating set gives the same counts."""
-    counts = []
-    for d in range(upto + 1):
-        c = 0
-        for e in monomials_of_degree(n, d):
-            if not any(all(a <= b for a, b in zip(g, e)) for g in min_gens):
-                c += 1
-        counts.append(c)
+    generating set gives the same counts.  The standard monomials are
+    closed under division, so those of degree d + 1 are the products x_i s,
+    s standard of degree d, that no generator divides."""
+    def standard(e) -> bool:
+        return not any(all(map(le, g, e)) for g in min_gens)
+
+    layer, counts = {e for e in [(0,) * n] if standard(e)}, []
+    for _ in range(upto + 1):
+        counts.append(len(layer))
+        layer = {e for e in {s[:i] + (s[i] + 1,) + s[i + 1:] for s in layer for i in range(n)}
+                 if standard(e)}
     return counts
 
 
@@ -517,3 +540,67 @@ def stanley_reisner(facets) -> tuple:
     else:
         label = "neither"
     return dim, depth, label, multiplicity
+
+
+def borel_moves(u) -> list:
+    """The monomials that Borel moves x_j * v / x_k (j < k) reach from the
+    exponent vector u, u included: those of u's degree whose prefix sums of
+    exponents are each at least u's."""
+    prefix = list(accumulate(u))
+    return [v for v in monomials_of_degree(len(u), sum(u))
+            if all(map(ge, accumulate(v), prefix))]
+
+
+def minimal_generators(gens) -> tuple:
+    """The divisibility-minimal exponent vectors of ``gens``, sorted."""
+    kept: list = []
+    for e in sorted(set(gens), key=sum):
+        if not any(all(map(le, k, e)) for k in kept):
+            kept.append(e)
+    return tuple(sorted(kept))
+
+
+def strongly_stable_ideals(n: int, degree: int) -> list:
+    """Every strongly stable ideal of k[x_1, ..., x_n] whose minimal
+    generators have degrees 1 to ``degree``, as the sorted tuple of those
+    generators.  Order the monomials of those degrees by u <= v iff v lies
+    in the Borel closure of u, the ideal of ``borel_moves(u)``.  Each ideal
+    is the Borel closure of one nonempty antichain of that order, its Borel
+    generators, so each antichain, found by choosing or skipping each
+    monomial in turn, gives a distinct ideal."""
+    mons = [e for d in range(1, degree + 1) for e in monomials_of_degree(n, d)]
+    moves = {u: borel_moves(u) for u in mons}
+    above = {u: {v for v in mons if v != u and any(all(map(le, w, v)) for w in moves[u])}
+             for u in mons}
+    out = []
+
+    def walk(i: int, chosen: list, blocked: set) -> None:
+        if i == len(mons):
+            if chosen:
+                out.append(minimal_generators(w for u in chosen for w in moves[u]))
+            return
+        walk(i + 1, chosen, blocked)
+        u = mons[i]
+        if u not in blocked:
+            below = {v for v in mons if u in above[v]}
+            walk(i + 1, chosen + [u], blocked | above[u] | below)
+
+    walk(0, [], set())
+    return out
+
+
+def standard_monomial_invariants(gens, n: int) -> tuple:
+    """(dimension, multiplicity) of S/M, M the proper monomial ideal of the
+    exponent vectors ``gens``, from the counts h(d) of standard monomials.
+    By inclusion-exclusion over the generators, the Hilbert series of S/M
+    is K(t) / (1-t)^n with deg K at most the degree L of their lcm, so h is
+    a polynomial for d > L - n, of degree dim - 1, whose (dim - 1)-th
+    difference is the multiplicity; dimension 0 leaves h zero there, and
+    the multiplicity is the number of standard monomials."""
+    lcm_degree = sum(map(max, zip(*gens)))
+    counts = standard_monomial_counts(gens, n, lcm_degree + n + 1)
+    tail, dim = counts[-(n + 1):], 0
+    while any(tail):
+        dim, last = dim + 1, tail
+        tail = list(map(sub, tail[1:], tail))
+    return dim, last[0] if dim else sum(counts)

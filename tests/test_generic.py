@@ -46,13 +46,17 @@ from gentrop.invariants import dimension, hilbert, minimalize, monomial_ideal_of
 from gentrop.poly import GREVLEX, Polynomial, normalize_weight
 
 from oracles import (
+    borel_moves,
     expanded_transform,
     initial_ideal_forms,
+    minimal_generators,
     monomials_of_degree,
     moved_point_ray_constancy,
     moved_point_recover_depth,
     sampled_cone_constancy,
+    standard_monomial_invariants,
     stanley_reisner,
+    strongly_stable_ideals,
 )
 
 from cases import (
@@ -278,6 +282,26 @@ def test_gin_of_strongly_stable_is_itself():
         G = gin(I, pol)
         want = minimalize(I.n, [g.terms[0][0] for g in I.generators])
         assert set(G.generators) == set(want.generators)
+
+
+@pytest.mark.parametrize("n, count", [(1, 3), (2, 14), (3, 64), (4, 350)])
+def test_every_strongly_stable_ideal_is_its_own_gin(n, count):
+    # every strongly stable ideal in n <= 4 variables generated in degrees
+    # at most 3: in characteristic 0 it is Borel-fixed, so it is its own
+    # generic initial ideal (Galligo 1974; Bayer and Stillman 1987), its
+    # depth is n minus the largest index of a variable in a minimal
+    # generator (Eliahou and Kervaire 1990), and its dimension and
+    # multiplicity come from counting standard monomials
+    pol = policy()
+    ideals = strongly_stable_ideals(n, 3)
+    assert len(set(ideals)) == len(ideals) == count
+    for gens in ideals:
+        assert all(minimal_generators([*gens, *borel_moves(g)]) == gens for g in gens), gens
+        J = Ideal(n, [{e: 1} for e in gens])
+        assert sorted(gin(J, pol).generators) == list(gens), gens
+        last = max(i + 1 for g in gens for i, e in enumerate(g) if e)
+        assert generic.depth(J, pol) == n - last, gens
+        assert (dimension(J), multiplicity(J)) == standard_monomial_invariants(gens, n), gens
 
 
 def test_gin_of_principal_is_power_of_first_variable():

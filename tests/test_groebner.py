@@ -1462,17 +1462,19 @@ def test_normal_form_ranks_input_terms_above_the_cap():
     f = P("x2^6 + 2*x1^5*x3", 3)
     got = normal_form(f, [P("x2^6 + x1^5*x3", 3)], GREVLEX, degree_cap=1)
     assert got == P("x1^5*x3", 3)
-    # inputs too wide for one-byte exponent fields widen them
+    # the input degrees size the packed fields too: 130 widens them to 9 bits
     f = P("x2^130 + 2*x1^129*x3", 3)
     got = normal_form(f, [P("x2^130 + x1^129*x3", 3)], GREVLEX, degree_cap=1)
     assert got == P("x1^129*x3", 3)
 
 
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("bound", [127, 128, 32767, 32768, 2**31, 2**63])
+@pytest.mark.parametrize("bound", [1, 2, 3, 40, 63, 64, 127, 128, 32767, 32768, 2**31, 2**63])
 def test_packed_monomials_match_their_exponent_tuples(bound, n):
-    # at each boundary of the 8-, 16-, 32- and 64-bit fields, and beyond
-    # the widest, every packed operation the division kernel uses must
+    # fields are bound.bit_length() + 1 bits wide, a guard bit above the
+    # bound: on either side of a change of bit length (1 | 2, 63 | 64,
+    # 127 | 128, 32767 | 32768), at the default cap of 40 and at large
+    # powers of 2, every packed operation the division kernel uses must
     # agree with the same operation on exponent tuples, for monomials of
     # total degree up to the bound, the bound itself included
     from gentrop.groebner import _Monomials
